@@ -26,7 +26,6 @@ from .errors import (
     SolverError,
     StochasticGronwallError,
 )
-from .kernels import ACTIVE_BACKEND
 from .martingales import (
     MartingalePath,
     PathFunctionals,
@@ -68,7 +67,6 @@ from .sequences import (
 from .streams import StreamPlan
 
 __all__ = [
-    "ACTIVE_BACKEND",
     "AprioriInputs",
     "BemConfig",
     "BemTrajectory",

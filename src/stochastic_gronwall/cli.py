@@ -237,6 +237,23 @@ def _require(args, name):
     return value
 
 
+def _positive(args, name, default, kind=float):
+    """The flag's value, or ``default`` when it is omitted.
+
+    An explicit value (from the command line or the config file) must be
+    a number of the given kind and > 0; it is never replaced by the default.
+    """
+    value = getattr(args, name, None)
+    if value is None:
+        return default
+    kinds = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
+        raise ConfigError(
+            f"--{name.replace('_', '-')} must be a positive {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 # ---------------------------------------------------------------------------
 # gronwall
 
@@ -307,8 +324,9 @@ def _cmd_martingale(args) -> int:
         p = _require(args, "p")
         n = args.samples if args.samples is not None else 1_000_000
         seed = _resolve_seed(args.seed)
-        plan = StreamPlan(seed, workers=args.workers or 1)
-        est = estimate_expectation(SupStoppedBmPowerSampler(p), n, plan, z=args.z or DEFAULT_Z)
+        plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
+        est = estimate_expectation(SupStoppedBmPowerSampler(p), n, plan,
+                                   z=_positive(args, "z", DEFAULT_Z))
         reference = remark_constants(p).lower
         payload = {
             "kind": "estimate",
@@ -406,7 +424,7 @@ def _cmd_verify(args) -> int:
         horizon = args.horizon if args.horizon is not None else 10
         n_paths = args.paths if args.paths is not None else 100_000
         seed = _resolve_seed(args.seed)
-        plan = StreamPlan(seed, workers=args.workers or 1)
+        plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
         all_systems = {s.label: s for s in standard_synthetic_systems(horizon)}
         if args.systems is not None:
             wanted = [s.strip() for s in args.systems.split(",")]
@@ -418,7 +436,8 @@ def _cmd_verify(args) -> int:
             systems = [all_systems[w] for w in wanted]
         else:
             systems = list(all_systems.values())
-        report = verify_theorem_on_synthetic(systems, p, n_paths, plan, z=args.z or DEFAULT_Z)
+        report = verify_theorem_on_synthetic(systems, p, n_paths, plan,
+                                             z=_positive(args, "z", DEFAULT_Z))
         payload = report.to_dict()
         _emit_verify(args, payload,
                      ["system", "mean", "std_error", "ci_halfwidth", "bound", "passed"],
@@ -446,11 +465,11 @@ def _cmd_verify(args) -> int:
             )
         n_paths = args.paths if args.paths is not None else 100_000
         seed = _resolve_seed(args.seed)
-        plan = StreamPlan(seed, workers=args.workers or 1)
+        plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
         configs = [BemConfig(h=h, h0=h0, T=T) for h in h_grid]
         report = verify_apriori(
             problem, configs, p, n_paths, plan,
-            z=args.z or DEFAULT_Z,
+            z=_positive(args, "z", DEFAULT_Z),
             fail_threshold=args.fail_threshold or 0.0,
         )
         payload = report.to_dict()

@@ -1,152 +1,202 @@
 """Hot numeric kernels: implicit Euler-Maruyama batch stepping and
 streaming moment accumulation.
 
-The kernels are written as plain Python loops over numpy arrays and are
-JIT-compiled with numba when it is importable. Setting the environment
-variable ``SGRONWALL_NO_NUMBA=1`` before import forces the uncompiled
-numpy fallback; both backends execute the same source, so per-path
-arithmetic is identical bit for bit. ``ACTIVE_BACKEND`` records the
-selection, and ``benchmarks/bench_kernels.py`` compares the two.
+The implicit step is solved for a whole batch of paths at once with
+numpy array operations: each Newton iteration touches only the paths
+still above tolerance, and only the paths where Newton gives up take
+the safeguarded bisection fallback. Per-path arithmetic is the same as
+a scalar solve of that path alone, so results do not depend on which
+other paths share the batch.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("SGRONWALL_NO_NUMBA", "") != "1"
-ACTIVE_BACKEND = "numba" if USE_NUMBA else "numpy"
 
 # Drift/diffusion codes for problems the batch kernel knows how to step.
 KERNEL_LINEAR = 0
 KERNEL_GINZBURG_LANDAU = 1
 
+# Newton gives up on a path when 1 - h*f'(z) is at or below this value.
+NEWTON_MIN_SLOPE = 1e-14
+# Bracket doublings and bisection halvings allowed per path.
+BRACKET_MAX_GROWTH = 600
+BISECTION_MAX_ITER = 300
 
-def _jit(fn):
-    return njit(cache=True)(fn) if USE_NUMBA else fn
 
-
-def _drift_impl(kernel_id, params, x):
-    if kernel_id == 0:
+def _drift(kernel_id, params, x):
+    if kernel_id == KERNEL_LINEAR:
         return -params[0] * x
     return x - x * x * x
 
 
-def _drift_slope_impl(kernel_id, params, x):
-    if kernel_id == 0:
-        return -params[0]
+def _drift_slope(kernel_id, params, x):
+    if kernel_id == KERNEL_LINEAR:
+        return np.full_like(x, -params[0])
     return 1.0 - 3.0 * x * x
 
 
-def _diffusion_impl(kernel_id, params, x):
-    if kernel_id == 0:
+def _diffusion(kernel_id, params, x):
+    if kernel_id == KERNEL_LINEAR:
         return params[1] * x
     return params[0] * x
 
 
-_drift = _jit(_drift_impl)
-_drift_slope = _jit(_drift_slope_impl)
-_diffusion = _jit(_diffusion_impl)
+def implicit_solve(drift, slope, h, b, tol, max_iter):
+    """Solve z - h*drift(z) = b entry by entry for a 1-D array b.
 
+    ``drift`` and ``slope`` (its derivative) map a 1-D array of states
+    to an array of the same shape, elementwise. Newton runs from the
+    explicit predictor z = b on the entries whose residual is still
+    above ``tol``, for at most ``max_iter`` updates. An entry where
+    Newton gives up (1 - h*slope(z) not finite or at most
+    ``NEWTON_MIN_SLOPE``, a non-finite iterate, or no convergence within
+    ``max_iter``) falls back to bisection on [-span, span],
+    span = 1 + 2|b|, doubled until it brackets the root. The residual
+    is strictly increasing for one-sided Lipschitz drifts with h below
+    the Lipschitz threshold, so that root is unique.
 
-def _implicit_step_impl(kernel_id, params, h, b, tol, max_iter):
-    """Solve z - h*f(z) = b for one implicit drift step.
+    Failure rule: an entry fails if the bracket does not form within
+    ``BRACKET_MAX_GROWTH`` doublings, or if the bisection neither meets
+    ``tol`` within ``BISECTION_MAX_ITER`` halvings nor, once the bracket
+    has collapsed to rounding level or the halvings are used up, ends
+    with a midpoint residual at or below 10*tol.
 
-    Newton from the explicit predictor, with safeguarded bisection on a
-    geometrically grown bracket as fallback. The residual is strictly
-    increasing in z for one-sided Lipschitz drifts with h below the
-    Lipschitz threshold, so the bracket always contains a unique root.
-    Returns (root, iterations, converged).
+    Returns (z, iterations, converged); z is NaN where converged is
+    False, and iterations counts Newton updates plus bisection halvings.
     """
-    z = b
-    iters = 0
+    b = np.asarray(b, dtype=np.float64)
+    z = np.full(b.shape, np.nan)
+    iters = np.zeros(b.shape, dtype=np.int64)
+    converged = np.zeros(b.shape, dtype=np.bool_)
+
+    idx = np.arange(b.size)
+    z_a = b.copy()
+    b_a = b
+    fallback = []
     for _ in range(max_iter):
-        r = z - h * _drift(kernel_id, params, z) - b
-        if abs(r) <= tol:
-            return z, iters, True
-        denom = 1.0 - h * _drift_slope(kernel_id, params, z)
-        if denom <= 1e-14 or not np.isfinite(denom):
+        r = z_a - h * drift(z_a) - b_a
+        done = np.abs(r) <= tol
+        if done.any():
+            z[idx[done]] = z_a[done]
+            converged[idx[done]] = True
+            keep = ~done
+            idx, z_a, b_a, r = idx[keep], z_a[keep], b_a[keep], r[keep]
+            if not idx.size:
+                break
+        denom = 1.0 - h * slope(z_a)
+        gave_up = (denom <= NEWTON_MIN_SLOPE) | ~np.isfinite(denom)
+        if gave_up.any():
+            fallback.append(idx[gave_up])
+            keep = ~gave_up
+            idx, z_a, b_a, r, denom = idx[keep], z_a[keep], b_a[keep], r[keep], denom[keep]
+        z_a = z_a - r / denom
+        iters[idx] += 1
+        diverged = ~np.isfinite(z_a)
+        if diverged.any():
+            fallback.append(idx[diverged])
+            keep = ~diverged
+            idx, z_a, b_a = idx[keep], z_a[keep], b_a[keep]
+        if not idx.size:
             break
-        z = z - r / denom
-        iters += 1
-        if not np.isfinite(z):
-            break
+    fallback.append(idx)
 
-    # Bisection fallback on [-span, span], grown until it brackets.
-    span = 1.0 + 2.0 * abs(b)
+    rest = np.concatenate(fallback)
+    if rest.size:
+        root, used, ok = _bisect(drift, h, b[rest], tol)
+        z[rest] = np.where(ok, root, np.nan)
+        iters[rest] += used
+        converged[rest] = ok
+    return z, iters, converged
+
+
+def _bisect(drift, h, b, tol):
+    """Safeguarded bisection for z - h*drift(z) = b, entry by entry."""
+
+    def residual(x, sel):
+        return x - h * drift(x) - b[sel]
+
+    span = 1.0 + 2.0 * np.abs(b)
     lo = -span
-    hi = span
-    grew = 0
-    while lo - h * _drift(kernel_id, params, lo) - b > 0.0 and grew < 600:
-        lo *= 2.0
-        grew += 1
-    while hi - h * _drift(kernel_id, params, hi) - b < 0.0 and grew < 600:
-        hi *= 2.0
-        grew += 1
-    if grew >= 600:
-        return z, iters, False
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        r = mid - h * _drift(kernel_id, params, mid) - b
-        iters += 1
-        if abs(r) <= tol:
-            return mid, iters, True
-        if r < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-300 + 4e-16 * (abs(lo) + abs(hi)):
+    hi = span.copy()
+    grew = np.zeros(b.shape, dtype=np.int64)
+    for bound, sign in ((lo, 1.0), (hi, -1.0)):
+        sel = np.arange(b.size)
+        while sel.size:
+            sel = sel[(sign * residual(bound[sel], sel) > 0.0) & (grew[sel] < BRACKET_MAX_GROWTH)]
+            bound[sel] *= 2.0
+            grew[sel] += 1
+    bracketed = grew < BRACKET_MAX_GROWTH
+
+    root = np.full(b.shape, np.nan)
+    iters = np.zeros(b.shape, dtype=np.int64)
+    ok = np.zeros(b.shape, dtype=np.bool_)
+    sel = np.flatnonzero(bracketed)
+    stalled = []
+    for _ in range(BISECTION_MAX_ITER):
+        if not sel.size:
             break
-    mid = 0.5 * (lo + hi)
-    r = mid - h * _drift(kernel_id, params, mid) - b
-    return mid, iters, abs(r) <= 10.0 * tol
+        mid = 0.5 * (lo[sel] + hi[sel])
+        r = residual(mid, sel)
+        iters[sel] += 1
+        done = np.abs(r) <= tol
+        root[sel[done]] = mid[done]
+        ok[sel[done]] = True
+        below = r < 0.0
+        lo[sel[below]] = mid[below]
+        hi[sel[~below]] = mid[~below]
+        sel = sel[~done]
+        lo_s, hi_s = lo[sel], hi[sel]
+        collapsed = hi_s - lo_s <= 1e-300 + 4e-16 * (np.abs(lo_s) + np.abs(hi_s))
+        stalled.append(sel[collapsed])
+        sel = sel[~collapsed]
+    stalled.append(sel)
+
+    sel = np.concatenate(stalled)
+    if sel.size:
+        mid = 0.5 * (lo[sel] + hi[sel])
+        root[sel] = mid
+        ok[sel] = np.abs(residual(mid, sel)) <= 10.0 * tol
+    return root, iters, ok
 
 
-_implicit_step = _jit(_implicit_step_impl)
-
-
-def _bem_scalar_batch_impl(kernel_id, params, x0, h, d_w, tol, max_iter):
+def bem_scalar_batch(kernel_id, params, x0, h, d_w, tol, max_iter):
     """Step a batch of scalar implicit Euler-Maruyama paths.
 
     d_w holds the Brownian increments, one row per path, already scaled
-    to variance h. Returns the full state arrays (paths x steps+1), the
-    per-path solver iteration totals, and a per-path failure flag; the
-    states of a failed path are NaN from the failed step onward.
+    to variance h. Each step solves all live paths at once with
+    :func:`implicit_solve`. Returns the full state arrays (paths x
+    steps+1), the per-path solver iteration totals, and a per-path
+    failure flag; the states of a failed path are NaN from the failed
+    step onward.
     """
     n_paths, n_steps = d_w.shape
     states = np.empty((n_paths, n_steps + 1))
+    states[:, 0] = x0
     iters = np.zeros(n_paths, dtype=np.int64)
     failed = np.zeros(n_paths, dtype=np.bool_)
-    for ip in range(n_paths):
-        y = x0
-        states[ip, 0] = y
-        for j in range(n_steps):
-            b = y + _diffusion(kernel_id, params, y) * d_w[ip, j]
-            z, used, ok = _implicit_step(kernel_id, params, h, b, tol, max_iter)
-            iters[ip] += used
-            if not ok:
-                failed[ip] = True
-                for jj in range(j + 1, n_steps + 1):
-                    states[ip, jj] = np.nan
-                break
-            y = z
-            states[ip, j + 1] = y
+
+    def drift(x):
+        return _drift(kernel_id, params, x)
+
+    def slope(x):
+        return _drift_slope(kernel_id, params, x)
+
+    live = np.arange(n_paths)
+    y = states[:, 0].copy()
+    for j in range(n_steps):
+        b = y + _diffusion(kernel_id, params, y) * d_w[live, j]
+        y, used, ok = implicit_solve(drift, slope, h, b, tol, max_iter)
+        iters[live] += used
+        states[live, j + 1] = y
+        if not ok.all():
+            failed[live[~ok]] = True
+            states[live[~ok], j + 1:] = np.nan
+            live, y = live[ok], y[ok]
     return states, iters, failed
 
 
-bem_scalar_batch = _jit(_bem_scalar_batch_impl)
-
-
-def _welford_chunk_impl(values):
+def welford_chunk(values):
     """Single-pass streaming mean and M2 of a chunk.
 
     Returns (count, mean, M2) where M2 is the sum of squared deviations;
@@ -163,15 +213,3 @@ def _welford_chunk_impl(values):
         mean += delta / n
         m2 += delta * (x - mean)
     return n, mean, m2
-
-
-welford_chunk = _jit(_welford_chunk_impl)
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation of all kernels (no-op on the numpy backend)."""
-    d_w = np.zeros((1, 1))
-    params = np.array([1.0, 0.0])
-    bem_scalar_batch(KERNEL_LINEAR, params, 1.0, 0.1, d_w, 1e-12, 50)
-    bem_scalar_batch(KERNEL_GINZBURG_LANDAU, np.array([0.5]), 1.0, 0.1, d_w, 1e-12, 50)
-    welford_chunk(np.zeros(2))

@@ -10,6 +10,7 @@ identical for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -328,10 +329,12 @@ class SyntheticSupXpSampler:
 class BemSupFunctionalSampler:
     """sup_j (|Y^j|^2 + h |g(Y^j)|^2)^p over implicit-Euler paths.
 
-    Rebuilt from the zoo label and parameters so worker processes never
-    receive callables. Scalar zoo problems run through the batch
-    stepping kernel; the planar rotation problem has a linear drift and
-    uses its closed-form implicit step.
+    The problem is built once per sampler and dropped when the sampler
+    is pickled, so worker processes never receive callables: each
+    unpickled copy rebuilds it once from the zoo label and parameters.
+    Scalar zoo problems run through the batch stepping kernel; the
+    planar rotation problem has a linear drift and uses its closed-form
+    implicit step.
     """
 
     zoo_label: str
@@ -349,7 +352,7 @@ class BemSupFunctionalSampler:
                 "batch sampling requires a zoo problem (picklable rebuild spec)"
             )
         label, params = problem.zoo_spec
-        return BemSupFunctionalSampler(
+        sampler = BemSupFunctionalSampler(
             zoo_label=label,
             zoo_params=tuple(sorted(params.items())),
             h=cfg.h,
@@ -358,13 +361,24 @@ class BemSupFunctionalSampler:
             tol=cfg.solver.tol,
             max_iter=cfg.solver.max_iter,
         )
+        sampler.__dict__["problem"] = problem  # already built; skip the rebuild
+        return sampler
+
+    @functools.cached_property
+    def problem(self) -> sde.SdeProblem:
+        return sde.make_problem(self.zoo_label, **dict(self.zoo_params))
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("problem", None)
+        return state
 
     def sample_chunk(self, plan, chunk_index, count):
         params = dict(self.zoo_params)
         stream = plan.chunk_stream(chunk_index)
         if self.zoo_label == "bounded-rotation":
             return self._rotation_chunk(stream, count, params)
-        problem = sde.make_problem(self.zoo_label, **params)
+        problem = self.problem
         d_w = stream.standard_normal((count, self.n_steps)) * math.sqrt(self.h)
         states, _, failed = kernels.bem_scalar_batch(
             problem.kernel_id,

@@ -44,11 +44,13 @@ class SdeProblem:
     """Autonomous SDE dX = f(X) dt + g(X) dW with deterministic X_0.
 
     ``drift`` maps a (d,) state to a (d,) vector and ``diffusion`` maps
-    it to a (d, m) matrix. ``L`` is the registered coercivity constant,
-    ``one_sided_c`` the one-sided Lipschitz constant of the drift (None
-    when unknown). ``kernel_id``/``kernel_params`` point scalar zoo
-    problems at the batch stepping kernel; ``zoo_spec`` allows worker
-    processes to rebuild the problem from plain data.
+    it to a (d, m) matrix. With ``vectorized`` set, both also accept an
+    (n, d) stack of states and return (n, d) and (n, d, m) arrays. ``L``
+    is the registered coercivity constant, ``one_sided_c`` the one-sided
+    Lipschitz constant of the drift (None when unknown).
+    ``kernel_id``/``kernel_params`` point scalar zoo problems at the
+    batch stepping kernel; ``zoo_spec`` allows worker processes to
+    rebuild the problem from plain data.
     """
 
     label: str
@@ -63,6 +65,7 @@ class SdeProblem:
     kernel_id: int | None = None
     kernel_params: np.ndarray | None = None
     zoo_spec: tuple | None = None
+    vectorized: bool = False
 
     def __post_init__(self):
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=np.float64))
@@ -90,7 +93,9 @@ def check_coercivity(
     """Spot-check <f(x),x> + |g(x)|^2/2 <= L(1+|x|^2) on random states.
 
     Draws points uniformly in a ball of the given radius (plus the
-    origin and x0) and raises on the first violation found.
+    origin and x0) and raises on the first violation found. Drift and
+    diffusion are evaluated on all points at once when the problem is
+    ``vectorized``, and point by point otherwise.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     directions = rng.standard_normal((n_points, problem.d))
@@ -99,16 +104,25 @@ def check_coercivity(
     radii = radius * rng.random(n_points) ** (1.0 / problem.d)
     points = directions / norms[:, None] * radii[:, None]
     points = np.vstack([points, np.zeros(problem.d), problem.x0])
-    for x in points:
-        fx = np.asarray(problem.drift(x), dtype=np.float64)
-        gx = np.asarray(problem.diffusion(x), dtype=np.float64)
-        lhs = float(np.dot(fx, x)) + 0.5 * float(np.sum(gx * gx))
-        rhs = problem.L * (1.0 + float(np.dot(x, x)))
-        if lhs > rhs + COERCIVITY_RTOL * max(1.0, abs(rhs)):
-            raise ContractViolationError(
-                f"problem {problem.label!r} fails coercivity with L={problem.L} "
-                f"at |x|={float(np.linalg.norm(x)):.3g}: lhs={lhs:.6g} > rhs={rhs:.6g}"
-            )
+    if problem.vectorized:
+        fx = np.asarray(problem.drift(points), dtype=np.float64)
+        gx = np.asarray(problem.diffusion(points), dtype=np.float64)
+    else:
+        fx = np.array([np.asarray(problem.drift(x), dtype=np.float64) for x in points])
+        gx = np.array([np.asarray(problem.diffusion(x), dtype=np.float64) for x in points])
+    n = points.shape[0]
+    lhs = np.sum(fx.reshape(points.shape) * points, axis=1) + 0.5 * np.sum(
+        (gx * gx).reshape(n, -1), axis=1
+    )
+    rhs = problem.L * (1.0 + np.sum(points * points, axis=1))
+    bad = np.flatnonzero(lhs > rhs + COERCIVITY_RTOL * np.maximum(1.0, np.abs(rhs)))
+    if bad.size:
+        i = bad[0]
+        raise ContractViolationError(
+            f"problem {problem.label!r} fails coercivity with L={problem.L} "
+            f"at |x|={float(np.linalg.norm(points[i])):.3g}: "
+            f"lhs={float(lhs[i]):.6g} > rhs={float(rhs[i]):.6g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -205,31 +219,10 @@ def _fd_jacobian(drift, z: np.ndarray, eps_scale: float) -> np.ndarray:
     return jac
 
 
-def _bisect_step(drift, h: float, b: float, tol: float):
-    """Scalar bisection for z - h*f(z) = b on a geometrically grown bracket."""
-    span = 1.0 + 2.0 * abs(b)
-    lo, hi = -span, span
-    grew = 0
-    while lo - h * float(drift(np.array([lo]))[0]) - b > 0.0 and grew < 600:
-        lo *= 2.0
-        grew += 1
-    while hi - h * float(drift(np.array([hi]))[0]) - b < 0.0 and grew < 600:
-        hi *= 2.0
-        grew += 1
-    if grew >= 600:
-        raise SolverError("bisection failed to bracket the implicit step root")
-    iters = 0
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        r = mid - h * float(drift(np.array([mid]))[0]) - b
-        iters += 1
-        if abs(r) <= tol:
-            return mid, iters
-        if r < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise SolverError("bisection stalled above tolerance", residual=abs(r), iterations=iters)
+def _drift_jacobian(problem: SdeProblem, z: np.ndarray, solver: SolverConfig) -> np.ndarray:
+    if problem.drift_jacobian is not None:
+        return np.atleast_2d(np.asarray(problem.drift_jacobian(z), dtype=np.float64))
+    return _fd_jacobian(problem.drift, z, solver.fd_eps_scale)
 
 
 def bem_step(
@@ -243,15 +236,35 @@ def bem_step(
 
     Newton iteration from the explicit predictor, using the analytic
     drift Jacobian when the problem carries one and central finite
-    differences otherwise; scalar problems fall back to safeguarded
-    bisection if Newton stalls. Returns (y_next, iterations) with the
-    residual norm at or below the solver tolerance.
+    differences otherwise. Returns (y_next, iterations).
+
+    Scalar problems are solved by :func:`kernels.implicit_solve` on a
+    batch of one path, the solver of :func:`kernels.bem_scalar_batch`,
+    and share its failure rule: Newton falls back to safeguarded
+    bisection, which is accepted at the tolerance or, once the bracket
+    has collapsed, at 10 times the tolerance. This step raises
+    :class:`SolverError` exactly where the batch kernel marks a path
+    failed. Problems with d > 1 raise when Newton does not bring the
+    residual norm to the tolerance within ``max_iter`` iterations.
     """
     solver = solver or SolverConfig()
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     d_w = np.atleast_1d(np.asarray(d_w, dtype=np.float64))
     g_y = np.atleast_2d(np.asarray(problem.diffusion(y), dtype=np.float64))
     b = y + g_y @ d_w
+
+    if problem.d == 1:
+        z, iters, ok = kernels.implicit_solve(
+            lambda x: np.asarray(problem.drift(x), dtype=np.float64).reshape(x.shape),
+            lambda x: _drift_jacobian(problem, x, solver).reshape(x.shape),
+            h, b, solver.tol, solver.max_iter,
+        )
+        if not ok[0]:
+            raise SolverError(
+                "implicit step did not converge (Newton and bisection fallback)",
+                iterations=int(iters[0]),
+            )
+        return z, int(iters[0])
 
     z = b.copy()
     iters = 0
@@ -262,10 +275,7 @@ def bem_step(
         residual = float(np.linalg.norm(r))
         if residual <= solver.tol:
             return z, iters
-        if problem.drift_jacobian is not None:
-            jac = np.atleast_2d(np.asarray(problem.drift_jacobian(z), dtype=np.float64))
-        else:
-            jac = _fd_jacobian(problem.drift, z, solver.fd_eps_scale)
+        jac = _drift_jacobian(problem, z, solver)
         try:
             delta = np.linalg.solve(eye - h * jac, r)
         except np.linalg.LinAlgError:
@@ -274,10 +284,6 @@ def bem_step(
         iters += 1
         if not np.all(np.isfinite(z)):
             break
-
-    if problem.d == 1:
-        root, extra = _bisect_step(problem.drift, h, float(b[0]), solver.tol)
-        return np.array([root]), iters + extra
     raise SolverError(
         f"implicit step did not converge after {iters} Newton iterations",
         residual=residual,
@@ -391,7 +397,7 @@ def make_linear(lam: float = 1.0, sigma: float = 0.0, x0=1.0, L: float | None = 
         d=1,
         m=1,
         drift=lambda x: -lam * x,
-        diffusion=lambda x: np.array([[sigma * x[0]]]),
+        diffusion=lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
         x0=np.atleast_1d(np.asarray(x0, dtype=np.float64)),
         L=L,
         one_sided_c=-lam,
@@ -399,6 +405,7 @@ def make_linear(lam: float = 1.0, sigma: float = 0.0, x0=1.0, L: float | None = 
         kernel_id=kernels.KERNEL_LINEAR,
         kernel_params=np.array([lam, sigma]),
         zoo_spec=("linear", {"lam": lam, "sigma": sigma, "x0": float(np.atleast_1d(x0)[0]), "L": L}),
+        vectorized=True,
     )
     check_coercivity(problem)
     return problem
@@ -417,8 +424,8 @@ def make_ginzburg_landau(sigma: float = 0.5, x0=1.0, L: float | None = None) -> 
         label="ginzburg-landau",
         d=1,
         m=1,
-        drift=lambda x: x - x**3,
-        diffusion=lambda x: np.array([[sigma * x[0]]]),
+        drift=lambda x: x - x * x * x,
+        diffusion=lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
         x0=np.atleast_1d(np.asarray(x0, dtype=np.float64)),
         L=L,
         one_sided_c=1.0,
@@ -426,6 +433,7 @@ def make_ginzburg_landau(sigma: float = 0.5, x0=1.0, L: float | None = None) -> 
         kernel_id=kernels.KERNEL_GINZBURG_LANDAU,
         kernel_params=np.array([sigma]),
         zoo_spec=("ginzburg-landau", {"sigma": sigma, "x0": float(np.atleast_1d(x0)[0]), "L": L}),
+        vectorized=True,
     )
     check_coercivity(problem)
     return problem
@@ -447,7 +455,14 @@ def make_bounded_rotation(
         L = sigma * sigma
 
     def drift(x):
-        return np.array([-omega * x[1] - kappa * x[0], omega * x[0] - kappa * x[1]])
+        x = np.asarray(x, dtype=np.float64)
+        return np.stack(
+            [-omega * x[..., 1] - kappa * x[..., 0], omega * x[..., 0] - kappa * x[..., 1]],
+            axis=-1,
+        )
+
+    def diffusion(x):
+        return np.broadcast_to(sigma * np.eye(2), np.shape(x)[:-1] + (2, 2))
 
     jac = np.array([[-kappa, -omega], [omega, -kappa]])
     problem = SdeProblem(
@@ -455,7 +470,7 @@ def make_bounded_rotation(
         d=2,
         m=2,
         drift=drift,
-        diffusion=lambda x: sigma * np.eye(2),
+        diffusion=diffusion,
         x0=np.asarray(x0, dtype=np.float64),
         L=L,
         one_sided_c=-kappa,
@@ -465,6 +480,7 @@ def make_bounded_rotation(
             {"omega": omega, "kappa": kappa, "sigma": sigma,
              "x0": tuple(float(v) for v in np.asarray(x0, dtype=np.float64)), "L": L},
         ),
+        vectorized=True,
     )
     check_coercivity(problem)
     return problem

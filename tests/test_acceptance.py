@@ -25,7 +25,6 @@ from stochastic_gronwall.mc import (
 from stochastic_gronwall.sde import BemConfig, bem_step, make_problem
 from stochastic_gronwall.sequences import telescoping_identity_lhs
 from stochastic_gronwall.streams import StreamPlan
-from stochastic_gronwall import kernels
 
 ACCEPT_SEED = 42
 
@@ -213,7 +212,6 @@ def test_criterion_08_implicit_step_vs_closed_form():
 @pytest.fixture(scope="module")
 def apriori_reports():
     """Criterion-9 experiment at worker counts 1, 4, and 8."""
-    kernels.warm_up()
     problem = make_problem("ginzburg-landau", sigma=0.5)
     configs = [
         BemConfig(h=h, h0=0.25, T=1.0)

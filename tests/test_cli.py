@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +208,78 @@ class TestVerifyCommand:
                            "--paths", "100", "--seed", "0", "--systems", "bogus")
         assert code == EXIT_CONFIG
         assert "bogus" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+APRIORI_GRID = ["verify", "apriori", "--sigma", "0.5", "--p", "0.5", "--T", "1",
+                "--h0", "0.25", "--h-grid", "0.125,0.0625,0.03125,0.015625",
+                "--paths", "512", "--seed", "42"]
+
+
+class TestGoldenReports:
+    """Seeded apriori reports pinned byte for byte.
+
+    Regenerate a file only for an intended change of results, with the
+    command in the test's argv and ``--output tests/golden/<name>``.
+    """
+
+    @pytest.mark.parametrize("name, problem_args", [
+        ("apriori_ginzburg_landau.json", ["--problem", "ginzburg-landau"]),
+        ("apriori_linear.json", ["--problem", "linear", "--lambda", "1"]),
+        ("apriori_bounded_rotation.json", ["--problem", "bounded-rotation"]),
+    ])
+    def test_report_bytes(self, capsys, tmp_path, name, problem_args):
+        out_path = tmp_path / name
+        code, _, _ = run(capsys, *APRIORI_GRID, *problem_args, "--output", str(out_path))
+        assert code == EXIT_OK
+        assert out_path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# Every command that takes --workers and --z, with enough flags to run.
+_POSITIVE_FLAG_COMMANDS = {
+    "estimate-sup": ["martingale", "estimate-sup", "--p", "0.5", "--samples", "2000",
+                     "--seed", "1"],
+    "theorem": ["verify", "theorem", "--p", "0.5", "--paths", "200", "--horizon", "3",
+                "--seed", "1"],
+    "apriori": ["verify", "apriori", "--problem", "linear", "--p", "0.5", "--T", "1",
+                "--h0", "0.25", "--h-grid", "0.125,0.015625", "--paths", "64",
+                "--seed", "1"],
+}
+
+
+class TestPositiveFlags:
+    @pytest.mark.parametrize("command", sorted(_POSITIVE_FLAG_COMMANDS))
+    @pytest.mark.parametrize("flags, expected", [
+        ((), EXIT_OK),
+        (("--workers", "1", "--z", "2.5"), EXIT_OK),
+        (("--workers", "0"), EXIT_CONFIG),
+        (("--workers", "-1"), EXIT_CONFIG),
+        (("--z", "0"), EXIT_CONFIG),
+        (("--z", "-1.96"), EXIT_CONFIG),
+        (("--z", "nan"), EXIT_CONFIG),
+        (("--workers", "0", "--z", "0"), EXIT_CONFIG),
+    ])
+    def test_exit_code(self, capsys, command, flags, expected):
+        code, _, err = run(capsys, *_POSITIVE_FLAG_COMMANDS[command], *flags)
+        assert code == expected, err
+        if expected == EXIT_CONFIG:
+            assert "must be a positive" in err
+
+    def test_zero_from_config_file_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 0}))
+        code, _, err = run(capsys, *_POSITIVE_FLAG_COMMANDS["theorem"], "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert "--workers" in err
+
+    def test_explicit_z_reaches_report(self, capsys, tmp_path):
+        out_path = tmp_path / "est.json"
+        code, _, _ = run(capsys, *_POSITIVE_FLAG_COMMANDS["estimate-sup"], "--z", "3",
+                         "--output", str(out_path))
+        assert code == EXIT_OK
+        est = load_report(out_path)["estimate"]
+        assert est["z_value"] == 3.0
+        assert est["ci_halfwidth"] == 3.0 * est["std_error"]
 
 
 class TestReportSchema:

@@ -1,69 +1,161 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochastic_gronwall import kernels
 from stochastic_gronwall.streams import StreamPlan
 
-_PROBE = """
-import json, math, sys
-import numpy as np
-from stochastic_gronwall import kernels
-from stochastic_gronwall.streams import StreamPlan
-
-plan = StreamPlan(9)
-d_w = plan.chunk_stream(0).standard_normal((128, 24)) * math.sqrt(0.125)
-out = {}
-for kid, params, tag in [
-    (kernels.KERNEL_LINEAR, np.array([1.0, 0.5]), "linear"),
-    (kernels.KERNEL_GINZBURG_LANDAU, np.array([0.5]), "gl"),
-]:
-    states, iters, failed = kernels.bem_scalar_batch(kid, params, 1.0, 0.125, d_w, 1e-12, 50)
-    np.save(sys.argv[1] + "/" + tag + "_" + kernels.ACTIVE_BACKEND + ".npy", states)
-    out[tag + "_iters"] = int(iters.sum())
-    out[tag + "_failed"] = int(failed.sum())
-n, mean, m2 = kernels.welford_chunk(np.ascontiguousarray(d_w[:, 0]))
-out["welford"] = [int(n), repr(float(mean)), repr(float(m2))]
-out["backend"] = kernels.ACTIVE_BACKEND
-print(json.dumps(out))
-"""
+LINEAR_PARAMS = np.array([1.0, 0.5])
+GL_PARAMS = np.array([0.5])
 
 
-class TestBackendSelection:
-    def test_active_backend_reported(self):
-        assert kernels.ACTIVE_BACKEND in ("numba", "numpy")
+def reference_step(kernel_id, params, h, b, tol, max_iter):
+    """Scalar solve of z - h*f(z) = b, one path at a time.
 
-    def test_env_flag_forces_numpy(self, tmp_path):
-        env = dict(os.environ, SGRONWALL_NO_NUMBA="1")
-        res = subprocess.run(
-            [sys.executable, "-c", _PROBE, str(tmp_path)],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert '"backend": "numpy"' in res.stdout
+    The oracle for the batch solver: Newton from the predictor, then
+    bisection on a doubled bracket, with the stalled-bisection
+    acceptance at 10*tol. Returns (root, iterations, converged).
+    """
 
-    def test_backends_agree_bitwise(self, tmp_path):
-        import json
+    def f(x):
+        return -params[0] * x if kernel_id == kernels.KERNEL_LINEAR else x - x * x * x
 
-        outputs = {}
-        for flag in ("0", "1"):
-            env = dict(os.environ, SGRONWALL_NO_NUMBA=flag)
-            res = subprocess.run(
-                [sys.executable, "-c", _PROBE, str(tmp_path)],
-                capture_output=True, text=True, env=env, check=True,
-            )
-            outputs[flag] = json.loads(res.stdout)
-        if outputs["0"]["backend"] == "numpy":
-            pytest.skip("numba unavailable; only one backend to compare")
-        for tag in ("linear", "gl"):
-            a = np.load(tmp_path / f"{tag}_numba.npy")
-            b = np.load(tmp_path / f"{tag}_numpy.npy")
-            assert np.array_equal(a, b), f"{tag} states differ between backends"
-            assert outputs["0"][f"{tag}_iters"] == outputs["1"][f"{tag}_iters"]
-        assert outputs["0"]["welford"] == outputs["1"]["welford"]
+    def df(x):
+        return -params[0] if kernel_id == kernels.KERNEL_LINEAR else 1.0 - 3.0 * x * x
+
+    z = b
+    iters = 0
+    for _ in range(max_iter):
+        r = z - h * f(z) - b
+        if abs(r) <= tol:
+            return z, iters, True
+        denom = 1.0 - h * df(z)
+        if denom <= 1e-14 or not np.isfinite(denom):
+            break
+        z = z - r / denom
+        iters += 1
+        if not np.isfinite(z):
+            break
+    span = 1.0 + 2.0 * abs(b)
+    lo, hi = -span, span
+    grew = 0
+    while lo - h * f(lo) - b > 0.0 and grew < 600:
+        lo *= 2.0
+        grew += 1
+    while hi - h * f(hi) - b < 0.0 and grew < 600:
+        hi *= 2.0
+        grew += 1
+    if grew >= 600:
+        return z, iters, False
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        r = mid - h * f(mid) - b
+        iters += 1
+        if abs(r) <= tol:
+            return mid, iters, True
+        if r < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-300 + 4e-16 * (abs(lo) + abs(hi)):
+            break
+    mid = 0.5 * (lo + hi)
+    r = mid - h * f(mid) - b
+    return mid, iters, abs(r) <= 10.0 * tol
+
+
+def reference_batch(kernel_id, params, x0, h, d_w, tol, max_iter):
+    """Path-by-path loop over :func:`reference_step`."""
+    n_paths, n_steps = d_w.shape
+    states = np.full((n_paths, n_steps + 1), np.nan)
+    iters = np.zeros(n_paths, dtype=np.int64)
+    failed = np.zeros(n_paths, dtype=np.bool_)
+    sigma = params[1] if kernel_id == kernels.KERNEL_LINEAR else params[0]
+    for ip in range(n_paths):
+        y = states[ip, 0] = x0
+        for j in range(n_steps):
+            z, used, ok = reference_step(kernel_id, params, h, y + sigma * y * d_w[ip, j],
+                                         tol, max_iter)
+            iters[ip] += used
+            if not ok:
+                failed[ip] = True
+                break
+            y = states[ip, j + 1] = z
+    return states, iters, failed
+
+
+def batch_step(kernel_id, params, h, b, tol=1e-12, max_iter=50):
+    return kernels.implicit_solve(
+        lambda x: kernels._drift(kernel_id, params, x),
+        lambda x: kernels._drift_slope(kernel_id, params, x),
+        h, b, tol, max_iter,
+    )
+
+
+_KERNELS = {
+    "linear": (kernels.KERNEL_LINEAR, LINEAR_PARAMS),
+    "ginzburg-landau": (kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS),
+}
+_moderate = st.floats(-50.0, 50.0, allow_nan=False)
+_wide = st.one_of(_moderate, st.floats(-1e120, 1e120, allow_nan=False))
+
+
+class TestImplicitSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kernel=st.sampled_from(sorted(_KERNELS)),
+        h=st.floats(1e-4, 0.95),
+        ys=st.lists(_wide, min_size=1, max_size=12),
+        d_ws=st.lists(st.floats(-4.0, 4.0), min_size=12, max_size=12),
+    )
+    def test_batch_equals_scalar_reference(self, kernel, h, ys, d_ws):
+        kernel_id, params = _KERNELS[kernel]
+        sigma = params[-1]
+        y = np.array(ys)
+        b = y + sigma * y * np.array(d_ws[: y.size]) * math.sqrt(h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, iters, ok = batch_step(kernel_id, params, h, b)
+            expected = [reference_step(kernel_id, params, h, bi, 1e-12, 50) for bi in b]
+        assert ok.tolist() == [e[2] for e in expected]
+        assert iters.tolist() == [e[1] for e in expected]
+        assert np.array_equal(z[ok], np.array([e[0] for e in expected])[ok])
+        assert np.isnan(z[~ok]).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam=st.floats(0.0, 20.0),
+        sigma=st.floats(0.0, 2.0),
+        h=st.floats(1e-4, 0.95),
+        y=_moderate,
+        d_w=st.floats(-4.0, 4.0),
+    )
+    def test_linear_matches_closed_form(self, lam, sigma, h, y, d_w):
+        params = np.array([lam, sigma])
+        b = np.array([y + sigma * y * d_w])
+        z, _, ok = batch_step(kernels.KERNEL_LINEAR, params, h, b)
+        assert ok[0]
+        assert z[0] == pytest.approx(y * (1.0 + sigma * d_w) / (1.0 + h * lam), abs=1e-10)
+
+    def test_bisection_fallback_only_where_newton_gives_up(self):
+        # h > 1 makes 1 - h*f'(z) vanish near |z| = 1/3 for Ginzburg-Landau
+        b = np.array([0.0, 0.3, 2.0, -5.0, 1e103])
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, iters, ok = batch_step(kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS, 1.5, b)
+            expected = [reference_step(kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS, 1.5, bi,
+                                       1e-12, 50) for bi in b]
+        assert iters.tolist() == [e[1] for e in expected]
+        assert ok.tolist() == [e[2] for e in expected]
+        assert np.array_equal(z, np.array([e[0] for e in expected]))
+        # 0.3 and 1e103 need bisection; the others converge by Newton alone
+        assert iters[1] > 30 and iters[4] > 100
+        assert iters[[0, 2, 3]].max() <= 10
+
+    def test_empty_batch(self):
+        z, iters, ok = batch_step(kernels.KERNEL_LINEAR, LINEAR_PARAMS, 0.1, np.empty(0))
+        assert z.shape == iters.shape == ok.shape == (0,)
 
 
 class TestBemScalarBatch:
@@ -92,6 +184,22 @@ class TestBemScalarBatch:
         for j in range(10):
             y = y * (1.0 + 0.5 * d_w[:, j]) / 1.1
             assert np.allclose(states[:, j + 1], y, atol=1e-10)
+
+    @pytest.mark.parametrize("kernel_id, params, x0, h", [
+        (kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS, 1.0, 0.125),
+        (kernels.KERNEL_GINZBURG_LANDAU, np.array([3.0]), 2.0, 0.5),
+        (kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS, 1.0, 1.5),  # bisection fallback
+        (kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS, 1e160, 0.5),  # every path fails
+        (kernels.KERNEL_LINEAR, LINEAR_PARAMS, 1.0, 0.1),
+        (kernels.KERNEL_LINEAR, LINEAR_PARAMS, 1e300, 0.1),  # some paths fail
+    ])
+    def test_equals_path_by_path_reference(self, kernel_id, params, x0, h):
+        d_w = StreamPlan(23).chunk_stream(0).standard_normal((96, 6)) * math.sqrt(h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = kernels.bem_scalar_batch(kernel_id, params, x0, h, d_w, 1e-12, 50)
+            expected = reference_batch(kernel_id, params, x0, h, d_w, 1e-12, 50)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b, equal_nan=True)
 
     def test_output_shapes(self):
         d_w = np.zeros((3, 5))

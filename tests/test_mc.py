@@ -236,6 +236,25 @@ class TestVerifyApriori:
                 best = max(best, float(y @ y) + cfg.h * 2 * 0.4**2)
             assert vals[i] == pytest.approx(best**0.5, rel=1e-10)
 
+    def test_sampler_builds_problem_once(self, monkeypatch):
+        import pickle
+
+        from stochastic_gronwall import sde
+
+        prob = make_problem("ginzburg-landau", sigma=0.5)
+        sampler = BemSupFunctionalSampler.for_problem(prob, BemConfig(h=0.125, h0=0.25, T=1.0), 0.5)
+        calls = []
+        build = sde.make_problem
+        monkeypatch.setattr(sde, "make_problem", lambda *a, **k: calls.append(a) or build(*a, **k))
+        plan = StreamPlan(3, chunk_size=16)
+        first = [sampler.sample_chunk(plan, c, 16) for c in range(3)]
+        assert calls == []  # the caller's problem is reused
+        copy = pickle.loads(pickle.dumps(sampler))  # what a pool worker receives
+        assert "problem" not in copy.__dict__
+        again = [copy.sample_chunk(plan, c, 16) for c in range(3)]
+        assert len(calls) == 1  # rebuilt once per unpickled copy
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
     def test_batch_requires_zoo_problem(self):
         from stochastic_gronwall.sde import SdeProblem
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stochastic_gronwall.errors import ContractViolationError
+from stochastic_gronwall.errors import ContractViolationError, SolverError
 from stochastic_gronwall.sde import (
     BemConfig,
     SdeProblem,
@@ -94,6 +94,51 @@ class TestBemStep:
         assert np.allclose(out, expected, atol=1e-11)
 
 
+class TestScalarStepMatchesKernel:
+    @pytest.mark.parametrize("label, params, h", [
+        ("ginzburg-landau", {"sigma": 0.5}, 0.125),
+        ("ginzburg-landau", {"sigma": 2.0, "L": 3.0}, 0.1),
+        ("linear", {"lam": 1.0, "sigma": 0.5}, 0.1),
+    ])
+    def test_paths_bit_identical(self, label, params, h):
+        # one bem_step per path and step reproduces the batch kernel exactly
+        from stochastic_gronwall import kernels
+
+        prob = make_problem(label, **params)
+        d_w = StreamPlan(13).chunk_stream(0).standard_normal((40, 8)) * math.sqrt(h)
+        states, iters, failed = kernels.bem_scalar_batch(
+            prob.kernel_id, prob.kernel_params, float(prob.x0[0]), h, d_w, 1e-12, 50
+        )
+        assert not failed.any()
+        for i in range(d_w.shape[0]):
+            y, total = prob.x0, 0
+            for j in range(d_w.shape[1]):
+                y, used = bem_step(prob, y, [d_w[i, j]], h)
+                total += used
+                assert y[0] == states[i, j + 1]
+            assert total == iters[i]
+
+    def test_solver_error_where_kernel_fails(self):
+        from stochastic_gronwall import kernels
+
+        prob = make_problem("ginzburg-landau", sigma=0.5)
+        b = 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, failed = kernels.bem_scalar_batch(
+                prob.kernel_id, prob.kernel_params, b, 0.5, np.zeros((1, 1)), 1e-12, 50
+            )
+            assert failed[0]
+            with pytest.raises(SolverError, match="did not converge"):
+                bem_step(prob, [b], [0.0], 0.5)
+
+    def test_trajectory_reports_failing_step(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            prob = make_problem("ginzburg-landau", sigma=0.5, x0=1e160)
+            cfg = BemConfig(h=0.125, h0=0.25, T=1.0)
+            with pytest.raises(SolverError, match="step 1 of 8"):
+                simulate_trajectory(prob, cfg, [], StreamPlan(0).path_stream(0))
+
+
 class TestBemConfig:
     def test_step_count_convention(self):
         assert BemConfig(h=0.3, h0=0.45, T=1.0).n_steps == 3
@@ -133,6 +178,28 @@ class TestCoercivity:
         prob = make_problem("ginzburg-landau", sigma=0.5)
         assert prob.L == 1.0 + 0.125
         check_coercivity(prob, n_points=2000)
+
+    def test_first_violation_reported(self):
+        # row-by-row (non-vectorized) callables are still checked
+        prob = SdeProblem(
+            label="push-out", d=1, m=1,
+            drift=lambda x: np.array([2.0 * x[0]]),
+            diffusion=lambda x: np.array([[0.0]]),
+            x0=np.array([0.0]), L=1.0,
+        )
+        with pytest.raises(ContractViolationError, match=r"'push-out' fails coercivity with L=1.0 at \|x\|="):
+            check_coercivity(prob)
+
+    def test_vectorized_and_row_loop_agree(self):
+        # the same points give the same message on both evaluation routes
+        messages = []
+        for vectorized in (True, False):
+            prob = make_problem("ginzburg-landau", sigma=0.5)
+            prob.L, prob.vectorized = 0.0, vectorized
+            with pytest.raises(ContractViolationError) as info:
+                check_coercivity(prob)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_unknown_label(self):
         with pytest.raises(ContractViolationError, match="unknown problem"):
