@@ -183,16 +183,11 @@ def apriori_bound(inp: AprioriInputs) -> float:
         (1 + 1/(1-p)) * exp(p * (1-2*h0*L)^-1 * 2*L*T)
         * (x0_norm_sq + (1-2*h0*L)^-1 * (h0*g_x0_norm_sq + 2*L*T))^p
     """
-    inv = 1.0 / (1.0 - 2.0 * inp.h0 * inp.L)
-    prefactor = 1.0 + 1.0 / (1.0 - inp.p)
-    growth = math.exp(inp.p * inv * 2.0 * inp.L * inp.T)
-    base = inp.x0_norm_sq + inv * (inp.h0 * inp.g_x0_norm_sq + 2.0 * inp.L * inp.T)
-    power_term = 0.0 if base == 0.0 else base**inp.p
-    return prefactor * growth * power_term
+    return apriori_bound_parts(inp)["bound"]
 
 
 def apriori_bound_parts(inp: AprioriInputs) -> dict:
-    """The bound together with its three factors, for report output."""
+    """The a priori bound together with its three factors, for report output."""
     inv = 1.0 / (1.0 - 2.0 * inp.h0 * inp.L)
     prefactor = 1.0 + 1.0 / (1.0 - inp.p)
     growth = math.exp(inp.p * inv * 2.0 * inp.L * inp.T)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import keyword
 import os
 import sys
 
@@ -42,7 +43,7 @@ from .mc import (
     verify_apriori,
     verify_theorem_on_synthetic,
 )
-from .sde import BemConfig, SolverConfig, make_problem, simulate_trajectory, zoo_labels
+from .sde import BemConfig, SolverConfig, make_problem, simulate_trajectory, zoo_parameters
 from .sequences import (
     RealSequence,
     gronwall_closed_form,
@@ -85,15 +86,19 @@ def _float_list(text: str) -> list:
 
 
 def _resolve_seed(seed) -> int:
-    if seed is not None:
-        return int(seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    source = "--seed"
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return 0
+        source = f"${SEED_ENV_VAR}"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
-            raise ConfigError(f"${SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 0
+            raise ConfigError(f"{source} must be an integer, got {env!r}") from exc
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{source} must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def _load_config(path) -> dict:
@@ -109,16 +114,38 @@ def _load_config(path) -> dict:
     return data
 
 
-def _merge_config(args, config: dict, keys) -> None:
-    """Fill argparse namespace entries from the config file (flags win)."""
-    unknown = set(config) - set(keys)
+# The JSON types a config file may give each type of flag; a list flag
+# also takes one number or its comma-separated text.
+_CONFIG_TYPES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    None: (str, "a string"),
+    _float_list: ((int, float), "a number or a list of numbers"),
+}
+
+
+def _merge_config(args) -> None:
+    """Fill flags left unset from the ``--config`` file (flags win).
+
+    Its keys are the command's flag names, its values of the flags' types.
+    """
+    config = _load_config(args.config)
+    unknown = set(config) - set(args.config_types)
     if unknown:
         raise ConfigError(
-            f"unknown config keys {sorted(unknown)}; allowed: {sorted(keys)}"
+            f"unknown config keys {sorted(unknown)}; allowed: {sorted(args.config_types)}"
         )
-    for key in keys:
-        if key in config and getattr(args, key, None) is None:
-            setattr(args, key, config[key])
+    for key, value in config.items():
+        kind = args.config_types[key]
+        items = [value]
+        if kind is _float_list:
+            value = _float_list(value) if isinstance(value, str) else value
+            items = value = value if isinstance(value, list) else [value]
+        types, expected = _CONFIG_TYPES[kind]
+        if not all(isinstance(v, types) and not isinstance(v, bool) for v in items):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -240,18 +267,26 @@ def _require(args, name):
 def _positive(args, name, default, kind=float):
     """The flag's value, or ``default`` when it is omitted.
 
-    An explicit value (from the command line or the config file) must be
-    a number of the given kind and > 0; it is never replaced by the default.
+    An explicit value (from the command line or the config file, both
+    already of the flag's type) must be > 0; it is never replaced by the
+    default.
     """
     value = getattr(args, name, None)
     if value is None:
         return default
-    kinds = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
+    if not value > 0:
         raise ConfigError(
             f"--{name.replace('_', '-')} must be a positive {kind.__name__}, got {value!r}"
         )
     return value
+
+
+def _sample_count(args, name, default):
+    """A Monte Carlo sample count: at least 2, so a standard error exists."""
+    n = _positive(args, name, default, int)
+    if n < 2:
+        raise ConfigError(f"--{name} must be at least 2, got {n}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +357,7 @@ def _cmd_martingale(args) -> int:
         return EXIT_OK if holds else EXIT_VERIFY
     if args.action == "estimate-sup":
         p = _require(args, "p")
-        n = args.samples if args.samples is not None else 1_000_000
+        n = _sample_count(args, "samples", 1_000_000)
         seed = _resolve_seed(args.seed)
         plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
         est = estimate_expectation(SupStoppedBmPowerSampler(p), n, plan,
@@ -349,38 +384,51 @@ def _cmd_martingale(args) -> int:
 # bem
 
 
-_PROBLEM_PARAM_KEYS = {
-    "linear": ("lam", "sigma", "x0", "L"),
-    "ginzburg-landau": ("sigma", "x0", "L"),
-    "bounded-rotation": ("omega", "kappa", "sigma", "x0", "L"),
-}
+def _flag(name) -> str:
+    """A problem parameter's flag: one that abbreviates a Python keyword
+    (which cannot name a parameter) is spelled as the keyword."""
+    return "--" + next((k for k in keyword.kwlist if k.startswith(name)), name)
+
+
+def _add_problem_flags(parser) -> None:
+    """--problem and one flag per zoo problem parameter: a comma-separated
+    list where some problem's default is a tuple (a planar x0), else a number."""
+    zoo = zoo_parameters()
+    parser.add_argument("--problem", choices=list(zoo))
+    for name in dict.fromkeys(name for params in zoo.values() for name in params):
+        vector = any(isinstance(params.get(name), tuple) for params in zoo.values())
+        parser.add_argument(_flag(name), dest=name, type=_float_list if vector else float)
 
 
 def _build_problem(args):
+    zoo = zoo_parameters()
     label = getattr(args, "problem", None)
     if label is None:
         raise ConfigError("--problem is required")
-    if label not in _PROBLEM_PARAM_KEYS:
-        raise ConfigError(f"unknown problem {label!r}; registered: {', '.join(zoo_labels())}")
-    params = {}
-    for key in _PROBLEM_PARAM_KEYS[label]:
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    if label == "bounded-rotation" and "x0" in params:
-        x0 = params["x0"] if isinstance(params["x0"], (list, tuple)) else _float_list(str(params["x0"]))
-        if len(x0) != 2:
-            raise ConfigError("bounded-rotation needs a two-component --x0, e.g. 1,0")
-        params["x0"] = tuple(x0)
-    return make_problem(label, **params)
+    if label not in zoo:
+        raise ConfigError(f"unknown problem {label!r}; registered: {', '.join(zoo)}")
+    taken = zoo[label]
+    given = {name: getattr(args, name) for params in zoo.values() for name in params
+             if getattr(args, name) is not None}
+    foreign = sorted(_flag(name) for name in given if name not in taken)
+    if foreign:
+        raise ConfigError(f"problem {label!r} does not take {', '.join(foreign)}; "
+                          f"it takes {', '.join(_flag(name) for name in taken)}")
+    for name, value in given.items():
+        if isinstance(value, list):  # a list flag: as long as a tuple default, else one number
+            vector = isinstance(taken[name], tuple)
+            size = len(taken[name]) if vector else 1
+            if len(value) != size:
+                raise ConfigError(f"problem {label!r} takes {size} number(s) for "
+                                  f"{_flag(name)}, got {value}")
+            given[name] = tuple(value) if vector else value[0]
+    return make_problem(label, **given)
 
 
 def _cmd_bem(args) -> int:
     if args.action != "simulate":
         raise ConfigError(f"unknown bem action {args.action!r}")
-    config = _load_config(args.config)
-    _merge_config(args, config, {"problem", "lam", "sigma", "omega", "kappa", "x0",
-                                 "L", "h", "h0", "T", "seed", "p_list", "output"})
+    _merge_config(args)
     problem = _build_problem(args)
     h = _require(args, "h")
     T = _require(args, "T")
@@ -415,14 +463,12 @@ def _cmd_bem(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.action == "theorem":
-        config = _load_config(args.config)
-        _merge_config(args, config, {"p", "paths", "horizon", "seed", "workers",
-                                     "systems", "z", "output", "csv"})
+        _merge_config(args)
         p = _require(args, "p")
         if not 0.0 < p < 1.0:
             raise ConfigError(f"p must lie in (0,1), got {p}")
         horizon = args.horizon if args.horizon is not None else 10
-        n_paths = args.paths if args.paths is not None else 100_000
+        n_paths = _sample_count(args, "paths", 100_000)
         seed = _resolve_seed(args.seed)
         plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
         all_systems = {s.label: s for s in standard_synthetic_systems(horizon)}
@@ -446,24 +492,19 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if report.all_passed else EXIT_VERIFY
 
     if args.action == "apriori":
-        config = _load_config(args.config)
-        _merge_config(args, config, {"problem", "lam", "sigma", "omega", "kappa", "x0",
-                                     "L", "p", "T", "h0", "h_grid", "paths", "seed",
-                                     "workers", "z", "output", "csv", "fail_threshold"})
+        _merge_config(args)
         problem = _build_problem(args)
         p = _require(args, "p")
         T = _require(args, "T")
         h0 = _require(args, "h0")
         h_grid = _require(args, "h_grid")
-        if isinstance(h_grid, str):
-            h_grid = _float_list(h_grid)
         if not 0.0 < p < 1.0:
             raise ConfigError(f"p must lie in (0,1), got {p}")
         if not 2.0 * h0 * problem.L < 1.0:
             raise ConfigError(
                 f"need 2*h0*L < 1, got {2.0 * h0 * problem.L} for L={problem.L}"
             )
-        n_paths = args.paths if args.paths is not None else 100_000
+        n_paths = _sample_count(args, "paths", 100_000)
         seed = _resolve_seed(args.seed)
         plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
         configs = [BemConfig(h=h, h0=h0, T=T) for h in h_grid]
@@ -499,6 +540,15 @@ def _emit_verify(args, payload, csv_header, csv_rows) -> None:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _add_config_flag(parser) -> None:
+    """--config, a JSON object keyed by the flags declared before it."""
+    parser.add_argument("--config", help="JSON file of flag values (explicit flags win)")
+    parser.set_defaults(config_types={
+        action.dest: action.type for action in parser._actions
+        if action.dest not in ("help", "config")
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,20 +606,14 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bem", help="implicit Euler-Maruyama simulation")
     besub = be.add_subparsers(dest="action", required=True)
     bs = besub.add_parser("simulate", help="simulate one trajectory to CSV")
-    bs.add_argument("--problem", choices=list(zoo_labels()))
-    bs.add_argument("--lambda", dest="lam", type=float)
-    bs.add_argument("--sigma", type=float)
-    bs.add_argument("--omega", type=float)
-    bs.add_argument("--kappa", type=float)
-    bs.add_argument("--x0")
-    bs.add_argument("--L", type=float)
+    _add_problem_flags(bs)
     bs.add_argument("--h", type=float)
     bs.add_argument("--h0", type=float)
     bs.add_argument("--T", type=float)
     bs.add_argument("--seed", type=int)
     bs.add_argument("--p-list", dest="p_list", type=_float_list)
-    bs.add_argument("--config")
     bs.add_argument("--output")
+    _add_config_flag(bs)
     be.set_defaults(func=_cmd_bem)
 
     v = sub.add_parser("verify", help="Monte Carlo verification experiments")
@@ -582,17 +626,11 @@ def build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--seed", type=int)
     vt.add_argument("--workers", type=int)
     vt.add_argument("--z", type=float)
-    vt.add_argument("--config")
     vt.add_argument("--output", help="JSON report path")
     vt.add_argument("--csv", help="CSV table path")
+    _add_config_flag(vt)
     va = vsub.add_parser("apriori", help="step-size robustness of the a priori bound")
-    va.add_argument("--problem", choices=list(zoo_labels()))
-    va.add_argument("--lambda", dest="lam", type=float)
-    va.add_argument("--sigma", type=float)
-    va.add_argument("--omega", type=float)
-    va.add_argument("--kappa", type=float)
-    va.add_argument("--x0")
-    va.add_argument("--L", type=float)
+    _add_problem_flags(va)
     va.add_argument("--p", type=float)
     va.add_argument("--T", type=float)
     va.add_argument("--h0", type=float)
@@ -602,9 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--workers", type=int)
     va.add_argument("--z", type=float)
     va.add_argument("--fail-threshold", dest="fail_threshold", type=float)
-    va.add_argument("--config")
     va.add_argument("--output", help="JSON report path")
     va.add_argument("--csv", help="CSV table path")
+    _add_config_flag(va)
     v.set_defaults(func=_cmd_verify)
 
     return parser

@@ -13,33 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-# Drift/diffusion codes for problems the batch kernel knows how to step.
-KERNEL_LINEAR = 0
-KERNEL_GINZBURG_LANDAU = 1
-
 # Newton gives up on a path when 1 - h*f'(z) is at or below this value.
 NEWTON_MIN_SLOPE = 1e-14
 # Bracket doublings and bisection halvings allowed per path.
 BRACKET_MAX_GROWTH = 600
 BISECTION_MAX_ITER = 300
-
-
-def _drift(kernel_id, params, x):
-    if kernel_id == KERNEL_LINEAR:
-        return -params[0] * x
-    return x - x * x * x
-
-
-def _drift_slope(kernel_id, params, x):
-    if kernel_id == KERNEL_LINEAR:
-        return np.full_like(x, -params[0])
-    return 1.0 - 3.0 * x * x
-
-
-def _diffusion(kernel_id, params, x):
-    if kernel_id == KERNEL_LINEAR:
-        return params[1] * x
-    return params[0] * x
 
 
 def implicit_solve(drift, slope, h, b, tol, max_iter):
@@ -160,11 +138,15 @@ def _bisect(drift, h, b, tol):
     return root, iters, ok
 
 
-def bem_scalar_batch(kernel_id, params, x0, h, d_w, tol, max_iter):
+def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h, tol, max_iter):
     """Step a batch of scalar implicit Euler-Maruyama paths.
 
-    d_w holds the Brownian increments, one row per path, already scaled
-    to variance h. Each step solves all live paths at once with
+    ``drift``, ``drift_jacobian`` and ``diffusion`` are a scalar
+    problem's f, f' and g acting elementwise on an array of states:
+    ``drift`` keeps the array's shape, the other two append one axis of
+    length 1 (the zoo problems' callables do this). d_w holds the
+    Brownian increments, one row per path, already scaled to variance
+    h. Each step solves all live paths at once with
     :func:`implicit_solve`. Returns the full state arrays (paths x
     steps+1), the per-path solver iteration totals, and a per-path
     failure flag; the states of a failed path are NaN from the failed
@@ -176,16 +158,13 @@ def bem_scalar_batch(kernel_id, params, x0, h, d_w, tol, max_iter):
     iters = np.zeros(n_paths, dtype=np.int64)
     failed = np.zeros(n_paths, dtype=np.bool_)
 
-    def drift(x):
-        return _drift(kernel_id, params, x)
-
     def slope(x):
-        return _drift_slope(kernel_id, params, x)
+        return drift_jacobian(x)[..., 0]
 
     live = np.arange(n_paths)
     y = states[:, 0].copy()
     for j in range(n_steps):
-        b = y + _diffusion(kernel_id, params, y) * d_w[live, j]
+        b = y + diffusion(y)[..., 0] * d_w[live, j]
         y, used, ok = implicit_solve(drift, slope, h, b, tol, max_iter)
         iters[live] += used
         states[live, j + 1] = y

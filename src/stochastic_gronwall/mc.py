@@ -19,12 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels, sde
-from .bounds import (
-    AprioriInputs,
-    apriori_bound,
-    apriori_bound_parts,
-    theorem_bound_deterministic_G,
-)
+from .bounds import AprioriInputs, apriori_bound_parts, theorem_bound_deterministic_G
 from .errors import ContractViolationError, EstimateAbortedError
 from .martingales import sample_sup_stopped_bm_exact_batch
 from .streams import StreamPlan
@@ -332,9 +327,9 @@ class BemSupFunctionalSampler:
     The problem is built once per sampler and dropped when the sampler
     is pickled, so worker processes never receive callables: each
     unpickled copy rebuilds it once from the zoo label and parameters.
-    Scalar zoo problems run through the batch stepping kernel; the
-    planar rotation problem has a linear drift and uses its closed-form
-    implicit step.
+    Scalar zoo problems run through the batch stepping kernel with the
+    problem's own drift, Jacobian and diffusion; the planar rotation
+    problem has a linear drift and uses its closed-form implicit step.
     """
 
     zoo_label: str
@@ -374,42 +369,42 @@ class BemSupFunctionalSampler:
         return state
 
     def sample_chunk(self, plan, chunk_index, count):
-        params = dict(self.zoo_params)
         stream = plan.chunk_stream(chunk_index)
-        if self.zoo_label == "bounded-rotation":
-            return self._rotation_chunk(stream, count, params)
         problem = self.problem
-        d_w = stream.standard_normal((count, self.n_steps)) * math.sqrt(self.h)
+        if self.zoo_label == "bounded-rotation":
+            return self._rotation_chunk(problem, stream, count)
+        h = self.h
+        d_w = stream.standard_normal((count, self.n_steps)) * math.sqrt(h)
         states, _, failed = kernels.bem_scalar_batch(
-            problem.kernel_id,
-            problem.kernel_params,
-            float(problem.x0[0]),
-            self.h,
-            d_w,
-            self.tol,
-            self.max_iter,
+            problem.drift, problem.drift_jacobian, problem.diffusion, float(problem.x0[0]),
+            d_w, h, self.tol, self.max_iter,
         )
-        sigma = params["sigma"]
-        vals = states * states * (1.0 + self.h * sigma * sigma)
+        # |y|^2 + h|g(y)|^2, computed in place to keep one extra states-sized array
+        vals = problem.diffusion(states)[..., 0]
+        vals *= vals
+        vals *= h
+        states *= states
+        vals += states
         sup = np.nanmax(vals, axis=1) ** self.p
         if failed.any():
             sup[failed] = np.nan
         return sup
 
-    def _rotation_chunk(self, stream, count, params):
-        omega, kappa, sigma = params["omega"], params["kappa"], params["sigma"]
-        x0 = np.asarray(params["x0"], dtype=np.float64)
+    def _rotation_chunk(self, problem, stream, count):
+        x0 = problem.x0
         h = self.h
-        # implicit step matrix (I - h A) with A = [[-k,-w],[w,-k]]
-        a = 1.0 + h * kappa
-        b = h * omega
+        # implicit step matrix (I - h A), A = [[-k,-w],[w,-k]] the constant drift Jacobian
+        jac = problem.drift_jacobian(x0)
+        a = 1.0 - h * jac[0, 0]
+        b = h * jac[1, 0]
         det = a * a + b * b
+        g = problem.diffusion(x0)[0, 0]  # the diffusion is g*I_2
         d_w = stream.standard_normal((count, self.n_steps, 2)) * math.sqrt(h)
         y = np.tile(x0, (count, 1))
-        g_norm_sq = 2.0 * sigma * sigma  # Frobenius norm of sigma*I_2, squared
+        g_norm_sq = 2.0 * g * g  # Frobenius norm of g*I_2, squared
         best = np.full(count, float(np.dot(x0, x0)) + h * g_norm_sq)
         for j in range(self.n_steps):
-            rhs = y + sigma * d_w[:, j, :]
+            rhs = y + g * d_w[:, j, :]
             y = np.empty_like(rhs)
             y[:, 0] = (a * rhs[:, 0] - b * rhs[:, 1]) / det
             y[:, 1] = (b * rhs[:, 0] + a * rhs[:, 1]) / det
@@ -565,8 +560,8 @@ def verify_apriori(
         x0_norm_sq=problem.x0_norm_sq(),
         g_x0_norm_sq=problem.g_x0_norm_sq(),
     )
-    bound = apriori_bound(inputs_obj)
     parts = apriori_bound_parts(inputs_obj)
+    bound = parts["bound"]
 
     rows = []
     for cfg in configs:

@@ -9,6 +9,7 @@ the implicit step uniquely solvable for h below the Lipschitz threshold.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -43,14 +44,15 @@ class SolverConfig:
 class SdeProblem:
     """Autonomous SDE dX = f(X) dt + g(X) dW with deterministic X_0.
 
-    ``drift`` maps a (d,) state to a (d,) vector and ``diffusion`` maps
-    it to a (d, m) matrix. With ``vectorized`` set, both also accept an
-    (n, d) stack of states and return (n, d) and (n, d, m) arrays. ``L``
-    is the registered coercivity constant, ``one_sided_c`` the one-sided
-    Lipschitz constant of the drift (None when unknown).
-    ``kernel_id``/``kernel_params`` point scalar zoo problems at the
-    batch stepping kernel; ``zoo_spec`` allows worker processes to
-    rebuild the problem from plain data.
+    ``drift`` maps a (d,) state to a (d,) vector, ``drift_jacobian``
+    (optional; finite differences are used without it) maps it to a
+    (d, d) matrix and ``diffusion`` to a (d, m) matrix. With
+    ``vectorized`` set, all three also accept an (n, d) stack of states
+    and return (n, d), (n, d, d) and (n, d, m) arrays; the scalar zoo
+    problems act elementwise on states of any shape, appending one axis
+    for the Jacobian and the diffusion. ``L`` is the registered
+    coercivity constant; ``zoo_spec`` allows worker processes to rebuild
+    the problem from plain data.
     """
 
     label: str
@@ -60,10 +62,7 @@ class SdeProblem:
     diffusion: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     L: float
-    one_sided_c: float | None = None
     drift_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
-    kernel_id: int | None = None
-    kernel_params: np.ndarray | None = None
     zoo_spec: tuple | None = None
     vectorized: bool = False
 
@@ -332,8 +331,9 @@ def simulate_trajectory(
         g_y = np.atleast_2d(np.asarray(problem.diffusion(y), dtype=np.float64))
         func_vals[j + 1] = float(np.dot(y, y)) + cfg.h * float(np.sum(g_y * g_y))
 
-    sup_val = float(func_vals.max())
-    sup_p = {float(p): sup_val ** float(p) for p in p_list}
+    # an array power, as in the batch sampler, so a one-path chunk there gives these bits
+    sup_val = func_vals.max(keepdims=True)
+    sup_p = {float(p): float((sup_val ** float(p))[0]) for p in p_list}
     return BemTrajectory(states, d_w, z_vals, sup_p, iter_counts)
 
 
@@ -400,10 +400,7 @@ def make_linear(lam: float = 1.0, sigma: float = 0.0, x0=1.0, L: float | None = 
         diffusion=lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
         x0=np.atleast_1d(np.asarray(x0, dtype=np.float64)),
         L=L,
-        one_sided_c=-lam,
-        drift_jacobian=lambda x: np.array([[-lam]]),
-        kernel_id=kernels.KERNEL_LINEAR,
-        kernel_params=np.array([lam, sigma]),
+        drift_jacobian=lambda x: np.full(np.shape(x) + (1,), -lam),
         zoo_spec=("linear", {"lam": lam, "sigma": sigma, "x0": float(np.atleast_1d(x0)[0]), "L": L}),
         vectorized=True,
     )
@@ -428,10 +425,7 @@ def make_ginzburg_landau(sigma: float = 0.5, x0=1.0, L: float | None = None) -> 
         diffusion=lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
         x0=np.atleast_1d(np.asarray(x0, dtype=np.float64)),
         L=L,
-        one_sided_c=1.0,
-        drift_jacobian=lambda x: np.array([[1.0 - 3.0 * x[0] * x[0]]]),
-        kernel_id=kernels.KERNEL_GINZBURG_LANDAU,
-        kernel_params=np.array([sigma]),
+        drift_jacobian=lambda x: (1.0 - 3.0 * x * x)[..., None],
         zoo_spec=("ginzburg-landau", {"sigma": sigma, "x0": float(np.atleast_1d(x0)[0]), "L": L}),
         vectorized=True,
     )
@@ -473,8 +467,7 @@ def make_bounded_rotation(
         diffusion=diffusion,
         x0=np.asarray(x0, dtype=np.float64),
         L=L,
-        one_sided_c=-kappa,
-        drift_jacobian=lambda x: jac,
+        drift_jacobian=lambda x: np.broadcast_to(jac, np.shape(x)[:-1] + (2, 2)),
         zoo_spec=(
             "bounded-rotation",
             {"omega": omega, "kappa": kappa, "sigma": sigma,
@@ -495,6 +488,14 @@ _ZOO = {
 
 def zoo_labels() -> tuple:
     return tuple(sorted(_ZOO))
+
+
+def zoo_parameters() -> dict:
+    """Each registered problem's parameters, mapped to their defaults."""
+    return {
+        label: {name: par.default for name, par in inspect.signature(factory).parameters.items()}
+        for label, factory in sorted(_ZOO.items())
+    }
 
 
 def make_problem(label: str, **params) -> SdeProblem:

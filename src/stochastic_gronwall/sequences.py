@@ -109,22 +109,6 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
-def product_one_plus(g: RealSequence, lo: int, hi: int) -> float:
-    """prod_{j=lo}^{hi-1} (1 + g_j), empty product = 1.
-
-    Switches to log-space accumulation once a partial product exceeds
-    the overflow guard; the result may still round to +inf, which is
-    propagated rather than raised.
-    """
-    vals = as_sequence(g).values
-    acc = 1.0
-    for j in range(lo, hi):
-        acc *= 1.0 + vals[j]
-        if acc > OVERFLOW_GUARD:
-            return _safe_exp(log_product_one_plus(g, lo, hi))
-    return float(acc)
-
-
 def log_product_one_plus(g: RealSequence, lo: int, hi: int) -> float:
     """sum_{j=lo}^{hi-1} log(1 + g_j), the log of the weight product."""
     vals = as_sequence(g).values

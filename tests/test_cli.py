@@ -282,6 +282,76 @@ class TestPositiveFlags:
         assert est["ci_halfwidth"] == 3.0 * est["std_error"]
 
 
+# Outside input that is out of range or of the wrong type: argv, config
+# file contents (or None), $SGRONWALL_SEED (or None), exit code, and a
+# fragment the error message must contain.
+_THEOREM = ["verify", "theorem", "--p", "0.5", "--horizon", "3"]
+_APRIORI = ["verify", "apriori", "--T", "1", "--h0", "0.25", "--h-grid", "0.125,0.015625",
+            "--paths", "64"]
+_GL = [*_APRIORI, "--problem", "ginzburg-landau", "--p", "0.5", "--seed", "1"]
+_INPUT_CASES = {
+    "config-paths-text": ([*_THEOREM, "--seed", "1"], {"paths": "100"}, None,
+                          EXIT_CONFIG, "'paths'"),
+    "config-p-text": ([*_APRIORI, "--problem", "ginzburg-landau", "--seed", "1"],
+                      {"p": "0.5"}, None, EXIT_CONFIG, "'p'"),
+    "config-sigma-text": (_GL, {"sigma": "0.5"}, None, EXIT_CONFIG, "'sigma'"),
+    "config-sigma-number": (_GL, {"sigma": 0.5}, None, EXIT_OK, ""),
+    "config-seed-bool": ([*_THEOREM, "--paths", "200"], {"seed": True}, None,
+                         EXIT_CONFIG, "'seed'"),
+    "config-output-number": ([*_THEOREM, "--paths", "200", "--seed", "1"], {"output": 5},
+                             None, EXIT_CONFIG, "'output'"),
+    "config-x0-text": ([*_APRIORI, "--problem", "bounded-rotation", "--p", "0.5",
+                        "--seed", "1"], {"x0": "1,0"}, None, EXIT_OK, ""),
+    "foreign-problem-flags": ([*_GL, "--omega", "7", "--lambda", "3"], None, None,
+                              EXIT_CONFIG, "does not take --lambda, --omega"),
+    "foreign-problem-key": (_GL, {"kappa": 0.1}, None, EXIT_CONFIG, "does not take --kappa"),
+    "x0-length": ([*_GL, "--x0", "1,0"], None, None, EXIT_CONFIG, "--x0"),
+    "negative-seed": ([*_THEOREM, "--paths", "200", "--seed", "-1"], None, None,
+                      EXIT_CONFIG, "--seed"),
+    "seed-too-large": ([*_THEOREM, "--paths", "200", "--seed", str(2**64)], None, None,
+                       EXIT_CONFIG, "--seed"),
+    "negative-env-seed": ([*_THEOREM, "--paths", "200"], None, "-5",
+                          EXIT_CONFIG, SEED_ENV_VAR),
+    "one-apriori-path": ([*_GL, "--paths", "1"], None, None, EXIT_CONFIG, "--paths"),
+    "one-theorem-path": ([*_THEOREM, "--paths", "1", "--seed", "1"], None, None,
+                         EXIT_CONFIG, "--paths"),
+    "two-theorem-paths": ([*_THEOREM, "--paths", "2", "--seed", "1"], None, None,
+                          EXIT_OK, ""),
+    "one-sample": (["martingale", "estimate-sup", "--p", "0.5", "--samples", "1",
+                    "--seed", "1"], None, None, EXIT_CONFIG, "--samples"),
+}
+
+
+class TestInputExitCodes:
+    @pytest.mark.parametrize("case", sorted(_INPUT_CASES))
+    def test_exit_code(self, capsys, tmp_path, monkeypatch, case):
+        argv, config, env_seed, expected, fragment = _INPUT_CASES[case]
+        argv = list(argv)
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+        code, _, err = run(capsys, *argv)
+        assert code == expected, err
+        assert fragment in err
+
+
+class TestProblemFlags:
+    def test_every_zoo_parameter_has_a_flag(self):
+        from stochastic_gronwall.cli import build_parser
+        from stochastic_gronwall.sde import zoo_parameters
+
+        names = {name for params in zoo_parameters().values() for name in params}
+        parser = build_parser()
+        for command in (["bem", "simulate"], ["verify", "apriori"]):
+            args = parser.parse_args(command)
+            assert names <= set(args.config_types)
+            assert "config" not in args.config_types
+
+
 class TestReportSchema:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):

@@ -6,26 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochastic_gronwall import kernels
+from stochastic_gronwall.sde import make_problem
 from stochastic_gronwall.streams import StreamPlan
 
-LINEAR_PARAMS = np.array([1.0, 0.5])
-GL_PARAMS = np.array([0.5])
+
+def scalar_oracle(label, **params):
+    """A scalar zoo problem with its f, f' and diffusion coefficient
+    written out by hand, independently of the problem's callables."""
+    problem = make_problem(label, **params)
+    if label == "linear":
+        lam = problem.zoo_spec[1]["lam"]
+        return problem, (lambda x: -lam * x), (lambda x: -lam), problem.zoo_spec[1]["sigma"]
+    return problem, (lambda x: x - x * x * x), (lambda x: 1.0 - 3.0 * x * x), \
+        problem.zoo_spec[1]["sigma"]
 
 
-def reference_step(kernel_id, params, h, b, tol, max_iter):
+def reference_step(f, df, h, b, tol, max_iter):
     """Scalar solve of z - h*f(z) = b, one path at a time.
 
     The oracle for the batch solver: Newton from the predictor, then
     bisection on a doubled bracket, with the stalled-bisection
     acceptance at 10*tol. Returns (root, iterations, converged).
     """
-
-    def f(x):
-        return -params[0] * x if kernel_id == kernels.KERNEL_LINEAR else x - x * x * x
-
-    def df(x):
-        return -params[0] if kernel_id == kernels.KERNEL_LINEAR else 1.0 - 3.0 * x * x
-
     z = b
     iters = 0
     for _ in range(max_iter):
@@ -67,18 +69,16 @@ def reference_step(kernel_id, params, h, b, tol, max_iter):
     return mid, iters, abs(r) <= 10.0 * tol
 
 
-def reference_batch(kernel_id, params, x0, h, d_w, tol, max_iter):
-    """Path-by-path loop over :func:`reference_step`."""
+def reference_batch(f, df, sigma, x0, h, d_w, tol, max_iter):
+    """Path-by-path loop over :func:`reference_step` for g(x) = sigma*x."""
     n_paths, n_steps = d_w.shape
     states = np.full((n_paths, n_steps + 1), np.nan)
     iters = np.zeros(n_paths, dtype=np.int64)
     failed = np.zeros(n_paths, dtype=np.bool_)
-    sigma = params[1] if kernel_id == kernels.KERNEL_LINEAR else params[0]
     for ip in range(n_paths):
         y = states[ip, 0] = x0
         for j in range(n_steps):
-            z, used, ok = reference_step(kernel_id, params, h, y + sigma * y * d_w[ip, j],
-                                         tol, max_iter)
+            z, used, ok = reference_step(f, df, h, y + sigma * y * d_w[ip, j], tol, max_iter)
             iters[ip] += used
             if not ok:
                 failed[ip] = True
@@ -87,17 +87,21 @@ def reference_batch(kernel_id, params, x0, h, d_w, tol, max_iter):
     return states, iters, failed
 
 
-def batch_step(kernel_id, params, h, b, tol=1e-12, max_iter=50):
+def batch_step(problem, h, b, tol=1e-12, max_iter=50):
     return kernels.implicit_solve(
-        lambda x: kernels._drift(kernel_id, params, x),
-        lambda x: kernels._drift_slope(kernel_id, params, x),
-        h, b, tol, max_iter,
+        problem.drift, lambda x: problem.drift_jacobian(x)[..., 0], h, b, tol, max_iter
     )
 
 
-_KERNELS = {
-    "linear": (kernels.KERNEL_LINEAR, LINEAR_PARAMS),
-    "ginzburg-landau": (kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS),
+def batch(problem, x0, h, d_w, tol=1e-12, max_iter=50):
+    return kernels.bem_scalar_batch(
+        problem.drift, problem.drift_jacobian, problem.diffusion, x0, d_w, h, tol, max_iter
+    )
+
+
+_ORACLES = {
+    "linear": scalar_oracle("linear", lam=1.0, sigma=0.5),
+    "ginzburg-landau": scalar_oracle("ginzburg-landau", sigma=0.5),
 }
 _moderate = st.floats(-50.0, 50.0, allow_nan=False)
 _wide = st.one_of(_moderate, st.floats(-1e120, 1e120, allow_nan=False))
@@ -106,19 +110,18 @@ _wide = st.one_of(_moderate, st.floats(-1e120, 1e120, allow_nan=False))
 class TestImplicitSolve:
     @settings(max_examples=200, deadline=None)
     @given(
-        kernel=st.sampled_from(sorted(_KERNELS)),
+        label=st.sampled_from(sorted(_ORACLES)),
         h=st.floats(1e-4, 0.95),
         ys=st.lists(_wide, min_size=1, max_size=12),
         d_ws=st.lists(st.floats(-4.0, 4.0), min_size=12, max_size=12),
     )
-    def test_batch_equals_scalar_reference(self, kernel, h, ys, d_ws):
-        kernel_id, params = _KERNELS[kernel]
-        sigma = params[-1]
+    def test_batch_equals_scalar_reference(self, label, h, ys, d_ws):
+        problem, f, df, sigma = _ORACLES[label]
         y = np.array(ys)
         b = y + sigma * y * np.array(d_ws[: y.size]) * math.sqrt(h)
         with np.errstate(over="ignore", invalid="ignore"):
-            z, iters, ok = batch_step(kernel_id, params, h, b)
-            expected = [reference_step(kernel_id, params, h, bi, 1e-12, 50) for bi in b]
+            z, iters, ok = batch_step(problem, h, b)
+            expected = [reference_step(f, df, h, bi, 1e-12, 50) for bi in b]
         assert ok.tolist() == [e[2] for e in expected]
         assert iters.tolist() == [e[1] for e in expected]
         assert np.array_equal(z[ok], np.array([e[0] for e in expected])[ok])
@@ -133,19 +136,18 @@ class TestImplicitSolve:
         d_w=st.floats(-4.0, 4.0),
     )
     def test_linear_matches_closed_form(self, lam, sigma, h, y, d_w):
-        params = np.array([lam, sigma])
         b = np.array([y + sigma * y * d_w])
-        z, _, ok = batch_step(kernels.KERNEL_LINEAR, params, h, b)
+        z, _, ok = batch_step(make_problem("linear", lam=lam, sigma=sigma), h, b)
         assert ok[0]
         assert z[0] == pytest.approx(y * (1.0 + sigma * d_w) / (1.0 + h * lam), abs=1e-10)
 
     def test_bisection_fallback_only_where_newton_gives_up(self):
         # h > 1 makes 1 - h*f'(z) vanish near |z| = 1/3 for Ginzburg-Landau
+        problem, f, df, _ = _ORACLES["ginzburg-landau"]
         b = np.array([0.0, 0.3, 2.0, -5.0, 1e103])
         with np.errstate(over="ignore", invalid="ignore"):
-            z, iters, ok = batch_step(kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS, 1.5, b)
-            expected = [reference_step(kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS, 1.5, bi,
-                                       1e-12, 50) for bi in b]
+            z, iters, ok = batch_step(problem, 1.5, b)
+            expected = [reference_step(f, df, 1.5, bi, 1e-12, 50) for bi in b]
         assert iters.tolist() == [e[1] for e in expected]
         assert ok.tolist() == [e[2] for e in expected]
         assert np.array_equal(z, np.array([e[0] for e in expected]))
@@ -154,7 +156,7 @@ class TestImplicitSolve:
         assert iters[[0, 2, 3]].max() <= 10
 
     def test_empty_batch(self):
-        z, iters, ok = batch_step(kernels.KERNEL_LINEAR, LINEAR_PARAMS, 0.1, np.empty(0))
+        z, iters, ok = batch_step(_ORACLES["linear"][0], 0.1, np.empty(0))
         assert z.shape == iters.shape == ok.shape == (0,)
 
 
@@ -163,9 +165,7 @@ class TestBemScalarBatch:
         plan = StreamPlan(21)
         h = 0.125
         d_w = plan.chunk_stream(0).standard_normal((256, 16)) * math.sqrt(h)
-        states, iters, failed = kernels.bem_scalar_batch(
-            kernels.KERNEL_GINZBURG_LANDAU, np.array([0.5]), 1.0, h, d_w, 1e-12, 50
-        )
+        states, iters, failed = batch(_ORACLES["ginzburg-landau"][0], 1.0, h, d_w)
         assert not failed.any()
         y_prev = states[:, :-1]
         y_next = states[:, 1:]
@@ -176,36 +176,32 @@ class TestBemScalarBatch:
         plan = StreamPlan(22)
         h = 0.1
         d_w = plan.chunk_stream(0).standard_normal((64, 10)) * math.sqrt(h)
-        states, _, failed = kernels.bem_scalar_batch(
-            kernels.KERNEL_LINEAR, np.array([1.0, 0.5]), 2.0, h, d_w, 1e-12, 50
-        )
+        states, _, failed = batch(_ORACLES["linear"][0], 2.0, h, d_w)
         assert not failed.any()
         y = np.full(64, 2.0)
         for j in range(10):
             y = y * (1.0 + 0.5 * d_w[:, j]) / 1.1
             assert np.allclose(states[:, j + 1], y, atol=1e-10)
 
-    @pytest.mark.parametrize("kernel_id, params, x0, h", [
-        (kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS, 1.0, 0.125),
-        (kernels.KERNEL_GINZBURG_LANDAU, np.array([3.0]), 2.0, 0.5),
-        (kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS, 1.0, 1.5),  # bisection fallback
-        (kernels.KERNEL_GINZBURG_LANDAU, GL_PARAMS, 1e160, 0.5),  # every path fails
-        (kernels.KERNEL_LINEAR, LINEAR_PARAMS, 1.0, 0.1),
-        (kernels.KERNEL_LINEAR, LINEAR_PARAMS, 1e300, 0.1),  # some paths fail
+    @pytest.mark.parametrize("label, params, x0, h", [
+        ("ginzburg-landau", {"sigma": 0.5}, 1.0, 0.125),
+        ("ginzburg-landau", {"sigma": 3.0}, 2.0, 0.5),
+        ("ginzburg-landau", {"sigma": 0.5}, 1.0, 1.5),  # bisection fallback
+        ("ginzburg-landau", {"sigma": 0.5}, 1e160, 0.5),  # every path fails
+        ("linear", {"lam": 1.0, "sigma": 0.5}, 1.0, 0.1),
+        ("linear", {"lam": 1.0, "sigma": 0.5}, 1e300, 0.1),  # some paths fail
     ])
-    def test_equals_path_by_path_reference(self, kernel_id, params, x0, h):
+    def test_equals_path_by_path_reference(self, label, params, x0, h):
+        problem, f, df, sigma = scalar_oracle(label, **params)
         d_w = StreamPlan(23).chunk_stream(0).standard_normal((96, 6)) * math.sqrt(h)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = kernels.bem_scalar_batch(kernel_id, params, x0, h, d_w, 1e-12, 50)
-            expected = reference_batch(kernel_id, params, x0, h, d_w, 1e-12, 50)
+            got = batch(problem, x0, h, d_w)
+            expected = reference_batch(f, df, sigma, x0, h, d_w, 1e-12, 50)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b, equal_nan=True)
 
     def test_output_shapes(self):
-        d_w = np.zeros((3, 5))
-        states, iters, failed = kernels.bem_scalar_batch(
-            kernels.KERNEL_LINEAR, np.array([1.0, 0.0]), 1.0, 0.1, d_w, 1e-12, 50
-        )
+        states, iters, failed = batch(make_problem("linear", sigma=0.0), 1.0, 0.1, np.zeros((3, 5)))
         assert states.shape == (3, 6)
         assert iters.shape == (3,)
         assert failed.dtype == np.bool_

@@ -267,6 +267,26 @@ class TestVerifyApriori:
             BemSupFunctionalSampler.for_problem(prob, BemConfig(h=0.1, h0=0.4, T=1.0), 0.5)
 
 
+class TestSamplerMatchesTrajectory:
+    @pytest.mark.parametrize("label, params", [
+        ("ginzburg-landau", {"sigma": 0.3}),
+        ("linear", {"lam": 1.3, "sigma": 0.7}),
+    ])
+    @pytest.mark.parametrize("h", [0.1, 0.07])
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_one_path_chunk_bit_identical(self, label, params, h, p):
+        # the sup functional uses the problem's own g on both routes
+        from stochastic_gronwall.sde import simulate_trajectory
+
+        prob = make_problem(label, **params)
+        cfg = BemConfig(h=h, h0=0.25, T=1.0)
+        sampler = BemSupFunctionalSampler.for_problem(prob, cfg, p)
+        plan = StreamPlan(7)
+        for c in range(10):
+            traj = simulate_trajectory(prob, cfg, [p], plan.chunk_stream(c))
+            assert sampler.sample_chunk(plan, c, 1)[0] == traj.sup_functional_p[p]
+
+
 def simulate_step(prob, y, d_w, cfg):
     from stochastic_gronwall.sde import bem_step
 
@@ -286,7 +306,8 @@ class TestZMartingaleBuckets:
         n_paths, n_steps = 40_000, 8
         d_w = stream.standard_normal((n_paths, n_steps)) * math.sqrt(h)
         states, _, failed = kernels.bem_scalar_batch(
-            prob.kernel_id, prob.kernel_params, 1.0, h, d_w, 1e-12, 50
+            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w, h,
+            1e-12, 50,
         )
         assert not failed.any()
         y = states[:, :-1].ravel()

@@ -15,6 +15,7 @@ from stochastic_gronwall.sde import (
     simulate_trajectory,
     z_increment,
     zoo_labels,
+    zoo_parameters,
 )
 from stochastic_gronwall.streams import StreamPlan
 
@@ -107,7 +108,8 @@ class TestScalarStepMatchesKernel:
         prob = make_problem(label, **params)
         d_w = StreamPlan(13).chunk_stream(0).standard_normal((40, 8)) * math.sqrt(h)
         states, iters, failed = kernels.bem_scalar_batch(
-            prob.kernel_id, prob.kernel_params, float(prob.x0[0]), h, d_w, 1e-12, 50
+            prob.drift, prob.drift_jacobian, prob.diffusion, float(prob.x0[0]), d_w, h,
+            1e-12, 50,
         )
         assert not failed.any()
         for i in range(d_w.shape[0]):
@@ -125,7 +127,8 @@ class TestScalarStepMatchesKernel:
         b = 1e160
         with np.errstate(over="ignore", invalid="ignore"):
             _, _, failed = kernels.bem_scalar_batch(
-                prob.kernel_id, prob.kernel_params, b, 0.5, np.zeros((1, 1)), 1e-12, 50
+                prob.drift, prob.drift_jacobian, prob.diffusion, b, np.zeros((1, 1)), 0.5,
+                1e-12, 50,
             )
             assert failed[0]
             with pytest.raises(SolverError, match="did not converge"):
@@ -204,6 +207,33 @@ class TestCoercivity:
     def test_unknown_label(self):
         with pytest.raises(ContractViolationError, match="unknown problem"):
             make_problem("heat-bath")
+
+
+class TestZooCallables:
+    @pytest.mark.parametrize("label", zoo_labels())
+    def test_stack_equals_state_by_state(self, label):
+        # drift, Jacobian and diffusion on an (n, d) stack are the per-state values stacked
+        prob = make_problem(label)
+        stack = np.random.default_rng(3).uniform(-2.0, 2.0, (7, prob.d))
+        for func, shape in ((prob.drift, (prob.d,)), (prob.drift_jacobian, (prob.d, prob.d)),
+                            (prob.diffusion, (prob.d, prob.m))):
+            rows = np.array([np.asarray(func(x), dtype=np.float64) for x in stack])
+            assert rows.shape == (7, *shape)
+            assert np.array_equal(np.asarray(func(stack)), rows)
+
+    @pytest.mark.parametrize("label", ["linear", "ginzburg-landau"])
+    def test_scalar_problems_act_elementwise(self, label):
+        prob = make_problem(label, sigma=0.7)
+        states = np.random.default_rng(4).uniform(-2.0, 2.0, (5, 3))
+        assert prob.drift(states).shape == states.shape
+        for func in (prob.drift_jacobian, prob.diffusion):
+            assert np.array_equal(func(states), func(states[..., None])[..., 0])
+
+    def test_parameters_are_the_factory_arguments(self):
+        zoo = zoo_parameters()
+        assert list(zoo) == list(zoo_labels())
+        assert zoo["linear"] == {"lam": 1.0, "sigma": 0.0, "x0": 1.0, "L": None}
+        assert zoo["bounded-rotation"]["x0"] == (1.0, 0.0)
 
 
 class TestZIncrement:
@@ -329,7 +359,8 @@ class TestRecursionCheck:
         d_w = StreamPlan(11).chunk_stream(0).standard_normal((n_paths, n_steps))
         d_w *= math.sqrt(h)
         states, _, failed = kernels.bem_scalar_batch(
-            prob.kernel_id, prob.kernel_params, 1.0, h, d_w, 1e-12, 50
+            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w, h,
+            1e-12, 50,
         )
         assert not failed.any()
         y_sq = states**2

@@ -12,7 +12,6 @@ from stochastic_gronwall.sequences import (
     gronwall_recursive_envelope,
     log_product_one_plus,
     power_product_one_plus,
-    product_one_plus,
     telescoping_identity_lhs,
     telescoping_max_rel_error,
 )
@@ -162,15 +161,16 @@ class TestTelescoping:
         n = data.draw(st.integers(min_value=1, max_value=len(g)))
         k = data.draw(st.integers(min_value=0, max_value=n - 1))
         lhs = telescoping_identity_lhs(g, k, n)
-        rhs = product_one_plus(RealSequence(g), k, n)
+        rhs = power_product_one_plus(RealSequence(g), k, n, 1.0)
         assert abs(lhs - rhs) <= 1e-10 * rhs
 
     def test_batch_matches_scalar(self, rng):
         g = rng.uniform(0, 10, 12)
         worst = telescoping_max_rel_error(g)
+        seq = RealSequence(g)
         direct = max(
-            abs(telescoping_identity_lhs(g, k, n) - product_one_plus(RealSequence(g), k, n))
-            / product_one_plus(RealSequence(g), k, n)
+            abs(telescoping_identity_lhs(g, k, n) - power_product_one_plus(seq, k, n, 1.0))
+            / power_product_one_plus(seq, k, n, 1.0)
             for n in range(1, 13)
             for k in range(n)
         )
@@ -181,13 +181,13 @@ class TestOverflowHandling:
     def test_product_log_space_switch(self):
         # (1+9)^305 = 1e305 exceeds the 1e300 guard partway through
         g = [9.0] * 305
-        val = product_one_plus(RealSequence(g), 0, 305)
+        val = power_product_one_plus(RealSequence(g), 0, 305, 1.0)
         assert val == pytest.approx(1e305, rel=1e-10)
 
     def test_power_product_finite_when_plain_overflows(self):
         # (1+99)^200 = 1e400 overflows, but its square root 1e200 does not
         g = [99.0] * 200
-        assert product_one_plus(RealSequence(g), 0, 200) == math.inf
+        assert power_product_one_plus(RealSequence(g), 0, 200, 1.0) == math.inf
         val = power_product_one_plus(RealSequence(g), 0, 200, 0.5)
         assert val == pytest.approx(1e200, rel=1e-10)
 
