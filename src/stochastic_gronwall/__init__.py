@@ -50,7 +50,6 @@ from .sde import (
     BemConfig,
     BemTrajectory,
     SdeProblem,
-    SolverConfig,
     bem_step,
     make_problem,
     pathwise_recursion_check,
@@ -80,7 +79,6 @@ __all__ = [
     "PathFunctionals",
     "RealSequence",
     "SdeProblem",
-    "SolverConfig",
     "SolverError",
     "StochasticGronwallError",
     "StreamPlan",

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import keyword
+import math
 import os
 import sys
 
@@ -43,7 +44,7 @@ from .mc import (
     verify_apriori,
     verify_theorem_on_synthetic,
 )
-from .sde import BemConfig, SolverConfig, make_problem, simulate_trajectory, zoo_parameters
+from .sde import BemConfig, make_problem, simulate_trajectory, zoo_parameters
 from .sequences import (
     RealSequence,
     gronwall_closed_form,
@@ -130,13 +131,13 @@ def _merge_config(args) -> None:
     Its keys are the command's flag names, its values of the flags' types.
     """
     config = _load_config(args.config)
-    unknown = set(config) - set(args.config_types)
+    unknown = set(config) - set(args.config_flags)
     if unknown:
         raise ConfigError(
-            f"unknown config keys {sorted(unknown)}; allowed: {sorted(args.config_types)}"
+            f"unknown config keys {sorted(unknown)}; allowed: {sorted(args.config_flags)}"
         )
     for key, value in config.items():
-        kind = args.config_types[key]
+        kind = args.config_flags[key].type
         items = [value]
         if kind is _float_list:
             value = _float_list(value) if isinstance(value, str) else value
@@ -146,6 +147,21 @@ def _merge_config(args) -> None:
             raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
         if getattr(args, key) is None:
             setattr(args, key, value)
+
+
+def _check_finite(args) -> None:
+    """Every float or list flag given, on the command line or in the
+    config file, must be a finite float (JSON config files can hold NaN,
+    and integers beyond the float range)."""
+    for key, action in args.config_flags.items():
+        value = getattr(args, key)
+        if action.type in (float, _float_list) and value is not None:
+            try:
+                finite = all(math.isfinite(v) for v in (value if isinstance(value, list) else [value]))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{action.option_strings[0]} must be finite, got {value!r}")
 
 
 def _write_json(path, payload: dict) -> None:
@@ -281,6 +297,14 @@ def _positive(args, name, default, kind=float):
     return value
 
 
+def _exponent(args) -> float:
+    """--p, the moment exponent, which must lie in (0,1)."""
+    p = _require(args, "p")
+    if not 0.0 < p < 1.0:
+        raise ConfigError(f"--p must lie in (0,1), got {p}")
+    return p
+
+
 def _sample_count(args, name, default):
     """A Monte Carlo sample count: at least 2, so a standard error exists."""
     n = _positive(args, name, default, int)
@@ -356,7 +380,7 @@ def _cmd_martingale(args) -> int:
         print(f"holds            {holds}")
         return EXIT_OK if holds else EXIT_VERIFY
     if args.action == "estimate-sup":
-        p = _require(args, "p")
+        p = _exponent(args)
         n = _sample_count(args, "samples", 1_000_000)
         seed = _resolve_seed(args.seed)
         plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
@@ -429,13 +453,14 @@ def _cmd_bem(args) -> int:
     if args.action != "simulate":
         raise ConfigError(f"unknown bem action {args.action!r}")
     _merge_config(args)
+    _check_finite(args)
     problem = _build_problem(args)
     h = _require(args, "h")
     T = _require(args, "T")
     h0 = args.h0
     if h0 is None:
         h0 = 0.999 * 0.5 / problem.L if problem.L > 0 else 0.9999
-    cfg = BemConfig(h=h, h0=h0, T=T, solver=SolverConfig())
+    cfg = BemConfig(h=h, h0=h0, T=T)
     cfg.validate_for(problem)
     p_list = args.p_list if args.p_list is not None else []
     seed = _resolve_seed(args.seed)
@@ -464,13 +489,15 @@ def _cmd_bem(args) -> int:
 def _cmd_verify(args) -> int:
     if args.action == "theorem":
         _merge_config(args)
-        p = _require(args, "p")
-        if not 0.0 < p < 1.0:
-            raise ConfigError(f"p must lie in (0,1), got {p}")
+        p = _exponent(args)
         horizon = args.horizon if args.horizon is not None else 10
+        if horizon < 0:
+            raise ConfigError(f"--horizon must be >= 0, got {horizon}")
         n_paths = _sample_count(args, "paths", 100_000)
         seed = _resolve_seed(args.seed)
         plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
+        z = _positive(args, "z", DEFAULT_Z)
+        _check_finite(args)
         all_systems = {s.label: s for s in standard_synthetic_systems(horizon)}
         if args.systems is not None:
             wanted = [s.strip() for s in args.systems.split(",")]
@@ -482,8 +509,7 @@ def _cmd_verify(args) -> int:
             systems = [all_systems[w] for w in wanted]
         else:
             systems = list(all_systems.values())
-        report = verify_theorem_on_synthetic(systems, p, n_paths, plan,
-                                             z=_positive(args, "z", DEFAULT_Z))
+        report = verify_theorem_on_synthetic(systems, p, n_paths, plan, z=z)
         payload = report.to_dict()
         _emit_verify(args, payload,
                      ["system", "mean", "std_error", "ci_halfwidth", "bound", "passed"],
@@ -493,26 +519,28 @@ def _cmd_verify(args) -> int:
 
     if args.action == "apriori":
         _merge_config(args)
+        p = _exponent(args)
+        n_paths = _sample_count(args, "paths", 100_000)
+        seed = _resolve_seed(args.seed)
+        plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
+        z = _positive(args, "z", DEFAULT_Z)
+        fail_threshold = args.fail_threshold
+        if fail_threshold is None:
+            fail_threshold = 0.0
+        elif not 0.0 <= fail_threshold <= 1.0:
+            raise ConfigError(f"--fail-threshold must lie in [0, 1], got {fail_threshold}")
+        _check_finite(args)
         problem = _build_problem(args)
-        p = _require(args, "p")
         T = _require(args, "T")
         h0 = _require(args, "h0")
         h_grid = _require(args, "h_grid")
-        if not 0.0 < p < 1.0:
-            raise ConfigError(f"p must lie in (0,1), got {p}")
         if not 2.0 * h0 * problem.L < 1.0:
             raise ConfigError(
                 f"need 2*h0*L < 1, got {2.0 * h0 * problem.L} for L={problem.L}"
             )
-        n_paths = _sample_count(args, "paths", 100_000)
-        seed = _resolve_seed(args.seed)
-        plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
         configs = [BemConfig(h=h, h0=h0, T=T) for h in h_grid]
-        report = verify_apriori(
-            problem, configs, p, n_paths, plan,
-            z=_positive(args, "z", DEFAULT_Z),
-            fail_threshold=args.fail_threshold or 0.0,
-        )
+        report = verify_apriori(problem, configs, p, n_paths, plan, z=z,
+                                fail_threshold=fail_threshold)
         payload = report.to_dict()
         _emit_verify(args, payload,
                      ["h", "n_steps", "mean", "std_error", "ci_halfwidth",
@@ -545,8 +573,8 @@ def _emit_verify(args, payload, csv_header, csv_rows) -> None:
 def _add_config_flag(parser) -> None:
     """--config, a JSON object keyed by the flags declared before it."""
     parser.add_argument("--config", help="JSON file of flag values (explicit flags win)")
-    parser.set_defaults(config_types={
-        action.dest: action.type for action in parser._actions
+    parser.set_defaults(config_flags={
+        action.dest: action for action in parser._actions
         if action.dest not in ("help", "config")
     })
 

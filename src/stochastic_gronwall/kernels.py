@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# Residual tolerance of the implicit step, and Newton updates allowed per path.
+TOL = 1e-12
+MAX_ITER = 50
 # Newton gives up on a path when 1 - h*f'(z) is at or below this value.
 NEWTON_MIN_SLOPE = 1e-14
 # Bracket doublings and bisection halvings allowed per path.
@@ -20,25 +23,25 @@ BRACKET_MAX_GROWTH = 600
 BISECTION_MAX_ITER = 300
 
 
-def implicit_solve(drift, slope, h, b, tol, max_iter):
+def implicit_solve(drift, slope, h, b):
     """Solve z - h*drift(z) = b entry by entry for a 1-D array b.
 
     ``drift`` and ``slope`` (its derivative) map a 1-D array of states
     to an array of the same shape, elementwise. Newton runs from the
     explicit predictor z = b on the entries whose residual is still
-    above ``tol``, for at most ``max_iter`` updates. An entry where
+    above ``TOL``, for at most ``MAX_ITER`` updates. An entry where
     Newton gives up (1 - h*slope(z) not finite or at most
     ``NEWTON_MIN_SLOPE``, a non-finite iterate, or no convergence within
-    ``max_iter``) falls back to bisection on [-span, span],
+    ``MAX_ITER``) falls back to bisection on [-span, span],
     span = 1 + 2|b|, doubled until it brackets the root. The residual
     is strictly increasing for one-sided Lipschitz drifts with h below
     the Lipschitz threshold, so that root is unique.
 
     Failure rule: an entry fails if the bracket does not form within
     ``BRACKET_MAX_GROWTH`` doublings, or if the bisection neither meets
-    ``tol`` within ``BISECTION_MAX_ITER`` halvings nor, once the bracket
+    ``TOL`` within ``BISECTION_MAX_ITER`` halvings nor, once the bracket
     has collapsed to rounding level or the halvings are used up, ends
-    with a midpoint residual at or below 10*tol.
+    with a midpoint residual at or below 10*TOL.
 
     Returns (z, iterations, converged); z is NaN where converged is
     False, and iterations counts Newton updates plus bisection halvings.
@@ -52,9 +55,9 @@ def implicit_solve(drift, slope, h, b, tol, max_iter):
     z_a = b.copy()
     b_a = b
     fallback = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         r = z_a - h * drift(z_a) - b_a
-        done = np.abs(r) <= tol
+        done = np.abs(r) <= TOL
         if done.any():
             z[idx[done]] = z_a[done]
             converged[idx[done]] = True
@@ -81,14 +84,14 @@ def implicit_solve(drift, slope, h, b, tol, max_iter):
 
     rest = np.concatenate(fallback)
     if rest.size:
-        root, used, ok = _bisect(drift, h, b[rest], tol)
+        root, used, ok = _bisect(drift, h, b[rest])
         z[rest] = np.where(ok, root, np.nan)
         iters[rest] += used
         converged[rest] = ok
     return z, iters, converged
 
 
-def _bisect(drift, h, b, tol):
+def _bisect(drift, h, b):
     """Safeguarded bisection for z - h*drift(z) = b, entry by entry."""
 
     def residual(x, sel):
@@ -117,7 +120,7 @@ def _bisect(drift, h, b, tol):
         mid = 0.5 * (lo[sel] + hi[sel])
         r = residual(mid, sel)
         iters[sel] += 1
-        done = np.abs(r) <= tol
+        done = np.abs(r) <= TOL
         root[sel[done]] = mid[done]
         ok[sel[done]] = True
         below = r < 0.0
@@ -134,11 +137,11 @@ def _bisect(drift, h, b, tol):
     if sel.size:
         mid = 0.5 * (lo[sel] + hi[sel])
         root[sel] = mid
-        ok[sel] = np.abs(residual(mid, sel)) <= 10.0 * tol
+        ok[sel] = np.abs(residual(mid, sel)) <= 10.0 * TOL
     return root, iters, ok
 
 
-def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h, tol, max_iter):
+def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
     """Step a batch of scalar implicit Euler-Maruyama paths.
 
     ``drift``, ``drift_jacobian`` and ``diffusion`` are a scalar
@@ -165,7 +168,7 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h, tol, max_iter
     y = states[:, 0].copy()
     for j in range(n_steps):
         b = y + diffusion(y)[..., 0] * d_w[live, j]
-        y, used, ok = implicit_solve(drift, slope, h, b, tol, max_iter)
+        y, used, ok = implicit_solve(drift, slope, h, b)
         iters[live] += used
         states[live, j + 1] = y
         if not ok.all():

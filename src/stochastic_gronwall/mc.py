@@ -337,8 +337,6 @@ class BemSupFunctionalSampler:
     h: float
     n_steps: int
     p: float
-    tol: float = 1e-12
-    max_iter: int = 50
 
     @staticmethod
     def for_problem(problem: sde.SdeProblem, cfg: sde.BemConfig, p: float):
@@ -353,8 +351,6 @@ class BemSupFunctionalSampler:
             h=cfg.h,
             n_steps=cfg.n_steps,
             p=p,
-            tol=cfg.solver.tol,
-            max_iter=cfg.solver.max_iter,
         )
         sampler.__dict__["problem"] = problem  # already built; skip the rebuild
         return sampler
@@ -376,8 +372,7 @@ class BemSupFunctionalSampler:
         h = self.h
         d_w = stream.standard_normal((count, self.n_steps)) * math.sqrt(h)
         states, _, failed = kernels.bem_scalar_batch(
-            problem.drift, problem.drift_jacobian, problem.diffusion, float(problem.x0[0]),
-            d_w, h, self.tol, self.max_iter,
+            problem.drift, problem.drift_jacobian, problem.diffusion, float(problem.x0[0]), d_w, h
         )
         # |y|^2 + h|g(y)|^2, computed in place to keep one extra states-sized array
         vals = problem.diffusion(states)[..., 0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,60 +26,58 @@ COERCIVITY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Implicit-step solver settings (Newton with bisection fallback)."""
-
-    tol: float = 1e-12
-    max_iter: int = 50
-    fd_eps_scale: float = 1e-7
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ContractViolationError(f"solver tolerance must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ContractViolationError(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-@dataclass
 class SdeProblem:
     """Autonomous SDE dX = f(X) dt + g(X) dW with deterministic X_0.
 
-    ``drift`` maps a (d,) state to a (d,) vector, ``drift_jacobian``
-    (optional; finite differences are used without it) maps it to a
-    (d, d) matrix and ``diffusion`` to a (d, m) matrix. With
-    ``vectorized`` set, all three also accept an (n, d) stack of states
-    and return (n, d), (n, d, d) and (n, d, m) arrays; the scalar zoo
-    problems act elementwise on states of any shape, appending one axis
-    for the Jacobian and the diffusion. ``L`` is the registered
-    coercivity constant; ``zoo_spec`` allows worker processes to rebuild
-    the problem from plain data.
+    ``drift``, ``drift_jacobian`` and ``diffusion`` are f, f' and g,
+    evaluated on a stack of states: an (n, d) array maps to (n, d),
+    (n, d, d) and (n, d, m) arrays, and a single (d,) state to (d,),
+    (d, d) and (d, m). The state dimension d is ``x0.size`` and the
+    noise dimension m is read off ``diffusion(x0)``; construction checks
+    these shapes at x0. The scalar zoo problems act elementwise on
+    states of any shape, appending one axis for the Jacobian and the
+    diffusion. ``L`` is the registered coercivity constant;
+    ``zoo_spec`` allows worker processes to rebuild the problem from
+    plain data.
     """
 
     label: str
-    d: int
-    m: int
     drift: Callable[[np.ndarray], np.ndarray]
+    drift_jacobian: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     L: float
-    drift_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     zoo_spec: tuple | None = None
-    vectorized: bool = False
 
     def __post_init__(self):
-        self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=np.float64))
-        if self.x0.shape != (self.d,):
-            raise ContractViolationError(
-                f"x0 must have shape ({self.d},), got {self.x0.shape}"
-            )
+        x0 = np.atleast_1d(np.asarray(self.x0, dtype=np.float64))
+        object.__setattr__(self, "x0", x0)
+        if x0.ndim != 1:
+            raise ContractViolationError(f"x0 must be one state of shape (d,), got {x0.shape}")
         if self.L < 0.0:
             raise ContractViolationError(f"L must be >= 0, got {self.L}")
+        d = x0.size
+        f, jac, g = (np.shape(func(x0)) for func in (self.drift, self.drift_jacobian,
+                                                      self.diffusion))
+        if f != (d,) or jac != (d, d) or len(g) != 2 or g[0] != d:
+            raise ContractViolationError(
+                f"problem {self.label!r}: at x0 of shape ({d},), f, f' and g must have "
+                f"shapes ({d},), ({d}, {d}) and ({d}, m); got {f}, {jac} and {g}"
+            )
+
+    @property
+    def d(self) -> int:
+        return self.x0.size
+
+    @property
+    def m(self) -> int:
+        return np.shape(self.diffusion(self.x0))[1]
 
     def x0_norm_sq(self) -> float:
         return float(np.dot(self.x0, self.x0))
 
     def g_x0_norm_sq(self) -> float:
-        g0 = np.asarray(self.diffusion(self.x0), dtype=np.float64)
+        g0 = self.diffusion(self.x0)
         return float(np.sum(g0 * g0))
 
 
@@ -93,8 +91,7 @@ def check_coercivity(
 
     Draws points uniformly in a ball of the given radius (plus the
     origin and x0) and raises on the first violation found. Drift and
-    diffusion are evaluated on all points at once when the problem is
-    ``vectorized``, and point by point otherwise.
+    diffusion are evaluated on all points at once.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     directions = rng.standard_normal((n_points, problem.d))
@@ -103,16 +100,8 @@ def check_coercivity(
     radii = radius * rng.random(n_points) ** (1.0 / problem.d)
     points = directions / norms[:, None] * radii[:, None]
     points = np.vstack([points, np.zeros(problem.d), problem.x0])
-    if problem.vectorized:
-        fx = np.asarray(problem.drift(points), dtype=np.float64)
-        gx = np.asarray(problem.diffusion(points), dtype=np.float64)
-    else:
-        fx = np.array([np.asarray(problem.drift(x), dtype=np.float64) for x in points])
-        gx = np.array([np.asarray(problem.diffusion(x), dtype=np.float64) for x in points])
-    n = points.shape[0]
-    lhs = np.sum(fx.reshape(points.shape) * points, axis=1) + 0.5 * np.sum(
-        (gx * gx).reshape(n, -1), axis=1
-    )
+    gx = problem.diffusion(points)
+    lhs = np.sum(problem.drift(points) * points, axis=1) + 0.5 * np.sum(gx * gx, axis=(1, 2))
     rhs = problem.L * (1.0 + np.sum(points * points, axis=1))
     bad = np.flatnonzero(lhs > rhs + COERCIVITY_RTOL * np.maximum(1.0, np.abs(rhs)))
     if bad.size:
@@ -126,7 +115,7 @@ def check_coercivity(
 
 @dataclass(frozen=True)
 class BemConfig:
-    """Step size, cap, horizon, and solver settings for one run.
+    """Step size, cap and horizon for one run.
 
     N_h is the largest integer with N_h*h <= T; configurations with
     N_h = 0 are rejected. The coercivity constraint 2*h0*L < 1 is
@@ -136,7 +125,6 @@ class BemConfig:
     h: float
     h0: float
     T: float
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if not 0.0 < self.h < self.h0:
@@ -204,38 +192,12 @@ def z_increment(y, g_y, d_w, h: float) -> float:
     )
 
 
-def _fd_jacobian(drift, z: np.ndarray, eps_scale: float) -> np.ndarray:
-    eps = eps_scale * (1.0 + float(np.linalg.norm(z)))
-    d = z.size
-    jac = np.empty((d, d))
-    for i in range(d):
-        step = np.zeros(d)
-        step[i] = eps
-        jac[:, i] = (
-            np.asarray(drift(z + step), dtype=np.float64)
-            - np.asarray(drift(z - step), dtype=np.float64)
-        ) / (2.0 * eps)
-    return jac
-
-
-def _drift_jacobian(problem: SdeProblem, z: np.ndarray, solver: SolverConfig) -> np.ndarray:
-    if problem.drift_jacobian is not None:
-        return np.atleast_2d(np.asarray(problem.drift_jacobian(z), dtype=np.float64))
-    return _fd_jacobian(problem.drift, z, solver.fd_eps_scale)
-
-
-def bem_step(
-    problem: SdeProblem,
-    y,
-    d_w,
-    h: float,
-    solver: SolverConfig | None = None,
-):
+def bem_step(problem: SdeProblem, y, d_w, h: float):
     """One implicit step: solve Y' = y + h f(Y') + g(y) dW.
 
-    Newton iteration from the explicit predictor, using the analytic
-    drift Jacobian when the problem carries one and central finite
-    differences otherwise. Returns (y_next, iterations).
+    Newton iteration from the explicit predictor with the problem's
+    drift Jacobian, to the residual tolerance ``kernels.TOL`` within
+    ``kernels.MAX_ITER`` iterations. Returns (y_next, iterations).
 
     Scalar problems are solved by :func:`kernels.implicit_solve` on a
     batch of one path, the solver of :func:`kernels.bem_scalar_batch`,
@@ -244,19 +206,15 @@ def bem_step(
     has collapsed, at 10 times the tolerance. This step raises
     :class:`SolverError` exactly where the batch kernel marks a path
     failed. Problems with d > 1 raise when Newton does not bring the
-    residual norm to the tolerance within ``max_iter`` iterations.
+    residual norm to the tolerance.
     """
-    solver = solver or SolverConfig()
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     d_w = np.atleast_1d(np.asarray(d_w, dtype=np.float64))
-    g_y = np.atleast_2d(np.asarray(problem.diffusion(y), dtype=np.float64))
-    b = y + g_y @ d_w
+    b = y + problem.diffusion(y) @ d_w
 
     if problem.d == 1:
         z, iters, ok = kernels.implicit_solve(
-            lambda x: np.asarray(problem.drift(x), dtype=np.float64).reshape(x.shape),
-            lambda x: _drift_jacobian(problem, x, solver).reshape(x.shape),
-            h, b, solver.tol, solver.max_iter,
+            problem.drift, lambda x: problem.drift_jacobian(x)[..., 0], h, b
         )
         if not ok[0]:
             raise SolverError(
@@ -269,14 +227,13 @@ def bem_step(
     iters = 0
     residual = math.inf
     eye = np.eye(problem.d)
-    for _ in range(solver.max_iter):
-        r = z - h * np.asarray(problem.drift(z), dtype=np.float64) - b
+    for _ in range(kernels.MAX_ITER):
+        r = z - h * problem.drift(z) - b
         residual = float(np.linalg.norm(r))
-        if residual <= solver.tol:
+        if residual <= kernels.TOL:
             return z, iters
-        jac = _drift_jacobian(problem, z, solver)
         try:
-            delta = np.linalg.solve(eye - h * jac, r)
+            delta = np.linalg.solve(eye - h * problem.drift_jacobian(z), r)
         except np.linalg.LinAlgError:
             break
         z = z - delta
@@ -315,12 +272,12 @@ def simulate_trajectory(
     func_vals = np.empty(n + 1)
 
     y = problem.x0.copy()
-    g_y = np.atleast_2d(np.asarray(problem.diffusion(y), dtype=np.float64))
+    g_y = problem.diffusion(y)
     func_vals[0] = float(np.dot(y, y)) + cfg.h * float(np.sum(g_y * g_y))
     for j in range(n):
         z_vals[j] = z_increment(y, g_y, d_w[j], cfg.h)
         try:
-            y, iter_counts[j] = bem_step(problem, y, d_w[j], cfg.h, cfg.solver)
+            y, iter_counts[j] = bem_step(problem, y, d_w[j], cfg.h)
         except SolverError as exc:
             raise SolverError(
                 f"step {j + 1} of {n} failed for problem {problem.label!r}: {exc}",
@@ -328,7 +285,7 @@ def simulate_trajectory(
                 iterations=exc.iterations,
             ) from exc
         states[j + 1] = y
-        g_y = np.atleast_2d(np.asarray(problem.diffusion(y), dtype=np.float64))
+        g_y = problem.diffusion(y)
         func_vals[j + 1] = float(np.dot(y, y)) + cfg.h * float(np.sum(g_y * g_y))
 
     # an array power, as in the batch sampler, so a one-path chunk there gives these bits
@@ -360,9 +317,8 @@ def pathwise_recursion_check(
     h, L = cfg.h, problem.L
     states = traj.states
     norms_sq = np.sum(states * states, axis=1)
-    g_norms_sq = np.array(
-        [float(np.sum(np.square(np.asarray(problem.diffusion(s))))) for s in states]
-    )
+    g = problem.diffusion(states)
+    g_norms_sq = np.sum(g * g, axis=(1, 2))
     n_total = states.shape[0] - 1
     t = h * np.arange(n_total + 1)
     lhs = (1.0 - 2.0 * h * L) * norms_sq + h * g_norms_sq
@@ -394,15 +350,12 @@ def make_linear(lam: float = 1.0, sigma: float = 0.0, x0=1.0, L: float | None = 
         L = max(lam, 0.5 * sigma * sigma)
     problem = SdeProblem(
         label="linear",
-        d=1,
-        m=1,
         drift=lambda x: -lam * x,
-        diffusion=lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
-        x0=np.atleast_1d(np.asarray(x0, dtype=np.float64)),
-        L=L,
         drift_jacobian=lambda x: np.full(np.shape(x) + (1,), -lam),
+        diffusion=lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
+        x0=x0,
+        L=L,
         zoo_spec=("linear", {"lam": lam, "sigma": sigma, "x0": float(np.atleast_1d(x0)[0]), "L": L}),
-        vectorized=True,
     )
     check_coercivity(problem)
     return problem
@@ -419,15 +372,12 @@ def make_ginzburg_landau(sigma: float = 0.5, x0=1.0, L: float | None = None) -> 
         L = 1.0 + 0.5 * sigma * sigma
     problem = SdeProblem(
         label="ginzburg-landau",
-        d=1,
-        m=1,
         drift=lambda x: x - x * x * x,
-        diffusion=lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
-        x0=np.atleast_1d(np.asarray(x0, dtype=np.float64)),
-        L=L,
         drift_jacobian=lambda x: (1.0 - 3.0 * x * x)[..., None],
+        diffusion=lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
+        x0=x0,
+        L=L,
         zoo_spec=("ginzburg-landau", {"sigma": sigma, "x0": float(np.atleast_1d(x0)[0]), "L": L}),
-        vectorized=True,
     )
     check_coercivity(problem)
     return problem
@@ -461,19 +411,16 @@ def make_bounded_rotation(
     jac = np.array([[-kappa, -omega], [omega, -kappa]])
     problem = SdeProblem(
         label="bounded-rotation",
-        d=2,
-        m=2,
         drift=drift,
-        diffusion=diffusion,
-        x0=np.asarray(x0, dtype=np.float64),
-        L=L,
         drift_jacobian=lambda x: np.broadcast_to(jac, np.shape(x)[:-1] + (2, 2)),
+        diffusion=diffusion,
+        x0=x0,
+        L=L,
         zoo_spec=(
             "bounded-rotation",
             {"omega": omega, "kappa": kappa, "sigma": sigma,
              "x0": tuple(float(v) for v in np.asarray(x0, dtype=np.float64)), "L": L},
         ),
-        vectorized=True,
     )
     check_coercivity(problem)
     return problem

@@ -115,6 +115,46 @@ def log_product_one_plus(g: RealSequence, lo: int, hi: int) -> float:
     return float(np.sum(np.log1p(vals[lo:hi]))) if hi > lo else 0.0
 
 
+def _running_products(g):
+    """Yield prod_{j<i} (1 + g_j) for i = 0, ..., len(g) as pairs (value, log).
+
+    The plain product is kept (log None) while it stays at or below
+    OVERFLOW_GUARD. From the factor that takes it beyond, only its log is
+    kept (value None), grown by log1p(g_j) per factor. A multiply that
+    overflows never reaches the log: the switch then takes
+    log(value) + log1p(g_j) from the last finite product. Factors are
+    multiplied as Python floats, which overflow to inf without a warning.
+    """
+    value, log = 1.0, None
+    yield value, log
+    for gj in g:
+        gj = float(gj)
+        if log is not None:
+            log += math.log1p(gj)
+        else:
+            nxt = value * (1.0 + gj)
+            if nxt <= OVERFLOW_GUARD:
+                value = nxt
+            else:
+                log = math.log(nxt) if nxt < math.inf else math.log(value) + math.log1p(gj)
+                value = None
+        yield value, log
+
+
+def _product_weighted_sum(total: float, coeffs, g) -> float:
+    """total + sum_i coeffs_i * prod_{j<i} (1 + g_j), in index order.
+
+    Terms whose running product is held as a log are exp(log|c_i| + log)
+    with the sign of c_i, or inf where that overflows.
+    """
+    for c, (value, log) in zip(coeffs, _running_products(g)):
+        if log is None:
+            total += c * value
+        elif c != 0.0:
+            total += math.copysign(_safe_exp(math.log(abs(c)) + log), c)
+    return float(total)
+
+
 def power_product_one_plus(g: RealSequence, lo: int, hi: int, p: float) -> float:
     """(prod_{j=lo}^{hi-1} (1 + g_j))^p, overflow-safe for p in (0, 1).
 
@@ -122,13 +162,10 @@ def power_product_one_plus(g: RealSequence, lo: int, hi: int, p: float) -> float
     falls back to exp(p * sum log1p(g_j)) beyond it, so the fractional
     power can be finite even when the plain product would overflow.
     """
-    vals = as_sequence(g).values
-    acc = 1.0
-    for j in range(lo, hi):
-        acc *= 1.0 + vals[j]
-        if acc > OVERFLOW_GUARD:
+    for value, log in _running_products(as_sequence(g).values[lo:hi]):
+        if log is not None:
             return _safe_exp(p * log_product_one_plus(g, lo, hi))
-    return float(acc**p)
+    return float(value**p)
 
 
 def gronwall_closed_form(f, g, n: int) -> float:
@@ -147,28 +184,9 @@ def gronwall_closed_form(f, g, n: int) -> float:
     _require_nonnegative(g, n, "g")
     fv, gv = f.values, g.values
 
-    total = float(fv[n])
-    # Accumulate k = n-1 down to 0 with a running product
-    # prod = prod_{j=k+1}^{n-1}(1+g_j); switch to log-space on overflow risk.
-    prod = 1.0
-    log_mode = False
-    log_prod = 0.0
-    for k in range(n - 1, -1, -1):
-        coeff = fv[k] * gv[k]
-        if not log_mode:
-            total += coeff * prod
-            prod *= 1.0 + gv[k]
-            if prod > OVERFLOW_GUARD:
-                log_mode = True
-                log_prod = math.log(prod)
-        else:
-            if coeff != 0.0:
-                term = math.copysign(
-                    _safe_exp(math.log(abs(coeff)) + log_prod), coeff
-                )
-                total += term
-            log_prod += math.log1p(gv[k])
-    return float(total)
+    # k = n-1 down to 0, each term scaled by prod_{j=k+1}^{n-1} (1 + g_j)
+    f_rev, g_rev = fv[:n][::-1].tolist(), gv[:n][::-1].tolist()
+    return _product_weighted_sum(float(fv[n]), [a * b for a, b in zip(f_rev, g_rev)], g_rev)
 
 
 def gronwall_recursive_envelope(f, g, n: int | None = None) -> RealSequence:
@@ -216,29 +234,14 @@ def telescoping_identity_lhs(g, k: int, n: int) -> float:
     _require_nonnegative(g, n - 1, "g")
     gv = g.values
 
-    total = 1.0
-    prod = 1.0  # prod_{j=k}^{i-1}(1+g_j)
-    log_mode = False
-    log_prod = 0.0
-    for i in range(k, n):
-        if not log_mode:
-            total += gv[i] * prod
-            prod *= 1.0 + gv[i]
-            if prod > OVERFLOW_GUARD:
-                log_mode = True
-                log_prod = math.log(prod)
-        else:
-            if gv[i] != 0.0:
-                total += _safe_exp(math.log(gv[i]) + log_prod)
-            log_prod += math.log1p(gv[i])
-    return float(total)
+    return _product_weighted_sum(1.0, gv[k:n].tolist(), gv[k:n])
 
 
 def telescoping_max_rel_error(g) -> float:
     """Largest relative identity gap over every valid (k, n) pair of g.
 
     For each k the sum side and the product side are accumulated exactly
-    as ``telescoping_identity_lhs`` does, vectorized over n.
+    as ``telescoping_identity_lhs`` does, for all n at once.
     """
     g = as_sequence(g)
     _require_nonnegative(g, len(g) - 1, "g")

@@ -217,7 +217,7 @@ APRIORI_GRID = ["verify", "apriori", "--sigma", "0.5", "--p", "0.5", "--T", "1",
 
 
 class TestGoldenReports:
-    """Seeded apriori reports pinned byte for byte.
+    """Seeded apriori and theorem reports pinned byte for byte.
 
     Regenerate a file only for an intended change of results, with the
     command in the test's argv and ``--output tests/golden/<name>``.
@@ -233,6 +233,13 @@ class TestGoldenReports:
         code, _, _ = run(capsys, *APRIORI_GRID, *problem_args, "--output", str(out_path))
         assert code == EXIT_OK
         assert out_path.read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_theorem_report_bytes(self, capsys, tmp_path):
+        out_path = tmp_path / "theorem_synthetic.json"
+        code, _, _ = run(capsys, "verify", "theorem", "--p", "0.5", "--paths", "512",
+                         "--seed", "42", "--output", str(out_path))
+        assert code == EXIT_OK
+        assert out_path.read_bytes() == (GOLDEN / "theorem_synthetic.json").read_bytes()
 
 
 # Every command that takes --workers and --z, with enough flags to run.
@@ -319,6 +326,39 @@ _INPUT_CASES = {
                           EXIT_OK, ""),
     "one-sample": (["martingale", "estimate-sup", "--p", "0.5", "--samples", "1",
                     "--seed", "1"], None, None, EXIT_CONFIG, "--samples"),
+    "negative-horizon": ([*_THEOREM[:-1], "-1", "--paths", "100", "--seed", "1"], None, None,
+                         EXIT_CONFIG, "--horizon"),
+    "zero-horizon": ([*_THEOREM[:-1], "0", "--paths", "100", "--seed", "1"], None, None,
+                     EXIT_OK, ""),
+    "negative-fail-threshold": ([*_GL, "--fail-threshold", "-1"], None, None, EXIT_CONFIG,
+                                "--fail-threshold"),
+    "fail-threshold-above-one": ([*_GL, "--fail-threshold", "1.5"], None, None, EXIT_CONFIG,
+                                 "--fail-threshold"),
+    "fail-threshold-one": ([*_GL, "--fail-threshold", "1"], None, None, EXIT_OK, ""),
+    "config-fail-threshold-zero": (_GL, {"fail_threshold": 0}, None, EXIT_OK, ""),
+    "estimate-sup-p-above-one": (["martingale", "estimate-sup", "--p", "1.5", "--samples", "100",
+                                  "--seed", "1"], None, None, EXIT_CONFIG, "--p"),
+    "estimate-sup-p-nan": (["martingale", "estimate-sup", "--p", "nan", "--samples", "100",
+                            "--seed", "1"], None, None, EXIT_CONFIG, "--p"),
+    "sigma-nan": ([*_APRIORI, "--problem", "linear", "--p", "0.5", "--seed", "1", "--sigma", "nan"],
+                  None, None, EXIT_CONFIG, "--sigma must be finite"),
+    "config-sigma-nan": (_GL, {"sigma": math.nan}, None, EXIT_CONFIG, "--sigma must be finite"),
+    "config-sigma-infinity": (_GL, {"sigma": math.inf}, None, EXIT_CONFIG,
+                              "--sigma must be finite"),
+    "config-sigma-beyond-float": (_GL, {"sigma": 10**400}, None, EXIT_CONFIG,
+                                  "--sigma must be finite"),
+    "lambda-infinite": ([*_APRIORI, "--problem", "linear", "--p", "0.5", "--seed", "1",
+                         "--lambda", "inf"], None, None, EXIT_CONFIG, "--lambda must be finite"),
+    "h-grid-nan": ([*_GL, "--h-grid", "0.125,nan"], None, None, EXIT_CONFIG,
+                   "--h-grid must be finite"),
+    "theorem-z-infinite": ([*_THEOREM, "--paths", "100", "--seed", "1", "--z", "inf"], None, None,
+                           EXIT_CONFIG, "--z must be finite"),
+    "simulate-x0-nan": (["bem", "simulate", "--problem", "bounded-rotation", "--x0", "nan,0",
+                         "--h", "0.1", "--T", "1", "--seed", "1"], None, None, EXIT_CONFIG,
+                        "--x0 must be finite"),
+    "config-simulate-T-nan": (["bem", "simulate", "--problem", "linear", "--h", "0.1",
+                               "--seed", "1"], {"T": math.nan}, None, EXIT_CONFIG,
+                              "--T must be finite"),
 }
 
 
@@ -348,8 +388,8 @@ class TestProblemFlags:
         parser = build_parser()
         for command in (["bem", "simulate"], ["verify", "apriori"]):
             args = parser.parse_args(command)
-            assert names <= set(args.config_types)
-            assert "config" not in args.config_types
+            assert names <= set(args.config_flags)
+            assert "config" not in args.config_flags
 
 
 class TestReportSchema:

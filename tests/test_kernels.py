@@ -87,15 +87,15 @@ def reference_batch(f, df, sigma, x0, h, d_w, tol, max_iter):
     return states, iters, failed
 
 
-def batch_step(problem, h, b, tol=1e-12, max_iter=50):
+def batch_step(problem, h, b):
     return kernels.implicit_solve(
-        problem.drift, lambda x: problem.drift_jacobian(x)[..., 0], h, b, tol, max_iter
+        problem.drift, lambda x: problem.drift_jacobian(x)[..., 0], h, b
     )
 
 
-def batch(problem, x0, h, d_w, tol=1e-12, max_iter=50):
+def batch(problem, x0, h, d_w):
     return kernels.bem_scalar_batch(
-        problem.drift, problem.drift_jacobian, problem.diffusion, x0, d_w, h, tol, max_iter
+        problem.drift, problem.drift_jacobian, problem.diffusion, x0, d_w, h
     )
 
 

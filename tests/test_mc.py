@@ -259,8 +259,10 @@ class TestVerifyApriori:
         from stochastic_gronwall.sde import SdeProblem
 
         prob = SdeProblem(
-            label="custom", d=1, m=1,
-            drift=lambda x: -x, diffusion=lambda x: np.array([[0.0]]),
+            label="custom",
+            drift=lambda x: -x,
+            drift_jacobian=lambda x: np.full(np.shape(x) + (1,), -1.0),
+            diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
             x0=np.array([1.0]), L=1.0,
         )
         with pytest.raises(ContractViolationError, match="zoo"):
@@ -290,7 +292,7 @@ class TestSamplerMatchesTrajectory:
 def simulate_step(prob, y, d_w, cfg):
     from stochastic_gronwall.sde import bem_step
 
-    return bem_step(prob, y, d_w, cfg.h, cfg.solver)
+    return bem_step(prob, y, d_w, cfg.h)
 
 
 class TestZMartingaleBuckets:
@@ -306,8 +308,7 @@ class TestZMartingaleBuckets:
         n_paths, n_steps = 40_000, 8
         d_w = stream.standard_normal((n_paths, n_steps)) * math.sqrt(h)
         states, _, failed = kernels.bem_scalar_batch(
-            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w, h,
-            1e-12, 50,
+            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w, h
         )
         assert not failed.any()
         y = states[:, :-1].ravel()

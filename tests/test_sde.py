@@ -7,7 +7,6 @@ from stochastic_gronwall.errors import ContractViolationError, SolverError
 from stochastic_gronwall.sde import (
     BemConfig,
     SdeProblem,
-    SolverConfig,
     bem_step,
     check_coercivity,
     make_problem,
@@ -76,14 +75,6 @@ class TestBemStep:
             residual = out[0] - h * (out[0] - out[0] ** 3) - (y + 0.5 * y * d_w)
             assert abs(residual) <= 1e-12
 
-    def test_fd_jacobian_path(self, rng):
-        # strip the analytic Jacobian; finite differences must still converge
-        prob = make_problem("ginzburg-landau", sigma=0.5)
-        prob.drift_jacobian = None
-        out, _ = bem_step(prob, [0.7], [0.2], 0.125)
-        oracle = cubic_root_bisection(0.7, 0.5, 0.2, 0.125)
-        assert out[0] == pytest.approx(oracle, abs=1e-10)
-
     def test_rotation_newton_matches_direct_solve(self, rng):
         prob = make_problem("bounded-rotation", omega=2.0, kappa=0.3, sigma=0.5)
         h = 0.1
@@ -108,8 +99,7 @@ class TestScalarStepMatchesKernel:
         prob = make_problem(label, **params)
         d_w = StreamPlan(13).chunk_stream(0).standard_normal((40, 8)) * math.sqrt(h)
         states, iters, failed = kernels.bem_scalar_batch(
-            prob.drift, prob.drift_jacobian, prob.diffusion, float(prob.x0[0]), d_w, h,
-            1e-12, 50,
+            prob.drift, prob.drift_jacobian, prob.diffusion, float(prob.x0[0]), d_w, h
         )
         assert not failed.any()
         for i in range(d_w.shape[0]):
@@ -127,8 +117,7 @@ class TestScalarStepMatchesKernel:
         b = 1e160
         with np.errstate(over="ignore", invalid="ignore"):
             _, _, failed = kernels.bem_scalar_batch(
-                prob.drift, prob.drift_jacobian, prob.diffusion, b, np.zeros((1, 1)), 0.5,
-                1e-12, 50,
+                prob.drift, prob.drift_jacobian, prob.diffusion, b, np.zeros((1, 1)), 0.5
             )
             assert failed[0]
             with pytest.raises(SolverError, match="did not converge"):
@@ -183,26 +172,15 @@ class TestCoercivity:
         check_coercivity(prob, n_points=2000)
 
     def test_first_violation_reported(self):
-        # row-by-row (non-vectorized) callables are still checked
         prob = SdeProblem(
-            label="push-out", d=1, m=1,
-            drift=lambda x: np.array([2.0 * x[0]]),
-            diffusion=lambda x: np.array([[0.0]]),
+            label="push-out",
+            drift=lambda x: 2.0 * x,
+            drift_jacobian=lambda x: np.full(np.shape(x) + (1,), 2.0),
+            diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
             x0=np.array([0.0]), L=1.0,
         )
         with pytest.raises(ContractViolationError, match=r"'push-out' fails coercivity with L=1.0 at \|x\|="):
             check_coercivity(prob)
-
-    def test_vectorized_and_row_loop_agree(self):
-        # the same points give the same message on both evaluation routes
-        messages = []
-        for vectorized in (True, False):
-            prob = make_problem("ginzburg-landau", sigma=0.5)
-            prob.L, prob.vectorized = 0.0, vectorized
-            with pytest.raises(ContractViolationError) as info:
-                check_coercivity(prob)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
 
     def test_unknown_label(self):
         with pytest.raises(ContractViolationError, match="unknown problem"):
@@ -359,8 +337,7 @@ class TestRecursionCheck:
         d_w = StreamPlan(11).chunk_stream(0).standard_normal((n_paths, n_steps))
         d_w *= math.sqrt(h)
         states, _, failed = kernels.bem_scalar_batch(
-            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w, h,
-            1e-12, 50,
+            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w, h
         )
         assert not failed.any()
         y_sq = states**2
@@ -381,14 +358,55 @@ class TestCustomProblem:
         # bounded drift toward the origin, additive noise
         prob = SdeProblem(
             label="tanh-well",
-            d=1,
-            m=1,
             drift=lambda x: -np.tanh(x),
-            diffusion=lambda x: np.array([[0.3]]),
+            drift_jacobian=lambda x: (np.tanh(x) ** 2 - 1.0)[..., None],
+            diffusion=lambda x: np.full(np.shape(x) + (1,), 0.3),
             x0=np.array([0.5]),
             L=0.045,
         )
         check_coercivity(prob)
-        out, _ = bem_step(prob, [0.5], [0.1], 0.2, SolverConfig())
+        out, _ = bem_step(prob, [0.5], [0.1], 0.2)
         residual = out[0] + 0.2 * math.tanh(out[0]) - (0.5 + 0.3 * 0.1)
         assert abs(residual) <= 1e-12
+
+
+def _scalar_callables():
+    return {
+        "drift": lambda x: -x,
+        "drift_jacobian": lambda x: np.full(np.shape(x) + (1,), -1.0),
+        "diffusion": lambda x: 0.5 * np.asarray(x)[..., None],
+    }
+
+
+class TestProblemContract:
+    def test_dimensions_read_off_x0_and_g(self):
+        prob = SdeProblem(label="planar-noise", **{
+            **_scalar_callables(), "diffusion": lambda x: np.ones(np.shape(x) + (3,))},
+            x0=[0.5], L=1.0)
+        assert (prob.d, prob.m) == (1, 3)
+        rot = make_problem("bounded-rotation")
+        assert (rot.d, rot.m) == (2, 2)
+
+    @pytest.mark.parametrize("name, func", [
+        ("drift", lambda x: float(-x[0])),
+        ("drift", lambda x: np.stack([-x, -x], axis=-1)),
+        ("drift_jacobian", lambda x: -np.ones_like(x)),
+        ("drift_jacobian", lambda x: np.ones(np.shape(x) + (2,))),
+        ("diffusion", lambda x: 0.5 * x),
+        ("diffusion", lambda x: np.ones((2, 1))),
+    ])
+    def test_wrong_shape_rejected_at_construction(self, name, func):
+        callables = {**_scalar_callables(), name: func}
+        with pytest.raises(ContractViolationError, match="must have shapes"):
+            SdeProblem(label="bad", **callables, x0=np.array([1.0]), L=1.0)
+
+    def test_x0_must_be_one_state(self):
+        with pytest.raises(ContractViolationError, match="x0"):
+            SdeProblem(label="bad", **_scalar_callables(), x0=np.ones((2, 1)), L=1.0)
+
+    def test_problem_is_frozen(self):
+        import dataclasses
+
+        prob = make_problem("linear")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prob.drift_jacobian = None

@@ -216,6 +216,25 @@ class TestOverflowHandling:
         g = [9.0] * 400
         assert gronwall_closed_form(f, g, 399) == math.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_closed_form_finite_when_a_running_product_overflows(self):
+        # (1 + 1e200)(1 + 1e150) overflows, but the only nonzero term is
+        # 1e-200 * 1e350 = 1e150, which the envelope reaches too
+        f = [1e-100, 0.0, 0.0, 1.0]
+        g = [1e-100, 1e150, 1e200, 0.0]
+        val = gronwall_closed_form(f, g, 3)
+        assert val == pytest.approx(gronwall_recursive_envelope(f, g, 3)[3], rel=1e-12)
+        assert val == pytest.approx(1e150, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_multiply_raises_no_warning(self):
+        g = [1e200, 1e200, 2.0]
+        assert power_product_one_plus(RealSequence(g), 0, 3, 0.5) == pytest.approx(
+            math.sqrt(3.0) * 1e200, rel=1e-12
+        )
+        # 1 + 1e200 + 1e200 * (1 + 1e200) + 2 * (1 + 1e200)^2 is 3e400, beyond float64
+        assert telescoping_identity_lhs(g, 0, 3) == math.inf
+
     def test_envelope_overflow_raises(self):
         f = [1.0] * 400
         g = [9.0] * 400
