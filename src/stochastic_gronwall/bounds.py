@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError
-from .sequences import RealSequence, as_sequence, power_product_one_plus
-
-#: Absolute tolerance for the pathwise recursion inequality checked at
-#: bundle construction.
-BUNDLE_TOL = 1e-12
+from .sequences import _safe_exp, as_sequence, power_product_one_plus
 
 
 @dataclass(frozen=True)
@@ -84,50 +80,6 @@ class AprioriInputs:
             raise ContractViolationError("squared norms must be nonnegative")
 
 
-class GronwallPathBundle:
-    """One realized path of the stochastic Gronwall hypothesis.
-
-    Holds nonnegative sequences X, F, G and a realized martingale path M
-    with M_0 = 0, all of equal length, satisfying
-
-        X_n <= F_n + M_n + sum_{k<n} G_k X_k
-
-    at every index (validated at construction to within ``BUNDLE_TOL``).
-    """
-
-    __slots__ = ("X", "F", "G", "M")
-
-    def __init__(self, X, F, G, M):
-        self.X = as_sequence(X)
-        self.F = as_sequence(F)
-        self.G = as_sequence(G)
-        self.M = as_sequence(M)
-        n = len(self.X)
-        if not (len(self.F) == len(self.G) == len(self.M) == n):
-            raise ContractViolationError("bundle sequences must share one length")
-        for name in ("X", "F", "G"):
-            vals = getattr(self, name).values
-            if np.any(vals < 0.0):
-                raise ContractViolationError(f"bundle sequence {name} must be nonnegative")
-        if self.M[0] != 0.0:
-            raise ContractViolationError(f"martingale path must start at 0, got {self.M[0]}")
-        lhs = self.X.values
-        # sum_{k<n} G_k X_k via an exclusive cumulative sum
-        coupling = np.concatenate(([0.0], np.cumsum(self.G.values[:-1] * lhs[:-1])))
-        rhs = self.F.values + self.M.values + coupling
-        gap = lhs - rhs
-        worst = int(np.argmax(gap))
-        if gap[worst] > BUNDLE_TOL:
-            raise ContractViolationError(
-                f"recursion hypothesis violated at index {worst}: "
-                f"X={lhs[worst]} exceeds bound {rhs[worst]} by {gap[worst]}"
-            )
-
-    @property
-    def horizon(self) -> int:
-        return self.X.horizon
-
-
 def holder_prefactor(hp: HolderParams) -> float:
     """(1 + 1/(1 - nu*p))^(1/nu); for nu = 1 this is 1 + 1/(1-p)."""
     return (1.0 + 1.0 / (1.0 - hp.nu * hp.p)) ** (1.0 / hp.nu)
@@ -187,10 +139,13 @@ def apriori_bound(inp: AprioriInputs) -> float:
 
 
 def apriori_bound_parts(inp: AprioriInputs) -> dict:
-    """The a priori bound together with its three factors, for report output."""
+    """The a priori bound together with its three factors, for report output.
+
+    A growth factor beyond the float range is inf, and so is the bound.
+    """
     inv = 1.0 / (1.0 - 2.0 * inp.h0 * inp.L)
     prefactor = 1.0 + 1.0 / (1.0 - inp.p)
-    growth = math.exp(inp.p * inv * 2.0 * inp.L * inp.T)
+    growth = _safe_exp(inp.p * inv * 2.0 * inp.L * inp.T)
     base = inp.x0_norm_sq + inv * (inp.h0 * inp.g_x0_norm_sq + 2.0 * inp.L * inp.T)
     power_term = 0.0 if base == 0.0 else base**inp.p
     return {
@@ -199,36 +154,3 @@ def apriori_bound_parts(inp: AprioriInputs) -> dict:
         "power_term": power_term,
         "bound": prefactor * growth * power_term,
     }
-
-
-def transformed_martingale(bundle: GronwallPathBundle) -> RealSequence:
-    """Weighted-increment martingale from the product-form inequality.
-
-    L_n = sum_{k<n} (M_{k+1} - M_k) * prod_{j<=k} (1+G_j)^-1, with
-    L_0 = 0. Satisfies X_n <= (max_{k<=n} F_k + L_n) * prod_{i<n}(1+G_i)
-    pathwise; see :func:`product_form_residuals`.
-    """
-    m = bundle.M.values
-    g = bundle.G.values
-    n = bundle.horizon
-    out = np.zeros(n + 1)
-    inv_prod = 1.0
-    acc = 0.0
-    for k in range(n):
-        inv_prod /= 1.0 + g[k]
-        acc += (m[k + 1] - m[k]) * inv_prod
-        out[k + 1] = acc
-    return RealSequence(out)
-
-
-def product_form_residuals(bundle: GronwallPathBundle) -> np.ndarray:
-    """Slack of the product-form inequality at every index.
-
-    Entry n is (max_{k<=n} F_k + L_n) * prod_{i<n}(1+G_i) - X_n; the
-    inequality holds when every entry is >= -1e-9.
-    """
-    L = transformed_martingale(bundle).values
-    f_running_max = np.maximum.accumulate(bundle.F.values)
-    prods = np.concatenate(([1.0], np.cumprod(1.0 + bundle.G.values[:-1])))
-    rhs = (f_running_max + L) * prods
-    return rhs - bundle.X.values

@@ -51,7 +51,7 @@ from .sequences import (
     gronwall_recursive_envelope,
     power_product_one_plus,
 )
-from .streams import StreamPlan
+from .streams import CHUNK_SIZE, StreamPlan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -215,13 +215,6 @@ def validate_report(payload: dict) -> None:
                 raise ConfigError("each report row needs at least mean and passed")
 
 
-def load_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    validate_report(payload)
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # bound
 
@@ -284,16 +277,17 @@ def _positive(args, name, default, kind=float):
     """The flag's value, or ``default`` when it is omitted.
 
     An explicit value (from the command line or the config file, both
-    already of the flag's type) must be > 0; it is never replaced by the
-    default.
+    already of the flag's type) must be > 0 and not inf; it is never
+    replaced by the default.
     """
     value = getattr(args, name, None)
     if value is None:
         return default
+    flag = f"--{name.replace('_', '-')}"
     if not value > 0:
-        raise ConfigError(
-            f"--{name.replace('_', '-')} must be a positive {kind.__name__}, got {value!r}"
-        )
+        raise ConfigError(f"{flag} must be a positive {kind.__name__}, got {value!r}")
+    if value == math.inf:
+        raise ConfigError(f"{flag} must be finite, got {value!r}")
     return value
 
 
@@ -390,7 +384,7 @@ def _cmd_martingale(args) -> int:
         payload = {
             "kind": "estimate",
             "inputs": {"p": p, "n_samples": n, "master_seed": seed,
-                       "chunk_size": plan.chunk_size, "z_value": est.z_value},
+                       "chunk_size": CHUNK_SIZE, "z_value": est.z_value},
             "estimate": est.to_dict(),
             "reference": reference,
         }

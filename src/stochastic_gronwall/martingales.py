@@ -1,61 +1,23 @@
-"""Discrete-time martingale generators and sup/inf path functionals.
+"""Martingale sup/inf functionals behind the supremum inequality
 
-Used to verify the martingale supremum inequality
+    E[(sup_{k<=n} M_k)^p] <= (1/(1-p)) * (E[-inf_{k<=n} M_k])^p,  p in (0,1):
 
-    E[(sup_{k<=n} M_k)^p] <= (1/(1-p)) * (E[-inf_{k<=n} M_k])^p,  p in (0,1),
-
-by exact enumeration of sign walks and by Monte Carlo on a stopped
-Brownian discretization, including the sharp-constant analysis around
-pi*p/sin(pi*p).
+exact expectations over all sign walks, exact draws of the supremum of
+Brownian motion stopped at -1 for Monte Carlo, and the sharp-constant
+window around pi*p/sin(pi*p).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .sequences import as_sequence
-
-#: Default truncation horizon for the stopped Brownian discretization.
-#: The hitting time of -1 is a.s. finite but has infinite mean, so the
-#: truncated fraction is reported next to every estimate that uses it.
-DEFAULT_T_MAX = 1e4
 
 #: Memory guard for exhaustive walk enumeration (2^n paths).
 MAX_ENUM_STEPS = 22
-
-
-@dataclass(frozen=True)
-class PathFunctionals:
-    """Supremum and negated infimum of a path started at 0 (both >= 0)."""
-
-    sup_val: float
-    neg_inf_val: float
-
-
-class MartingalePath:
-    """A realized martingale path with M_0 = 0 and a provenance tag."""
-
-    __slots__ = ("values", "generator_id")
-
-    def __init__(self, values, generator_id: str):
-        self.values = as_sequence(values)
-        if self.values[0] != 0.0:
-            raise ContractViolationError(
-                f"martingale path must start at 0, got {self.values[0]}"
-            )
-        self.generator_id = generator_id
-
-    @property
-    def step_count(self) -> int:
-        return self.values.horizon
-
-    def __repr__(self) -> str:
-        return f"MartingalePath(n={self.step_count}, generator={self.generator_id!r})"
 
 
 class RatioCheck(NamedTuple):
@@ -74,12 +36,6 @@ class RemarkConstants(NamedTuple):
     ratio: float
 
 
-def functionals(path: MartingalePath) -> PathFunctionals:
-    """Exact max and negated min over all indices of the path."""
-    vals = path.values.values
-    return PathFunctionals(float(vals.max()), float(-vals.min()))
-
-
 def _freeze_paths(paths: np.ndarray, stop_level: float) -> np.ndarray:
     """Freeze each row at its first entry <= stop_level (in place)."""
     hit = paths <= stop_level
@@ -92,63 +48,15 @@ def _freeze_paths(paths: np.ndarray, stop_level: float) -> np.ndarray:
     return paths
 
 
-def gen_stopped_random_walk(
-    steps: int, stop_level: float, rng_stream: np.random.Generator
-) -> MartingalePath:
-    """Symmetric +-1 walk frozen at its first visit <= stop_level.
-
-    ``stop_level`` must be negative; pass ``-math.inf`` for a plain
-    (never stopped) walk.
-    """
-    if steps < 0:
-        raise ContractViolationError(f"steps must be >= 0, got {steps}")
-    if not stop_level < 0.0:
-        raise ContractViolationError(f"stop_level must be < 0, got {stop_level}")
-    vals = np.zeros((1, steps + 1))
-    if steps:
-        signs = rng_stream.integers(0, 2, size=steps).astype(np.float64) * 2.0 - 1.0
-        vals[0, 1:] = np.cumsum(signs)
-        if stop_level > -math.inf:
-            _freeze_paths(vals, stop_level)
-    return MartingalePath(vals[0], "stopped-random-walk")
-
-
-def gen_stopped_wiener_discretization(
-    h: float, t_max: float, rng_stream: np.random.Generator
-) -> MartingalePath:
-    """Euler discretization of Brownian motion stopped near level -1.
-
-    Gaussian increments of variance h on the grid {0, h, 2h, ...},
-    frozen at the first grid time the path is <= -1 and truncated at
-    t_max. The discrete hit overshoots, so the frozen value is < -1 by
-    O(sqrt(h)).
-    """
-    if not h > 0.0:
-        raise ContractViolationError(f"h must be > 0, got {h}")
-    if t_max < h:
-        raise ContractViolationError(f"t_max must be >= h, got {t_max}")
-    n_steps = int(math.floor(t_max / h + 1e-9))
-    vals = np.zeros((1, n_steps + 1))
-    vals[0, 1:] = np.cumsum(rng_stream.standard_normal(n_steps) * math.sqrt(h))
-    _freeze_paths(vals, -1.0)
-    return MartingalePath(vals[0], "stopped-wiener-discretization")
-
-
-def sample_sup_stopped_bm_exact(rng_stream: np.random.Generator) -> float:
-    """One exact draw of sup_t of Brownian motion stopped at level -1.
+def sample_sup_stopped_bm_exact_batch(
+    rng_stream: np.random.Generator, size: int
+) -> np.ndarray:
+    """``size`` exact draws of sup_t of Brownian motion stopped at level -1.
 
     The ruin probability of hitting x before -1 gives the survival
     function P(sup >= x) = 1/(1+x), inverted as 1/U - 1 for U uniform
     on (0, 1].
     """
-    u = 1.0 - rng_stream.random()
-    return 1.0 / u - 1.0
-
-
-def sample_sup_stopped_bm_exact_batch(
-    rng_stream: np.random.Generator, size: int
-) -> np.ndarray:
-    """Vectorized :func:`sample_sup_stopped_bm_exact`."""
     u = 1.0 - rng_stream.random(size)
     return 1.0 / u - 1.0
 
@@ -232,91 +140,3 @@ def walk_functional_expectations(
     neg_inf = -paths.min(axis=1)
     e_sup_p = {float(p): float(np.mean(sup ** float(p))) for p in p_values}
     return WalkExpectations(e_sup_p, float(np.mean(neg_inf)), n, stop_level)
-
-
-def walk_conditional_increment_bias(n: int, stop_level: float | None = None) -> float:
-    """Largest |E[M_{k+1} - M_k | prefix]| over all k and prefixes.
-
-    Exact enumeration check of the martingale property of (stopped)
-    sign walks; zero up to rounding.
-    """
-    paths = enumerate_sign_walks(n, stop_level)
-    worst = 0.0
-    for k in range(n):
-        increments = paths[:, k + 1] - paths[:, k]
-        _, inverse = np.unique(paths[:, : k + 1], axis=0, return_inverse=True)
-        sums = np.bincount(inverse, weights=increments)
-        counts = np.bincount(inverse)
-        worst = max(worst, float(np.max(np.abs(sums / counts))))
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# Batched stopped-Brownian functionals (block stepping, frozen rows drop out)
-
-
-class StoppedBmBatch(NamedTuple):
-    sup: np.ndarray
-    neg_inf: np.ndarray
-    final: np.ndarray
-    truncated_fraction: float
-
-
-def stopped_bm_batch_functionals(
-    h: float,
-    t_max: float,
-    rng_stream: np.random.Generator,
-    n_paths: int,
-    block_steps: int = 1024,
-) -> StoppedBmBatch:
-    """Sup, -inf, and final value for a batch of stopped-BM paths.
-
-    Steps all still-active paths in blocks and freezes rows as they
-    cross -1, so memory stays bounded by the block size. The truncated
-    fraction counts paths that never crossed before t_max.
-    """
-    if not h > 0.0:
-        raise ContractViolationError(f"h must be > 0, got {h}")
-    if t_max < h:
-        raise ContractViolationError(f"t_max must be >= h, got {t_max}")
-    n_steps = int(math.floor(t_max / h + 1e-9))
-    sqrt_h = math.sqrt(h)
-
-    cur = np.zeros(n_paths)
-    sup = np.zeros(n_paths)
-    low = np.zeros(n_paths)
-    frozen = np.zeros(n_paths, dtype=bool)
-    done = 0
-    while done < n_steps and not frozen.all():
-        m = min(block_steps, n_steps - done)
-        active = np.nonzero(~frozen)[0]
-        inc = rng_stream.standard_normal((active.size, m)) * sqrt_h
-        seg = cur[active, None] + np.cumsum(inc, axis=1)
-        hit = seg <= -1.0
-        any_hit = hit.any(axis=1)
-        if any_hit.any():
-            rows = np.nonzero(any_hit)[0]
-            first = hit[rows].argmax(axis=1)
-            frozen_vals = seg[rows, first]
-            cols = np.arange(m)[None, :]
-            seg[rows] = np.where(cols > first[:, None], frozen_vals[:, None], seg[rows])
-            frozen[active[rows]] = True
-        sup[active] = np.maximum(sup[active], seg.max(axis=1))
-        low[active] = np.minimum(low[active], seg.min(axis=1))
-        cur[active] = seg[:, -1]
-        done += m
-    return StoppedBmBatch(sup, -low, cur, float(np.mean(~frozen)))
-
-
-def stopped_bm_paths_matrix(
-    h: float, n_steps: int, rng_stream: np.random.Generator, n_paths: int
-) -> np.ndarray:
-    """Matrix of stopped-BM paths on a fixed grid (row per path).
-
-    Unlike the block stepper this draws every increment up front, which
-    keeps all rows on a common time grid for regression-style checks.
-    """
-    paths = np.zeros((n_paths, n_steps + 1))
-    inc = rng_stream.standard_normal((n_paths, n_steps)) * math.sqrt(h)
-    paths[:, 1:] = np.cumsum(inc, axis=1)
-    return _freeze_paths(paths, -1.0)

@@ -22,7 +22,7 @@ from . import kernels, sde
 from .bounds import AprioriInputs, apriori_bound_parts, theorem_bound_deterministic_G
 from .errors import ContractViolationError, EstimateAbortedError
 from .martingales import sample_sup_stopped_bm_exact_batch
-from .streams import StreamPlan
+from .streams import CHUNK_SIZE, StreamPlan
 
 DEFAULT_Z = 1.96
 
@@ -42,10 +42,6 @@ class McEstimate:
     @property
     def upper_ci(self) -> float:
         return self.mean + self.ci_halfwidth
-
-    @property
-    def lower_ci(self) -> float:
-        return self.mean - self.ci_halfwidth
 
     def to_dict(self) -> dict:
         return {
@@ -168,33 +164,6 @@ def _chunk_range_stats_star(args):
 
 
 @dataclass(frozen=True)
-class ConstantSampler:
-    value: float
-
-    def sample_chunk(self, plan, chunk_index, count):
-        return np.full(count, self.value)
-
-
-@dataclass(frozen=True)
-class FairCoinSampler:
-    """Samples +-1 with equal probability."""
-
-    def sample_chunk(self, plan, chunk_index, count):
-        stream = plan.chunk_stream(chunk_index)
-        return stream.integers(0, 2, size=count).astype(np.float64) * 2.0 - 1.0
-
-
-@dataclass(frozen=True)
-class GaussianSampler:
-    mean: float = 0.0
-    std: float = 1.0
-
-    def sample_chunk(self, plan, chunk_index, count):
-        stream = plan.chunk_stream(chunk_index)
-        return stream.standard_normal(count) * self.std + self.mean
-
-
-@dataclass(frozen=True)
 class SupStoppedBmPowerSampler:
     """(sup of stopped BM)^p via the exact inverse-survival sampler."""
 
@@ -203,26 +172,6 @@ class SupStoppedBmPowerSampler:
     def sample_chunk(self, plan, chunk_index, count):
         stream = plan.chunk_stream(chunk_index)
         return sample_sup_stopped_bm_exact_batch(stream, count) ** self.p
-
-
-@dataclass(frozen=True)
-class WalkSupPowerSampler:
-    """(sup of a +-1 walk)^p, optionally stopped at a negative level."""
-
-    steps: int
-    p: float
-    stop_level: float | None = None
-
-    def sample_chunk(self, plan, chunk_index, count):
-        stream = plan.chunk_stream(chunk_index)
-        signs = stream.integers(0, 2, size=(count, self.steps)).astype(np.float64) * 2.0 - 1.0
-        paths = np.zeros((count, self.steps + 1))
-        paths[:, 1:] = np.cumsum(signs, axis=1)
-        if self.stop_level is not None:
-            from .martingales import _freeze_paths
-
-            _freeze_paths(paths, self.stop_level)
-        return paths.max(axis=1) ** self.p
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +422,7 @@ def verify_theorem_on_synthetic(
         "p": p,
         "n_paths": n_paths,
         "master_seed": plan.master_seed,
-        "chunk_size": plan.chunk_size,
+        "chunk_size": CHUNK_SIZE,
         "z_value": z,
         "systems": [s.label for s in systems],
         "horizon": systems[0].horizon if systems else 0,
@@ -581,7 +530,7 @@ def verify_apriori(
         "g_x0_norm_sq": inputs_obj.g_x0_norm_sq,
         "n_paths": n_paths,
         "master_seed": plan.master_seed,
-        "chunk_size": plan.chunk_size,
+        "chunk_size": CHUNK_SIZE,
         "z_value": z,
     }
     return AprioriReport(

@@ -34,7 +34,8 @@ class SdeProblem:
     (n, d, d) and (n, d, m) arrays, and a single (d,) state to (d,),
     (d, d) and (d, m). The state dimension d is ``x0.size`` and the
     noise dimension m is read off ``diffusion(x0)``; construction checks
-    these shapes at x0. The scalar zoo problems act elementwise on
+    these shapes at x0, and that x0, ``L`` and f, f' and g at x0 are
+    finite. The scalar zoo problems act elementwise on
     states of any shape, appending one axis for the Jacobian and the
     diffusion. ``L`` is the registered coercivity constant;
     ``zoo_spec`` allows worker processes to rebuild the problem from
@@ -57,12 +58,19 @@ class SdeProblem:
         if self.L < 0.0:
             raise ContractViolationError(f"L must be >= 0, got {self.L}")
         d = x0.size
-        f, jac, g = (np.shape(func(x0)) for func in (self.drift, self.drift_jacobian,
-                                                      self.diffusion))
+        with np.errstate(all="ignore"):  # a non-finite value is reported below
+            values = [np.asarray(func(x0)) for func in (self.drift, self.drift_jacobian,
+                                                        self.diffusion)]
+        f, jac, g = (v.shape for v in values)
         if f != (d,) or jac != (d, d) or len(g) != 2 or g[0] != d:
             raise ContractViolationError(
                 f"problem {self.label!r}: at x0 of shape ({d},), f, f' and g must have "
                 f"shapes ({d},), ({d}, {d}) and ({d}, m); got {f}, {jac} and {g}"
+            )
+        if not (math.isfinite(self.L) and all(np.isfinite(v).all() for v in [x0, *values])):
+            raise ContractViolationError(
+                f"problem {self.label!r}: x0, L, f(x0), f'(x0) and g(x0) must be finite; "
+                f"got x0={x0.tolist()}, L={self.L}"
             )
 
     @property
@@ -292,45 +300,6 @@ def simulate_trajectory(
     sup_val = func_vals.max(keepdims=True)
     sup_p = {float(p): float((sup_val ** float(p))[0]) for p in p_list}
     return BemTrajectory(states, d_w, z_vals, sup_p, iter_counts)
-
-
-@dataclass(frozen=True)
-class RecursionCheckReport:
-    """Outcome of the pathwise squared-norm recursion check."""
-
-    passed: bool
-    first_violation: int | None
-    max_excess: float
-
-
-def pathwise_recursion_check(
-    traj: BemTrajectory, problem: SdeProblem, cfg: BemConfig, rtol: float = 1e-8
-) -> RecursionCheckReport:
-    """Check the iterated squared-norm inequality along one trajectory:
-
-        (1-2hL)|Y^n|^2 + h|g(Y^n)|^2
-            <= (1-2hL)|Y^0|^2 + h|g(Y^0)|^2 + 2L t_n
-               + sum_{j<n} Z^{j+1} + 2hL sum_{j<n} |Y^j|^2
-
-    for every n up to N_h, with relative slack ``rtol``.
-    """
-    h, L = cfg.h, problem.L
-    states = traj.states
-    norms_sq = np.sum(states * states, axis=1)
-    g = problem.diffusion(states)
-    g_norms_sq = np.sum(g * g, axis=(1, 2))
-    n_total = states.shape[0] - 1
-    t = h * np.arange(n_total + 1)
-    lhs = (1.0 - 2.0 * h * L) * norms_sq + h * g_norms_sq
-    z_cum = np.concatenate(([0.0], np.cumsum(traj.z_increments)))
-    y_cum = np.concatenate(([0.0], np.cumsum(norms_sq[:-1])))
-    rhs = lhs[0] + 2.0 * L * t + z_cum + 2.0 * h * L * y_cum
-    excess = lhs - rhs - rtol * np.maximum(1.0, np.abs(rhs))
-    bad = np.nonzero(excess > 0.0)[0]
-    max_excess = float(np.max(lhs - rhs))
-    if bad.size:
-        return RecursionCheckReport(False, int(bad[0]), max_excess)
-    return RecursionCheckReport(True, None, max_excess)
 
 
 # ---------------------------------------------------------------------------

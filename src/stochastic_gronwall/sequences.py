@@ -5,11 +5,11 @@ nonnegative weights g, its closed-form envelope
 
     y_n <= f_n + sum_{k=0}^{n-1} f_k g_k prod_{j=k+1}^{n-1} (1 + g_j),
 
-and the telescoping product identity
+which rests on the telescoping product identity
 
-    1 + sum_{i=k}^{n-1} g_i prod_{j=k}^{i-1} (1 + g_j) = prod_{j=k}^{n-1} (1 + g_j)
+    1 + sum_{i=k}^{n-1} g_i prod_{j=k}^{i-1} (1 + g_j) = prod_{j=k}^{n-1} (1 + g_j).
 
-that the closed form rests on. Sums over empty index sets are zero and
+Sums over empty index sets are zero and
 products over empty index sets are one.
 """
 
@@ -218,40 +218,3 @@ def gronwall_recursive_envelope(f, g, n: int | None = None) -> RealSequence:
                 "gronwall_closed_form instead, which propagates inf"
             )
     return RealSequence(y)
-
-
-def telescoping_identity_lhs(g, k: int, n: int) -> float:
-    """Sum side of the telescoping identity for weights g over [k, n).
-
-    Returns 1 + sum_{i=k}^{n-1} g_i prod_{j=k}^{i-1} (1 + g_j), which
-    equals prod_{j=k}^{n-1} (1 + g_j) exactly; the floating-point gap is
-    what the identity tests measure.
-    """
-    g = as_sequence(g)
-    if not 0 <= k <= n - 1:
-        raise ContractViolationError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    _require_length(g, n - 1, "g")
-    _require_nonnegative(g, n - 1, "g")
-    gv = g.values
-
-    return _product_weighted_sum(1.0, gv[k:n].tolist(), gv[k:n])
-
-
-def telescoping_max_rel_error(g) -> float:
-    """Largest relative identity gap over every valid (k, n) pair of g.
-
-    For each k the sum side and the product side are accumulated exactly
-    as ``telescoping_identity_lhs`` does, for all n at once.
-    """
-    g = as_sequence(g)
-    _require_nonnegative(g, len(g) - 1, "g")
-    gv = g.values
-    m = gv.size
-    worst = 0.0
-    for k in range(m):
-        cum = np.cumprod(1.0 + gv[k:])          # prod_{j=k}^{i}(1+g_j)
-        shifted = np.concatenate(([1.0], cum[:-1]))
-        lhs = 1.0 + np.cumsum(gv[k:] * shifted)  # lhs for n = k+1 .. m
-        rel = np.abs(lhs - cum) / cum
-        worst = max(worst, float(rel.max()))
-    return worst

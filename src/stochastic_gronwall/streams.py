@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import ContractViolationError
 
-DEFAULT_CHUNK_SIZE = 4096
+#: Samples per chunk. A chunk's draws are keyed by its index, so every
+#: report depends on this value.
+CHUNK_SIZE = 4096
 
 # High bit separates the chunk-stream key domain from the path-stream
 # domain so the two can never collide.
@@ -26,7 +28,7 @@ _CHUNK_DOMAIN = 1 << 63
 
 @dataclass(frozen=True)
 class StreamPlan:
-    """Seed, chunk size, and worker count for one estimation run.
+    """Seed and worker count for one estimation run.
 
     ``workers`` only controls scheduling; estimates are bit-identical
     for any worker count because substreams and the reduction order
@@ -34,7 +36,6 @@ class StreamPlan:
     """
 
     master_seed: int
-    chunk_size: int = DEFAULT_CHUNK_SIZE
     workers: int = 1
 
     def __post_init__(self):
@@ -42,8 +43,6 @@ class StreamPlan:
             raise ContractViolationError(
                 f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
             )
-        if self.chunk_size < 1:
-            raise ContractViolationError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.workers < 1:
             raise ContractViolationError(f"workers must be >= 1, got {self.workers}")
 
@@ -64,12 +63,9 @@ class StreamPlan:
         return self._keyed(_CHUNK_DOMAIN | chunk_index)
 
     def n_chunks(self, n_samples: int) -> int:
-        return -(-n_samples // self.chunk_size)
+        return -(-n_samples // CHUNK_SIZE)
 
     def chunk_count(self, chunk_index: int, n_samples: int) -> int:
         """Number of samples assigned to a chunk (the last may be short)."""
-        start = chunk_index * self.chunk_size
-        return max(0, min(self.chunk_size, n_samples - start))
-
-    def with_workers(self, workers: int) -> "StreamPlan":
-        return StreamPlan(self.master_seed, self.chunk_size, workers)
+        start = chunk_index * CHUNK_SIZE
+        return max(0, min(CHUNK_SIZE, n_samples - start))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochastic_gronwall.bounds import GronwallPathBundle
+from oracles import GronwallPathBundle
 
 
 def make_random_bundle(rng, horizon, with_slack=False):

@@ -1,0 +1,110 @@
+"""Pathwise checks of the paper's results, shared by several test modules.
+
+A realized path of the stochastic Gronwall hypothesis with its
+transformed-martingale product inequality, and the sum side of the
+telescoping identity, computed with the library's product code.
+"""
+
+import numpy as np
+
+from stochastic_gronwall import sequences
+from stochastic_gronwall.errors import ContractViolationError
+from stochastic_gronwall.sequences import RealSequence, as_sequence
+
+#: Absolute tolerance for the pathwise recursion inequality checked at
+#: bundle construction.
+BUNDLE_TOL = 1e-12
+
+
+class GronwallPathBundle:
+    """One realized path of the stochastic Gronwall hypothesis.
+
+    Holds nonnegative sequences X, F, G and a realized martingale path M
+    with M_0 = 0, all of equal length, satisfying
+
+        X_n <= F_n + M_n + sum_{k<n} G_k X_k
+
+    at every index (validated at construction to within ``BUNDLE_TOL``).
+    """
+
+    __slots__ = ("X", "F", "G", "M")
+
+    def __init__(self, X, F, G, M):
+        self.X = as_sequence(X)
+        self.F = as_sequence(F)
+        self.G = as_sequence(G)
+        self.M = as_sequence(M)
+        n = len(self.X)
+        if not (len(self.F) == len(self.G) == len(self.M) == n):
+            raise ContractViolationError("bundle sequences must share one length")
+        for name in ("X", "F", "G"):
+            vals = getattr(self, name).values
+            if np.any(vals < 0.0):
+                raise ContractViolationError(f"bundle sequence {name} must be nonnegative")
+        if self.M[0] != 0.0:
+            raise ContractViolationError(f"martingale path must start at 0, got {self.M[0]}")
+        lhs = self.X.values
+        # sum_{k<n} G_k X_k via an exclusive cumulative sum
+        coupling = np.concatenate(([0.0], np.cumsum(self.G.values[:-1] * lhs[:-1])))
+        rhs = self.F.values + self.M.values + coupling
+        gap = lhs - rhs
+        worst = int(np.argmax(gap))
+        if gap[worst] > BUNDLE_TOL:
+            raise ContractViolationError(
+                f"recursion hypothesis violated at index {worst}: "
+                f"X={lhs[worst]} exceeds bound {rhs[worst]} by {gap[worst]}"
+            )
+
+    @property
+    def horizon(self) -> int:
+        return self.X.horizon
+
+
+def transformed_martingale(bundle: GronwallPathBundle) -> RealSequence:
+    """Weighted-increment martingale from the product-form inequality.
+
+    L_n = sum_{k<n} (M_{k+1} - M_k) * prod_{j<=k} (1+G_j)^-1, with
+    L_0 = 0. Satisfies X_n <= (max_{k<=n} F_k + L_n) * prod_{i<n}(1+G_i)
+    pathwise; see :func:`product_form_residuals`.
+    """
+    m = bundle.M.values
+    g = bundle.G.values
+    n = bundle.horizon
+    out = np.zeros(n + 1)
+    inv_prod = 1.0
+    acc = 0.0
+    for k in range(n):
+        inv_prod /= 1.0 + g[k]
+        acc += (m[k + 1] - m[k]) * inv_prod
+        out[k + 1] = acc
+    return RealSequence(out)
+
+
+def product_form_residuals(bundle: GronwallPathBundle) -> np.ndarray:
+    """Slack of the product-form inequality at every index.
+
+    Entry n is (max_{k<=n} F_k + L_n) * prod_{i<n}(1+G_i) - X_n; the
+    inequality holds when every entry is >= -1e-9.
+    """
+    L = transformed_martingale(bundle).values
+    f_running_max = np.maximum.accumulate(bundle.F.values)
+    prods = np.concatenate(([1.0], np.cumprod(1.0 + bundle.G.values[:-1])))
+    rhs = (f_running_max + L) * prods
+    return rhs - bundle.X.values
+
+
+def telescoping_identity_lhs(g, k: int, n: int) -> float:
+    """Sum side of the telescoping identity for weights g over [k, n).
+
+    Returns 1 + sum_{i=k}^{n-1} g_i prod_{j=k}^{i-1} (1 + g_j), which
+    equals prod_{j=k}^{n-1} (1 + g_j) exactly; the floating-point gap is
+    what the identity tests measure.
+    """
+    g = as_sequence(g)
+    if not 0 <= k <= n - 1:
+        raise ContractViolationError(f"need 0 <= k <= n-1, got k={k}, n={n}")
+    sequences._require_length(g, n - 1, "g")
+    sequences._require_nonnegative(g, n - 1, "g")
+    gv = g.values
+
+    return sequences._product_weighted_sum(1.0, gv[k:n].tolist(), gv[k:n])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_random_bundle
-from stochastic_gronwall.bounds import product_form_residuals
+from oracles import product_form_residuals, telescoping_identity_lhs
 from stochastic_gronwall.martingales import remark_constants, walk_functional_expectations
 from stochastic_gronwall.mc import (
     SupStoppedBmPowerSampler,
@@ -23,7 +23,6 @@ from stochastic_gronwall.mc import (
     verify_theorem_on_synthetic,
 )
 from stochastic_gronwall.sde import BemConfig, bem_step, make_problem
-from stochastic_gronwall.sequences import telescoping_identity_lhs
 from stochastic_gronwall.streams import StreamPlan
 
 ACCEPT_SEED = 42

@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_random_bundle
+from oracles import GronwallPathBundle, product_form_residuals, transformed_martingale
 from stochastic_gronwall.bounds import (
     AprioriInputs,
-    GronwallPathBundle,
     HolderParams,
     apriori_bound,
     apriori_bound_parts,
     holder_prefactor,
-    product_form_residuals,
     theorem_bound_deterministic_G,
     theorem_bound_random_G,
-    transformed_martingale,
 )
 from stochastic_gronwall.errors import ContractViolationError
 from stochastic_gronwall.sequences import RealSequence, power_product_one_plus
@@ -147,6 +145,14 @@ class TestAprioriBound:
         assert parts["prefactor"] == 3.0
         assert parts["growth_factor"] == pytest.approx(math.exp(2.0), rel=1e-15)
         assert parts["power_term"] == pytest.approx(math.sqrt(5.0), rel=1e-15)
+
+    def test_growth_factor_beyond_float_range_is_inf(self):
+        # exp(0.5 * 2 * 1 * 1000 / (1 - 0.5)) = exp(2000) overflows
+        inp = AprioriInputs(p=0.5, L=1.0, T=1000.0, h0=0.25, x0_norm_sq=1.0, g_x0_norm_sq=0.0)
+        parts = apriori_bound_parts(inp)
+        assert parts["growth_factor"] == math.inf
+        assert parts["bound"] == math.inf
+        assert parts["power_term"] == pytest.approx(math.sqrt(4001.0), rel=1e-15)
 
     def test_small_p_limit(self):
         inp = AprioriInputs(p=1e-12, L=1.0, T=1.0, h0=0.25, x0_norm_sq=1.0, g_x0_norm_sq=2.0)

@@ -10,11 +10,16 @@ from stochastic_gronwall.cli import (
     EXIT_CONTRACT,
     EXIT_OK,
     SEED_ENV_VAR,
-    load_report,
     main,
     validate_report,
 )
 from stochastic_gronwall.errors import ConfigError
+
+
+def load_report(path) -> dict:
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    validate_report(payload)
+    return payload
 
 
 def run(capsys, *argv):
@@ -54,6 +59,14 @@ class TestBoundCommand:
                            "--nu", "2", "--g-norm", "2", "--e-sup-f", "16")
         assert code == EXIT_OK
         assert grab(out, "bound") == pytest.approx(4 * math.sqrt(3), rel=1e-12)
+
+    def test_apriori_growth_factor_overflow(self, capsys):
+        code, out, err = run(capsys, "bound", "--form", "apriori", "--p", "0.5",
+                             "--L", "1", "--T", "1000", "--h0", "0.25",
+                             "--x0sq", "1", "--gx0sq", "0")
+        assert code == EXIT_OK, err
+        assert grab(out, "growth_factor") == math.inf
+        assert grab(out, "bound") == math.inf
 
     def test_invalid_params_exit_code(self, capsys):
         code, _, err = run(capsys, "bound", "--form", "holder", "--p", "1.5", "--nu", "1")
@@ -176,6 +189,17 @@ class TestVerifyCommand:
         assert first.read_bytes() == second.read_bytes()
         payload = load_report(first)
         assert payload["inputs"]["master_seed"] == 42
+        assert payload["all_passed"] is True
+
+    def test_apriori_infinite_bound_reported(self, capsys, tmp_path):
+        # L = 1, h0 = 0.45: the growth factor exp(0.5 * 10 * 2 * 100) overflows
+        out_path = tmp_path / "r.json"
+        code, out, err = run(capsys, "verify", "apriori", "--problem", "linear", "--sigma", "0.5",
+                             "--p", "0.5", "--T", "100", "--h0", "0.45", "--h-grid", "0.4",
+                             "--paths", "8", "--seed", "1", "--output", str(out_path))
+        assert code == EXIT_OK, err
+        payload = load_report(out_path)
+        assert payload["bound"] == payload["bound_parts"]["growth_factor"] == math.inf
         assert payload["all_passed"] is True
 
     def test_csv_mirror(self, capsys, tmp_path):
@@ -351,6 +375,9 @@ _INPUT_CASES = {
                          "--lambda", "inf"], None, None, EXIT_CONFIG, "--lambda must be finite"),
     "h-grid-nan": ([*_GL, "--h-grid", "0.125,nan"], None, None, EXIT_CONFIG,
                    "--h-grid must be finite"),
+    "estimate-sup-z-infinite": (["martingale", "estimate-sup", "--p", "0.5", "--samples", "1000",
+                                 "--seed", "1", "--z", "inf"], None, None, EXIT_CONFIG,
+                                "--z must be finite"),
     "theorem-z-infinite": ([*_THEOREM, "--paths", "100", "--seed", "1", "--z", "inf"], None, None,
                            EXIT_CONFIG, "--z must be finite"),
     "simulate-x0-nan": (["bem", "simulate", "--problem", "bounded-rotation", "--x0", "nan,0",

@@ -1,0 +1,66 @@
+"""Library code is what ``sgronwall`` runs.
+
+Every public top-level name in the package must be referenced by other
+package code (as a name, an attribute or an import), so the command can
+reach it, or be a target the benchmark's span tracer binds. A re-export
+from ``__init__.py`` does not count: it makes a name importable, not
+used. Code that only the tests call belongs in ``tests/``.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "stochastic_gronwall"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def _defined_names(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _referenced_names(node):
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id if isinstance(sub, ast.Name) else sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.update(sub.name.split("."))
+    return names
+
+
+def _tracer_targets():
+    """(module, top-level name) of each dotted target the tracer binds."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    dotted = [t for _, targets, _ in tracer.ENTRY_POINTS for t in targets]
+    dotted += [tracer.CHUNK_STREAM, tracer.POOL]
+    return {tuple(t.split(".")[:2]) for t in dotted}
+
+
+def test_every_public_name_is_used_by_the_package_or_the_tracer():
+    # one entry per top-level statement: (module, statement index, names it references)
+    statements = []
+    public = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for index, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
+            if module != "__init__":
+                statements.append((module, index, _referenced_names(stmt)))
+            public += [(module, index, name) for name in _defined_names(stmt)
+                       if not name.startswith("_")]
+    bound = _tracer_targets()
+    unused = sorted(
+        f"{module}.{name}" for module, index, name in public
+        if (module, name) not in bound
+        and not any(name in refs for m, i, refs in statements if (m, i) != (module, index))
+    )
+    assert unused == [], f"public names nothing in the package uses: {unused}"

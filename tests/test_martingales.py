@@ -1,25 +1,124 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from stochastic_gronwall.errors import ContractViolationError
 from stochastic_gronwall.martingales import (
-    MartingalePath,
+    _freeze_paths,
     enumerate_sign_walks,
-    functionals,
-    gen_stopped_random_walk,
-    gen_stopped_wiener_discretization,
     lemma_bound_ratio,
     remark_constants,
-    sample_sup_stopped_bm_exact,
     sample_sup_stopped_bm_exact_batch,
-    stopped_bm_batch_functionals,
-    stopped_bm_paths_matrix,
-    walk_conditional_increment_bias,
     walk_functional_expectations,
 )
 from stochastic_gronwall.streams import StreamPlan
+
+
+def gen_stopped_random_walk(
+    steps: int, stop_level: float, rng_stream: np.random.Generator
+) -> np.ndarray:
+    """Symmetric +-1 walk (0 included) frozen at its first visit <= stop_level.
+
+    ``stop_level`` must be negative; pass ``-math.inf`` for a plain
+    (never stopped) walk.
+    """
+    if steps < 0:
+        raise ContractViolationError(f"steps must be >= 0, got {steps}")
+    if not stop_level < 0.0:
+        raise ContractViolationError(f"stop_level must be < 0, got {stop_level}")
+    vals = np.zeros((1, steps + 1))
+    if steps:
+        signs = rng_stream.integers(0, 2, size=steps).astype(np.float64) * 2.0 - 1.0
+        vals[0, 1:] = np.cumsum(signs)
+        if stop_level > -math.inf:
+            _freeze_paths(vals, stop_level)
+    return vals[0]
+
+
+def walk_conditional_increment_bias(n: int, stop_level: float | None = None) -> float:
+    """Largest |E[M_{k+1} - M_k | prefix]| over all k and prefixes.
+
+    Exact enumeration check of the martingale property of (stopped)
+    sign walks; zero up to rounding.
+    """
+    paths = enumerate_sign_walks(n, stop_level)
+    worst = 0.0
+    for k in range(n):
+        increments = paths[:, k + 1] - paths[:, k]
+        _, inverse = np.unique(paths[:, : k + 1], axis=0, return_inverse=True)
+        sums = np.bincount(inverse, weights=increments)
+        counts = np.bincount(inverse)
+        worst = max(worst, float(np.max(np.abs(sums / counts))))
+    return worst
+
+
+class StoppedBmBatch(NamedTuple):
+    sup: np.ndarray
+    neg_inf: np.ndarray
+    final: np.ndarray
+    truncated_fraction: float
+
+
+def stopped_bm_batch_functionals(
+    h: float,
+    t_max: float,
+    rng_stream: np.random.Generator,
+    n_paths: int,
+    block_steps: int = 1024,
+) -> StoppedBmBatch:
+    """Sup, -inf, and final value for a batch of stopped-BM paths.
+
+    Steps all still-active paths in blocks and freezes rows as they
+    cross -1, so memory stays bounded by the block size. The truncated
+    fraction counts paths that never crossed before t_max.
+    """
+    if not h > 0.0:
+        raise ContractViolationError(f"h must be > 0, got {h}")
+    if t_max < h:
+        raise ContractViolationError(f"t_max must be >= h, got {t_max}")
+    n_steps = int(math.floor(t_max / h + 1e-9))
+    sqrt_h = math.sqrt(h)
+
+    cur = np.zeros(n_paths)
+    sup = np.zeros(n_paths)
+    low = np.zeros(n_paths)
+    frozen = np.zeros(n_paths, dtype=bool)
+    done = 0
+    while done < n_steps and not frozen.all():
+        m = min(block_steps, n_steps - done)
+        active = np.nonzero(~frozen)[0]
+        inc = rng_stream.standard_normal((active.size, m)) * sqrt_h
+        seg = cur[active, None] + np.cumsum(inc, axis=1)
+        hit = seg <= -1.0
+        any_hit = hit.any(axis=1)
+        if any_hit.any():
+            rows = np.nonzero(any_hit)[0]
+            first = hit[rows].argmax(axis=1)
+            frozen_vals = seg[rows, first]
+            cols = np.arange(m)[None, :]
+            seg[rows] = np.where(cols > first[:, None], frozen_vals[:, None], seg[rows])
+            frozen[active[rows]] = True
+        sup[active] = np.maximum(sup[active], seg.max(axis=1))
+        low[active] = np.minimum(low[active], seg.min(axis=1))
+        cur[active] = seg[:, -1]
+        done += m
+    return StoppedBmBatch(sup, -low, cur, float(np.mean(~frozen)))
+
+
+def stopped_bm_paths_matrix(
+    h: float, n_steps: int, rng_stream: np.random.Generator, n_paths: int
+) -> np.ndarray:
+    """Matrix of stopped-BM paths on a fixed grid (row per path).
+
+    Unlike the block stepper this draws every increment up front, which
+    keeps all rows on a common time grid for regression-style checks.
+    """
+    paths = np.zeros((n_paths, n_steps + 1))
+    inc = rng_stream.standard_normal((n_paths, n_steps)) * math.sqrt(h)
+    paths[:, 1:] = np.cumsum(inc, axis=1)
+    return _freeze_paths(paths, -1.0)
 
 
 class _FixedUniform:
@@ -28,37 +127,19 @@ class _FixedUniform:
     def __init__(self, value):
         self.value = value
 
-    def random(self, size=None):
-        if size is None:
-            return self.value
+    def random(self, size):
         return np.full(size, self.value)
-
-
-class TestFunctionals:
-    def test_trivial(self):
-        pf = functionals(MartingalePath([0.0], "t"))
-        assert (pf.sup_val, pf.neg_inf_val) == (0.0, 0.0)
-
-    def test_scan(self):
-        pf = functionals(MartingalePath([0.0, 1.0, -2.0], "t"))
-        assert (pf.sup_val, pf.neg_inf_val) == (1.0, 2.0)
-        pf = functionals(MartingalePath([0.0, -1.0, -1.0], "t"))
-        assert (pf.sup_val, pf.neg_inf_val) == (0.0, 1.0)
-
-    def test_rejects_nonzero_start(self):
-        with pytest.raises(ContractViolationError):
-            MartingalePath([1.0, 0.0], "t")
 
 
 class TestStoppedRandomWalk:
     def test_zero_steps(self):
         path = gen_stopped_random_walk(0, -1.0, StreamPlan(0).path_stream(0))
-        assert list(path.values.values) == [0.0]
+        assert list(path) == [0.0]
 
     def test_freezing_rule(self):
         plan = StreamPlan(7)
         for i in range(50):
-            path = gen_stopped_random_walk(30, -1.0, plan.path_stream(i)).values.values
+            path = gen_stopped_random_walk(30, -1.0, plan.path_stream(i))
             hits = np.nonzero(path <= -1.0)[0]
             if hits.size:
                 k = hits[0]
@@ -66,7 +147,7 @@ class TestStoppedRandomWalk:
 
     def test_plain_walk_unbounded_level(self):
         path = gen_stopped_random_walk(10, -math.inf, StreamPlan(3).path_stream(0))
-        steps = np.diff(path.values.values)
+        steps = np.diff(path)
         assert set(np.unique(steps)) <= {-1.0, 1.0}
 
     def test_contract(self):
@@ -115,7 +196,7 @@ class TestEnumeration:
 
 class TestExactSupSampler:
     def test_inverse_survival_at_half(self):
-        assert sample_sup_stopped_bm_exact(_FixedUniform(0.5)) == 1.0
+        assert sample_sup_stopped_bm_exact_batch(_FixedUniform(0.5), 1)[0] == 1.0
 
     def test_tail_probability(self):
         stream = StreamPlan(11).path_stream(0)
@@ -185,8 +266,7 @@ class TestStoppedWiener:
     def test_freezing_rule(self):
         plan = StreamPlan(29)
         for i in range(20):
-            path = gen_stopped_wiener_discretization(0.5, 50.0, plan.path_stream(i))
-            vals = path.values.values
+            vals = stopped_bm_paths_matrix(0.5, 100, plan.path_stream(i), 1)[0]
             hits = np.nonzero(vals <= -1.0)[0]
             if hits.size:
                 k = hits[0]

@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from stochastic_gronwall.errors import ContractViolationError, EstimateAbortedError
-from stochastic_gronwall.martingales import walk_functional_expectations
+from stochastic_gronwall.martingales import _freeze_paths, walk_functional_expectations
 from stochastic_gronwall.mc import (
     BemSupFunctionalSampler,
-    ConstantSampler,
-    FairCoinSampler,
-    GaussianSampler,
     SupStoppedBmPowerSampler,
     SyntheticSupXpSampler,
     SyntheticSystem,
-    WalkSupPowerSampler,
     estimate_expectation,
     standard_synthetic_systems,
     verify_apriori,
@@ -23,6 +19,51 @@ from stochastic_gronwall.mc import (
 )
 from stochastic_gronwall.sde import BemConfig, make_problem
 from stochastic_gronwall.streams import StreamPlan
+
+
+@dataclass(frozen=True)
+class ConstantSampler:
+    value: float
+
+    def sample_chunk(self, plan, chunk_index, count):
+        return np.full(count, self.value)
+
+
+@dataclass(frozen=True)
+class FairCoinSampler:
+    """Samples +-1 with equal probability."""
+
+    def sample_chunk(self, plan, chunk_index, count):
+        stream = plan.chunk_stream(chunk_index)
+        return stream.integers(0, 2, size=count).astype(np.float64) * 2.0 - 1.0
+
+
+@dataclass(frozen=True)
+class GaussianSampler:
+    mean: float = 0.0
+    std: float = 1.0
+
+    def sample_chunk(self, plan, chunk_index, count):
+        stream = plan.chunk_stream(chunk_index)
+        return stream.standard_normal(count) * self.std + self.mean
+
+
+@dataclass(frozen=True)
+class WalkSupPowerSampler:
+    """(sup of a +-1 walk)^p, optionally stopped at a negative level."""
+
+    steps: int
+    p: float
+    stop_level: float | None = None
+
+    def sample_chunk(self, plan, chunk_index, count):
+        stream = plan.chunk_stream(chunk_index)
+        signs = stream.integers(0, 2, size=(count, self.steps)).astype(np.float64) * 2.0 - 1.0
+        paths = np.zeros((count, self.steps + 1))
+        paths[:, 1:] = np.cumsum(signs, axis=1)
+        if self.stop_level is not None:
+            _freeze_paths(paths, self.stop_level)
+        return paths.max(axis=1) ** self.p
 
 
 @dataclass(frozen=True)
@@ -246,7 +287,7 @@ class TestVerifyApriori:
         calls = []
         build = sde.make_problem
         monkeypatch.setattr(sde, "make_problem", lambda *a, **k: calls.append(a) or build(*a, **k))
-        plan = StreamPlan(3, chunk_size=16)
+        plan = StreamPlan(3)
         first = [sampler.sample_chunk(plan, c, 16) for c in range(3)]
         assert calls == []  # the caller's problem is reused
         copy = pickle.loads(pickle.dumps(sampler))  # what a pool worker receives

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,17 +7,56 @@ import pytest
 from stochastic_gronwall.errors import ContractViolationError, SolverError
 from stochastic_gronwall.sde import (
     BemConfig,
+    BemTrajectory,
     SdeProblem,
     bem_step,
     check_coercivity,
     make_problem,
-    pathwise_recursion_check,
     simulate_trajectory,
     z_increment,
     zoo_labels,
     zoo_parameters,
 )
 from stochastic_gronwall.streams import StreamPlan
+
+
+@dataclass(frozen=True)
+class RecursionCheckReport:
+    """Outcome of the pathwise squared-norm recursion check."""
+
+    passed: bool
+    first_violation: int | None
+    max_excess: float
+
+
+def pathwise_recursion_check(
+    traj: BemTrajectory, problem: SdeProblem, cfg: BemConfig, rtol: float = 1e-8
+) -> RecursionCheckReport:
+    """Check the iterated squared-norm inequality along one trajectory:
+
+        (1-2hL)|Y^n|^2 + h|g(Y^n)|^2
+            <= (1-2hL)|Y^0|^2 + h|g(Y^0)|^2 + 2L t_n
+               + sum_{j<n} Z^{j+1} + 2hL sum_{j<n} |Y^j|^2
+
+    for every n up to N_h, with relative slack ``rtol``.
+    """
+    h, L = cfg.h, problem.L
+    states = traj.states
+    norms_sq = np.sum(states * states, axis=1)
+    g = problem.diffusion(states)
+    g_norms_sq = np.sum(g * g, axis=(1, 2))
+    n_total = states.shape[0] - 1
+    t = h * np.arange(n_total + 1)
+    lhs = (1.0 - 2.0 * h * L) * norms_sq + h * g_norms_sq
+    z_cum = np.concatenate(([0.0], np.cumsum(traj.z_increments)))
+    y_cum = np.concatenate(([0.0], np.cumsum(norms_sq[:-1])))
+    rhs = lhs[0] + 2.0 * L * t + z_cum + 2.0 * h * L * y_cum
+    excess = lhs - rhs - rtol * np.maximum(1.0, np.abs(rhs))
+    bad = np.nonzero(excess > 0.0)[0]
+    max_excess = float(np.max(lhs - rhs))
+    if bad.size:
+        return RecursionCheckReport(False, int(bad[0]), max_excess)
+    return RecursionCheckReport(True, None, max_excess)
 
 
 def linear_step_closed_form(y, lam, sigma, d_w, h):
@@ -125,7 +165,8 @@ class TestScalarStepMatchesKernel:
 
     def test_trajectory_reports_failing_step(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            prob = make_problem("ginzburg-landau", sigma=0.5, x0=1e160)
+            # f(x0) = x0 - x0^3 is finite, but the first implicit step is not solved
+            prob = make_problem("ginzburg-landau", sigma=0.5, x0=1e100)
             cfg = BemConfig(h=0.125, h0=0.25, T=1.0)
             with pytest.raises(SolverError, match="step 1 of 8"):
                 simulate_trajectory(prob, cfg, [], StreamPlan(0).path_stream(0))
@@ -403,6 +444,22 @@ class TestProblemContract:
     def test_x0_must_be_one_state(self):
         with pytest.raises(ContractViolationError, match="x0"):
             SdeProblem(label="bad", **_scalar_callables(), x0=np.ones((2, 1)), L=1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label, name", [
+        (label, name) for label, params in zoo_parameters().items() for name in params])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_zoo_parameter_rejected(self, label, name, value):
+        default = zoo_parameters()[label][name]
+        if isinstance(default, tuple):
+            value = (value, *default[1:])
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            make_problem(label, **{name: value})
+
+    def test_drift_overflowing_at_x0_rejected(self):
+        # f(1e160) = 1e160 - 1e480 is -inf
+        with pytest.raises(ContractViolationError, match="must be finite"):
+            make_problem("ginzburg-landau", x0=1e160)
 
     def test_problem_is_frozen(self):
         import dataclasses

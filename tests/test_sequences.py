@@ -5,16 +5,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import telescoping_identity_lhs
 from stochastic_gronwall.errors import ContractViolationError
 from stochastic_gronwall.sequences import (
     RealSequence,
+    _require_nonnegative,
+    as_sequence,
     gronwall_closed_form,
     gronwall_recursive_envelope,
     log_product_one_plus,
     power_product_one_plus,
-    telescoping_identity_lhs,
-    telescoping_max_rel_error,
 )
+
+
+def telescoping_max_rel_error(g) -> float:
+    """Largest relative identity gap over every valid (k, n) pair of g.
+
+    For each k the sum side and the product side are accumulated exactly
+    as ``telescoping_identity_lhs`` does, for all n at once.
+    """
+    g = as_sequence(g)
+    _require_nonnegative(g, len(g) - 1, "g")
+    gv = g.values
+    m = gv.size
+    worst = 0.0
+    for k in range(m):
+        cum = np.cumprod(1.0 + gv[k:])          # prod_{j=k}^{i}(1+g_j)
+        shifted = np.concatenate(([1.0], cum[:-1]))
+        lhs = 1.0 + np.cumsum(gv[k:] * shifted)  # lhs for n = k+1 .. m
+        rel = np.abs(lhs - cum) / cum
+        worst = max(worst, float(rel.max()))
+    return worst
 
 
 def recursion_oracle(f, g, n):
