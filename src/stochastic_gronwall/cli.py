@@ -151,8 +151,8 @@ def _merge_config(args) -> None:
 
 def _check_finite(args) -> None:
     """Every float or list flag given, on the command line or in the
-    config file, must be a finite float (JSON config files can hold NaN,
-    and integers beyond the float range)."""
+    config file, must be a finite float (argparse takes "nan" and "inf",
+    JSON config files can hold NaN, and integers beyond the float range)."""
     for key, action in args.config_flags.items():
         value = getattr(args, key)
         if action.type in (float, _float_list) and value is not None:
@@ -220,6 +220,7 @@ def validate_report(payload: dict) -> None:
 
 
 def _cmd_bound(args) -> int:
+    _check_finite(args)
     if args.form == "holder":
         hp = HolderParams(p=_require(args, "p"), nu=args.nu if args.nu is not None else 1.0)
         value = holder_prefactor(hp)
@@ -598,7 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--h0", type=float)
     b.add_argument("--x0sq", type=float)
     b.add_argument("--gx0sq", type=float)
-    b.set_defaults(func=_cmd_bound)
+    # no --config here, but the flag table lets _check_finite see every flag
+    b.set_defaults(func=_cmd_bound,
+                   config_flags={a.dest: a for a in b._actions if a.dest != "help"})
 
     g = sub.add_parser("gronwall", help="closed-form bounds and envelope for f, g")
     g.add_argument("--f", type=_float_list)

@@ -1,5 +1,5 @@
 """Hot numeric kernels: implicit Euler-Maruyama batch stepping and
-streaming moment accumulation.
+per-chunk moments.
 
 The implicit step is solved for a whole batch of paths at once with
 numpy array operations: each Newton iteration touches only the paths
@@ -179,19 +179,23 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
 
 
 def welford_chunk(values):
-    """Single-pass streaming mean and M2 of a chunk.
+    """Count, mean and M2 (sum of squared deviations) of a 1-D chunk.
 
-    Returns (count, mean, M2) where M2 is the sum of squared deviations;
-    the accumulation order is the array order, so the result does not
-    depend on how chunks are distributed over workers.
+    A shifted two-pass: the deviations from the first value are summed
+    for the mean, then re-centred on it and squared for M2. Shifting
+    first keeps a constant chunk exact (mean the constant, M2 0.0),
+    which a mean-first two-pass misses by a few ulps for values such as
+    0.1. Both sums are numpy's pairwise ``np.sum`` over a fresh
+    contiguous array, never BLAS, so the bits depend only on the values
+    and their order, not on the machine or the array's layout. The
+    Welford name is kept because the benchmark tracer binds it. An
+    empty chunk gives (0, 0.0, 0.0).
     """
-    n = 0
-    mean = 0.0
-    m2 = 0.0
-    for i in range(values.shape[0]):
-        x = values[i]
-        n += 1
-        delta = x - mean
-        mean += delta / n
-        m2 += delta * (x - mean)
-    return n, mean, m2
+    n = values.shape[0]
+    if n == 0:
+        return 0, 0.0, 0.0
+    first = values[0]
+    d = values - first
+    offset = np.sum(d) / n
+    d -= offset
+    return n, float(first + offset), float(np.sum(d * d))

@@ -2,10 +2,11 @@
 expectations behind the stochastic Gronwall bound and the a priori
 implicit-Euler estimate.
 
-Samples are produced chunk by chunk from counter-based substreams and
-reduced with a single-pass moment accumulator per chunk followed by a
-pairwise merge tree over chunk statistics, so estimates are bit
-identical for any worker count.
+Samples are produced chunk by chunk from counter-based substreams. Each
+chunk is reduced to its count, mean and M2 by a shifted two-pass in
+numpy, and the chunk moments are combined by a fixed pairwise merge
+tree (the Chan-Golub-LeVeque update), so estimates are bit identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ DEFAULT_Z = 1.96
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Streaming mean with its standard error and confidence interval."""
+    """Sample mean with its standard error and confidence interval."""
 
     mean: float
     std_error: float
@@ -94,8 +95,7 @@ def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int):
         vals = np.asarray(sampler.sample_chunk(plan, c, count), dtype=np.float64)
         finite = np.isfinite(vals)
         n_fail = int(count - finite.sum())
-        cnt, mean, m2 = kernels.welford_chunk(vals[finite] if n_fail else vals)
-        out.append((c, (int(cnt), float(mean), float(m2)), n_fail))
+        out.append((c, kernels.welford_chunk(vals[finite] if n_fail else vals), n_fail))
     return out
 
 
@@ -123,7 +123,7 @@ def estimate_expectation(
             (sampler, plan, n, int(bounds_[i]), int(bounds_[i + 1]))
             for i in range(n_tasks)
         ]
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_tasks) as pool:
             pieces = list(pool.map(_chunk_range_stats_star, args))
         tagged = [item for piece in pieces for item in piece]
     else:

@@ -241,7 +241,7 @@ APRIORI_GRID = ["verify", "apriori", "--sigma", "0.5", "--p", "0.5", "--T", "1",
 
 
 class TestGoldenReports:
-    """Seeded apriori and theorem reports pinned byte for byte.
+    """Seeded apriori, theorem and estimate-sup reports pinned byte for byte.
 
     Regenerate a file only for an intended change of results, with the
     command in the test's argv and ``--output tests/golden/<name>``.
@@ -264,6 +264,13 @@ class TestGoldenReports:
                          "--seed", "42", "--output", str(out_path))
         assert code == EXIT_OK
         assert out_path.read_bytes() == (GOLDEN / "theorem_synthetic.json").read_bytes()
+
+    def test_estimate_sup_report_bytes(self, capsys, tmp_path):
+        out_path = tmp_path / "sup_estimate.json"
+        code, _, _ = run(capsys, "martingale", "estimate-sup", "--p", "0.5", "--samples", "20000",
+                         "--seed", "42", "--output", str(out_path))
+        assert code == EXIT_OK
+        assert out_path.read_bytes() == (GOLDEN / "sup_estimate.json").read_bytes()
 
 
 # Every command that takes --workers and --z, with enough flags to run.
@@ -387,6 +394,21 @@ _INPUT_CASES = {
                                "--seed", "1"], {"T": math.nan}, None, EXIT_CONFIG,
                               "--T must be finite"),
 }
+# Every float or list flag of each bound form, given as NaN or inf.
+_BOUND_FORMS = {
+    "holder": {"--p": "0.25", "--nu": "2"},
+    "deterministic-G": {"--p": "0.5", "--G": "0,0,0", "--e-sup-f": "1"},
+    "random-G": {"--p": "0.25", "--nu": "2", "--g-norm": "2", "--e-sup-f": "16"},
+    "apriori": {"--p": "0.5", "--L": "1", "--T": "1", "--h0": "0.25", "--x0sq": "1",
+                "--gx0sq": "0"},
+}
+for _form, _flags in _BOUND_FORMS.items():
+    for _flag in _flags:
+        for _bad in ("nan", "inf"):
+            _argv = ["bound", "--form", _form,
+                     *(tok for item in {**_flags, _flag: _bad}.items() for tok in item)]
+            _INPUT_CASES[f"bound-{_form}{_flag}-{_bad}"] = (
+                _argv, None, None, EXIT_CONFIG, f"{_flag} must be finite")
 
 
 class TestInputExitCodes:

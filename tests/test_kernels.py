@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -221,3 +222,41 @@ class TestWelfordChunk:
         assert (n, mean, m2) == (0, 0.0, 0.0)
         n, mean, m2 = kernels.welford_chunk(np.array([7.5]))
         assert (n, mean, m2) == (1, 7.5, 0.0)
+
+    @pytest.mark.parametrize("c", [0.1, 0.3, 1 / 3, 2.7, math.pi, -7.1, 1e-300, 3e300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 100, 127, 128, 129, 1000, 4095, 4096])
+    def test_constant_chunk_exact(self, c, n):
+        assert kernels.welford_chunk(np.full(n, c)) == (n, c, 0.0)
+
+    def test_layout_does_not_change_bits(self):
+        vals = np.random.default_rng(5).normal(0.1, 3.0, 4096)
+        expected = kernels.welford_chunk(vals)
+        offset = np.concatenate([[99.0], vals])[1:]
+        raw = np.empty(vals.nbytes + 1, dtype=np.uint8)
+        misaligned = raw[1:].view(np.float64)
+        misaligned[:] = vals
+        strided = np.repeat(vals, 3)[::3]
+        assert not misaligned.flags.aligned and not strided.flags.c_contiguous
+        for copy in (offset, misaligned, strided):
+            assert np.array_equal(copy, vals)
+            assert kernels.welford_chunk(copy) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300),
+        shift=st.floats(-1e8, 1e8),
+    )
+    def test_matches_exact_rationals(self, xs, shift):
+        vals = np.array(xs) + shift
+        n, mean, m2 = kernels.welford_chunk(vals)
+        exact = [Fraction(x) for x in vals]
+        exact_mean = sum(exact) / n
+        dev = [abs(x - exact_mean) for x in exact]
+        exact_m2 = sum(d * d for d in dev)
+        eps = Fraction(np.finfo(np.float64).eps)
+        # a few ulps, plus half the smallest subnormal for each rounding that may underflow
+        tiny = Fraction(1, 2**1075)
+        assert n == vals.size
+        assert abs(Fraction(mean) - exact_mean) <= 4 * eps * max(abs(x) for x in exact) + 2 * tiny
+        m2_tol = 4 * eps * (exact_m2 + max(dev) * sum(dev)) + 2 * n * tiny
+        assert abs(Fraction(m2) - exact_m2) <= m2_tol

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from stochastic_gronwall import mc
 from stochastic_gronwall.errors import ContractViolationError, EstimateAbortedError
 from stochastic_gronwall.martingales import _freeze_paths, walk_functional_expectations
 from stochastic_gronwall.mc import (
@@ -86,6 +87,14 @@ class TestEstimator:
         assert est.degenerate_flag
         assert est.ci_halfwidth == 0.0
 
+    @pytest.mark.parametrize("n, workers", [(1000, 1), (10_000, 1), (10_000, 2)])
+    def test_constant_non_dyadic_degenerate(self, n, workers):
+        # sums of 0.1 round; the other constant samples here (2.5, 1.0) sum exactly
+        est = estimate_expectation(ConstantSampler(0.1), n, StreamPlan(0, workers=workers))
+        assert est.mean == 0.1
+        assert est.std_error == 0.0
+        assert est.degenerate_flag
+
     def test_fair_coin(self):
         est = estimate_expectation(FairCoinSampler(), 1_000_000, StreamPlan(3))
         assert abs(est.mean) <= 4e-3
@@ -100,6 +109,20 @@ class TestEstimator:
         plans = [StreamPlan(11, workers=w) for w in (1, 2, 5)]
         results = [estimate_expectation(GaussianSampler(0.5, 1.5), n, p) for p in plans]
         assert results[0] == results[1] == results[2]
+
+    def test_pool_sized_to_its_tasks(self, monkeypatch):
+        requested = []
+
+        class RecordingPool(mc.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers=min(max_workers, 2))  # never fork more than 2
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+        n = 5000  # two chunks
+        wide = estimate_expectation(GaussianSampler(), n, StreamPlan(7, workers=64))
+        assert requested == [2]
+        assert wide == estimate_expectation(GaussianSampler(), n, StreamPlan(7))
 
     def test_failure_threshold_aborts(self):
         with pytest.raises(EstimateAbortedError) as info:
