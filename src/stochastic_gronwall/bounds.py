@@ -96,6 +96,8 @@ def theorem_bound_deterministic_G(p: float, G, n: int, e_sup_f: float) -> float:
         raise ContractViolationError(f"p must lie in (0,1), got {p}")
     if e_sup_f < 0.0:
         raise ContractViolationError(f"e_sup_f must be >= 0, got {e_sup_f}")
+    if n < 0:
+        raise ContractViolationError(f"horizon n must be >= 0, got {n}")
     G = as_sequence(G)
     if len(G) < n:
         raise ContractViolationError(

@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands: bound, gronwall, martingale, bem, verify. Numeric flags
-can also come from a JSON config file (``--config``); explicit flags
-win. Exit codes: 0 success, 2 config error, 3 numerical-contract
+Subcommands: bound, gronwall, martingale, bem, verify. Each flag of a
+leaf command is declared once, as a :class:`Flag` with its
+:class:`Domain`, default and help text. Before a command runs, the
+``--config`` JSON file (where the command has one) fills flags left
+unset, every given value is checked against its domain, and defaults are
+filled in. Exit codes: 0 success, 2 config error, 3 numerical-contract
 violation, 4 solver failure, 5 verification failure.
 """
 
@@ -15,6 +18,7 @@ import keyword
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .bounds import (
@@ -86,82 +90,168 @@ def _float_list(text: str) -> list:
         raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}") from exc
 
 
-def _resolve_seed(seed) -> int:
-    source = "--seed"
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is None:
-            return 0
-        source = f"${SEED_ENV_VAR}"
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{source} must be an integer, got {env!r}") from exc
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{source} must lie in [0, 2**64), got {seed}")
-    return seed
+# ---------------------------------------------------------------------------
+# flag domains
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
+class Domain(NamedTuple):
+    """The values a flag accepts.
+
+    ``type`` parses command-line text; a config file may give a value of
+    the ``json`` types (a list flag: one number, a list of them or their
+    comma-separated text), named ``expected`` in errors. A given value
+    must pass every rule, a test and the phrase that says what it
+    requires. A one-of-a-set domain also maps each of its ``choices`` to
+    the flags that choice takes and their defaults.
+    """
+
+    type: object
+    json: tuple
+    expected: str
+    rules: tuple = ()
+    choices: dict = None
+
+
+def _finite(value) -> bool:
+    """The number, or each number of a list, is finite; an integer from a
+    config file beyond the float range is not."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return data
+        return all(math.isfinite(v) for v in (value if isinstance(value, list) else [value]))
+    except OverflowError:
+        return False
 
 
-# The JSON types a config file may give each type of flag; a list flag
-# also takes one number or its comma-separated text.
-_CONFIG_TYPES = {
-    int: (int, "an integer"),
-    float: ((int, float), "a number"),
-    None: (str, "a string"),
-    _float_list: ((int, float), "a number or a list of numbers"),
-}
+_FINITE = (_finite, "be finite")
+_NUMBER = (float, (int, float), "a number")
+_INTEGER = (int, (int,), "an integer")
+
+TEXT = Domain(str, (str,), "a string")
+INTEGER = Domain(*_INTEGER)
+REAL = Domain(*_NUMBER, (_FINITE,))
+REALS = Domain(_float_list, (int, float), "a number or a list of numbers", (_FINITE,))
+POSITIVE = Domain(*_NUMBER, ((lambda v: v > 0, "be a positive float"), _FINITE))
+POSITIVE_INT = Domain(*_INTEGER, ((lambda v: v > 0, "be a positive int"),))
+EXPONENT = Domain(*_NUMBER, ((lambda v: 0 < v < 1, "lie in (0,1)"),))
+FRACTION = Domain(*_NUMBER, ((lambda v: 0 <= v <= 1, "lie in [0, 1]"),))
+HORIZON = Domain(*_INTEGER, ((lambda v: v >= 0, "be >= 0"),))
+COUNT = Domain(*_INTEGER, ((lambda v: v >= 2, "be at least 2"),))  # so a standard error exists
+SEED = Domain(*_INTEGER, ((lambda v: 0 <= v < 2**64, "lie in [0, 2**64)"),))
+
+
+def _one_of(choices: dict) -> Domain:
+    return Domain(str, (str,), "a string",
+                  ((lambda v: v in choices, f"be one of {', '.join(choices)}"),), choices)
+
+
+REQUIRED = object()  # the default of a flag that must be given
+
+
+class Flag(NamedTuple):
+    """One flag of a leaf command.
+
+    An omitted flag takes the value of the environment variable ``env``
+    if that is set, else ``default`` (``REQUIRED``: the flag must be
+    given; None: the command decides). ``dest`` overrides the attribute
+    and config key derived from the option.
+    """
+
+    option: str
+    domain: Domain
+    help: str
+    default: object = None
+    env: str = None
+    dest: str = None
+
+    @property
+    def key(self) -> str:
+        return self.dest or self.option[2:].replace("-", "_")
+
+
+def _help(flag: Flag, selector: Flag = None) -> str:
+    """The flag's help line, written from its declaration; ``selector`` is
+    the command's one-of-a-set flag, if it has one."""
+    notes = [f"must {rule}" for _, rule in flag.domain.rules]
+    if flag.default is REQUIRED:
+        notes.append("required")
+    elif flag.env is not None:
+        notes.append(f"default ${flag.env}, else {flag.default}")
+    elif flag.default is not None:
+        notes.append(f"default {flag.default}")
+    takers = [c for c, taken in (selector.domain.choices if selector else {}).items()
+              if flag.key in taken]
+    if takers:
+        notes.append(f"for {selector.key} {', '.join(takers)}")
+    return "; ".join([flag.help, *notes])
 
 
 def _merge_config(args) -> None:
     """Fill flags left unset from the ``--config`` file (flags win).
 
-    Its keys are the command's flag names, its values of the flags' types.
+    Its keys are the command's flag names, its values of the flags' JSON types.
     """
-    config = _load_config(args.config)
+    path = getattr(args, "config", None)
+    if path is None:
+        return
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = set(config) - set(args.config_flags)
     if unknown:
         raise ConfigError(
             f"unknown config keys {sorted(unknown)}; allowed: {sorted(args.config_flags)}"
         )
     for key, value in config.items():
-        kind = args.config_flags[key].type
+        domain = args.flags[key].domain
         items = [value]
-        if kind is _float_list:
+        if domain.type is _float_list:
             value = _float_list(value) if isinstance(value, str) else value
             items = value = value if isinstance(value, list) else [value]
-        types, expected = _CONFIG_TYPES[kind]
-        if not all(isinstance(v, types) and not isinstance(v, bool) for v in items):
-            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+        if not all(isinstance(v, domain.json) and not isinstance(v, bool) for v in items):
+            raise ConfigError(f"config key {key!r} must be {domain.expected}, got {value!r}")
         if getattr(args, key) is None:
             setattr(args, key, value)
 
 
-def _check_finite(args) -> None:
-    """Every float or list flag given, on the command line or in the
-    config file, must be a finite float (argparse takes "nan" and "inf",
-    JSON config files can hold NaN, and integers beyond the float range)."""
-    for key, action in args.config_flags.items():
-        value = getattr(args, key)
-        if action.type in (float, _float_list) and value is not None:
+def _resolve(args) -> None:
+    """Merge the config file, check every given value against its flag's
+    domain, reject flags the chosen one-of-a-set value does not take,
+    then fill the defaults."""
+    _merge_config(args)
+    flags = args.flags
+    for key, flag in flags.items():
+        value, source = getattr(args, key), flag.option
+        if value is None and flag.env is not None and flag.env in os.environ:
+            source, text = f"${flag.env}", os.environ[flag.env]
             try:
-                finite = all(math.isfinite(v) for v in (value if isinstance(value, list) else [value]))
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise ConfigError(f"{action.option_strings[0]} must be finite, got {value!r}")
+                value = flag.domain.type(text)
+            except ValueError as exc:
+                raise ConfigError(f"{source} must be {flag.domain.expected}, got {text!r}") from exc
+            setattr(args, key, value)
+        if value is None:
+            continue
+        for test, rule in flag.domain.rules:
+            if not test(value):
+                raise ConfigError(f"{source} must {rule}, got {value!r}")
+    defaults = {key: flag.default for key, flag in flags.items()}
+    selector = next((key for key, flag in flags.items() if flag.domain.choices), None)
+    if selector is not None and getattr(args, selector) is not None:
+        label, choices = getattr(args, selector), flags[selector].domain.choices
+        taken = choices[label]
+        foreign = sorted({flags[key].option for taking in choices.values() for key in taking
+                          if key not in taken and getattr(args, key) is not None})
+        if foreign:
+            raise ConfigError(f"{selector} {label!r} does not take {', '.join(foreign)}; "
+                              f"it takes {', '.join(flags[key].option for key in taken)}")
+        defaults.update(taken)
+    for key, default in defaults.items():
+        if getattr(args, key) is None:
+            if default is REQUIRED:
+                raise ConfigError(f"{flags[key].option} is required")
+            setattr(args, key, default)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -218,20 +308,24 @@ def validate_report(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # bound
 
+# The flags each form takes, mapped to their defaults; deterministic-G's
+# --n defaults to the length of --G.
+_BOUND_FORMS = {
+    "holder": {"p": REQUIRED, "nu": 1.0},
+    "deterministic-G": {"p": REQUIRED, "G": REQUIRED, "e_sup_f": REQUIRED, "n": None},
+    "random-G": {"p": REQUIRED, "nu": REQUIRED, "g_norm": REQUIRED, "e_sup_f": REQUIRED, "n": 0},
+    "apriori": dict.fromkeys(["p", "L", "T", "h0", "x0sq", "gx0sq"], REQUIRED),
+}
+
 
 def _cmd_bound(args) -> int:
-    _check_finite(args)
     if args.form == "holder":
-        hp = HolderParams(p=_require(args, "p"), nu=args.nu if args.nu is not None else 1.0)
-        value = holder_prefactor(hp)
+        value = holder_prefactor(HolderParams(p=args.p, nu=args.nu))
         print(f"prefactor        {_fmt(value)}")
         print(f"bound            {_fmt(value)}")
-        return EXIT_OK
-    if args.form == "deterministic-G":
-        g = _require(args, "G")
-        p = _require(args, "p")
-        e_sup_f = _require(args, "e_sup_f")
-        n = args.n if args.n is not None else len(g)
+    elif args.form == "deterministic-G":
+        p, g, e_sup_f = args.p, args.G, args.e_sup_f
+        n = len(g) if args.n is None else args.n
         bound = theorem_bound_deterministic_G(p, g, n, e_sup_f)
         prefactor = 1.0 + 1.0 / (1.0 - p)
         product_term = power_product_one_plus(RealSequence(g), 0, n, p)
@@ -239,73 +333,22 @@ def _cmd_bound(args) -> int:
         print(f"product_term     {_fmt(product_term)}")
         print(f"power_term       {_fmt(e_sup_f**p if e_sup_f > 0 else 0.0)}")
         print(f"bound            {_fmt(bound)}")
-        return EXIT_OK
-    if args.form == "random-G":
-        hp = HolderParams(p=_require(args, "p"), nu=_require(args, "nu"))
-        norm = _require(args, "g_norm")
-        e_sup_f = _require(args, "e_sup_f")
-        n = args.n if args.n is not None else 0
-        bound = theorem_bound_random_G(hp, norm, n, e_sup_f)
+    elif args.form == "random-G":
+        hp = HolderParams(p=args.p, nu=args.nu)
+        norm, e_sup_f = args.g_norm, args.e_sup_f
+        bound = theorem_bound_random_G(hp, norm, args.n, e_sup_f)
         print(f"prefactor        {_fmt(holder_prefactor(hp))}")
         print(f"product_norm     {_fmt(norm)}")
         print(f"power_term       {_fmt(e_sup_f**hp.p if e_sup_f > 0 else 0.0)}")
         print(f"bound            {_fmt(bound)}")
-        return EXIT_OK
-    if args.form == "apriori":
-        inp = AprioriInputs(
-            p=_require(args, "p"),
-            L=_require(args, "L"),
-            T=_require(args, "T"),
-            h0=_require(args, "h0"),
-            x0_norm_sq=_require(args, "x0sq"),
-            g_x0_norm_sq=_require(args, "gx0sq"),
-        )
-        parts = apriori_bound_parts(inp)
+    else:
+        parts = apriori_bound_parts(AprioriInputs(
+            p=args.p, L=args.L, T=args.T, h0=args.h0,
+            x0_norm_sq=args.x0sq, g_x0_norm_sq=args.gx0sq,
+        ))
         for key in ("prefactor", "growth_factor", "power_term", "bound"):
             print(f"{key:<16} {_fmt(parts[key])}")
-        return EXIT_OK
-    raise ConfigError(f"unknown bound form {args.form!r}")
-
-
-def _require(args, name):
-    value = getattr(args, name, None)
-    if value is None:
-        raise ConfigError(f"--{name.replace('_', '-')} is required for this form")
-    return value
-
-
-def _positive(args, name, default, kind=float):
-    """The flag's value, or ``default`` when it is omitted.
-
-    An explicit value (from the command line or the config file, both
-    already of the flag's type) must be > 0 and not inf; it is never
-    replaced by the default.
-    """
-    value = getattr(args, name, None)
-    if value is None:
-        return default
-    flag = f"--{name.replace('_', '-')}"
-    if not value > 0:
-        raise ConfigError(f"{flag} must be a positive {kind.__name__}, got {value!r}")
-    if value == math.inf:
-        raise ConfigError(f"{flag} must be finite, got {value!r}")
-    return value
-
-
-def _exponent(args) -> float:
-    """--p, the moment exponent, which must lie in (0,1)."""
-    p = _require(args, "p")
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"--p must lie in (0,1), got {p}")
-    return p
-
-
-def _sample_count(args, name, default):
-    """A Monte Carlo sample count: at least 2, so a standard error exists."""
-    n = _positive(args, name, default, int)
-    if n < 2:
-        raise ConfigError(f"--{name} must be at least 2, got {n}")
-    return n
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +356,12 @@ def _sample_count(args, name, default):
 
 
 def _cmd_gronwall(args) -> int:
-    if args.csv is not None:
+    if args.csv is not None and args.f is None and args.g is None:
         f_vals, g_vals = _read_fg_csv(args.csv)
-    else:
-        if args.f is None or args.g is None:
-            raise ConfigError("provide either --csv or both --f and --g")
+    elif args.csv is None and args.f is not None and args.g is not None:
         f_vals, g_vals = args.f, args.g
+    else:
+        raise ConfigError("provide either --csv or both --f and --g")
     n = args.n if args.n is not None else len(f_vals) - 1
     f = RealSequence(f_vals)
     g = RealSequence(g_vals)
@@ -355,48 +398,46 @@ def _read_fg_csv(path):
 # martingale
 
 
-def _cmd_martingale(args) -> int:
-    if args.action == "remark-constants":
-        rc = remark_constants(_require(args, "p"))
-        print(f"lower            {_fmt(rc.lower)}")
-        print(f"upper            {_fmt(rc.upper)}")
-        print(f"ratio            {_fmt(rc.ratio)}")
-        return EXIT_OK
-    if args.action == "enumerate":
-        p = _require(args, "p")
-        n = _require(args, "n")
-        exp = walk_functional_expectations(n, [p], stop_level=args.stop_level)
-        check = lemma_bound_ratio(p, exp.e_sup_p[p], exp.e_neg_inf)
-        print(f"e_sup_p          {_fmt(exp.e_sup_p[p])}")
-        print(f"e_neg_inf        {_fmt(exp.e_neg_inf)}")
-        print(f"ratio            {_fmt(check.ratio)}")
-        print(f"upper            {_fmt(check.upper)}")
-        holds = check.degenerate or check.ratio <= check.upper + 1e-12
-        print(f"holds            {holds}")
-        return EXIT_OK if holds else EXIT_VERIFY
-    if args.action == "estimate-sup":
-        p = _exponent(args)
-        n = _sample_count(args, "samples", 1_000_000)
-        seed = _resolve_seed(args.seed)
-        plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
-        est = estimate_expectation(SupStoppedBmPowerSampler(p), n, plan,
-                                   z=_positive(args, "z", DEFAULT_Z))
-        reference = remark_constants(p).lower
-        payload = {
-            "kind": "estimate",
-            "inputs": {"p": p, "n_samples": n, "master_seed": seed,
-                       "chunk_size": CHUNK_SIZE, "z_value": est.z_value},
-            "estimate": est.to_dict(),
-            "reference": reference,
-        }
-        print(f"mean             {_fmt(est.mean)}")
-        print(f"std_error        {_fmt(est.std_error)}")
-        print(f"ci_halfwidth     {_fmt(est.ci_halfwidth)}")
-        print(f"reference        {_fmt(reference)}")
-        if args.output:
-            _write_json(args.output, payload)
-        return EXIT_OK
-    raise ConfigError(f"unknown martingale action {args.action!r}")
+def _cmd_remark_constants(args) -> int:
+    rc = remark_constants(args.p)
+    print(f"lower            {_fmt(rc.lower)}")
+    print(f"upper            {_fmt(rc.upper)}")
+    print(f"ratio            {_fmt(rc.ratio)}")
+    return EXIT_OK
+
+
+def _cmd_enumerate(args) -> int:
+    p = args.p
+    exp = walk_functional_expectations(args.n, [p], stop_level=args.stop_level)
+    check = lemma_bound_ratio(p, exp.e_sup_p[p], exp.e_neg_inf)
+    print(f"e_sup_p          {_fmt(exp.e_sup_p[p])}")
+    print(f"e_neg_inf        {_fmt(exp.e_neg_inf)}")
+    print(f"ratio            {_fmt(check.ratio)}")
+    print(f"upper            {_fmt(check.upper)}")
+    holds = check.degenerate or check.ratio <= check.upper + 1e-12
+    print(f"holds            {holds}")
+    return EXIT_OK if holds else EXIT_VERIFY
+
+
+def _cmd_estimate_sup(args) -> int:
+    p, n = args.p, args.samples
+    est = estimate_expectation(SupStoppedBmPowerSampler(p), n,
+                               StreamPlan(args.seed, workers=args.workers), z=args.z)
+    reference = remark_constants(p).lower
+    payload = {
+        "kind": "estimate",
+        "inputs": {"p": p, "n_samples": n, "master_seed": args.seed,
+                   "chunk_size": CHUNK_SIZE, "z_value": est.z_value},
+        "estimate": est.to_dict(),
+        "reference": reference,
+    }
+    print(f"mean             {_fmt(est.mean)}")
+    print(f"std_error        {_fmt(est.std_error)}")
+    print(f"ci_halfwidth     {_fmt(est.ci_halfwidth)}")
+    print(f"reference        {_fmt(reference)}")
+    if args.output:
+        _write_json(args.output, payload)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -409,58 +450,41 @@ def _flag(name) -> str:
     return "--" + next((k for k in keyword.kwlist if k.startswith(name)), name)
 
 
-def _add_problem_flags(parser) -> None:
+def _problem_flags() -> list:
     """--problem and one flag per zoo problem parameter: a comma-separated
     list where some problem's default is a tuple (a planar x0), else a number."""
     zoo = zoo_parameters()
-    parser.add_argument("--problem", choices=list(zoo))
+    flags = [Flag("--problem", _one_of(zoo), "SDE problem", REQUIRED)]
     for name in dict.fromkeys(name for params in zoo.values() for name in params):
         vector = any(isinstance(params.get(name), tuple) for params in zoo.values())
-        parser.add_argument(_flag(name), dest=name, type=_float_list if vector else float)
+        flags.append(Flag(_flag(name), REALS if vector else REAL,
+                          "problem parameter" + (" (comma-separated)" if vector else ""), dest=name))
+    return flags
 
 
 def _build_problem(args):
-    zoo = zoo_parameters()
-    label = getattr(args, "problem", None)
-    if label is None:
-        raise ConfigError("--problem is required")
-    if label not in zoo:
-        raise ConfigError(f"unknown problem {label!r}; registered: {', '.join(zoo)}")
-    taken = zoo[label]
-    given = {name: getattr(args, name) for params in zoo.values() for name in params
-             if getattr(args, name) is not None}
-    foreign = sorted(_flag(name) for name in given if name not in taken)
-    if foreign:
-        raise ConfigError(f"problem {label!r} does not take {', '.join(foreign)}; "
-                          f"it takes {', '.join(_flag(name) for name in taken)}")
-    for name, value in given.items():
-        if isinstance(value, list):  # a list flag: as long as a tuple default, else one number
-            vector = isinstance(taken[name], tuple)
-            size = len(taken[name]) if vector else 1
+    """The chosen problem; a list flag gives as many numbers as a tuple
+    default has, else one."""
+    params = zoo_parameters()[args.problem]
+    for name, default in params.items():
+        value = getattr(args, name)
+        if isinstance(value, list):
+            size = len(default) if isinstance(default, tuple) else 1
             if len(value) != size:
-                raise ConfigError(f"problem {label!r} takes {size} number(s) for "
+                raise ConfigError(f"problem {args.problem!r} takes {size} number(s) for "
                                   f"{_flag(name)}, got {value}")
-            given[name] = tuple(value) if vector else value[0]
-    return make_problem(label, **given)
+            value = tuple(value) if isinstance(default, tuple) else value[0]
+        params[name] = value
+    return make_problem(args.problem, **params)
 
 
 def _cmd_bem(args) -> int:
-    if args.action != "simulate":
-        raise ConfigError(f"unknown bem action {args.action!r}")
-    _merge_config(args)
-    _check_finite(args)
     problem = _build_problem(args)
-    h = _require(args, "h")
-    T = _require(args, "T")
     h0 = args.h0
     if h0 is None:
         h0 = 0.999 * 0.5 / problem.L if problem.L > 0 else 0.9999
-    cfg = BemConfig(h=h, h0=h0, T=T)
-    cfg.validate_for(problem)
-    p_list = args.p_list if args.p_list is not None else []
-    seed = _resolve_seed(args.seed)
-    plan = StreamPlan(seed)
-    traj = simulate_trajectory(problem, cfg, p_list, plan.path_stream(0))
+    cfg = BemConfig(h=args.h, h0=h0, T=args.T)
+    traj = simulate_trajectory(problem, cfg, args.p_list, StreamPlan(args.seed).path_stream(0))
 
     header = ["j", "t"] + [f"y{i}" for i in range(problem.d)] + ["z_increment", "iterations"]
     rows = []
@@ -481,71 +505,42 @@ def _cmd_bem(args) -> int:
 # verify
 
 
-def _cmd_verify(args) -> int:
-    if args.action == "theorem":
-        _merge_config(args)
-        p = _exponent(args)
-        horizon = args.horizon if args.horizon is not None else 10
-        if horizon < 0:
-            raise ConfigError(f"--horizon must be >= 0, got {horizon}")
-        n_paths = _sample_count(args, "paths", 100_000)
-        seed = _resolve_seed(args.seed)
-        plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
-        z = _positive(args, "z", DEFAULT_Z)
-        _check_finite(args)
-        all_systems = {s.label: s for s in standard_synthetic_systems(horizon)}
-        if args.systems is not None:
-            wanted = [s.strip() for s in args.systems.split(",")]
-            unknown = [w for w in wanted if w not in all_systems]
-            if unknown:
-                raise ConfigError(
-                    f"unknown systems {unknown}; available: {sorted(all_systems)}"
-                )
-            systems = [all_systems[w] for w in wanted]
-        else:
-            systems = list(all_systems.values())
-        report = verify_theorem_on_synthetic(systems, p, n_paths, plan, z=z)
-        payload = report.to_dict()
-        _emit_verify(args, payload,
-                     ["system", "mean", "std_error", "ci_halfwidth", "bound", "passed"],
-                     [(r.system, r.estimate.mean, r.estimate.std_error,
-                       r.estimate.ci_halfwidth, r.bound, r.passed) for r in report.rows])
-        return EXIT_OK if report.all_passed else EXIT_VERIFY
-
-    if args.action == "apriori":
-        _merge_config(args)
-        p = _exponent(args)
-        n_paths = _sample_count(args, "paths", 100_000)
-        seed = _resolve_seed(args.seed)
-        plan = StreamPlan(seed, workers=_positive(args, "workers", 1, int))
-        z = _positive(args, "z", DEFAULT_Z)
-        fail_threshold = args.fail_threshold
-        if fail_threshold is None:
-            fail_threshold = 0.0
-        elif not 0.0 <= fail_threshold <= 1.0:
-            raise ConfigError(f"--fail-threshold must lie in [0, 1], got {fail_threshold}")
-        _check_finite(args)
-        problem = _build_problem(args)
-        T = _require(args, "T")
-        h0 = _require(args, "h0")
-        h_grid = _require(args, "h_grid")
-        if not 2.0 * h0 * problem.L < 1.0:
+def _cmd_verify_theorem(args) -> int:
+    all_systems = {s.label: s for s in standard_synthetic_systems(args.horizon)}
+    if args.systems is not None:
+        wanted = [s.strip() for s in args.systems.split(",")]
+        unknown = [w for w in wanted if w not in all_systems]
+        if unknown:
             raise ConfigError(
-                f"need 2*h0*L < 1, got {2.0 * h0 * problem.L} for L={problem.L}"
+                f"unknown systems {unknown}; available: {sorted(all_systems)}"
             )
-        configs = [BemConfig(h=h, h0=h0, T=T) for h in h_grid]
-        report = verify_apriori(problem, configs, p, n_paths, plan, z=z,
-                                fail_threshold=fail_threshold)
-        payload = report.to_dict()
-        _emit_verify(args, payload,
-                     ["h", "n_steps", "mean", "std_error", "ci_halfwidth",
-                      "bound", "passed"],
-                     [(r.h, r.n_steps, r.estimate.mean, r.estimate.std_error,
-                       r.estimate.ci_halfwidth, report.bound, r.passed)
-                      for r in report.rows])
-        return EXIT_OK if report.all_passed else EXIT_VERIFY
+        systems = [all_systems[w] for w in wanted]
+    else:
+        systems = list(all_systems.values())
+    report = verify_theorem_on_synthetic(systems, args.p, args.paths,
+                                         StreamPlan(args.seed, workers=args.workers), z=args.z)
+    payload = report.to_dict()
+    _emit_verify(args, payload,
+                 ["system", "mean", "std_error", "ci_halfwidth", "bound", "passed"],
+                 [(r.system, r.estimate.mean, r.estimate.std_error,
+                   r.estimate.ci_halfwidth, r.bound, r.passed) for r in report.rows])
+    return EXIT_OK if report.all_passed else EXIT_VERIFY
 
-    raise ConfigError(f"unknown verify action {args.action!r}")
+
+def _cmd_verify_apriori(args) -> int:
+    problem = _build_problem(args)
+    configs = [BemConfig(h=h, h0=args.h0, T=args.T) for h in args.h_grid]
+    report = verify_apriori(problem, configs, args.p, args.paths,
+                            StreamPlan(args.seed, workers=args.workers), z=args.z,
+                            fail_threshold=args.fail_threshold)
+    payload = report.to_dict()
+    _emit_verify(args, payload,
+                 ["h", "n_steps", "mean", "std_error", "ci_halfwidth",
+                  "bound", "passed"],
+                 [(r.h, r.n_steps, r.estimate.mean, r.estimate.std_error,
+                   r.estimate.ci_halfwidth, report.bound, r.passed)
+                  for r in report.rows])
+    return EXIT_OK if report.all_passed else EXIT_VERIFY
 
 
 def _emit_verify(args, payload, csv_header, csv_rows) -> None:
@@ -555,23 +550,38 @@ def _emit_verify(args, payload, csv_header, csv_rows) -> None:
     for row in csv_rows:
         print("  ".join(_fmt(v).ljust(w) for v, w in zip(row, widths)))
     print(f"all_passed: {payload['all_passed']}")
-    if getattr(args, "output", None):
+    if args.output:
         _write_json(args.output, payload)
-    if getattr(args, "csv", None):
+    if args.csv:
         _write_csv(args.csv, csv_header, csv_rows)
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+_EXPONENT = Flag("--p", EXPONENT, "moment exponent", REQUIRED)
+_PATHS = Flag("--paths", COUNT, "Monte Carlo paths", 100_000)
+_SEED = Flag("--seed", SEED, "master seed", 0, env=SEED_ENV_VAR)
+_WORKERS = Flag("--workers", POSITIVE_INT, "worker processes (results do not depend on it)", 1)
+_Z = Flag("--z", POSITIVE, "normal quantile of the confidence interval", DEFAULT_Z)
+_REPORT = Flag("--output", TEXT, "JSON report path")
+_TABLE = Flag("--csv", TEXT, "CSV table path")
 
-def _add_config_flag(parser) -> None:
-    """--config, a JSON object keyed by the flags declared before it."""
-    parser.add_argument("--config", help="JSON file of flag values (explicit flags win)")
-    parser.set_defaults(config_flags={
-        action.dest: action for action in parser._actions
-        if action.dest not in ("help", "config")
-    })
+
+def _leaf(sub, name, help, func, flags, config=False) -> None:
+    """A leaf command: one option per flag, with no argparse default, so
+    that an omitted flag is None until _resolve fills it; ``config`` adds
+    --config, whose keys are the flags' keys."""
+    parser = sub.add_parser(name, help=help)
+    table = {flag.key: flag for flag in flags}
+    selector = next((flag for flag in flags if flag.domain.choices), None)
+    for flag in flags:
+        parser.add_argument(flag.option, dest=flag.key, type=flag.domain.type,
+                            help=_help(flag, selector))
+    if config:
+        parser.add_argument("--config", help="JSON file of flag values (explicit flags win)")
+        parser.set_defaults(config_flags=table)
+    parser.set_defaults(func=func, flags=table)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -585,90 +595,72 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bound", help="evaluate one of the closed-form bounds")
-    b.add_argument("--form", required=True,
-                   choices=["holder", "deterministic-G", "random-G", "apriori"])
-    b.add_argument("--p", type=float)
-    b.add_argument("--nu", type=float)
-    b.add_argument("--G", type=_float_list, help="comma-separated weights")
-    b.add_argument("--n", type=int)
-    b.add_argument("--e-sup-f", dest="e_sup_f", type=float)
-    b.add_argument("--g-norm", dest="g_norm", type=float)
-    b.add_argument("--L", type=float)
-    b.add_argument("--T", type=float)
-    b.add_argument("--h0", type=float)
-    b.add_argument("--x0sq", type=float)
-    b.add_argument("--gx0sq", type=float)
-    # no --config here, but the flag table lets _check_finite see every flag
-    b.set_defaults(func=_cmd_bound,
-                   config_flags={a.dest: a for a in b._actions if a.dest != "help"})
+    _leaf(sub, "bound", "evaluate one of the closed-form bounds", _cmd_bound, [
+        Flag("--form", _one_of(_BOUND_FORMS), "bound to evaluate", REQUIRED),
+        Flag("--p", REAL, "moment exponent"),
+        Flag("--nu", REAL, "Hoelder exponent on the weight product"),
+        Flag("--G", REALS, "comma-separated weights"),
+        Flag("--n", INTEGER, "horizon"),
+        Flag("--e-sup-f", REAL, "E[sup_k F_k]"),
+        Flag("--g-norm", REAL, "L^mu norm of the weight product"),
+        Flag("--L", REAL, "one-sided Lipschitz constant"),
+        Flag("--T", REAL, "time horizon"),
+        Flag("--h0", REAL, "step-size cap"),
+        Flag("--x0sq", REAL, "|X_0|^2"),
+        Flag("--gx0sq", REAL, "|g(X_0)|^2"),
+    ])
+    _leaf(sub, "gronwall", "closed-form bounds and envelope for f, g", _cmd_gronwall, [
+        Flag("--f", REALS, "comma-separated sequence f"),
+        Flag("--g", REALS, "comma-separated weights g"),
+        Flag("--csv", TEXT, "CSV file with columns f, g, instead of --f and --g"),
+        Flag("--n", INTEGER, "last index (default: the last of f)"),
+        Flag("--output", TEXT, "output CSV path (default stdout)"),
+    ])
 
-    g = sub.add_parser("gronwall", help="closed-form bounds and envelope for f, g")
-    g.add_argument("--f", type=_float_list)
-    g.add_argument("--g", type=_float_list)
-    g.add_argument("--csv", help="CSV file with columns f, g")
-    g.add_argument("--n", type=int)
-    g.add_argument("--output", help="output CSV path (default stdout)")
-    g.set_defaults(func=_cmd_gronwall)
+    msub = sub.add_parser("martingale", help="martingale inequality tools").add_subparsers(
+        dest="action", required=True)
+    _leaf(msub, "remark-constants", "constant window at exponent p", _cmd_remark_constants, [
+        Flag("--p", REAL, "moment exponent", REQUIRED),
+    ])
+    _leaf(msub, "enumerate", "exact expectations over all sign walks", _cmd_enumerate, [
+        Flag("--p", REAL, "moment exponent", REQUIRED),
+        Flag("--n", INTEGER, "walk length", REQUIRED),
+        Flag("--stop-level", REAL, "freeze each walk at its first visit at or below this level"),
+    ])
+    _leaf(msub, "estimate-sup", "Monte Carlo E[(sup stopped BM)^p]", _cmd_estimate_sup, [
+        _EXPONENT, Flag("--samples", COUNT, "Monte Carlo samples", 1_000_000),
+        _SEED, _WORKERS, _Z, _REPORT,
+    ])
 
-    m = sub.add_parser("martingale", help="martingale inequality tools")
-    msub = m.add_subparsers(dest="action", required=True)
-    m1 = msub.add_parser("remark-constants", help="constant window at exponent p")
-    m1.add_argument("--p", type=float, required=True)
-    m2 = msub.add_parser("enumerate", help="exact expectations over all sign walks")
-    m2.add_argument("--p", type=float, required=True)
-    m2.add_argument("--n", type=int, required=True)
-    m2.add_argument("--stop-level", dest="stop_level", type=float)
-    m3 = msub.add_parser("estimate-sup", help="Monte Carlo E[(sup stopped BM)^p]")
-    m3.add_argument("--p", type=float, required=True)
-    m3.add_argument("--samples", type=int)
-    m3.add_argument("--seed", type=int)
-    m3.add_argument("--workers", type=int)
-    m3.add_argument("--z", type=float)
-    m3.add_argument("--output")
-    m.set_defaults(func=_cmd_martingale)
+    besub = sub.add_parser("bem", help="implicit Euler-Maruyama simulation").add_subparsers(
+        dest="action", required=True)
+    _leaf(besub, "simulate", "simulate one trajectory to CSV", _cmd_bem, [
+        *_problem_flags(),
+        Flag("--h", REAL, "step size", REQUIRED),
+        Flag("--h0", REAL, "step-size cap (default just below 1/(2L))"),
+        Flag("--T", REAL, "time horizon", REQUIRED),
+        _SEED,
+        Flag("--p-list", REALS, "exponents of the sup functional to print", ()),
+        Flag("--output", TEXT, "output CSV path (default stdout)"),
+    ], config=True)
 
-    be = sub.add_parser("bem", help="implicit Euler-Maruyama simulation")
-    besub = be.add_subparsers(dest="action", required=True)
-    bs = besub.add_parser("simulate", help="simulate one trajectory to CSV")
-    _add_problem_flags(bs)
-    bs.add_argument("--h", type=float)
-    bs.add_argument("--h0", type=float)
-    bs.add_argument("--T", type=float)
-    bs.add_argument("--seed", type=int)
-    bs.add_argument("--p-list", dest="p_list", type=_float_list)
-    bs.add_argument("--output")
-    _add_config_flag(bs)
-    be.set_defaults(func=_cmd_bem)
-
-    v = sub.add_parser("verify", help="Monte Carlo verification experiments")
-    vsub = v.add_subparsers(dest="action", required=True)
-    vt = vsub.add_parser("theorem", help="moment bound on synthetic recursion systems")
-    vt.add_argument("--p", type=float)
-    vt.add_argument("--paths", type=int)
-    vt.add_argument("--horizon", type=int)
-    vt.add_argument("--systems", help="comma-separated subset of system labels")
-    vt.add_argument("--seed", type=int)
-    vt.add_argument("--workers", type=int)
-    vt.add_argument("--z", type=float)
-    vt.add_argument("--output", help="JSON report path")
-    vt.add_argument("--csv", help="CSV table path")
-    _add_config_flag(vt)
-    va = vsub.add_parser("apriori", help="step-size robustness of the a priori bound")
-    _add_problem_flags(va)
-    va.add_argument("--p", type=float)
-    va.add_argument("--T", type=float)
-    va.add_argument("--h0", type=float)
-    va.add_argument("--h-grid", dest="h_grid", type=_float_list)
-    va.add_argument("--paths", type=int)
-    va.add_argument("--seed", type=int)
-    va.add_argument("--workers", type=int)
-    va.add_argument("--z", type=float)
-    va.add_argument("--fail-threshold", dest="fail_threshold", type=float)
-    va.add_argument("--output", help="JSON report path")
-    va.add_argument("--csv", help="CSV table path")
-    _add_config_flag(va)
-    v.set_defaults(func=_cmd_verify)
+    vsub = sub.add_parser("verify", help="Monte Carlo verification experiments").add_subparsers(
+        dest="action", required=True)
+    _leaf(vsub, "theorem", "moment bound on synthetic recursion systems", _cmd_verify_theorem, [
+        _EXPONENT, _PATHS,
+        Flag("--horizon", HORIZON, "recursion horizon", 10),
+        Flag("--systems", TEXT, "comma-separated subset of system labels"),
+        _SEED, _WORKERS, _Z, _REPORT, _TABLE,
+    ], config=True)
+    _leaf(vsub, "apriori", "step-size robustness of the a priori bound", _cmd_verify_apriori, [
+        *_problem_flags(), _EXPONENT,
+        Flag("--T", REAL, "time horizon", REQUIRED),
+        Flag("--h0", REAL, "step-size cap", REQUIRED),
+        Flag("--h-grid", REALS, "comma-separated step sizes", REQUIRED),
+        _PATHS, _SEED, _WORKERS, _Z,
+        Flag("--fail-threshold", FRACTION, "largest tolerated share of failed paths", 0.0),
+        _REPORT, _TABLE,
+    ], config=True)
 
     return parser
 
@@ -677,6 +669,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _resolve(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

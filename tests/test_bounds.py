@@ -97,6 +97,11 @@ class TestDeterministicBound:
         with pytest.raises(ContractViolationError):
             theorem_bound_deterministic_G(0.5, [-1.0], 1, 1.0)
 
+    def test_negative_horizon_rejected(self):
+        # G.values[:-1] would silently drop the last weight
+        with pytest.raises(ContractViolationError, match="horizon n must be >= 0"):
+            theorem_bound_deterministic_G(0.5, [0.1, 0.2], -1, 1.0)
+
     def test_overflowing_product_finite_power(self):
         g = [99.0] * 200
         val = theorem_bound_deterministic_G(0.5, g, 200, 1.0)

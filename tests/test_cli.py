@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -10,6 +11,7 @@ from stochastic_gronwall.cli import (
     EXIT_CONTRACT,
     EXIT_OK,
     SEED_ENV_VAR,
+    build_parser,
     main,
     validate_report,
 )
@@ -393,6 +395,27 @@ _INPUT_CASES = {
     "config-simulate-T-nan": (["bem", "simulate", "--problem", "linear", "--h", "0.1",
                                "--seed", "1"], {"T": math.nan}, None, EXIT_CONFIG,
                               "--T must be finite"),
+    "config-problem-unknown": ([*_APRIORI, "--p", "0.5", "--seed", "1"], {"problem": "bogus"},
+                               None, EXIT_CONFIG, "--problem must be one of"),
+    "config-seed-too-large": ([*_THEOREM, "--paths", "200"], {"seed": 2**64}, None, EXIT_CONFIG,
+                              "--seed must lie in"),
+    "deterministic-G-negative-horizon": (["bound", "--form", "deterministic-G", "--p", "0.5",
+                                          "--G", "0.1,0.2", "--n", "-1", "--e-sup-f", "1"],
+                                         None, None, EXIT_CONTRACT, "horizon n must be >= 0"),
+    # 2*h0*L < 1 is the library's rule (L = 1.125 for ginzburg-landau)
+    "apriori-h0-too-large": ([*_GL, "--h0", "0.9"], None, None, EXIT_CONTRACT,
+                             "need 2*h0*L < 1"),
+    "simulate-h0-too-large": (["bem", "simulate", "--problem", "ginzburg-landau", "--h", "0.1",
+                               "--h0", "0.9", "--T", "1", "--seed", "1"], None, None,
+                              EXIT_CONTRACT, "need 2*h0*L < 1"),
+    "bound-foreign-flags": (["bound", "--form", "apriori", "--p", "0.5", "--L", "1", "--T", "1",
+                             "--h0", "0.25", "--x0sq", "1", "--gx0sq", "0",
+                             "--nu", "7", "--n", "4"], None, None, EXIT_CONFIG,
+                            "form 'apriori' does not take --n, --nu"),
+    # rejected before the file is read
+    "gronwall-csv-and-inline": (["gronwall", "--csv", "fg.csv", "--f", "9,9", "--g", "9,9"],
+                                None, None, EXIT_CONFIG,
+                                "provide either --csv or both --f and --g"),
 }
 # Every float or list flag of each bound form, given as NaN or inf.
 _BOUND_FORMS = {
@@ -408,6 +431,19 @@ for _form, _flags in _BOUND_FORMS.items():
             _argv = ["bound", "--form", _form,
                      *(tok for item in {**_flags, _flag: _bad}.items() for tok in item)]
             _INPUT_CASES[f"bound-{_form}{_flag}-{_bad}"] = (
+                _argv, None, None, EXIT_CONFIG, f"{_flag} must be finite")
+# Every float or list flag of gronwall and of the martingale actions that
+# had no such rows, given as NaN or an infinity.
+_FLOAT_FLAG_COMMANDS = {
+    "gronwall": (["gronwall"], {"--f": "1,2", "--g": "0,1"}),
+    "remark-constants": (["martingale", "remark-constants"], {"--p": "0.5"}),
+    "enumerate": (["martingale", "enumerate", "--n", "3"], {"--p": "0.5", "--stop-level": "-1"}),
+}
+for _name, (_command, _flags) in _FLOAT_FLAG_COMMANDS.items():
+    for _flag in _flags:
+        for _bad in ("nan", "inf", "-inf"):
+            _argv = [*_command, *(f"{k}={v}" for k, v in {**_flags, _flag: _bad}.items())]
+            _INPUT_CASES[f"{_name}{_flag}-{_bad}"] = (
                 _argv, None, None, EXIT_CONFIG, f"{_flag} must be finite")
 
 
@@ -439,6 +475,57 @@ class TestProblemFlags:
             args = parser.parse_args(command)
             assert names <= set(args.config_flags)
             assert "config" not in args.config_flags
+
+
+def _leaves(parser, path=()):
+    """(argv prefix, parser) of every leaf subcommand under ``parser``."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield list(path), parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from _leaves(child, (*path, name))
+
+
+_LEAVES = list(_leaves(build_parser()))
+
+
+class TestFlagDomains:
+    """Every typed flag of every leaf command is a declared flag with a
+    domain, so a flag added later cannot bypass the check."""
+
+    def test_every_leaf_is_walked(self):
+        assert sorted(" ".join(path) for path, _ in _LEAVES) == [
+            "bem simulate", "bound", "gronwall", "martingale enumerate",
+            "martingale estimate-sup", "martingale remark-constants",
+            "verify apriori", "verify theorem"]
+
+    @pytest.mark.parametrize("path, leaf", _LEAVES, ids=[" ".join(p) for p, _ in _LEAVES])
+    def test_typed_flags_are_declared(self, path, leaf):
+        flags = leaf.get_default("flags")
+        typed = [a for a in leaf._actions if a.type not in (None, str)]
+        assert typed
+        for action in typed:
+            flag = flags[action.dest]
+            assert flag.option in action.option_strings
+            assert flag.domain.type is action.type
+
+    @pytest.mark.parametrize("path, leaf", _LEAVES, ids=[" ".join(p) for p, _ in _LEAVES])
+    def test_nan_is_a_config_error_naming_the_flag(self, capsys, path, leaf):
+        for action in leaf._actions:
+            if action.type not in (None, str, int):
+                option = action.option_strings[0]
+                code, _, err = run(capsys, *path, f"{option}=nan")
+                assert code == EXIT_CONFIG, (option, err)
+                assert f"{option} must" in err
+
+    @pytest.mark.parametrize("path, leaf", _LEAVES, ids=[" ".join(p) for p, _ in _LEAVES])
+    def test_help_states_each_domain(self, path, leaf):
+        text = "".join(leaf.format_help().split())
+        for flag in leaf.get_default("flags").values():
+            assert "".join(flag.help.split()) in text
+            for _, rule in flag.domain.rules:
+                assert "".join(f"must {rule}".split()) in text
 
 
 class TestReportSchema:
