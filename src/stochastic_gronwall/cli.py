@@ -17,6 +17,7 @@ import json
 import keyword
 import math
 import os
+import re
 import sys
 from typing import NamedTuple
 
@@ -568,11 +569,19 @@ _REPORT = Flag("--output", TEXT, "JSON report path")
 _TABLE = Flag("--csv", TEXT, "CSV table path")
 
 
+# Every negative number float() reads, for argparse to take as a value
+# rather than an option: its own test knows only -1 and -1.5 (no exponent,
+# -inf or -nan). No leaf option looks like one of these.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
 def _leaf(sub, name, help, func, flags, config=False) -> None:
     """A leaf command: one option per flag, with no argparse default, so
     that an omitted flag is None until _resolve fills it; ``config`` adds
     --config, whose keys are the flags' keys."""
     parser = sub.add_parser(name, help=help)
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     table = {flag.key: flag for flag in flags}
     selector = next((flag for flag in flags if flag.domain.choices), None)
     for flag in flags:

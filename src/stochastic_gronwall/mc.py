@@ -11,7 +11,7 @@ for any worker count.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -99,37 +99,67 @@ def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int):
     return out
 
 
+@contextlib.contextmanager
+def _report_pool(plan: StreamPlan, n: int):
+    """The process pool of one report of n-sample estimates, or None.
+
+    The calling process works one share of each estimate, so the pool
+    has ``min(workers, chunks) - 1`` children; with the fork start
+    method they are forked at the first submit and inherit the parent's
+    built problems. The pool is shut down on every exit, queued tasks
+    cancelled.
+    """
+    children = min(plan.workers, plan.n_chunks(n)) - 1
+    if children < 1:
+        yield None
+        return
+    pool = ProcessPoolExecutor(max_workers=children)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _chunk_stats(sampler, plan: StreamPlan, n: int, pool):
+    """(chunk, moments, failures) of every chunk, in chunk order.
+
+    The chunks are split into ``min(workers, chunks)`` ranges. Ranges
+    1.. are submitted to the pool first; the caller then works range 0
+    itself and only afterwards collects the pool's results.
+    """
+    n_chunks = plan.n_chunks(n)
+    n_tasks = 1 if pool is None else min(plan.workers, n_chunks)
+    edges = np.linspace(0, n_chunks, n_tasks + 1).astype(int).tolist()
+    ranges = [(sampler, plan, n, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    rest = pool.map(_chunk_range_stats_star, ranges) if ranges else ()
+    tagged = _chunk_range_stats(sampler, plan, n, 0, edges[1])
+    for piece in rest:
+        tagged.extend(piece)
+    return tagged
+
+
 def estimate_expectation(
     sampler,
     n: int,
     plan: StreamPlan,
     z: float = DEFAULT_Z,
     fail_threshold: float = 0.0,
+    pool=None,
 ) -> McEstimate:
     """Estimate E[sampler] from n draws under the given stream plan.
 
     The sampler must expose ``sample_chunk(plan, chunk_index, count)``
     returning ``count`` float64 values; non-finite values count as
     failures and are excluded. If the failure fraction exceeds
-    ``fail_threshold`` the estimate aborts.
+    ``fail_threshold`` the estimate aborts. ``pool`` is the report's
+    process pool (see ``_report_pool``); without one, an estimate with
+    more than one worker opens its own.
     """
     if n < 2:
         raise ContractViolationError(f"need at least 2 samples, got {n}")
-    n_chunks = plan.n_chunks(n)
-    if plan.workers > 1 and n_chunks > 1:
-        n_tasks = min(plan.workers, n_chunks)
-        bounds_ = np.linspace(0, n_chunks, n_tasks + 1).astype(int)
-        args = [
-            (sampler, plan, n, int(bounds_[i]), int(bounds_[i + 1]))
-            for i in range(n_tasks)
-        ]
-        with ProcessPoolExecutor(max_workers=n_tasks) as pool:
-            pieces = list(pool.map(_chunk_range_stats_star, args))
-        tagged = [item for piece in pieces for item in piece]
-    else:
-        tagged = _chunk_range_stats(sampler, plan, n, 0, n_chunks)
+    with (contextlib.nullcontext(pool) if pool is not None else _report_pool(plan, n)) as pool:
+        tagged = _chunk_stats(sampler, plan, n, pool)
 
-    tagged.sort(key=lambda item: item[0])
     n_failures = sum(item[2] for item in tagged)
     if n_failures > fail_threshold * n:
         raise EstimateAbortedError(
@@ -269,16 +299,29 @@ class SyntheticSupXpSampler:
 # Implicit Euler sup-functional sampler
 
 
+# Zoo problems built in this process, keyed by (label, sorted parameters).
+# A forked pool child inherits the parent's entries and builds none of
+# them again; the oldest entry goes once there are more than _KEPT.
+_PROBLEMS = {}
+_KEPT = 16
+
+
+def _remember(key, problem) -> None:
+    _PROBLEMS[key] = problem
+    if len(_PROBLEMS) > _KEPT:
+        del _PROBLEMS[next(iter(_PROBLEMS))]
+
+
 @dataclass(frozen=True)
 class BemSupFunctionalSampler:
     """sup_j (|Y^j|^2 + h |g(Y^j)|^2)^p over implicit-Euler paths.
 
-    The problem is built once per sampler and dropped when the sampler
-    is pickled, so worker processes never receive callables: each
-    unpickled copy rebuilds it once from the zoo label and parameters.
-    Scalar zoo problems run through the batch stepping kernel with the
-    problem's own drift, Jacobian and diffusion; the planar rotation
-    problem has a linear drift and uses its closed-form implicit step.
+    The sampler holds only the zoo label and parameters, so pickling it
+    for a pool worker never sends callables; the problem is built at most
+    once per process and zoo spec (see ``_PROBLEMS``). Scalar zoo problems
+    run through the batch stepping kernel with the problem's own drift,
+    Jacobian and diffusion; the planar rotation problem has a linear
+    drift and uses its closed-form implicit step.
     """
 
     zoo_label: str
@@ -301,17 +344,15 @@ class BemSupFunctionalSampler:
             n_steps=cfg.n_steps,
             p=p,
         )
-        sampler.__dict__["problem"] = problem  # already built; skip the rebuild
+        _remember((label, sampler.zoo_params), problem)  # already built; skip the rebuild
         return sampler
 
-    @functools.cached_property
+    @property
     def problem(self) -> sde.SdeProblem:
-        return sde.make_problem(self.zoo_label, **dict(self.zoo_params))
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("problem", None)
-        return state
+        key = (self.zoo_label, self.zoo_params)
+        if key not in _PROBLEMS:
+            _remember(key, sde.make_problem(self.zoo_label, **dict(self.zoo_params)))
+        return _PROBLEMS[key]
 
     def sample_chunk(self, plan, chunk_index, count):
         stream = plan.chunk_stream(chunk_index)
@@ -406,9 +447,13 @@ def verify_theorem_on_synthetic(
     """
     if not 0.0 < p < 1.0:
         raise ContractViolationError(f"p must lie in (0,1), got {p}")
+    with _report_pool(plan, n_paths) as pool:
+        estimates = [
+            estimate_expectation(SyntheticSupXpSampler(system, p), n_paths, plan, z=z, pool=pool)
+            for system in systems
+        ]
     rows = []
-    for system in systems:
-        est = estimate_expectation(SyntheticSupXpSampler(system, p), n_paths, plan, z=z)
+    for system, est in zip(systems, estimates):
         e_sup_f = float(max(system.f_values))
         bound = theorem_bound_deterministic_G(
             p, list(system.g_values), system.horizon, e_sup_f
@@ -508,12 +553,13 @@ def verify_apriori(
     bound = parts["bound"]
 
     rows = []
-    for cfg in configs:
-        sampler = BemSupFunctionalSampler.for_problem(problem, cfg, p)
-        est = estimate_expectation(
-            sampler, n_paths, plan, z=z, fail_threshold=fail_threshold
-        )
-        rows.append(AprioriRow(cfg.h, cfg.n_steps, est, bool(est.upper_ci <= bound)))
+    with _report_pool(plan, n_paths) as pool:
+        for cfg in configs:
+            sampler = BemSupFunctionalSampler.for_problem(problem, cfg, p)
+            est = estimate_expectation(
+                sampler, n_paths, plan, z=z, fail_threshold=fail_threshold, pool=pool
+            )
+            rows.append(AprioriRow(cfg.h, cfg.n_steps, est, bool(est.upper_ci <= bound)))
 
     means = [r.estimate.mean for r in rows]
     spread = float(max(means) - min(means))

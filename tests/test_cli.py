@@ -193,6 +193,20 @@ class TestVerifyCommand:
         assert payload["inputs"]["master_seed"] == 42
         assert payload["all_passed"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "theorem", "--p", "0.5", "--paths", "9000", "--seed", "8"],
+        ["martingale", "estimate-sup", "--p", "0.5", "--samples", "9000", "--seed", "8"],
+    ], ids=["theorem", "estimate-sup"])
+    def test_reports_identical_across_workers(self, capsys, tmp_path, argv):
+        # 9000 samples are three chunks, the last one short
+        reports = []
+        for workers in ("1", "2", "3"):
+            out_path = tmp_path / f"w{workers}.json"
+            code, _, err = run(capsys, *argv, "--workers", workers, "--output", str(out_path))
+            assert code == EXIT_OK, err
+            reports.append(out_path.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+
     def test_apriori_infinite_bound_reported(self, capsys, tmp_path):
         # L = 1, h0 = 0.45: the growth factor exp(0.5 * 10 * 2 * 100) overflows
         out_path = tmp_path / "r.json"
@@ -445,6 +459,22 @@ for _name, (_command, _flags) in _FLOAT_FLAG_COMMANDS.items():
             _argv = [*_command, *(f"{k}={v}" for k, v in {**_flags, _flag: _bad}.items())]
             _INPUT_CASES[f"{_name}{_flag}-{_bad}"] = (
                 _argv, None, None, EXIT_CONFIG, f"{_flag} must be finite")
+
+
+class TestNegativeNumbers:
+    """A negative number is a flag's value however float() spells it."""
+
+    @pytest.mark.parametrize("value, expected", [
+        ("-1e0", EXIT_OK), ("-2.5E-3", EXIT_OK), ("-inf", EXIT_CONFIG), ("-nan", EXIT_CONFIG),
+    ])
+    def test_spaced_value_acts_like_equals_form(self, capsys, value, expected):
+        argv = ["martingale", "enumerate", "--p", "0.5", "--n", "3"]
+        spaced = run(capsys, *argv, "--stop-level", value)
+        assert spaced == run(capsys, *argv, f"--stop-level={value}")
+        code, _, err = spaced
+        assert code == expected, err
+        if expected == EXIT_CONFIG:
+            assert "--stop-level must be finite" in err
 
 
 class TestInputExitCodes:

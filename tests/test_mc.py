@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +81,20 @@ class FlakySampler:
         return vals
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every pool the package constructs."""
+    requested = []
+
+    class RecordingPool(mc.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    return requested
+
+
 class TestEstimator:
     def test_constant_degenerate(self):
         est = estimate_expectation(ConstantSampler(2.5), 1000, StreamPlan(0))
@@ -110,18 +126,10 @@ class TestEstimator:
         results = [estimate_expectation(GaussianSampler(0.5, 1.5), n, p) for p in plans]
         assert results[0] == results[1] == results[2]
 
-    def test_pool_sized_to_its_tasks(self, monkeypatch):
-        requested = []
-
-        class RecordingPool(mc.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-                super().__init__(max_workers=min(max_workers, 2))  # never fork more than 2
-
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
-        n = 5000  # two chunks
+    def test_pool_sized_to_its_tasks(self, pools):
+        n = 5000  # two chunks: the caller works one, a single child the other
         wide = estimate_expectation(GaussianSampler(), n, StreamPlan(7, workers=64))
-        assert requested == [2]
+        assert pools == [1]
         assert wide == estimate_expectation(GaussianSampler(), n, StreamPlan(7))
 
     def test_failure_threshold_aborts(self):
@@ -162,6 +170,72 @@ class TestEstimator:
     def test_sup_power_sampler_heavy_tail_mean(self):
         est = estimate_expectation(SupStoppedBmPowerSampler(0.5), 400_000, StreamPlan(5))
         assert abs(est.mean - math.pi / 2) <= 4 * est.std_error
+
+
+# 9000 samples are three chunks, the last one short.
+POOL_N = 9000
+GL_GRID = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 0.0625, 0.03125, 0.015625)]
+
+
+def _reports(workers):
+    """The apriori (4 rows) and theorem (3 systems) reports at a worker count."""
+    plan = StreamPlan(5, workers=workers)
+    apriori = verify_apriori(make_problem("ginzburg-landau", sigma=0.5), GL_GRID, 0.5,
+                             POOL_N, plan)
+    theorem = verify_theorem_on_synthetic(standard_synthetic_systems(10), 0.5, POOL_N, plan)
+    return [json.dumps(r.to_dict(), sort_keys=True) for r in (apriori, theorem)]
+
+
+@dataclass(frozen=True)
+class RaisingSampler:
+    """Raises a contract violation, naming its process, on the given chunks."""
+
+    chunks: tuple
+
+    def sample_chunk(self, plan, chunk_index, count):
+        if chunk_index in self.chunks:
+            raise ContractViolationError(f"chunk {chunk_index} failed in pid {os.getpid()}")
+        return np.ones(count)
+
+
+class TestReportPool:
+    @pytest.mark.parametrize("workers", [2, 64])
+    def test_one_pool_per_report(self, pools, workers):
+        single = _reports(1)
+        assert pools == []
+        assert _reports(workers) == single
+        # one pool per report, the caller working one of the three chunk ranges
+        assert pools == [min(workers, 3) - 1] * 2
+        assert multiprocessing.active_children() == []
+
+    def test_failing_middle_row_aborts_alike(self, monkeypatch):
+        sample_chunk = BemSupFunctionalSampler.sample_chunk
+
+        def fail_half_of_one_row(self, plan, chunk_index, count):
+            vals = sample_chunk(self, plan, chunk_index, count)
+            if self.h == 0.0625:
+                vals[::2] = np.nan
+            return vals
+
+        monkeypatch.setattr(BemSupFunctionalSampler, "sample_chunk", fail_half_of_one_row)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(EstimateAbortedError) as info:
+                verify_apriori(make_problem("ginzburg-landau", sigma=0.5), GL_GRID, 0.5,
+                               POOL_N, StreamPlan(5, workers=workers))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == "4500 of 9000 samples failed (threshold 0.0)"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("chunks", [(0,), (2,)])
+    def test_contract_violation_surfaces_from_any_process(self, chunks):
+        # at two workers the caller works chunk 0 and the child chunks 1 and 2
+        plan = StreamPlan(0, workers=2)
+        with pytest.raises(ContractViolationError, match=f"chunk {chunks[0]} failed") as info:
+            estimate_expectation(RaisingSampler(chunks), POOL_N, plan)
+        in_caller = f"pid {os.getpid()}" in str(info.value)
+        assert in_caller == (chunks == (0,))
+        assert multiprocessing.active_children() == []
 
 
 class TestSyntheticSystems:
@@ -301,23 +375,35 @@ class TestVerifyApriori:
             assert vals[i] == pytest.approx(best**0.5, rel=1e-10)
 
     def test_sampler_builds_problem_once(self, monkeypatch):
+        """At most one build per process per zoo spec."""
         import pickle
 
         from stochastic_gronwall import sde
 
+        monkeypatch.setattr(mc, "_PROBLEMS", {})
         prob = make_problem("ginzburg-landau", sigma=0.5)
-        sampler = BemSupFunctionalSampler.for_problem(prob, BemConfig(h=0.125, h0=0.25, T=1.0), 0.5)
+        cfg = BemConfig(h=0.125, h0=0.25, T=1.0)
+        sampler = BemSupFunctionalSampler.for_problem(prob, cfg, 0.5)
         calls = []
         build = sde.make_problem
         monkeypatch.setattr(sde, "make_problem", lambda *a, **k: calls.append(a) or build(*a, **k))
         plan = StreamPlan(3)
         first = [sampler.sample_chunk(plan, c, 16) for c in range(3)]
-        assert calls == []  # the caller's problem is reused
+        assert sampler.problem is prob  # the caller's problem is reused
         copy = pickle.loads(pickle.dumps(sampler))  # what a pool worker receives
-        assert "problem" not in copy.__dict__
+        assert set(vars(copy)) == {"zoo_label", "zoo_params", "h", "n_steps", "p"}
         again = [copy.sample_chunk(plan, c, 16) for c in range(3)]
-        assert len(calls) == 1  # rebuilt once per unpickled copy
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        # another step size of the same problem is the same spec
+        BemSupFunctionalSampler.for_problem(prob, BemConfig(h=0.0625, h0=0.25, T=1.0), 0.5)
+        assert calls == []
+
+        # a spec this process has not seen is built once, for every copy
+        mc._PROBLEMS.clear()
+        for _ in range(2):
+            pickle.loads(pickle.dumps(sampler)).sample_chunk(plan, 0, 4)
+        sampler.sample_chunk(plan, 0, 4)
+        assert len(calls) == 1
 
     def test_batch_requires_zoo_problem(self):
         from stochastic_gronwall.sde import SdeProblem
