@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 from typing import NamedTuple
 
 from . import __version__
@@ -429,7 +430,7 @@ def _cmd_estimate_sup(args) -> int:
         "kind": "estimate",
         "inputs": {"p": p, "n_samples": n, "master_seed": args.seed,
                    "chunk_size": CHUNK_SIZE, "z_value": est.z_value},
-        "estimate": est.to_dict(),
+        "estimate": asdict(est),
         "reference": reference,
     }
     print(f"mean             {_fmt(est.mean)}")
@@ -520,12 +521,8 @@ def _cmd_verify_theorem(args) -> int:
         systems = list(all_systems.values())
     report = verify_theorem_on_synthetic(systems, args.p, args.paths,
                                          StreamPlan(args.seed, workers=args.workers), z=args.z)
-    payload = report.to_dict()
-    _emit_verify(args, payload,
-                 ["system", "mean", "std_error", "ci_halfwidth", "bound", "passed"],
-                 [(r.system, r.estimate.mean, r.estimate.std_error,
-                   r.estimate.ci_halfwidth, r.bound, r.passed) for r in report.rows])
-    return EXIT_OK if report.all_passed else EXIT_VERIFY
+    return _emit_verify(args, report,
+                        ["system", "mean", "std_error", "ci_halfwidth", "bound", "passed"])
 
 
 def _cmd_verify_apriori(args) -> int:
@@ -534,27 +531,24 @@ def _cmd_verify_apriori(args) -> int:
     report = verify_apriori(problem, configs, args.p, args.paths,
                             StreamPlan(args.seed, workers=args.workers), z=args.z,
                             fail_threshold=args.fail_threshold)
-    payload = report.to_dict()
-    _emit_verify(args, payload,
-                 ["h", "n_steps", "mean", "std_error", "ci_halfwidth",
-                  "bound", "passed"],
-                 [(r.h, r.n_steps, r.estimate.mean, r.estimate.std_error,
-                   r.estimate.ci_halfwidth, report.bound, r.passed)
-                  for r in report.rows])
-    return EXIT_OK if report.all_passed else EXIT_VERIFY
+    return _emit_verify(args, report,
+                        ["h", "n_steps", "mean", "std_error", "ci_halfwidth", "bound", "passed"])
 
 
-def _emit_verify(args, payload, csv_header, csv_rows) -> None:
-    widths = [max(len(h), 22) for h in csv_header]
-    line = "  ".join(h.ljust(w) for h, w in zip(csv_header, widths))
-    print(line)
-    for row in csv_rows:
+def _emit_verify(args, report, columns) -> int:
+    """Print the table, write --output and --csv, return the exit code. A
+    column is a row key, or else a report key (apriori's single bound)."""
+    rows = [[{**report, **row}[column] for column in columns] for row in report["rows"]]
+    widths = [max(len(column), 22) for column in columns]
+    print("  ".join(column.ljust(w) for column, w in zip(columns, widths)))
+    for row in rows:
         print("  ".join(_fmt(v).ljust(w) for v, w in zip(row, widths)))
-    print(f"all_passed: {payload['all_passed']}")
+    print(f"all_passed: {report['all_passed']}")
     if args.output:
-        _write_json(args.output, payload)
+        _write_json(args.output, report)
     if args.csv:
-        _write_csv(args.csv, csv_header, csv_rows)
+        _write_csv(args.csv, columns, rows)
+    return EXIT_OK if report["all_passed"] else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ import numpy as np
 # Residual tolerance of the implicit step, and Newton updates allowed per path.
 TOL = 1e-12
 MAX_ITER = 50
+# Newton also stops once its update is at most this fraction of the iterate:
+# rounding alone keeps the residual above TOL once the state is about 1e4.
+STEP_RTOL = 2.0 * np.finfo(np.float64).eps
 # Newton gives up on a path when 1 - h*f'(z) is at or below this value.
 NEWTON_MIN_SLOPE = 1e-14
 # Bracket doublings and bisection halvings allowed per path.
@@ -29,7 +32,9 @@ def implicit_solve(drift, slope, h, b):
     ``drift`` and ``slope`` (its derivative) map a 1-D array of states
     to an array of the same shape, elementwise. Newton runs from the
     explicit predictor z = b on the entries whose residual is still
-    above ``TOL``, for at most ``MAX_ITER`` updates. An entry where
+    above ``TOL``, for at most ``MAX_ITER`` updates; an entry also
+    stops, at the updated iterate, once an update dz has
+    ``|dz| <= STEP_RTOL*|z|``. An entry where
     Newton gives up (1 - h*slope(z) not finite or at most
     ``NEWTON_MIN_SLOPE``, a non-finite iterate, or no convergence within
     ``MAX_ITER``) falls back to bisection on [-span, span],
@@ -41,7 +46,7 @@ def implicit_solve(drift, slope, h, b):
     ``BRACKET_MAX_GROWTH`` doublings, or if the bisection neither meets
     ``TOL`` within ``BISECTION_MAX_ITER`` halvings nor, once the bracket
     has collapsed to rounding level or the halvings are used up, ends
-    with a midpoint residual at or below 10*TOL.
+    with a midpoint residual at or below 10*TOL*max(1, |b|).
 
     Returns (z, iterations, converged); z is NaN where converged is
     False, and iterations counts Newton updates plus bisection halvings.
@@ -71,12 +76,17 @@ def implicit_solve(drift, slope, h, b):
             fallback.append(idx[gave_up])
             keep = ~gave_up
             idx, z_a, b_a, r, denom = idx[keep], z_a[keep], b_a[keep], r[keep], denom[keep]
-        z_a = z_a - r / denom
+        step = r / denom
+        settled = np.abs(step) <= STEP_RTOL * np.abs(z_a)
+        z_a = z_a - step
         iters[idx] += 1
         diverged = ~np.isfinite(z_a)
-        if diverged.any():
+        leave = settled | diverged
+        if leave.any():
+            z[idx[settled]] = z_a[settled]
+            converged[idx[settled]] = True
             fallback.append(idx[diverged])
-            keep = ~diverged
+            keep = ~leave
             idx, z_a, b_a = idx[keep], z_a[keep], b_a[keep]
         if not idx.size:
             break
@@ -137,7 +147,7 @@ def _bisect(drift, h, b):
     if sel.size:
         mid = 0.5 * (lo[sel] + hi[sel])
         root[sel] = mid
-        ok[sel] = np.abs(residual(mid, sel)) <= 10.0 * TOL
+        ok[sel] = np.abs(residual(mid, sel)) <= 10.0 * TOL * np.maximum(1.0, np.abs(b[sel]))
     return root, iters, ok
 
 

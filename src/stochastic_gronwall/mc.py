@@ -14,7 +14,8 @@ from __future__ import annotations
 import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -43,17 +44,6 @@ class McEstimate:
     @property
     def upper_ci(self) -> float:
         return self.mean + self.ci_halfwidth
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "ci_halfwidth": self.ci_halfwidth,
-            "degenerate_flag": self.degenerate_flag,
-            "z_value": self.z_value,
-            "n_failures": self.n_failures,
-        }
 
 
 def _merge_moments(a, b):
@@ -130,8 +120,8 @@ def _chunk_stats(sampler, plan: StreamPlan, n: int, pool):
     n_chunks = plan.n_chunks(n)
     n_tasks = 1 if pool is None else min(plan.workers, n_chunks)
     edges = np.linspace(0, n_chunks, n_tasks + 1).astype(int).tolist()
-    ranges = [(sampler, plan, n, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
-    rest = pool.map(_chunk_range_stats_star, ranges) if ranges else ()
+    rest = pool.map(_chunk_range_stats, repeat(sampler), repeat(plan), repeat(n),
+                    edges[1:-1], edges[2:]) if n_tasks > 1 else ()
     tagged = _chunk_range_stats(sampler, plan, n, 0, edges[1])
     for piece in rest:
         tagged.extend(piece)
@@ -183,10 +173,6 @@ def estimate_expectation(
         z_value=z,
         n_failures=n_failures,
     )
-
-
-def _chunk_range_stats_star(args):
-    return _chunk_range_stats(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -401,68 +387,33 @@ class BemSupFunctionalSampler:
 # Verification drivers
 
 
-@dataclass(frozen=True)
-class TheoremSystemRow:
-    system: str
-    estimate: McEstimate
-    e_sup_f: float
-    bound: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        d = {"system": self.system, "e_sup_f": self.e_sup_f, "bound": self.bound,
-             "passed": self.passed}
-        d.update(self.estimate.to_dict())
-        return d
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    kind: str
-    inputs: dict
-    rows: tuple
-    all_passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "inputs": dict(self.inputs),
-            "rows": [r.to_dict() for r in self.rows],
-            "all_passed": self.all_passed,
-        }
-
-
 def verify_theorem_on_synthetic(
     systems: Sequence[SyntheticSystem],
     p: float,
     n_paths: int,
     plan: StreamPlan,
     z: float = DEFAULT_Z,
-) -> TheoremReport:
+) -> dict:
     """Monte Carlo check of the deterministic-weight moment bound.
 
     Builds paths attaining the recursion hypothesis with equality,
     estimates E[sup_k X_k^p], and compares the upper CI against the
-    bound with the exact E[sup F] (F is deterministic).
+    bound with the exact E[sup F] (F is deterministic). Returns the
+    report as the JSON object the command line writes, one row per system.
     """
     if not 0.0 < p < 1.0:
         raise ContractViolationError(f"p must lie in (0,1), got {p}")
-    with _report_pool(plan, n_paths) as pool:
-        estimates = [
-            estimate_expectation(SyntheticSupXpSampler(system, p), n_paths, plan, z=z, pool=pool)
-            for system in systems
-        ]
     rows = []
-    for system, est in zip(systems, estimates):
-        e_sup_f = float(max(system.f_values))
-        bound = theorem_bound_deterministic_G(
-            p, list(system.g_values), system.horizon, e_sup_f
-        )
-        rows.append(
-            TheoremSystemRow(
-                system.label, est, e_sup_f, float(bound), bool(est.upper_ci <= bound)
+    with _report_pool(plan, n_paths) as pool:
+        for system in systems:
+            est = estimate_expectation(SyntheticSupXpSampler(system, p), n_paths, plan, z=z,
+                                       pool=pool)
+            e_sup_f = float(max(system.f_values))
+            bound = theorem_bound_deterministic_G(
+                p, list(system.g_values), system.horizon, e_sup_f
             )
-        )
+            rows.append({"system": system.label, "e_sup_f": e_sup_f, "bound": float(bound),
+                         "passed": bool(est.upper_ci <= bound), **asdict(est)})
     inputs = {
         "p": p,
         "n_paths": n_paths,
@@ -472,46 +423,8 @@ def verify_theorem_on_synthetic(
         "systems": [s.label for s in systems],
         "horizon": systems[0].horizon if systems else 0,
     }
-    return TheoremReport("theorem-synthetic", inputs, tuple(rows), all(r.passed for r in rows))
-
-
-@dataclass(frozen=True)
-class AprioriRow:
-    h: float
-    n_steps: int
-    estimate: McEstimate
-    passed: bool
-
-    def to_dict(self) -> dict:
-        d = {"h": self.h, "n_steps": self.n_steps, "passed": self.passed}
-        d.update(self.estimate.to_dict())
-        return d
-
-
-@dataclass(frozen=True)
-class AprioriReport:
-    kind: str
-    inputs: dict
-    bound: float
-    bound_parts: dict
-    rows: tuple
-    spread: float
-    margin: float
-    h_robust: bool
-    all_passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "inputs": dict(self.inputs),
-            "bound": self.bound,
-            "bound_parts": dict(self.bound_parts),
-            "rows": [r.to_dict() for r in self.rows],
-            "spread": self.spread,
-            "margin": self.margin,
-            "h_robust": self.h_robust,
-            "all_passed": self.all_passed,
-        }
+    return {"kind": "theorem-synthetic", "inputs": inputs, "rows": rows,
+            "all_passed": all(r["passed"] for r in rows)}
 
 
 def verify_apriori(
@@ -522,7 +435,7 @@ def verify_apriori(
     plan: StreamPlan,
     z: float = DEFAULT_Z,
     fail_threshold: float = 0.0,
-) -> AprioriReport:
+) -> dict:
     """Step-size-robustness check of the a priori implicit-Euler bound.
 
     All configurations must share h0 and T and span step sizes by at
@@ -530,6 +443,7 @@ def verify_apriori(
     E[sup_j (|Y^j|^2 + h|g(Y^j)|^2)^p] must stay below the single
     h-independent bound; the spread of the estimates is compared
     against the bound's margin as a qualitative robustness indicator.
+    Returns the report as the JSON object the command line writes.
     """
     if not configs:
         raise ContractViolationError("need at least one step-size configuration")
@@ -559,9 +473,10 @@ def verify_apriori(
             est = estimate_expectation(
                 sampler, n_paths, plan, z=z, fail_threshold=fail_threshold, pool=pool
             )
-            rows.append(AprioriRow(cfg.h, cfg.n_steps, est, bool(est.upper_ci <= bound)))
+            rows.append({"h": cfg.h, "n_steps": cfg.n_steps,
+                         "passed": bool(est.upper_ci <= bound), **asdict(est)})
 
-    means = [r.estimate.mean for r in rows]
+    means = [r["mean"] for r in rows]
     spread = float(max(means) - min(means))
     margin = float(bound - max(means))
     inputs = {
@@ -579,14 +494,14 @@ def verify_apriori(
         "chunk_size": CHUNK_SIZE,
         "z_value": z,
     }
-    return AprioriReport(
-        kind="apriori",
-        inputs=inputs,
-        bound=float(bound),
-        bound_parts=parts,
-        rows=tuple(rows),
-        spread=spread,
-        margin=margin,
-        h_robust=spread < margin,
-        all_passed=all(r.passed for r in rows),
-    )
+    return {
+        "kind": "apriori",
+        "inputs": inputs,
+        "bound": float(bound),
+        "bound_parts": parts,
+        "rows": rows,
+        "spread": spread,
+        "margin": margin,
+        "h_robust": spread < margin,
+        "all_passed": all(r["passed"] for r in rows),
+    }

@@ -21,6 +21,7 @@ from .errors import ContractViolationError, SolverError
 
 COERCIVITY_POINTS = 10_000
 COERCIVITY_RADIUS = 100.0
+COERCIVITY_SEED = 2024
 #: Slack for the coercivity spot-check, relative to L*(1+|x|^2) scale.
 COERCIVITY_RTOL = 1e-9
 
@@ -89,23 +90,19 @@ class SdeProblem:
         return float(np.sum(g0 * g0))
 
 
-def check_coercivity(
-    problem: SdeProblem,
-    n_points: int = COERCIVITY_POINTS,
-    radius: float = COERCIVITY_RADIUS,
-    seed: int = 2024,
-) -> None:
+def check_coercivity(problem: SdeProblem) -> None:
     """Spot-check <f(x),x> + |g(x)|^2/2 <= L(1+|x|^2) on random states.
 
-    Draws points uniformly in a ball of the given radius (plus the
+    Draws ``COERCIVITY_POINTS`` points uniformly in the ball of radius
+    ``COERCIVITY_RADIUS`` from the fixed ``COERCIVITY_SEED`` (plus the
     origin and x0) and raises on the first violation found. Drift and
     diffusion are evaluated on all points at once.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    directions = rng.standard_normal((n_points, problem.d))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(COERCIVITY_SEED)))
+    directions = rng.standard_normal((COERCIVITY_POINTS, problem.d))
     norms = np.linalg.norm(directions, axis=1)
     norms[norms == 0.0] = 1.0
-    radii = radius * rng.random(n_points) ** (1.0 / problem.d)
+    radii = COERCIVITY_RADIUS * rng.random(COERCIVITY_POINTS) ** (1.0 / problem.d)
     points = directions / norms[:, None] * radii[:, None]
     points = np.vstack([points, np.zeros(problem.d), problem.x0])
     gx = problem.diffusion(points)
@@ -204,17 +201,18 @@ def bem_step(problem: SdeProblem, y, d_w, h: float):
     """One implicit step: solve Y' = y + h f(Y') + g(y) dW.
 
     Newton iteration from the explicit predictor with the problem's
-    drift Jacobian, to the residual tolerance ``kernels.TOL`` within
+    drift Jacobian, to the residual tolerance ``kernels.TOL`` or an update
+    of at most ``kernels.STEP_RTOL`` times the iterate (in norm), within
     ``kernels.MAX_ITER`` iterations. Returns (y_next, iterations).
 
     Scalar problems are solved by :func:`kernels.implicit_solve` on a
     batch of one path, the solver of :func:`kernels.bem_scalar_batch`,
     and share its failure rule: Newton falls back to safeguarded
     bisection, which is accepted at the tolerance or, once the bracket
-    has collapsed, at 10 times the tolerance. This step raises
-    :class:`SolverError` exactly where the batch kernel marks a path
-    failed. Problems with d > 1 raise when Newton does not bring the
-    residual norm to the tolerance.
+    has collapsed, at 10*max(1, |b|) times the tolerance. This step
+    raises :class:`SolverError` exactly where the batch kernel marks a
+    path failed. Problems with d > 1 raise when Newton meets neither
+    stopping rule.
     """
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))
     d_w = np.atleast_1d(np.asarray(d_w, dtype=np.float64))
@@ -244,8 +242,11 @@ def bem_step(problem: SdeProblem, y, d_w, h: float):
             delta = np.linalg.solve(eye - h * problem.drift_jacobian(z), r)
         except np.linalg.LinAlgError:
             break
+        settled = np.linalg.norm(delta) <= kernels.STEP_RTOL * np.linalg.norm(z)
         z = z - delta
         iters += 1
+        if settled:
+            return z, iters
         if not np.all(np.isfinite(z)):
             break
     raise SolverError(

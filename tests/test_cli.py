@@ -218,6 +218,17 @@ class TestVerifyCommand:
         assert payload["bound"] == payload["bound_parts"]["growth_factor"] == math.inf
         assert payload["all_passed"] is True
 
+    def test_apriori_from_a_large_state(self, capsys, tmp_path):
+        # from x0 = 1e5 rounding keeps the step's residual above 1e-12; Newton
+        # stops on its rounding-level update instead of failing 44 of 64 paths
+        out_path = tmp_path / "r.json"
+        code, _, err = run(capsys, "verify", "apriori", "--problem", "ginzburg-landau",
+                           "--sigma", "0.5", "--x0", "1e5", "--p", "0.5", "--T", "1",
+                           "--h0", "0.25", "--h-grid", "0.125,0.015625", "--paths", "64",
+                           "--seed", "1", "--output", str(out_path))
+        assert code == EXIT_OK, err
+        assert [row["n_failures"] for row in load_report(out_path)["rows"]] == [0, 0]
+
     def test_csv_mirror(self, capsys, tmp_path):
         csv_path = tmp_path / "rows.csv"
         code, _, _ = run(capsys, "verify", "theorem", "--p", "0.5",
@@ -254,13 +265,16 @@ GOLDEN = Path(__file__).parent / "golden"
 APRIORI_GRID = ["verify", "apriori", "--sigma", "0.5", "--p", "0.5", "--T", "1",
                 "--h0", "0.25", "--h-grid", "0.125,0.0625,0.03125,0.015625",
                 "--paths", "512", "--seed", "42"]
+THEOREM_ARGV = ["verify", "theorem", "--p", "0.5", "--paths", "512", "--seed", "42"]
 
 
 class TestGoldenReports:
-    """Seeded apriori, theorem and estimate-sup reports pinned byte for byte.
+    """Seeded apriori, theorem and estimate-sup reports pinned byte for byte,
+    and the stdout table and ``--csv`` file of the two verify commands.
 
     Regenerate a file only for an intended change of results, with the
-    command in the test's argv and ``--output tests/golden/<name>``.
+    command in the test's argv and ``--output tests/golden/<name>`` (or
+    ``--csv``, with stdout redirected to the ``_table.txt`` file).
     """
 
     @pytest.mark.parametrize("name, problem_args", [
@@ -276,10 +290,20 @@ class TestGoldenReports:
 
     def test_theorem_report_bytes(self, capsys, tmp_path):
         out_path = tmp_path / "theorem_synthetic.json"
-        code, _, _ = run(capsys, "verify", "theorem", "--p", "0.5", "--paths", "512",
-                         "--seed", "42", "--output", str(out_path))
+        code, _, _ = run(capsys, *THEOREM_ARGV, "--output", str(out_path))
         assert code == EXIT_OK
         assert out_path.read_bytes() == (GOLDEN / "theorem_synthetic.json").read_bytes()
+
+    @pytest.mark.parametrize("name, argv", [
+        ("apriori_ginzburg_landau", [*APRIORI_GRID, "--problem", "ginzburg-landau"]),
+        ("theorem_synthetic", THEOREM_ARGV),
+    ])
+    def test_table_and_csv_bytes(self, capsys, tmp_path, name, argv):
+        csv_path = tmp_path / f"{name}.csv"
+        code, out, _ = run(capsys, *argv, "--csv", str(csv_path))
+        assert code == EXIT_OK
+        assert out.encode() == (GOLDEN / f"{name}_table.txt").read_bytes()
+        assert csv_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
     def test_estimate_sup_report_bytes(self, capsys, tmp_path):
         out_path = tmp_path / "sup_estimate.json"
