@@ -346,7 +346,8 @@ class BemSupFunctionalSampler:
         if self.zoo_label == "bounded-rotation":
             return self._rotation_chunk(problem, stream, count)
         h = self.h
-        d_w = stream.standard_normal((count, self.n_steps)) * math.sqrt(h)
+        d_w = stream.standard_normal((count, self.n_steps))
+        d_w *= math.sqrt(h)
         states, _, failed = kernels.bem_scalar_batch(
             problem.drift, problem.drift_jacobian, problem.diffusion, float(problem.x0[0]), d_w, h
         )
@@ -370,16 +371,31 @@ class BemSupFunctionalSampler:
         b = h * jac[1, 0]
         det = a * a + b * b
         g = problem.diffusion(x0)[0, 0]  # the diffusion is g*I_2
-        d_w = stream.standard_normal((count, self.n_steps, 2)) * math.sqrt(h)
-        y = np.tile(x0, (count, 1))
-        g_norm_sq = 2.0 * g * g  # Frobenius norm of g*I_2, squared
-        best = np.full(count, float(np.dot(x0, x0)) + h * g_norm_sq)
+        g_dw = stream.standard_normal((count, self.n_steps, 2))
+        g_dw *= math.sqrt(h)
+        g_dw *= g
+        h_g_norm_sq = h * (2.0 * g * g)  # h times the squared Frobenius norm of g*I_2
+        best = np.full(count, float(np.dot(x0, x0)) + h_g_norm_sq)
+        # one row per coordinate, stepped in place: (y0, y1) <- (I - hA)^-1 (y + g dW)
+        y0 = np.full(count, x0[0])
+        y1 = np.full(count, x0[1])
+        r0, r1, t = np.empty((3, count))
         for j in range(self.n_steps):
-            rhs = y + g * d_w[:, j, :]
-            y = np.empty_like(rhs)
-            y[:, 0] = (a * rhs[:, 0] - b * rhs[:, 1]) / det
-            y[:, 1] = (b * rhs[:, 0] + a * rhs[:, 1]) / det
-            best = np.maximum(best, np.sum(y * y, axis=1) + h * g_norm_sq)
+            np.add(y0, g_dw[:, j, 0], out=r0)
+            np.add(y1, g_dw[:, j, 1], out=r1)
+            np.multiply(r0, a, out=y0)
+            np.multiply(r1, b, out=t)
+            y0 -= t
+            y0 /= det
+            np.multiply(r0, b, out=y1)
+            np.multiply(r1, a, out=t)
+            y1 += t
+            y1 /= det
+            np.multiply(y0, y0, out=t)
+            np.multiply(y1, y1, out=r0)
+            t += r0
+            t += h_g_norm_sq
+            np.maximum(best, t, out=best)
         return best**self.p
 
 

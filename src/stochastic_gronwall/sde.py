@@ -62,16 +62,18 @@ class SdeProblem:
         with np.errstate(all="ignore"):  # a non-finite value is reported below
             values = [np.asarray(func(x0)) for func in (self.drift, self.drift_jacobian,
                                                         self.diffusion)]
+            norms = [self.x0_norm_sq(), self.g_x0_norm_sq()]
         f, jac, g = (v.shape for v in values)
         if f != (d,) or jac != (d, d) or len(g) != 2 or g[0] != d:
             raise ContractViolationError(
                 f"problem {self.label!r}: at x0 of shape ({d},), f, f' and g must have "
                 f"shapes ({d},), ({d}, {d}) and ({d}, m); got {f}, {jac} and {g}"
             )
-        if not (math.isfinite(self.L) and all(np.isfinite(v).all() for v in [x0, *values])):
+        if not (math.isfinite(self.L)
+                and all(np.isfinite(v).all() for v in [x0, *values, *norms])):
             raise ContractViolationError(
-                f"problem {self.label!r}: x0, L, f(x0), f'(x0) and g(x0) must be finite; "
-                f"got x0={x0.tolist()}, L={self.L}"
+                f"problem {self.label!r}: x0, L, f(x0), f'(x0), g(x0), |x0|^2 and |g(x0)|^2 "
+                f"must be finite; got x0={x0.tolist()}, L={self.L}"
             )
 
     @property

@@ -2,8 +2,12 @@
 
 A realized path of the stochastic Gronwall hypothesis with its
 transformed-martingale product inequality, and the sum side of the
-telescoping identity, computed with the library's product code.
+telescoping identity, computed with the library's product code; and
+the bounded-rotation sampler's former step loop, the bit-exact
+reference for the in-place one in ``mc``.
 """
+
+import math
 
 import numpy as np
 
@@ -108,3 +112,31 @@ def telescoping_identity_lhs(g, k: int, n: int) -> float:
     gv = g.values
 
     return sequences._product_weighted_sum(1.0, gv[k:n].tolist(), gv[k:n])
+
+
+def rotation_chunk_reference(problem, stream, count, h, n_steps, p):
+    """One chunk of the bounded-rotation sup functional, stepped on
+    (count, 2) state arrays with fresh temporaries at every step.
+
+    The reference for ``mc.BemSupFunctionalSampler._rotation_chunk``,
+    which steps one row per coordinate in place; the two must agree bit
+    for bit.
+    """
+    x0 = problem.x0
+    # implicit step matrix (I - h A), A = [[-k,-w],[w,-k]] the constant drift Jacobian
+    jac = problem.drift_jacobian(x0)
+    a = 1.0 - h * jac[0, 0]
+    b = h * jac[1, 0]
+    det = a * a + b * b
+    g = problem.diffusion(x0)[0, 0]  # the diffusion is g*I_2
+    d_w = stream.standard_normal((count, n_steps, 2)) * math.sqrt(h)
+    y = np.tile(x0, (count, 1))
+    g_norm_sq = 2.0 * g * g  # Frobenius norm of g*I_2, squared
+    best = np.full(count, float(np.dot(x0, x0)) + h * g_norm_sq)
+    for j in range(n_steps):
+        rhs = y + g * d_w[:, j, :]
+        y = np.empty_like(rhs)
+        y[:, 0] = (a * rhs[:, 0] - b * rhs[:, 1]) / det
+        y[:, 1] = (b * rhs[:, 0] + a * rhs[:, 1]) / det
+        best = np.maximum(best, np.sum(y * y, axis=1) + h * g_norm_sq)
+    return best**p

@@ -196,7 +196,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv", [
         ["verify", "theorem", "--p", "0.5", "--paths", "9000", "--seed", "8"],
         ["martingale", "estimate-sup", "--p", "0.5", "--samples", "9000", "--seed", "8"],
-    ], ids=["theorem", "estimate-sup"])
+        ["verify", "apriori", "--problem", "bounded-rotation", "--kappa", "0.2", "--p", "0.5",
+         "--T", "1", "--h0", "0.25", "--h-grid", "0.125,0.015625", "--paths", "9000",
+         "--seed", "8"],
+    ], ids=["theorem", "estimate-sup", "rotation"])
     def test_reports_identical_across_workers(self, capsys, tmp_path, argv):
         # 9000 samples are three chunks, the last one short
         reports = []
@@ -430,6 +433,14 @@ _INPUT_CASES = {
     "simulate-x0-nan": (["bem", "simulate", "--problem", "bounded-rotation", "--x0", "nan,0",
                          "--h", "0.1", "--T", "1", "--seed", "1"], None, None, EXIT_CONFIG,
                         "--x0 must be finite"),
+    # |x0|^2 = 1e310 overflows; rejected before any path is sampled
+    "apriori-x0-norm-overflow": ([*_APRIORI, "--problem", "linear", "--x0", "1e155", "--p", "0.5",
+                                  "--seed", "1"], None, None, EXIT_CONTRACT,
+                                 "|x0|^2 and |g(x0)|^2 must be finite"),
+    "simulate-x0-norm-overflow": (["bem", "simulate", "--problem", "linear", "--x0", "1e155",
+                                   "--h", "0.125", "--T", "1", "--p-list", "0.5", "--seed", "1"],
+                                  None, None, EXIT_CONTRACT,
+                                  "|x0|^2 and |g(x0)|^2 must be finite"),
     "config-simulate-T-nan": (["bem", "simulate", "--problem", "linear", "--h", "0.1",
                                "--seed", "1"], {"T": math.nan}, None, EXIT_CONFIG,
                               "--T must be finite"),

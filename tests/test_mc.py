@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from oracles import rotation_chunk_reference
+
 from stochastic_gronwall import mc
 from stochastic_gronwall.errors import ContractViolationError, EstimateAbortedError
 from stochastic_gronwall.martingales import _freeze_paths, walk_functional_expectations
@@ -436,6 +438,29 @@ class TestSamplerMatchesTrajectory:
         for c in range(10):
             traj = simulate_trajectory(prob, cfg, [p], plan.chunk_stream(c))
             assert sampler.sample_chunk(plan, c, 1)[0] == traj.sup_functional_p[p]
+
+
+class TestRotationMatchesOracle:
+    """The in-place rotation stepper equals the former (count, 2) loop
+    bit for bit. The damped problem has a != 1, which the kappa = 0
+    golden never exercises."""
+
+    @pytest.mark.parametrize("params", [
+        {},
+        {"omega": 1.5, "kappa": 0.2, "sigma": 0.4},
+        {"sigma": 0.0, "x0": (0.3, -2.0)},
+    ], ids=["defaults", "damped", "noiseless"])
+    @pytest.mark.parametrize("h", [0.125, 0.0625, 0.03125, 0.015625, 0.01])
+    def test_bit_identical(self, params, h):
+        prob = make_problem("bounded-rotation", **params)
+        cfg = BemConfig(h=h, h0=0.25, T=1.0)
+        sampler = BemSupFunctionalSampler.for_problem(prob, cfg, 0.5)
+        for seed in (0, 7):
+            plan = StreamPlan(seed)
+            for count in (1, 2, 4095, 4096):
+                expected = rotation_chunk_reference(
+                    prob, plan.chunk_stream(0), count, h, cfg.n_steps, 0.5)
+                assert np.array_equal(sampler.sample_chunk(plan, 0, count), expected)
 
 
 def simulate_step(prob, y, d_w, cfg):

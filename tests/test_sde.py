@@ -503,6 +503,16 @@ class TestProblemContract:
         with pytest.raises(ContractViolationError, match="must be finite"):
             make_problem("ginzburg-landau", x0=1e160)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label, params", [
+        ("linear", {"x0": 1e155}),  # |x0|^2 = 1e310
+        ("bounded-rotation", {"x0": (1e155, 0.0)}),
+        ("linear", {"x0": 1e100, "sigma": 1e60}),  # |x0|^2 = 1e200, |g(x0)|^2 = 1e320
+    ], ids=["x0-scalar", "x0-planar", "g-x0"])
+    def test_squared_norm_overflowing_at_x0_rejected(self, label, params):
+        with pytest.raises(ContractViolationError, match=r"\|x0\|\^2 and \|g\(x0\)\|\^2"):
+            make_problem(label, **params)
+
     def test_problem_is_frozen(self):
         import dataclasses
 
