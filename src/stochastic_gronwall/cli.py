@@ -44,8 +44,10 @@ from .martingales import (
 )
 from .mc import (
     DEFAULT_Z,
+    MAX_CHUNK_VALUES,
     SupStoppedBmPowerSampler,
     estimate_expectation,
+    sample_columns,
     standard_synthetic_systems,
     verify_apriori,
     verify_theorem_on_synthetic,
@@ -423,8 +425,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_estimate_sup(args) -> int:
     p, n = args.p, args.samples
-    est = estimate_expectation(SupStoppedBmPowerSampler(p), n,
-                               StreamPlan(args.seed, workers=args.workers), z=args.z)
+    (chunks,) = sample_columns(SupStoppedBmPowerSampler(p), n,
+                               StreamPlan(args.seed, workers=args.workers))
+    est = estimate_expectation(chunks, n, z=args.z)
     reference = remark_constants(p).lower
     payload = {
         "kind": "estimate",
@@ -659,7 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
         *_problem_flags(), _EXPONENT,
         Flag("--T", REAL, "time horizon", REQUIRED),
         Flag("--h0", REAL, "step-size cap", REQUIRED),
-        Flag("--h-grid", REALS, "comma-separated step sizes", REQUIRED),
+        Flag("--h-grid", REALS, "comma-separated step sizes; their steps in all, times "
+             f"{CHUNK_SIZE} paths and the dimension, at most {MAX_CHUNK_VALUES}", REQUIRED),
         _PATHS, _SEED, _WORKERS, _Z,
         Flag("--fail-threshold", FRACTION, "largest tolerated share of failed paths", 0.0),
         _REPORT, _TABLE,

@@ -98,7 +98,10 @@ def check_coercivity(problem: SdeProblem) -> None:
     Draws ``COERCIVITY_POINTS`` points uniformly in the ball of radius
     ``COERCIVITY_RADIUS`` from the fixed ``COERCIVITY_SEED`` (plus the
     origin and x0) and raises on the first violation found. Drift and
-    diffusion are evaluated on all points at once.
+    diffusion are evaluated on all points at once. The inequality is
+    checked divided by s = 1+|x|^2, as
+    <f(x), x/s> + |g(x)|^2/(2s) <= L, whose terms stay finite wherever
+    |x|^2, f(x) and |g(x)|^2 are, as the problem contract requires at x0.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(COERCIVITY_SEED)))
     directions = rng.standard_normal((COERCIVITY_POINTS, problem.d))
@@ -108,15 +111,16 @@ def check_coercivity(problem: SdeProblem) -> None:
     points = directions / norms[:, None] * radii[:, None]
     points = np.vstack([points, np.zeros(problem.d), problem.x0])
     gx = problem.diffusion(points)
-    lhs = np.sum(problem.drift(points) * points, axis=1) + 0.5 * np.sum(gx * gx, axis=(1, 2))
-    rhs = problem.L * (1.0 + np.sum(points * points, axis=1))
-    bad = np.flatnonzero(lhs > rhs + COERCIVITY_RTOL * np.maximum(1.0, np.abs(rhs)))
+    s = 1.0 + np.sum(points * points, axis=1)
+    lhs = np.sum(problem.drift(points) * (points / s[:, None]), axis=1) \
+        + 0.5 * np.sum(gx * gx, axis=(1, 2)) / s
+    bad = np.flatnonzero(lhs > problem.L + COERCIVITY_RTOL * np.maximum(1.0 / s, abs(problem.L)))
     if bad.size:
         i = bad[0]
         raise ContractViolationError(
             f"problem {problem.label!r} fails coercivity with L={problem.L} "
             f"at |x|={float(np.linalg.norm(points[i])):.3g}: "
-            f"lhs={float(lhs[i]):.6g} > rhs={float(rhs[i]):.6g}"
+            f"lhs={float(lhs[i]) * float(s[i]):.6g} > rhs={float(problem.L) * float(s[i]):.6g}"
         )
 
 

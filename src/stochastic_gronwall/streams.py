@@ -3,10 +3,14 @@
 Substreams are Philox counter-based generators keyed by the master seed
 plus an index, so every stream is a pure function of (master_seed,
 index) and results never depend on worker scheduling. Path-level APIs
-key one stream per path; batch estimation keys one stream per fixed
-4096-path chunk and assigns draws to paths by row, which pins each
-path's randomness to (master_seed, path_index) through the fixed chunk
-size.
+key one stream per path. Batch estimation keys one stream per fixed
+4096-path chunk, and a sampler draws from it once per chunk: one block,
+assigned to paths by row, that serves every column the sampler returns
+(every step size of an a priori report, every system of a theorem
+report). Each path's randomness is thus pinned by (master_seed,
+path_index) through the fixed chunk size, and by the shape of that
+block: for the implicit-Euler sampler, the union of the report's
+step-size grids.
 """
 
 from __future__ import annotations

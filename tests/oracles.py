@@ -3,15 +3,15 @@
 A realized path of the stochastic Gronwall hypothesis with its
 transformed-martingale product inequality, and the sum side of the
 telescoping identity, computed with the library's product code; and
-the bounded-rotation sampler's former step loop, the bit-exact
-reference for the in-place one in ``mc``.
+the former per-row implicit-Euler sampler, one fresh draw per step
+size, the bit-exact reference for the one-pass sampler in ``mc``.
 """
 
 import math
 
 import numpy as np
 
-from stochastic_gronwall import sequences
+from stochastic_gronwall import kernels, sequences
 from stochastic_gronwall.errors import ContractViolationError
 from stochastic_gronwall.sequences import RealSequence, as_sequence
 
@@ -114,22 +114,51 @@ def telescoping_identity_lhs(g, k: int, n: int) -> float:
     return sequences._product_weighted_sum(1.0, gv[k:n].tolist(), gv[k:n])
 
 
-def rotation_chunk_reference(problem, stream, count, h, n_steps, p):
-    """One chunk of the bounded-rotation sup functional, stepped on
-    (count, 2) state arrays with fresh temporaries at every step.
+def per_row_increments(plan, chunk_index, count, h, n_steps, d):
+    """The Brownian increments of the former per-row sampler: a fresh
+    (count, n_steps, d) block from the chunk's stream, scaled to
+    variance h."""
+    d_w = plan.chunk_stream(chunk_index).standard_normal((count, n_steps, d))
+    d_w *= math.sqrt(h)
+    return d_w
 
-    The reference for ``mc.BemSupFunctionalSampler._rotation_chunk``,
-    which steps one row per coordinate in place; the two must agree bit
-    for bit.
+
+def per_row_sup(problem, d_w, h, p):
+    """The stepping of the former per-row sampler: the sup functional
+    sup_j (|Y^j|^2 + h|g(Y^j)|^2)^p of the paths driven by d_w.
+
+    The reference for ``mc.BemSupFunctionalSampler``, which serves every
+    step size of a grid from one draw per chunk: a column of it must
+    equal this applied to that column's increments, bit for bit. Scalar
+    problems go through the batch kernel; the bounded rotation steps
+    (count, 2) state arrays with fresh temporaries at every step.
     """
+    if problem.zoo_spec[0] == "bounded-rotation":
+        return _rotation_sup_reference(problem, d_w, h, p)
+    states, _, failed = kernels.bem_scalar_batch(
+        problem.drift, problem.drift_jacobian, problem.diffusion, float(problem.x0[0]),
+        d_w[:, :, 0], h)
+    g_y = problem.diffusion(states)[..., 0]
+    sup = np.nanmax(g_y * g_y * h + states * states, axis=1) ** p
+    sup[failed] = np.nan
+    return sup
+
+
+def per_row_sample_chunk(problem, plan, chunk_index, count, h, n_steps, p):
+    """One chunk of one step size's column, drawn and stepped alone."""
+    d_w = per_row_increments(plan, chunk_index, count, h, n_steps, problem.d)
+    return per_row_sup(problem, d_w, h, p)
+
+
+def _rotation_sup_reference(problem, d_w, h, p):
     x0 = problem.x0
+    count, n_steps = d_w.shape[:2]
     # implicit step matrix (I - h A), A = [[-k,-w],[w,-k]] the constant drift Jacobian
     jac = problem.drift_jacobian(x0)
     a = 1.0 - h * jac[0, 0]
     b = h * jac[1, 0]
     det = a * a + b * b
     g = problem.diffusion(x0)[0, 0]  # the diffusion is g*I_2
-    d_w = stream.standard_normal((count, n_steps, 2)) * math.sqrt(h)
     y = np.tile(x0, (count, 1))
     g_norm_sq = 2.0 * g * g  # Frobenius norm of g*I_2, squared
     best = np.full(count, float(np.dot(x0, x0)) + h * g_norm_sq)

@@ -18,6 +18,7 @@ from stochastic_gronwall.martingales import remark_constants, walk_functional_ex
 from stochastic_gronwall.mc import (
     SupStoppedBmPowerSampler,
     estimate_expectation,
+    sample_columns,
     standard_synthetic_systems,
     verify_apriori,
     verify_theorem_on_synthetic,
@@ -142,9 +143,14 @@ def test_criterion_05_stopped_bm_sharp_constant():
     """Exact sup sampler reproduces pi/2 for E[(sup)^(1/2)]."""
     start = time.time()
     plan = StreamPlan(ACCEPT_SEED)
-    est = estimate_expectation(SupStoppedBmPowerSampler(0.5), 1_000_000, plan)
+
+    def estimate(n):
+        (chunks,) = sample_columns(SupStoppedBmPowerSampler(0.5), n, plan)
+        return estimate_expectation(chunks, n)
+
+    est = estimate(1_000_000)
     if est.ci_halfwidth > 0.02:
-        est = estimate_expectation(SupStoppedBmPowerSampler(0.5), 10_000_000, plan)
+        est = estimate(10_000_000)
     target = math.pi / 2.0
     deviation = abs(est.mean - target)
     elapsed = time.time() - start

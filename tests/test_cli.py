@@ -232,6 +232,36 @@ class TestVerifyCommand:
         assert code == EXIT_OK, err
         assert [row["n_failures"] for row in load_report(out_path)["rows"]] == [0, 0]
 
+    def test_non_nested_grid_report(self, capsys, tmp_path):
+        # 0.25 is no multiple of the float 0.03: both rows come from one draw on
+        # the union of the two grids, every path in each, at any worker count
+        argv = ["verify", "apriori", "--problem", "ginzburg-landau", "--sigma", "0.5",
+                "--p", "0.5", "--T", "1", "--h0", "0.3", "--h-grid", "0.25,0.03",
+                "--paths", "9000", "--seed", "8"]
+        reports = []
+        for workers in ("1", "2", "3"):
+            out_path = tmp_path / f"w{workers}.json"
+            code, _, err = run(capsys, *argv, "--workers", workers, "--output", str(out_path))
+            assert code == EXIT_OK, err
+            reports.append(out_path.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        rows = load_report(tmp_path / "w1.json")["rows"]
+        assert [(row["h"], row["n_steps"], row["n_samples"]) for row in rows] == [
+            (0.25, 4, 9000), (0.03, 33, 9000)]
+
+    @pytest.mark.filterwarnings("error")
+    def test_apriori_from_a_huge_state_without_overflow(self, capsys, tmp_path):
+        # |x0|^2 = 1e308 is finite, L*(1+|x0|^2) is not: the coercivity check
+        # runs divided by 1+|x|^2, with no overflow warning
+        out_path = tmp_path / "r.json"
+        code, _, err = run(capsys, "verify", "apriori", "--problem", "linear", "--lambda", "2",
+                           "--x0", "1e154", "--T", "1", "--h0", "0.2",
+                           "--h-grid", "0.125,0.015625", "--paths", "64", "--p", "0.5",
+                           "--seed", "1", "--output", str(out_path))
+        assert code == EXIT_OK, err
+        assert err == ""
+        assert load_report(out_path)["all_passed"] is True
+
     def test_csv_mirror(self, capsys, tmp_path):
         csv_path = tmp_path / "rows.csv"
         code, _, _ = run(capsys, "verify", "theorem", "--p", "0.5",
@@ -451,6 +481,10 @@ _INPUT_CASES = {
     "deterministic-G-negative-horizon": (["bound", "--form", "deterministic-G", "--p", "0.5",
                                           "--G", "0.1,0.2", "--n", "-1", "--e-sup-f", "1"],
                                          None, None, EXIT_CONTRACT, "horizon n must be >= 0"),
+    # 4096 paths times 1e12 + 8 steps: over the work limit before any point is listed
+    "apriori-grid-over-work-limit": ([*_APRIORI, "--problem", "linear", "--p", "0.5",
+                                      "--seed", "1", "--paths", "2", "--h-grid", "0.125,1e-12"],
+                                     None, None, EXIT_CONTRACT, "Brownian increments"),
     # 2*h0*L < 1 is the library's rule (L = 1.125 for ginzburg-landau)
     "apriori-h0-too-large": ([*_GL, "--h0", "0.9"], None, None, EXIT_CONTRACT,
                              "need 2*h0*L < 1"),

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -7,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import rotation_chunk_reference
+from oracles import per_row_increments, per_row_sample_chunk, per_row_sup
 
 from stochastic_gronwall import mc
 from stochastic_gronwall.errors import ContractViolationError, EstimateAbortedError
@@ -18,12 +20,13 @@ from stochastic_gronwall.mc import (
     SyntheticSupXpSampler,
     SyntheticSystem,
     estimate_expectation,
+    sample_columns,
     standard_synthetic_systems,
     verify_apriori,
     verify_theorem_on_synthetic,
 )
 from stochastic_gronwall.sde import BemConfig, make_problem
-from stochastic_gronwall.streams import StreamPlan
+from stochastic_gronwall.streams import CHUNK_SIZE, StreamPlan
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,12 @@ class FlakySampler:
         return vals
 
 
+def estimate(sampler, n, plan, **kwargs):
+    """The estimate of a one-column sampler's mean from one pass."""
+    (chunks,) = sample_columns(sampler, n, plan)
+    return estimate_expectation(chunks, n, **kwargs)
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """The max_workers of every pool the package constructs."""
@@ -99,7 +108,7 @@ def pools(monkeypatch):
 
 class TestEstimator:
     def test_constant_degenerate(self):
-        est = estimate_expectation(ConstantSampler(2.5), 1000, StreamPlan(0))
+        est = estimate(ConstantSampler(2.5), 1000, StreamPlan(0))
         assert est.mean == 2.5
         assert est.std_error == 0.0
         assert est.degenerate_flag
@@ -108,39 +117,39 @@ class TestEstimator:
     @pytest.mark.parametrize("n, workers", [(1000, 1), (10_000, 1), (10_000, 2)])
     def test_constant_non_dyadic_degenerate(self, n, workers):
         # sums of 0.1 round; the other constant samples here (2.5, 1.0) sum exactly
-        est = estimate_expectation(ConstantSampler(0.1), n, StreamPlan(0, workers=workers))
+        est = estimate(ConstantSampler(0.1), n, StreamPlan(0, workers=workers))
         assert est.mean == 0.1
         assert est.std_error == 0.0
         assert est.degenerate_flag
 
     def test_fair_coin(self):
-        est = estimate_expectation(FairCoinSampler(), 1_000_000, StreamPlan(3))
+        est = estimate(FairCoinSampler(), 1_000_000, StreamPlan(3))
         assert abs(est.mean) <= 4e-3
         assert est.std_error == pytest.approx(1e-3, rel=0.02)
 
     def test_needs_two_samples(self):
         with pytest.raises(ContractViolationError):
-            estimate_expectation(ConstantSampler(1.0), 1, StreamPlan(0))
+            estimate(ConstantSampler(1.0), 1, StreamPlan(0))
 
     @pytest.mark.parametrize("n", [100, 4096, 5000, 12289])
     def test_worker_counts_bit_identical(self, n):
         plans = [StreamPlan(11, workers=w) for w in (1, 2, 5)]
-        results = [estimate_expectation(GaussianSampler(0.5, 1.5), n, p) for p in plans]
+        results = [estimate(GaussianSampler(0.5, 1.5), n, p) for p in plans]
         assert results[0] == results[1] == results[2]
 
     def test_pool_sized_to_its_tasks(self, pools):
         n = 5000  # two chunks: the caller works one, a single child the other
-        wide = estimate_expectation(GaussianSampler(), n, StreamPlan(7, workers=64))
+        wide = estimate(GaussianSampler(), n, StreamPlan(7, workers=64))
         assert pools == [1]
-        assert wide == estimate_expectation(GaussianSampler(), n, StreamPlan(7))
+        assert wide == estimate(GaussianSampler(), n, StreamPlan(7))
 
     def test_failure_threshold_aborts(self):
         with pytest.raises(EstimateAbortedError) as info:
-            estimate_expectation(FlakySampler(10), 1000, StreamPlan(0))
+            estimate(FlakySampler(10), 1000, StreamPlan(0))
         assert info.value.n_failures == 100
 
     def test_failure_threshold_tolerates(self):
-        est = estimate_expectation(
+        est = estimate(
             FlakySampler(10), 1000, StreamPlan(0), fail_threshold=0.2
         )
         assert est.n_failures == 100
@@ -148,7 +157,7 @@ class TestEstimator:
         assert est.mean == 1.0
 
     def test_ci_uses_z(self):
-        est = estimate_expectation(GaussianSampler(), 5000, StreamPlan(1), z=2.576)
+        est = estimate(GaussianSampler(), 5000, StreamPlan(1), z=2.576)
         assert est.ci_halfwidth == pytest.approx(2.576 * est.std_error, rel=1e-15)
 
     def test_coverage_of_known_mean(self):
@@ -156,7 +165,7 @@ class TestEstimator:
         hits = 0
         reps = 1000
         for i in range(reps):
-            est = estimate_expectation(GaussianSampler(1.0, 2.0), 1000, StreamPlan(10_000 + i))
+            est = estimate(GaussianSampler(1.0, 2.0), 1000, StreamPlan(10_000 + i))
             hits += abs(est.mean - 1.0) <= est.ci_halfwidth
         assert hits / reps >= 0.93
 
@@ -164,13 +173,13 @@ class TestEstimator:
         # Monte Carlo E[(sup M)^p] against the exact enumeration oracle
         for n, p, stop in [(8, 0.5, None), (12, 0.25, None), (10, 0.5, -1.0)]:
             exact = walk_functional_expectations(n, [p], stop_level=stop).e_sup_p[p]
-            est = estimate_expectation(
+            est = estimate(
                 WalkSupPowerSampler(n, p, stop), 100_000, StreamPlan(77)
             )
             assert abs(est.mean - exact) <= 4 * est.std_error
 
     def test_sup_power_sampler_heavy_tail_mean(self):
-        est = estimate_expectation(SupStoppedBmPowerSampler(0.5), 400_000, StreamPlan(5))
+        est = estimate(SupStoppedBmPowerSampler(0.5), 400_000, StreamPlan(5))
         assert abs(est.mean - math.pi / 2) <= 4 * est.std_error
 
 
@@ -215,8 +224,7 @@ class TestReportPool:
 
         def fail_half_of_one_row(self, plan, chunk_index, count):
             vals = sample_chunk(self, plan, chunk_index, count)
-            if self.h == 0.0625:
-                vals[::2] = np.nan
+            vals[self.hs.index(0.0625), ::2] = np.nan
             return vals
 
         monkeypatch.setattr(BemSupFunctionalSampler, "sample_chunk", fail_half_of_one_row)
@@ -234,7 +242,7 @@ class TestReportPool:
         # at two workers the caller works chunk 0 and the child chunks 1 and 2
         plan = StreamPlan(0, workers=2)
         with pytest.raises(ContractViolationError, match=f"chunk {chunks[0]} failed") as info:
-            estimate_expectation(RaisingSampler(chunks), POOL_N, plan)
+            estimate(RaisingSampler(chunks), POOL_N, plan)
         in_caller = f"pid {os.getpid()}" in str(info.value)
         assert in_caller == (chunks == (0,))
         assert multiprocessing.active_children() == []
@@ -252,14 +260,31 @@ class TestSyntheticSystems:
 
     def test_sampler_constant_system(self):
         system = standard_synthetic_systems(10)[0]
-        vals = SyntheticSupXpSampler(system, 0.5).sample_chunk(StreamPlan(0), 0, 100)
+        vals = SyntheticSupXpSampler((system,), 0.5).sample_chunk(StreamPlan(0), 0, 100)
         assert np.all(vals == 1.0)
+
+    def test_walk_systems_share_one_draw_per_chunk(self, monkeypatch):
+        streams = []
+        chunk_stream = StreamPlan.chunk_stream
+        monkeypatch.setattr(StreamPlan, "chunk_stream",
+                            lambda plan, c: streams.append(c) or chunk_stream(plan, c))
+        systems = standard_synthetic_systems(5)
+        vals = SyntheticSupXpSampler(systems, 0.5).sample_chunk(StreamPlan(4), 3, 64)
+        assert streams == [3]
+        alone = [SyntheticSupXpSampler((s,), 0.5).sample_chunk(StreamPlan(4), 3, 64)[0]
+                 for s in systems]
+        assert np.array_equal(vals, np.stack(alone))
+
+    def test_systems_share_one_horizon(self):
+        with pytest.raises(ContractViolationError, match="one horizon"):
+            SyntheticSupXpSampler((standard_synthetic_systems(4)[1],
+                                   standard_synthetic_systems(5)[1]), 0.5)
 
     def test_sampler_walk_equality_construction(self):
         # rebuild one chunk by hand and confirm equality in the recursion
         system = standard_synthetic_systems(5)[2]
         plan = StreamPlan(123)
-        vals = SyntheticSupXpSampler(system, 0.5).sample_chunk(plan, 0, 64)
+        (vals,) = SyntheticSupXpSampler((system,), 0.5).sample_chunk(plan, 0, 64)
         stream = plan.chunk_stream(0)
         signs = stream.integers(0, 2, size=(64, 5)).astype(np.float64) * 2.0 - 1.0
         m = np.zeros((64, 6))
@@ -362,9 +387,9 @@ class TestVerifyApriori:
         # the closed-form batch stepper agrees with the generic solver
         prob = make_problem("bounded-rotation", omega=1.5, kappa=0.2, sigma=0.4)
         cfg = BemConfig(h=0.1, h0=0.5, T=1.0)
-        sampler = BemSupFunctionalSampler.for_problem(prob, cfg, 0.5)
+        sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], 0.5)
         plan = StreamPlan(13)
-        vals = sampler.sample_chunk(plan, 0, 8)
+        (vals,) = sampler.sample_chunk(plan, 0, 8)
         stream = plan.chunk_stream(0)
         d_w = stream.standard_normal((8, cfg.n_steps, 2)) * math.sqrt(cfg.h)
         for i in range(8):
@@ -384,7 +409,7 @@ class TestVerifyApriori:
         monkeypatch.setattr(mc, "_PROBLEMS", {})
         prob = make_problem("ginzburg-landau", sigma=0.5)
         cfg = BemConfig(h=0.125, h0=0.25, T=1.0)
-        sampler = BemSupFunctionalSampler.for_problem(prob, cfg, 0.5)
+        sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], 0.5)
         calls = []
         build = sde.make_problem
         monkeypatch.setattr(sde, "make_problem", lambda *a, **k: calls.append(a) or build(*a, **k))
@@ -392,11 +417,11 @@ class TestVerifyApriori:
         first = [sampler.sample_chunk(plan, c, 16) for c in range(3)]
         assert sampler.problem is prob  # the caller's problem is reused
         copy = pickle.loads(pickle.dumps(sampler))  # what a pool worker receives
-        assert set(vars(copy)) == {"zoo_label", "zoo_params", "h", "n_steps", "p"}
+        assert set(vars(copy)) == {"zoo_label", "zoo_params", "hs", "n_steps", "p"}
         again = [copy.sample_chunk(plan, c, 16) for c in range(3)]
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
         # another step size of the same problem is the same spec
-        BemSupFunctionalSampler.for_problem(prob, BemConfig(h=0.0625, h0=0.25, T=1.0), 0.5)
+        BemSupFunctionalSampler.for_problem(prob, [BemConfig(h=0.0625, h0=0.25, T=1.0)], 0.5)
         assert calls == []
 
         # a spec this process has not seen is built once, for every copy
@@ -417,7 +442,7 @@ class TestVerifyApriori:
             x0=np.array([1.0]), L=1.0,
         )
         with pytest.raises(ContractViolationError, match="zoo"):
-            BemSupFunctionalSampler.for_problem(prob, BemConfig(h=0.1, h0=0.4, T=1.0), 0.5)
+            BemSupFunctionalSampler.for_problem(prob, [BemConfig(h=0.1, h0=0.4, T=1.0)], 0.5)
 
 
 class TestSamplerMatchesTrajectory:
@@ -433,16 +458,16 @@ class TestSamplerMatchesTrajectory:
 
         prob = make_problem(label, **params)
         cfg = BemConfig(h=h, h0=0.25, T=1.0)
-        sampler = BemSupFunctionalSampler.for_problem(prob, cfg, p)
+        sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], p)
         plan = StreamPlan(7)
         for c in range(10):
             traj = simulate_trajectory(prob, cfg, [p], plan.chunk_stream(c))
-            assert sampler.sample_chunk(plan, c, 1)[0] == traj.sup_functional_p[p]
+            assert sampler.sample_chunk(plan, c, 1)[0, 0] == traj.sup_functional_p[p]
 
 
 class TestRotationMatchesOracle:
-    """The in-place rotation stepper equals the former (count, 2) loop
-    bit for bit. The damped problem has a != 1, which the kappa = 0
+    """A lone step size's rotation column equals the former (count, 2)
+    loop bit for bit. The damped problem has a != 1, which the kappa = 0
     golden never exercises."""
 
     @pytest.mark.parametrize("params", [
@@ -454,13 +479,111 @@ class TestRotationMatchesOracle:
     def test_bit_identical(self, params, h):
         prob = make_problem("bounded-rotation", **params)
         cfg = BemConfig(h=h, h0=0.25, T=1.0)
-        sampler = BemSupFunctionalSampler.for_problem(prob, cfg, 0.5)
+        sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], 0.5)
         for seed in (0, 7):
             plan = StreamPlan(seed)
             for count in (1, 2, 4095, 4096):
-                expected = rotation_chunk_reference(
-                    prob, plan.chunk_stream(0), count, h, cfg.n_steps, 0.5)
-                assert np.array_equal(sampler.sample_chunk(plan, 0, count), expected)
+                expected = per_row_sample_chunk(prob, plan, 0, count, h, cfg.n_steps, 0.5)
+                assert np.array_equal(sampler.sample_chunk(plan, 0, count)[0], expected)
+
+
+ONE_PASS_PROBLEMS = {
+    "ginzburg-landau": ("ginzburg-landau", {"sigma": 0.5}),
+    "linear": ("linear", {"lam": 1.3, "sigma": 0.7}),
+    "rotation": ("bounded-rotation", {}),
+    "rotation-damped": ("bounded-rotation", {"omega": 1.5, "kappa": 0.2, "sigma": 0.4}),
+}
+# the workload grid given out of order, and a grid nested by factors 2 and 4
+UNSORTED_GRID = (0.03125, 0.125, 0.015625, 0.0625)
+MIXED_GRID = (0.125, 0.015625, 0.03125)
+
+
+def _summed(d_w, ratio):
+    """Each run of `ratio` increments along axis 1, added left to right."""
+    blocks = d_w.reshape(d_w.shape[0], d_w.shape[1] // ratio, ratio, d_w.shape[2])
+    return functools.reduce(operator.add, (blocks[:, :, m] for m in range(ratio)))
+
+
+class TestOnePassMatchesOracle:
+    """Every column of the one-pass sampler against the former per-row
+    sampler: the finest draws and steps exactly as a lone step size did,
+    and each coarser column steps the sums of the next finer increments."""
+
+    @pytest.mark.parametrize("name", ONE_PASS_PROBLEMS)
+    @pytest.mark.parametrize("grid", [UNSORTED_GRID, MIXED_GRID], ids=["unsorted", "mixed"])
+    def test_columns_bit_identical(self, name, grid):
+        label, params = ONE_PASS_PROBLEMS[name]
+        prob = make_problem(label, **params)
+        cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in grid]
+        sampler = BemSupFunctionalSampler.for_problem(prob, cfgs, 0.5)
+        order = sorted(range(len(grid)), key=grid.__getitem__)
+        finest = cfgs[order[0]]
+        for seed in (0, 7):
+            plan = StreamPlan(seed)
+            for count in (1, 2, 4095, 4096):
+                columns = sampler.sample_chunk(plan, 0, count)
+                assert columns.shape == (len(grid), count)
+                d_w = per_row_increments(plan, 0, count, finest.h, finest.n_steps, prob.d)
+                assert np.array_equal(columns[order[0]],
+                                      per_row_sample_chunk(prob, plan, 0, count, finest.h,
+                                                           finest.n_steps, 0.5))
+                for finer, k in zip(order, order[1:]):
+                    d_w = _summed(d_w, cfgs[finer].n_steps // cfgs[k].n_steps)
+                    assert np.array_equal(columns[k], per_row_sup(prob, d_w, cfgs[k].h, 0.5))
+
+    def test_non_nested_grid_draws_once_on_the_union(self):
+        # 0.25 is no multiple of the float 0.03: the union has 5 + 34 - 1 points
+        roots, levels = mc._increment_levels((0.25, 0.03), (4, 33), 1)
+        assert roots.shape == (37,)
+        assert [(column, from_union) for column, from_union, _, _ in levels] == [
+            (1, True), (0, True)]
+        prob = make_problem("ginzburg-landau", sigma=0.5)
+        cfgs = [BemConfig(h=h, h0=0.3, T=1.0) for h in (0.25, 0.03)]
+        sampler = BemSupFunctionalSampler.for_problem(prob, cfgs, 0.5)
+        plan = StreamPlan(3)
+        columns = sampler.sample_chunk(plan, 0, 64)
+        union = (plan.chunk_stream(0).standard_normal((64, 37)) * roots)[:, :, None]
+        for column, _, _, bounds in levels:
+            # the same sums, up to the order of the additions
+            d_w = np.stack([union[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds, bounds[1:])],
+                           axis=1)
+            assert np.allclose(columns[column], per_row_sup(prob, d_w, cfgs[column].h, 0.5),
+                               rtol=1e-13, atol=0.0)
+
+
+class TestCoupling:
+    """The rows of a grid share their Brownian paths, so the coarsest and
+    finest columns move together: independent draws would give a
+    difference variance near var(coarsest) + var(finest)."""
+
+    @pytest.mark.parametrize("label", ["ginzburg-landau", "bounded-rotation"])
+    def test_coarsest_minus_finest_variance(self, label):
+        prob = make_problem(label, sigma=0.5)
+        grid = (0.125, 0.0625, 0.03125, 0.015625)
+        sampler = BemSupFunctionalSampler.for_problem(
+            prob, [BemConfig(h=h, h0=0.25, T=1.0) for h in grid], 0.5)
+        columns = sampler.sample_chunk(StreamPlan(11), 0, 4096)
+        coarsest, finest = columns[0], columns[-1]
+        assert np.var(coarsest - finest, ddof=1) <= 0.25 * (
+            np.var(coarsest, ddof=1) + np.var(finest, ddof=1))
+
+
+class TestWorkLimit:
+    def test_limit_checked_before_the_union_is_listed(self):
+        # a 1e-12 step would list 1e12 time points; the bound needs none
+        prob = make_problem("linear")
+        cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 1e-12)]
+        with pytest.raises(ContractViolationError, match="Brownian increments"):
+            BemSupFunctionalSampler.for_problem(prob, cfgs, 0.5)
+
+    @pytest.mark.parametrize("label, d", [("linear", 1), ("bounded-rotation", 2)])
+    def test_limit_is_inclusive(self, label, d):
+        prob = make_problem(label)
+        steps = mc.MAX_CHUNK_VALUES // (CHUNK_SIZE * d)
+        BemSupFunctionalSampler.for_problem(prob, [BemConfig(h=1.0 / steps, h0=0.25, T=1.0)], 0.5)
+        with pytest.raises(ContractViolationError, match="Brownian increments"):
+            BemSupFunctionalSampler.for_problem(
+                prob, [BemConfig(h=1.0 / (steps + 1), h0=0.25, T=1.0)], 0.5)
 
 
 def simulate_step(prob, y, d_w, cfg):

@@ -35,15 +35,8 @@ def test_tracer_finds_every_entry_point():
     assert kernels.bem_scalar_batch is original
 
 
-def test_traced_pool_run_matches_untraced(tmp_path, monkeypatch):
-    # two chunks and two h rows at --workers 2: one pool, one child, one task per row
-    tracer = _load_tracer()
-    # the pool pickles the tracer's task function by module name
-    monkeypatch.setitem(sys.modules, tracer.__name__, tracer)
-    argv = ["verify", "apriori", "--problem", "ginzburg-landau", "--sigma", "0.5", "--p", "0.5",
-            "--T", "1", "--h0", "0.25", "--h-grid", "0.125,0.015625", "--paths", "8192",
-            "--seed", "3", "--workers", "2"]
-    reports = [tmp_path / "untraced.json", tmp_path / "traced.json"]
+def _run_twice(tracer, argv, reports):
+    """The CLI run untraced, then traced; returns the traced run's metrics."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([*argv, "--output", str(reports[0])]) == 0
         run = tracer.Tracer("tier-1")
@@ -55,7 +48,35 @@ def test_traced_pool_run_matches_untraced(tmp_path, monkeypatch):
     assert absent == []
     assert reports[0].read_bytes() == reports[1].read_bytes()
     metrics, _ = tracer.layer_metrics(run.spans, 0.0)
+    return metrics
+
+
+def test_traced_pool_run_matches_untraced(tmp_path, monkeypatch):
+    # two chunks and two h rows at --workers 2: one pool, one child, one task per report
+    tracer = _load_tracer()
+    # the pool pickles the tracer's task function by module name
+    monkeypatch.setitem(sys.modules, tracer.__name__, tracer)
+    argv = ["verify", "apriori", "--problem", "ginzburg-landau", "--sigma", "0.5", "--p", "0.5",
+            "--T", "1", "--h0", "0.25", "--h-grid", "0.125,0.015625", "--paths", "8192",
+            "--seed", "3", "--workers", "2"]
+    metrics = _run_twice(tracer, argv, [tmp_path / "untraced.json", tmp_path / "traced.json"])
     assert metrics["mc.pool.startups"] == 1
-    assert metrics["mc.pool.tasks"] == 2
+    assert metrics["mc.pool.tasks"] == 1
     assert metrics["trace.worker_busy_s"] > 0  # the child's spans reached the tracer
     assert metrics["sde.make_problem.calls"] == 1  # the child inherits the built problem
+
+
+def test_traced_rotation_draws_the_finest_grid_once(tmp_path, monkeypatch):
+    # two chunks and two h rows at --workers 2: every row from one draw per chunk
+    tracer = _load_tracer()
+    monkeypatch.setitem(sys.modules, tracer.__name__, tracer)
+    paths, finest_steps = 8192, 64
+    argv = ["verify", "apriori", "--problem", "bounded-rotation", "--sigma", "0.5", "--p", "0.5",
+            "--T", "1", "--h0", "0.25", "--h-grid", "0.125,0.015625", "--paths", str(paths),
+            "--seed", "3", "--workers", "2"]
+    metrics = _run_twice(tracer, argv, [tmp_path / "untraced.json", tmp_path / "traced.json"])
+    assert metrics["streams.draw.values"] == paths * finest_steps * 2
+    assert metrics["mc.sample_chunk.calls"] == 2  # one per chunk
+    assert metrics["mc.pool.tasks"] == 1
+    assert metrics["kernels.welford_chunk.samples"] == paths * 2  # one column per row
+    assert metrics["mc.estimate_expectation.calls"] == 2  # one per row

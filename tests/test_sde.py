@@ -265,6 +265,25 @@ class TestCoercivity:
         with pytest.raises(ContractViolationError, match=r"'push-out' fails coercivity with L=1.0 at \|x\|="):
             check_coercivity(prob)
 
+    @pytest.mark.filterwarnings("error")
+    def test_violation_at_a_huge_x0_found_without_overflow(self):
+        # inward inside the sampled ball, outward at x0 = 1e154; L*(1+|x0|^2)
+        # overflows, so only the check divided by 1+|x|^2 sees the violation
+        prob = SdeProblem(
+            label="far-push-out",
+            drift=lambda x: np.where(np.abs(x) > 1e100, 3.0 * x, -x),
+            drift_jacobian=lambda x: np.where(np.abs(x) > 1e100, 3.0, -1.0)[..., None],
+            diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
+            x0=np.array([1e154]), L=2.0,
+        )
+        with pytest.raises(ContractViolationError,
+                           match=r"'far-push-out' fails coercivity with L=2.0 at \|x\|=1e\+154"):
+            check_coercivity(prob)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zoo_problem_at_a_huge_x0_passes(self):
+        make_problem("linear", lam=2.0, x0=1e154)
+
     def test_unknown_label(self):
         with pytest.raises(ContractViolationError, match="unknown problem"):
             make_problem("heat-bath")
