@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError
-from .sequences import _safe_exp, as_sequence, power_product_one_plus
+from .sequences import _safe_exp, power_product_one_plus, real_sequence
 
 
 @dataclass(frozen=True)
@@ -85,36 +85,40 @@ def holder_prefactor(hp: HolderParams) -> float:
     return (1.0 + 1.0 / (1.0 - hp.nu * hp.p)) ** (1.0 / hp.nu)
 
 
-def theorem_bound_deterministic_G(p: float, G, n: int, e_sup_f: float) -> float:
-    """Moment bound with deterministic weights:
+def theorem_bound_deterministic_G(p: float, G, n: int, e_sup_f: float) -> dict:
+    """Moment bound with deterministic weights, together with its factors:
 
         (1 + 1/(1-p)) * prod_{k<n}(1+G_k)^p * e_sup_f^p
 
     where ``e_sup_f`` is E[sup_{k<=n} F_k], supplied by the caller.
     """
-    if not 0.0 < p < 1.0:
-        raise ContractViolationError(f"p must lie in (0,1), got {p}")
+    hp = HolderParams(p)
     if e_sup_f < 0.0:
         raise ContractViolationError(f"e_sup_f must be >= 0, got {e_sup_f}")
     if n < 0:
         raise ContractViolationError(f"horizon n must be >= 0, got {n}")
-    G = as_sequence(G)
+    G = real_sequence(G)
     if len(G) < n:
         raise ContractViolationError(
             f"weight sequence G has length {len(G)}, need at least {n}"
         )
-    if np.any(G.values[:n] < 0.0):
+    if np.any(G[:n] < 0.0):
         raise ContractViolationError("weight sequence G must be nonnegative")
-    prefactor = 1.0 + 1.0 / (1.0 - p)
+    prefactor = holder_prefactor(hp)
     product_term = power_product_one_plus(G, 0, n, p)
     power_term = 0.0 if e_sup_f == 0.0 else e_sup_f**p
-    return prefactor * product_term * power_term
+    return {
+        "prefactor": prefactor,
+        "product_term": product_term,
+        "power_term": power_term,
+        "bound": prefactor * product_term * power_term,
+    }
 
 
 def theorem_bound_random_G(
     hp: HolderParams, g_product_p_mu_norm: float, n: int, e_sup_f: float
-) -> float:
-    """Moment bound with random weights, via a Hoelder split:
+) -> dict:
+    """Moment bound with random weights via a Hoelder split, and its factors:
 
         holder_prefactor(hp) * ||prod_{k<n}(1+G_k)^p||_{L^mu} * e_sup_f^p
 
@@ -127,8 +131,14 @@ def theorem_bound_random_G(
         raise ContractViolationError(f"e_sup_f must be >= 0, got {e_sup_f}")
     if n < 0:
         raise ContractViolationError(f"horizon n must be >= 0, got {n}")
+    prefactor = holder_prefactor(hp)
     power_term = 0.0 if e_sup_f == 0.0 else e_sup_f**hp.p
-    return holder_prefactor(hp) * g_product_p_mu_norm * power_term
+    return {
+        "prefactor": prefactor,
+        "product_norm": g_product_p_mu_norm,
+        "power_term": power_term,
+        "bound": prefactor * g_product_p_mu_norm * power_term,
+    }
 
 
 def apriori_bound(inp: AprioriInputs) -> float:

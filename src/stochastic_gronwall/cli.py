@@ -54,10 +54,9 @@ from .mc import (
 )
 from .sde import BemConfig, make_problem, simulate_trajectory, zoo_parameters
 from .sequences import (
-    RealSequence,
     gronwall_closed_form,
     gronwall_recursive_envelope,
-    power_product_one_plus,
+    real_sequence,
 )
 from .streams import CHUNK_SIZE, StreamPlan
 
@@ -259,7 +258,6 @@ def _resolve(args) -> None:
 
 
 def _write_json(path, payload: dict) -> None:
-    validate_report(payload)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path is None or path == "-":
         sys.stdout.write(text + "\n")
@@ -280,35 +278,6 @@ def _write_csv(path, header, rows) -> None:
             handle.close()
 
 
-_REPORT_KEYS = {
-    "theorem-synthetic": {"kind", "inputs", "rows", "all_passed"},
-    "apriori": {"kind", "inputs", "rows", "all_passed", "bound", "bound_parts",
-                "spread", "margin", "h_robust"},
-    "estimate": {"kind", "inputs", "estimate"},
-}
-
-
-def validate_report(payload: dict) -> None:
-    """Schema check for emitted reports; raises ConfigError on mismatch."""
-    if not isinstance(payload, dict):
-        raise ConfigError("report must be a JSON object")
-    kind = payload.get("kind")
-    if kind not in _REPORT_KEYS:
-        raise ConfigError(f"unknown report kind {kind!r}")
-    missing = _REPORT_KEYS[kind] - set(payload)
-    if missing:
-        raise ConfigError(f"report is missing keys {sorted(missing)}")
-    inputs = payload["inputs"]
-    if not isinstance(inputs, dict) or "master_seed" not in inputs:
-        raise ConfigError("report inputs must include the master seed")
-    if "rows" in payload:
-        if not isinstance(payload["rows"], list):
-            raise ConfigError("report rows must be a list")
-        for row in payload["rows"]:
-            if not isinstance(row, dict) or "mean" not in row or "passed" not in row:
-                raise ConfigError("each report row needs at least mean and passed")
-
-
 # ---------------------------------------------------------------------------
 # bound
 
@@ -324,34 +293,21 @@ _BOUND_FORMS = {
 
 def _cmd_bound(args) -> int:
     if args.form == "holder":
-        value = holder_prefactor(HolderParams(p=args.p, nu=args.nu))
-        print(f"prefactor        {_fmt(value)}")
-        print(f"bound            {_fmt(value)}")
+        prefactor = holder_prefactor(HolderParams(p=args.p, nu=args.nu))
+        parts = {"prefactor": prefactor, "bound": prefactor}
     elif args.form == "deterministic-G":
-        p, g, e_sup_f = args.p, args.G, args.e_sup_f
-        n = len(g) if args.n is None else args.n
-        bound = theorem_bound_deterministic_G(p, g, n, e_sup_f)
-        prefactor = 1.0 + 1.0 / (1.0 - p)
-        product_term = power_product_one_plus(RealSequence(g), 0, n, p)
-        print(f"prefactor        {_fmt(prefactor)}")
-        print(f"product_term     {_fmt(product_term)}")
-        print(f"power_term       {_fmt(e_sup_f**p if e_sup_f > 0 else 0.0)}")
-        print(f"bound            {_fmt(bound)}")
+        n = len(args.G) if args.n is None else args.n
+        parts = theorem_bound_deterministic_G(args.p, args.G, n, args.e_sup_f)
     elif args.form == "random-G":
         hp = HolderParams(p=args.p, nu=args.nu)
-        norm, e_sup_f = args.g_norm, args.e_sup_f
-        bound = theorem_bound_random_G(hp, norm, args.n, e_sup_f)
-        print(f"prefactor        {_fmt(holder_prefactor(hp))}")
-        print(f"product_norm     {_fmt(norm)}")
-        print(f"power_term       {_fmt(e_sup_f**hp.p if e_sup_f > 0 else 0.0)}")
-        print(f"bound            {_fmt(bound)}")
+        parts = theorem_bound_random_G(hp, args.g_norm, args.n, args.e_sup_f)
     else:
         parts = apriori_bound_parts(AprioriInputs(
             p=args.p, L=args.L, T=args.T, h0=args.h0,
             x0_norm_sq=args.x0sq, g_x0_norm_sq=args.gx0sq,
         ))
-        for key in ("prefactor", "growth_factor", "power_term", "bound"):
-            print(f"{key:<16} {_fmt(parts[key])}")
+    for key, value in parts.items():
+        print(f"{key:<16} {_fmt(value)}")
     return EXIT_OK
 
 
@@ -366,15 +322,11 @@ def _cmd_gronwall(args) -> int:
         f_vals, g_vals = args.f, args.g
     else:
         raise ConfigError("provide either --csv or both --f and --g")
-    n = args.n if args.n is not None else len(f_vals) - 1
-    f = RealSequence(f_vals)
-    g = RealSequence(g_vals)
-    envelope = gronwall_recursive_envelope(f, g, n)
-    closed = [gronwall_closed_form(f, g, k) for k in range(n + 1)]
-    rows = [
-        (k, f[k], g[k], closed[k], envelope[k])
-        for k in range(n + 1)
-    ]
+    f = real_sequence(f_vals)
+    g = real_sequence(g_vals)
+    envelope = gronwall_recursive_envelope(f, g, args.n)
+    closed = [gronwall_closed_form(f, g, k) for k in range(len(envelope))]
+    rows = zip(range(len(envelope)), f, g, closed, envelope)
     _write_csv(args.output, ["index", "f", "g", "closed_form", "envelope"], rows)
     return EXIT_OK
 

@@ -110,6 +110,8 @@ def enumerate_sign_walks(n: int, stop_level: float | None = None) -> np.ndarray:
         raise ContractViolationError(
             f"enumeration of 2^{n} walks exceeds the n <= {MAX_ENUM_STEPS} guard"
         )
+    if stop_level is not None and not stop_level < 0.0:
+        raise ContractViolationError(f"stop_level must be < 0, got {stop_level}")
     count = 1 << n
     paths = np.zeros((count, n + 1))
     if n:
@@ -118,8 +120,6 @@ def enumerate_sign_walks(n: int, stop_level: float | None = None) -> np.ndarray:
         bits = ((idx >> shifts) & np.uint64(1)).astype(np.int64)
         paths[:, 1:] = np.cumsum(2 * bits - 1, axis=1)
         if stop_level is not None:
-            if not stop_level < 0.0:
-                raise ContractViolationError(f"stop_level must be < 0, got {stop_level}")
             _freeze_paths(paths, stop_level)
     return paths
 

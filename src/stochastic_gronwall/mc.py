@@ -514,8 +514,8 @@ def verify_theorem_on_synthetic(
         est = estimate_expectation(chunks, n_paths, z=z)
         e_sup_f = float(max(system.f_values))
         bound = theorem_bound_deterministic_G(
-            p, list(system.g_values), system.horizon, e_sup_f
-        )
+            p, system.g_values, system.horizon, e_sup_f
+        )["bound"]
         rows.append({"system": system.label, "e_sup_f": e_sup_f, "bound": float(bound),
                      "passed": bool(est.upper_ci <= bound), **asdict(est)})
     inputs = {

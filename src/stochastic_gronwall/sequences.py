@@ -16,7 +16,6 @@ products over empty index sets are one.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Union
 
 import numpy as np
 
@@ -28,72 +27,33 @@ from .errors import ContractViolationError
 OVERFLOW_GUARD = 1e300
 
 
-class RealSequence:
-    """Immutable finite sequence of real numbers with index origin 0.
+def real_sequence(values) -> np.ndarray:
+    """The entries as a read-only 1-D float64 array, with index origin 0.
 
     A sequence of length n+1 covers the horizon 0..n. Entries must be
     finite; nonnegativity is required only where a sequence is used as a
     weight sequence and is checked by the consuming operation.
     """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Union["RealSequence", Iterable[float]]):
-        if isinstance(values, RealSequence):
-            self._values = values._values
-            return
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ContractViolationError("a RealSequence must be one-dimensional")
-        if arr.size == 0:
-            raise ContractViolationError("a RealSequence must have at least one entry")
-        if not np.all(np.isfinite(arr)):
-            raise ContractViolationError("RealSequence entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self._values = arr
-
-    @property
-    def values(self) -> np.ndarray:
-        """Read-only float64 view of the entries."""
-        return self._values
-
-    @property
-    def horizon(self) -> int:
-        return self._values.size - 1
-
-    def __len__(self) -> int:
-        return self._values.size
-
-    def __getitem__(self, idx):
-        return self._values[idx]
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RealSequence):
-            return NotImplemented
-        return np.array_equal(self._values, other._values)
-
-    def __repr__(self) -> str:
-        return f"RealSequence({self._values.tolist()!r})"
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ContractViolationError("a sequence must be one-dimensional")
+    if arr.size == 0:
+        raise ContractViolationError("a sequence must have at least one entry")
+    if not np.all(np.isfinite(arr)):
+        raise ContractViolationError("sequence entries must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
-def as_sequence(values) -> RealSequence:
-    """Coerce array-likes to a validated RealSequence (no-op on instances)."""
-    return values if isinstance(values, RealSequence) else RealSequence(values)
-
-
-def _require_length(seq: RealSequence, n: int, name: str) -> None:
+def _require_length(seq: np.ndarray, n: int, name: str) -> None:
     if len(seq) < n + 1:
         raise ContractViolationError(
             f"sequence {name} has length {len(seq)}, need at least {n + 1} for horizon {n}"
         )
 
 
-def _require_nonnegative(seq: RealSequence, upto: int, name: str) -> None:
-    vals = seq.values[: upto + 1]
+def _require_nonnegative(seq: np.ndarray, upto: int, name: str) -> None:
+    vals = seq[: upto + 1]
     bad = np.nonzero(vals < 0.0)[0]
     if bad.size:
         raise ContractViolationError(
@@ -109,9 +69,9 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
-def log_product_one_plus(g: RealSequence, lo: int, hi: int) -> float:
+def log_product_one_plus(g, lo: int, hi: int) -> float:
     """sum_{j=lo}^{hi-1} log(1 + g_j), the log of the weight product."""
-    vals = as_sequence(g).values
+    vals = real_sequence(g)
     return float(np.sum(np.log1p(vals[lo:hi]))) if hi > lo else 0.0
 
 
@@ -155,14 +115,14 @@ def _product_weighted_sum(total: float, coeffs, g) -> float:
     return float(total)
 
 
-def power_product_one_plus(g: RealSequence, lo: int, hi: int, p: float) -> float:
+def power_product_one_plus(g, lo: int, hi: int, p: float) -> float:
     """(prod_{j=lo}^{hi-1} (1 + g_j))^p, overflow-safe for p in (0, 1).
 
     Uses the plain product while it stays below the overflow guard and
     falls back to exp(p * sum log1p(g_j)) beyond it, so the fractional
     power can be finite even when the plain product would overflow.
     """
-    for value, log in _running_products(as_sequence(g).values[lo:hi]):
+    for value, log in _running_products(real_sequence(g)[lo:hi]):
         if log is not None:
             return _safe_exp(p * log_product_one_plus(g, lo, hi))
     return float(value**p)
@@ -175,46 +135,44 @@ def gronwall_closed_form(f, g, n: int) -> float:
     for n = 0 this is f_0. Requires g nonnegative on 0..n and both
     sequences defined on 0..n.
     """
-    f = as_sequence(f)
-    g = as_sequence(g)
+    f = real_sequence(f)
+    g = real_sequence(g)
     if n < 0:
         raise ContractViolationError(f"index n must be nonnegative, got {n}")
     _require_length(f, n, "f")
     _require_length(g, n, "g")
     _require_nonnegative(g, n, "g")
-    fv, gv = f.values, g.values
 
     # k = n-1 down to 0, each term scaled by prod_{j=k+1}^{n-1} (1 + g_j)
-    f_rev, g_rev = fv[:n][::-1].tolist(), gv[:n][::-1].tolist()
-    return _product_weighted_sum(float(fv[n]), [a * b for a, b in zip(f_rev, g_rev)], g_rev)
+    f_rev, g_rev = f[:n][::-1].tolist(), g[:n][::-1].tolist()
+    return _product_weighted_sum(float(f[n]), [a * b for a, b in zip(f_rev, g_rev)], g_rev)
 
 
-def gronwall_recursive_envelope(f, g, n: int | None = None) -> RealSequence:
+def gronwall_recursive_envelope(f, g, n: int | None = None) -> np.ndarray:
     """Maximal sequence attaining equality in the Gronwall recursion.
 
     y_0 = f_0 and y_k = f_k + sum_{i<k} g_i y_i for k <= n. Each entry
     coincides with ``gronwall_closed_form(f, g, k)`` up to rounding.
     """
-    f = as_sequence(f)
-    g = as_sequence(g)
+    f = real_sequence(f)
+    g = real_sequence(g)
     if n is None:
-        n = f.horizon
+        n = len(f) - 1
     if n < 0:
         raise ContractViolationError(f"index n must be nonnegative, got {n}")
     _require_length(f, n, "f")
     _require_length(g, n, "g")
     _require_nonnegative(g, n, "g")
-    fv, gv = f.values, g.values
 
     y = [0.0] * (n + 1)
-    y[0] = float(fv[0])
+    y[0] = float(f[0])
     acc = 0.0  # running sum_{i<k} g_i y_i
     for k in range(1, n + 1):
-        acc += float(gv[k - 1]) * y[k - 1]
-        y[k] = float(fv[k]) + acc
+        acc += float(g[k - 1]) * y[k - 1]
+        y[k] = float(f[k]) + acc
         if not math.isfinite(y[k]):
             raise ContractViolationError(
                 f"envelope overflowed float64 at index {k}; evaluate "
                 "gronwall_closed_form instead, which propagates inf"
             )
-    return RealSequence(y)
+    return real_sequence(y)

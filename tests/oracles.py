@@ -2,9 +2,10 @@
 
 A realized path of the stochastic Gronwall hypothesis with its
 transformed-martingale product inequality, and the sum side of the
-telescoping identity, computed with the library's product code; and
-the former per-row implicit-Euler sampler, one fresh draw per step
-size, the bit-exact reference for the one-pass sampler in ``mc``.
+telescoping identity, computed with the library's product code; the
+former per-row implicit-Euler sampler, one fresh draw per step size,
+the bit-exact reference for the one-pass sampler in ``mc``; and the
+schema of every report the command line writes.
 """
 
 import math
@@ -13,7 +14,8 @@ import numpy as np
 
 from stochastic_gronwall import kernels, sequences
 from stochastic_gronwall.errors import ContractViolationError
-from stochastic_gronwall.sequences import RealSequence, as_sequence
+from stochastic_gronwall.sde import zoo_parameters
+from stochastic_gronwall.sequences import real_sequence
 
 #: Absolute tolerance for the pathwise recursion inequality checked at
 #: bundle construction.
@@ -34,23 +36,22 @@ class GronwallPathBundle:
     __slots__ = ("X", "F", "G", "M")
 
     def __init__(self, X, F, G, M):
-        self.X = as_sequence(X)
-        self.F = as_sequence(F)
-        self.G = as_sequence(G)
-        self.M = as_sequence(M)
+        self.X = real_sequence(X)
+        self.F = real_sequence(F)
+        self.G = real_sequence(G)
+        self.M = real_sequence(M)
         n = len(self.X)
         if not (len(self.F) == len(self.G) == len(self.M) == n):
             raise ContractViolationError("bundle sequences must share one length")
         for name in ("X", "F", "G"):
-            vals = getattr(self, name).values
-            if np.any(vals < 0.0):
+            if np.any(getattr(self, name) < 0.0):
                 raise ContractViolationError(f"bundle sequence {name} must be nonnegative")
         if self.M[0] != 0.0:
             raise ContractViolationError(f"martingale path must start at 0, got {self.M[0]}")
-        lhs = self.X.values
+        lhs = self.X
         # sum_{k<n} G_k X_k via an exclusive cumulative sum
-        coupling = np.concatenate(([0.0], np.cumsum(self.G.values[:-1] * lhs[:-1])))
-        rhs = self.F.values + self.M.values + coupling
+        coupling = np.concatenate(([0.0], np.cumsum(self.G[:-1] * lhs[:-1])))
+        rhs = self.F + self.M + coupling
         gap = lhs - rhs
         worst = int(np.argmax(gap))
         if gap[worst] > BUNDLE_TOL:
@@ -61,18 +62,18 @@ class GronwallPathBundle:
 
     @property
     def horizon(self) -> int:
-        return self.X.horizon
+        return len(self.X) - 1
 
 
-def transformed_martingale(bundle: GronwallPathBundle) -> RealSequence:
+def transformed_martingale(bundle: GronwallPathBundle) -> np.ndarray:
     """Weighted-increment martingale from the product-form inequality.
 
     L_n = sum_{k<n} (M_{k+1} - M_k) * prod_{j<=k} (1+G_j)^-1, with
     L_0 = 0. Satisfies X_n <= (max_{k<=n} F_k + L_n) * prod_{i<n}(1+G_i)
     pathwise; see :func:`product_form_residuals`.
     """
-    m = bundle.M.values
-    g = bundle.G.values
+    m = bundle.M
+    g = bundle.G
     n = bundle.horizon
     out = np.zeros(n + 1)
     inv_prod = 1.0
@@ -81,7 +82,7 @@ def transformed_martingale(bundle: GronwallPathBundle) -> RealSequence:
         inv_prod /= 1.0 + g[k]
         acc += (m[k + 1] - m[k]) * inv_prod
         out[k + 1] = acc
-    return RealSequence(out)
+    return out
 
 
 def product_form_residuals(bundle: GronwallPathBundle) -> np.ndarray:
@@ -90,11 +91,11 @@ def product_form_residuals(bundle: GronwallPathBundle) -> np.ndarray:
     Entry n is (max_{k<=n} F_k + L_n) * prod_{i<n}(1+G_i) - X_n; the
     inequality holds when every entry is >= -1e-9.
     """
-    L = transformed_martingale(bundle).values
-    f_running_max = np.maximum.accumulate(bundle.F.values)
-    prods = np.concatenate(([1.0], np.cumprod(1.0 + bundle.G.values[:-1])))
+    L = transformed_martingale(bundle)
+    f_running_max = np.maximum.accumulate(bundle.F)
+    prods = np.concatenate(([1.0], np.cumprod(1.0 + bundle.G[:-1])))
     rhs = (f_running_max + L) * prods
-    return rhs - bundle.X.values
+    return rhs - bundle.X
 
 
 def telescoping_identity_lhs(g, k: int, n: int) -> float:
@@ -104,14 +105,13 @@ def telescoping_identity_lhs(g, k: int, n: int) -> float:
     equals prod_{j=k}^{n-1} (1 + g_j) exactly; the floating-point gap is
     what the identity tests measure.
     """
-    g = as_sequence(g)
+    g = real_sequence(g)
     if not 0 <= k <= n - 1:
         raise ContractViolationError(f"need 0 <= k <= n-1, got k={k}, n={n}")
     sequences._require_length(g, n - 1, "g")
     sequences._require_nonnegative(g, n - 1, "g")
-    gv = g.values
 
-    return sequences._product_weighted_sum(1.0, gv[k:n].tolist(), gv[k:n])
+    return sequences._product_weighted_sum(1.0, g[k:n].tolist(), g[k:n])
 
 
 def per_row_increments(plan, chunk_index, count, h, n_steps, d):
@@ -169,3 +169,158 @@ def _rotation_sup_reference(problem, d_w, h, p):
         y[:, 1] = (b * rhs[:, 0] + a * rhs[:, 1]) / det
         best = np.maximum(best, np.sum(y * y, axis=1) + h * g_norm_sq)
     return best**p
+
+
+# ---------------------------------------------------------------------------
+# report schema
+
+
+def _number(v) -> bool:
+    """A JSON number: an int or a float, not a bool and not NaN."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v == v
+
+
+def _finite(v) -> bool:
+    return _number(v) and math.isfinite(v)
+
+
+def _count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _at_least(lo):
+    return lambda v: _count(v) and v >= lo
+
+
+def _list_of(check):
+    """A nonempty list of values that pass ``check``."""
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(check(x) for x in v)
+
+
+def _bool(v) -> bool:
+    return isinstance(v, bool)
+
+
+def _text(v) -> bool:
+    return isinstance(v, str)
+
+
+def _nonnegative(v) -> bool:
+    return _finite(v) and v >= 0.0
+
+
+def _positive(v) -> bool:
+    return _finite(v) and v > 0.0
+
+
+def _nonnegative_or_inf(v) -> bool:
+    return _number(v) and v >= 0.0
+
+
+def _exponent(v) -> bool:
+    return _finite(v) and 0.0 < v < 1.0
+
+
+def _problem_params(v) -> bool:
+    return isinstance(v, dict) and all(
+        isinstance(k, str) and (_finite(x) or _list_of(_finite)(x)) for k, x in v.items())
+
+
+# The keys of an McEstimate, as every row and the estimate report hold them.
+_ESTIMATE = {
+    "mean": _nonnegative,
+    "std_error": _nonnegative,
+    "ci_halfwidth": _nonnegative,
+    "n_samples": _count,
+    "n_failures": _count,
+    "degenerate_flag": _bool,
+    "z_value": _positive,
+}
+_RUN_INPUTS = {
+    "master_seed": lambda v: _count(v) and v < 2**64,
+    "chunk_size": _at_least(1),
+    "z_value": _positive,
+    "p": _exponent,
+}
+
+#: Report kind -> schema. A dict schema names every key its value must
+#: have, and no other; a one-entry list is a nonempty list of items of
+#: that schema; a callable is a test of the value's type and range.
+REPORT_SCHEMA = {
+    "apriori": {
+        "kind": _text,
+        "inputs": {
+            **_RUN_INPUTS,
+            "problem": _text,
+            "problem_params": _problem_params,
+            "T": _positive,
+            "h0": _positive,
+            "h_grid": _list_of(_positive),
+            "L": _nonnegative,
+            "x0_norm_sq": _nonnegative,
+            "g_x0_norm_sq": _nonnegative,
+            "n_paths": _at_least(2),
+        },
+        "bound": _nonnegative_or_inf,
+        "bound_parts": {
+            "prefactor": lambda v: _finite(v) and v >= 2.0,
+            "growth_factor": lambda v: _number(v) and v >= 1.0,
+            "power_term": _nonnegative_or_inf,
+            "bound": _nonnegative_or_inf,
+        },
+        "rows": [{**_ESTIMATE, "h": _positive, "n_steps": _at_least(1),
+                  "passed": _bool}],
+        "spread": _nonnegative,
+        "margin": _number,
+        "h_robust": _bool,
+        "all_passed": _bool,
+    },
+    "theorem-synthetic": {
+        "kind": _text,
+        "inputs": {
+            **_RUN_INPUTS,
+            "n_paths": _at_least(2),
+            "systems": _list_of(_text),
+            "horizon": _count,
+        },
+        "rows": [{**_ESTIMATE, "system": _text, "e_sup_f": _nonnegative,
+                  "bound": _nonnegative_or_inf, "passed": _bool}],
+        "all_passed": _bool,
+    },
+    "estimate": {
+        "kind": _text,
+        "inputs": {**_RUN_INPUTS, "n_samples": _at_least(2)},
+        "estimate": _ESTIMATE,
+        "reference": _positive,
+    },
+}
+
+
+def check_report(report) -> None:
+    """Raise ValueError unless ``report`` matches the schema of its kind
+    key for key; an apriori report's ``problem_params`` must also name
+    every parameter of its zoo problem, and no other."""
+    if not isinstance(report, dict) or report.get("kind") not in REPORT_SCHEMA:
+        raise ValueError(f"not a report of a known kind: {report!r:.80}")
+    _check(report, REPORT_SCHEMA[report["kind"]], "report")
+    if report["kind"] == "apriori":
+        inputs = report["inputs"]
+        if set(inputs["problem_params"]) != set(zoo_parameters().get(inputs["problem"], ())):
+            raise ValueError(f"report.inputs.problem_params: {inputs['problem_params']!r} "
+                             f"are not the parameters of {inputs['problem']!r}")
+
+
+def _check(value, schema, where) -> None:
+    if isinstance(schema, dict):
+        if not isinstance(value, dict) or set(value) != set(schema):
+            keys = sorted(value) if isinstance(value, dict) else value
+            raise ValueError(f"{where}: keys {keys!r}, expected {sorted(schema)}")
+        for key, sub in schema.items():
+            _check(value[key], sub, f"{where}.{key}")
+    elif isinstance(schema, list):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{where}: {value!r} is not a nonempty list")
+        for i, item in enumerate(value):
+            _check(item, schema[0], f"{where}[{i}]")
+    elif not schema(value):
+        raise ValueError(f"{where}: {value!r} is out of type or range")

@@ -17,7 +17,7 @@ from stochastic_gronwall.bounds import (
     theorem_bound_random_G,
 )
 from stochastic_gronwall.errors import ContractViolationError
-from stochastic_gronwall.sequences import RealSequence, power_product_one_plus
+from stochastic_gronwall.sequences import power_product_one_plus
 
 
 class TestHolderParams:
@@ -71,25 +71,25 @@ class TestHolderPrefactor:
 
 class TestDeterministicBound:
     def test_zero_weights(self):
-        assert theorem_bound_deterministic_G(0.5, [0.0, 0.0, 0.0], 3, 1.0) == 3.0
+        assert theorem_bound_deterministic_G(0.5, [0.0, 0.0, 0.0], 3, 1.0)["bound"] == 3.0
 
     def test_unit_weights(self):
         # (1+1)^(2*0.5) = 2
-        assert theorem_bound_deterministic_G(0.5, [1.0, 1.0], 2, 1.0) == pytest.approx(
+        assert theorem_bound_deterministic_G(0.5, [1.0, 1.0], 2, 1.0)["bound"] == pytest.approx(
             6.0, rel=1e-12
         )
 
     def test_mixed(self):
         # 3 * (1+3)^0.5 * 4^0.5 = 12
-        assert theorem_bound_deterministic_G(0.5, [3.0], 1, 4.0) == pytest.approx(
+        assert theorem_bound_deterministic_G(0.5, [3.0], 1, 4.0)["bound"] == pytest.approx(
             12.0, rel=1e-12
         )
 
     def test_zero_e_sup(self):
-        assert theorem_bound_deterministic_G(0.5, [1.0], 1, 0.0) == 0.0
+        assert theorem_bound_deterministic_G(0.5, [1.0], 1, 0.0)["bound"] == 0.0
 
     def test_infinite_e_sup_propagates(self):
-        assert theorem_bound_deterministic_G(0.5, [1.0], 1, math.inf) == math.inf
+        assert theorem_bound_deterministic_G(0.5, [1.0], 1, math.inf)["bound"] == math.inf
 
     def test_contract_p(self):
         with pytest.raises(ContractViolationError):
@@ -98,14 +98,19 @@ class TestDeterministicBound:
             theorem_bound_deterministic_G(0.5, [-1.0], 1, 1.0)
 
     def test_negative_horizon_rejected(self):
-        # G.values[:-1] would silently drop the last weight
+        # G[:-1] would silently drop the last weight
         with pytest.raises(ContractViolationError, match="horizon n must be >= 0"):
             theorem_bound_deterministic_G(0.5, [0.1, 0.2], -1, 1.0)
 
     def test_overflowing_product_finite_power(self):
         g = [99.0] * 200
-        val = theorem_bound_deterministic_G(0.5, g, 200, 1.0)
+        val = theorem_bound_deterministic_G(0.5, g, 200, 1.0)["bound"]
         assert val == pytest.approx(3.0 * 1e200, rel=1e-9)
+
+    def test_parts(self):
+        # 3 * (1+3)^0.5 * 4^0.5 = 12, factor by factor
+        assert theorem_bound_deterministic_G(0.5, [3.0, 7.0], 1, 4.0) == {
+            "prefactor": 3.0, "product_term": 2.0, "power_term": 2.0, "bound": 12.0}
 
 
 class TestRandomGBound:
@@ -115,23 +120,29 @@ class TestRandomGBound:
             n = int(rng.integers(1, 10))
             g = rng.uniform(0, 2, n)
             e_sup = rng.uniform(0.1, 5)
-            norm = power_product_one_plus(RealSequence(g), 0, n, p)
-            via_random = theorem_bound_random_G(HolderParams(p, 1.0), norm, n, e_sup)
-            direct = theorem_bound_deterministic_G(p, g, n, e_sup)
+            norm = power_product_one_plus(g, 0, n, p)
+            via_random = theorem_bound_random_G(HolderParams(p, 1.0), norm, n, e_sup)["bound"]
+            direct = theorem_bound_deterministic_G(p, g, n, e_sup)["bound"]
             assert via_random == pytest.approx(direct, rel=1e-12)
 
     def test_norm_one(self):
         hp = HolderParams(0.25, 2.0)
-        assert theorem_bound_random_G(hp, 1.0, 5, 1.0) == pytest.approx(
+        assert theorem_bound_random_G(hp, 1.0, 5, 1.0)["bound"] == pytest.approx(
             math.sqrt(3.0), rel=1e-15
         )
 
     def test_norm_and_power(self):
         hp = HolderParams(0.25, 2.0)
         # 16^(1/4) = 2
-        assert theorem_bound_random_G(hp, 2.0, 5, 16.0) == pytest.approx(
+        assert theorem_bound_random_G(hp, 2.0, 5, 16.0)["bound"] == pytest.approx(
             4.0 * math.sqrt(3.0), rel=1e-13
         )
+
+    def test_parts(self):
+        hp = HolderParams(0.25, 2.0)
+        parts = theorem_bound_random_G(hp, 2.0, 5, 16.0)
+        assert parts == {"prefactor": holder_prefactor(hp), "product_norm": 2.0,
+                         "power_term": 2.0, "bound": holder_prefactor(hp) * 2.0 * 2.0}
 
 
 class TestAprioriBound:
@@ -212,17 +223,17 @@ class TestBundle:
 class TestTransformedMartingale:
     def test_zero_increments(self):
         b = GronwallPathBundle([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0])
-        assert np.all(transformed_martingale(b).values == 0.0)
+        assert np.all(transformed_martingale(b) == 0.0)
 
     def test_unit_weights_reproduce_m(self):
         m = [0.0, 1.0, -0.5]
         b = GronwallPathBundle([2.0, 3.0, 1.5], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0], m)
-        assert np.allclose(transformed_martingale(b).values, m, rtol=0, atol=0)
+        assert np.allclose(transformed_martingale(b), m, rtol=0, atol=0)
 
     def test_hand_example(self):
         # M = [0, 1, 0], G = [1, 1]: L = [0, 1/2, 1/2 - 1/4]
         b = GronwallPathBundle([1.0, 2.0, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0])
-        out = transformed_martingale(b).values
+        out = transformed_martingale(b)
         assert list(out) == [0.0, 0.5, 0.25]
 
     def test_product_inequality_on_random_bundles(self, rng):

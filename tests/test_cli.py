@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import REPORT_SCHEMA, check_report
 from stochastic_gronwall.cli import (
     EXIT_CONFIG,
     EXIT_CONTRACT,
@@ -13,14 +14,13 @@ from stochastic_gronwall.cli import (
     SEED_ENV_VAR,
     build_parser,
     main,
-    validate_report,
 )
-from stochastic_gronwall.errors import ConfigError
 
 
 def load_report(path) -> dict:
+    """The report a test wrote, checked against its schema."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    validate_report(payload)
+    check_report(payload)
     return payload
 
 
@@ -207,6 +207,7 @@ class TestVerifyCommand:
             out_path = tmp_path / f"w{workers}.json"
             code, _, err = run(capsys, *argv, "--workers", workers, "--output", str(out_path))
             assert code == EXIT_OK, err
+            load_report(out_path)
             reports.append(out_path.read_bytes())
         assert reports[0] == reports[1] == reports[2]
 
@@ -345,6 +346,36 @@ class TestGoldenReports:
         assert code == EXIT_OK
         assert out_path.read_bytes() == (GOLDEN / "sup_estimate.json").read_bytes()
 
+    @pytest.mark.parametrize("name, argv", [
+        ("bound_holder", ["--form", "holder", "--p", "0.25", "--nu", "2"]),
+        ("bound_deterministic_G", ["--form", "deterministic-G", "--p", "0.3",
+                                   "--G", "0.1,0.2,0.7", "--e-sup-f", "2.5"]),
+        # (1 + 1e100)^4 passes OVERFLOW_GUARD: the product term comes from log space
+        ("bound_deterministic_G_log_space", ["--form", "deterministic-G", "--p", "0.5",
+                                             "--G", "1e100,1e100,1e100,1e100",
+                                             "--e-sup-f", "2"]),
+        ("bound_random_G", ["--form", "random-G", "--p", "0.3", "--nu", "2", "--g-norm", "1.7",
+                            "--e-sup-f", "3", "--n", "5"]),
+        ("bound_apriori", ["--form", "apriori", "--p", "0.3", "--L", "1.5", "--T", "2",
+                           "--h0", "0.1", "--x0sq", "0.7", "--gx0sq", "0.2"]),
+    ])
+    def test_bound_stdout_bytes(self, capsys, name, argv):
+        code, out, _ = run(capsys, "bound", *argv)
+        assert code == EXIT_OK
+        assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+    @pytest.mark.parametrize("name, argv", [
+        ("gronwall", ["--f", "1,0.5,2,0.25,3", "--g", "0.1,0.2,0.3,0.4,0.5"]),
+        # products of (1 + 1e160) pass OVERFLOW_GUARD in the closed form, while
+        # the tiny f keeps every envelope entry finite
+        ("gronwall_large_weights", ["--f", "1e-300,0,0,0", "--g", "1e160,1e160,1e160,1e160"]),
+    ])
+    def test_gronwall_csv_bytes(self, capsys, tmp_path, name, argv):
+        out_path = tmp_path / f"{name}.csv"
+        code, _, err = run(capsys, "gronwall", *argv, "--output", str(out_path))
+        assert code == EXIT_OK, err
+        assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
 
 # Every command that takes --workers and --z, with enough flags to run.
 _POSITIVE_FLAG_COMMANDS = {
@@ -478,6 +509,10 @@ _INPUT_CASES = {
                                None, EXIT_CONFIG, "--problem must be one of"),
     "config-seed-too-large": ([*_THEOREM, "--paths", "200"], {"seed": 2**64}, None, EXIT_CONFIG,
                               "--seed must lie in"),
+    # checked before the n = 0 walk is built, as for any other n
+    "enumerate-zero-steps-stop-level": (["martingale", "enumerate", "--p", "0.5", "--n", "0",
+                                         "--stop-level", "1"], None, None, EXIT_CONTRACT,
+                                        "stop_level must be < 0"),
     "deterministic-G-negative-horizon": (["bound", "--form", "deterministic-G", "--p", "0.5",
                                           "--G", "0.1,0.2", "--n", "-1", "--e-sup-f", "1"],
                                          None, None, EXIT_CONTRACT, "horizon n must be >= 0"),
@@ -628,22 +663,47 @@ class TestFlagDomains:
 
 
 class TestReportSchema:
+    """The schema in ``oracles`` accepts every golden report and rejects a
+    report with a key missing, added or out of its range."""
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.glob("*.json")))
+    def test_every_golden_matches(self, name):
+        assert load_report(GOLDEN / name)["kind"] in REPORT_SCHEMA
+
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            validate_report({"kind": "mystery"})
+        with pytest.raises(ValueError, match="known kind"):
+            check_report({"kind": "mystery"})
 
     def test_rejects_missing_seed(self):
-        with pytest.raises(ConfigError, match="master seed"):
-            validate_report({"kind": "apriori", "inputs": {}, "rows": [],
-                             "all_passed": True, "bound": 1.0, "bound_parts": {},
-                             "spread": 0.0, "margin": 1.0, "h_robust": True})
+        report = load_report(GOLDEN / "apriori_linear.json")
+        del report["inputs"]["master_seed"]
+        with pytest.raises(ValueError, match=r"report\.inputs: keys"):
+            check_report(report)
+
+    @pytest.mark.parametrize("path, value, fragment", [
+        (("rows", 0, "mean"), math.nan, r"report\.rows\[0\]\.mean"),
+        (("rows", 1, "n_samples"), 512.0, r"report\.rows\[1\]\.n_samples"),
+        (("rows", 0, "passed"), 1, r"report\.rows\[0\]\.passed"),
+        (("bound_parts", "growth_factor"), 0.5, r"report\.bound_parts\.growth_factor"),
+        (("inputs", "p"), 1.0, r"report\.inputs\.p"),
+        (("inputs", "problem_params", "kappa"), 0.1, "problem_params"),
+        (("diagnostics",), {}, r"report: keys"),
+    ])
+    def test_rejects_a_value_out_of_place(self, path, value, fragment):
+        report = load_report(GOLDEN / "apriori_linear.json")
+        *parents, key = path
+        target = report
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(ValueError, match=fragment):
+            check_report(report)
 
     def test_roundtrip_revalidates(self, capsys, tmp_path):
         out_path = tmp_path / "r.json"
         run(capsys, "verify", "theorem", "--p", "0.5", "--paths", "500",
             "--horizon", "4", "--seed", "0", "--output", str(out_path))
-        payload = json.loads(out_path.read_text())
-        validate_report(payload)
+        assert len(load_report(out_path)["rows"]) == 3
 
 
 class TestMisc:

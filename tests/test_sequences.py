@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from oracles import telescoping_identity_lhs
 from stochastic_gronwall.errors import ContractViolationError
 from stochastic_gronwall.sequences import (
-    RealSequence,
     _require_nonnegative,
-    as_sequence,
     gronwall_closed_form,
     gronwall_recursive_envelope,
     log_product_one_plus,
     power_product_one_plus,
+    real_sequence,
 )
 
 
@@ -24,9 +23,8 @@ def telescoping_max_rel_error(g) -> float:
     For each k the sum side and the product side are accumulated exactly
     as ``telescoping_identity_lhs`` does, for all n at once.
     """
-    g = as_sequence(g)
-    _require_nonnegative(g, len(g) - 1, "g")
-    gv = g.values
+    gv = real_sequence(g)
+    _require_nonnegative(gv, len(gv) - 1, "g")
     m = gv.size
     worst = 0.0
     for k in range(m):
@@ -46,28 +44,35 @@ def recursion_oracle(f, g, n):
     return y
 
 
-class TestRealSequence:
+class TestSequenceCheck:
     def test_validates_finiteness(self):
-        with pytest.raises(ContractViolationError):
-            RealSequence([1.0, math.nan])
-        with pytest.raises(ContractViolationError):
-            RealSequence([math.inf])
+        with pytest.raises(ContractViolationError, match="sequence entries must be finite"):
+            real_sequence([1.0, math.nan])
+        with pytest.raises(ContractViolationError, match="sequence entries must be finite"):
+            real_sequence([math.inf])
 
     def test_rejects_empty_and_nd(self):
-        with pytest.raises(ContractViolationError):
-            RealSequence([])
-        with pytest.raises(ContractViolationError):
-            RealSequence([[1.0, 2.0]])
+        with pytest.raises(ContractViolationError, match="a sequence must have at least one"):
+            real_sequence([])
+        with pytest.raises(ContractViolationError, match="a sequence must be one-dimensional"):
+            real_sequence([[1.0, 2.0]])
 
     def test_immutable(self):
-        seq = RealSequence([1.0, 2.0])
+        seq = real_sequence([1.0, 2.0])
         with pytest.raises(ValueError):
-            seq.values[0] = 3.0
+            seq[0] = 3.0
+
+    def test_copies_its_input(self):
+        values = np.array([1.0, 2.0])
+        seq = real_sequence(values)
+        values[0] = 3.0
+        assert seq[0] == 1.0 and values.flags.writeable
 
     def test_signed_entries_allowed(self):
-        seq = RealSequence([-1.0, 2.0])
+        seq = real_sequence([-1.0, 2.0])
+        assert seq.dtype == np.float64
         assert seq[0] == -1.0
-        assert seq.horizon == 1
+        assert len(seq) == 2
 
 
 class TestClosedForm:
@@ -132,16 +137,16 @@ class TestClosedForm:
 class TestEnvelope:
     def test_hand_recursion(self):
         env = gronwall_recursive_envelope([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-        assert list(env.values) == [1.0, 2.0, 4.0]
+        assert list(env) == [1.0, 2.0, 4.0]
 
     def test_single_entry(self):
         env = gronwall_recursive_envelope([5.0], [3.0], 0)
-        assert list(env.values) == [5.0]
+        assert list(env) == [5.0]
 
     def test_homogeneous_zero(self, rng):
         g = rng.uniform(0, 3, 6)
         env = gronwall_recursive_envelope(np.zeros(6), g)
-        assert np.all(env.values == 0.0)
+        assert np.all(env == 0.0)
 
     def test_agrees_with_closed_form(self, rng):
         for _ in range(50):
@@ -182,13 +187,13 @@ class TestTelescoping:
         n = data.draw(st.integers(min_value=1, max_value=len(g)))
         k = data.draw(st.integers(min_value=0, max_value=n - 1))
         lhs = telescoping_identity_lhs(g, k, n)
-        rhs = power_product_one_plus(RealSequence(g), k, n, 1.0)
+        rhs = power_product_one_plus(g, k, n, 1.0)
         assert abs(lhs - rhs) <= 1e-10 * rhs
 
     def test_batch_matches_scalar(self, rng):
         g = rng.uniform(0, 10, 12)
         worst = telescoping_max_rel_error(g)
-        seq = RealSequence(g)
+        seq = real_sequence(g)
         direct = max(
             abs(telescoping_identity_lhs(g, k, n) - power_product_one_plus(seq, k, n, 1.0))
             / power_product_one_plus(seq, k, n, 1.0)
@@ -202,19 +207,19 @@ class TestOverflowHandling:
     def test_product_log_space_switch(self):
         # (1+9)^305 = 1e305 exceeds the 1e300 guard partway through
         g = [9.0] * 305
-        val = power_product_one_plus(RealSequence(g), 0, 305, 1.0)
+        val = power_product_one_plus(g, 0, 305, 1.0)
         assert val == pytest.approx(1e305, rel=1e-10)
 
     def test_power_product_finite_when_plain_overflows(self):
         # (1+99)^200 = 1e400 overflows, but its square root 1e200 does not
         g = [99.0] * 200
-        assert power_product_one_plus(RealSequence(g), 0, 200, 1.0) == math.inf
-        val = power_product_one_plus(RealSequence(g), 0, 200, 0.5)
+        assert power_product_one_plus(g, 0, 200, 1.0) == math.inf
+        val = power_product_one_plus(g, 0, 200, 0.5)
         assert val == pytest.approx(1e200, rel=1e-10)
 
     def test_log_product(self):
         g = [1.0, 3.0]
-        assert log_product_one_plus(RealSequence(g), 0, 2) == pytest.approx(
+        assert log_product_one_plus(g, 0, 2) == pytest.approx(
             math.log(2.0) + math.log(4.0), rel=1e-15
         )
 
@@ -250,7 +255,7 @@ class TestOverflowHandling:
     @pytest.mark.filterwarnings("error")
     def test_overflowing_multiply_raises_no_warning(self):
         g = [1e200, 1e200, 2.0]
-        assert power_product_one_plus(RealSequence(g), 0, 3, 0.5) == pytest.approx(
+        assert power_product_one_plus(g, 0, 3, 0.5) == pytest.approx(
             math.sqrt(3.0) * 1e200, rel=1e-12
         )
         # 1 + 1e200 + 1e200 * (1 + 1e200) + 2 * (1 + 1e200)^2 is 3e400, beyond float64
