@@ -44,7 +44,6 @@ from .martingales import (
 )
 from .mc import (
     DEFAULT_Z,
-    MAX_CHUNK_VALUES,
     SupStoppedBmPowerSampler,
     estimate_expectation,
     sample_columns,
@@ -58,7 +57,7 @@ from .sequences import (
     gronwall_recursive_envelope,
     real_sequence,
 )
-from .streams import CHUNK_SIZE, StreamPlan
+from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, StreamPlan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -512,7 +511,8 @@ def _emit_verify(args, report, columns) -> int:
 _EXPONENT = Flag("--p", EXPONENT, "moment exponent", REQUIRED)
 _PATHS = Flag("--paths", COUNT, "Monte Carlo paths", 100_000)
 _SEED = Flag("--seed", SEED, "master seed", 0, env=SEED_ENV_VAR)
-_WORKERS = Flag("--workers", POSITIVE_INT, "worker processes (results do not depend on it)", 1)
+_WORKERS = Flag("--workers", POSITIVE_INT, "worker processes (results do not depend on it); "
+                "1 runs in the calling process and starts no pool", 1)
 _Z = Flag("--z", POSITIVE, "normal quantile of the confidence interval", DEFAULT_Z)
 _REPORT = Flag("--output", TEXT, "JSON report path")
 _TABLE = Flag("--csv", TEXT, "CSV table path")
@@ -594,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True)
     _leaf(besub, "simulate", "simulate one trajectory to CSV", _cmd_bem, [
         *_problem_flags(),
-        Flag("--h", REAL, "step size", REQUIRED),
+        Flag("--h", REAL, "step size; its steps up to T, times the larger of the state and "
+             f"noise dimensions, at most {MAX_CHUNK_VALUES}", REQUIRED),
         Flag("--h0", REAL, "step-size cap (default just below 1/(2L))"),
         Flag("--T", REAL, "time horizon", REQUIRED),
         _SEED,
@@ -606,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True)
     _leaf(vsub, "theorem", "moment bound on synthetic recursion systems", _cmd_verify_theorem, [
         _EXPONENT, _PATHS,
-        Flag("--horizon", HORIZON, "recursion horizon", 10),
+        Flag("--horizon", HORIZON, f"recursion horizon; horizon + 1 times {CHUNK_SIZE} paths "
+             f"at most {MAX_CHUNK_VALUES}", 10),
         Flag("--systems", TEXT, "comma-separated subset of system labels"),
         _SEED, _WORKERS, _Z, _REPORT, _TABLE,
     ], config=True)

@@ -9,13 +9,17 @@ mean and M2 by a shifted two-pass in numpy, and each column's chunk
 moments are combined by a fixed pairwise merge tree (the
 Chan-Golub-LeVeque update), so estimates are bit identical for any
 worker count.
+
+The process-pool stack (``concurrent.futures``, ``multiprocessing`` and
+what they import) loads only when a pass forks workers:
+``ProcessPoolExecutor`` is a lazy module attribute.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Sequence
@@ -26,9 +30,19 @@ from . import kernels, sde
 from .bounds import AprioriInputs, apriori_bound_parts, theorem_bound_deterministic_G
 from .errors import ContractViolationError, EstimateAbortedError
 from .martingales import sample_sup_stopped_bm_exact_batch
-from .streams import CHUNK_SIZE, StreamPlan
+from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, StreamPlan
 
 DEFAULT_Z = 1.96
+
+
+def __getattr__(name):
+    """``ProcessPoolExecutor``, imported on first access (PEP 562)."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -114,7 +128,9 @@ def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
         raise ContractViolationError(f"need at least 2 samples, got {n}")
     n_tasks = min(plan.workers, plan.n_chunks(n))
     edges = np.linspace(0, plan.n_chunks(n), n_tasks + 1).astype(int).tolist()
-    pool = ProcessPoolExecutor(max_workers=n_tasks - 1) if n_tasks > 1 else None
+    # through the module, so that a replaced class (a tracer's, a test's) is the one used
+    pool = (sys.modules[__name__].ProcessPoolExecutor(max_workers=n_tasks - 1)
+            if n_tasks > 1 else None)
     try:
         rest = pool.map(_chunk_range_stats, repeat(sampler), repeat(plan), repeat(n),
                         edges[1:-1], edges[2:]) if pool is not None else ()
@@ -222,7 +238,14 @@ class SyntheticSystem:
 
 
 def standard_synthetic_systems(horizon: int = 10) -> tuple:
-    """The three stock systems used by the verification suite."""
+    """The three stock systems used by the verification suite. A chunk of
+    their paths, CHUNK_SIZE times horizon + 1 values, must be within the
+    work limit."""
+    if CHUNK_SIZE * (horizon + 1) > MAX_CHUNK_VALUES:
+        raise ContractViolationError(
+            f"horizon {horizon}: {horizon + 1} values for each of {CHUNK_SIZE} paths are over "
+            f"{MAX_CHUNK_VALUES} values for one chunk"
+        )
     ones = (1.0,) * (horizon + 1)
     ramp = tuple(float(k + 1) for k in range(horizon + 1))
     zeros = (0.0,) * (horizon + 1)
@@ -297,13 +320,6 @@ def _remember(key, problem) -> None:
     _PROBLEMS[key] = problem
     if len(_PROBLEMS) > _KEPT:
         del _PROBLEMS[next(iter(_PROBLEMS))]
-
-
-#: Largest Brownian increment block of one chunk, in float64 values. A
-#: report's bound on it, CHUNK_SIZE paths times the steps of all its
-#: grids times the state dimension, is checked before any time point is
-#: listed or any array allocated.
-MAX_CHUNK_VALUES = 2**25
 
 
 @functools.lru_cache(maxsize=_KEPT)

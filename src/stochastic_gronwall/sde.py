@@ -18,6 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ContractViolationError, SolverError
+from .streams import MAX_CHUNK_VALUES
 
 COERCIVITY_POINTS = 10_000
 COERCIVITY_RADIUS = 100.0
@@ -146,6 +147,8 @@ class BemConfig:
             raise ContractViolationError(f"step size must be < 1, got {self.h}")
         if not self.T > 0.0:
             raise ContractViolationError(f"T must be > 0, got {self.T}")
+        if not math.isfinite(self.T / self.h):
+            raise ContractViolationError(f"T/h overflows for h={self.h}, T={self.T}")
         if self.n_steps < 1:
             raise ContractViolationError(
                 f"h={self.h} exceeds the horizon T={self.T} (no steps fit)"
@@ -271,6 +274,8 @@ def simulate_trajectory(
     """Integrate one path, recording states, noise terms, and functionals.
 
     Increments dW^{j+1} are N(0, h I_m) draws from the supplied stream.
+    A trajectory whose steps times the larger of d and m exceed
+    ``MAX_CHUNK_VALUES`` is rejected before anything is allocated.
     Solver failures propagate as :class:`SolverError` with the step index.
     """
     cfg.validate_for(problem)
@@ -278,6 +283,12 @@ def simulate_trajectory(
         if not 0.0 < p < 1.0:
             raise ContractViolationError(f"every p must lie in (0,1), got {p}")
     n = cfg.n_steps
+    width = max(problem.d, problem.m)
+    if n * width > MAX_CHUNK_VALUES:
+        raise ContractViolationError(
+            f"{n} steps of h={cfg.h} up to T={cfg.T}, times {width} (the larger of d and m), "
+            f"are over {MAX_CHUNK_VALUES} values for one trajectory"
+        )
     d_w = rng_stream.standard_normal((n, problem.m)) * math.sqrt(cfg.h)
 
     states = np.empty((n + 1, problem.d))

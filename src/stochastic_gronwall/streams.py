@@ -25,6 +25,14 @@ from .errors import ContractViolationError
 #: report depends on this value.
 CHUNK_SIZE = 4096
 
+#: The work limit, in float64 values, of one block a run allocates at
+#: once: one chunk's Brownian increments (CHUNK_SIZE paths times the steps
+#: of all a report's grids times the state dimension), one chunk of
+#: synthetic paths (CHUNK_SIZE times horizon + 1), or one simulated
+#: trajectory (its steps times the larger of the state and noise
+#: dimensions). Each is checked before any of its arrays is allocated.
+MAX_CHUNK_VALUES = 2**25
+
 # High bit separates the chunk-stream key domain from the path-stream
 # domain so the two can never collide.
 _CHUNK_DOMAIN = 1 << 63

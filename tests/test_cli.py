@@ -2,6 +2,9 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -520,6 +523,18 @@ _INPUT_CASES = {
     "apriori-grid-over-work-limit": ([*_APRIORI, "--problem", "linear", "--p", "0.5",
                                       "--seed", "1", "--paths", "2", "--h-grid", "0.125,1e-12"],
                                      None, None, EXIT_CONTRACT, "Brownian increments"),
+    # 1e12 steps of one trajectory, and 4096 walks of 1e10 + 1 values: over the work
+    # limit before anything is allocated
+    "simulate-over-work-limit": (["bem", "simulate", "--problem", "linear", "--h", "1e-12",
+                                  "--T", "1", "--seed", "1"], None, None, EXIT_CONTRACT,
+                                 "values for one trajectory"),
+    "theorem-horizon-over-work-limit": ([*_THEOREM[:-1], "10000000000", "--paths", "2",
+                                         "--seed", "1"], None, None, EXIT_CONTRACT,
+                                        "values for one chunk"),
+    # T/h is infinite: rejected before the steps are counted
+    "simulate-subnormal-step": (["bem", "simulate", "--problem", "linear", "--h", "5e-324",
+                                 "--T", "1", "--seed", "1"], None, None, EXIT_CONTRACT,
+                                "T/h overflows"),
     # 2*h0*L < 1 is the library's rule (L = 1.125 for ginzburg-landau)
     "apriori-h0-too-large": ([*_GL, "--h0", "0.9"], None, None, EXIT_CONTRACT,
                              "need 2*h0*L < 1"),
@@ -722,3 +737,40 @@ class TestMisc:
         from stochastic_gronwall.sequences import gronwall_closed_form
 
         assert val == gronwall_closed_form([0.1, 0.2], [0.3, 0.7], 1)
+
+
+# Run in a fresh interpreter: this test process has imported multiprocessing.
+_POOL_STACK_SCRIPT = """
+import contextlib, io, sys
+from pathlib import Path
+from stochastic_gronwall.cli import main
+
+out = Path(sys.argv[1])
+apriori = ["verify", "apriori", "--sigma", "0.5", "--p", "0.5", "--T", "1", "--h0", "0.25",
+           "--h-grid", "0.125,0.015625", "--seed", "3"]
+runs = {
+    "gl": [*apriori, "--problem", "ginzburg-landau", "--paths", "64"],
+    "rotation": [*apriori, "--problem", "bounded-rotation", "--paths", "64"],
+    "theorem": ["verify", "theorem", "--p", "0.5", "--paths", "200", "--seed", "3"],
+    "sup": ["martingale", "estimate-sup", "--p", "0.5", "--samples", "1000", "--seed", "3"],
+    "two-chunks": [*apriori, "--problem", "ginzburg-landau", "--paths", "8192"],
+}
+with contextlib.redirect_stdout(io.StringIO()):
+    for name, argv in runs.items():
+        assert main([*argv, "--workers", "1", "--output", str(out / f"{name}-1.json")]) == 0, name
+    loaded = [m for m in ("concurrent.futures", "multiprocessing", "logging") if m in sys.modules]
+    assert loaded == [], f"a --workers 1 run loaded {loaded}"
+    argv = [*runs["two-chunks"], "--workers", "2", "--output", str(out / "two-chunks-2.json")]
+    assert main(argv) == 0
+    assert "concurrent.futures" in sys.modules
+"""
+
+
+def test_single_process_runs_never_load_the_pool_stack(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-W", "error", "-c", _POOL_STACK_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    one, two = (tmp_path / f"two-chunks-{w}.json" for w in (1, 2))
+    assert one.read_bytes() == two.read_bytes()

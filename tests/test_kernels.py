@@ -207,6 +207,33 @@ class TestBemScalarBatch:
         for a, b in zip(got, expected):
             assert np.array_equal(a, b, equal_nan=True)
 
+    def test_paths_failing_mid_run(self):
+        # the drift is NaN beyond |x| = 5, so a path fails at the step where a
+        # large increment pushes it there; the others step on unchanged
+        def drift(x):
+            return np.where(np.abs(x) > 5.0, np.nan, -x)
+
+        def jacobian(x):
+            return np.full(x.shape + (1,), -1.0)
+
+        def diffusion(x):
+            return np.ones(x.shape + (1,))
+
+        d_w = StreamPlan(24).chunk_stream(0).standard_normal((8, 6)) * 0.1
+        fails_at = {1: 2, 4: 0, 6: 5}
+        for path, step in fails_at.items():
+            d_w[path, step] = 10.0
+        states, iters, failed = kernels.bem_scalar_batch(drift, jacobian, diffusion, 1.0, d_w, 0.1)
+        assert np.flatnonzero(failed).tolist() == sorted(fails_at)
+        for path, step in fails_at.items():
+            assert np.isfinite(states[path, :step + 1]).all()
+            assert np.isnan(states[path, step + 1:]).all()
+        alive = ~failed
+        alone = kernels.bem_scalar_batch(drift, jacobian, diffusion, 1.0, d_w[alive], 0.1)
+        assert np.array_equal(states[alive], alone[0])
+        assert np.array_equal(iters[alive], alone[1])
+        assert not alone[2].any()
+
     def test_output_shapes(self):
         states, iters, failed = batch(make_problem("linear", sigma=0.0), 1.0, 0.1, np.zeros((3, 5)))
         assert states.shape == (3, 6)

@@ -25,7 +25,7 @@ from stochastic_gronwall.mc import (
     verify_apriori,
     verify_theorem_on_synthetic,
 )
-from stochastic_gronwall.sde import BemConfig, make_problem
+from stochastic_gronwall.sde import BemConfig, make_problem, simulate_trajectory
 from stochastic_gronwall.streams import CHUNK_SIZE, StreamPlan
 
 
@@ -104,6 +104,14 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
     return requested
+
+
+def test_pool_class_is_a_lazy_module_attribute():
+    from concurrent.futures import ProcessPoolExecutor
+
+    assert mc.ProcessPoolExecutor is ProcessPoolExecutor
+    with pytest.raises(AttributeError, match="no attribute 'ThreadPoolExecutor'"):
+        mc.ThreadPoolExecutor
 
 
 class TestEstimator:
@@ -454,8 +462,6 @@ class TestSamplerMatchesTrajectory:
     @pytest.mark.parametrize("p", [0.3, 0.5])
     def test_one_path_chunk_bit_identical(self, label, params, h, p):
         # the sup functional uses the problem's own g on both routes
-        from stochastic_gronwall.sde import simulate_trajectory
-
         prob = make_problem(label, **params)
         cfg = BemConfig(h=h, h0=0.25, T=1.0)
         sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], p)
@@ -584,6 +590,26 @@ class TestWorkLimit:
         with pytest.raises(ContractViolationError, match="Brownian increments"):
             BemSupFunctionalSampler.for_problem(
                 prob, [BemConfig(h=1.0 / (steps + 1), h0=0.25, T=1.0)], 0.5)
+
+    def test_synthetic_horizon_limit_is_inclusive(self):
+        horizon = mc.MAX_CHUNK_VALUES // CHUNK_SIZE - 1
+        assert len(standard_synthetic_systems(horizon)[0].f_values) == horizon + 1
+        with pytest.raises(ContractViolationError, match="values for one chunk"):
+            standard_synthetic_systems(horizon + 1)
+
+    @pytest.mark.parametrize("label, width", [("linear", 1), ("bounded-rotation", 2)])
+    def test_trajectory_limit_checked_before_drawing(self, label, width):
+        class Undrawn:
+            def standard_normal(self, shape):
+                raise LookupError(shape)
+
+        prob = make_problem(label)
+        h = 2.0**-25 * width
+        # a horizon of exactly the limit passes the check and reaches the draw
+        with pytest.raises(LookupError):
+            simulate_trajectory(prob, BemConfig(h=h, h0=0.25, T=1.0), [], Undrawn())
+        with pytest.raises(ContractViolationError, match="values for one trajectory"):
+            simulate_trajectory(prob, BemConfig(h=h, h0=0.25, T=1.0 + h), [], Undrawn())
 
 
 def simulate_step(prob, y, d_w, cfg):

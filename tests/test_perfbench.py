@@ -8,6 +8,8 @@ in the per-layer benchmark metrics.
 import contextlib
 import importlib.util
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,6 +35,45 @@ def test_tracer_finds_every_entry_point():
     finally:
         tracer.uninstall(patches)
     assert kernels.bem_scalar_batch is original
+
+
+# Run in a fresh interpreter, where the pool stack starts out unloaded:
+# mc imports ProcessPoolExecutor on first access, and the tracer must
+# still find it, replace it and put it back.
+_LAZY_POOL_SCRIPT = """
+import contextlib, importlib.util, io, sys
+from stochastic_gronwall import cli, mc
+
+assert "concurrent.futures" not in sys.modules
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+run = tracer.Tracer("tier-1")
+patches, absent = tracer.install(run)
+try:
+    assert absent == [], absent
+    import concurrent.futures
+    traced = mc.ProcessPoolExecutor
+    assert traced.__name__ == "TracedPool", traced
+    assert issubclass(traced, concurrent.futures.ProcessPoolExecutor)
+    assert traced is not concurrent.futures.ProcessPoolExecutor
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["martingale", "estimate-sup", "--p", "0.5", "--samples", "1000",
+                         "--seed", "3", "--workers", "1"]) == 0
+finally:
+    tracer.uninstall(patches)
+assert mc.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+metrics, _ = tracer.layer_metrics(run.spans, 0.0)
+assert metrics["mc.pool.startups"] == 0, metrics["mc.pool.startups"]
+assert metrics["martingales.sup_exact.samples"] == 1000, metrics["martingales.sup_exact.samples"]
+"""
+
+
+def test_tracer_replaces_and_restores_the_lazy_pool_class():
+    env = {**os.environ, "PYTHONPATH": str(TRACER.parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-W", "error", "-c", _LAZY_POOL_SCRIPT, str(TRACER)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _run_twice(tracer, argv, reports):
