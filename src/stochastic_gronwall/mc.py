@@ -30,9 +30,11 @@ from . import kernels, sde
 from .bounds import AprioriInputs, apriori_bound_parts, theorem_bound_deterministic_G
 from .errors import ContractViolationError, EstimateAbortedError
 from .martingales import sample_sup_stopped_bm_exact_batch
+from .sequences import log_product_one_plus
 from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, StreamPlan
 
 DEFAULT_Z = 1.96
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def __getattr__(name):
@@ -102,9 +104,18 @@ def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int):
         columns = np.atleast_2d(np.asarray(sampler.sample_chunk(plan, c, count), dtype=np.float64))
         stats = []
         for vals in columns:
-            finite = np.isfinite(vals)
-            n_fail = int(count - finite.sum())
-            stats.append((kernels.welford_chunk(vals[finite] if n_fail else vals), n_fail))
+            # A NaN or inf value makes the mean non-finite, and moments that come out
+            # finite raised no floating-point warning. So only a column whose moments
+            # are not both finite has its failures counted, and its moments taken
+            # again as before, warnings included.
+            with np.errstate(all="ignore"):
+                moments = kernels.welford_chunk(vals)
+            n_fail = 0
+            if not (math.isfinite(moments[1]) and math.isfinite(moments[2])):
+                finite = np.isfinite(vals)
+                n_fail = int(count - finite.sum())
+                moments = kernels.welford_chunk(vals[finite] if n_fail else vals)
+            stats.append((moments, n_fail))
         out.append(stats)
     return out
 
@@ -261,7 +272,8 @@ def standard_synthetic_systems(horizon: int = 10) -> tuple:
 class SyntheticSupXpSampler:
     """sup_{k<=n} X_k^p over paths of synthetic recursion systems, one
     column per system. The systems share one horizon, and every walk
-    system steps the same signs, drawn once per chunk."""
+    system steps the same signs, drawn once per chunk. A system whose
+    largest possible X_n is beyond the float64 range is rejected."""
 
     systems: tuple
     p: float
@@ -269,6 +281,17 @@ class SyntheticSupXpSampler:
     def __post_init__(self):
         if len({system.horizon for system in self.systems}) > 1:
             raise ContractViolationError("the systems must share one horizon")
+        for sysd in self.systems:
+            # X_n <= (max F + max M) * prod_{k<n} (1 + G_k), and a walk has |M_n| <= n
+            top = max(sysd.f_values) + (sysd.horizon if sysd.martingale == "pm1-walk" else 0)
+            if top <= 0:
+                continue
+            log_worst = math.log(top) + log_product_one_plus(sysd.g_values, 0, sysd.horizon)
+            if log_worst > _LOG_FLOAT_MAX:
+                raise ContractViolationError(
+                    f"system {sysd.label!r} at horizon {sysd.horizon}: X_n can reach "
+                    f"e^{log_worst:.2f}, beyond the float64 range (e^{_LOG_FLOAT_MAX:.2f})"
+                )
 
     def sample_chunk(self, plan, chunk_index, count):
         horizon = self.systems[0].horizon if self.systems else 0

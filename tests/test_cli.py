@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import json
 import math
@@ -18,6 +19,8 @@ from stochastic_gronwall.cli import (
     build_parser,
     main,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def load_report(path) -> dict:
@@ -531,6 +534,15 @@ _INPUT_CASES = {
     "theorem-horizon-over-work-limit": ([*_THEOREM[:-1], "10000000000", "--paths", "2",
                                          "--seed", "1"], None, None, EXIT_CONTRACT,
                                         "values for one chunk"),
+    # the walk-coupled system's X_n reaches (2*horizon + 1) * 1.1^horizon, a finite
+    # float64 up to horizon 7346; a larger horizon is rejected before any draw
+    "theorem-horizon-largest-finite": ([*_THEOREM[:-1], "7346", "--paths", "2", "--seed", "1"],
+                                       None, None, EXIT_OK, ""),
+    "theorem-horizon-overflows": ([*_THEOREM[:-1], "7347", "--paths", "2", "--seed", "1"],
+                                  None, None, EXIT_CONTRACT, "beyond the float64 range"),
+    "theorem-horizon-work-limit-overflows": ([*_THEOREM[:-1], "8191", "--paths", "2",
+                                              "--seed", "1"], None, None, EXIT_CONTRACT,
+                                             "'walk-coupled' at horizon 8191"),
     # T/h is infinite: rejected before the steps are counted
     "simulate-subnormal-step": (["bem", "simulate", "--problem", "linear", "--h", "5e-324",
                                  "--T", "1", "--seed", "1"], None, None, EXIT_CONTRACT,
@@ -741,7 +753,7 @@ class TestMisc:
 
 # Run in a fresh interpreter: this test process has imported multiprocessing.
 _POOL_STACK_SCRIPT = """
-import contextlib, io, sys
+import contextlib, gc, io, sys
 from pathlib import Path
 from stochastic_gronwall.cli import main
 
@@ -763,14 +775,60 @@ with contextlib.redirect_stdout(io.StringIO()):
     argv = [*runs["two-chunks"], "--workers", "2", "--output", str(out / "two-chunks-2.json")]
     assert main(argv) == 0
     assert "concurrent.futures" in sys.modules
+# only the process entry freezes the heap, never main
+assert gc.get_freeze_count() == 0, gc.get_freeze_count()
 """
 
 
-def test_single_process_runs_never_load_the_pool_stack(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-W", "error", "-c", _POOL_STACK_SCRIPT, str(tmp_path)],
+def fresh_interpreter(script, *argv):
+    """Run a script in a fresh interpreter with warnings as errors, on this checkout's src."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-W", "error", "-c", script, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_single_process_runs_never_load_the_pool_stack(tmp_path):
+    done = fresh_interpreter(_POOL_STACK_SCRIPT, str(tmp_path))
     assert done.returncode == 0, done.stderr
     one, two = (tmp_path / f"two-chunks-{w}.json" for w in (1, 2))
     assert one.read_bytes() == two.read_bytes()
+
+
+# The module entry as `python -m stochastic_gronwall.cli` runs it, with an exit hook that
+# writes the heap's freeze count as the last line of stderr.
+_ENTRY_SCRIPT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(f"freeze count {gc.get_freeze_count()}", file=sys.stderr))
+runpy.run_module("stochastic_gronwall.cli", run_name="__main__", alter_sys=True)
+"""
+_ENTRY_CASES = {
+    "gl": (_GL, EXIT_OK),
+    "horizon-overflows": ([*_THEOREM[:-1], "7347", "--paths", "2", "--seed", "1"], EXIT_CONTRACT),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENTRY_CASES))
+def test_module_entry_freezes_the_heap_and_equals_main(capsys, tmp_path, case):
+    argv, expected = _ENTRY_CASES[case]
+    report = tmp_path / "report.json"
+    argv = [*argv, "--output", str(report)]
+    done = fresh_interpreter(_ENTRY_SCRIPT, *argv)
+    err, _, count = done.stderr.rpartition("freeze count ")
+    assert int(count) > 0, done.stderr
+    entry_report = report.read_bytes() if report.exists() else None
+    report.unlink(missing_ok=True)
+    assert (done.returncode, done.stdout, err) == run(capsys, *argv)
+    assert done.returncode == expected, err
+    assert entry_report == (report.read_bytes() if report.exists() else None)
+    assert (entry_report is not None) == (expected == EXIT_OK)
+
+
+def test_console_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    module, _, entry = project["scripts"]["sgronwall"].partition(":")
+    assert module == "stochastic_gronwall.cli"
+    tree = ast.parse((ROOT / "src" / "stochastic_gronwall" / "cli.py").read_text(encoding="utf-8"))
+    (block,) = [stmt for stmt in tree.body if isinstance(stmt, ast.If)
+                and ast.unparse(stmt.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"sys.exit({entry}())"]

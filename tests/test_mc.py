@@ -4,6 +4,7 @@ import math
 import operator
 import multiprocessing
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from oracles import per_row_increments, per_row_sample_chunk, per_row_sup
 
-from stochastic_gronwall import mc
+from stochastic_gronwall import kernels, mc
 from stochastic_gronwall.errors import ContractViolationError, EstimateAbortedError
 from stochastic_gronwall.martingales import _freeze_paths, walk_functional_expectations
 from stochastic_gronwall.mc import (
@@ -84,6 +85,57 @@ class FlakySampler:
         vals = np.ones(count)
         vals[:: self.fail_every] = np.nan
         return vals
+
+
+@dataclass(frozen=True)
+class FixedSampler:
+    """Serves fixed values: chunk c of a column is its entries c*CHUNK_SIZE onward."""
+
+    values: tuple
+
+    def sample_chunk(self, plan, chunk_index, count):
+        start = chunk_index * CHUNK_SIZE
+        return np.array(self.values[start:start + count])
+
+
+def mask_first_range_stats(sampler, plan, n, lo, hi):
+    """The reference for ``mc._chunk_range_stats``: every column of a chunk
+    masked for non-finite values first, its failures counted, and the
+    moments taken of the finite values."""
+    out = []
+    for c in range(lo, hi):
+        count = plan.chunk_count(c, n)
+        if count == 0:
+            continue
+        columns = np.atleast_2d(np.asarray(sampler.sample_chunk(plan, c, count), dtype=np.float64))
+        stats = []
+        for vals in columns:
+            finite = np.isfinite(vals)
+            n_fail = int(count - finite.sum())
+            stats.append((kernels.welford_chunk(vals[finite] if n_fail else vals), n_fail))
+        out.append(stats)
+    return out
+
+
+def _chunk_columns():
+    """Named columns of two chunks, with NaN, infinities or moments that overflow."""
+    rng = np.random.default_rng(8)
+    clean = rng.standard_normal(CHUNK_SIZE + 904)
+    cases = {"clean": clean, "nan": clean.copy(), "plus-inf": clean.copy(),
+             "minus-inf": clean.copy(), "mixed": clean.copy(), "inf-first": clean.copy(),
+             "all-nan": np.full(clean.size, np.nan),
+             # all finite: M2 overflows to inf, or the deviations from the first value do
+             "m2-overflow": clean * 1e160,
+             "deviation-overflow": rng.uniform(-1.0, 1.0, clean.size) * 1.7e308}
+    cases["nan"][[3, 4500]] = np.nan
+    cases["plus-inf"][[7, 4200]] = np.inf
+    cases["minus-inf"][[11, 4097]] = -np.inf
+    cases["mixed"][[1, 2, 3, 4096]] = [np.inf, -np.inf, np.nan, np.inf]
+    cases["inf-first"][[0, 9]] = np.inf
+    return {name: tuple(values) for name, values in cases.items()}
+
+
+_CHUNK_COLUMNS = _chunk_columns()
 
 
 def estimate(sampler, n, plan, **kwargs):
@@ -163,6 +215,24 @@ class TestEstimator:
         assert est.n_failures == 100
         assert est.n_samples == 900
         assert est.mean == 1.0
+
+    @pytest.mark.parametrize("case", sorted(_CHUNK_COLUMNS))
+    def test_moments_first_equals_mask_first(self, case):
+        # the moments and failure counts of both chunks repr-equal (NaN included),
+        # and the same floating-point warnings come in the same order
+        values = _CHUNK_COLUMNS[case]
+
+        def stats_and_warnings(func):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                stats = func(FixedSampler(values), StreamPlan(0), len(values), 0, 2)
+            return stats, [str(w.message) for w in caught]
+
+        stats, caught = stats_and_warnings(mc._chunk_range_stats)
+        reference, reference_caught = stats_and_warnings(mask_first_range_stats)
+        assert (repr(stats), caught) == (repr(reference), reference_caught)
+        if case.endswith("overflow"):
+            assert [failures for ((_, failures),) in stats] == [0, 0]
 
     def test_ci_uses_z(self):
         est = estimate(GaussianSampler(), 5000, StreamPlan(1), z=2.576)
@@ -282,6 +352,13 @@ class TestSyntheticSystems:
         alone = [SyntheticSupXpSampler((s,), 0.5).sample_chunk(StreamPlan(4), 3, 64)[0]
                  for s in systems]
         assert np.array_equal(vals, np.stack(alone))
+
+    def test_walk_coupled_horizon_limit_is_inclusive(self):
+        SyntheticSupXpSampler(standard_synthetic_systems(7346), 0.5)
+        with pytest.raises(ContractViolationError, match="'walk-coupled' at horizon 7347"):
+            SyntheticSupXpSampler(standard_synthetic_systems(7347), 0.5)
+        # without weights, X_n stays finite up to the work limit
+        SyntheticSupXpSampler(standard_synthetic_systems(8191)[:2], 0.5)
 
     def test_systems_share_one_horizon(self):
         with pytest.raises(ContractViolationError, match="one horizon"):
