@@ -325,7 +325,7 @@ def _cmd_gronwall(args) -> int:
     f = real_sequence(f_vals)
     g = real_sequence(g_vals)
     envelope = gronwall_recursive_envelope(f, g, args.n)
-    closed = [gronwall_closed_form(f, g, k) for k in range(len(envelope))]
+    closed = gronwall_closed_form(f, g, args.n)
     rows = zip(range(len(envelope)), f, g, closed, envelope)
     _write_csv(args.output, ["index", "f", "g", "closed_form", "envelope"], rows)
     return EXIT_OK
@@ -364,10 +364,10 @@ def _cmd_remark_constants(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     p = args.p
-    exp = walk_functional_expectations(args.n, [p], stop_level=args.stop_level)
-    check = lemma_bound_ratio(p, exp.e_sup_p[p], exp.e_neg_inf)
-    print(f"e_sup_p          {_fmt(exp.e_sup_p[p])}")
-    print(f"e_neg_inf        {_fmt(exp.e_neg_inf)}")
+    e_sup_p, e_neg_inf = walk_functional_expectations(args.n, p, stop_level=args.stop_level)
+    check = lemma_bound_ratio(p, e_sup_p, e_neg_inf)
+    print(f"e_sup_p          {_fmt(e_sup_p)}")
+    print(f"e_neg_inf        {_fmt(e_neg_inf)}")
     print(f"ratio            {_fmt(check.ratio)}")
     print(f"upper            {_fmt(check.upper)}")
     holds = check.degenerate or check.ratio <= check.upper + 1e-12
@@ -581,9 +581,12 @@ def build_parser() -> argparse.ArgumentParser:
     _leaf(msub, "remark-constants", "constant window at exponent p", _cmd_remark_constants, [
         Flag("--p", REAL, "moment exponent", REQUIRED),
     ])
-    _leaf(msub, "enumerate", "exact expectations over all sign walks", _cmd_enumerate, [
+    _leaf(msub, "enumerate", "exact expectations over all 2^n sign walks, by a recursion "
+          "over the walk's probability mass", _cmd_enumerate, [
         Flag("--p", REAL, "moment exponent", REQUIRED),
-        Flag("--n", INTEGER, "walk length", REQUIRED),
+        Flag("--n", INTEGER, f"walk length; n * (n + 2 - b) values of mass, at most "
+             f"{MAX_CHUNK_VALUES}, where b is floor(stop level), or -n - 1 if there is none "
+             "or it is lower", REQUIRED),
         Flag("--stop-level", REAL, "freeze each walk at its first visit at or below this level"),
     ])
     _leaf(msub, "estimate-sup", "Monte Carlo E[(sup stopped BM)^p]", _cmd_estimate_sup, [

@@ -2,9 +2,11 @@
 
     E[(sup_{k<=n} M_k)^p] <= (1/(1-p)) * (E[-inf_{k<=n} M_k])^p,  p in (0,1):
 
-exact expectations over all sign walks, exact draws of the supremum of
-Brownian motion stopped at -1 for Monte Carlo, and the sharp-constant
-window around pi*p/sin(pi*p).
+exact expectations over the 2^n sign walks of length n (plain or
+stopped), from one forward recursion over the walk's probability mass in
+O(n^3) time and within the ``streams.MAX_CHUNK_VALUES`` work limit; exact
+draws of the supremum of Brownian motion stopped at -1 for Monte Carlo;
+and the sharp-constant window around pi*p/sin(pi*p).
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError
-
-#: Memory guard for exhaustive walk enumeration (2^n paths).
-MAX_ENUM_STEPS = 22
+from .streams import MAX_CHUNK_VALUES
 
 
 class RatioCheck(NamedTuple):
@@ -34,18 +34,6 @@ class RemarkConstants(NamedTuple):
     lower: float
     upper: float
     ratio: float
-
-
-def _freeze_paths(paths: np.ndarray, stop_level: float) -> np.ndarray:
-    """Freeze each row at its first entry <= stop_level (in place)."""
-    hit = paths <= stop_level
-    rows = np.nonzero(hit.any(axis=1))[0]
-    if rows.size:
-        first = hit[rows].argmax(axis=1)
-        frozen = paths[rows, first]
-        cols = np.arange(paths.shape[1])[None, :]
-        paths[rows] = np.where(cols > first[:, None], frozen[:, None], paths[rows])
-    return paths
 
 
 def sample_sup_stopped_bm_exact_batch(
@@ -94,49 +82,61 @@ def remark_constants(p: float) -> RemarkConstants:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration of +-1 walks
+# Exact walk expectations
 
 
-def enumerate_sign_walks(n: int, stop_level: float | None = None) -> np.ndarray:
-    """All 2^n equiprobable +-1 walks of length n as rows (0 included).
+def _level_hit_probabilities(n: int, levels: int, barrier: int) -> np.ndarray:
+    """P(a +-1 walk from 0 reaches level m within n steps, before ``barrier``)
+    for m = 1, ..., levels.
 
-    Rows are cumulative sums of every sign pattern; with ``stop_level``
-    each row is frozen at its first visit <= stop_level. Distinct sign
-    patterns may then coincide as paths, each still carrying weight 2^-n.
+    Row m - 1 carries the walk's mass over the positions barrier .. levels
+    + 1, absorbed at m (its hits are summed) and at the barrier (column
+    0, never updated). Each step updates only the positions that a walk
+    can occupy after it and that can still reach level 1.
     """
-    if n < 0:
-        raise ContractViolationError(f"n must be >= 0, got {n}")
-    if n > MAX_ENUM_STEPS:
+    cols = levels - barrier + 2
+    if levels * cols > MAX_CHUNK_VALUES:
         raise ContractViolationError(
-            f"enumeration of 2^{n} walks exceeds the n <= {MAX_ENUM_STEPS} guard"
+            f"walk length {n}: {levels} levels times {cols} positions are over "
+            f"{MAX_CHUNK_VALUES} values for one mass array"
         )
-    if stop_level is not None and not stop_level < 0.0:
-        raise ContractViolationError(f"stop_level must be < 0, got {stop_level}")
-    count = 1 << n
-    paths = np.zeros((count, n + 1))
-    if n:
-        idx = np.arange(count, dtype=np.uint64)[:, None]
-        shifts = np.arange(n, dtype=np.uint64)[None, :]
-        bits = ((idx >> shifts) & np.uint64(1)).astype(np.int64)
-        paths[:, 1:] = np.cumsum(2 * bits - 1, axis=1)
-        if stop_level is not None:
-            _freeze_paths(paths, stop_level)
-    return paths
-
-
-class WalkExpectations(NamedTuple):
-    e_sup_p: dict
-    e_neg_inf: float
-    n: int
-    stop_level: float | None
+    mass = np.zeros((levels, cols))
+    mass[:, -barrier] = 1.0
+    hits = np.zeros(levels)
+    rows = np.arange(levels)
+    at_level = rows + 1 - barrier
+    for t in range(1, n + 1):
+        lo = max(1, -t - barrier, t + 1 - n - barrier)
+        hi = min(cols - 2, t - barrier)
+        mass[:, lo:hi + 1] = 0.5 * (mass[:, lo - 1:hi] + mass[:, lo + 1:hi + 2])
+        hits += mass[rows, at_level]
+        mass[rows, at_level] = 0.0
+    return hits
 
 
 def walk_functional_expectations(
-    n: int, p_values, stop_level: float | None = None
-) -> WalkExpectations:
-    """Exact E[(sup M)^p] for each p and exact E[-inf M] over all 2^n walks."""
-    paths = enumerate_sign_walks(n, stop_level)
-    sup = paths.max(axis=1)
-    neg_inf = -paths.min(axis=1)
-    e_sup_p = {float(p): float(np.mean(sup ** float(p))) for p in p_values}
-    return WalkExpectations(e_sup_p, float(np.mean(neg_inf)), n, stop_level)
+    n: int, p: float, stop_level: float | None = None
+) -> tuple[float, float]:
+    """Exact (E[(sup M)^p], E[-inf M]) over the 2^n equiprobable +-1 walks
+    of length n, each frozen at its first visit <= ``stop_level`` if given.
+
+    Both are sums of tails, E[(sup M)^p] = sum_m (m^p - (m-1)^p)
+    P(sup >= m) and E[-inf M] = sum_m P(inf <= -m), with the tails from
+    :func:`_level_hit_probabilities`. The walk freezes on reaching
+    b = floor(stop_level), so P(inf <= -m) is the free walk's
+    P(sup >= m) for m <= -b and zero beyond; a barrier below -n is never
+    reached, and one pass then gives both sums. A mass array of more than
+    ``MAX_CHUNK_VALUES`` values is rejected before it is allocated.
+    """
+    if n < 0:
+        raise ContractViolationError(f"n must be >= 0, got {n}")
+    if stop_level is not None and not stop_level < 0.0:
+        raise ContractViolationError(f"stop_level must be < 0, got {stop_level}")
+    if not 0.0 < p < 1.0:
+        raise ContractViolationError(f"p must lie in (0,1), got {p}")
+    free = -n - 1
+    barrier = free if stop_level is None else max(math.floor(stop_level), free)
+    up = _level_hit_probabilities(n, n, barrier)
+    down = up if barrier == free else _level_hit_probabilities(n, -barrier, free)
+    weights = np.diff(np.arange(n + 1.0) ** p)
+    return float(weights @ up), float(down.sum())

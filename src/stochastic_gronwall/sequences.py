@@ -101,18 +101,19 @@ def _running_products(g):
         yield value, log
 
 
-def _product_weighted_sum(total: float, coeffs, g) -> float:
-    """total + sum_i coeffs_i * prod_{j<i} (1 + g_j), in index order.
-
-    Terms whose running product is held as a log are exp(log|c_i| + log)
-    with the sign of c_i, or inf where that overflows.
-    """
-    for c, (value, log) in zip(coeffs, _running_products(g)):
-        if log is None:
-            total += c * value
-        elif c != 0.0:
-            total += math.copysign(_safe_exp(math.log(abs(c)) + log), c)
-    return float(total)
+def _recursion_inputs(f, g, n):
+    """f and g as sequences and n (default: the last index of f), with both
+    sequences defined on 0..n and g nonnegative there."""
+    f = real_sequence(f)
+    g = real_sequence(g)
+    if n is None:
+        n = len(f) - 1
+    if n < 0:
+        raise ContractViolationError(f"index n must be nonnegative, got {n}")
+    _require_length(f, n, "f")
+    _require_length(g, n, "g")
+    _require_nonnegative(g, n, "g")
+    return f, g, n
 
 
 def power_product_one_plus(g, lo: int, hi: int, p: float) -> float:
@@ -128,41 +129,31 @@ def power_product_one_plus(g, lo: int, hi: int, p: float) -> float:
     return float(value**p)
 
 
-def gronwall_closed_form(f, g, n: int) -> float:
-    """Closed-form Gronwall envelope at index n.
+def gronwall_closed_form(f, g, n: int | None = None) -> list:
+    """Closed-form Gronwall envelope at every index 0..n (default: the last of f).
 
-    Returns f_n + sum_{k=0}^{n-1} f_k g_k prod_{j=k+1}^{n-1} (1 + g_j);
-    for n = 0 this is f_0. Requires g nonnegative on 0..n and both
-    sequences defined on 0..n.
+    Entry k is f_k + sum_{i<k} f_i g_i prod_{j=i+1}^{k-1} (1 + g_j), in one
+    pass: S_0 = 0 and S_{k+1} = (1 + g_k) S_k + f_k g_k, entry k being
+    f_k + S_k. Python floats overflow to inf without a warning, and inf
+    propagates. Requires g nonnegative on 0..n and both sequences defined
+    on 0..n.
     """
-    f = real_sequence(f)
-    g = real_sequence(g)
-    if n < 0:
-        raise ContractViolationError(f"index n must be nonnegative, got {n}")
-    _require_length(f, n, "f")
-    _require_length(g, n, "g")
-    _require_nonnegative(g, n, "g")
+    f, g, n = _recursion_inputs(f, g, n)
 
-    # k = n-1 down to 0, each term scaled by prod_{j=k+1}^{n-1} (1 + g_j)
-    f_rev, g_rev = f[:n][::-1].tolist(), g[:n][::-1].tolist()
-    return _product_weighted_sum(float(f[n]), [a * b for a, b in zip(f_rev, g_rev)], g_rev)
+    out, s = [], 0.0
+    for fk, gk in zip(f[: n + 1].tolist(), g[: n + 1].tolist()):
+        out.append(fk + s)
+        s = (1.0 + gk) * s + fk * gk
+    return out
 
 
 def gronwall_recursive_envelope(f, g, n: int | None = None) -> np.ndarray:
     """Maximal sequence attaining equality in the Gronwall recursion.
 
     y_0 = f_0 and y_k = f_k + sum_{i<k} g_i y_i for k <= n. Each entry
-    coincides with ``gronwall_closed_form(f, g, k)`` up to rounding.
+    coincides with entry k of ``gronwall_closed_form(f, g, n)`` up to rounding.
     """
-    f = real_sequence(f)
-    g = real_sequence(g)
-    if n is None:
-        n = len(f) - 1
-    if n < 0:
-        raise ContractViolationError(f"index n must be nonnegative, got {n}")
-    _require_length(f, n, "f")
-    _require_length(g, n, "g")
-    _require_nonnegative(g, n, "g")
+    f, g, n = _recursion_inputs(f, g, n)
 
     y = [0.0] * (n + 1)
     y[0] = float(f[0])

@@ -2,10 +2,12 @@
 
 A realized path of the stochastic Gronwall hypothesis with its
 transformed-martingale product inequality, and the sum side of the
-telescoping identity, computed with the library's product code; the
-former per-row implicit-Euler sampler, one fresh draw per step size,
-the bit-exact reference for the one-pass sampler in ``mc``; and the
-schema of every report the command line writes.
+telescoping identity, computed with the library's product code; every
+sign walk of a given length, plain or stopped, and the exact walk
+expectations read off them, the reference for the mass recursion in
+``martingales``; the former per-row implicit-Euler sampler, one fresh
+draw per step size, the bit-exact reference for the one-pass sampler in
+``mc``; and the schema of every report the command line writes.
 """
 
 import math
@@ -111,7 +113,55 @@ def telescoping_identity_lhs(g, k: int, n: int) -> float:
     sequences._require_length(g, n - 1, "g")
     sequences._require_nonnegative(g, n - 1, "g")
 
-    return sequences._product_weighted_sum(1.0, g[k:n].tolist(), g[k:n])
+    # terms whose running product is held as a log are exp(log g_i + log)
+    total = 1.0
+    for gi, (value, log) in zip(g[k:n].tolist(), sequences._running_products(g[k:n])):
+        if log is None:
+            total += gi * value
+        elif gi > 0.0:
+            total += sequences._safe_exp(math.log(gi) + log)
+    return total
+
+
+def freeze_paths(paths: np.ndarray, stop_level: float) -> np.ndarray:
+    """Freeze each row at its first entry <= stop_level (in place)."""
+    hit = paths <= stop_level
+    rows = np.nonzero(hit.any(axis=1))[0]
+    if rows.size:
+        first = hit[rows].argmax(axis=1)
+        frozen = paths[rows, first]
+        cols = np.arange(paths.shape[1])[None, :]
+        paths[rows] = np.where(cols > first[:, None], frozen[:, None], paths[rows])
+    return paths
+
+
+def enumerate_sign_walks(n: int, stop_level: float | None = None) -> np.ndarray:
+    """All 2^n equiprobable +-1 walks of length n as rows (0 included).
+
+    Rows are cumulative sums of every sign pattern; with ``stop_level``
+    each row is frozen at its first visit <= stop_level. Distinct sign
+    patterns may then coincide as paths, each still carrying weight 2^-n.
+    The array holds 2^n (n + 1) values, so keep n small.
+    """
+    count = 1 << n
+    paths = np.zeros((count, n + 1))
+    if n:
+        idx = np.arange(count, dtype=np.uint64)[:, None]
+        shifts = np.arange(n, dtype=np.uint64)[None, :]
+        bits = ((idx >> shifts) & np.uint64(1)).astype(np.int64)
+        paths[:, 1:] = np.cumsum(2 * bits - 1, axis=1)
+        if stop_level is not None:
+            freeze_paths(paths, stop_level)
+    return paths
+
+
+def sign_walk_expectations(n: int, p_values, stop_level: float | None = None):
+    """({p: E[(sup M)^p]}, E[-inf M]) as means over all 2^n enumerated walks:
+    the reference for ``martingales.walk_functional_expectations``."""
+    paths = enumerate_sign_walks(n, stop_level)
+    sup = paths.max(axis=1)
+    e_sup_p = {p: float(np.mean(sup**p)) for p in p_values}
+    return e_sup_p, float(np.mean(-paths.min(axis=1)))
 
 
 def per_row_increments(plan, chunk_index, count, h, n_steps, d):

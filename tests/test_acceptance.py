@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import make_random_bundle
-from oracles import product_form_residuals, telescoping_identity_lhs
+from oracles import (
+    enumerate_sign_walks,
+    product_form_residuals,
+    sign_walk_expectations,
+    telescoping_identity_lhs,
+)
 from stochastic_gronwall.martingales import remark_constants, walk_functional_expectations
 from stochastic_gronwall.mc import (
     SupStoppedBmPowerSampler,
@@ -99,24 +104,29 @@ def test_criterion_02_lemma_soundness_with_slack():
 
 
 def test_criterion_03_martingale_inequality_enumeration():
-    """All sign walks (plain and stopped) with n <= 12, exact expectations."""
+    """All sign walks (plain and stopped) with n <= 12, exact expectations
+    equal to the enumeration's; the inequality also at n = 1000."""
     start = time.time()
     p_values = [0.1, 0.25, 0.5, 0.75, 0.9]
     worst = -math.inf
     for stop in (None, -1.0, -2.0, -3.0):
         for n in range(0, 13):
-            exp = walk_functional_expectations(n, p_values, stop_level=stop)
+            e_sup_p, e_neg_inf = sign_walk_expectations(n, p_values, stop_level=stop)
             for p in p_values:
-                slack = exp.e_sup_p[p] - exp.e_neg_inf**p / (1.0 - p)
+                got = walk_functional_expectations(n, p, stop_level=stop)
+                assert got == pytest.approx((e_sup_p[p], e_neg_inf), rel=1e-13, abs=0.0)
+                slack = got[0] - got[1] ** p / (1.0 - p)
                 worst = max(worst, slack)
                 assert slack <= 1e-12, f"n={n} stop={stop} p={p} slack={slack}"
-    # hand value for the two-step walk at p = 1/2
-    two = walk_functional_expectations(2, [0.5])
-    assert two.e_sup_p[0.5] == (math.sqrt(2.0) + 1.0) / 4.0
+    # hand values for the two-step walk at p = 1/2
+    assert walk_functional_expectations(2, 0.5) == ((math.sqrt(2.0) + 1.0) / 4.0, 0.75)
+    e_sup_p, e_neg_inf = walk_functional_expectations(1000, 0.5, stop_level=-1.0)
+    long_ratio = e_sup_p / math.sqrt(e_neg_inf)
+    assert long_ratio <= 2.0
     elapsed = time.time() - start
     assert elapsed < 60.0
     _report(3, "martingale sup/inf inequality by enumeration", elapsed,
-            f"max slack {worst:.2e}")
+            f"max slack {worst:.2e}, ratio {long_ratio:.4f} at n = 1000")
 
 
 def test_criterion_04_remark_constants_grid():
@@ -266,3 +276,32 @@ def test_criterion_10_bit_identical_across_workers(apriori_reports):
     assert serialized[1] == serialized[4] == serialized[8]
     _report(10, "bit-identical reports across worker counts",
             sum(timings.values()), f"{len(serialized[1])} report bytes")
+
+
+def test_criterion_11_theorem_rows_match_exact_expectations():
+    """Each synthetic system's row mean lies within 4 standard errors of its
+    exact E[sup_k X_k^p] over all 1,024 sign walks of horizon 10."""
+    start = time.time()
+    p, horizon = 0.5, 10
+    systems = standard_synthetic_systems(horizon)
+    report = verify_theorem_on_synthetic(systems, p, 100_000, StreamPlan(ACCEPT_SEED))
+    walks = enumerate_sign_walks(horizon)
+    details = []
+    for system, row in zip(systems, report["rows"]):
+        # X_n = F_n + M_n + sum_{k<n} G_k X_k, with equality on every walk
+        m = walks if system.martingale == "pm1-walk" else np.zeros_like(walks)
+        x = np.empty_like(m)
+        acc = np.zeros(len(m))
+        for n in range(horizon + 1):
+            x[:, n] = system.f_values[n] + m[:, n] + acc
+            acc += system.g_values[n] * x[:, n]
+        exact = float(np.mean(x.max(axis=1) ** p))
+        deviation = abs(row["mean"] - exact)
+        assert deviation <= 4.0 * row["std_error"], (
+            f"{system.label}: mean {row['mean']} is {deviation} from exact {exact}, "
+            f"standard error {row['std_error']}"
+        )
+        details.append(f"{system.label}: {row['mean']:.4f} vs {exact:.4f}")
+    elapsed = time.time() - start
+    assert elapsed < 60.0
+    _report(11, "theorem rows against exact walk expectations", elapsed, ", ".join(details))

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,17 @@ class TestGronwallCommand:
         assert code == EXIT_CONTRACT
         assert "entry 1" in err
 
+    def test_long_sequence_is_one_pass(self, capsys, tmp_path):
+        # a closed form evaluated afresh for each index is quadratic in the
+        # length: about 20 s for these 20,000 rows
+        path = tmp_path / "fg.csv"
+        path.write_text("f,g\n" + "1,0.0001\n" * 20_000)
+        start = time.perf_counter()
+        code, _, _ = run(capsys, "gronwall", "--csv", str(path), "--output",
+                         str(tmp_path / "out.csv"))
+        assert code == EXIT_OK
+        assert time.perf_counter() - start < 2.0
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "out.csv"
         code, _, _ = run(capsys, "gronwall", "--f", "1,1", "--g", "1,1",
@@ -130,6 +143,25 @@ class TestMartingaleCommand:
         assert code == EXIT_OK
         assert grab(out, "e_sup_p") == pytest.approx((math.sqrt(2) + 1) / 4, rel=1e-14)
         assert "holds            True" in out
+
+    @pytest.mark.parametrize("stop", [(), ("--stop-level", "-1")])
+    def test_enumerate_zero_steps(self, capsys, stop):
+        code, out, _ = run(capsys, "martingale", "enumerate", "--p", "0.5", "--n", "0", *stop)
+        assert code == EXIT_OK
+        assert out == ("e_sup_p          0\ne_neg_inf        0\nratio            nan\n"
+                       "upper            2\nholds            True\n")
+
+    def test_enumerate_over_work_limit_allocates_nothing(self, capsys):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "martingale", "enumerate", "--p", "0.5",
+                               "--n", "9223372036854775807")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONTRACT
+        assert "values for one mass array" in err
+        assert peak < 2**20
 
     def test_estimate_sup_report(self, capsys, tmp_path):
         out_path = tmp_path / "est.json"
@@ -372,8 +404,8 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("name, argv", [
         ("gronwall", ["--f", "1,0.5,2,0.25,3", "--g", "0.1,0.2,0.3,0.4,0.5"]),
-        # products of (1 + 1e160) pass OVERFLOW_GUARD in the closed form, while
-        # the tiny f keeps every envelope entry finite
+        # products of (1 + 1e160) overflow float64 beyond two factors, while the
+        # tiny f keeps every closed-form and envelope entry finite
         ("gronwall_large_weights", ["--f", "1e-300,0,0,0", "--g", "1e160,1e160,1e160,1e160"]),
     ])
     def test_gronwall_csv_bytes(self, capsys, tmp_path, name, argv):
@@ -519,6 +551,10 @@ _INPUT_CASES = {
     "enumerate-zero-steps-stop-level": (["martingale", "enumerate", "--p", "0.5", "--n", "0",
                                          "--stop-level", "1"], None, None, EXIT_CONTRACT,
                                         "stop_level must be < 0"),
+    # 5792 levels times 5795 positions of walk mass: over the work limit
+    "enumerate-over-work-limit": (["martingale", "enumerate", "--p", "0.5", "--n", "5792",
+                                   "--stop-level", "-1"], None, None, EXIT_CONTRACT,
+                                  "values for one mass array"),
     "deterministic-G-negative-horizon": (["bound", "--form", "deterministic-G", "--p", "0.5",
                                           "--G", "0.1,0.2", "--n", "-1", "--e-sup-f", "1"],
                                          None, None, EXIT_CONTRACT, "horizon n must be >= 0"),
@@ -748,7 +784,7 @@ class TestMisc:
         val = float(rows[1]["closed_form"])
         from stochastic_gronwall.sequences import gronwall_closed_form
 
-        assert val == gronwall_closed_form([0.1, 0.2], [0.3, 0.7], 1)
+        assert val == gronwall_closed_form([0.1, 0.2], [0.3, 0.7])[1]
 
 
 # Run in a fresh interpreter: this test process has imported multiprocessing.

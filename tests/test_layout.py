@@ -1,10 +1,11 @@
 """Library code is what ``sgronwall`` runs.
 
-Every public top-level name in the package must be referenced by other
-package code (as a name, an attribute or an import), so the command can
-reach it, or be a target the benchmark's span tracer binds. A re-export
-from ``__init__.py`` does not count: it makes a name importable, not
-used. Code that only the tests call belongs in ``tests/``.
+Every top-level name in the package, public or private (dunders aside),
+must be referenced by other package code (as a name, an attribute or an
+import), so the command can reach it, or be a target the benchmark's
+span tracer binds. A re-export from ``__init__.py`` does not count: it
+makes a name importable, not used. Code that only the tests call belongs
+in ``tests/``.
 """
 
 import ast
@@ -46,21 +47,25 @@ def _tracer_targets():
     return {tuple(t.split(".")[:2]) for t in dotted}
 
 
-def test_every_public_name_is_used_by_the_package_or_the_tracer():
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_name_is_used_by_the_package_or_the_tracer():
     # one entry per top-level statement: (module, statement index, names it references)
     statements = []
-    public = []
+    defined = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for index, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
             if module != "__init__":
                 statements.append((module, index, _referenced_names(stmt)))
-            public += [(module, index, name) for name in _defined_names(stmt)
-                       if not name.startswith("_")]
+            defined += [(module, index, name) for name in _defined_names(stmt)
+                        if not _is_dunder(name)]
     bound = _tracer_targets()
     unused = sorted(
-        f"{module}.{name}" for module, index, name in public
+        f"{module}.{name}" for module, index, name in defined
         if (module, name) not in bound
         and not any(name in refs for m, i, refs in statements if (m, i) != (module, index))
     )
-    assert unused == [], f"public names nothing in the package uses: {unused}"
+    assert unused == [], f"names nothing in the package uses: {unused}"

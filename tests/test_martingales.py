@@ -1,19 +1,21 @@
 import math
+import tracemalloc
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from oracles import enumerate_sign_walks, freeze_paths, sign_walk_expectations
+from stochastic_gronwall import martingales
 from stochastic_gronwall.errors import ContractViolationError
 from stochastic_gronwall.martingales import (
-    _freeze_paths,
-    enumerate_sign_walks,
     lemma_bound_ratio,
     remark_constants,
     sample_sup_stopped_bm_exact_batch,
     walk_functional_expectations,
 )
-from stochastic_gronwall.streams import StreamPlan
+from stochastic_gronwall.streams import MAX_CHUNK_VALUES, StreamPlan
 
 
 def gen_stopped_random_walk(
@@ -33,7 +35,7 @@ def gen_stopped_random_walk(
         signs = rng_stream.integers(0, 2, size=steps).astype(np.float64) * 2.0 - 1.0
         vals[0, 1:] = np.cumsum(signs)
         if stop_level > -math.inf:
-            _freeze_paths(vals, stop_level)
+            freeze_paths(vals, stop_level)
     return vals[0]
 
 
@@ -118,7 +120,7 @@ def stopped_bm_paths_matrix(
     paths = np.zeros((n_paths, n_steps + 1))
     inc = rng_stream.standard_normal((n_paths, n_steps)) * math.sqrt(h)
     paths[:, 1:] = np.cumsum(inc, axis=1)
-    return _freeze_paths(paths, -1.0)
+    return freeze_paths(paths, -1.0)
 
 
 class _FixedUniform:
@@ -158,7 +160,14 @@ class TestStoppedRandomWalk:
             gen_stopped_random_walk(-1, -1.0, stream)
 
 
+def binomial_tail(n: int, m: int) -> Fraction:
+    """P(S_n >= m) for the free +-1 walk S, exactly."""
+    return Fraction(sum(math.comb(n, k) for k in range(n + 1) if 2 * k - n >= m), 2**n)
+
+
 class TestEnumeration:
+    """Exact walk expectations, and the enumeration oracle they are checked against."""
+
     def test_two_step_paths(self):
         paths = enumerate_sign_walks(2)
         expected = {(0.0, 1.0, 2.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, -1.0, -2.0)}
@@ -172,26 +181,86 @@ class TestEnumeration:
         assert {tuple(row) for row in paths} == expected
 
     def test_two_step_hand_expectations(self):
-        exp = walk_functional_expectations(2, [0.5])
-        assert exp.e_sup_p[0.5] == (math.sqrt(2.0) + 1.0) / 4.0
-        assert exp.e_neg_inf == 0.75
+        assert walk_functional_expectations(2, 0.5) == ((math.sqrt(2.0) + 1.0) / 4.0, 0.75)
 
-    def test_guard(self):
-        with pytest.raises(ContractViolationError):
-            enumerate_sign_walks(23)
+    @pytest.mark.parametrize("stop", [None, -1.0, -2.5])
+    def test_agrees_with_enumeration(self, stop):
+        p_values = (0.1, 0.5, 0.9)
+        for n in range(0, 19):
+            e_sup_p, e_neg_inf = sign_walk_expectations(n, p_values, stop)
+            for p in p_values:
+                got_sup, got_inf = walk_functional_expectations(n, p, stop)
+                assert got_sup == pytest.approx(e_sup_p[p], rel=1e-13, abs=0.0), (n, p)
+                assert got_inf == pytest.approx(e_neg_inf, rel=1e-13, abs=0.0), (n, p)
+
+    def test_unreachable_stop_level_is_the_free_walk(self):
+        for stop in (-6.0, -6.5, -1e300):
+            assert walk_functional_expectations(5, 0.5, stop) == walk_functional_expectations(5, 0.5)
+
+    def test_long_walks_against_binomial_tails(self):
+        # a walk stopped at -1 has -inf in {0, 1}, and it stays >= 0 for n
+        # steps with probability C(n, n//2) / 2^n; the free walk's
+        # P(inf <= -m) = P(sup >= m) = P(S_n >= m) + P(S_n > m) by reflection
+        n = 400
+        _, e_neg_inf = walk_functional_expectations(n, 0.5, -1.0)
+        assert e_neg_inf == pytest.approx(float(1 - Fraction(math.comb(n, n // 2), 2**n)),
+                                          rel=1e-14)
+        _, e_neg_inf = walk_functional_expectations(n, 0.5)
+        exact = sum(binomial_tail(n, m) + binomial_tail(n, m + 1) for m in range(1, n + 1))
+        assert e_neg_inf == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize("stop", [None, -1.0, -2.0])
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_inequality_small_n(self, stop, p):
         for n in range(0, 9):
-            exp = walk_functional_expectations(n, [p], stop_level=stop)
-            lhs = exp.e_sup_p[p]
-            rhs = exp.e_neg_inf**p / (1.0 - p)
-            assert lhs <= rhs + 1e-12
+            e_sup_p, e_neg_inf = walk_functional_expectations(n, p, stop_level=stop)
+            assert e_sup_p <= e_neg_inf**p / (1.0 - p) + 1e-12
 
     @pytest.mark.parametrize("stop", [None, -1.0, -3.0])
     def test_martingale_property_exact(self, stop):
         assert walk_conditional_increment_bias(8, stop_level=stop) <= 1e-12
+
+    def test_contract(self):
+        with pytest.raises(ContractViolationError, match="n must be >= 0"):
+            walk_functional_expectations(-1, 0.5)
+        with pytest.raises(ContractViolationError, match="stop_level must be < 0"):
+            walk_functional_expectations(3, 0.5, 0.0)
+        for p in (0.0, 1.0, -0.5):
+            with pytest.raises(ContractViolationError, match="p must lie in"):
+                walk_functional_expectations(3, p)
+
+    def test_small_walk_allocates_little(self):
+        # listing the 2^22 walks would take 2^22 * 23 values, 736 MiB
+        tracemalloc.start()
+        try:
+            walk_functional_expectations(22, 0.5, -1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_work_limit(self, monkeypatch):
+        # levels times positions: n * (2n + 3) with no stop level, n * (n + 3) at -1
+        free = max(n for n in range(4200) if n * (2 * n + 3) <= MAX_CHUNK_VALUES)
+        stopped = max(n for n in range(6000) if n * (n + 3) <= MAX_CHUNK_VALUES)
+        assert (free, stopped) == (4095, 5791)
+        with monkeypatch.context() as patch:
+            # the same rule at a limit small enough to run both sides of it
+            patch.setattr(martingales, "MAX_CHUNK_VALUES", 6 * (6 + 3))
+            walk_functional_expectations(6, 0.5, -1.0)
+            walk_functional_expectations(4, 0.5)
+            for n, stop in ((7, -1.0), (5, None)):
+                with pytest.raises(ContractViolationError, match="values for one mass array"):
+                    walk_functional_expectations(n, 0.5, stop)
+        for n, stop in ((free + 1, None), (stopped + 1, -1.0), (2**63 - 1, -1.0)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ContractViolationError, match="values for one mass array"):
+                    walk_functional_expectations(n, 0.5, stop)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**16
 
 
 class TestExactSupSampler:
@@ -224,8 +293,7 @@ class TestExactSupSampler:
 
 class TestLemmaRatio:
     def test_two_step_enumeration(self):
-        exp = walk_functional_expectations(2, [0.5])
-        check = lemma_bound_ratio(0.5, exp.e_sup_p[0.5], exp.e_neg_inf)
+        check = lemma_bound_ratio(0.5, *walk_functional_expectations(2, 0.5))
         assert check.ratio == pytest.approx(0.6969, abs=1e-4)
         assert check.upper == 2.0
         assert not check.degenerate

@@ -79,25 +79,30 @@ class TestClosedForm:
     def test_matches_recursion_oracle(self):
         f, g = [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]
         assert recursion_oracle(f, g, 2)[2] == 4.0
-        assert gronwall_closed_form(f, g, 2) == pytest.approx(4.0, rel=1e-14)
+        assert gronwall_closed_form(f, g, 2)[2] == pytest.approx(4.0, rel=1e-14)
+
+    def test_every_index_up_to_n(self):
+        f, g = [1.0, 1.0, 1.0, 7.0], [1.0, 1.0, 1.0, 1.0]
+        assert gronwall_closed_form(f, g) == [1.0, 2.0, 4.0, 14.0]
+        assert gronwall_closed_form(f, g, 1) == [1.0, 2.0]
 
     def test_zero_weights_collapse(self, rng):
         f = rng.uniform(-5, 5, 8)
         g = np.zeros(8)
         for n in range(8):
-            assert gronwall_closed_form(f, g, n) == f[n]
+            assert gronwall_closed_form(f, g, n)[n] == f[n]
 
     def test_constant_case_geometric(self):
         c, gamma = 2.5, 0.7
         f = [c] * 11
         g = [gamma] * 11
         for n in range(11):
-            assert gronwall_closed_form(f, g, n) == pytest.approx(
+            assert gronwall_closed_form(f, g, n)[n] == pytest.approx(
                 c * (1 + gamma) ** n, rel=1e-12
             )
 
     def test_n_zero(self):
-        assert gronwall_closed_form([5.0], [3.0], 0) == 5.0
+        assert gronwall_closed_form([5.0], [3.0], 0)[0] == 5.0
 
     def test_rejects_negative_weight(self):
         with pytest.raises(ContractViolationError, match="entry 1"):
@@ -115,14 +120,14 @@ class TestClosedForm:
             f = rng.uniform(0, 5, length)
             g = rng.uniform(0, 2, length)
             n = int(length - 1)
-            base = gronwall_closed_form(f, g, n)
+            base = gronwall_closed_form(f, g, n)[n]
             i = int(rng.integers(0, length))
             f_up = f.copy()
             f_up[i] += rng.uniform(0.1, 1.0)
-            assert gronwall_closed_form(f_up, g, n) >= base - 1e-12
+            assert gronwall_closed_form(f_up, g, n)[n] >= base - 1e-12
             g_up = g.copy()
             g_up[i] += rng.uniform(0.1, 1.0)
-            assert gronwall_closed_form(f, g_up, n) >= base - 1e-12
+            assert gronwall_closed_form(f, g_up, n)[n] >= base - 1e-12
 
     def test_signed_f_supported(self, rng):
         # the inequality machinery allows f of arbitrary sign
@@ -130,7 +135,7 @@ class TestClosedForm:
         g = rng.uniform(0, 1, 10)
         y = recursion_oracle(list(f), list(g), 9)
         for n in range(10):
-            bound = gronwall_closed_form(f, g, n)
+            bound = gronwall_closed_form(f, g, n)[n]
             assert y[n] <= bound + 1e-9 * max(1.0, abs(bound))
 
 
@@ -155,7 +160,7 @@ class TestEnvelope:
             g = rng.uniform(0, 2, length)
             env = gronwall_recursive_envelope(f, g, length - 1)
             for n in range(length):
-                cf = gronwall_closed_form(f, g, n)
+                cf = gronwall_closed_form(f, g, n)[n]
                 assert env[n] == pytest.approx(cf, rel=1e-12, abs=1e-12)
 
 
@@ -228,7 +233,7 @@ class TestOverflowHandling:
         # compare against the prefix-ratio evaluation in log space
         f = [1e-250] * 60
         g = [1e6] * 60
-        val = gronwall_closed_form(f, g, 59)
+        val = gronwall_closed_form(f, g, 59)[59]
         log_c = np.concatenate(([0.0], np.cumsum(np.log1p(g))))
         terms = [
             math.exp(math.log(f[k] * g[k]) + (log_c[59] - log_c[k + 1]))
@@ -240,7 +245,7 @@ class TestOverflowHandling:
     def test_closed_form_overflow_propagates_inf(self):
         f = [1.0] * 400
         g = [9.0] * 400
-        assert gronwall_closed_form(f, g, 399) == math.inf
+        assert gronwall_closed_form(f, g, 399)[399] == math.inf
 
     @pytest.mark.filterwarnings("error")
     def test_closed_form_finite_when_a_running_product_overflows(self):
@@ -248,7 +253,7 @@ class TestOverflowHandling:
         # 1e-200 * 1e350 = 1e150, which the envelope reaches too
         f = [1e-100, 0.0, 0.0, 1.0]
         g = [1e-100, 1e150, 1e200, 0.0]
-        val = gronwall_closed_form(f, g, 3)
+        val = gronwall_closed_form(f, g, 3)[3]
         assert val == pytest.approx(gronwall_recursive_envelope(f, g, 3)[3], rel=1e-12)
         assert val == pytest.approx(1e150, rel=1e-12)
 
@@ -279,4 +284,4 @@ class TestLemmaSoundness:
             for k in range(length):
                 y.append(f[k] + sum(g[i] * y[i] for i in range(k)) - slack[k])
             for n in range(length):
-                assert y[n] <= gronwall_closed_form(f, g, n) + 1e-10
+                assert y[n] <= gronwall_closed_form(f, g, n)[n] + 1e-10
