@@ -14,16 +14,7 @@ class ConfigError(StochasticGronwallError, ValueError):
 
 
 class SolverError(StochasticGronwallError, RuntimeError):
-    """The implicit step solver did not converge.
-
-    Carries the last residual norm and the iteration count so callers can
-    decide whether to retry with damping or abort the path.
-    """
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    """The implicit step solver did not converge."""
 
 
 class EstimateAbortedError(StochasticGronwallError, RuntimeError):

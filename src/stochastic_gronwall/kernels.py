@@ -1,4 +1,5 @@
-"""Hot numeric kernels: implicit Euler-Maruyama batch stepping and
+"""Hot numeric kernels: implicit Euler-Maruyama batch stepping (scalar
+problems, and the closed form of the planar bounded rotation) and
 per-chunk moments.
 
 The implicit step is solved for a whole batch of paths at once with
@@ -190,6 +191,44 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
             states[live[~ok], j + 1:] = np.nan
             live, y = live[ok], y[ok]
     return states, iters, failed
+
+
+def bem_rotation_rows(drift_jacobian, diffusion, x0, d_w, h):
+    """Step a batch of planar implicit Euler-Maruyama paths of the
+    bounded rotation: the drift is linear, y -> A y with the constant
+    A = [[-k, -w], [w, -k]], and the diffusion is the constant g*I_2.
+
+    ``drift_jacobian`` and ``diffusion`` are the problem's f' and g,
+    read once at x0. d_w holds the increments as (steps, 2, paths),
+    scaled to variance h. Each step solves (I - hA) y' = y + g dW in
+    closed form, which is Newton's first update from the explicit
+    predictor and exact for a linear drift. The state is one row per
+    coordinate, stepped in place; after each step this yields the rows
+    (y0, y1), so a caller copies what it keeps.
+    """
+    jac = drift_jacobian(x0)
+    a = 1.0 - h * jac[0, 0]
+    b = h * jac[1, 0]
+    det = a * a + b * b
+    g = diffusion(x0)[0, 0]
+    count = d_w.shape[2]
+    y0 = np.full(count, x0[0])
+    y1 = np.full(count, x0[1])
+    r0, r1, t = np.empty((3, count))
+    for j in range(d_w.shape[0]):
+        np.multiply(d_w[j, 0], g, out=r0)
+        r0 += y0
+        np.multiply(d_w[j, 1], g, out=r1)
+        r1 += y1
+        np.multiply(r0, a, out=y0)
+        np.multiply(r1, b, out=t)
+        y0 -= t
+        y0 /= det
+        np.multiply(r0, b, out=y1)
+        np.multiply(r1, a, out=t)
+        y1 += t
+        y1 /= det
+        yield y0, y1
 
 
 def welford_chunk(values):

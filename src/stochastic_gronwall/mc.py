@@ -419,10 +419,12 @@ class BemSupFunctionalSampler:
 
     The sampler holds only the zoo label and parameters, so pickling it
     for a pool worker never sends callables; the problem is built at most
-    once per process and zoo spec (see ``_PROBLEMS``). Scalar zoo problems
-    run through the batch stepping kernel with the problem's own drift,
-    Jacobian and diffusion; the planar rotation problem has a linear
-    drift and uses its closed-form implicit step.
+    once per process and zoo spec (see ``_PROBLEMS``). The step is the
+    one ``sde.implicit_step`` chooses, as in ``sde.simulate_trajectory``:
+    scalar zoo problems run through the batch stepping kernel with the
+    problem's own drift, Jacobian and diffusion, and the planar rotation
+    problem, whose drift is linear, through the closed-form rows of
+    ``kernels.bem_rotation_rows``.
     """
 
     zoo_label: str
@@ -465,7 +467,7 @@ class BemSupFunctionalSampler:
         union = draws.reshape(count, -1, problem.d).transpose(1, 2, 0)  # (steps, d, paths)
         del draws
         last_from_union = max(i for i, level in enumerate(levels) if level[1])
-        sup = self._rotation_sup if self.zoo_label == "bounded-rotation" else self._scalar_sup
+        sup = self._rotation_sup if sde.implicit_step(problem) == "rotation" else self._scalar_sup
         out = np.empty((len(self.hs), count))
         d_w = None
         for i, (column, from_union, stride, bounds) in enumerate(levels):
@@ -492,36 +494,15 @@ class BemSupFunctionalSampler:
         return sup
 
     def _rotation_sup(self, problem, d_w, h):
-        x0 = problem.x0
-        # implicit step matrix (I - h A), A = [[-k,-w],[w,-k]] the constant drift Jacobian
-        jac = problem.drift_jacobian(x0)
-        a = 1.0 - h * jac[0, 0]
-        b = h * jac[1, 0]
-        det = a * a + b * b
-        g = problem.diffusion(x0)[0, 0]  # the diffusion is g*I_2
-        h_g_norm_sq = h * (2.0 * g * g)  # h times the squared Frobenius norm of g*I_2
+        h_g_norm_sq = h * problem.g_x0_norm_sq()  # the diffusion g*I_2 is constant
         count = d_w.shape[2]
-        best = np.full(count, float(np.dot(x0, x0)) + h_g_norm_sq)
-        # one row per coordinate, stepped in place: (y0, y1) <- (I - hA)^-1 (y + g dW)
-        y0 = np.full(count, x0[0])
-        y1 = np.full(count, x0[1])
-        r0, r1, t = np.empty((3, count))
-        for j in range(d_w.shape[0]):
-            np.multiply(d_w[j, 0], g, out=r0)
-            r0 += y0
-            np.multiply(d_w[j, 1], g, out=r1)
-            r1 += y1
-            np.multiply(r0, a, out=y0)
-            np.multiply(r1, b, out=t)
-            y0 -= t
-            y0 /= det
-            np.multiply(r0, b, out=y1)
-            np.multiply(r1, a, out=t)
-            y1 += t
-            y1 /= det
+        best = np.full(count, problem.x0_norm_sq() + h_g_norm_sq)
+        t, s = np.empty((2, count))
+        for y0, y1 in kernels.bem_rotation_rows(problem.drift_jacobian, problem.diffusion,
+                                                problem.x0, d_w, h):
             np.multiply(y0, y0, out=t)
-            np.multiply(y1, y1, out=r0)
-            t += r0
+            np.multiply(y1, y1, out=s)
+            t += s
             t += h_g_norm_sq
             np.maximum(best, t, out=best)
         return best**self.p

@@ -5,6 +5,9 @@ equidistant steps. Registered problems must satisfy the coercivity
 condition <f(x), x> + |g(x)|^2/2 <= L(1+|x|^2) (spot-checked on random
 states) and a one-sided Lipschitz condition on the drift, which makes
 the implicit step uniquely solvable for h below the Lipschitz threshold.
+The step is solved by the kernels that the batch sampler uses, chosen
+by :func:`implicit_step`: Newton with a bisection fallback for scalar
+problems, and a closed form for the zoo's planar bounded rotation.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ class SdeProblem:
     (d, d) and (d, m). The state dimension d is ``x0.size`` and the
     noise dimension m is read off ``diffusion(x0)``; construction checks
     these shapes at x0, and that x0, ``L`` and f, f' and g at x0 are
-    finite. The scalar zoo problems act elementwise on
-    states of any shape, appending one axis for the Jacobian and the
-    diffusion. ``L`` is the registered coercivity constant;
-    ``zoo_spec`` allows worker processes to rebuild the problem from
-    plain data.
+    finite. A problem with d > 1 can be stepped only if it is the zoo's
+    bounded rotation (see :func:`implicit_step`). The scalar zoo
+    problems act elementwise on states of any shape, appending one axis
+    for the Jacobian and the diffusion. ``L`` is the registered
+    coercivity constant; ``zoo_spec`` allows worker processes to rebuild
+    the problem from plain data.
     """
 
     label: str
@@ -106,7 +110,7 @@ def check_coercivity(problem: SdeProblem) -> None:
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(COERCIVITY_SEED)))
     directions = rng.standard_normal((COERCIVITY_POINTS, problem.d))
-    norms = np.linalg.norm(directions, axis=1)
+    norms = np.sqrt(np.sum(directions * directions, axis=1))
     norms[norms == 0.0] = 1.0
     radii = COERCIVITY_RADIUS * rng.random(COERCIVITY_POINTS) ** (1.0 / problem.d)
     points = directions / norms[:, None] * radii[:, None]
@@ -120,7 +124,7 @@ def check_coercivity(problem: SdeProblem) -> None:
         i = bad[0]
         raise ContractViolationError(
             f"problem {problem.label!r} fails coercivity with L={problem.L} "
-            f"at |x|={float(np.linalg.norm(points[i])):.3g}: "
+            f"at |x|={math.sqrt(np.dot(points[i], points[i])):.3g}: "
             f"lhs={float(lhs[i]) * float(s[i]):.6g} > rhs={float(problem.L) * float(s[i]):.6g}"
         )
 
@@ -188,80 +192,21 @@ class BemTrajectory:
     solver_iterations: np.ndarray
 
 
-def z_increment(y, g_y, d_w, h: float) -> float:
-    """Centered noise term of the squared-norm recursion at one step."""
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    g_y = np.atleast_2d(np.asarray(g_y, dtype=np.float64))
-    d_w = np.atleast_1d(np.asarray(d_w, dtype=np.float64))
-    if g_y.shape != (y.size, d_w.size):
-        raise ContractViolationError(
-            f"diffusion shape {g_y.shape} does not match state {y.size} "
-            f"and increment {d_w.size}"
-        )
-    noise = g_y @ d_w
-    return (
-        float(np.dot(noise, noise))
-        - h * float(np.sum(g_y * g_y))
-        + 2.0 * float(np.dot(noise, y))
-    )
+def implicit_step(problem: SdeProblem) -> str:
+    """The implicit step that ``problem`` takes on every code path.
 
-
-def bem_step(problem: SdeProblem, y, d_w, h: float):
-    """One implicit step: solve Y' = y + h f(Y') + g(y) dW.
-
-    Newton iteration from the explicit predictor with the problem's
-    drift Jacobian, to the residual tolerance ``kernels.TOL`` or an update
-    of at most ``kernels.STEP_RTOL`` times the iterate (in norm), within
-    ``kernels.MAX_ITER`` iterations. Returns (y_next, iterations).
-
-    Scalar problems are solved by :func:`kernels.implicit_solve` on a
-    batch of one path, the solver of :func:`kernels.bem_scalar_batch`,
-    and share its failure rule: Newton falls back to safeguarded
-    bisection, which is accepted at the tolerance or, once the bracket
-    has collapsed, at 10*max(1, |b|) times the tolerance. This step
-    raises :class:`SolverError` exactly where the batch kernel marks a
-    path failed. Problems with d > 1 raise when Newton meets neither
-    stopping rule.
+    "scalar" for d = 1: Newton with the bisection fallback,
+    :func:`kernels.implicit_solve`. "rotation" for the zoo's
+    bounded rotation: the closed form of
+    :func:`kernels.bem_rotation_rows`. Any other problem is rejected.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    d_w = np.atleast_1d(np.asarray(d_w, dtype=np.float64))
-    b = y + problem.diffusion(y) @ d_w
-
     if problem.d == 1:
-        z, iters, ok = kernels.implicit_solve(
-            problem.drift, lambda x: problem.drift_jacobian(x)[..., 0], h, b
-        )
-        if not ok[0]:
-            raise SolverError(
-                "implicit step did not converge (Newton and bisection fallback)",
-                iterations=int(iters[0]),
-            )
-        return z, int(iters[0])
-
-    z = b.copy()
-    iters = 0
-    residual = math.inf
-    eye = np.eye(problem.d)
-    for _ in range(kernels.MAX_ITER):
-        r = z - h * problem.drift(z) - b
-        residual = float(np.linalg.norm(r))
-        if residual <= kernels.TOL:
-            return z, iters
-        try:
-            delta = np.linalg.solve(eye - h * problem.drift_jacobian(z), r)
-        except np.linalg.LinAlgError:
-            break
-        settled = np.linalg.norm(delta) <= kernels.STEP_RTOL * np.linalg.norm(z)
-        z = z - delta
-        iters += 1
-        if settled:
-            return z, iters
-        if not np.all(np.isfinite(z)):
-            break
-    raise SolverError(
-        f"implicit step did not converge after {iters} Newton iterations",
-        residual=residual,
-        iterations=iters,
+        return "scalar"
+    if problem.zoo_spec is not None and problem.zoo_spec[0] == "bounded-rotation":
+        return "rotation"
+    raise ContractViolationError(
+        f"problem {problem.label!r} has d = {problem.d}: the implicit step is implemented "
+        "for scalar problems and for the zoo's bounded-rotation"
     )
 
 
@@ -275,49 +220,64 @@ def simulate_trajectory(
 
     Increments dW^{j+1} are N(0, h I_m) draws from the supplied stream.
     A trajectory whose steps times the larger of d and m exceed
-    ``MAX_CHUNK_VALUES`` is rejected before anything is allocated.
-    Solver failures propagate as :class:`SolverError` with the step index.
+    ``MAX_CHUNK_VALUES`` is rejected before anything is allocated, as
+    is a problem :func:`implicit_step` rejects. The path takes the
+    steps of the batch sampler, ``mc.BemSupFunctionalSampler``, on a
+    batch of one: a scalar problem solves each step with
+    :func:`kernels.implicit_solve` and records its iterations, and the
+    bounded rotation runs :func:`kernels.bem_rotation_rows`, one
+    iteration per step. A scalar step that fails raises
+    :class:`SolverError` naming the step.
     """
+    step = implicit_step(problem)
     cfg.validate_for(problem)
     for p in p_list:
         if not 0.0 < p < 1.0:
             raise ContractViolationError(f"every p must lie in (0,1), got {p}")
-    n = cfg.n_steps
+    n, h = cfg.n_steps, cfg.h
     width = max(problem.d, problem.m)
     if n * width > MAX_CHUNK_VALUES:
         raise ContractViolationError(
-            f"{n} steps of h={cfg.h} up to T={cfg.T}, times {width} (the larger of d and m), "
+            f"{n} steps of h={h} up to T={cfg.T}, times {width} (the larger of d and m), "
             f"are over {MAX_CHUNK_VALUES} values for one trajectory"
         )
-    d_w = rng_stream.standard_normal((n, problem.m)) * math.sqrt(cfg.h)
+    d_w = rng_stream.standard_normal((n, problem.m)) * math.sqrt(h)
 
     states = np.empty((n + 1, problem.d))
     states[0] = problem.x0
-    z_vals = np.empty(n)
-    iter_counts = np.empty(n, dtype=np.int64)
-    func_vals = np.empty(n + 1)
+    iters = np.ones(n, dtype=np.int64)
+    if step == "rotation":
+        rows = kernels.bem_rotation_rows(problem.drift_jacobian, problem.diffusion, problem.x0,
+                                         d_w[:, :, None], h)
+        for j, (y0, y1) in enumerate(rows, 1):
+            states[j] = y0[0], y1[0]
+    else:
+        def slope(x):
+            return problem.drift_jacobian(x)[..., 0]
 
-    y = problem.x0.copy()
-    g_y = problem.diffusion(y)
-    func_vals[0] = float(np.dot(y, y)) + cfg.h * float(np.sum(g_y * g_y))
-    for j in range(n):
-        z_vals[j] = z_increment(y, g_y, d_w[j], cfg.h)
-        try:
-            y, iter_counts[j] = bem_step(problem, y, d_w[j], cfg.h)
-        except SolverError as exc:
-            raise SolverError(
-                f"step {j + 1} of {n} failed for problem {problem.label!r}: {exc}",
-                residual=exc.residual,
-                iterations=exc.iterations,
-            ) from exc
-        states[j + 1] = y
-        g_y = problem.diffusion(y)
-        func_vals[j + 1] = float(np.dot(y, y)) + cfg.h * float(np.sum(g_y * g_y))
+        for j in range(n):
+            b = states[j] + problem.diffusion(states[j]) @ d_w[j]
+            states[j + 1], used, ok = kernels.implicit_solve(problem.drift, slope, h, b)
+            if not ok[0]:
+                raise SolverError(
+                    f"step {j + 1} of {n} failed for problem {problem.label!r}: implicit step "
+                    "did not converge (Newton and bisection fallback)"
+                )
+            iters[j] = used[0]
 
+    g = problem.diffusion(states)
+    g_sq = h * np.sum(g * g, axis=(1, 2))
+    noise = (g[:-1] @ d_w[:, :, None])[..., 0]
+    z_vals = np.sum(noise * noise, axis=1) - g_sq[:-1] + 2.0 * np.sum(noise * states[:-1], axis=1)
+    func_vals = np.sum(states * states, axis=1)
+    # the sampler starts its running max at x0_norm_sq(), whose np.dot can round a
+    # planar x0 apart from the row sum
+    func_vals[0] = problem.x0_norm_sq()
+    func_vals += g_sq
     # an array power, as in the batch sampler, so a one-path chunk there gives these bits
     sup_val = func_vals.max(keepdims=True)
     sup_p = {float(p): float((sup_val ** float(p))[0]) for p in p_list}
-    return BemTrajectory(states, d_w, z_vals, sup_p, iter_counts)
+    return BemTrajectory(states, d_w, z_vals, sup_p, iters)
 
 
 # ---------------------------------------------------------------------------

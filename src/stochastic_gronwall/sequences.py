@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import ContractViolationError
 
-# Partial products of (1+g_j) beyond this magnitude switch to log-space
-# accumulation; Gronwall products grow geometrically and would otherwise
-# overflow long before the final result does under a fractional power.
+# A product of (1+g_j) beyond this magnitude is taken in log space instead;
+# Gronwall products grow geometrically and would otherwise overflow long
+# before the final result does under a fractional power.
 OVERFLOW_GUARD = 1e300
 
 
@@ -75,32 +75,6 @@ def log_product_one_plus(g, lo: int, hi: int) -> float:
     return float(np.sum(np.log1p(vals[lo:hi]))) if hi > lo else 0.0
 
 
-def _running_products(g):
-    """Yield prod_{j<i} (1 + g_j) for i = 0, ..., len(g) as pairs (value, log).
-
-    The plain product is kept (log None) while it stays at or below
-    OVERFLOW_GUARD. From the factor that takes it beyond, only its log is
-    kept (value None), grown by log1p(g_j) per factor. A multiply that
-    overflows never reaches the log: the switch then takes
-    log(value) + log1p(g_j) from the last finite product. Factors are
-    multiplied as Python floats, which overflow to inf without a warning.
-    """
-    value, log = 1.0, None
-    yield value, log
-    for gj in g:
-        gj = float(gj)
-        if log is not None:
-            log += math.log1p(gj)
-        else:
-            nxt = value * (1.0 + gj)
-            if nxt <= OVERFLOW_GUARD:
-                value = nxt
-            else:
-                log = math.log(nxt) if nxt < math.inf else math.log(value) + math.log1p(gj)
-                value = None
-        yield value, log
-
-
 def _recursion_inputs(f, g, n):
     """f and g as sequences and n (default: the last index of f), with both
     sequences defined on 0..n and g nonnegative there."""
@@ -119,14 +93,17 @@ def _recursion_inputs(f, g, n):
 def power_product_one_plus(g, lo: int, hi: int, p: float) -> float:
     """(prod_{j=lo}^{hi-1} (1 + g_j))^p, overflow-safe for p in (0, 1).
 
-    Uses the plain product while it stays below the overflow guard and
-    falls back to exp(p * sum log1p(g_j)) beyond it, so the fractional
-    power can be finite even when the plain product would overflow.
+    Takes the plain product, multiplied left to right as Python floats
+    (which overflow to inf without a warning). Beyond the overflow guard
+    it falls back to exp(p * sum log1p(g_j)), so the fractional power
+    can be finite even when the plain product overflows. For g >= 0 the
+    factors are at least 1, so a product beyond the guard is the one
+    whose partial products left it.
     """
-    for value, log in _running_products(real_sequence(g)[lo:hi]):
-        if log is not None:
-            return _safe_exp(p * log_product_one_plus(g, lo, hi))
-    return float(value**p)
+    product = math.prod(1.0 + gj for gj in real_sequence(g)[lo:hi].tolist())
+    if product > OVERFLOW_GUARD:
+        return _safe_exp(p * log_product_one_plus(g, lo, hi))
+    return float(product**p)
 
 
 def gronwall_closed_form(f, g, n: int | None = None) -> list:
@@ -163,7 +140,6 @@ def gronwall_recursive_envelope(f, g, n: int | None = None) -> np.ndarray:
         y[k] = float(f[k]) + acc
         if not math.isfinite(y[k]):
             raise ContractViolationError(
-                f"envelope overflowed float64 at index {k}; evaluate "
-                "gronwall_closed_form instead, which propagates inf"
+                f"envelope overflowed float64 at index {k}; it is finite up to n = {k - 1}"
             )
     return real_sequence(y)

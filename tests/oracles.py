@@ -2,7 +2,8 @@
 
 A realized path of the stochastic Gronwall hypothesis with its
 transformed-martingale product inequality, and the sum side of the
-telescoping identity, computed with the library's product code; every
+telescoping identity over running products that switch to log space at
+the library's overflow guard, the reference for its product; every
 sign walk of a given length, plain or stopped, and the exact walk
 expectations read off them, the reference for the mass recursion in
 ``martingales``; the former per-row implicit-Euler sampler, one fresh
@@ -17,7 +18,7 @@ import numpy as np
 from stochastic_gronwall import kernels, sequences
 from stochastic_gronwall.errors import ContractViolationError
 from stochastic_gronwall.sde import zoo_parameters
-from stochastic_gronwall.sequences import real_sequence
+from stochastic_gronwall.sequences import OVERFLOW_GUARD, real_sequence
 
 #: Absolute tolerance for the pathwise recursion inequality checked at
 #: bundle construction.
@@ -100,6 +101,32 @@ def product_form_residuals(bundle: GronwallPathBundle) -> np.ndarray:
     return rhs - bundle.X
 
 
+def _running_products(g):
+    """Yield prod_{j<i} (1 + g_j) for i = 0, ..., len(g) as pairs (value, log).
+
+    The plain product is kept (log None) while it stays at or below
+    OVERFLOW_GUARD. From the factor that takes it beyond, only its log is
+    kept (value None), grown by log1p(g_j) per factor. A multiply that
+    overflows never reaches the log: the switch then takes
+    log(value) + log1p(g_j) from the last finite product. Factors are
+    multiplied as Python floats, which overflow to inf without a warning.
+    """
+    value, log = 1.0, None
+    yield value, log
+    for gj in g:
+        gj = float(gj)
+        if log is not None:
+            log += math.log1p(gj)
+        else:
+            nxt = value * (1.0 + gj)
+            if nxt <= OVERFLOW_GUARD:
+                value = nxt
+            else:
+                log = math.log(nxt) if nxt < math.inf else math.log(value) + math.log1p(gj)
+                value = None
+        yield value, log
+
+
 def telescoping_identity_lhs(g, k: int, n: int) -> float:
     """Sum side of the telescoping identity for weights g over [k, n).
 
@@ -115,7 +142,7 @@ def telescoping_identity_lhs(g, k: int, n: int) -> float:
 
     # terms whose running product is held as a log are exp(log g_i + log)
     total = 1.0
-    for gi, (value, log) in zip(g[k:n].tolist(), sequences._running_products(g[k:n])):
+    for gi, (value, log) in zip(g[k:n].tolist(), _running_products(g[k:n])):
         if log is None:
             total += gi * value
         elif gi > 0.0:

@@ -110,6 +110,18 @@ class TestGronwallCommand:
         assert code == EXIT_CONTRACT
         assert "entry 1" in err
 
+    def test_overflow_names_the_last_finite_index(self, capsys):
+        # the envelope of f = 1, g = 9 is 10^n, beyond float64 from n = 309 on
+        ones, nines = ",".join(["1"] * 400), ",".join(["9"] * 400)
+        code, _, err = run(capsys, "gronwall", "--f", ones, "--g", nines)
+        assert code == EXIT_CONTRACT
+        assert "at index 309; it is finite up to n = 308" in err
+        code, out, err = run(capsys, "gronwall", "--f", ones, "--g", nines, "--n", "308")
+        assert code == EXIT_OK, err
+        last = list(csv.DictReader(out.splitlines()))[-1]
+        assert last["index"] == "308"
+        assert math.isfinite(float(last["envelope"])) and math.isfinite(float(last["closed_form"]))
+
     def test_long_sequence_is_one_pass(self, capsys, tmp_path):
         # a closed form evaluated afresh for each index is quadratic in the
         # length: about 20 s for these 20,000 rows
@@ -411,6 +423,18 @@ class TestGoldenReports:
     def test_gronwall_csv_bytes(self, capsys, tmp_path, name, argv):
         out_path = tmp_path / f"{name}.csv"
         code, _, err = run(capsys, "gronwall", *argv, "--output", str(out_path))
+        assert code == EXIT_OK, err
+        assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize("name, argv", [
+        ("bem_simulate_ginzburg_landau", ["--problem", "ginzburg-landau", "--sigma", "0.5"]),
+        ("bem_simulate_bounded_rotation", ["--problem", "bounded-rotation", "--omega", "1.5",
+                                           "--kappa", "0.2", "--sigma", "0.4"]),
+    ])
+    def test_bem_simulate_csv_bytes(self, capsys, tmp_path, name, argv):
+        out_path = tmp_path / f"{name}.csv"
+        code, _, err = run(capsys, "bem", "simulate", *argv, "--h", "0.0625", "--T", "2",
+                           "--seed", "42", "--p-list", "0.25,0.5", "--output", str(out_path))
         assert code == EXIT_OK, err
         assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 

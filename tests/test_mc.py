@@ -26,7 +26,7 @@ from stochastic_gronwall.mc import (
     verify_apriori,
     verify_theorem_on_synthetic,
 )
-from stochastic_gronwall.sde import BemConfig, make_problem, simulate_trajectory
+from stochastic_gronwall.sde import BemConfig, make_problem, simulate_trajectory, zoo_labels
 from stochastic_gronwall.streams import CHUNK_SIZE, StreamPlan
 
 
@@ -469,21 +469,24 @@ class TestVerifyApriori:
             )
 
     def test_rotation_batch_matches_trajectory(self):
-        # the closed-form batch stepper agrees with the generic solver
+        # each path of a chunk is, bit for bit, the trajectory driven by its
+        # row of the chunk's draws, whatever paths share the chunk
+        class Row:
+            def __init__(self, normals):
+                self.normals = normals
+
+            def standard_normal(self, shape):
+                return self.normals.reshape(shape)
+
         prob = make_problem("bounded-rotation", omega=1.5, kappa=0.2, sigma=0.4)
         cfg = BemConfig(h=0.1, h0=0.5, T=1.0)
         sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], 0.5)
         plan = StreamPlan(13)
         (vals,) = sampler.sample_chunk(plan, 0, 8)
-        stream = plan.chunk_stream(0)
-        d_w = stream.standard_normal((8, cfg.n_steps, 2)) * math.sqrt(cfg.h)
+        normals = plan.chunk_stream(0).standard_normal((8, cfg.n_steps * 2))
         for i in range(8):
-            y = prob.x0.copy()
-            best = float(y @ y) + cfg.h * 2 * 0.4**2
-            for j in range(cfg.n_steps):
-                y, _ = simulate_step(prob, y, d_w[i, j], cfg)
-                best = max(best, float(y @ y) + cfg.h * 2 * 0.4**2)
-            assert vals[i] == pytest.approx(best**0.5, rel=1e-10)
+            traj = simulate_trajectory(prob, cfg, [0.5], Row(normals[i]))
+            assert vals[i] == traj.sup_functional_p[0.5]
 
     def test_sampler_builds_problem_once(self, monkeypatch):
         """At most one build per process per zoo spec."""
@@ -530,17 +533,31 @@ class TestVerifyApriori:
             BemSupFunctionalSampler.for_problem(prob, [BemConfig(h=0.1, h0=0.4, T=1.0)], 0.5)
 
 
+# Zoo problems for the trajectory-sampler match; a zoo label not named here
+# runs at its defaults, so every registered problem is covered.
+MATCH_CASES = [
+    ("ginzburg-landau", {"sigma": 0.3}),
+    ("linear", {"lam": 1.3, "sigma": 0.7}),
+    ("ginzburg-landau", {"sigma": 2.0, "L": 3.0, "x0": 1e6}),
+    ("bounded-rotation", {}),
+    ("bounded-rotation", {"omega": 1.5, "kappa": 0.2, "sigma": 0.4}),
+    ("bounded-rotation", {"x0": (0.3, -2.0), "sigma": 2.0, "L": 4.0}),
+]
+MATCH_CASES += [(label, {}) for label in zoo_labels()
+                if label not in {named for named, _ in MATCH_CASES}]
+
+
 class TestSamplerMatchesTrajectory:
-    @pytest.mark.parametrize("label, params", [
-        ("ginzburg-landau", {"sigma": 0.3}),
-        ("linear", {"lam": 1.3, "sigma": 0.7}),
-    ])
-    @pytest.mark.parametrize("h", [0.1, 0.07])
+    """Every zoo problem takes the same implicit steps in one trajectory as
+    in a one-path chunk of the sampler, so the sup functionals agree bit
+    for bit."""
+
+    @pytest.mark.parametrize("label, params", MATCH_CASES)
+    @pytest.mark.parametrize("h", [0.1, 0.07, 0.015625])
     @pytest.mark.parametrize("p", [0.3, 0.5])
     def test_one_path_chunk_bit_identical(self, label, params, h, p):
-        # the sup functional uses the problem's own g on both routes
         prob = make_problem(label, **params)
-        cfg = BemConfig(h=h, h0=0.25, T=1.0)
+        cfg = BemConfig(h=h, h0=0.999 * 0.5 / max(prob.L, 4.0), T=1.0)
         sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], p)
         plan = StreamPlan(7)
         for c in range(10):
@@ -687,12 +704,6 @@ class TestWorkLimit:
             simulate_trajectory(prob, BemConfig(h=h, h0=0.25, T=1.0), [], Undrawn())
         with pytest.raises(ContractViolationError, match="values for one trajectory"):
             simulate_trajectory(prob, BemConfig(h=h, h0=0.25, T=1.0 + h), [], Undrawn())
-
-
-def simulate_step(prob, y, d_w, cfg):
-    from stochastic_gronwall.sde import bem_step
-
-    return bem_step(prob, y, d_w, cfg.h)
 
 
 class TestZMartingaleBuckets:

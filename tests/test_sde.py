@@ -4,16 +4,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from stochastic_gronwall import kernels
 from stochastic_gronwall.errors import ContractViolationError, SolverError
 from stochastic_gronwall.sde import (
     BemConfig,
     BemTrajectory,
     SdeProblem,
-    bem_step,
     check_coercivity,
     make_problem,
     simulate_trajectory,
-    z_increment,
     zoo_labels,
     zoo_parameters,
 )
@@ -59,6 +58,24 @@ def pathwise_recursion_check(
     return RecursionCheckReport(True, None, max_excess)
 
 
+def z_increment(y, g_y, d_w, h: float) -> float:
+    """Centered noise term of the squared-norm recursion at one step, the
+    reference for the trajectory's ``z_increments``."""
+    noise = g_y @ d_w
+    return (
+        float(np.dot(noise, noise))
+        - h * float(np.sum(g_y * g_y))
+        + 2.0 * float(np.dot(noise, y))
+    )
+
+
+def scalar_step(prob, y, d_w, h):
+    """Implicit steps of a scalar problem from the states y with the
+    increments d_w, entry by entry: (states, iterations, converged)."""
+    b = y + prob.diffusion(y)[..., 0] * d_w
+    return kernels.implicit_solve(prob.drift, lambda x: prob.drift_jacobian(x)[..., 0], h, b)
+
+
 def linear_step_closed_form(y, lam, sigma, d_w, h):
     return y * (1.0 + sigma * d_w) / (1.0 + h * lam)
 
@@ -90,17 +107,16 @@ class TestBemStep:
     def test_linear_matches_closed_form(self, rng):
         prob = make_problem("linear", lam=1.0, sigma=0.5)
         for h in (0.2, 0.1, 0.05, 0.01):
-            for _ in range(25):
-                y = rng.uniform(-3, 3)
-                d_w = rng.normal(0, math.sqrt(h))
-                out, iters = bem_step(prob, [y], [d_w], h)
-                assert out[0] == pytest.approx(
-                    linear_step_closed_form(y, 1.0, 0.5, d_w, h), abs=1e-10
-                )
+            y = rng.uniform(-3, 3, 25)
+            d_w = rng.normal(0, math.sqrt(h), 25)
+            out, _, ok = scalar_step(prob, y, d_w, h)
+            assert ok.all()
+            assert np.allclose(out, linear_step_closed_form(y, 1.0, 0.5, d_w, h),
+                               rtol=0.0, atol=1e-10)
 
     def test_equilibrium_fixed_point(self):
         prob = make_problem("ginzburg-landau", sigma=0.5, x0=1.0)
-        out, iters = bem_step(prob, [1.0], [0.0], 0.1)
+        out, _, _ = scalar_step(prob, np.array([1.0]), np.array([0.0]), 0.1)
         assert out[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_ginzburg_landau_vs_bisection_oracle(self, rng):
@@ -109,21 +125,42 @@ class TestBemStep:
             y = rng.uniform(-2, 2)
             h = rng.uniform(0.01, 0.5)
             d_w = rng.normal(0, math.sqrt(h))
-            out, _ = bem_step(prob, [y], [d_w], h)
+            (out,), _, _ = scalar_step(prob, np.array([y]), np.array([d_w]), h)
             oracle = cubic_root_bisection(y, 0.5, d_w, h)
-            assert out[0] == pytest.approx(oracle, abs=1e-10)
-            residual = out[0] - h * (out[0] - out[0] ** 3) - (y + 0.5 * y * d_w)
+            assert out == pytest.approx(oracle, abs=1e-10)
+            residual = out - h * (out - out**3) - (y + 0.5 * y * d_w)
             assert abs(residual) <= 1e-12
 
-    def test_rotation_newton_matches_direct_solve(self, rng):
-        prob = make_problem("bounded-rotation", omega=2.0, kappa=0.3, sigma=0.5)
-        h = 0.1
-        y = rng.uniform(-1, 1, 2)
-        d_w = rng.normal(0, math.sqrt(h), 2)
-        out, iters = bem_step(prob, y, d_w, h)
-        mat = np.eye(2) - h * np.array([[-0.3, -2.0], [2.0, -0.3]])
-        expected = np.linalg.solve(mat, y + 0.5 * d_w)
-        assert np.allclose(out, expected, atol=1e-11)
+    def test_rotation_newton_matches_direct_solve(self):
+        # the closed form is Newton's first update, exact for the linear drift
+        cfg = BemConfig(h=0.1, h0=0.12, T=1.0)
+        for params in ({"omega": 2.0, "kappa": 0.3, "sigma": 0.5},
+                       {"x0": (1e6, -3e5), "sigma": 2.0, "L": 4.0}):
+            prob = make_problem("bounded-rotation", **params)
+            traj = simulate_trajectory(prob, cfg, [], StreamPlan(3).path_stream(0))
+            mat = np.eye(2) - cfg.h * prob.drift_jacobian(prob.x0)
+            g = prob.diffusion(prob.x0)
+            for j in range(cfg.n_steps):
+                expected = np.linalg.solve(mat, traj.states[j] + g @ traj.d_w[j])
+                gap = np.abs(traj.states[j + 1] - expected).max()
+                assert gap <= 1e-12 * np.abs(expected).max()
+            assert np.all(traj.solver_iterations == 1)
+
+    def test_other_planar_problem_rejected_before_drawing(self):
+        class Undrawn:
+            def standard_normal(self, shape):
+                raise LookupError(shape)
+
+        prob = SdeProblem(
+            label="planar-cubic",
+            drift=lambda x: x - np.sum(x * x, axis=-1, keepdims=True) * x,
+            drift_jacobian=lambda x: (np.eye(2) * (1.0 - np.sum(x * x, axis=-1))[..., None, None]
+                                      - 2.0 * x[..., :, None] * x[..., None, :]),
+            diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
+            x0=np.array([1.0, 0.0]), L=1.0,
+        )
+        with pytest.raises(ContractViolationError, match="'planar-cubic' has d = 2"):
+            simulate_trajectory(prob, BemConfig(h=0.125, h0=0.25, T=1.0), [], Undrawn())
 
 
 class TestScalarStepMatchesKernel:
@@ -133,35 +170,40 @@ class TestScalarStepMatchesKernel:
         ("linear", {"lam": 1.0, "sigma": 0.5}, 0.1),
     ])
     def test_paths_bit_identical(self, label, params, h):
-        # one bem_step per path and step reproduces the batch kernel exactly
-        from stochastic_gronwall import kernels
-
+        # a trajectory's steps and iteration counts are those of its row in the batch kernel
         prob = make_problem(label, **params)
-        d_w = StreamPlan(13).chunk_stream(0).standard_normal((40, 8)) * math.sqrt(h)
+        cfg = BemConfig(h=h, h0=0.999 * 0.5 / prob.L, T=8 * h)
+        plan = StreamPlan(13)
+        trajs = [simulate_trajectory(prob, cfg, [], plan.path_stream(i)) for i in range(40)]
+        d_w = np.array([traj.d_w[:, 0] for traj in trajs])
         states, iters, failed = kernels.bem_scalar_batch(
             prob.drift, prob.drift_jacobian, prob.diffusion, float(prob.x0[0]), d_w, h
         )
         assert not failed.any()
-        for i in range(d_w.shape[0]):
-            y, total = prob.x0, 0
-            for j in range(d_w.shape[1]):
-                y, used = bem_step(prob, y, [d_w[i, j]], h)
-                total += used
-                assert y[0] == states[i, j + 1]
-            assert total == iters[i]
+        assert np.array_equal(np.array([traj.states[:, 0] for traj in trajs]), states)
+        assert np.array_equal([traj.solver_iterations.sum() for traj in trajs], iters)
 
     def test_solver_error_where_kernel_fails(self):
-        from stochastic_gronwall import kernels
-
-        prob = make_problem("ginzburg-landau", sigma=0.5)
-        b = 1e160
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, _, failed = kernels.bem_scalar_batch(
-                prob.drift, prob.drift_jacobian, prob.diffusion, b, np.zeros((1, 1)), 0.5
+        # g(x0) = 1e130 puts the first step's b near 1e129, where the Ginzburg-Landau
+        # solve fails; the trajectory raises at the step the kernel marks failed
+        prob = SdeProblem(
+            label="loud-cubic",
+            drift=lambda x: x - x * x * x,
+            drift_jacobian=lambda x: (1.0 - 3.0 * x * x)[..., None],
+            diffusion=lambda x: 1e30 * np.asarray(x)[..., None],
+            x0=np.array([1e100]), L=1.0,
+        )
+        cfg = BemConfig(h=0.4, h0=0.45, T=0.8)
+        d_w = StreamPlan(0).path_stream(0).standard_normal((1, cfg.n_steps)) * math.sqrt(cfg.h)
+        with np.errstate(all="ignore"):
+            states, _, failed = kernels.bem_scalar_batch(
+                prob.drift, prob.drift_jacobian, prob.diffusion, 1e100, d_w, cfg.h
             )
             assert failed[0]
-            with pytest.raises(SolverError, match="did not converge"):
-                bem_step(prob, [b], [0.0], 0.5)
+            step = int(np.flatnonzero(np.isnan(states[0]))[0])
+            with pytest.raises(SolverError, match=f"step {step} of {cfg.n_steps} failed "
+                                                  r"for problem 'loud-cubic': implicit step"):
+                simulate_trajectory(prob, cfg, [], StreamPlan(0).path_stream(0))
 
     def test_trajectory_reports_failing_step(self):
         # f(x0) is finite, but z - h*f(z) = z - 8hz is 0 at h = 0.125, so the
@@ -184,34 +226,17 @@ class TestStoppingRuleAtEveryScale:
     keeps the residual above the absolute tolerance."""
 
     def test_scalar_sweep_needs_no_fallback(self, monkeypatch):
-        from stochastic_gronwall import kernels
-
         def no_fallback(*args):
             raise AssertionError("bisection fallback taken")
 
         monkeypatch.setattr(kernels, "_bisect", no_fallback)
         prob = make_problem("ginzburg-landau", sigma=0.5)
-        for y in np.logspace(2, 8, 13):
-            z, iters = bem_step(prob, [y], [0.0], 0.125)
-            assert iters < kernels.MAX_ITER
-            residual = z[0] - 0.125 * (z[0] - z[0] ** 3) - y
-            assert abs(residual) <= 4.0 * np.finfo(np.float64).eps * y
-
-    def test_planar_sweep_converges(self):
-        # f(x) = x - |x|^2 x, whose Newton loop is the d > 1 one
-        prob = SdeProblem(
-            label="planar-cubic",
-            drift=lambda x: x - np.sum(x * x, axis=-1, keepdims=True) * x,
-            drift_jacobian=lambda x: (np.eye(2) * (1.0 - np.sum(x * x, axis=-1))[..., None, None]
-                                      - 2.0 * x[..., :, None] * x[..., None, :]),
-            diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
-            x0=np.array([1.0, 0.0]), L=1.0,
-        )
-        for y in np.logspace(2, 8, 7):
-            b = np.array([y, -y / 2.0])
-            z, _ = bem_step(prob, b, [0.0], 0.125)
-            residual = z - 0.125 * prob.drift(z) - b
-            assert np.linalg.norm(residual) <= 4.0 * np.finfo(np.float64).eps * np.linalg.norm(b)
+        y = np.logspace(2, 8, 13)
+        z, iters, ok = scalar_step(prob, y, np.zeros_like(y), 0.125)
+        assert ok.all()
+        assert iters.max() < kernels.MAX_ITER
+        residual = z - 0.125 * (z - z**3) - y
+        assert np.all(np.abs(residual) <= 4.0 * np.finfo(np.float64).eps * y)
 
 
 class TestBemConfig:
@@ -326,10 +351,6 @@ class TestZIncrement:
         val = z_increment(np.array([1.0]), np.array([[0.0]]), np.array([0.5]), 0.1)
         assert val == 0.0
 
-    def test_shape_contract(self):
-        with pytest.raises(ContractViolationError):
-            z_increment(np.array([1.0, 2.0]), np.array([[1.0]]), np.array([0.5]), 0.1)
-
     def test_zero_mean_monte_carlo(self):
         # Ito isometry makes E[Z] = 0: E|g dW|^2 = h |g|^2
         rng = np.random.default_rng(99)
@@ -364,15 +385,16 @@ class TestSimulateTrajectory:
         assert np.all(traj.z_increments == 0.0)
 
     def test_z_recomputable_from_states(self):
-        prob = make_problem("ginzburg-landau", sigma=0.5)
         cfg = BemConfig(h=0.125, h0=0.25, T=1.0)
-        traj = simulate_trajectory(prob, cfg, [0.5], StreamPlan(5).path_stream(3))
-        for j in range(cfg.n_steps):
-            y = traj.states[j]
-            g_y = prob.diffusion(y)
-            assert traj.z_increments[j] == pytest.approx(
-                z_increment(y, g_y, traj.d_w[j], cfg.h), rel=1e-12, abs=1e-14
-            )
+        for label in zoo_labels():
+            prob = make_problem(label, sigma=0.5)
+            traj = simulate_trajectory(prob, cfg, [0.5], StreamPlan(5).path_stream(3))
+            for j in range(cfg.n_steps):
+                y = traj.states[j]
+                g_y = prob.diffusion(y)
+                assert traj.z_increments[j] == pytest.approx(
+                    z_increment(y, g_y, traj.d_w[j], cfg.h), rel=1e-12, abs=1e-14
+                ), label
 
     def test_sup_functional_recorded(self):
         prob = make_problem("ginzburg-landau", sigma=0.5)
@@ -467,9 +489,11 @@ class TestCustomProblem:
             L=0.045,
         )
         check_coercivity(prob)
-        out, _ = bem_step(prob, [0.5], [0.1], 0.2)
-        residual = out[0] + 0.2 * math.tanh(out[0]) - (0.5 + 0.3 * 0.1)
-        assert abs(residual) <= 1e-12
+        cfg = BemConfig(h=0.2, h0=0.25, T=1.0)
+        traj = simulate_trajectory(prob, cfg, [], StreamPlan(4).path_stream(0))
+        y = traj.states[:, 0]
+        residual = y[1:] + 0.2 * np.tanh(y[1:]) - (y[:-1] + 0.3 * traj.d_w[:, 0])
+        assert np.abs(residual).max() <= 1e-12
 
 
 def _scalar_callables():
