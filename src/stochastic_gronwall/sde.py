@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ContractViolationError, SolverError
-from .streams import MAX_CHUNK_VALUES
+from .streams import MAX_CHUNK_VALUES, keyed_generator
 
 COERCIVITY_POINTS = 10_000
 COERCIVITY_RADIUS = 100.0
@@ -108,7 +108,7 @@ def check_coercivity(problem: SdeProblem) -> None:
     <f(x), x/s> + |g(x)|^2/(2s) <= L, whose terms stay finite wherever
     |x|^2, f(x) and |g(x)|^2 are, as the problem contract requires at x0.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(COERCIVITY_SEED)))
+    rng = keyed_generator(COERCIVITY_SEED, 0)
     directions = rng.standard_normal((COERCIVITY_POINTS, problem.d))
     norms = np.sqrt(np.sum(directions * directions, axis=1))
     norms[norms == 0.0] = 1.0
