@@ -200,16 +200,21 @@ def bem_rotation_rows(drift_jacobian, diffusion, x0, d_w, h):
 
     ``drift_jacobian`` and ``diffusion`` are the problem's f' and g,
     read once at x0. d_w holds the increments as (steps, 2, paths),
-    scaled to variance h. Each step solves (I - hA) y' = y + g dW in
-    closed form, which is Newton's first update from the explicit
-    predictor and exact for a linear drift. The state is one row per
-    coordinate, stepped in place; after each step this yields the rows
-    (y0, y1), so a caller copies what it keeps.
+    scaled to variance h; a step reads two rows, contiguous when d_w
+    is C-ordered. Each step solves (I - hA) y' = y + g dW in closed
+    form, which is Newton's first update from the explicit predictor
+    and exact for a linear drift: with a = 1 + hk, b = hw and
+    det = a^2 + b^2, y' = (a/det) r + (b/det) J r for r = y + g dW and
+    J the quarter turn, the two coefficients divided once, not at
+    every step. The state is one row per coordinate, stepped in place;
+    after each step this yields the rows (y0, y1), so a caller copies
+    what it keeps.
     """
     jac = drift_jacobian(x0)
     a = 1.0 - h * jac[0, 0]
     b = h * jac[1, 0]
     det = a * a + b * b
+    a, b = a / det, b / det
     g = diffusion(x0)[0, 0]
     count = d_w.shape[2]
     y0 = np.full(count, x0[0])
@@ -223,11 +228,9 @@ def bem_rotation_rows(drift_jacobian, diffusion, x0, d_w, h):
         np.multiply(r0, a, out=y0)
         np.multiply(r1, b, out=t)
         y0 -= t
-        y0 /= det
         np.multiply(r0, b, out=y1)
         np.multiply(r1, a, out=t)
         y1 += t
-        y1 /= det
         yield y0, y1
 
 

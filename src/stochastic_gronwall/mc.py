@@ -8,7 +8,10 @@ of a chunk at once. Each column of a chunk is reduced to its count,
 mean and M2 by a shifted two-pass in numpy, and each column's chunk
 moments are combined by a fixed pairwise merge tree (the
 Chan-Golub-LeVeque update), so estimates are bit identical for any
-worker count.
+worker count. The implicit-Euler sampler lays a chunk's Brownian
+increments out step-major, (steps, d, paths), so that every step reads
+contiguous rows, and sums each coarser grid's increments in place once
+the union of the grids is no longer needed.
 
 The process-pool stack (``concurrent.futures``, ``multiprocessing`` and
 what they import) loads only when a pass forks workers:
@@ -95,7 +98,12 @@ def _pairwise_merge(stats):
 
 
 def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int):
-    """Per chunk lo..hi-1 with samples, the (moments, failures) of each column."""
+    """Per chunk lo..hi-1 with samples, the (moments, failures) of each column.
+
+    Non-finite values are failures, left out of the moments. A column
+    whose remaining values are finite but whose moments overflow raises
+    :class:`ContractViolationError`, without a floating-point warning.
+    """
     out = []
     for c in range(lo, hi):
         count = plan.chunk_count(c, n)
@@ -104,20 +112,30 @@ def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int):
         columns = np.atleast_2d(np.asarray(sampler.sample_chunk(plan, c, count), dtype=np.float64))
         stats = []
         for vals in columns:
-            # A NaN or inf value makes the mean non-finite, and moments that come out
-            # finite raised no floating-point warning. So only a column whose moments
-            # are not both finite has its failures counted, and its moments taken
-            # again as before, warnings included.
+            # A NaN or inf value makes the mean non-finite, so only a column whose
+            # moments are not both finite has its failures counted, and its moments
+            # taken again over its finite values. Finite values whose moments are not
+            # finite are beyond what float64 can estimate.
+            n_fail = 0
             with np.errstate(all="ignore"):
                 moments = kernels.welford_chunk(vals)
-            n_fail = 0
-            if not (math.isfinite(moments[1]) and math.isfinite(moments[2])):
-                finite = np.isfinite(vals)
-                n_fail = int(count - finite.sum())
-                moments = kernels.welford_chunk(vals[finite] if n_fail else vals)
+                if not _finite_moments(moments):
+                    finite = np.isfinite(vals)
+                    n_fail = int(count - finite.sum())
+                    if n_fail:
+                        moments = kernels.welford_chunk(vals[finite])
+            if not _finite_moments(moments):
+                raise ContractViolationError(
+                    f"chunk {c}: the mean or sum of squared deviations of its finite values "
+                    "overflows float64; try a smaller --horizon or --p"
+                )
             stats.append((moments, n_fail))
         out.append(stats)
     return out
+
+
+def _finite_moments(moments) -> bool:
+    return math.isfinite(moments[1]) and math.isfinite(moments[2])
 
 
 def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
@@ -165,7 +183,9 @@ def estimate_expectation(
     ``chunks`` is the column's (moments, failures) per chunk, from
     :func:`sample_columns`. If more than ``fail_threshold * n`` samples
     failed, the estimate aborts; otherwise the chunk moments are merged
-    by the fixed pairwise tree.
+    by the fixed pairwise tree. Python floats overflow to inf without a
+    warning, so a merged mean or M2 that is not finite is a
+    :class:`ContractViolationError`, as in a chunk.
     """
     n_failures = sum(failures for _, failures in chunks)
     if n_failures > fail_threshold * n:
@@ -175,6 +195,11 @@ def estimate_expectation(
             n_failures=n_failures,
         )
     count, mean, m2 = _pairwise_merge([moments for moments, _ in chunks])
+    if not _finite_moments((count, mean, m2)):
+        raise ContractViolationError(
+            f"the merged mean or sum of squared deviations of {count} samples overflows "
+            "float64; try a smaller --horizon or --p"
+        )
     if count >= 2 and m2 > 0.0:
         std_error = math.sqrt(m2 / (count - 1) / count)
         degenerate = False
@@ -352,8 +377,8 @@ def _increment_levels(hs: tuple, n_steps: tuple, d: int):
     The increments are drawn on the union of the grids' time points
     {j*h : 0 <= j <= N_h}, listed exactly: every float h is a whole
     number of ticks 1/den, den the largest of their power-of-two
-    denominators. Returns the standard deviation of each increment of
-    one path, in draw order ((points - 1) * d values: the square roots
+    denominators. Returns the standard deviation of each row of the
+    chunk's step-major block ((points - 1) * d values: the square roots
     of the union's intervals, each repeated d times), and one level per
     step size, finest first: (column, from_union, stride, bounds). A
     level's increment j sums its source's increments bounds[j] ..
@@ -384,21 +409,44 @@ def _increment_levels(hs: tuple, n_steps: tuple, d: int):
     return roots, levels
 
 
-def _sum_steps(src, stride, bounds):
+def _sum_steps(src, stride, bounds, in_place=False):
     """One level's (steps, d, paths) increments from its source's (see
-    ``_increment_levels``). A stride of 1 is a view; the sums of a
-    common stride add left to right into a fresh C-ordered array, so a
-    step's increments of all paths lie side by side."""
+    ``_increment_levels``). A stride of 1 is a view. The sums of a
+    common stride add left to right, into a fresh C-ordered array or,
+    ``in_place``, into the source's leading rows, so a step's
+    increments of all paths lie side by side either way.
+
+    In place, the rows are written in blocks [lo, hi) with hi at most
+    stride*lo (row 0 alone first), each summed from source rows at or
+    after stride*lo: no write lands on a row still to be read, the
+    operands of one block do not overlap, and numpy copies nothing.
+    The additions, and so the bits, are those of the fresh array.
+    """
     stop = bounds[-1]
     if stride == 1:
         return src[:stop]
     if stride is None:
         return np.add.reduceat(src[:stop], bounds[:-1], axis=0)
-    out = np.add(src[0:stop:stride], src[1:stop:stride],
-                 out=np.empty((len(bounds) - 1,) + src.shape[1:]))
+    steps = len(bounds) - 1
+    if not in_place:
+        out = np.empty((steps,) + src.shape[1:])
+        _add_strided(src, stride, 0, steps, out)
+        return out
+    lo = 0
+    while lo < steps:
+        hi = min(max(stride * lo, 1), steps)
+        _add_strided(src, stride, lo, hi, src[lo:hi])
+        lo = hi
+    return src[:steps]
+
+
+def _add_strided(src, stride, lo, hi, out):
+    """out[k - lo] = src[stride*k] + ... + src[stride*k + stride-1] for
+    lo <= k < hi, added left to right."""
+    start, stop = stride * lo, stride * hi
+    np.add(src[start:stop:stride], src[start + 1:stop:stride], out=out)
     for m in range(2, stride):
-        out += src[m:stop:stride]
-    return out
+        out += src[start + m:stop:stride]
 
 
 @dataclass(frozen=True)
@@ -411,11 +459,13 @@ class BemSupFunctionalSampler:
     points, and a coarser grid's increment is the sum of the finer
     increments inside its step (the coarse/fine coupling of multilevel
     Monte Carlo). The finest grid is stepped first, then each coarser
-    one from the sums of the next finer level's increments, so at most
-    two levels are alive at once (beside the union, for grids that are
-    not nested). Where the union is the finest grid
-    (nested grids, such as dyadic ones), the finest column's increments
-    are drawn and scaled as a lone grid's would be.
+    one from the sums of the next finer level's increments. Where the
+    union is the finest grid (nested grids, such as dyadic ones), the
+    finest column's increments are drawn and scaled as a lone grid's
+    would be, and the chunk holds one increment array: every coarser
+    level is summed into the leading rows of the one before it. A grid
+    that is not nested sums into fresh arrays up to its last level
+    drawn from the union, which must stay intact until then.
 
     The sampler holds only the zoo label and parameters, so pickling it
     for a pool worker never sends callables; the problem is built at most
@@ -459,19 +509,26 @@ class BemSupFunctionalSampler:
         return _PROBLEMS[key]
 
     def sample_chunk(self, plan, chunk_index, count):
-        """A (step sizes, count) array, one row per h in grid order."""
+        """A (step sizes, count) array, one row per h in grid order.
+
+        The chunk's normals are drawn as one (increments, count) block,
+        path i in column i, scaled row by row to the union's intervals
+        and viewed as (steps, d, paths) without a copy: each step of
+        each level reads contiguous rows. Once no later level reads the
+        union, each level sums its source in place (see ``_sum_steps``).
+        """
         problem = self.problem
         roots, levels = _increment_levels(self.hs, self.n_steps, problem.d)
-        draws = plan.chunk_stream(chunk_index).standard_normal((count, roots.size))
-        draws *= roots
-        union = draws.reshape(count, -1, problem.d).transpose(1, 2, 0)  # (steps, d, paths)
-        del draws
+        union = plan.chunk_stream(chunk_index).standard_normal((roots.size, count))
+        union *= roots[:, None]
+        union = union.reshape(-1, problem.d, count)  # (steps, d, paths), a view
         last_from_union = max(i for i, level in enumerate(levels) if level[1])
         sup = self._rotation_sup if sde.implicit_step(problem) == "rotation" else self._scalar_sup
         out = np.empty((len(self.hs), count))
         d_w = None
         for i, (column, from_union, stride, bounds) in enumerate(levels):
-            d_w = _sum_steps(union if from_union else d_w, stride, bounds)
+            d_w = _sum_steps(union if from_union else d_w, stride, bounds,
+                             in_place=i > last_from_union)
             if i == last_from_union:
                 union = None
             out[column] = sup(problem, d_w, self.hs[column])
@@ -494,17 +551,18 @@ class BemSupFunctionalSampler:
         return sup
 
     def _rotation_sup(self, problem, d_w, h):
-        h_g_norm_sq = h * problem.g_x0_norm_sq()  # the diffusion g*I_2 is constant
         count = d_w.shape[2]
-        best = np.full(count, problem.x0_norm_sq() + h_g_norm_sq)
+        best = np.full(count, problem.x0_norm_sq())
         t, s = np.empty((2, count))
         for y0, y1 in kernels.bem_rotation_rows(problem.drift_jacobian, problem.diffusion,
                                                 problem.x0, d_w, h):
             np.multiply(y0, y0, out=t)
             np.multiply(y1, y1, out=s)
             t += s
-            t += h_g_norm_sq
             np.maximum(best, t, out=best)
+        # h|g|^2 is constant (the diffusion is g*I_2), and rounding is monotone, so adding
+        # it after the maximum gives the bits of adding it at every step
+        best += h * problem.g_x0_norm_sq()
         return best**self.p
 
 

@@ -11,12 +11,18 @@ two different pairs share a stream: seed 7 with chunk 3, and seed
 
 Path-level APIs key one stream per path. Batch estimation keys one
 stream per fixed 4096-path chunk, and a sampler draws from it once per
-chunk: one block, assigned to paths by row, that serves every column
-the sampler returns (every step size of an a priori report, every
-system of a theorem report). Each path's randomness is thus pinned by
-(master_seed, path_index) through the fixed chunk size, and by the
-shape of that block: for the implicit-Euler sampler, the union of the
-report's step-size grids.
+chunk: one block that serves every column the sampler returns (every
+step size of an a priori report, every system of a theorem report).
+The theorem sampler assigns its block to paths by row. The
+implicit-Euler sampler draws its block step-major, one row per
+increment and one column per path of the chunk, so that each step
+reads a contiguous row; the block is as wide as the chunk's own path
+count, so a one-path chunk draws in a trajectory's order, and a path
+of a short last chunk depends on how many paths that chunk holds.
+Each path's randomness is thus pinned by (master_seed, path_index)
+through the fixed chunk size and the sample count, and by the shape of
+that block: for the implicit-Euler sampler, the union of the report's
+step-size grids. A report still depends only on its inputs.
 """
 
 from __future__ import annotations

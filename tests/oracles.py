@@ -193,11 +193,11 @@ def sign_walk_expectations(n: int, p_values, stop_level: float | None = None):
 
 def per_row_increments(plan, chunk_index, count, h, n_steps, d):
     """The Brownian increments of the former per-row sampler: a fresh
-    (count, n_steps, d) block from the chunk's stream, scaled to
-    variance h."""
-    d_w = plan.chunk_stream(chunk_index).standard_normal((count, n_steps, d))
+    step-major (n_steps*d, count) block from the chunk's stream, path i
+    in column i, scaled to variance h. Returned as (count, n_steps, d)."""
+    d_w = plan.chunk_stream(chunk_index).standard_normal((n_steps * d, count))
     d_w *= math.sqrt(h)
-    return d_w
+    return d_w.reshape(n_steps, d, count).transpose(2, 0, 1)
 
 
 def per_row_sup(problem, d_w, h, p):
@@ -235,6 +235,7 @@ def _rotation_sup_reference(problem, d_w, h, p):
     a = 1.0 - h * jac[0, 0]
     b = h * jac[1, 0]
     det = a * a + b * b
+    ca, cb = a / det, b / det  # (I - hA)^-1 = (ca*I + cb*J), J the quarter turn
     g = problem.diffusion(x0)[0, 0]  # the diffusion is g*I_2
     y = np.tile(x0, (count, 1))
     g_norm_sq = 2.0 * g * g  # Frobenius norm of g*I_2, squared
@@ -242,8 +243,8 @@ def _rotation_sup_reference(problem, d_w, h, p):
     for j in range(n_steps):
         rhs = y + g * d_w[:, j, :]
         y = np.empty_like(rhs)
-        y[:, 0] = (a * rhs[:, 0] - b * rhs[:, 1]) / det
-        y[:, 1] = (b * rhs[:, 0] + a * rhs[:, 1]) / det
+        y[:, 0] = ca * rhs[:, 0] - cb * rhs[:, 1]
+        y[:, 1] = cb * rhs[:, 0] + ca * rhs[:, 1]
         best = np.maximum(best, np.sum(y * y, axis=1) + h * g_norm_sq)
     return best**p
 

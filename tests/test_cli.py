@@ -600,6 +600,14 @@ _INPUT_CASES = {
                                        None, None, EXIT_OK, ""),
     "theorem-horizon-overflows": ([*_THEOREM[:-1], "7347", "--paths", "2", "--seed", "1"],
                                   None, None, EXIT_CONTRACT, "beyond the float64 range"),
+    # X_n stays finite, but at p = 0.9 the squared deviations of sup X^p overflow
+    # float64 (horizon 4000 still runs)
+    **{f"theorem-moments-overflow-workers-{w}": (
+        ["verify", "theorem", "--p", "0.9", "--paths", "64", "--horizon", "4500", "--seed", "1",
+         "--workers", str(w)], None, None, EXIT_CONTRACT, "overflows float64") for w in (1, 2)},
+    "theorem-moments-finite-p-0.9": (["verify", "theorem", "--p", "0.9", "--paths", "64",
+                                       "--horizon", "4000", "--seed", "1"], None, None,
+                                      EXIT_OK, ""),
     "theorem-horizon-work-limit-overflows": ([*_THEOREM[:-1], "8191", "--paths", "2",
                                               "--seed", "1"], None, None, EXIT_CONTRACT,
                                              "'walk-coupled' at horizon 8191"),

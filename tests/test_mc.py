@@ -4,6 +4,7 @@ import math
 import operator
 import multiprocessing
 import os
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -219,7 +220,8 @@ class TestEstimator:
     @pytest.mark.parametrize("case", sorted(_CHUNK_COLUMNS))
     def test_moments_first_equals_mask_first(self, case):
         # the moments and failure counts of both chunks repr-equal (NaN included),
-        # and the same floating-point warnings come in the same order
+        # and the same floating-point warnings come in the same order; finite values
+        # whose moments overflow are a contract violation, with no warning
         values = _CHUNK_COLUMNS[case]
 
         def stats_and_warnings(func):
@@ -228,11 +230,28 @@ class TestEstimator:
                 stats = func(FixedSampler(values), StreamPlan(0), len(values), 0, 2)
             return stats, [str(w.message) for w in caught]
 
+        if case.endswith("overflow"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ContractViolationError, match="overflows float64"):
+                    mc._chunk_range_stats(FixedSampler(values), StreamPlan(0), len(values), 0, 2)
+            assert caught == []
+            return
         stats, caught = stats_and_warnings(mc._chunk_range_stats)
         reference, reference_caught = stats_and_warnings(mask_first_range_stats)
         assert (repr(stats), caught) == (repr(reference), reference_caught)
-        if case.endswith("overflow"):
-            assert [failures for ((_, failures),) in stats] == [0, 0]
+
+    @pytest.mark.parametrize("chunks", [
+        [(2, 1e308, 0.0), (2, -1e308, 0.0)],  # the mean's delta overflows
+        [(2, 1e200, 0.0), (2, -1e200, 0.0)],  # the mean is 0.0, M2 overflows
+        [(2, 1.0, 1.7e308), (2, 1.0, 1.7e308)],  # two finite M2 add to inf
+    ], ids=["mean", "delta-squared", "m2-sum"])
+    def test_merged_overflow_is_a_contract_violation(self, chunks):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ContractViolationError, match="overflows float64"):
+                estimate_expectation([(moments, 0) for moments in chunks], 4)
+        assert caught == []
 
     def test_ci_uses_z(self):
         est = estimate(GaussianSampler(), 5000, StreamPlan(1), z=2.576)
@@ -470,7 +489,7 @@ class TestVerifyApriori:
 
     def test_rotation_batch_matches_trajectory(self):
         # each path of a chunk is, bit for bit, the trajectory driven by its
-        # row of the chunk's draws, whatever paths share the chunk
+        # column of the chunk's step-major draws, whatever paths share the chunk
         class Row:
             def __init__(self, normals):
                 self.normals = normals
@@ -483,9 +502,9 @@ class TestVerifyApriori:
         sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], 0.5)
         plan = StreamPlan(13)
         (vals,) = sampler.sample_chunk(plan, 0, 8)
-        normals = plan.chunk_stream(0).standard_normal((8, cfg.n_steps * 2))
+        normals = plan.chunk_stream(0).standard_normal((cfg.n_steps * 2, 8))
         for i in range(8):
-            traj = simulate_trajectory(prob, cfg, [0.5], Row(normals[i]))
+            traj = simulate_trajectory(prob, cfg, [0.5], Row(normals[:, i]))
             assert vals[i] == traj.sup_functional_p[0.5]
 
     def test_sampler_builds_problem_once(self, monkeypatch):
@@ -642,13 +661,68 @@ class TestOnePassMatchesOracle:
         sampler = BemSupFunctionalSampler.for_problem(prob, cfgs, 0.5)
         plan = StreamPlan(3)
         columns = sampler.sample_chunk(plan, 0, 64)
-        union = (plan.chunk_stream(0).standard_normal((64, 37)) * roots)[:, :, None]
+        union = (plan.chunk_stream(0).standard_normal((37, 64)) * roots[:, None]).T[:, :, None]
         for column, _, _, bounds in levels:
             # the same sums, up to the order of the additions
             d_w = np.stack([union[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds, bounds[1:])],
                            axis=1)
             assert np.allclose(columns[column], per_row_sup(prob, d_w, cfgs[column].h, 0.5),
                                rtol=1e-13, atol=0.0)
+
+
+class TestInPlaceSums:
+    """Once no later level reads the union, each nested coarser level is
+    summed into the leading rows of its source, with the bits of the
+    allocating sums and no copy of the chunk's increments."""
+
+    @pytest.mark.parametrize("stride", [2, 4, 8])
+    @pytest.mark.parametrize("steps", [1, 3, 24, 64])
+    def test_equals_summed(self, stride, steps):
+        src = np.random.default_rng(stride * steps).standard_normal((steps * stride, 2, 5))
+        expected = _summed(src.transpose(2, 0, 1), stride).transpose(1, 2, 0)
+        bounds = list(range(0, steps * stride + 1, stride))
+        allocated = mc._sum_steps(src, stride, bounds)
+        summed = mc._sum_steps(src, stride, bounds, in_place=True)
+        assert np.shares_memory(summed, src) and summed.shape == (steps, 2, 5)
+        assert np.array_equal(summed, expected) and np.array_equal(allocated, expected)
+
+    @pytest.mark.parametrize("name", ONE_PASS_PROBLEMS)
+    def test_from_union_level_after_a_nested_one(self, name):
+        # 1/128 is the union, 2/128 is nested in it, and 3/128 is not in the 2/128
+        # grid: it sums the union after the 2/128 level has been stepped
+        label, params = ONE_PASS_PROBLEMS[name]
+        prob = make_problem(label, **params)
+        hs = (3 / 128, 1 / 128, 2 / 128)
+        cfgs = [BemConfig(h=h, h0=0.25, T=0.75) for h in hs]
+        sampler = BemSupFunctionalSampler.for_problem(prob, cfgs, 0.5)
+        _, levels = mc._increment_levels(sampler.hs, sampler.n_steps, prob.d)
+        assert [(column, from_union, stride) for column, from_union, stride, _ in levels] == [
+            (1, True, 1), (2, False, 2), (0, True, 3)]
+        plan = StreamPlan(5)
+        for count in (1, 64):
+            columns = sampler.sample_chunk(plan, 0, count)
+            union = per_row_increments(plan, 0, count, 1 / 128, 96, prob.d)
+            for column, _, stride, _ in levels:
+                d_w = _summed(union, stride) if stride > 1 else union
+                assert np.array_equal(columns[column], per_row_sup(prob, d_w, hs[column], 0.5))
+
+
+def test_rotation_chunk_holds_one_increment_buffer():
+    # the benchmark's grid: a 4096-path chunk allocates its step-major union and,
+    # beside it, only a few path-sized rows
+    prob = make_problem("bounded-rotation", sigma=0.5)
+    cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 0.0625, 0.03125, 0.015625)]
+    sampler = BemSupFunctionalSampler.for_problem(prob, cfgs, 0.5)
+    plan = StreamPlan(1)
+    sampler.sample_chunk(plan, 0, 1)  # the cached levels and the built problem
+    union_bytes = 64 * 2 * CHUNK_SIZE * 8
+    tracemalloc.start()
+    try:
+        sampler.sample_chunk(plan, 0, CHUNK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * union_bytes, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestCoupling:
