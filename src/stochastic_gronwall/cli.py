@@ -12,6 +12,7 @@ violation, 4 solver failure, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import json
@@ -257,25 +258,38 @@ def _resolve(args) -> None:
             setattr(args, key, default)
 
 
-def _write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+@contextlib.contextmanager
+def _output(path):
+    """stdout for None or "-", else the file at ``path`` opened for
+    writing with no newline translation; an OSError of that file is a
+    :class:`ConfigError`."""
     if path is None or path == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(path, payload: dict) -> None:
+    with _output(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path, header, rows) -> None:
-    handle = sys.stdout if path is None or path == "-" else open(path, "w", newline="", encoding="utf-8")
-    try:
-        writer = csv.writer(handle)
+    with _output(path) as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+
+
+def _print_pairs(pairs: dict) -> None:
+    """One line per key, the key padded to 16 characters, then its value."""
+    for key, value in pairs.items():
+        print(f"{key:<16} {_fmt(value)}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +320,7 @@ def _cmd_bound(args) -> int:
             p=args.p, L=args.L, T=args.T, h0=args.h0,
             x0_norm_sq=args.x0sq, g_x0_norm_sq=args.gx0sq,
         ))
-    for key, value in parts.items():
-        print(f"{key:<16} {_fmt(value)}")
+    _print_pairs(parts)
     return EXIT_OK
 
 
@@ -355,10 +368,7 @@ def _read_fg_csv(path):
 
 
 def _cmd_remark_constants(args) -> int:
-    rc = remark_constants(args.p)
-    print(f"lower            {_fmt(rc.lower)}")
-    print(f"upper            {_fmt(rc.upper)}")
-    print(f"ratio            {_fmt(rc.ratio)}")
+    _print_pairs(remark_constants(args.p)._asdict())
     return EXIT_OK
 
 
@@ -366,12 +376,9 @@ def _cmd_enumerate(args) -> int:
     p = args.p
     e_sup_p, e_neg_inf = walk_functional_expectations(args.n, p, stop_level=args.stop_level)
     check = lemma_bound_ratio(p, e_sup_p, e_neg_inf)
-    print(f"e_sup_p          {_fmt(e_sup_p)}")
-    print(f"e_neg_inf        {_fmt(e_neg_inf)}")
-    print(f"ratio            {_fmt(check.ratio)}")
-    print(f"upper            {_fmt(check.upper)}")
     holds = check.degenerate or check.ratio <= check.upper + 1e-12
-    print(f"holds            {holds}")
+    _print_pairs({"e_sup_p": e_sup_p, "e_neg_inf": e_neg_inf, "ratio": check.ratio,
+                  "upper": check.upper, "holds": holds})
     return EXIT_OK if holds else EXIT_VERIFY
 
 
@@ -388,11 +395,9 @@ def _cmd_estimate_sup(args) -> int:
         "estimate": asdict(est),
         "reference": reference,
     }
-    print(f"mean             {_fmt(est.mean)}")
-    print(f"std_error        {_fmt(est.std_error)}")
-    print(f"ci_halfwidth     {_fmt(est.ci_halfwidth)}")
-    print(f"reference        {_fmt(reference)}")
-    if args.output:
+    _print_pairs({"mean": est.mean, "std_error": est.std_error,
+                  "ci_halfwidth": est.ci_halfwidth, "reference": reference})
+    if args.output is not None:
         _write_json(args.output, payload)
     return EXIT_OK
 
@@ -499,9 +504,9 @@ def _emit_verify(args, report, columns) -> int:
     for row in rows:
         print("  ".join(_fmt(v).ljust(w) for v, w in zip(row, widths)))
     print(f"all_passed: {report['all_passed']}")
-    if args.output:
+    if args.output is not None:
         _write_json(args.output, report)
-    if args.csv:
+    if args.csv is not None:
         _write_csv(args.csv, columns, rows)
     return EXIT_OK if report["all_passed"] else EXIT_VERIFY
 

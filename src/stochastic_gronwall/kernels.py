@@ -160,16 +160,18 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
     ``drift`` keeps the array's shape, the other two append one axis of
     length 1 (the zoo problems' callables do this). d_w holds the
     Brownian increments, one row per path, already scaled to variance
-    h. Each step solves all live paths at once with
-    :func:`implicit_solve`. Returns the full state arrays (paths x
-    steps+1), the per-path solver iteration totals, and a per-path
-    failure flag; the states of a failed path are NaN from the failed
-    step onward.
+    h; a single trajectory is a batch of one. Each step solves all live
+    paths at once with :func:`implicit_solve`. Returns the full state
+    arrays (paths x steps+1), the solver iterations of each step summed
+    over the paths live at that step, and a per-path failure flag; the
+    states of a failed path are NaN from the failed step onward. Once
+    no path is live the stepping stops, and the later steps count no
+    iterations.
     """
     n_paths, n_steps = d_w.shape
     states = np.empty((n_paths, n_steps + 1))
     states[:, 0] = x0
-    iters = np.zeros(n_paths, dtype=np.int64)
+    iters = np.zeros(n_steps, dtype=np.int64)
     failed = np.zeros(n_paths, dtype=np.bool_)
 
     def slope(x):
@@ -182,7 +184,7 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
     for j in range(n_steps):
         b = y + diffusion(y)[..., 0] * d_w[live, j]
         y, used, ok = implicit_solve(drift, slope, h, b)
-        iters[live] += used
+        iters[j] = used.sum()
         states[live, j + 1] = y
         if not ok.all():
             if isinstance(live, slice):
@@ -190,6 +192,8 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
             failed[live[~ok]] = True
             states[live[~ok], j + 1:] = np.nan
             live, y = live[ok], y[ok]
+            if not live.size:
+                break
     return states, iters, failed
 
 

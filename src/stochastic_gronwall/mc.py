@@ -20,7 +20,6 @@ what they import) loads only when a pass forks workers:
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -149,9 +148,8 @@ def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
     than one, this pass opens a process pool with a child for each
     range but the first: ranges 1.. are submitted to it in one ``map``,
     the caller works range 0 itself and only afterwards collects the
-    pool's results. With the fork start method the children inherit
-    the parent's built problems. The pool is shut down on every exit,
-    queued tasks cancelled.
+    pool's results. Each child receives the sampler pickled. The pool
+    is shut down on every exit, queued tasks cancelled.
     """
     if n < 2:
         raise ContractViolationError(f"need at least 2 samples, got {n}")
@@ -357,20 +355,6 @@ class SyntheticSupXpSampler:
 # Implicit Euler sup-functional sampler
 
 
-# Zoo problems built in this process, keyed by (label, sorted parameters).
-# A forked pool child inherits the parent's entries and builds none of
-# them again; the oldest entry goes once there are more than _KEPT.
-_PROBLEMS = {}
-_KEPT = 16
-
-
-def _remember(key, problem) -> None:
-    _PROBLEMS[key] = problem
-    if len(_PROBLEMS) > _KEPT:
-        del _PROBLEMS[next(iter(_PROBLEMS))]
-
-
-@functools.lru_cache(maxsize=_KEPT)
 def _increment_levels(hs: tuple, n_steps: tuple, d: int):
     """How one chunk's Brownian increments serve every step size.
 
@@ -467,46 +451,36 @@ class BemSupFunctionalSampler:
     that is not nested sums into fresh arrays up to its last level
     drawn from the union, which must stay intact until then.
 
-    The sampler holds only the zoo label and parameters, so pickling it
-    for a pool worker never sends callables; the problem is built at most
-    once per process and zoo spec (see ``_PROBLEMS``). The step is the
-    one ``sde.implicit_step`` chooses, as in ``sde.simulate_trajectory``:
+    The problem must be a zoo problem, which pickles as its zoo spec
+    (see ``sde.SdeProblem``), so a pool worker receives plain data and
+    rebuilds the problem once as it loads the sampler. The work limit
+    is checked at construction. The step is the one
+    ``sde.implicit_step`` chooses, as in ``sde.simulate_trajectory``:
     scalar zoo problems run through the batch stepping kernel with the
     problem's own drift, Jacobian and diffusion, and the planar rotation
     problem, whose drift is linear, through the closed-form rows of
     ``kernels.bem_rotation_rows``.
     """
 
-    zoo_label: str
-    zoo_params: tuple
-    hs: tuple
-    n_steps: tuple
+    problem: sde.SdeProblem
+    configs: tuple
     p: float
 
-    @staticmethod
-    def for_problem(problem: sde.SdeProblem, configs: Sequence[sde.BemConfig], p: float):
-        if problem.zoo_spec is None:
+    def __post_init__(self):
+        if self.problem.zoo_spec is None:
             raise ContractViolationError(
                 "batch sampling requires a zoo problem (picklable rebuild spec)"
             )
-        label, params = problem.zoo_spec
-        sampler = BemSupFunctionalSampler(
-            zoo_label=label,
-            zoo_params=tuple(sorted(params.items())),
-            hs=tuple(float(cfg.h) for cfg in configs),
-            n_steps=tuple(cfg.n_steps for cfg in configs),
-            p=p,
-        )
-        _increment_levels(sampler.hs, sampler.n_steps, problem.d)  # the work limit, up front
-        _remember((label, sampler.zoo_params), problem)  # already built; skip the rebuild
-        return sampler
+        object.__setattr__(self, "configs", tuple(self.configs))
+        _increment_levels(self.hs, self.n_steps, self.problem.d)  # the work limit, up front
 
     @property
-    def problem(self) -> sde.SdeProblem:
-        key = (self.zoo_label, self.zoo_params)
-        if key not in _PROBLEMS:
-            _remember(key, sde.make_problem(self.zoo_label, **dict(self.zoo_params)))
-        return _PROBLEMS[key]
+    def hs(self) -> tuple:
+        return tuple(float(cfg.h) for cfg in self.configs)
+
+    @property
+    def n_steps(self) -> tuple:
+        return tuple(cfg.n_steps for cfg in self.configs)
 
     def sample_chunk(self, plan, chunk_index, count):
         """A (step sizes, count) array, one row per h in grid order.
@@ -517,21 +491,21 @@ class BemSupFunctionalSampler:
         each level reads contiguous rows. Once no later level reads the
         union, each level sums its source in place (see ``_sum_steps``).
         """
-        problem = self.problem
-        roots, levels = _increment_levels(self.hs, self.n_steps, problem.d)
+        problem, hs = self.problem, self.hs
+        roots, levels = _increment_levels(hs, self.n_steps, problem.d)
         union = plan.chunk_stream(chunk_index).standard_normal((roots.size, count))
         union *= roots[:, None]
         union = union.reshape(-1, problem.d, count)  # (steps, d, paths), a view
         last_from_union = max(i for i, level in enumerate(levels) if level[1])
         sup = self._rotation_sup if sde.implicit_step(problem) == "rotation" else self._scalar_sup
-        out = np.empty((len(self.hs), count))
+        out = np.empty((len(hs), count))
         d_w = None
         for i, (column, from_union, stride, bounds) in enumerate(levels):
             d_w = _sum_steps(union if from_union else d_w, stride, bounds,
                              in_place=i > last_from_union)
             if i == last_from_union:
                 union = None
-            out[column] = sup(problem, d_w, self.hs[column])
+            out[column] = sup(problem, d_w, hs[column])
         return out
 
     def _scalar_sup(self, problem, d_w, h):
@@ -653,7 +627,7 @@ def verify_apriori(
     parts = apriori_bound_parts(inputs_obj)
     bound = parts["bound"]
 
-    sampler = BemSupFunctionalSampler.for_problem(problem, configs, p)
+    sampler = BemSupFunctionalSampler(problem, configs, p)
     rows = []
     for cfg, chunks in zip(configs, sample_columns(sampler, n_paths, plan)):
         est = estimate_expectation(chunks, n_paths, z=z, fail_threshold=fail_threshold)

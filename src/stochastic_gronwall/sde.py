@@ -12,6 +12,7 @@ problems, and a closed form for the zoo's planar bounded rotation.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -40,12 +41,14 @@ class SdeProblem:
     (d, d) and (d, m). The state dimension d is ``x0.size`` and the
     noise dimension m is read off ``diffusion(x0)``; construction checks
     these shapes at x0, and that x0, ``L`` and f, f' and g at x0 are
-    finite. A problem with d > 1 can be stepped only if it is the zoo's
-    bounded rotation (see :func:`implicit_step`). The scalar zoo
+    finite. A problem can be stepped only if d = m = 1 or it is the
+    zoo's bounded rotation (see :func:`implicit_step`). The scalar zoo
     problems act elementwise on states of any shape, appending one axis
     for the Jacobian and the diffusion. ``L`` is the registered
-    coercivity constant; ``zoo_spec`` allows worker processes to rebuild
-    the problem from plain data.
+    coercivity constant. ``zoo_spec`` is a zoo problem's label and
+    parameters: such a problem pickles as that plain data, and loading
+    it rebuilds the problem with :func:`make_problem`, coercivity check
+    included. Any other problem pickles field by field.
     """
 
     label: str
@@ -80,6 +83,12 @@ class SdeProblem:
                 f"problem {self.label!r}: x0, L, f(x0), f'(x0), g(x0), |x0|^2 and |g(x0)|^2 "
                 f"must be finite; got x0={x0.tolist()}, L={self.L}"
             )
+
+    def __reduce_ex__(self, protocol):
+        if self.zoo_spec is None:
+            return super().__reduce_ex__(protocol)
+        label, params = self.zoo_spec
+        return functools.partial(make_problem, label, **params), ()
 
     @property
     def d(self) -> int:
@@ -195,18 +204,19 @@ class BemTrajectory:
 def implicit_step(problem: SdeProblem) -> str:
     """The implicit step that ``problem`` takes on every code path.
 
-    "scalar" for d = 1: Newton with the bisection fallback,
-    :func:`kernels.implicit_solve`. "rotation" for the zoo's
+    "scalar" for d = m = 1: Newton with the bisection fallback, stepped
+    by :func:`kernels.bem_scalar_batch`. "rotation" for the zoo's
     bounded rotation: the closed form of
-    :func:`kernels.bem_rotation_rows`. Any other problem is rejected.
+    :func:`kernels.bem_rotation_rows`. Any other problem is rejected,
+    a d = 1 problem with m > 1 noise columns included.
     """
-    if problem.d == 1:
+    if problem.d == problem.m == 1:
         return "scalar"
     if problem.zoo_spec is not None and problem.zoo_spec[0] == "bounded-rotation":
         return "rotation"
     raise ContractViolationError(
-        f"problem {problem.label!r} has d = {problem.d}: the implicit step is implemented "
-        "for scalar problems and for the zoo's bounded-rotation"
+        f"problem {problem.label!r} has d = {problem.d} and m = {problem.m}: the implicit "
+        "step is implemented for scalar problems (d = m = 1) and for the zoo's bounded-rotation"
     )
 
 
@@ -221,13 +231,13 @@ def simulate_trajectory(
     Increments dW^{j+1} are N(0, h I_m) draws from the supplied stream.
     A trajectory whose steps times the larger of d and m exceed
     ``MAX_CHUNK_VALUES`` is rejected before anything is allocated, as
-    is a problem :func:`implicit_step` rejects. The path takes the
-    steps of the batch sampler, ``mc.BemSupFunctionalSampler``, on a
-    batch of one: a scalar problem solves each step with
-    :func:`kernels.implicit_solve` and records its iterations, and the
-    bounded rotation runs :func:`kernels.bem_rotation_rows`, one
-    iteration per step. A scalar step that fails raises
-    :class:`SolverError` naming the step.
+    is a problem :func:`implicit_step` rejects. The path is the batch
+    sampler's, ``mc.BemSupFunctionalSampler``, on a batch of one: a
+    scalar problem is one call of :func:`kernels.bem_scalar_batch`,
+    whose per-step iterations it records, and the bounded rotation runs
+    :func:`kernels.bem_rotation_rows`, one iteration per step. A scalar
+    path that fails raises :class:`SolverError` naming the step of its
+    first NaN state.
     """
     step = implicit_step(problem)
     cfg.validate_for(problem)
@@ -243,27 +253,25 @@ def simulate_trajectory(
         )
     d_w = rng_stream.standard_normal((n, problem.m)) * math.sqrt(h)
 
-    states = np.empty((n + 1, problem.d))
-    states[0] = problem.x0
-    iters = np.ones(n, dtype=np.int64)
     if step == "rotation":
+        states = np.empty((n + 1, 2))
+        states[0] = problem.x0
+        iters = np.ones(n, dtype=np.int64)
         rows = kernels.bem_rotation_rows(problem.drift_jacobian, problem.diffusion, problem.x0,
                                          d_w[:, :, None], h)
         for j, (y0, y1) in enumerate(rows, 1):
             states[j] = y0[0], y1[0]
     else:
-        def slope(x):
-            return problem.drift_jacobian(x)[..., 0]
-
-        for j in range(n):
-            b = states[j] + problem.diffusion(states[j]) @ d_w[j]
-            states[j + 1], used, ok = kernels.implicit_solve(problem.drift, slope, h, b)
-            if not ok[0]:
-                raise SolverError(
-                    f"step {j + 1} of {n} failed for problem {problem.label!r}: implicit step "
-                    "did not converge (Newton and bisection fallback)"
-                )
-            iters[j] = used[0]
+        path, iters, failed = kernels.bem_scalar_batch(
+            problem.drift, problem.drift_jacobian, problem.diffusion, problem.x0,
+            d_w[:, 0][None, :], h)
+        if failed[0]:
+            raise SolverError(
+                f"step {np.isnan(path[0]).argmax()} of {n} failed for problem "
+                f"{problem.label!r}: implicit step did not converge (Newton and bisection "
+                "fallback)"
+            )
+        states = path.reshape(n + 1, 1)
 
     g = problem.diffusion(states)
     g_sq = h * np.sum(g * g, axis=(1, 2))

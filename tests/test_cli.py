@@ -757,6 +757,42 @@ class TestFlagDomains:
                 assert "".join(f"must {rule}".split()) in text
 
 
+# The other flags of a valid run, for each leaf's file flag. gronwall's
+# --csv is the file it reads, so it runs alone.
+_FILE_FLAG_RUNS = {
+    ("gronwall", "--csv"): [],
+    ("gronwall", "--output"): ["--f", "1,2", "--g", "0.1,0.1"],
+    ("martingale estimate-sup", "--output"): ["--p", "0.5", "--samples", "64", "--seed", "1"],
+    ("bem simulate", "--output"): ["--problem", "linear", "--h", "0.25", "--T", "1",
+                                   "--seed", "1"],
+    **{("verify theorem", flag): [*_THEOREM[2:], "--paths", "64", "--seed", "1"]
+       for flag in ("--output", "--csv")},
+    **{("verify apriori", flag): _GL[2:] for flag in ("--output", "--csv")},
+}
+
+
+class TestFileFlags:
+    """Every leaf's --output and --csv flag, found by walking the parser:
+    a path that cannot be opened is exit 2 with a config error, never a
+    traceback, and so is an empty path."""
+
+    def test_every_file_flag_has_a_run(self):
+        found = {(" ".join(path), option) for path, leaf in _LEAVES
+                 for option in ("--output", "--csv")
+                 if any(flag.option == option for flag in leaf.get_default("flags").values())}
+        assert found == set(_FILE_FLAG_RUNS)
+
+    @pytest.mark.parametrize("command, option", sorted(_FILE_FLAG_RUNS))
+    @pytest.mark.parametrize("target", ["missing-dir", "empty"])
+    def test_unopenable_path_is_a_config_error(self, capsys, tmp_path, command, option, target):
+        path = str(tmp_path / "missing" / "out") if target == "missing-dir" else ""
+        argv = [*command.split(), *_FILE_FLAG_RUNS[command, option], f"{option}={path}"]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG, err
+        assert err.startswith("config error: cannot ") and f"{path}: " in err
+        assert not (tmp_path / "missing").exists()
+
+
 class TestReportSchema:
     """The schema in ``oracles`` accepts every golden report and rejects a
     report with a key missing, added or out of its range."""

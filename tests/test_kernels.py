@@ -77,16 +77,17 @@ def reference_step(f, df, h, b, tol, max_iter):
 
 
 def reference_batch(f, df, sigma, x0, h, d_w, tol, max_iter):
-    """Path-by-path loop over :func:`reference_step` for g(x) = sigma*x."""
+    """Path-by-path loop over :func:`reference_step` for g(x) = sigma*x,
+    with the iterations of each step summed over the paths."""
     n_paths, n_steps = d_w.shape
     states = np.full((n_paths, n_steps + 1), np.nan)
-    iters = np.zeros(n_paths, dtype=np.int64)
+    iters = np.zeros(n_steps, dtype=np.int64)
     failed = np.zeros(n_paths, dtype=np.bool_)
     for ip in range(n_paths):
         y = states[ip, 0] = x0
         for j in range(n_steps):
             z, used, ok = reference_step(f, df, h, y + sigma * y * d_w[ip, j], tol, max_iter)
-            iters[ip] += used
+            iters[j] += used
             if not ok:
                 failed[ip] = True
                 break
@@ -207,10 +208,14 @@ class TestBemScalarBatch:
         for a, b in zip(got, expected):
             assert np.array_equal(a, b, equal_nan=True)
 
-    def test_paths_failing_mid_run(self):
-        # the drift is NaN beyond |x| = 5, so a path fails at the step where a
-        # large increment pushes it there; the others step on unchanged
+    @staticmethod
+    def _nan_beyond_5(calls=None):
+        """f(x) = -x, NaN beyond |x| = 5, with g = 1: a path fails at the
+        step where a large increment pushes it there. ``calls`` records
+        the size of each drift evaluation."""
         def drift(x):
+            if calls is not None:
+                calls.append(x.size)
             return np.where(np.abs(x) > 5.0, np.nan, -x)
 
         def jacobian(x):
@@ -219,6 +224,11 @@ class TestBemScalarBatch:
         def diffusion(x):
             return np.ones(x.shape + (1,))
 
+        return drift, jacobian, diffusion
+
+    def test_paths_failing_mid_run(self):
+        # the paths that do not fail step on unchanged
+        drift, jacobian, diffusion = self._nan_beyond_5()
         d_w = StreamPlan(24).chunk_stream(0).standard_normal((8, 6)) * 0.1
         fails_at = {1: 2, 4: 0, 6: 5}
         for path, step in fails_at.items():
@@ -228,16 +238,35 @@ class TestBemScalarBatch:
         for path, step in fails_at.items():
             assert np.isfinite(states[path, :step + 1]).all()
             assert np.isnan(states[path, step + 1:]).all()
-        alive = ~failed
-        alone = kernels.bem_scalar_batch(drift, jacobian, diffusion, 1.0, d_w[alive], 0.1)
-        assert np.array_equal(states[alive], alone[0])
-        assert np.array_equal(iters[alive], alone[1])
-        assert not alone[2].any()
+        # each path, failing or not, is its own batch of one, and the batch's
+        # per-step iterations are the sums of theirs
+        alone = [kernels.bem_scalar_batch(drift, jacobian, diffusion, 1.0, row[None, :], 0.1)
+                 for row in d_w]
+        for path, (one, _, one_failed) in enumerate(alone):
+            assert np.array_equal(states[path], one[0], equal_nan=True)
+            assert one_failed[0] == failed[path]
+        assert np.array_equal(iters, np.sum([one_iters for _, one_iters, _ in alone], axis=0))
+
+    def test_stops_once_every_path_failed(self):
+        # every path fails at step 1 of 10,000: the drift is called for that step only
+        calls = []
+        drift, jacobian, diffusion = self._nan_beyond_5(calls)
+
+        def run(n_steps):
+            calls.clear()
+            d_w = np.zeros((4, n_steps))
+            d_w[:, 0] = 10.0
+            return kernels.bem_scalar_batch(drift, jacobian, diffusion, 1.0, d_w, 0.1), len(calls)
+
+        (states, iters, failed), n_calls = run(10_000)
+        assert failed.all() and np.isnan(states[:, 1:]).all()
+        assert iters[0] > 0 and not iters[1:].any()
+        assert n_calls == run(1)[1]
 
     def test_output_shapes(self):
         states, iters, failed = batch(make_problem("linear", sigma=0.0), 1.0, 0.1, np.zeros((3, 5)))
         assert states.shape == (3, 6)
-        assert iters.shape == (3,)
+        assert iters.shape == (5,)
         assert failed.dtype == np.bool_
 
 

@@ -499,7 +499,7 @@ class TestVerifyApriori:
 
         prob = make_problem("bounded-rotation", omega=1.5, kappa=0.2, sigma=0.4)
         cfg = BemConfig(h=0.1, h0=0.5, T=1.0)
-        sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], 0.5)
+        sampler = BemSupFunctionalSampler(prob, [cfg], 0.5)
         plan = StreamPlan(13)
         (vals,) = sampler.sample_chunk(plan, 0, 8)
         normals = plan.chunk_stream(0).standard_normal((cfg.n_steps * 2, 8))
@@ -507,36 +507,28 @@ class TestVerifyApriori:
             traj = simulate_trajectory(prob, cfg, [0.5], Row(normals[:, i]))
             assert vals[i] == traj.sup_functional_p[0.5]
 
-    def test_sampler_builds_problem_once(self, monkeypatch):
-        """At most one build per process per zoo spec."""
+    @pytest.mark.parametrize("label", zoo_labels())
+    def test_pickled_sampler_rebuilds_its_problem(self, label, monkeypatch):
+        """A pool worker loads the sampler's zoo spec, rebuilds the problem
+        once, checking its coercivity, and draws the same bits."""
         import pickle
 
         from stochastic_gronwall import sde
 
-        monkeypatch.setattr(mc, "_PROBLEMS", {})
-        prob = make_problem("ginzburg-landau", sigma=0.5)
-        cfg = BemConfig(h=0.125, h0=0.25, T=1.0)
-        sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], 0.5)
-        calls = []
-        build = sde.make_problem
-        monkeypatch.setattr(sde, "make_problem", lambda *a, **k: calls.append(a) or build(*a, **k))
-        plan = StreamPlan(3)
-        first = [sampler.sample_chunk(plan, c, 16) for c in range(3)]
-        assert sampler.problem is prob  # the caller's problem is reused
+        prob = make_problem(label)
+        cfgs = [BemConfig(h=h, h0=0.999 * 0.5 / max(prob.L, 1.0), T=1.0) for h in (0.125, 0.0625)]
+        sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
+        checked = []
+        check = sde.check_coercivity
+        monkeypatch.setattr(sde, "check_coercivity", lambda p: checked.append(p) or check(p))
         copy = pickle.loads(pickle.dumps(sampler))  # what a pool worker receives
-        assert set(vars(copy)) == {"zoo_label", "zoo_params", "hs", "n_steps", "p"}
-        again = [copy.sample_chunk(plan, c, 16) for c in range(3)]
-        assert all(np.array_equal(a, b) for a, b in zip(first, again))
-        # another step size of the same problem is the same spec
-        BemSupFunctionalSampler.for_problem(prob, [BemConfig(h=0.0625, h0=0.25, T=1.0)], 0.5)
-        assert calls == []
-
-        # a spec this process has not seen is built once, for every copy
-        mc._PROBLEMS.clear()
-        for _ in range(2):
-            pickle.loads(pickle.dumps(sampler)).sample_chunk(plan, 0, 4)
-        sampler.sample_chunk(plan, 0, 4)
-        assert len(calls) == 1
+        assert len(checked) == 1 and checked[0] is copy.problem is not prob
+        assert copy.problem.zoo_spec == prob.zoo_spec
+        assert copy.configs == sampler.configs and copy.p == sampler.p
+        plan = StreamPlan(3)
+        for c in range(3):
+            assert np.array_equal(copy.sample_chunk(plan, c, 16), sampler.sample_chunk(plan, c, 16))
+        assert len(checked) == 1
 
     def test_batch_requires_zoo_problem(self):
         from stochastic_gronwall.sde import SdeProblem
@@ -549,7 +541,7 @@ class TestVerifyApriori:
             x0=np.array([1.0]), L=1.0,
         )
         with pytest.raises(ContractViolationError, match="zoo"):
-            BemSupFunctionalSampler.for_problem(prob, [BemConfig(h=0.1, h0=0.4, T=1.0)], 0.5)
+            BemSupFunctionalSampler(prob, [BemConfig(h=0.1, h0=0.4, T=1.0)], 0.5)
 
 
 # Zoo problems for the trajectory-sampler match; a zoo label not named here
@@ -577,7 +569,7 @@ class TestSamplerMatchesTrajectory:
     def test_one_path_chunk_bit_identical(self, label, params, h, p):
         prob = make_problem(label, **params)
         cfg = BemConfig(h=h, h0=0.999 * 0.5 / max(prob.L, 4.0), T=1.0)
-        sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], p)
+        sampler = BemSupFunctionalSampler(prob, [cfg], p)
         plan = StreamPlan(7)
         for c in range(10):
             traj = simulate_trajectory(prob, cfg, [p], plan.chunk_stream(c))
@@ -598,7 +590,7 @@ class TestRotationMatchesOracle:
     def test_bit_identical(self, params, h):
         prob = make_problem("bounded-rotation", **params)
         cfg = BemConfig(h=h, h0=0.25, T=1.0)
-        sampler = BemSupFunctionalSampler.for_problem(prob, [cfg], 0.5)
+        sampler = BemSupFunctionalSampler(prob, [cfg], 0.5)
         for seed in (0, 7):
             plan = StreamPlan(seed)
             for count in (1, 2, 4095, 4096):
@@ -634,7 +626,7 @@ class TestOnePassMatchesOracle:
         label, params = ONE_PASS_PROBLEMS[name]
         prob = make_problem(label, **params)
         cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in grid]
-        sampler = BemSupFunctionalSampler.for_problem(prob, cfgs, 0.5)
+        sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
         order = sorted(range(len(grid)), key=grid.__getitem__)
         finest = cfgs[order[0]]
         for seed in (0, 7):
@@ -658,7 +650,7 @@ class TestOnePassMatchesOracle:
             (1, True), (0, True)]
         prob = make_problem("ginzburg-landau", sigma=0.5)
         cfgs = [BemConfig(h=h, h0=0.3, T=1.0) for h in (0.25, 0.03)]
-        sampler = BemSupFunctionalSampler.for_problem(prob, cfgs, 0.5)
+        sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
         plan = StreamPlan(3)
         columns = sampler.sample_chunk(plan, 0, 64)
         union = (plan.chunk_stream(0).standard_normal((37, 64)) * roots[:, None]).T[:, :, None]
@@ -694,7 +686,7 @@ class TestInPlaceSums:
         prob = make_problem(label, **params)
         hs = (3 / 128, 1 / 128, 2 / 128)
         cfgs = [BemConfig(h=h, h0=0.25, T=0.75) for h in hs]
-        sampler = BemSupFunctionalSampler.for_problem(prob, cfgs, 0.5)
+        sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
         _, levels = mc._increment_levels(sampler.hs, sampler.n_steps, prob.d)
         assert [(column, from_union, stride) for column, from_union, stride, _ in levels] == [
             (1, True, 1), (2, False, 2), (0, True, 3)]
@@ -712,9 +704,9 @@ def test_rotation_chunk_holds_one_increment_buffer():
     # beside it, only a few path-sized rows
     prob = make_problem("bounded-rotation", sigma=0.5)
     cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 0.0625, 0.03125, 0.015625)]
-    sampler = BemSupFunctionalSampler.for_problem(prob, cfgs, 0.5)
+    sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
     plan = StreamPlan(1)
-    sampler.sample_chunk(plan, 0, 1)  # the cached levels and the built problem
+    sampler.sample_chunk(plan, 0, 1)  # one-time costs stay out of the measurement
     union_bytes = 64 * 2 * CHUNK_SIZE * 8
     tracemalloc.start()
     try:
@@ -734,7 +726,7 @@ class TestCoupling:
     def test_coarsest_minus_finest_variance(self, label):
         prob = make_problem(label, sigma=0.5)
         grid = (0.125, 0.0625, 0.03125, 0.015625)
-        sampler = BemSupFunctionalSampler.for_problem(
+        sampler = BemSupFunctionalSampler(
             prob, [BemConfig(h=h, h0=0.25, T=1.0) for h in grid], 0.5)
         columns = sampler.sample_chunk(StreamPlan(11), 0, 4096)
         coarsest, finest = columns[0], columns[-1]
@@ -748,15 +740,15 @@ class TestWorkLimit:
         prob = make_problem("linear")
         cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 1e-12)]
         with pytest.raises(ContractViolationError, match="Brownian increments"):
-            BemSupFunctionalSampler.for_problem(prob, cfgs, 0.5)
+            BemSupFunctionalSampler(prob, cfgs, 0.5)
 
     @pytest.mark.parametrize("label, d", [("linear", 1), ("bounded-rotation", 2)])
     def test_limit_is_inclusive(self, label, d):
         prob = make_problem(label)
         steps = mc.MAX_CHUNK_VALUES // (CHUNK_SIZE * d)
-        BemSupFunctionalSampler.for_problem(prob, [BemConfig(h=1.0 / steps, h0=0.25, T=1.0)], 0.5)
+        BemSupFunctionalSampler(prob, [BemConfig(h=1.0 / steps, h0=0.25, T=1.0)], 0.5)
         with pytest.raises(ContractViolationError, match="Brownian increments"):
-            BemSupFunctionalSampler.for_problem(
+            BemSupFunctionalSampler(
                 prob, [BemConfig(h=1.0 / (steps + 1), h0=0.25, T=1.0)], 0.5)
 
     def test_synthetic_horizon_limit_is_inclusive(self):

@@ -170,7 +170,8 @@ class TestScalarStepMatchesKernel:
         ("linear", {"lam": 1.0, "sigma": 0.5}, 0.1),
     ])
     def test_paths_bit_identical(self, label, params, h):
-        # a trajectory's steps and iteration counts are those of its row in the batch kernel
+        # a trajectory's steps are those of its row in the batch kernel, and the
+        # batch's per-step iterations are the trajectories' summed
         prob = make_problem(label, **params)
         cfg = BemConfig(h=h, h0=0.999 * 0.5 / prob.L, T=8 * h)
         plan = StreamPlan(13)
@@ -181,7 +182,7 @@ class TestScalarStepMatchesKernel:
         )
         assert not failed.any()
         assert np.array_equal(np.array([traj.states[:, 0] for traj in trajs]), states)
-        assert np.array_equal([traj.solver_iterations.sum() for traj in trajs], iters)
+        assert np.array_equal(np.sum([traj.solver_iterations for traj in trajs], axis=0), iters)
 
     def test_solver_error_where_kernel_fails(self):
         # g(x0) = 1e130 puts the first step's b near 1e129, where the Ginzburg-Landau
@@ -512,6 +513,18 @@ class TestProblemContract:
         assert (prob.d, prob.m) == (1, 3)
         rot = make_problem("bounded-rotation")
         assert (rot.d, rot.m) == (2, 2)
+
+    def test_scalar_state_with_several_noises_rejected_before_drawing(self):
+        # the scalar kernel reads one noise column, so d = 1 needs m = 1
+        class Undrawn:
+            def standard_normal(self, shape):
+                raise LookupError(shape)
+
+        prob = SdeProblem(label="planar-noise", **{
+            **_scalar_callables(), "diffusion": lambda x: np.ones(np.shape(x) + (3,))},
+            x0=[0.5], L=1.0)
+        with pytest.raises(ContractViolationError, match="'planar-noise' has d = 1 and m = 3"):
+            simulate_trajectory(prob, BemConfig(h=0.125, h0=0.25, T=1.0), [], Undrawn())
 
     @pytest.mark.parametrize("name, func", [
         ("drift", lambda x: float(-x[0])),
