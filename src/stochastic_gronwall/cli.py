@@ -114,6 +114,7 @@ class Domain(NamedTuple):
     expected: str
     rules: tuple = ()
     choices: dict = None
+    writes: bool = False  # the value is a path the command writes
 
 
 def _finite(value) -> bool:
@@ -130,6 +131,7 @@ _NUMBER = (float, (int, float), "a number")
 _INTEGER = (int, (int,), "an integer")
 
 TEXT = Domain(str, (str,), "a string")
+OUTPUT = Domain(str, (str,), "a string", writes=True)
 INTEGER = Domain(*_INTEGER)
 REAL = Domain(*_NUMBER, (_FINITE,))
 REALS = Domain(_float_list, (int, float), "a number or a list of numbers", (_FINITE,))
@@ -240,6 +242,8 @@ def _resolve(args) -> None:
         for test, rule in flag.domain.rules:
             if not test(value):
                 raise ConfigError(f"{source} must {rule}, got {value!r}")
+        if flag.domain.writes and value != "-":  # "-" is stdout
+            _check_writable(value)
     defaults = {key: flag.default for key, flag in flags.items()}
     selector = next((key for key, flag in flags.items() if flag.domain.choices), None)
     if selector is not None and getattr(args, selector) is not None:
@@ -256,6 +260,15 @@ def _resolve(args) -> None:
             if default is REQUIRED:
                 raise ConfigError(f"{flags[key].option} is required")
             setattr(args, key, default)
+
+
+def _check_writable(path) -> None:
+    """A :class:`ConfigError` unless ``path`` is a writable file or a new name
+    in a writable directory. Nothing is opened or created."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not (os.access(path, os.W_OK) if os.path.exists(path) else
+                                   path and os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise ConfigError(f"cannot write {path}: not a writable file path")
 
 
 @contextlib.contextmanager
@@ -469,16 +482,11 @@ def _cmd_bem(args) -> int:
 
 def _cmd_verify_theorem(args) -> int:
     all_systems = {s.label: s for s in standard_synthetic_systems(args.horizon)}
-    if args.systems is not None:
-        wanted = [s.strip() for s in args.systems.split(",")]
-        unknown = [w for w in wanted if w not in all_systems]
-        if unknown:
-            raise ConfigError(
-                f"unknown systems {unknown}; available: {sorted(all_systems)}"
-            )
-        systems = [all_systems[w] for w in wanted]
-    else:
-        systems = list(all_systems.values())
+    wanted = all_systems if args.systems is None else [s.strip() for s in args.systems.split(",")]
+    unknown = [w for w in wanted if w not in all_systems]
+    if unknown:
+        raise ConfigError(f"unknown systems {unknown}; available: {sorted(all_systems)}")
+    systems = [all_systems[w] for w in wanted]
     report = verify_theorem_on_synthetic(systems, args.p, args.paths,
                                          StreamPlan(args.seed, workers=args.workers), z=args.z)
     return _emit_verify(args, report,
@@ -520,8 +528,8 @@ _SEED = Flag("--seed", SEED, "master seed", 0, env=SEED_ENV_VAR)
 _WORKERS = Flag("--workers", POSITIVE_INT, "worker processes (results do not depend on it); "
                 "1 runs in the calling process and starts no pool", 1)
 _Z = Flag("--z", POSITIVE, "normal quantile of the confidence interval", DEFAULT_Z)
-_REPORT = Flag("--output", TEXT, "JSON report path")
-_TABLE = Flag("--csv", TEXT, "CSV table path")
+_REPORT = Flag("--output", OUTPUT, "JSON report path")
+_TABLE = Flag("--csv", OUTPUT, "CSV table path")
 
 
 # Every negative number float() reads, for argparse to take as a value
@@ -578,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         Flag("--g", REALS, "comma-separated weights g"),
         Flag("--csv", TEXT, "CSV file with columns f, g, instead of --f and --g"),
         Flag("--n", INTEGER, "last index (default: the last of f)"),
-        Flag("--output", TEXT, "output CSV path (default stdout)"),
+        Flag("--output", OUTPUT, "output CSV path (default stdout)"),
     ])
 
     msub = sub.add_parser("martingale", help="martingale inequality tools").add_subparsers(
@@ -609,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
         Flag("--T", REAL, "time horizon", REQUIRED),
         _SEED,
         Flag("--p-list", REALS, "exponents of the sup functional to print", ()),
-        Flag("--output", TEXT, "output CSV path (default stdout)"),
+        Flag("--output", OUTPUT, "output CSV path (default stdout)"),
     ], config=True)
 
     vsub = sub.add_parser("verify", help="Monte Carlo verification experiments").add_subparsers(

@@ -241,9 +241,9 @@ class SyntheticSystem:
 
         X_n = F_n + M_n + sum_{k<n} G_k X_k.
 
-    ``martingale`` is "zero" or "pm1-walk"; the system must guarantee
-    F_n + M_n >= 0 pathwise, which a walk satisfies whenever
-    F_n >= n for all n.
+    F and G are finite and nonnegative. ``martingale`` is "zero" or
+    "pm1-walk"; the system must guarantee F_n + M_n >= 0 pathwise, which
+    a walk satisfies whenever F_n >= n for all n.
     """
 
     label: str
@@ -252,34 +252,34 @@ class SyntheticSystem:
     martingale: str = "zero"
 
     def __post_init__(self):
-        if len(self.f_values) != len(self.g_values):
-            raise ContractViolationError("F and G must share one length")
-        if any(v < 0 for v in self.f_values) or any(v < 0 for v in self.g_values):
-            raise ContractViolationError("F and G must be nonnegative")
+        if not self.f_values or len(self.f_values) != len(self.g_values):
+            raise ContractViolationError("F and G must share one length, at least 1")
+        if not all(math.isfinite(v) and v >= 0 for v in (*self.f_values, *self.g_values)):
+            raise ContractViolationError("F and G must be finite and nonnegative")
         if self.martingale not in ("zero", "pm1-walk"):
             raise ContractViolationError(f"unknown martingale kind {self.martingale!r}")
-        if self.martingale == "pm1-walk":
-            for n, f in enumerate(self.f_values):
-                if f < n:
-                    raise ContractViolationError(
-                        "a pm1-walk martingale requires F_n >= n to keep "
-                        f"F_n + M_n nonnegative; F_{n} = {f}"
-                    )
+        low = [n for n, f in enumerate(self.f_values) if f < n]
+        if self.martingale == "pm1-walk" and low:
+            raise ContractViolationError("a pm1-walk martingale requires F_n >= n to keep F_n + M_n "
+                                         f"nonnegative; F_{low[0]} = {self.f_values[low[0]]}")
 
     @property
     def horizon(self) -> int:
         return len(self.f_values) - 1
 
 
-def standard_synthetic_systems(horizon: int = 10) -> tuple:
-    """The three stock systems used by the verification suite. A chunk of
-    their paths, CHUNK_SIZE times horizon + 1 values, must be within the
-    work limit."""
+def _check_synthetic_horizon(horizon: int) -> None:
+    """The work limit: CHUNK_SIZE times horizon + 1 values."""
     if CHUNK_SIZE * (horizon + 1) > MAX_CHUNK_VALUES:
         raise ContractViolationError(
             f"horizon {horizon}: {horizon + 1} values for each of {CHUNK_SIZE} paths are over "
             f"{MAX_CHUNK_VALUES} values for one chunk"
         )
+
+
+def standard_synthetic_systems(horizon: int = 10) -> tuple:
+    """The three stock systems used by the verification suite."""
+    _check_synthetic_horizon(horizon)
     ones = (1.0,) * (horizon + 1)
     ramp = tuple(float(k + 1) for k in range(horizon + 1))
     zeros = (0.0,) * (horizon + 1)
@@ -294,22 +294,26 @@ def standard_synthetic_systems(horizon: int = 10) -> tuple:
 @dataclass(frozen=True)
 class SyntheticSupXpSampler:
     """sup_{k<=n} X_k^p over paths of synthetic recursion systems, one
-    column per system. The systems share one horizon, and every walk
-    system steps the same signs, drawn once per chunk. A system whose
-    largest possible X_n is beyond the float64 range is rejected."""
+    column per system, which must share one horizon. Every walk system
+    steps the same signs, drawn once per chunk as a (count, horizon)
+    block, path i in row i. All paths step together, in (systems, count)
+    arrays of M_n, the sum of G_k X_k, X_n and its running maximum, so
+    the sign block is the only array that grows with the horizon. An
+    empty tuple, a horizon over the work limit and a system whose largest
+    possible X_n is beyond the float64 range are rejected."""
 
     systems: tuple
     p: float
 
     def __post_init__(self):
-        if len({system.horizon for system in self.systems}) > 1:
-            raise ContractViolationError("the systems must share one horizon")
+        if len({system.horizon for system in self.systems}) != 1:
+            raise ContractViolationError("need at least one system, and one horizon for all")
+        _check_synthetic_horizon(self.systems[0].horizon)
         for sysd in self.systems:
             # X_n <= (max F + max M) * prod_{k<n} (1 + G_k), and a walk has |M_n| <= n
             top = max(sysd.f_values) + (sysd.horizon if sysd.martingale == "pm1-walk" else 0)
-            if top <= 0:
-                continue
-            log_worst = math.log(top) + log_product_one_plus(sysd.g_values, 0, sysd.horizon)
+            log_worst = (math.log(top) + log_product_one_plus(sysd.g_values, 0, sysd.horizon)
+                         if top > 0 else -math.inf)
             if log_worst > _LOG_FLOAT_MAX:
                 raise ContractViolationError(
                     f"system {sysd.label!r} at horizon {sysd.horizon}: X_n can reach "
@@ -317,38 +321,25 @@ class SyntheticSupXpSampler:
                 )
 
     def sample_chunk(self, plan, chunk_index, count):
-        horizon = self.systems[0].horizon if self.systems else 0
-        walk = np.zeros((count, horizon + 1))
-        if any(sysd.martingale == "pm1-walk" for sysd in self.systems):
-            stream = plan.chunk_stream(chunk_index)
-            signs = stream.integers(0, 2, size=(count, horizon)).astype(np.float64) * 2.0 - 1.0
-            walk[:, 1:] = np.cumsum(signs, axis=1)
-        out = np.empty((len(self.systems), count))
-        for column, sysd in enumerate(self.systems):
-            m = walk if sysd.martingale == "pm1-walk" else np.zeros_like(walk)
-            out[column] = self._sup_xp(sysd, m)
-        return out
-
-    def _sup_xp(self, sysd, m):
-        count, horizon = m.shape[0], sysd.horizon
-        f = np.asarray(sysd.f_values)
-        g = np.asarray(sysd.g_values)
-        fm = f[None, :] + m
-        if fm.min() < 0.0:
-            raise ContractViolationError(
-                f"system {sysd.label!r} produced F_n + M_n < 0; cannot build paths"
-            )
-        x = np.empty((count, horizon + 1))
-        x[:, 0] = fm[:, 0]
-        acc = np.zeros(count)
+        systems, horizon = self.systems, self.systems[0].horizon
+        f = np.array([sysd.f_values for sysd in systems]).T[:, :, None]  # (steps, systems, 1)
+        g = np.array([sysd.g_values for sysd in systems]).T[:, :, None]
+        # m[0] is the zero martingale and m[1] the walk, whose steps are exact
+        # integers; each system reads its row. X_n >= 0, as F_n + M_n >= 0 and G >= 0.
+        rows = [int(sysd.martingale == "pm1-walk") for sysd in systems]
+        m = np.zeros((2, count))
+        if any(rows):
+            signs = plan.chunk_stream(chunk_index).integers(0, 2, size=(count, horizon))
+        x = f[0] + m[rows]
+        top, acc = x.copy(), np.zeros(x.shape)
         for n in range(1, horizon + 1):
-            acc += g[n - 1] * x[:, n - 1]
-            x[:, n] = fm[:, n] + acc
-        if x.min() < 0.0:
-            raise ContractViolationError(
-                f"system {sysd.label!r} produced a negative X_n"
-            )
-        return x.max(axis=1) ** self.p
+            acc += g[n - 1] * x
+            if any(rows):
+                m[1] += 2 * signs[:, n - 1] - 1
+            np.add(f[n], m[rows], out=x)
+            x += acc
+            np.maximum(top, x, out=top)
+        return top**self.p
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +556,7 @@ def verify_theorem_on_synthetic(
     for system, chunks in zip(systems, columns):
         est = estimate_expectation(chunks, n_paths, z=z)
         e_sup_f = float(max(system.f_values))
-        bound = theorem_bound_deterministic_G(
-            p, system.g_values, system.horizon, e_sup_f
-        )["bound"]
+        bound = theorem_bound_deterministic_G(p, system.g_values, system.horizon, e_sup_f)["bound"]
         rows.append({"system": system.label, "e_sup_f": e_sup_f, "bound": float(bound),
                      "passed": bool(est.upper_ci <= bound), **asdict(est)})
     inputs = {
@@ -577,7 +566,7 @@ def verify_theorem_on_synthetic(
         "chunk_size": CHUNK_SIZE,
         "z_value": z,
         "systems": [s.label for s in systems],
-        "horizon": systems[0].horizon if systems else 0,
+        "horizon": systems[0].horizon,
     }
     return {"kind": "theorem-synthetic", "inputs": inputs, "rows": rows,
             "all_passed": all(r["passed"] for r in rows)}
@@ -639,7 +628,7 @@ def verify_apriori(
     margin = float(bound - max(means))
     inputs = {
         "problem": problem.label,
-        "problem_params": dict(problem.zoo_spec[1]) if problem.zoo_spec else {},
+        "problem_params": dict(problem.zoo_spec[1]),
         "p": p,
         "T": T,
         "h0": h0,

@@ -39,9 +39,9 @@ CHUNK_SIZE = 4096
 
 #: The work limit, in float64 values, of one block a run allocates at
 #: once: one chunk's Brownian increments (CHUNK_SIZE paths times the steps
-#: of all a report's grids times the state dimension), one chunk of
-#: synthetic paths (CHUNK_SIZE times horizon + 1), one simulated
-#: trajectory (its steps times the larger of the state and noise
+#: of all a report's grids times the state dimension), one chunk's signs
+#: for the synthetic systems (checked as CHUNK_SIZE times horizon + 1), one
+#: simulated trajectory (its steps times the larger of the state and noise
 #: dimensions), or the level-by-position mass of an exact walk
 #: expectation. Each is checked before any of its arrays is allocated.
 MAX_CHUNK_VALUES = 2**25

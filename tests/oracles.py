@@ -8,7 +8,9 @@ sign walk of a given length, plain or stopped, and the exact walk
 expectations read off them, the reference for the mass recursion in
 ``martingales``; the former per-row implicit-Euler sampler, one fresh
 draw per step size, the bit-exact reference for the one-pass sampler in
-``mc``; and the schema of every report the command line writes.
+``mc``; the former matrix sampler of synthetic recursion systems, the
+bit-exact reference for the streamed one; and the schema of every
+report the command line writes.
 """
 
 import math
@@ -247,6 +249,36 @@ def _rotation_sup_reference(problem, d_w, h, p):
         y[:, 1] = cb * rhs[:, 0] + ca * rhs[:, 1]
         best = np.maximum(best, np.sum(y * y, axis=1) + h * g_norm_sq)
     return best**p
+
+
+def synthetic_sup_xp_reference(systems, p, plan, chunk_index, count):
+    """The former matrix sampler of synthetic recursion systems: sup_n X_n^p
+    of one chunk's paths of each system, as a (systems, count) array.
+
+    The reference for ``mc.SyntheticSupXpSampler``, which steps the paths
+    of all systems together and holds no matrix but its sign draws: its
+    rows must equal these bit for bit. Here the chunk's walk is a
+    (count, horizon + 1) cumulative sum of its signs, and each system
+    builds its own F_n + M_n and X_n matrices.
+    """
+    horizon = systems[0].horizon
+    walk = np.zeros((count, horizon + 1))
+    if any(system.martingale == "pm1-walk" for system in systems):
+        signs = plan.chunk_stream(chunk_index).integers(0, 2, size=(count, horizon))
+        walk[:, 1:] = np.cumsum(signs.astype(np.float64) * 2.0 - 1.0, axis=1)
+    out = np.empty((len(systems), count))
+    for row, system in enumerate(systems):
+        m = walk if system.martingale == "pm1-walk" else np.zeros_like(walk)
+        fm = np.asarray(system.f_values)[None, :] + m
+        g = np.asarray(system.g_values)
+        x = np.empty((count, horizon + 1))
+        x[:, 0] = fm[:, 0]
+        acc = np.zeros(count)
+        for n in range(1, horizon + 1):
+            acc += g[n - 1] * x[:, n - 1]
+            x[:, n] = fm[:, n] + acc
+        out[row] = x.max(axis=1) ** p
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from stochastic_gronwall.cli import (
     build_parser,
     main,
 )
+from stochastic_gronwall.mc import SyntheticSupXpSampler
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -787,10 +788,42 @@ class TestFileFlags:
     def test_unopenable_path_is_a_config_error(self, capsys, tmp_path, command, option, target):
         path = str(tmp_path / "missing" / "out") if target == "missing-dir" else ""
         argv = [*command.split(), *_FILE_FLAG_RUNS[command, option], f"{option}={path}"]
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_CONFIG, err
         assert err.startswith("config error: cannot ") and f"{path}: " in err
+        assert out == ""
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command, option",
+                             sorted(key for key in _FILE_FLAG_RUNS if key != ("gronwall", "--csv")))
+    def test_a_directory_is_refused_before_the_run(self, capsys, tmp_path, command, option):
+        argv = [*command.split(), *_FILE_FLAG_RUNS[command, option], f"{option}={tmp_path}"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG, err
+        assert f"cannot write {tmp_path}: not a writable file path" in err
+        assert out == ""
+
+    def test_a_bad_path_is_refused_before_sampling(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(SyntheticSupXpSampler, "sample_chunk", refuse)
+        code, out, err = run(capsys, "verify", "theorem", "--p", "0.5", "--horizon", "2000",
+                             "--paths", "4096", "--output", str(tmp_path / "missing" / "r.json"))
+        assert (code, out) == (EXIT_CONFIG, ""), err
+
+    @pytest.mark.parametrize("option", ["--output", "--csv"])
+    def test_a_run_that_fails_later_leaves_the_file(self, capsys, tmp_path, option):
+        target = tmp_path / "kept"
+        target.write_bytes(b"old bytes\n")
+        code, _, err = run(capsys, *_THEOREM[:-1], "7347", "--paths", "2",
+                           option, str(target))
+        assert code == EXIT_CONTRACT, err
+        assert target.read_bytes() == b"old bytes\n"
+        code, _, err = run(capsys, *_THEOREM[:-1], "7347", "--paths", "2",
+                           option, str(tmp_path / "new"))
+        assert code == EXIT_CONTRACT, err
+        assert not (tmp_path / "new").exists()
 
 
 class TestReportSchema:

@@ -11,7 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from oracles import freeze_paths, per_row_increments, per_row_sample_chunk, per_row_sup
+from oracles import (
+    freeze_paths,
+    per_row_increments,
+    per_row_sample_chunk,
+    per_row_sup,
+    synthetic_sup_xp_reference,
+)
 
 from stochastic_gronwall import kernels, mc
 from stochastic_gronwall.errors import ContractViolationError, EstimateAbortedError
@@ -379,6 +385,23 @@ class TestSyntheticSystems:
         # without weights, X_n stays finite up to the work limit
         SyntheticSupXpSampler(standard_synthetic_systems(8191)[:2], 0.5)
 
+    @pytest.mark.parametrize("f, g", [
+        ((1.0, math.nan, 3.0), (0.0, 0.0, 0.0)),
+        ((1.0, 2.0, 3.0), (0.0, math.nan, 0.0)),
+        ((1.0, math.inf, 3.0), (0.0, 0.0, 0.0)),
+    ], ids=["nan-F", "nan-G", "inf-F"])
+    def test_non_finite_f_or_g_is_rejected(self, f, g):
+        with pytest.raises(ContractViolationError, match="F and G must be finite and nonnegative"):
+            SyntheticSystem("bad", f, g, "zero")
+
+    def test_empty_f_is_rejected(self):
+        with pytest.raises(ContractViolationError, match="at least 1"):
+            SyntheticSystem("empty", (), (), "zero")
+
+    def test_empty_system_tuple_is_rejected(self):
+        with pytest.raises(ContractViolationError, match="at least one system"):
+            verify_theorem_on_synthetic([], 0.5, 100, StreamPlan(1))
+
     def test_systems_share_one_horizon(self):
         with pytest.raises(ContractViolationError, match="one horizon"):
             SyntheticSupXpSampler((standard_synthetic_systems(4)[1],
@@ -401,6 +424,52 @@ class TestSyntheticSystems:
             acc += 0.1 * x[:, n - 1]
             x[:, n] = f[n] + m[:, n] + acc
         assert np.array_equal(vals, x.max(axis=1) ** 0.5)
+
+
+def custom_synthetic_systems(horizon):
+    """Two systems with non-constant F and nonzero G, one with a zero
+    martingale and one with the walk."""
+    steps = range(horizon + 1)
+    return (
+        SyntheticSystem("wavy", tuple(1.0 + 0.5 * (n % 3) + 0.01 * n for n in steps),
+                        tuple(0.05 * (n % 4) for n in steps), "zero"),
+        SyntheticSystem("wavy-walk", tuple(n + 2.0 + 0.25 * (n % 5) for n in steps),
+                        tuple(0.02 * (1 + n % 3) for n in steps), "pm1-walk"),
+    )
+
+
+class TestSyntheticMatchesOracle:
+    """The streamed sampler's columns equal those of the former matrix
+    sampler bit for bit: all five systems together, the zero-martingale
+    ones alone (no draw), and the walk ones in another order."""
+
+    @pytest.mark.parametrize("horizon", [0, 1, 10, 257])
+    @pytest.mark.parametrize("count", [1, 3, CHUNK_SIZE])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_columns_equal_the_matrix_sampler(self, horizon, count, p):
+        systems = standard_synthetic_systems(horizon) + custom_synthetic_systems(horizon)
+        plan = StreamPlan(11)
+        for chosen in (systems, systems[::3], systems[:0:-2] + systems[1:2]):
+            vals = SyntheticSupXpSampler(chosen, p).sample_chunk(plan, 2, count)
+            expected = synthetic_sup_xp_reference(chosen, p, plan, 2, count)
+            assert vals.shape == expected.shape == (len(chosen), count)
+            assert vals.tobytes() == expected.tobytes(), [s.label for s in chosen]
+
+
+def test_synthetic_chunk_holds_its_sign_block_and_little_else():
+    # the matrix sampler held about five (count, horizon + 1) arrays at once
+    horizon = 2000
+    sampler = SyntheticSupXpSampler(standard_synthetic_systems(horizon), 0.5)
+    plan = StreamPlan(1)
+    sampler.sample_chunk(plan, 0, 1)  # one-time costs stay out of the measurement
+    sign_bytes = CHUNK_SIZE * horizon * 8
+    tracemalloc.start()
+    try:
+        sampler.sample_chunk(plan, 0, CHUNK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * sign_bytes, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestVerifyTheorem:
@@ -756,6 +825,21 @@ class TestWorkLimit:
         assert len(standard_synthetic_systems(horizon)[0].f_values) == horizon + 1
         with pytest.raises(ContractViolationError, match="values for one chunk"):
             standard_synthetic_systems(horizon + 1)
+
+    def test_custom_synthetic_system_over_the_limit_draws_nothing(self, monkeypatch):
+        def refuse(plan, chunk_index):
+            raise AssertionError(f"chunk {chunk_index} drawn")
+
+        monkeypatch.setattr(StreamPlan, "chunk_stream", refuse)
+        horizon = mc.MAX_CHUNK_VALUES // CHUNK_SIZE
+        steps = range(horizon + 1)
+        long = SyntheticSystem("long", tuple(float(n + 1) for n in steps), (0.0,) * (horizon + 1),
+                               "pm1-walk")
+        with pytest.raises(ContractViolationError, match="values for one chunk"):
+            verify_theorem_on_synthetic([long], 0.5, 100, StreamPlan(0))
+        # one step shorter is within the limit
+        SyntheticSupXpSampler((SyntheticSystem("short", long.f_values[:-1],
+                                               long.g_values[:-1], "pm1-walk"),), 0.5)
 
     @pytest.mark.parametrize("label, width", [("linear", 1), ("bounded-rotation", 2)])
     def test_trajectory_limit_checked_before_drawing(self, label, width):
