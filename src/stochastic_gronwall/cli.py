@@ -59,7 +59,7 @@ from .sequences import (
     gronwall_recursive_envelope,
     real_sequence,
 )
-from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, StreamPlan
+from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, MAX_WORKERS, StreamPlan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,6 +137,8 @@ REAL = Domain(*_NUMBER, (_FINITE,))
 REALS = Domain(_float_list, (int, float), "a number or a list of numbers", (_FINITE,))
 POSITIVE = Domain(*_NUMBER, ((lambda v: v > 0, "be a positive float"), _FINITE))
 POSITIVE_INT = Domain(*_INTEGER, ((lambda v: v > 0, "be a positive int"),))
+WORKERS = Domain(*_INTEGER, (*POSITIVE_INT.rules, (lambda v: v <= MAX_WORKERS,
+                                                   f"be at most {MAX_WORKERS}")))
 EXPONENT = Domain(*_NUMBER, ((lambda v: 0 < v < 1, "lie in (0,1)"),))
 FRACTION = Domain(*_NUMBER, ((lambda v: 0 <= v <= 1, "lie in [0, 1]"),))
 HORIZON = Domain(*_INTEGER, ((lambda v: v >= 0, "be >= 0"),))
@@ -525,7 +527,7 @@ def _emit_verify(args, report, columns) -> int:
 _EXPONENT = Flag("--p", EXPONENT, "moment exponent", REQUIRED)
 _PATHS = Flag("--paths", COUNT, "Monte Carlo paths", 100_000)
 _SEED = Flag("--seed", SEED, "master seed", 0, env=SEED_ENV_VAR)
-_WORKERS = Flag("--workers", POSITIVE_INT, "worker processes (results do not depend on it); "
+_WORKERS = Flag("--workers", WORKERS, "worker processes (results do not depend on it); "
                 "1 runs in the calling process and starts no pool", 1)
 _Z = Flag("--z", POSITIVE, "normal quantile of the confidence interval", DEFAULT_Z)
 _REPORT = Flag("--output", OUTPUT, "JSON report path")

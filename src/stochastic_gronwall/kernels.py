@@ -158,7 +158,9 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
     ``drift``, ``drift_jacobian`` and ``diffusion`` are a scalar
     problem's f, f' and g acting elementwise on an array of states:
     ``drift`` keeps the array's shape, the other two append one axis of
-    length 1 (the zoo problems' callables do this). d_w holds the
+    length 1 (the zoo problems' callables do this). ``x0`` is the start
+    state of every path, or an array of one per path, such as the last
+    states of an earlier run, which this run continues. d_w holds the
     Brownian increments, one row per path, already scaled to variance
     h; a single trajectory is a batch of one. Each step solves all live
     paths at once with :func:`implicit_solve`. Returns the full state
@@ -197,45 +199,40 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
     return states, iters, failed
 
 
-def bem_rotation_rows(drift_jacobian, diffusion, x0, d_w, h):
+def bem_rotation_rows(jac, g, y, d_w, h):
     """Step a batch of planar implicit Euler-Maruyama paths of the
     bounded rotation: the drift is linear, y -> A y with the constant
     A = [[-k, -w], [w, -k]], and the diffusion is the constant g*I_2.
 
-    ``drift_jacobian`` and ``diffusion`` are the problem's f' and g,
-    read once at x0. d_w holds the increments as (steps, 2, paths),
-    scaled to variance h; a step reads two rows, contiguous when d_w
-    is C-ordered. Each step solves (I - hA) y' = y + g dW in closed
-    form, which is Newton's first update from the explicit predictor
-    and exact for a linear drift: with a = 1 + hk, b = hw and
-    det = a^2 + b^2, y' = (a/det) r + (b/det) J r for r = y + g dW and
-    J the quarter turn, the two coefficients divided once, not at
-    every step. The state is one row per coordinate, stepped in place;
-    after each step this yields the rows (y0, y1), so a caller copies
-    what it keeps.
+    ``y`` is the state, a (2, paths) array with one row per coordinate,
+    stepped in place; after each step this yields it, so a caller copies
+    what it keeps. ``jac`` and ``g`` are the problem's f' and g at any
+    state (both are constant), which a caller that steps in blocks
+    evaluates once. d_w holds the increments as (steps, 2, paths),
+    scaled to variance h; a step reads two rows, contiguous when d_w is
+    C-ordered.
+    Each step solves (I - hA) y' = y + g dW in closed form, which is
+    Newton's first update from the explicit predictor and exact for a
+    linear drift: with a = 1 + hk, b = hw and det = a^2 + b^2,
+    y' = (a/det) r + (b/det) J r for r = y + g dW and J the quarter
+    turn, the two coefficients divided once, not at every step. J r is
+    the rows of r reversed, times (-b/det, b/det): a*r0 + (-b)*r1 has
+    the bits of a*r0 - b*r1.
     """
-    jac = drift_jacobian(x0)
     a = 1.0 - h * jac[0, 0]
     b = h * jac[1, 0]
     det = a * a + b * b
     a, b = a / det, b / det
-    g = diffusion(x0)[0, 0]
-    count = d_w.shape[2]
-    y0 = np.full(count, x0[0])
-    y1 = np.full(count, x0[1])
-    r0, r1, t = np.empty((3, count))
+    turn = np.array([[-b], [b]])
+    g = g[0, 0]  # the diffusion is g*I_2
+    r, t = np.empty((2,) + y.shape)
     for j in range(d_w.shape[0]):
-        np.multiply(d_w[j, 0], g, out=r0)
-        r0 += y0
-        np.multiply(d_w[j, 1], g, out=r1)
-        r1 += y1
-        np.multiply(r0, a, out=y0)
-        np.multiply(r1, b, out=t)
-        y0 -= t
-        np.multiply(r0, b, out=y1)
-        np.multiply(r1, a, out=t)
-        y1 += t
-        yield y0, y1
+        np.multiply(d_w[j], g, out=r)
+        r += y
+        np.multiply(r, a, out=y)
+        np.multiply(r[::-1], turn, out=t)
+        y += t
+        yield y
 
 
 def welford_chunk(values):

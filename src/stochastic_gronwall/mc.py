@@ -8,10 +8,12 @@ of a chunk at once. Each column of a chunk is reduced to its count,
 mean and M2 by a shifted two-pass in numpy, and each column's chunk
 moments are combined by a fixed pairwise merge tree (the
 Chan-Golub-LeVeque update), so estimates are bit identical for any
-worker count. The implicit-Euler sampler lays a chunk's Brownian
-increments out step-major, (steps, d, paths), so that every step reads
-contiguous rows, and sums each coarser grid's increments in place once
-the union of the grids is no longer needed.
+worker count. The implicit-Euler sampler steps a chunk one block of
+time at a time, a block ending at a point that every grid of the report
+holds: it draws the block's Brownian increments step-major,
+(steps, d, paths), so that every step reads contiguous rows, sums each
+coarser grid's increments from them, and steps every grid on from the
+states the previous block left. Only one block's increments are held.
 
 The process-pool stack (``concurrent.futures``, ``multiprocessing`` and
 what they import) loads only when a pass forks workers:
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Sequence
@@ -346,20 +349,30 @@ class SyntheticSupXpSampler:
 # Implicit Euler sup-functional sampler
 
 
-def _increment_levels(hs: tuple, n_steps: tuple, d: int):
-    """How one chunk's Brownian increments serve every step size.
+def _increment_blocks(hs: tuple, n_steps: tuple, d: int):
+    """How one chunk's Brownian increments serve every step size, one
+    block of time at a time.
 
     The increments are drawn on the union of the grids' time points
     {j*h : 0 <= j <= N_h}, listed exactly: every float h is a whole
     number of ticks 1/den, den the largest of their power-of-two
-    denominators. Returns the standard deviation of each row of the
-    chunk's step-major block ((points - 1) * d values: the square roots
-    of the union's intervals, each repeated d times), and one level per
-    step size, finest first: (column, from_union, stride, bounds). A
-    level's increment j sums its source's increments bounds[j] ..
-    bounds[j+1]-1; the source is the previous level if that grid holds
-    all of the level's points, else the union. ``stride`` is the common
-    width of those sums, or None.
+    denominators. The union is cut into blocks at the points that every
+    grid holds: for nested grids each block is one coarsest step, for
+    grids that share no point but 0 there is one block, and a last block
+    runs from the last shared point to the union's end. Returns:
+
+    - the standard deviation of each row of the chunk's step-major draws
+      ((points - 1) * d values: the square roots of the union's
+      intervals, each repeated d times);
+    - the columns, finest step size first;
+    - the blocks, each (lo, hi, levels): its rows lo..hi-1 of the draws
+      and one level per column, in that order, (from_union, stride,
+      bounds). A level's increment j in the block sums its source's
+      increments bounds[j] .. bounds[j+1]-1 in the block; the source is
+      the previous level if that grid holds all of the level's points,
+      else the union. ``stride`` is the common width of the level's sums
+      over its whole grid, or None. A level with no step in the block,
+      a grid that ends before it, has one bound.
     """
     if CHUNK_SIZE * sum(n_steps) * d > MAX_CHUNK_VALUES:
         raise ContractViolationError(
@@ -373,55 +386,119 @@ def _increment_levels(hs: tuple, n_steps: tuple, d: int):
     union = sorted(set().union(*grids))
     roots = np.repeat(np.sqrt([(b - a) / den for a, b in zip(union, union[1:])]), d)
     at = {t: i for i, t in enumerate(union)}
+    columns = sorted(range(len(hs)), key=hs.__getitem__)
     levels, finer = [], None
-    for column in sorted(range(len(hs)), key=hs.__getitem__):
+    for column in columns:
         grid = grids[column]
         from_union = finer is None or any(t not in finer for t in grid)
         bounds = [at[t] for t in grid] if from_union else [finer.index(t) for t in grid]
         widths = {b - a for a, b in zip(bounds, bounds[1:])}
-        levels.append((column, from_union, widths.pop() if len(widths) == 1 else None, bounds))
+        levels.append((from_union, widths.pop() if len(widths) == 1 else None, bounds,
+                       [at[t] for t in grid]))
         finer = grid
-    return roots, levels
+    cuts = [at[t] for t in grids[columns[-1]] if all(t in grid for grid in grids)]
+    if cuts[-1] < len(union) - 1:
+        cuts.append(len(union) - 1)
+    blocks = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        block, first = [], None
+        for from_union, stride, bounds, points in levels:
+            # this level's points in the block, the first of them at lo
+            i, j = bisect_left(points, lo), bisect_right(points, hi)
+            offset = lo if from_union else first
+            block.append((from_union, stride, [k - offset for k in bounds[i:j]]))
+            first = i
+        blocks.append((lo * d, hi * d, block))
+    return roots, columns, blocks
 
 
-def _sum_steps(src, stride, bounds, in_place=False):
-    """One level's (steps, d, paths) increments from its source's (see
-    ``_increment_levels``). A stride of 1 is a view. The sums of a
-    common stride add left to right, into a fresh C-ordered array or,
-    ``in_place``, into the source's leading rows, so a step's
-    increments of all paths lie side by side either way.
-
-    In place, the rows are written in blocks [lo, hi) with hi at most
-    stride*lo (row 0 alone first), each summed from source rows at or
-    after stride*lo: no write lands on a row still to be read, the
-    operands of one block do not overlap, and numpy copies nothing.
-    The additions, and so the bits, are those of the fresh array.
-    """
+def _sum_steps(src, stride, bounds):
+    """One level's (steps, d, paths) increments in a block, from its
+    source's (see ``_increment_blocks``). A stride of 1 is a view. The
+    sums of a common stride add left to right into a fresh C-ordered
+    array, so a step's increments of all paths lie side by side."""
     stop = bounds[-1]
     if stride == 1:
         return src[:stop]
     if stride is None:
         return np.add.reduceat(src[:stop], bounds[:-1], axis=0)
-    steps = len(bounds) - 1
-    if not in_place:
-        out = np.empty((steps,) + src.shape[1:])
-        _add_strided(src, stride, 0, steps, out)
-        return out
-    lo = 0
-    while lo < steps:
-        hi = min(max(stride * lo, 1), steps)
-        _add_strided(src, stride, lo, hi, src[lo:hi])
-        lo = hi
-    return src[:steps]
-
-
-def _add_strided(src, stride, lo, hi, out):
-    """out[k - lo] = src[stride*k] + ... + src[stride*k + stride-1] for
-    lo <= k < hi, added left to right."""
-    start, stop = stride * lo, stride * hi
-    np.add(src[start:stop:stride], src[start + 1:stop:stride], out=out)
+    out = np.add(src[:stop:stride], src[1:stop:stride])
     for m in range(2, stride):
-        out += src[start + m:stop:stride]
+        out += src[m:stop:stride]
+    return out
+
+
+class _ScalarPaths:
+    """One step size's paths of a scalar problem, stepped block by block
+    with the batch kernel. Carries the last state of each live path, the
+    running maximum of |y|^2 + h|g(y)|^2 and which paths failed. A path
+    that fails is NaN from that step on, and no later block steps it."""
+
+    def __init__(self, problem, h, count):
+        self.problem, self.h = problem, h
+        # the live paths: a slice until the first failure, as in the kernel
+        self.live = slice(None)
+        self.y = float(problem.x0[0])
+        self.best = np.full(count, -np.inf)
+        self.failed = np.zeros(count, dtype=np.bool_)
+
+    def step(self, d_w):
+        """Step the live paths over one block's (steps, 1, paths) increments."""
+        problem, live = self.problem, self.live
+        d_w = d_w[:, 0, live]
+        if not d_w.shape[1]:
+            return
+        states, _, failed = kernels.bem_scalar_batch(
+            problem.drift, problem.drift_jacobian, problem.diffusion, self.y, d_w.T, self.h)
+        self.y = states[:, -1].copy()
+        # |y|^2 + h|g(y)|^2, computed in place to keep one extra states-sized array
+        vals = problem.diffusion(states)[..., 0]
+        vals *= vals
+        vals *= self.h
+        states *= states
+        vals += states
+        # a column at a time: for a block's few steps, cheaper than a reduction along rows;
+        # fmax, like nanmax, skips the NaN states of a path that fails in this block
+        best = self.best[live]
+        for column in vals.T:
+            np.fmax(best, column, out=best)
+        self.best[live] = best
+        if failed.any():
+            live = np.arange(self.best.size)[live]
+            self.failed[live[failed]] = True
+            self.live, self.y = live[~failed], self.y[~failed]
+
+    def sup(self, p):
+        sup = self.best**p
+        sup[self.failed] = np.nan
+        return sup
+
+
+class _RotationPaths:
+    """One step size's paths of the bounded rotation, stepped block by
+    block in closed form. Carries the state, one (2, paths) array, and
+    the running maximum of |y|^2."""
+
+    def __init__(self, problem, h, count):
+        x0 = problem.x0
+        self.h, self.jac, self.g = h, problem.drift_jacobian(x0), problem.diffusion(x0)
+        # h|g|^2 is constant (the diffusion is g*I_2), and rounding is monotone, so adding
+        # it after the maximum gives the bits of adding it at every step
+        self.g_term = h * problem.g_x0_norm_sq()
+        self.y = np.repeat(x0[:, None], count, axis=1)
+        self.best = np.full(count, problem.x0_norm_sq())
+        self.sq = np.empty(self.y.shape)
+
+    def step(self, d_w):
+        """Step every path over one block's (steps, 2, paths) increments."""
+        best, sq = self.best, self.sq
+        for y in kernels.bem_rotation_rows(self.jac, self.g, self.y, d_w, self.h):
+            np.multiply(y, y, out=sq)
+            np.add(sq[0], sq[1], out=sq[0])
+            np.maximum(best, sq[0], out=best)
+
+    def sup(self, p):
+        return (self.best + self.g_term)**p
 
 
 @dataclass(frozen=True)
@@ -433,14 +510,14 @@ class BemSupFunctionalSampler:
     its increments are drawn once, on the union of the grids' time
     points, and a coarser grid's increment is the sum of the finer
     increments inside its step (the coarse/fine coupling of multilevel
-    Monte Carlo). The finest grid is stepped first, then each coarser
-    one from the sums of the next finer level's increments. Where the
-    union is the finest grid (nested grids, such as dyadic ones), the
-    finest column's increments are drawn and scaled as a lone grid's
-    would be, and the chunk holds one increment array: every coarser
-    level is summed into the leading rows of the one before it. A grid
-    that is not nested sums into fresh arrays up to its last level
-    drawn from the union, which must stay intact until then.
+    Monte Carlo). The chunk is stepped one block of time at a time:
+    one coarsest step for nested grids, such as dyadic ones, and the
+    whole horizon for grids that share no point but 0. In each block the
+    finest grid is stepped first, then each coarser one from the sums of
+    the next finer level's increments, so besides a few path-sized rows
+    per grid a chunk holds one block's increments and their sums. Where
+    the union is the finest grid (nested grids), the finest column's
+    increments are drawn and scaled as a lone grid's would be.
 
     The problem must be a zoo problem, which pickles as its zoo spec
     (see ``sde.SdeProblem``), so a pool worker receives plain data and
@@ -463,7 +540,7 @@ class BemSupFunctionalSampler:
                 "batch sampling requires a zoo problem (picklable rebuild spec)"
             )
         object.__setattr__(self, "configs", tuple(self.configs))
-        _increment_levels(self.hs, self.n_steps, self.problem.d)  # the work limit, up front
+        _increment_blocks(self.hs, self.n_steps, self.problem.d)  # the work limit, up front
 
     @property
     def hs(self) -> tuple:
@@ -476,59 +553,33 @@ class BemSupFunctionalSampler:
     def sample_chunk(self, plan, chunk_index, count):
         """A (step sizes, count) array, one row per h in grid order.
 
-        The chunk's normals are drawn as one (increments, count) block,
-        path i in column i, scaled row by row to the union's intervals
-        and viewed as (steps, d, paths) without a copy: each step of
-        each level reads contiguous rows. Once no later level reads the
-        union, each level sums its source in place (see ``_sum_steps``).
+        The chunk is stepped one block of time at a time (see
+        ``_increment_blocks``). A block's normals are the chunk stream's
+        next (increments, count) rows, path i in column i, so the blocks
+        together draw what one (all increments, count) block would. They
+        are scaled row by row to the union's intervals and viewed as
+        (steps, d, paths) without a copy: each step of each level reads
+        contiguous rows. Each coarser level sums its source into a fresh
+        array, and every level steps on from the states the previous
+        block left.
         """
         problem, hs = self.problem, self.hs
-        roots, levels = _increment_levels(hs, self.n_steps, problem.d)
-        union = plan.chunk_stream(chunk_index).standard_normal((roots.size, count))
-        union *= roots[:, None]
-        union = union.reshape(-1, problem.d, count)  # (steps, d, paths), a view
-        last_from_union = max(i for i, level in enumerate(levels) if level[1])
-        sup = self._rotation_sup if sde.implicit_step(problem) == "rotation" else self._scalar_sup
+        roots, columns, blocks = _increment_blocks(hs, self.n_steps, problem.d)
+        kind = _RotationPaths if sde.implicit_step(problem) == "rotation" else _ScalarPaths
+        levels = [kind(problem, hs[column], count) for column in columns]
+        stream = plan.chunk_stream(chunk_index)
+        for lo, hi, block in blocks:
+            union = stream.standard_normal((hi - lo, count))
+            union *= roots[lo:hi, None]
+            union = union.reshape(-1, problem.d, count)  # (steps, d, paths), a view
+            for paths, (from_union, stride, bounds) in zip(levels, block):
+                if len(bounds) > 1:  # a grid that ends before the block has no step in it
+                    d_w = _sum_steps(union if from_union else d_w, stride, bounds)
+                    paths.step(d_w)
         out = np.empty((len(hs), count))
-        d_w = None
-        for i, (column, from_union, stride, bounds) in enumerate(levels):
-            d_w = _sum_steps(union if from_union else d_w, stride, bounds,
-                             in_place=i > last_from_union)
-            if i == last_from_union:
-                union = None
-            out[column] = sup(problem, d_w, hs[column])
+        for column, paths in zip(columns, levels):
+            out[column] = paths.sup(self.p)
         return out
-
-    def _scalar_sup(self, problem, d_w, h):
-        states, _, failed = kernels.bem_scalar_batch(
-            problem.drift, problem.drift_jacobian, problem.diffusion, float(problem.x0[0]),
-            d_w[:, 0].T, h
-        )
-        # |y|^2 + h|g(y)|^2, computed in place to keep one extra states-sized array
-        vals = problem.diffusion(states)[..., 0]
-        vals *= vals
-        vals *= h
-        states *= states
-        vals += states
-        sup = np.nanmax(vals, axis=1) ** self.p
-        if failed.any():
-            sup[failed] = np.nan
-        return sup
-
-    def _rotation_sup(self, problem, d_w, h):
-        count = d_w.shape[2]
-        best = np.full(count, problem.x0_norm_sq())
-        t, s = np.empty((2, count))
-        for y0, y1 in kernels.bem_rotation_rows(problem.drift_jacobian, problem.diffusion,
-                                                problem.x0, d_w, h):
-            np.multiply(y0, y0, out=t)
-            np.multiply(y1, y1, out=s)
-            t += s
-            np.maximum(best, t, out=best)
-        # h|g|^2 is constant (the diffusion is g*I_2), and rounding is monotone, so adding
-        # it after the maximum gives the bits of adding it at every step
-        best += h * problem.g_x0_norm_sq()
-        return best**self.p
 
 
 # ---------------------------------------------------------------------------

@@ -257,10 +257,11 @@ def simulate_trajectory(
         states = np.empty((n + 1, 2))
         states[0] = problem.x0
         iters = np.ones(n, dtype=np.int64)
-        rows = kernels.bem_rotation_rows(problem.drift_jacobian, problem.diffusion, problem.x0,
-                                         d_w[:, :, None], h)
-        for j, (y0, y1) in enumerate(rows, 1):
-            states[j] = y0[0], y1[0]
+        rows = kernels.bem_rotation_rows(problem.drift_jacobian(problem.x0),
+                                         problem.diffusion(problem.x0),
+                                         problem.x0[:, None].copy(), d_w[:, :, None], h)
+        for j, y in enumerate(rows, 1):
+            states[j] = y[:, 0]
     else:
         path, iters, failed = kernels.bem_scalar_batch(
             problem.drift, problem.drift_jacobian, problem.diffusion, problem.x0,

@@ -16,9 +16,11 @@ step size of an a priori report, every system of a theorem report).
 The theorem sampler assigns its block to paths by row. The
 implicit-Euler sampler draws its block step-major, one row per
 increment and one column per path of the chunk, so that each step
-reads a contiguous row; the block is as wide as the chunk's own path
-count, so a one-path chunk draws in a trajectory's order, and a path
-of a short last chunk depends on how many paths that chunk holds.
+reads a contiguous row. It draws the block as consecutive runs of rows,
+one per block of time it steps, which give the normals of one draw of
+the whole block. The block is as wide as the chunk's own path count, so
+a one-path chunk draws in a trajectory's order, and a path of a short
+last chunk depends on how many paths that chunk holds.
 Each path's randomness is thus pinned by (master_seed, path_index)
 through the fixed chunk size and the sample count, and by the shape of
 that block: for the implicit-Euler sampler, the union of the report's
@@ -37,14 +39,20 @@ from .errors import ContractViolationError
 #: report depends on this value.
 CHUNK_SIZE = 4096
 
-#: The work limit, in float64 values, of one block a run allocates at
-#: once: one chunk's Brownian increments (CHUNK_SIZE paths times the steps
-#: of all a report's grids times the state dimension), one chunk's signs
-#: for the synthetic systems (checked as CHUNK_SIZE times horizon + 1), one
-#: simulated trajectory (its steps times the larger of the state and noise
-#: dimensions), or the level-by-position mass of an exact walk
-#: expectation. Each is checked before any of its arrays is allocated.
+#: The work limit, in float64 values: one chunk's Brownian increments
+#: (CHUNK_SIZE paths times the steps of all a report's grids times the
+#: state dimension; the chunk draws and holds them one block of time at a
+#: time, so this bounds its work and the listing of its grids' time points
+#: rather than its memory), one chunk's signs for the synthetic systems
+#: (checked as CHUNK_SIZE times horizon + 1), one simulated trajectory (its
+#: steps times the larger of the state and noise dimensions), or the
+#: level-by-position mass of an exact walk expectation. Each is checked
+#: before any of its arrays is allocated.
 MAX_CHUNK_VALUES = 2**25
+
+#: The most worker processes a run may use: the calling process and up to
+#: MAX_WORKERS - 1 forked children, however many chunks the run has.
+MAX_WORKERS = 64
 
 # High bit separates the chunk-stream key domain from the path-stream
 # domain so the two can never collide.
@@ -65,9 +73,9 @@ def keyed_generator(seed: int, word: int) -> np.random.Generator:
 class StreamPlan:
     """Seed and worker count for one estimation run.
 
-    ``workers`` only controls scheduling; estimates are bit-identical
-    for any worker count because substreams and the reduction order
-    depend on the plan alone.
+    ``workers``, 1 to ``MAX_WORKERS``, only controls scheduling;
+    estimates are bit-identical for any worker count because substreams
+    and the reduction order depend on the plan alone.
     """
 
     master_seed: int
@@ -78,8 +86,10 @@ class StreamPlan:
             raise ContractViolationError(
                 f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
             )
-        if self.workers < 1:
-            raise ContractViolationError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ContractViolationError(
+                f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}"
+            )
 
     def path_stream(self, path_index: int) -> np.random.Generator:
         """Independent generator for one path."""

@@ -8,9 +8,10 @@ sign walk of a given length, plain or stopped, and the exact walk
 expectations read off them, the reference for the mass recursion in
 ``martingales``; the former per-row implicit-Euler sampler, one fresh
 draw per step size, the bit-exact reference for the one-pass sampler in
-``mc``; the former matrix sampler of synthetic recursion systems, the
-bit-exact reference for the streamed one; and the schema of every
-report the command line writes.
+``mc``; the former whole-union chunk of that sampler, the bit-exact
+reference for the one that streams its blocks; the former matrix
+sampler of synthetic recursion systems, the bit-exact reference for the
+streamed one; and the schema of every report the command line writes.
 """
 
 import math
@@ -249,6 +250,79 @@ def _rotation_sup_reference(problem, d_w, h, p):
         y[:, 1] = cb * rhs[:, 0] + ca * rhs[:, 1]
         best = np.maximum(best, np.sum(y * y, axis=1) + h * g_norm_sq)
     return best**p
+
+
+def whole_union_sample_chunk(sampler, plan, chunk_index, count):
+    """The former whole-union chunk of ``mc.BemSupFunctionalSampler``: a
+    (step sizes, count) array, one row per h in grid order.
+
+    The reference for the streamed sampler, which steps a chunk one
+    block of time at a time: its rows must equal these bit for bit. Here
+    the chunk's normals are one (increments, count) draw on the union of
+    the grids, each coarser level is summed from its source over the
+    whole horizon, and each level is stepped in one pass: a scalar
+    problem by one batch-kernel call holding every state of every path,
+    the rotation by the former two-row loop.
+    """
+    problem, hs, d = sampler.problem, sampler.hs, sampler.problem.d
+    ratios = [h.as_integer_ratio() for h in hs]
+    den = max(q for _, q in ratios)
+    grids = [range(0, (n + 1) * num * (den // q), num * (den // q))
+             for (num, q), n in zip(ratios, sampler.n_steps)]
+    union = sorted(set().union(*grids))
+    roots = np.repeat(np.sqrt([(b - a) / den for a, b in zip(union, union[1:])]), d)
+    draws = plan.chunk_stream(chunk_index).standard_normal((roots.size, count))
+    draws *= roots[:, None]
+    draws = draws.reshape(-1, d, count)
+    at = {t: i for i, t in enumerate(union)}
+    out = np.empty((len(hs), count))
+    finer, d_w = None, None
+    for column in sorted(range(len(hs)), key=hs.__getitem__):
+        grid = grids[column]
+        from_union = finer is None or any(t not in finer for t in grid)
+        bounds = [at[t] for t in grid] if from_union else [finer.index(t) for t in grid]
+        src, stop = draws if from_union else d_w, bounds[-1]
+        widths = {b - a for a, b in zip(bounds, bounds[1:])}
+        if len(widths) > 1:
+            d_w = np.add.reduceat(src[:stop], bounds[:-1], axis=0)
+        else:
+            stride = widths.pop()
+            d_w = src[0:stop:stride]
+            for m in range(1, stride):
+                d_w = d_w + src[m:stop:stride]
+        if problem.d == 1:
+            out[column] = _whole_union_scalar_sup(problem, d_w, hs[column], sampler.p)
+        else:
+            out[column] = _whole_union_rotation_sup(problem, d_w, hs[column], sampler.p)
+        finer = grid
+    return out
+
+
+def _whole_union_scalar_sup(problem, d_w, h, p):
+    states, _, failed = kernels.bem_scalar_batch(
+        problem.drift, problem.drift_jacobian, problem.diffusion, float(problem.x0[0]),
+        d_w[:, 0].T, h)
+    g_y = problem.diffusion(states)[..., 0]
+    sup = np.nanmax(g_y * g_y * h + states * states, axis=1) ** p
+    sup[failed] = np.nan
+    return sup
+
+
+def _whole_union_rotation_sup(problem, d_w, h, p):
+    jac = problem.drift_jacobian(problem.x0)
+    a = 1.0 - h * jac[0, 0]
+    b = h * jac[1, 0]
+    det = a * a + b * b
+    a, b = a / det, b / det
+    g = problem.diffusion(problem.x0)[0, 0]
+    count = d_w.shape[2]
+    y0, y1 = np.full(count, problem.x0[0]), np.full(count, problem.x0[1])
+    best = np.full(count, problem.x0_norm_sq())
+    for j in range(d_w.shape[0]):
+        r0, r1 = d_w[j, 0] * g + y0, d_w[j, 1] * g + y1
+        y0, y1 = r0 * a - r1 * b, r0 * b + r1 * a
+        best = np.maximum(best, y0 * y0 + y1 * y1)
+    return (best + h * problem.g_x0_norm_sq()) ** p
 
 
 def synthetic_sup_xp_reference(systems, p, plan, chunk_index, count):

@@ -21,7 +21,9 @@ from stochastic_gronwall.cli import (
     build_parser,
     main,
 )
+from stochastic_gronwall import mc
 from stochastic_gronwall.mc import SyntheticSupXpSampler
+from stochastic_gronwall.streams import MAX_WORKERS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -469,6 +471,22 @@ class TestPositiveFlags:
         assert code == expected, err
         if expected == EXIT_CONFIG:
             assert "must be a positive" in err
+
+    @pytest.mark.parametrize("command", sorted(_POSITIVE_FLAG_COMMANDS))
+    @pytest.mark.parametrize("workers", [MAX_WORKERS + 1, 100_000])
+    def test_workers_over_the_cap_start_no_pool(self, capsys, monkeypatch, command, workers):
+        # 409,600,000 samples are 100,000 chunks: uncapped, --workers 100000 would fork
+        # 99,999 children
+        def refuse(max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers was started")
+
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", refuse)
+        argv = [*_POSITIVE_FLAG_COMMANDS[command], "--workers", str(workers)]
+        if command == "estimate-sup":
+            argv[argv.index("--samples") + 1] = "409600000"
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_CONFIG and out == ""
+        assert f"--workers must be at most {MAX_WORKERS}, got {workers}" in err
 
     def test_zero_from_config_file_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -17,6 +17,7 @@ from oracles import (
     per_row_sample_chunk,
     per_row_sup,
     synthetic_sup_xp_reference,
+    whole_union_sample_chunk,
 )
 
 from stochastic_gronwall import kernels, mc
@@ -456,20 +457,23 @@ class TestSyntheticMatchesOracle:
             assert vals.tobytes() == expected.tobytes(), [s.label for s in chosen]
 
 
-def test_synthetic_chunk_holds_its_sign_block_and_little_else():
-    # the matrix sampler held about five (count, horizon + 1) arrays at once
-    horizon = 2000
-    sampler = SyntheticSupXpSampler(standard_synthetic_systems(horizon), 0.5)
+def chunk_peak(sampler):
+    """The tracemalloc peak, in bytes, of one CHUNK_SIZE-path chunk."""
     plan = StreamPlan(1)
     sampler.sample_chunk(plan, 0, 1)  # one-time costs stay out of the measurement
-    sign_bytes = CHUNK_SIZE * horizon * 8
     tracemalloc.start()
     try:
         sampler.sample_chunk(plan, 0, CHUNK_SIZE)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * sign_bytes, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_synthetic_chunk_holds_its_sign_block_and_little_else():
+    # the matrix sampler held about five (count, horizon + 1) arrays at once
+    horizon = 2000
+    peak = chunk_peak(SyntheticSupXpSampler(standard_synthetic_systems(horizon), 0.5))
+    assert peak < 1.25 * CHUNK_SIZE * horizon * 8, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestVerifyTheorem:
@@ -712,78 +716,174 @@ class TestOnePassMatchesOracle:
                     assert np.array_equal(columns[k], per_row_sup(prob, d_w, cfgs[k].h, 0.5))
 
     def test_non_nested_grid_draws_once_on_the_union(self):
-        # 0.25 is no multiple of the float 0.03: the union has 5 + 34 - 1 points
-        roots, levels = mc._increment_levels((0.25, 0.03), (4, 33), 1)
-        assert roots.shape == (37,)
-        assert [(column, from_union) for column, from_union, _, _ in levels] == [
-            (1, True), (0, True)]
+        # 0.25 is no multiple of the float 0.03: the union has 5 + 34 - 1 points, and
+        # the grids share no point but 0, so the chunk is one block
+        roots, columns, blocks = mc._increment_blocks((0.25, 0.03), (4, 33), 1)
+        assert roots.shape == (37,) and columns == [1, 0]
+        ((lo, hi, levels),) = blocks
+        assert (lo, hi) == (0, 37) and [from_union for from_union, _, _ in levels] == [True, True]
         prob = make_problem("ginzburg-landau", sigma=0.5)
         cfgs = [BemConfig(h=h, h0=0.3, T=1.0) for h in (0.25, 0.03)]
         sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
         plan = StreamPlan(3)
-        columns = sampler.sample_chunk(plan, 0, 64)
+        chunk = sampler.sample_chunk(plan, 0, 64)
         union = (plan.chunk_stream(0).standard_normal((37, 64)) * roots[:, None]).T[:, :, None]
-        for column, _, _, bounds in levels:
+        for column, (_, _, bounds) in zip(columns, levels):
             # the same sums, up to the order of the additions
             d_w = np.stack([union[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds, bounds[1:])],
                            axis=1)
-            assert np.allclose(columns[column], per_row_sup(prob, d_w, cfgs[column].h, 0.5),
+            assert np.allclose(chunk[column], per_row_sup(prob, d_w, cfgs[column].h, 0.5),
                                rtol=1e-13, atol=0.0)
 
 
-class TestInPlaceSums:
-    """Once no later level reads the union, each nested coarser level is
-    summed into the leading rows of its source, with the bits of the
-    allocating sums and no copy of the chunk's increments."""
+class TestSumSteps:
+    """A nested coarser level's increments are the sums of its source's,
+    added left to right into a fresh C-ordered array."""
 
     @pytest.mark.parametrize("stride", [2, 4, 8])
     @pytest.mark.parametrize("steps", [1, 3, 24, 64])
     def test_equals_summed(self, stride, steps):
         src = np.random.default_rng(stride * steps).standard_normal((steps * stride, 2, 5))
         expected = _summed(src.transpose(2, 0, 1), stride).transpose(1, 2, 0)
-        bounds = list(range(0, steps * stride + 1, stride))
-        allocated = mc._sum_steps(src, stride, bounds)
-        summed = mc._sum_steps(src, stride, bounds, in_place=True)
-        assert np.shares_memory(summed, src) and summed.shape == (steps, 2, 5)
-        assert np.array_equal(summed, expected) and np.array_equal(allocated, expected)
+        summed = mc._sum_steps(src, stride, list(range(0, steps * stride + 1, stride)))
+        assert summed.flags.c_contiguous and not np.shares_memory(summed, src)
+        assert np.array_equal(summed, expected)
 
     @pytest.mark.parametrize("name", ONE_PASS_PROBLEMS)
     def test_from_union_level_after_a_nested_one(self, name):
         # 1/128 is the union, 2/128 is nested in it, and 3/128 is not in the 2/128
-        # grid: it sums the union after the 2/128 level has been stepped
+        # grid: it sums the union, block by block, after the 2/128 level has stepped
         label, params = ONE_PASS_PROBLEMS[name]
         prob = make_problem(label, **params)
         hs = (3 / 128, 1 / 128, 2 / 128)
         cfgs = [BemConfig(h=h, h0=0.25, T=0.75) for h in hs]
         sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
-        _, levels = mc._increment_levels(sampler.hs, sampler.n_steps, prob.d)
-        assert [(column, from_union, stride) for column, from_union, stride, _ in levels] == [
-            (1, True, 1), (2, False, 2), (0, True, 3)]
+        _, columns, blocks = mc._increment_blocks(sampler.hs, sampler.n_steps, prob.d)
+        # the grids share every sixth point of the union: 16 blocks of 6 union steps
+        assert columns == [1, 2, 0] and len(blocks) == 16
+        assert all((hi - lo) == 6 * prob.d for lo, hi, _ in blocks)
+        assert [(from_union, stride) for from_union, stride, _ in blocks[0][2]] == [
+            (True, 1), (False, 2), (True, 3)]
         plan = StreamPlan(5)
         for count in (1, 64):
-            columns = sampler.sample_chunk(plan, 0, count)
+            chunk = sampler.sample_chunk(plan, 0, count)
             union = per_row_increments(plan, 0, count, 1 / 128, 96, prob.d)
-            for column, _, stride, _ in levels:
+            for column, stride in zip(columns, (1, 2, 3)):
                 d_w = _summed(union, stride) if stride > 1 else union
-                assert np.array_equal(columns[column], per_row_sup(prob, d_w, hs[column], 0.5))
+                assert np.array_equal(chunk[column], per_row_sup(prob, d_w, hs[column], 0.5))
 
 
-def test_rotation_chunk_holds_one_increment_buffer():
-    # the benchmark's grid: a 4096-path chunk allocates its step-major union and,
-    # beside it, only a few path-sized rows
+# (step sizes, T) of the streamed chunks checked against the whole-union one:
+# the benchmark's grid, a wide dyadic grid, grids that share no point but 0,
+# one nested by factors 2 and 3, and one whose grids end at different points
+STREAMED_GRIDS = {
+    "benchmark": ((0.125, 0.0625, 0.03125, 0.015625), 1.0),
+    "dyadic-8-to-1024": (tuple(2.0**-k for k in range(3, 11)), 1.0),
+    "non-nested": ((0.25, 0.03), 1.0),
+    "decimal": ((0.1, 0.01), 1.0),
+    "mixed": ((3 / 128, 1 / 128, 2 / 128), 0.75),
+    "uneven-ends": ((0.25, 0.125, 0.03125), 0.9),
+}
+
+
+class TestStreamedMatchesWholeUnion:
+    """A chunk stepped one block at a time equals, bit for bit, the
+    former chunk that drew and stepped the whole union at once."""
+
+    @pytest.mark.parametrize("name", ONE_PASS_PROBLEMS)
+    @pytest.mark.parametrize("grid", STREAMED_GRIDS)
+    def test_columns_bit_identical(self, name, grid):
+        label, params = ONE_PASS_PROBLEMS[name]
+        hs, T = STREAMED_GRIDS[grid]
+        sampler = BemSupFunctionalSampler(
+            make_problem(label, **params), [BemConfig(h=h, h0=0.3, T=T) for h in hs], 0.5)
+        for seed in (0, 7):
+            plan = StreamPlan(seed)
+            for count in (1, 2, 4095, 4096):
+                assert np.array_equal(sampler.sample_chunk(plan, 1, count),
+                                      whole_union_sample_chunk(sampler, plan, 1, count))
+
+    @pytest.mark.parametrize("grid, sizes", [
+        ("benchmark", [8] * 8),
+        ("dyadic-8-to-1024", [128] * 8),
+        ("non-nested", [37]),
+        ("decimal", [110]),
+        ("uneven-ends", [8, 8, 8, 4]),
+    ])
+    def test_blocks_end_at_the_shared_points(self, grid, sizes):
+        hs, T = STREAMED_GRIDS[grid]
+        n_steps = tuple(BemConfig(h=h, h0=0.3, T=T).n_steps for h in hs)
+        _, _, blocks = mc._increment_blocks(hs, n_steps, 2)
+        assert [(hi - lo) // 2 for lo, hi, _ in blocks] == sizes
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        if grid == "uneven-ends":
+            # the 0.25 grid ends at 0.75: it has no step in the last block
+            assert [len(bounds) - 1 for _, _, bounds in blocks[-1][2]] == [4, 1, 0]
+
+
+class TestScalarPathFailingInALaterBlock:
+    """A scalar path that fails is NaN, is never stepped again, and the
+    blocks' iterations and failures sum to those of one whole run."""
+
+    def test_dropped_after_its_block(self, monkeypatch):
+        from stochastic_gronwall.sde import SdeProblem
+
+        def drift(x):
+            """f(x) = -x, NaN beyond |x| = 5: a path fails where an increment pushes it there."""
+            return np.where(np.abs(x) > 5.0, np.nan, -x)
+
+        problem = SdeProblem("nan-beyond-5", drift, lambda x: np.full(np.shape(x) + (1,), -1.0),
+                             lambda x: np.ones(np.shape(x) + (1,)), 1.0, 1.0)
+        h, count = 0.1, 6
+        d_w = StreamPlan(24).chunk_stream(0).standard_normal((12, 1, count)) * 0.1
+        d_w[6, 0, 2] = 10.0  # path 2 fails at step 7, in the second of three blocks
+        d_w[1, 0, 4] = 10.0  # path 4 fails in the first
+        calls = []
+        batch = kernels.bem_scalar_batch
+
+        def recorded(*args):
+            states, iters, failed = batch(*args)
+            calls.append((args[4].copy(), iters.sum(), failed.sum()))
+            return states, iters, failed
+
+        monkeypatch.setattr(mc.kernels, "bem_scalar_batch", recorded)
+        paths = mc._ScalarPaths(problem, h, count)
+        for lo in (0, 4, 8):
+            paths.step(d_w[lo:lo + 4])
+        sup = paths.sup(0.5)
+        monkeypatch.undo()
+
+        live = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 5], [0, 1, 3, 5]]
+        for (got, _, _), rows, lo in zip(calls, live, (0, 4, 8)):
+            assert np.array_equal(got, d_w[lo:lo + 4, 0, rows].T)
+        states, iters, failed = batch(problem.drift, problem.drift_jacobian, problem.diffusion,
+                                      1.0, d_w[:, 0].T, h)
+        assert np.flatnonzero(failed).tolist() == [2, 4]
+        assert np.isnan(sup[[2, 4]]).all() and paths.failed.tolist() == failed.tolist()
+        expected = np.nanmax(h * states * states + states * states, axis=1) ** 0.5
+        assert np.array_equal(sup[~failed], expected[~failed])
+        assert sum(used for _, used, _ in calls) == iters.sum()
+        assert sum(n_failed for _, _, n_failed in calls) == failed.sum() == 2
+
+
+def test_rotation_chunk_holds_one_block_of_increments():
+    # the benchmark's grid: a 4096-path chunk draws 8 blocks of 8 fine steps, and
+    # holds one of them, its coarser sums and a few path-sized rows per level; the
+    # union of all 64 steps alone would be 8 blocks
     prob = make_problem("bounded-rotation", sigma=0.5)
     cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 0.0625, 0.03125, 0.015625)]
-    sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
-    plan = StreamPlan(1)
-    sampler.sample_chunk(plan, 0, 1)  # one-time costs stay out of the measurement
-    union_bytes = 64 * 2 * CHUNK_SIZE * 8
-    tracemalloc.start()
-    try:
-        sampler.sample_chunk(plan, 0, CHUNK_SIZE)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * union_bytes, f"peak {peak / 2**20:.2f} MiB"
+    peak = chunk_peak(BemSupFunctionalSampler(prob, cfgs, 0.5))
+    assert peak <= 4 * 8 * 2 * CHUNK_SIZE * 8, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("label", ["ginzburg-landau", "bounded-rotation"])
+def test_wide_grid_chunk_peaks_at_a_few_blocks(label):
+    # 1/8..1/1024: 8 blocks of 128 fine steps; the whole union held at once peaked at
+    # 24 blocks (Ginzburg-Landau) and 8 (rotation)
+    prob = make_problem(label, sigma=0.5)
+    cfgs = [BemConfig(h=2.0**-k, h0=0.25, T=1.0) for k in range(3, 11)]
+    peak = chunk_peak(BemSupFunctionalSampler(prob, cfgs, 0.5))
+    assert peak <= 5 * 128 * prob.d * CHUNK_SIZE * 8, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestCoupling:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stochastic_gronwall.errors import ContractViolationError
-from stochastic_gronwall.streams import StreamPlan
+from stochastic_gronwall.streams import MAX_WORKERS, StreamPlan
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stochastic_gronwall"
 N = 4096
@@ -108,3 +108,10 @@ class TestIndependence:
         x = StreamPlan(42).chunk_stream(0).standard_normal(N)
         assert abs(x.mean()) < 5.0 / math.sqrt(N)
         assert abs(x.var(ddof=1) - 1.0) < 5.0 * math.sqrt(2.0 / N)
+
+
+@pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1, 100_000])
+def test_worker_count_outside_the_cap_is_rejected(workers):
+    assert StreamPlan(0, workers=MAX_WORKERS).workers == MAX_WORKERS >= 64
+    with pytest.raises(ContractViolationError, match=rf"workers must lie in \[1, {MAX_WORKERS}\]"):
+        StreamPlan(0, workers=workers)
