@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import Sequence
 
@@ -412,17 +412,19 @@ def _increment_blocks(hs: tuple, n_steps: tuple, d: int):
     return roots, columns, blocks
 
 
-def _sum_steps(src, stride, bounds):
+def _sum_steps(src, stride, bounds, out):
     """One level's (steps, d, paths) increments in a block, from its
     source's (see ``_increment_blocks``). A stride of 1 is a view. The
-    sums of a common stride add left to right into a fresh C-ordered
-    array, so a step's increments of all paths lie side by side."""
+    sums of a common stride add left to right into the leading steps of
+    the C-ordered ``out``, so a step's increments of all paths lie side
+    by side."""
     stop = bounds[-1]
     if stride == 1:
         return src[:stop]
+    out = out[:len(bounds) - 1]
     if stride is None:
-        return np.add.reduceat(src[:stop], bounds[:-1], axis=0)
-    out = np.add(src[:stop:stride], src[1:stop:stride])
+        return np.add.reduceat(src[:stop], bounds[:-1], axis=0, out=out)
+    np.add(src[:stop:stride], src[1:stop:stride], out=out)
     for m in range(2, stride):
         out += src[m:stop:stride]
     return out
@@ -533,6 +535,10 @@ class BemSupFunctionalSampler:
     problem: sde.SdeProblem
     configs: tuple
     p: float
+    # built in each process, not pickled: the block layout of every chunk (see
+    # _increment_blocks) and the buffer that its block arrays view (see _block_buffers)
+    _layout: tuple = field(init=False, repr=False, compare=False)
+    _scratch: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.problem.zoo_spec is None:
@@ -540,7 +546,13 @@ class BemSupFunctionalSampler:
                 "batch sampling requires a zoo problem (picklable rebuild spec)"
             )
         object.__setattr__(self, "configs", tuple(self.configs))
-        _increment_blocks(self.hs, self.n_steps, self.problem.d)  # the work limit, up front
+        # checks the work limit, up front
+        layout = _increment_blocks(self.hs, self.n_steps, self.problem.d)
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "_scratch", [np.empty(0)])
+
+    def __reduce__(self):
+        return type(self), (self.problem, self.configs, self.p)
 
     @property
     def hs(self) -> tuple:
@@ -559,27 +571,46 @@ class BemSupFunctionalSampler:
         together draw what one (all increments, count) block would. They
         are scaled row by row to the union's intervals and viewed as
         (steps, d, paths) without a copy: each step of each level reads
-        contiguous rows. Each coarser level sums its source into a fresh
-        array, and every level steps on from the states the previous
-        block left.
+        contiguous rows. Each coarser level sums its source into its
+        part of the same buffer (see ``_block_buffers``), and every level
+        steps on from the states the previous block left.
         """
         problem, hs = self.problem, self.hs
-        roots, columns, blocks = _increment_blocks(hs, self.n_steps, problem.d)
+        roots, columns, blocks = self._layout
         kind = _RotationPaths if sde.implicit_step(problem) == "rotation" else _ScalarPaths
         levels = [kind(problem, hs[column], count) for column in columns]
+        draws, sums = self._block_buffers(count)
         stream = plan.chunk_stream(chunk_index)
         for lo, hi, block in blocks:
-            union = stream.standard_normal((hi - lo, count))
+            union = stream.standard_normal(out=draws[:hi - lo])
             union *= roots[lo:hi, None]
             union = union.reshape(-1, problem.d, count)  # (steps, d, paths), a view
-            for paths, (from_union, stride, bounds) in zip(levels, block):
+            for paths, out, (from_union, stride, bounds) in zip(levels, sums, block):
                 if len(bounds) > 1:  # a grid that ends before the block has no step in it
-                    d_w = _sum_steps(union if from_union else d_w, stride, bounds)
+                    d_w = _sum_steps(union if from_union else d_w, stride, bounds, out)
                     paths.step(d_w)
         out = np.empty((len(hs), count))
         for column, paths in zip(columns, levels):
             out[column] = paths.sup(self.p)
         return out
+
+    def _block_buffers(self, count):
+        """The draws of a block, (rows, count), and each level's sums,
+        (steps, d, count) or None for a level that views its source,
+        each sized for its largest block. They are views of one buffer
+        that every chunk this sampler steps reuses, grown when a chunk
+        needs more: memory handed back at the end of each chunk would be
+        faulted in again by the next."""
+        d, blocks = self.problem.d, self._layout[2]
+        rows = [max(hi - lo for lo, hi, _ in blocks)] + [
+            0 if stride == 1 else d * (max(len(block[i][2]) for _, _, block in blocks) - 1)
+            for i, (_, stride, _) in enumerate(blocks[0][2])]
+        if self._scratch[0].size < sum(rows) * count:
+            self._scratch[0] = np.empty(sum(rows) * count)
+        ends = np.cumsum([0] + rows) * count
+        draws, *sums = (self._scratch[0][a:b] for a, b in zip(ends, ends[1:]))
+        return draws.reshape(-1, count), [s.reshape(-1, d, count) if s.size else None
+                                          for s in sums]
 
 
 # ---------------------------------------------------------------------------

@@ -738,16 +738,17 @@ class TestOnePassMatchesOracle:
 
 class TestSumSteps:
     """A nested coarser level's increments are the sums of its source's,
-    added left to right into a fresh C-ordered array."""
+    added left to right into the leading steps of a C-ordered buffer."""
 
     @pytest.mark.parametrize("stride", [2, 4, 8])
     @pytest.mark.parametrize("steps", [1, 3, 24, 64])
     def test_equals_summed(self, stride, steps):
         src = np.random.default_rng(stride * steps).standard_normal((steps * stride, 2, 5))
         expected = _summed(src.transpose(2, 0, 1), stride).transpose(1, 2, 0)
-        summed = mc._sum_steps(src, stride, list(range(0, steps * stride + 1, stride)))
-        assert summed.flags.c_contiguous and not np.shares_memory(summed, src)
-        assert np.array_equal(summed, expected)
+        buffer = np.full((steps + 2, 2, 5), np.nan)
+        summed = mc._sum_steps(src, stride, list(range(0, steps * stride + 1, stride)), buffer)
+        assert summed.flags.c_contiguous and np.shares_memory(summed, buffer)
+        assert np.array_equal(summed, expected) and np.isnan(buffer[steps:]).all()
 
     @pytest.mark.parametrize("name", ONE_PASS_PROBLEMS)
     def test_from_union_level_after_a_nested_one(self, name):
@@ -884,6 +885,33 @@ def test_wide_grid_chunk_peaks_at_a_few_blocks(label):
     cfgs = [BemConfig(h=2.0**-k, h0=0.25, T=1.0) for k in range(3, 11)]
     peak = chunk_peak(BemSupFunctionalSampler(prob, cfgs, 0.5))
     assert peak <= 5 * 128 * prob.d * CHUNK_SIZE * 8, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_later_chunks_reuse_the_block_buffer():
+    # block arrays allocated per chunk go back to the system at the chunk's end and
+    # are faulted in again by the next chunk, so the sampler keeps one buffer
+    import pickle
+
+    prob = make_problem("bounded-rotation", sigma=0.5)
+    cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 0.0625, 0.03125, 0.015625)]
+    sampler, plan = BemSupFunctionalSampler(prob, cfgs, 0.5), StreamPlan(1)
+    sampler.sample_chunk(plan, 0, CHUNK_SIZE)
+    (buffer,) = sampler._scratch
+    # a block's 16 rows of draws and the 4 + 2 + 1 steps of the summed levels
+    assert buffer.nbytes == (16 + 2 * 7) * CHUNK_SIZE * 8
+    tracemalloc.start()
+    try:
+        for c in (1, 2):
+            sampler.sample_chunk(plan, c, CHUNK_SIZE)
+            sampler.sample_chunk(plan, c, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampler._scratch[0] is buffer and peak < buffer.nbytes
+    # a pool worker receives the configuration and builds its own buffer
+    (copy,) = pickle.loads(pickle.dumps([sampler]))
+    assert copy.configs == sampler.configs and copy._scratch[0].size == 0
+    assert np.array_equal(copy.sample_chunk(plan, 3, 7), sampler.sample_chunk(plan, 3, 7))
 
 
 class TestCoupling:
