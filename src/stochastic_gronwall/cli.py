@@ -441,7 +441,7 @@ def _problem_flags() -> list:
 
 def _build_problem(args):
     """The chosen problem; a list flag gives as many numbers as a tuple
-    default has, else one."""
+    default has, else one, which ``make_problem`` reads as a number."""
     params = zoo_parameters()[args.problem]
     for name, default in params.items():
         value = getattr(args, name)
@@ -450,7 +450,6 @@ def _build_problem(args):
             if len(value) != size:
                 raise ConfigError(f"problem {args.problem!r} takes {size} number(s) for "
                                   f"{_flag(name)}, got {value}")
-            value = tuple(value) if isinstance(default, tuple) else value[0]
         params[name] = value
     return make_problem(args.problem, **params)
 
@@ -464,15 +463,15 @@ def _cmd_bem(args) -> int:
     traj = simulate_trajectory(problem, cfg, args.p_list, StreamPlan(args.seed).path_stream(0))
 
     header = ["j", "t"] + [f"y{i}" for i in range(problem.d)] + ["z_increment", "iterations"]
-    rows = []
-    for j in range(traj.states.shape[0]):
-        row = [j, j * cfg.h] + [traj.states[j, i] for i in range(problem.d)]
-        if j == 0:
-            row += ["", ""]
-        else:
-            row += [traj.z_increments[j - 1], int(traj.solver_iterations[j - 1])]
-        rows.append(row)
-    _write_csv(args.output, header, rows)
+
+    def rows():
+        """One row at a time: a list of them all would take many times the trajectory."""
+        yield [0, 0.0, *traj.states[0], "", ""]
+        steps = zip(traj.states[1:], traj.z_increments, traj.solver_iterations)
+        for j, (state, z, iters) in enumerate(steps, 1):
+            yield [j, j * cfg.h, *state, z, int(iters)]
+
+    _write_csv(args.output, header, rows())
     for p, val in traj.sup_functional_p.items():
         print(f"sup_functional p={_fmt(p)}: {_fmt(val)}", file=sys.stderr)
     return EXIT_OK

@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field
+from collections import deque
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Sequence
 
@@ -430,80 +431,6 @@ def _sum_steps(src, stride, bounds, out):
     return out
 
 
-class _ScalarPaths:
-    """One step size's paths of a scalar problem, stepped block by block
-    with the batch kernel. Carries the last state of each live path, the
-    running maximum of |y|^2 + h|g(y)|^2 and which paths failed. A path
-    that fails is NaN from that step on, and no later block steps it."""
-
-    def __init__(self, problem, h, count):
-        self.problem, self.h = problem, h
-        # the live paths: a slice until the first failure, as in the kernel
-        self.live = slice(None)
-        self.y = float(problem.x0[0])
-        self.best = np.full(count, -np.inf)
-        self.failed = np.zeros(count, dtype=np.bool_)
-
-    def step(self, d_w):
-        """Step the live paths over one block's (steps, 1, paths) increments."""
-        problem, live = self.problem, self.live
-        d_w = d_w[:, 0, live]
-        if not d_w.shape[1]:
-            return
-        states, _, failed = kernels.bem_scalar_batch(
-            problem.drift, problem.drift_jacobian, problem.diffusion, self.y, d_w.T, self.h)
-        self.y = states[:, -1].copy()
-        # |y|^2 + h|g(y)|^2, computed in place to keep one extra states-sized array
-        vals = problem.diffusion(states)[..., 0]
-        vals *= vals
-        vals *= self.h
-        states *= states
-        vals += states
-        # a column at a time: for a block's few steps, cheaper than a reduction along rows;
-        # fmax, like nanmax, skips the NaN states of a path that fails in this block
-        best = self.best[live]
-        for column in vals.T:
-            np.fmax(best, column, out=best)
-        self.best[live] = best
-        if failed.any():
-            live = np.arange(self.best.size)[live]
-            self.failed[live[failed]] = True
-            self.live, self.y = live[~failed], self.y[~failed]
-
-    def sup(self, p):
-        sup = self.best**p
-        sup[self.failed] = np.nan
-        return sup
-
-
-class _RotationPaths:
-    """One step size's paths of the bounded rotation, stepped block by
-    block in closed form. Carries the state, one (2, paths) array, and
-    the running maximum of |y|^2."""
-
-    def __init__(self, problem, h, count):
-        x0 = problem.x0
-        self.h, self.jac, self.g = h, problem.drift_jacobian(x0), problem.diffusion(x0)
-        # h|g|^2 is constant (the diffusion is g*I_2), and rounding is monotone, so adding
-        # it after the maximum gives the bits of adding it at every step
-        self.g_term = h * problem.g_x0_norm_sq()
-        self.y = np.repeat(x0[:, None], count, axis=1)
-        self.best = np.full(count, problem.x0_norm_sq())
-        self.sq = np.empty(self.y.shape)
-
-    def step(self, d_w):
-        """Step every path over one block's (steps, 2, paths) increments."""
-        best, sq = self.best, self.sq
-        for y in kernels.bem_rotation_rows(self.jac, self.g, self.y, d_w, self.h):
-            np.multiply(y, y, out=sq)
-            np.add(sq[0], sq[1], out=sq[0])
-            np.maximum(best, sq[0], out=best)
-
-    def sup(self, p):
-        return (self.best + self.g_term)**p
-
-
-@dataclass(frozen=True)
 class BemSupFunctionalSampler:
     """sup_j (|Y^j|^2 + h |g(Y^j)|^2)^p over implicit-Euler paths, one
     column per step size h of a grid.
@@ -524,43 +451,32 @@ class BemSupFunctionalSampler:
     The problem must be a zoo problem, which pickles as its zoo spec
     (see ``sde.SdeProblem``), so a pool worker receives plain data and
     rebuilds the problem once as it loads the sampler. The work limit
-    is checked at construction. The step is the one
-    ``sde.implicit_step`` chooses, as in ``sde.simulate_trajectory``:
-    scalar zoo problems run through the batch stepping kernel with the
-    problem's own drift, Jacobian and diffusion, and the planar rotation
-    problem, whose drift is linear, through the closed-form rows of
-    ``kernels.bem_rotation_rows``.
+    is checked at construction. Each column's paths are stepped by the
+    class that ``sde.implicit_step`` returns, as in
+    ``sde.simulate_trajectory``, which also gives their sup functional.
     """
 
-    problem: sde.SdeProblem
-    configs: tuple
-    p: float
-    # built in each process, not pickled: the block layout of every chunk (see
-    # _increment_blocks) and the buffer that its block arrays view (see _block_buffers)
-    _layout: tuple = field(init=False, repr=False, compare=False)
-    _scratch: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.problem.zoo_spec is None:
+    def __init__(self, problem: sde.SdeProblem, configs: Sequence[sde.BemConfig], p: float):
+        if problem.zoo_spec is None:
             raise ContractViolationError(
                 "batch sampling requires a zoo problem (picklable rebuild spec)"
             )
-        object.__setattr__(self, "configs", tuple(self.configs))
-        # checks the work limit, up front
-        layout = _increment_blocks(self.hs, self.n_steps, self.problem.d)
-        object.__setattr__(self, "_layout", layout)
-        object.__setattr__(self, "_scratch", [np.empty(0)])
+        self.problem, self.configs, self.p = problem, tuple(configs), p
+        self.hs = tuple(float(cfg.h) for cfg in self.configs)
+        self.n_steps = tuple(cfg.n_steps for cfg in self.configs)
+        # built in each process, not pickled: the block layout of every chunk (see
+        # _increment_blocks, which checks the work limit up front), the rows of each
+        # part of the buffer that its block arrays view, and that buffer (_block_buffers)
+        d = problem.d
+        self._layout = _increment_blocks(self.hs, self.n_steps, d)
+        blocks = self._layout[2]
+        self._rows = [max(hi - lo for lo, hi, _ in blocks)] + [
+            0 if stride == 1 else d * (max(len(block[i][2]) for _, _, block in blocks) - 1)
+            for i, (_, stride, _) in enumerate(blocks[0][2])]
+        self._scratch = np.empty(0)
 
     def __reduce__(self):
         return type(self), (self.problem, self.configs, self.p)
-
-    @property
-    def hs(self) -> tuple:
-        return tuple(float(cfg.h) for cfg in self.configs)
-
-    @property
-    def n_steps(self) -> tuple:
-        return tuple(cfg.n_steps for cfg in self.configs)
 
     def sample_chunk(self, plan, chunk_index, count):
         """A (step sizes, count) array, one row per h in grid order.
@@ -577,7 +493,7 @@ class BemSupFunctionalSampler:
         """
         problem, hs = self.problem, self.hs
         roots, columns, blocks = self._layout
-        kind = _RotationPaths if sde.implicit_step(problem) == "rotation" else _ScalarPaths
+        kind = sde.implicit_step(problem)
         levels = [kind(problem, hs[column], count) for column in columns]
         draws, sums = self._block_buffers(count)
         stream = plan.chunk_stream(chunk_index)
@@ -588,7 +504,8 @@ class BemSupFunctionalSampler:
             for paths, out, (from_union, stride, bounds) in zip(levels, sums, block):
                 if len(bounds) > 1:  # a grid that ends before the block has no step in it
                     d_w = _sum_steps(union if from_union else d_w, stride, bounds, out)
-                    paths.step(d_w)
+                    # drained without keeping a state, which would hold the level's states
+                    deque(paths.step(d_w), maxlen=0)
         out = np.empty((len(hs), count))
         for column, paths in zip(columns, levels):
             out[column] = paths.sup(self.p)
@@ -601,14 +518,11 @@ class BemSupFunctionalSampler:
         that every chunk this sampler steps reuses, grown when a chunk
         needs more: memory handed back at the end of each chunk would be
         faulted in again by the next."""
-        d, blocks = self.problem.d, self._layout[2]
-        rows = [max(hi - lo for lo, hi, _ in blocks)] + [
-            0 if stride == 1 else d * (max(len(block[i][2]) for _, _, block in blocks) - 1)
-            for i, (_, stride, _) in enumerate(blocks[0][2])]
-        if self._scratch[0].size < sum(rows) * count:
-            self._scratch[0] = np.empty(sum(rows) * count)
+        d, rows = self.problem.d, self._rows
+        if self._scratch.size < sum(rows) * count:
+            self._scratch = np.empty(sum(rows) * count)
         ends = np.cumsum([0] + rows) * count
-        draws, *sums = (self._scratch[0][a:b] for a, b in zip(ends, ends[1:]))
+        draws, *sums = (self._scratch[a:b] for a, b in zip(ends, ends[1:]))
         return draws.reshape(-1, count), [s.reshape(-1, d, count) if s.size else None
                                           for s in sums]
 

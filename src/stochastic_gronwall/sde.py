@@ -5,9 +5,10 @@ equidistant steps. Registered problems must satisfy the coercivity
 condition <f(x), x> + |g(x)|^2/2 <= L(1+|x|^2) (spot-checked on random
 states) and a one-sided Lipschitz condition on the drift, which makes
 the implicit step uniquely solvable for h below the Lipschitz threshold.
-The step is solved by the kernels that the batch sampler uses, chosen
-by :func:`implicit_step`: Newton with a bisection fallback for scalar
-problems, and a closed form for the zoo's planar bounded rotation.
+Paths are stepped by the class :func:`implicit_step` returns, one per
+kind of step, for one trajectory and the batch sampler alike: Newton
+with a bisection fallback for scalar problems, and a closed form for
+the zoo's planar bounded rotation.
 """
 
 from __future__ import annotations
@@ -201,19 +202,101 @@ class BemTrajectory:
     solver_iterations: np.ndarray
 
 
-def implicit_step(problem: SdeProblem) -> str:
-    """The implicit step that ``problem`` takes on every code path.
+class ScalarPaths:
+    """Paths of a scalar problem at one step size, stepped block by block
+    with :func:`kernels.bem_scalar_batch`. Carries the last state of each
+    live path, the running maximum of |y|^2 + h|g(y)|^2, which paths
+    failed and the last block's iterations per step. A path that fails
+    is NaN from that step on, and no later block steps it."""
 
-    "scalar" for d = m = 1: Newton with the bisection fallback, stepped
-    by :func:`kernels.bem_scalar_batch`. "rotation" for the zoo's
-    bounded rotation: the closed form of
-    :func:`kernels.bem_rotation_rows`. Any other problem is rejected,
-    a d = 1 problem with m > 1 noise columns included.
+    def __init__(self, problem, h, count):
+        self.problem, self.h = problem, h
+        # the live paths: a slice until the first failure, as in the kernel
+        self.live = slice(None)
+        self.y = float(problem.x0[0])
+        self.best = np.full(count, -np.inf)
+        self.failed = np.zeros(count, dtype=np.bool_)
+
+    def step(self, d_w):
+        """Step the live paths over one block's (steps, 1, paths)
+        increments, yielding each step's (1, live paths) states: views
+        that are overwritten once the block's last one is taken."""
+        problem, live = self.problem, self.live
+        d_w = d_w[:, 0, live]
+        if not d_w.shape[1]:
+            return
+        states, self.iters, failed = kernels.bem_scalar_batch(
+            problem.drift, problem.drift_jacobian, problem.diffusion, self.y, d_w.T, self.h)
+        yield from states.T[1:, None]
+        self.y = states[:, -1].copy()
+        # |y|^2 + h|g(y)|^2, computed in place to keep one extra states-sized array
+        vals = problem.diffusion(states)[..., 0]
+        vals *= vals
+        vals *= self.h
+        states *= states
+        vals += states
+        # a column at a time: for a block's few steps, cheaper than a reduction along rows;
+        # fmax, like nanmax, skips the NaN states of a path that fails in this block
+        best = self.best[live]
+        for column in vals.T:
+            np.fmax(best, column, out=best)
+        self.best[live] = best
+        if failed.any():
+            live = np.arange(self.best.size)[live]
+            self.failed[live[failed]] = True
+            self.live, self.y = live[~failed], self.y[~failed]
+
+    def sup(self, p):
+        sup = self.best**p
+        sup[self.failed] = np.nan
+        return sup
+
+
+class RotationPaths:
+    """Paths of the zoo's bounded rotation at one step size, stepped
+    block by block in closed form with :func:`kernels.bem_rotation_rows`,
+    one iteration per step. Carries the state, one (2, paths) array, and
+    the running maximum of |y|^2; no path fails."""
+
+    def __init__(self, problem, h, count):
+        x0 = problem.x0
+        self.h, self.jac, self.g = h, problem.drift_jacobian(x0), problem.diffusion(x0)
+        # h|g|^2 is constant (the diffusion is g*I_2), and rounding is monotone, so adding
+        # it after the maximum gives the bits of adding it at every step
+        self.g_term = h * problem.g_x0_norm_sq()
+        self.y = np.repeat(x0[:, None], count, axis=1)
+        self.best = np.full(count, problem.x0_norm_sq())
+        self.sq = np.empty(self.y.shape)
+        self.failed = np.zeros(count, dtype=np.bool_)
+
+    def step(self, d_w):
+        """Step every path over one block's (steps, 2, paths) increments,
+        yielding each step's (2, paths) states, one array stepped in place."""
+        self.iters = np.ones(d_w.shape[0], dtype=np.int64)
+        best, sq = self.best, self.sq
+        for y in kernels.bem_rotation_rows(self.jac, self.g, self.y, d_w, self.h):
+            np.multiply(y, y, out=sq)
+            np.add(sq[0], sq[1], out=sq[0])
+            np.maximum(best, sq[0], out=best)
+            yield y
+
+    def sup(self, p):
+        return (self.best + self.g_term)**p
+
+
+def implicit_step(problem: SdeProblem) -> type:
+    """The class that steps ``problem``'s paths on every code path:
+    :class:`ScalarPaths` for d = m = 1, :class:`RotationPaths` for the
+    zoo's bounded rotation. Any other problem is rejected, a d = 1
+    problem with m > 1 noise columns included. Each class is built as
+    ``(problem, h, paths)``; its generator ``step(d_w)`` steps one
+    block's (steps, d, paths) increments and yields each step's
+    (d, paths) states, and it has ``iters``, ``failed`` and ``sup(p)``.
     """
     if problem.d == problem.m == 1:
-        return "scalar"
+        return ScalarPaths
     if problem.zoo_spec is not None and problem.zoo_spec[0] == "bounded-rotation":
-        return "rotation"
+        return RotationPaths
     raise ContractViolationError(
         f"problem {problem.label!r} has d = {problem.d} and m = {problem.m}: the implicit "
         "step is implemented for scalar problems (d = m = 1) and for the zoo's bounded-rotation"
@@ -231,15 +314,13 @@ def simulate_trajectory(
     Increments dW^{j+1} are N(0, h I_m) draws from the supplied stream.
     A trajectory whose steps times the larger of d and m exceed
     ``MAX_CHUNK_VALUES`` is rejected before anything is allocated, as
-    is a problem :func:`implicit_step` rejects. The path is the batch
-    sampler's, ``mc.BemSupFunctionalSampler``, on a batch of one: a
-    scalar problem is one call of :func:`kernels.bem_scalar_batch`,
-    whose per-step iterations it records, and the bounded rotation runs
-    :func:`kernels.bem_rotation_rows`, one iteration per step. A scalar
-    path that fails raises :class:`SolverError` naming the step of its
-    first NaN state.
+    is a problem :func:`implicit_step` rejects. The path is one path of
+    the class :func:`implicit_step` returns, stepped as one block, so it
+    is the batch sampler's (``mc.BemSupFunctionalSampler``) on a batch
+    of one, and its sup functional is that class's. A path that fails
+    raises :class:`SolverError` naming the step of its first NaN state.
     """
-    step = implicit_step(problem)
+    kind = implicit_step(problem)
     cfg.validate_for(problem)
     for p in p_list:
         if not 0.0 < p < 1.0:
@@ -253,47 +334,30 @@ def simulate_trajectory(
         )
     d_w = rng_stream.standard_normal((n, problem.m)) * math.sqrt(h)
 
-    if step == "rotation":
-        states = np.empty((n + 1, 2))
-        states[0] = problem.x0
-        iters = np.ones(n, dtype=np.int64)
-        rows = kernels.bem_rotation_rows(problem.drift_jacobian(problem.x0),
-                                         problem.diffusion(problem.x0),
-                                         problem.x0[:, None].copy(), d_w[:, :, None], h)
-        for j, y in enumerate(rows, 1):
-            states[j] = y[:, 0]
-    else:
-        path, iters, failed = kernels.bem_scalar_batch(
-            problem.drift, problem.drift_jacobian, problem.diffusion, problem.x0,
-            d_w[:, 0][None, :], h)
-        if failed[0]:
-            raise SolverError(
-                f"step {np.isnan(path[0]).argmax()} of {n} failed for problem "
-                f"{problem.label!r}: implicit step did not converge (Newton and bisection "
-                "fallback)"
-            )
-        states = path.reshape(n + 1, 1)
+    paths = kind(problem, h, 1)
+    states = np.empty((n + 1, problem.d))
+    states[0] = problem.x0
+    for j, y in enumerate(paths.step(d_w[:, :, None]), 1):
+        states[j] = y[:, 0]
+    if paths.failed[0]:
+        raise SolverError(
+            f"step {np.isnan(states[:, 0]).argmax()} of {n} failed for problem "
+            f"{problem.label!r}: implicit step did not converge (Newton and bisection fallback)"
+        )
 
-    g = problem.diffusion(states)
-    g_sq = h * np.sum(g * g, axis=(1, 2))
-    noise = (g[:-1] @ d_w[:, :, None])[..., 0]
-    z_vals = np.sum(noise * noise, axis=1) - g_sq[:-1] + 2.0 * np.sum(noise * states[:-1], axis=1)
-    func_vals = np.sum(states * states, axis=1)
-    # the sampler starts its running max at x0_norm_sq(), whose np.dot can round a
-    # planar x0 apart from the row sum
-    func_vals[0] = problem.x0_norm_sq()
-    func_vals += g_sq
-    # an array power, as in the batch sampler, so a one-path chunk there gives these bits
-    sup_val = func_vals.max(keepdims=True)
-    sup_p = {float(p): float((sup_val ** float(p))[0]) for p in p_list}
-    return BemTrajectory(states, d_w, z_vals, sup_p, iters)
+    g = problem.diffusion(states[:-1])
+    noise = (g @ d_w[:, :, None])[..., 0]
+    z_vals = np.sum(noise * noise, axis=1) - h * np.sum(g * g, axis=(1, 2)) \
+        + 2.0 * np.sum(noise * states[:-1], axis=1)
+    sup_p = {float(p): float(paths.sup(float(p))[0]) for p in p_list}
+    return BemTrajectory(states, d_w, z_vals, sup_p, paths.iters)
 
 
 # ---------------------------------------------------------------------------
 # Problem zoo
 
 
-def make_linear(lam: float = 1.0, sigma: float = 0.0, x0=1.0, L: float | None = None) -> SdeProblem:
+def make_linear(lam: float = 1.0, sigma: float = 0.0, x0=1.0, L: float | None = None) -> tuple:
     """Scalar linear problem f(x) = -lam*x, g(x) = sigma*x.
 
     The registered envelope L = max(lam, sigma^2/2) always dominates
@@ -304,20 +368,13 @@ def make_linear(lam: float = 1.0, sigma: float = 0.0, x0=1.0, L: float | None = 
         raise ContractViolationError(f"lambda must be >= 0, got {lam}")
     if L is None:
         L = max(lam, 0.5 * sigma * sigma)
-    problem = SdeProblem(
-        label="linear",
-        drift=lambda x: -lam * x,
-        drift_jacobian=lambda x: np.full(np.shape(x) + (1,), -lam),
-        diffusion=lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
-        x0=x0,
-        L=L,
-        zoo_spec=("linear", {"lam": lam, "sigma": sigma, "x0": float(np.atleast_1d(x0)[0]), "L": L}),
-    )
-    check_coercivity(problem)
-    return problem
+    return (lambda x: -lam * x,
+            lambda x: np.full(np.shape(x) + (1,), -lam),
+            lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
+            L)
 
 
-def make_ginzburg_landau(sigma: float = 0.5, x0=1.0, L: float | None = None) -> SdeProblem:
+def make_ginzburg_landau(sigma: float = 0.5, x0=1.0, L: float | None = None) -> tuple:
     """Scalar Ginzburg-Landau problem f(x) = x - x^3, g(x) = sigma*x.
 
     x^2 - x^4 + sigma^2 x^2 / 2 <= (1 + sigma^2/2)(1 + x^2), so
@@ -326,22 +383,15 @@ def make_ginzburg_landau(sigma: float = 0.5, x0=1.0, L: float | None = None) -> 
     """
     if L is None:
         L = 1.0 + 0.5 * sigma * sigma
-    problem = SdeProblem(
-        label="ginzburg-landau",
-        drift=lambda x: x - x * x * x,
-        drift_jacobian=lambda x: (1.0 - 3.0 * x * x)[..., None],
-        diffusion=lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
-        x0=x0,
-        L=L,
-        zoo_spec=("ginzburg-landau", {"sigma": sigma, "x0": float(np.atleast_1d(x0)[0]), "L": L}),
-    )
-    check_coercivity(problem)
-    return problem
+    return (lambda x: x - x * x * x,
+            lambda x: (1.0 - 3.0 * x * x)[..., None],
+            lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
+            L)
 
 
 def make_bounded_rotation(
     omega: float = 1.0, kappa: float = 0.0, sigma: float = 0.5, x0=(1.0, 0.0), L: float | None = None
-) -> SdeProblem:
+) -> tuple:
     """Planar rotation with damping and constant diffusion.
 
     f(x) = omega*(-x2, x1) - kappa*x contributes nothing (rotation) or
@@ -361,27 +411,14 @@ def make_bounded_rotation(
             axis=-1,
         )
 
-    def diffusion(x):
-        return np.broadcast_to(sigma * np.eye(2), np.shape(x)[:-1] + (2, 2))
-
     jac = np.array([[-kappa, -omega], [omega, -kappa]])
-    problem = SdeProblem(
-        label="bounded-rotation",
-        drift=drift,
-        drift_jacobian=lambda x: np.broadcast_to(jac, np.shape(x)[:-1] + (2, 2)),
-        diffusion=diffusion,
-        x0=x0,
-        L=L,
-        zoo_spec=(
-            "bounded-rotation",
-            {"omega": omega, "kappa": kappa, "sigma": sigma,
-             "x0": tuple(float(v) for v in np.asarray(x0, dtype=np.float64)), "L": L},
-        ),
-    )
-    check_coercivity(problem)
-    return problem
+    return (drift,
+            lambda x: np.broadcast_to(jac, np.shape(x)[:-1] + (2, 2)),
+            lambda x: np.broadcast_to(sigma * np.eye(2), np.shape(x)[:-1] + (2, 2)),
+            L)
 
 
+# Each factory checks its parameters and returns f, f', g and L; make_problem applies x0.
 _ZOO = {
     "linear": make_linear,
     "ginzburg-landau": make_ginzburg_landau,
@@ -402,11 +439,21 @@ def zoo_parameters() -> dict:
 
 
 def make_problem(label: str, **params) -> SdeProblem:
-    """Build a registered problem by label; see :func:`zoo_labels`."""
+    """Build a registered problem by label, see :func:`zoo_labels`, and
+    spot-check its coercivity. Its ``zoo_spec`` holds every parameter,
+    L resolved and x0 a float, or a tuple where the default is one."""
     try:
         factory = _ZOO[label]
     except KeyError:
         raise ContractViolationError(
             f"unknown problem {label!r}; registered: {', '.join(zoo_labels())}"
         ) from None
-    return factory(**params)
+    defaults = zoo_parameters()[label]
+    params = {**defaults, **params}
+    drift, drift_jacobian, diffusion, L = factory(**params)
+    x0 = np.atleast_1d(np.asarray(params["x0"], dtype=np.float64))
+    spec = {**params, "x0": tuple(x0.tolist()) if isinstance(defaults["x0"], tuple)
+            else float(x0[0]), "L": L}
+    problem = SdeProblem(label, drift, drift_jacobian, diffusion, x0, L, zoo_spec=(label, spec))
+    check_coercivity(problem)
+    return problem

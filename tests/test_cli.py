@@ -201,6 +201,30 @@ class TestBemCommand:
         for j, row in enumerate(rows):
             assert float(row["y0"]) == pytest.approx(1.1 ** (-j), abs=1e-12)
 
+    def test_simulate_streams_its_rows(self, capsys, tmp_path):
+        # from 2^10 to 2^15 rotation steps the peak grows by what the trajectory holds
+        # (states, increments, noise terms and iterations: 3 times the states) and the
+        # temporaries of its noise terms, 6 times the growth of the states; a list of every
+        # CSV row, built before the first was written, grew it by 21 times
+        def peak(steps):
+            out_path = tmp_path / f"{steps}.csv"
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, "bem", "simulate", "--problem", "bounded-rotation",
+                                 "--h", str(1 / steps), "--T", "1", "--seed", "1",
+                                 "--output", str(out_path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+            with out_path.open() as fh:
+                assert sum(1 for _ in fh) == steps + 2
+            return peak
+
+        growth = peak(2**15) - peak(2**10)
+        states_bytes = (2**15 - 2**10) * 2 * 8
+        assert growth < 8 * states_bytes, f"peak grew {growth / states_bytes:.1f} times the states"
+
     def test_simulate_respects_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"problem": "linear", "lam": 1.0, "sigma": 0.0,

@@ -69,3 +69,18 @@ def test_every_name_is_used_by_the_package_or_the_tracer():
         and not any(name in refs for m, i, refs in statements if (m, i) != (module, index))
     )
     assert unused == [], f"names nothing in the package uses: {unused}"
+
+
+def test_the_implicit_step_kernels_have_one_owner():
+    # sde owns each kind of implicit step, one stepper class per kind, so a new kind
+    # is a class there: no other module steps paths itself or tells the kinds apart
+    kernels = {"bem_scalar_batch", "bem_rotation_rows"}
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    users = {module for module, tree in modules.items() if kernels & _referenced_names(tree)}
+    assert users == {"sde"}, f"modules that call the step kernels: {sorted(users)}"
+    steppers = [node.name for node in ast.walk(modules["mc"]) if isinstance(node, ast.ClassDef)
+                and any(isinstance(f, ast.FunctionDef) and f.name == "step" for f in node.body)]
+    kinds = [node.value for node in ast.walk(modules["mc"]) if isinstance(node, ast.Constant)
+             and node.value in ("scalar", "rotation")]
+    assert steppers == [] and kinds == [], f"mc steps paths: {steppers}, {kinds}"

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     freeze_paths,
@@ -34,7 +36,13 @@ from stochastic_gronwall.mc import (
     verify_apriori,
     verify_theorem_on_synthetic,
 )
-from stochastic_gronwall.sde import BemConfig, make_problem, simulate_trajectory, zoo_labels
+from stochastic_gronwall.sde import (
+    BemConfig,
+    make_problem,
+    simulate_trajectory,
+    zoo_labels,
+    zoo_parameters,
+)
 from stochastic_gronwall.streams import CHUNK_SIZE, StreamPlan
 
 
@@ -617,6 +625,52 @@ class TestVerifyApriori:
             BemSupFunctionalSampler(prob, [BemConfig(h=0.1, h0=0.4, T=1.0)], 0.5)
 
 
+_FINITE = st.floats(min_value=-20.0, max_value=20.0)
+
+
+def _zoo_params(label):
+    """Finite parameters for a zoo problem: each one drawn or left at its
+    default, x0 a number or a list (a tuple or a list where the default is
+    a tuple), L left to the factory or given, negative values included."""
+    fields = {}
+    for name, default in zoo_parameters()[label].items():
+        if isinstance(default, tuple):
+            value = st.lists(_FINITE, min_size=len(default), max_size=len(default))
+            value = value | value.map(tuple)
+        elif name == "x0":
+            value = _FINITE | st.lists(_FINITE, min_size=1, max_size=1)
+        else:
+            value = _FINITE
+        fields[name] = value
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+@pytest.mark.parametrize("label", zoo_labels())
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_zoo_problem_round_trips_and_matches_its_trajectory(label, data):
+    """make_problem rejects a parameter set or builds a problem whose spec
+    survives pickling, holds x0 as a tuple exactly for a planar problem,
+    and whose one-path chunk is its trajectory."""
+    import pickle
+
+    params = data.draw(_zoo_params(label))
+    try:
+        prob = make_problem(label, **params)
+    except ContractViolationError:
+        return
+    spec = prob.zoo_spec[1]
+    assert pickle.loads(pickle.dumps(prob)).zoo_spec == prob.zoo_spec
+    assert set(spec) == set(zoo_parameters()[label]) and spec["L"] == prob.L
+    assert isinstance(spec["x0"], tuple) == (prob.d == 2)
+    h0 = 0.999 * 0.5 / max(prob.L, 1.0)
+    cfg = BemConfig(h=h0 / 2, h0=h0, T=2 * h0)
+    plan = StreamPlan(5)
+    ((chunk,),) = BemSupFunctionalSampler(prob, [cfg], 0.5).sample_chunk(plan, 0, 1)
+    traj = simulate_trajectory(prob, cfg, [0.5], plan.chunk_stream(0))
+    assert chunk == traj.sup_functional_p[0.5]
+
+
 # Zoo problems for the trajectory-sampler match; a zoo label not named here
 # runs at its defaults, so every registered problem is covered.
 MATCH_CASES = [
@@ -827,7 +881,7 @@ class TestScalarPathFailingInALaterBlock:
     blocks' iterations and failures sum to those of one whole run."""
 
     def test_dropped_after_its_block(self, monkeypatch):
-        from stochastic_gronwall.sde import SdeProblem
+        from stochastic_gronwall.sde import ScalarPaths, SdeProblem
 
         def drift(x):
             """f(x) = -x, NaN beyond |x| = 5: a path fails where an increment pushes it there."""
@@ -847,10 +901,11 @@ class TestScalarPathFailingInALaterBlock:
             calls.append((args[4].copy(), iters.sum(), failed.sum()))
             return states, iters, failed
 
-        monkeypatch.setattr(mc.kernels, "bem_scalar_batch", recorded)
-        paths = mc._ScalarPaths(problem, h, count)
+        monkeypatch.setattr(kernels, "bem_scalar_batch", recorded)
+        paths = ScalarPaths(problem, h, count)
         for lo in (0, 4, 8):
-            paths.step(d_w[lo:lo + 4])
+            for _ in paths.step(d_w[lo:lo + 4]):
+                pass
         sup = paths.sup(0.5)
         monkeypatch.undo()
 
@@ -896,7 +951,7 @@ def test_later_chunks_reuse_the_block_buffer():
     cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 0.0625, 0.03125, 0.015625)]
     sampler, plan = BemSupFunctionalSampler(prob, cfgs, 0.5), StreamPlan(1)
     sampler.sample_chunk(plan, 0, CHUNK_SIZE)
-    (buffer,) = sampler._scratch
+    buffer = sampler._scratch
     # a block's 16 rows of draws and the 4 + 2 + 1 steps of the summed levels
     assert buffer.nbytes == (16 + 2 * 7) * CHUNK_SIZE * 8
     tracemalloc.start()
@@ -907,10 +962,10 @@ def test_later_chunks_reuse_the_block_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sampler._scratch[0] is buffer and peak < buffer.nbytes
+    assert sampler._scratch is buffer and peak < buffer.nbytes
     # a pool worker receives the configuration and builds its own buffer
     (copy,) = pickle.loads(pickle.dumps([sampler]))
-    assert copy.configs == sampler.configs and copy._scratch[0].size == 0
+    assert copy.configs == sampler.configs and copy._scratch.size == 0
     assert np.array_equal(copy.sample_chunk(plan, 3, 7), sampler.sample_chunk(plan, 3, 7))
 
 
