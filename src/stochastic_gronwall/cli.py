@@ -26,9 +26,10 @@ from typing import NamedTuple
 
 from . import __version__
 from .bounds import (
-    AprioriInputs,
     HolderParams,
     apriori_bound_parts,
+    gronwall_closed_form,
+    gronwall_recursive_envelope,
     holder_prefactor,
     theorem_bound_deterministic_G,
     theorem_bound_random_G,
@@ -54,11 +55,6 @@ from .mc import (
     verify_theorem_on_synthetic,
 )
 from .sde import BemConfig, make_problem, simulate_trajectory, zoo_parameters
-from .sequences import (
-    gronwall_closed_form,
-    gronwall_recursive_envelope,
-    real_sequence,
-)
 from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, MAX_WORKERS, StreamPlan
 
 EXIT_OK = 0
@@ -331,10 +327,7 @@ def _cmd_bound(args) -> int:
         hp = HolderParams(p=args.p, nu=args.nu)
         parts = theorem_bound_random_G(hp, args.g_norm, args.n, args.e_sup_f)
     else:
-        parts = apriori_bound_parts(AprioriInputs(
-            p=args.p, L=args.L, T=args.T, h0=args.h0,
-            x0_norm_sq=args.x0sq, g_x0_norm_sq=args.gx0sq,
-        ))
+        parts = apriori_bound_parts(args.p, args.L, args.T, args.h0, args.x0sq, args.gx0sq)
     _print_pairs(parts)
     return EXIT_OK
 
@@ -350,11 +343,9 @@ def _cmd_gronwall(args) -> int:
         f_vals, g_vals = args.f, args.g
     else:
         raise ConfigError("provide either --csv or both --f and --g")
-    f = real_sequence(f_vals)
-    g = real_sequence(g_vals)
-    envelope = gronwall_recursive_envelope(f, g, args.n)
-    closed = gronwall_closed_form(f, g, args.n)
-    rows = zip(range(len(envelope)), f, g, closed, envelope)
+    envelope = gronwall_recursive_envelope(f_vals, g_vals, args.n)
+    closed = gronwall_closed_form(f_vals, g_vals, args.n)
+    rows = zip(range(len(envelope)), f_vals, g_vals, closed, envelope)
     _write_csv(args.output, ["index", "f", "g", "closed_form", "envelope"], rows)
     return EXIT_OK
 
@@ -533,11 +524,12 @@ _REPORT = Flag("--output", OUTPUT, "JSON report path")
 _TABLE = Flag("--csv", OUTPUT, "CSV table path")
 
 
-# Every negative number float() reads, for argparse to take as a value
-# rather than an option: its own test knows only -1 and -1.5 (no exponent,
-# -inf or -nan). No leaf option looks like one of these.
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$",
-                              re.IGNORECASE)
+# Every negative number float() reads, alone or first in a comma-separated
+# list, for argparse to take as a value rather than an option: its own test
+# knows only -1 and -1.5 (no exponent, -inf, -nan or list). No leaf option
+# looks like one of these.
+_UNSIGNED = r"(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan"
+_NEGATIVE_NUMBER = re.compile(rf"-({_UNSIGNED})(,([-+]?({_UNSIGNED}))?)*$", re.IGNORECASE)
 
 
 def _leaf(sub, name, help, func, flags, config=False) -> None:

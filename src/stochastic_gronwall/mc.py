@@ -33,10 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels, sde
-from .bounds import AprioriInputs, apriori_bound_parts, theorem_bound_deterministic_G
+from .bounds import apriori_bound_parts, log_product_one_plus, theorem_bound_deterministic_G
 from .errors import ContractViolationError, EstimateAbortedError
 from .martingales import sample_sup_stopped_bm_exact_batch
-from .sequences import log_product_one_plus
 from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, StreamPlan
 
 DEFAULT_Z = 1.96
@@ -604,12 +603,8 @@ def verify_apriori(
             f"step sizes must span at least a factor of 8, got {max(hs) / min(hs):.3g}"
         )
 
-    inputs_obj = AprioriInputs(
-        p=p, L=problem.L, T=T, h0=h0,
-        x0_norm_sq=problem.x0_norm_sq(),
-        g_x0_norm_sq=problem.g_x0_norm_sq(),
-    )
-    parts = apriori_bound_parts(inputs_obj)
+    x0_norm_sq, g_x0_norm_sq = problem.x0_norm_sq(), problem.g_x0_norm_sq()
+    parts = apriori_bound_parts(p, problem.L, T, h0, x0_norm_sq, g_x0_norm_sq)
     bound = parts["bound"]
 
     sampler = BemSupFunctionalSampler(problem, configs, p)
@@ -630,8 +625,8 @@ def verify_apriori(
         "h0": h0,
         "h_grid": hs,
         "L": problem.L,
-        "x0_norm_sq": inputs_obj.x0_norm_sq,
-        "g_x0_norm_sq": inputs_obj.g_x0_norm_sq,
+        "x0_norm_sq": x0_norm_sq,
+        "g_x0_norm_sq": g_x0_norm_sq,
         "n_paths": n_paths,
         "master_seed": plan.master_seed,
         "chunk_size": CHUNK_SIZE,

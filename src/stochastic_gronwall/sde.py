@@ -229,12 +229,14 @@ class ScalarPaths:
             problem.drift, problem.drift_jacobian, problem.diffusion, self.y, d_w.T, self.h)
         yield from states.T[1:, None]
         self.y = states[:, -1].copy()
-        # |y|^2 + h|g(y)|^2, computed in place to keep one extra states-sized array
-        vals = problem.diffusion(states)[..., 0]
-        vals *= vals
-        vals *= self.h
-        states *= states
-        vals += states
+        # |y|^2 + h|g(y)|^2, computed in place to keep one extra states-sized array;
+        # a value beyond float64 is inf, which sup() rejects
+        with np.errstate(over="ignore"):
+            vals = problem.diffusion(states)[..., 0]
+            vals *= vals
+            vals *= self.h
+            states *= states
+            vals += states
         # a column at a time: for a block's few steps, cheaper than a reduction along rows;
         # fmax, like nanmax, skips the NaN states of a path that fails in this block
         best = self.best[live]
@@ -249,7 +251,7 @@ class ScalarPaths:
     def sup(self, p):
         sup = self.best**p
         sup[self.failed] = np.nan
-        return sup
+        return _finite_sup(sup, self.h)
 
 
 class RotationPaths:
@@ -281,7 +283,16 @@ class RotationPaths:
             yield y
 
     def sup(self, p):
-        return (self.best + self.g_term)**p
+        with np.errstate(over="ignore"):
+            return _finite_sup((self.best + self.g_term)**p, self.h)
+
+
+def _finite_sup(sup, h):
+    """``sup``, NaN on failed paths, unless it overflowed float64 on a path."""
+    if np.isinf(sup).any():
+        raise ContractViolationError(f"the sup functional |y|^2 + h|g(y)|^2 overflows float64 "
+                                     f"on {np.isinf(sup).sum()} of {sup.size} paths at h={h}")
+    return sup
 
 
 def implicit_step(problem: SdeProblem) -> type:
@@ -318,7 +329,9 @@ def simulate_trajectory(
     the class :func:`implicit_step` returns, stepped as one block, so it
     is the batch sampler's (``mc.BemSupFunctionalSampler``) on a batch
     of one, and its sup functional is that class's. A path that fails
-    raises :class:`SolverError` naming the step of its first NaN state.
+    raises :class:`SolverError` naming the step of its first NaN state;
+    a noise term or sup functional beyond float64 raises
+    :class:`ContractViolationError`.
     """
     kind = implicit_step(problem)
     cfg.validate_for(problem)
@@ -345,10 +358,15 @@ def simulate_trajectory(
             f"{problem.label!r}: implicit step did not converge (Newton and bisection fallback)"
         )
 
-    g = problem.diffusion(states[:-1])
-    noise = (g @ d_w[:, :, None])[..., 0]
-    z_vals = np.sum(noise * noise, axis=1) - h * np.sum(g * g, axis=(1, 2)) \
-        + 2.0 * np.sum(noise * states[:-1], axis=1)
+    # the states are finite, so a non-finite Z^j (inf, or inf - inf) overflowed float64
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = problem.diffusion(states[:-1])
+        noise = (g @ d_w[:, :, None])[..., 0]
+        z_vals = np.sum(noise * noise, axis=1) - h * np.sum(g * g, axis=(1, 2)) \
+            + 2.0 * np.sum(noise * states[:-1], axis=1)
+    if not np.isfinite(z_vals).all():
+        step = np.isfinite(z_vals).argmin() + 1
+        raise ContractViolationError(f"the noise term Z^j overflows float64 at step {step} of {n}")
     sup_p = {float(p): float(paths.sup(float(p))[0]) for p in p_list}
     return BemTrajectory(states, d_w, z_vals, sup_p, paths.iters)
 

@@ -18,10 +18,10 @@ import math
 
 import numpy as np
 
-from stochastic_gronwall import kernels, sequences
+from stochastic_gronwall import bounds, kernels
+from stochastic_gronwall.bounds import OVERFLOW_GUARD, real_sequence
 from stochastic_gronwall.errors import ContractViolationError
 from stochastic_gronwall.sde import zoo_parameters
-from stochastic_gronwall.sequences import OVERFLOW_GUARD, real_sequence
 
 #: Absolute tolerance for the pathwise recursion inequality checked at
 #: bundle construction.
@@ -140,8 +140,8 @@ def telescoping_identity_lhs(g, k: int, n: int) -> float:
     g = real_sequence(g)
     if not 0 <= k <= n - 1:
         raise ContractViolationError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    sequences._require_length(g, n - 1, "g")
-    sequences._require_nonnegative(g, n - 1, "g")
+    bounds._require_length(g, n - 1, "g")
+    bounds._require_nonnegative(g, n - 1, "g")
 
     # terms whose running product is held as a log are exp(log g_i + log)
     total = 1.0
@@ -149,7 +149,7 @@ def telescoping_identity_lhs(g, k: int, n: int) -> float:
         if log is None:
             total += gi * value
         elif gi > 0.0:
-            total += sequences._safe_exp(math.log(gi) + log)
+            total += bounds._safe_exp(math.log(gi) + log)
     return total
 
 

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from conftest import make_random_bundle
 from oracles import GronwallPathBundle, product_form_residuals, transformed_martingale
 from stochastic_gronwall.bounds import (
-    AprioriInputs,
     HolderParams,
     apriori_bound,
     apriori_bound_parts,
     holder_prefactor,
+    power_product_one_plus,
     theorem_bound_deterministic_G,
     theorem_bound_random_G,
 )
 from stochastic_gronwall.errors import ContractViolationError
-from stochastic_gronwall.sequences import power_product_one_plus
 
 
 class TestHolderParams:
@@ -147,36 +146,36 @@ class TestRandomGBound:
 
 class TestAprioriBound:
     def test_zero_coercivity_constant(self):
-        inp = AprioriInputs(p=0.3, L=0.0, T=2.0, h0=0.5, x0_norm_sq=4.0, g_x0_norm_sq=0.0)
-        assert apriori_bound(inp) == pytest.approx(
+        inp = dict(p=0.3, L=0.0, T=2.0, h0=0.5, x0_norm_sq=4.0, g_x0_norm_sq=0.0)
+        assert apriori_bound(**inp) == pytest.approx(
             (1 + 1 / 0.7) * 4.0**0.3, rel=1e-14
         )
 
     def test_reference_point(self):
         # direct formula oracle: prefactor 3, exponent 0.5*2*2 = 2, base 5
-        inp = AprioriInputs(p=0.5, L=1.0, T=1.0, h0=0.25, x0_norm_sq=1.0, g_x0_norm_sq=0.0)
+        inp = dict(p=0.5, L=1.0, T=1.0, h0=0.25, x0_norm_sq=1.0, g_x0_norm_sq=0.0)
         expected = 3.0 * math.exp(2.0) * math.sqrt(5.0)
-        assert apriori_bound(inp) == pytest.approx(expected, rel=1e-14)
-        parts = apriori_bound_parts(inp)
+        assert apriori_bound(**inp) == pytest.approx(expected, rel=1e-14)
+        parts = apriori_bound_parts(**inp)
         assert parts["prefactor"] == 3.0
         assert parts["growth_factor"] == pytest.approx(math.exp(2.0), rel=1e-15)
         assert parts["power_term"] == pytest.approx(math.sqrt(5.0), rel=1e-15)
 
     def test_growth_factor_beyond_float_range_is_inf(self):
         # exp(0.5 * 2 * 1 * 1000 / (1 - 0.5)) = exp(2000) overflows
-        inp = AprioriInputs(p=0.5, L=1.0, T=1000.0, h0=0.25, x0_norm_sq=1.0, g_x0_norm_sq=0.0)
-        parts = apriori_bound_parts(inp)
+        parts = apriori_bound_parts(p=0.5, L=1.0, T=1000.0, h0=0.25, x0_norm_sq=1.0,
+                                    g_x0_norm_sq=0.0)
         assert parts["growth_factor"] == math.inf
         assert parts["bound"] == math.inf
         assert parts["power_term"] == pytest.approx(math.sqrt(4001.0), rel=1e-15)
 
     def test_small_p_limit(self):
-        inp = AprioriInputs(p=1e-12, L=1.0, T=1.0, h0=0.25, x0_norm_sq=1.0, g_x0_norm_sq=2.0)
-        assert apriori_bound(inp) == pytest.approx(2.0, rel=1e-9)
+        inp = dict(p=1e-12, L=1.0, T=1.0, h0=0.25, x0_norm_sq=1.0, g_x0_norm_sq=2.0)
+        assert apriori_bound(**inp) == pytest.approx(2.0, rel=1e-9)
 
     def test_degenerate_denominator_rejected(self):
         with pytest.raises(ContractViolationError, match="2\\*h0\\*L"):
-            AprioriInputs(p=0.5, L=2.0, T=1.0, h0=0.25, x0_norm_sq=1.0, g_x0_norm_sq=0.0)
+            apriori_bound(p=0.5, L=2.0, T=1.0, h0=0.25, x0_norm_sq=1.0, g_x0_norm_sq=0.0)
 
     def test_monotone_in_each_input(self, rng):
         for _ in range(50):
@@ -186,12 +185,12 @@ class TestAprioriBound:
             h0 = rng.uniform(0.01, 0.9) * (0.5 / L if L > 0 else 1.0)
             x0sq = rng.uniform(0, 4)
             gx0sq = rng.uniform(0, 4)
-            base = apriori_bound(AprioriInputs(p, L, T, h0, x0sq, gx0sq))
+            base = apriori_bound(p, L, T, h0, x0sq, gx0sq)
 
             def bump(**kw):
                 vals = dict(p=p, L=L, T=T, h0=h0, x0_norm_sq=x0sq, g_x0_norm_sq=gx0sq)
                 vals.update(kw)
-                return apriori_bound(AprioriInputs(**vals))
+                return apriori_bound(**vals)
 
             eps = 1e-3
             assert bump(T=T + eps) >= base - 1e-12

@@ -1,6 +1,8 @@
 import argparse
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,16 +10,21 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import REPORT_SCHEMA, check_report
 from stochastic_gronwall.cli import (
     EXIT_CONFIG,
     EXIT_CONTRACT,
     EXIT_OK,
+    EXIT_VERIFY,
     SEED_ENV_VAR,
+    _NEGATIVE_NUMBER,
     build_parser,
     main,
 )
@@ -80,6 +87,14 @@ class TestBoundCommand:
         assert code == EXIT_OK, err
         assert grab(out, "growth_factor") == math.inf
         assert grab(out, "bound") == math.inf
+
+    def test_zero_e_sup_f_bounds_an_overflowing_product_by_zero(self, capsys):
+        # the weight product is finite, only its float64 value overflows
+        code, out, err = run(capsys, "bound", "--form", "deterministic-G", "--p", "0.5",
+                             "--G", "1e308,1e308,1e308", "--e-sup-f", "0")
+        assert code == EXIT_OK, err
+        assert grab(out, "product_term") == math.inf
+        assert grab(out, "bound") == 0.0
 
     def test_invalid_params_exit_code(self, capsys):
         code, _, err = run(capsys, "bound", "--form", "holder", "--p", "1.5", "--nu", "1")
@@ -672,6 +687,16 @@ _INPUT_CASES = {
     "gronwall-csv-and-inline": (["gronwall", "--csv", "fg.csv", "--f", "9,9", "--g", "9,9"],
                                 None, None, EXIT_CONFIG,
                                 "provide either --csv or both --f and --g"),
+    # finite states whose sup functional |y|^2 + h|g(y)|^2 (or, for one trajectory,
+    # whose noise term) overflows float64: not a solver failure, whatever the threshold
+    **{f"apriori-sup-functional-overflows-threshold-{t}": (
+        ["verify", "apriori", "--problem", "linear", "--lambda", "1", "--sigma", "100",
+         "--x0", "1e150", "--p", "0.5", "--T", "0.05", "--h0", "9.9e-5", "--h-grid", "8e-5,1e-5",
+         "--paths", "256", "--seed", "1", "--fail-threshold", t], None, None, EXIT_CONTRACT,
+        "overflows float64") for t in ("0", "1")},
+    "simulate-overflows": (["bem", "simulate", "--problem", "linear", "--lambda", "1", "--sigma",
+                            "100", "--x0", "1e150", "--h", "5e-5", "--T", "0.05", "--seed", "32",
+                            "--p-list", "0.5"], None, None, EXIT_CONTRACT, "overflows float64"),
 }
 # Every float or list flag of each bound form, given as NaN or inf.
 _BOUND_FORMS = {
@@ -701,6 +726,37 @@ for _name, (_command, _flags) in _FLOAT_FLAG_COMMANDS.items():
             _argv = [*_command, *(f"{k}={v}" for k, v in {**_flags, _flag: _bad}.items())]
             _INPUT_CASES[f"{_name}{_flag}-{_bad}"] = (
                 _argv, None, None, EXIT_CONFIG, f"{_flag} must be finite")
+# Finite values that the closed-form layer rejects (exit 3), each a change to
+# one of the valid runs above: a flag the run lacks is added.
+_CLOSED_FORM_RUNS = {**{f"bound-{form}": (["bound", "--form", form], flags)
+                        for form, flags in _BOUND_FORMS.items()}, **_FLOAT_FLAG_COMMANDS}
+for _name, _changes, _fragment in [
+    ("bound-apriori", {"--p": "1.5"}, "p must lie in (0,1), got 1.5"),
+    ("bound-apriori", {"--L": "-1"}, "L must be >= 0, got -1.0"),
+    ("bound-apriori", {"--T": "0"}, "T must be > 0, got 0.0"),
+    ("bound-apriori", {"--h0": "0"}, "h0 must be > 0, got 0.0"),
+    ("bound-apriori", {"--x0sq": "-1"}, "squared norms must be nonnegative"),
+    ("bound-apriori", {"--h0": "0.5", "--L": "1"}, "need 2*h0*L < 1, got 1.0"),
+    ("bound-random-G", {"--g-norm": "-1"}, "the weight-product norm must be >= 0"),
+    ("bound-random-G", {"--e-sup-f": "-1"}, "e_sup_f must be >= 0, got -1.0"),
+    ("bound-random-G", {"--n": "-1"}, "horizon n must be >= 0, got -1"),
+    ("bound-deterministic-G", {"--e-sup-f": "-1"}, "e_sup_f must be >= 0, got -1.0"),
+    ("bound-deterministic-G", {"--G": "1,-1"}, "weight sequence G must be nonnegative"),
+    ("bound-deterministic-G", {"--G": "1,1", "--n": "3"},
+     "weight sequence G has length 2, need at least 3"),
+    ("bound-holder", {"--p": "0.5", "--nu": "2"}, "need p*nu < 1, got p*nu = 1.0"),
+    ("bound-holder", {"--p": "1.5"}, "p must lie in (0,1), got 1.5"),
+    ("remark-constants", {"--p": "1.5"}, "p must lie in (0,1), got 1.5"),
+    ("enumerate", {"--p": "1.5"}, "p must lie in (0,1), got 1.5"),
+    ("enumerate", {"--n": "-1"}, "n must be >= 0, got -1"),
+    ("gronwall", {"--f": "1,2,3"}, "sequence g has length 2, need at least 3 for horizon 2"),
+    ("gronwall", {"--g": "0,-1"}, "weight sequence g must be nonnegative, entry 1 is -1.0"),
+    ("gronwall", {"--n": "-1"}, "index n must be nonnegative, got -1"),
+]:
+    _command, _flags = _CLOSED_FORM_RUNS[_name]
+    _argv = [*_command, *(f"{k}={v}" for k, v in {**_flags, **_changes}.items())]
+    _INPUT_CASES[_name + "".join(f"{k}={v}" for k, v in _changes.items())] = (
+        _argv, None, None, EXIT_CONTRACT, _fragment)
 
 
 class TestNegativeNumbers:
@@ -717,6 +773,22 @@ class TestNegativeNumbers:
         assert code == expected, err
         if expected == EXIT_CONFIG:
             assert "--stop-level must be finite" in err
+
+    @pytest.mark.parametrize("argv, option, value, expected", [
+        (["gronwall", "--g", "0,1"], "--f", "-1,2", EXIT_OK),
+        (["bem", "simulate", "--problem", "bounded-rotation", "--h", "0.1", "--T", "0.2"],
+         "--x0", "-0.3,-2.0", EXIT_OK),
+        (["gronwall", "--g", "0,1"], "--f", "-inf,1", EXIT_CONFIG),
+    ])
+    def test_spaced_list_acts_like_equals_form(self, capsys, argv, option, value, expected):
+        spaced = run(capsys, *argv, option, value)
+        assert spaced == run(capsys, *argv, f"{option}={value}")
+        assert spaced[0] == expected, spaced[2]
+
+    def test_no_option_looks_like_a_number(self):
+        for _, leaf in _leaves(build_parser()):
+            for option in leaf._option_string_actions:
+                assert not _NEGATIVE_NUMBER.match(option), option
 
 
 class TestInputExitCodes:
@@ -798,6 +870,80 @@ class TestFlagDomains:
             assert "".join(flag.help.split()) in text
             for _, rule in flag.domain.rules:
                 assert "".join(f"must {rule}".split()) in text
+
+
+# Values at the edges of float64 and int64, for the generative test below.
+_EDGE_FLOATS = ["0", "5e-324", "-5e-324", "1", "-1", "1e154", "1e308", "-1e308",
+                str(2**63 - 1)]
+_EDGE_INTS = ["0", "1", "-1", str(2**63 - 1)]
+_CLOSED_FORM_LEAVES = [(path, leaf) for path, leaf in _LEAVES if path in (
+    ["bound"], ["gronwall"], ["martingale", "remark-constants"], ["martingale", "enumerate"])]
+
+
+def _edge_value(path, flag):
+    """Text of a value of the flag's domain; nothing for a file or text flag."""
+    kind = flag.domain.type
+    if kind is float:
+        return st.sampled_from(_EDGE_FLOATS)
+    if kind is int:  # enumerate's walk is at most 64 steps, to stay fast
+        return (st.integers(-1, 64).map(str) if path[-1] == "enumerate"
+                else st.sampled_from(_EDGE_INTS))
+    if kind is str:
+        return st.nothing()
+    return st.lists(st.sampled_from(_EDGE_FLOATS), max_size=4).map(",".join)
+
+
+@st.composite
+def _closed_form_command(draw):
+    """A closed-form leaf's path and (option, value) pairs: a form, where the
+    leaf has one, then each flag it takes drawn from its domain or omitted."""
+    path, leaf = draw(st.sampled_from(_CLOSED_FORM_LEAVES))
+    flags = leaf.get_default("flags")
+    pairs, keys = [], list(flags)
+    selector = next((flag for flag in flags.values() if flag.domain.choices), None)
+    if selector is not None:
+        choice = draw(st.sampled_from(sorted(selector.domain.choices)))
+        pairs, keys = [(selector.option, choice)], list(selector.domain.choices[choice])
+    for key in keys:
+        value = draw(st.none() | _edge_value(path, flags[key]))
+        if value is not None:
+            pairs.append((flags[key].option, value))
+    return path, pairs
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr) of main(argv) with warnings as errors; an
+    argparse exit is its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestClosedFormLeaves:
+    """Any command of the closed-form leaves, built from edge values of each
+    flag's domain, ends in a documented exit code, without a warning or a
+    traceback, and its value reads the same spaced or after an equals sign."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(command=_closed_form_command())
+    @example(command=(["bound"], [("--form", "deterministic-G"), ("--p", "0.5"),
+                                  ("--G", "1e308,1e308,1e308"), ("--e-sup-f", "0")]))
+    @example(command=(["gronwall"], [("--f", "-1,2"), ("--g", "0,1")]))
+    def test_exit_is_documented(self, command):
+        path, pairs = command
+        spaced = _run_quietly([*path, *(token for pair in pairs for token in pair)])
+        assert spaced == _run_quietly([*path, *(f"{option}={value}" for option, value in pairs)])
+        code, out, err = spaced
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_VERIFY), err
+        # enumerate prints a nan ratio for a degenerate walk, as documented
+        if code == EXIT_OK and path == ["bound"]:
+            assert "nan" not in out
 
 
 # The other flags of a valid run, for each leaf's file flag. gronwall's
@@ -925,7 +1071,7 @@ class TestMisc:
         rows = list(csv.DictReader(out_path.read_text().splitlines()))
         # 17 significant digits reparse to the exact same float64
         val = float(rows[1]["closed_form"])
-        from stochastic_gronwall.sequences import gronwall_closed_form
+        from stochastic_gronwall.bounds import gronwall_closed_form
 
         assert val == gronwall_closed_form([0.1, 0.2], [0.3, 0.7])[1]
 

@@ -84,3 +84,29 @@ def test_the_implicit_step_kernels_have_one_owner():
     kinds = [node.value for node in ast.walk(modules["mc"]) if isinstance(node, ast.Constant)
              and node.value in ("scalar", "rotation")]
     assert steppers == [] and kinds == [], f"mc steps paths: {steppers}, {kinds}"
+
+
+def _is_private(name):
+    return name.startswith("_") and not _is_dunder(name)
+
+
+def test_no_module_reads_another_modules_private_names():
+    # a private name is its module's own: no other package module imports it or
+    # reads it as an attribute
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    private = {module: {name for stmt in tree.body for name in _defined_names(stmt)
+                        if _is_private(name)} for module, tree in trees.items()}
+    borrowed = []
+    for module, tree in trees.items():
+        others = set().union(*(names for m, names in private.items() if m != module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("stochastic_gronwall")):
+                names = [alias.name for alias in node.names if _is_private(alias.name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names = [node.attr] if node.attr in others - private[module] else []
+            else:
+                names = []
+            borrowed += [f"{module}: {name}" for name in names]
+    assert borrowed == [], f"private names read outside their module: {borrowed}"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import telescoping_identity_lhs
 from stochastic_gronwall.errors import ContractViolationError
-from stochastic_gronwall.sequences import (
+from stochastic_gronwall.bounds import (
     _require_nonnegative,
     gronwall_closed_form,
     gronwall_recursive_envelope,
