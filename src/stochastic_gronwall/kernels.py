@@ -3,11 +3,13 @@ problems, and the closed form of the planar bounded rotation) and
 per-chunk moments.
 
 The implicit step is solved for a whole batch of paths at once with
-numpy array operations: each Newton iteration touches only the paths
-still above tolerance, and only the paths where Newton gives up take
-the safeguarded bisection fallback. Per-path arithmetic is the same as
-a scalar solve of that path alone, so results do not depend on which
-other paths share the batch.
+numpy array operations: each Newton iteration evaluates the whole
+batch, every path in its place, and a mask says which paths still
+iterate; only the paths where Newton gives up take the safeguarded
+bisection fallback. A path whose right-hand side is NaN or infinite
+fails at once, so a failed path's NaN state costs no iteration in later
+steps. Per-path arithmetic is the same as a scalar solve of that path
+alone, so results do not depend on which other paths share the batch.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ def implicit_solve(drift, slope, h, b):
 
     ``drift`` and ``slope`` (its derivative) map a 1-D array of states
     to an array of the same shape, elementwise. Newton runs from the
-    explicit predictor z = b on the entries whose residual is still
-    above ``TOL``, for at most ``MAX_ITER`` updates; an entry also
-    stops, at the updated iterate, once an update dz has
+    explicit predictor z = b, for at most ``MAX_ITER`` updates, on the
+    whole array at once: every entry keeps its place, and a mask says
+    which entries still iterate. An entry stops once its residual is at
+    most ``TOL``, or, at the updated iterate, once an update dz has
     ``|dz| <= STEP_RTOL*|z|``. An entry where
     Newton gives up (1 - h*slope(z) not finite or at most
     ``NEWTON_MIN_SLOPE``, a non-finite iterate, or no convergence within
@@ -43,62 +46,48 @@ def implicit_solve(drift, slope, h, b):
     is strictly increasing for one-sided Lipschitz drifts with h below
     the Lipschitz threshold, so that root is unique.
 
-    Failure rule: an entry fails if the bracket does not form within
-    ``BRACKET_MAX_GROWTH`` doublings, or if the bisection neither meets
-    ``TOL`` within ``BISECTION_MAX_ITER`` halvings nor, once the bracket
-    has collapsed to rounding level or the halvings are used up, ends
-    with a midpoint residual at or below 10*TOL*max(1, |b|).
+    Failure rule: an entry whose b is NaN or infinite fails at once,
+    with no iteration. Any other entry fails if the bracket does not
+    form within ``BRACKET_MAX_GROWTH`` doublings, or if the bisection
+    neither meets ``TOL`` within ``BISECTION_MAX_ITER`` halvings nor,
+    once the bracket has collapsed to rounding level or the halvings are
+    used up, ends with a midpoint residual at or below
+    10*TOL*max(1, |b|).
 
     Returns (z, iterations, converged); z is NaN where converged is
     False, and iterations counts Newton updates plus bisection halvings.
     """
     b = np.asarray(b, dtype=np.float64)
-    z = np.full(b.shape, np.nan)
     iters = np.zeros(b.shape, dtype=np.int64)
     converged = np.zeros(b.shape, dtype=np.bool_)
-
-    idx = np.arange(b.size)
-    z_a = b.copy()
-    b_a = b
-    fallback = []
+    finite = active = np.isfinite(b)
+    # a non-finite b starts at 0, so the whole-array evaluations stay finite
+    z = np.where(finite, b, 0.0)
     for _ in range(MAX_ITER):
-        r = z_a - h * drift(z_a) - b_a
-        done = np.abs(r) <= TOL
-        if done.any():
-            z[idx[done]] = z_a[done]
-            converged[idx[done]] = True
-            keep = ~done
-            idx, z_a, b_a, r = idx[keep], z_a[keep], b_a[keep], r[keep]
-            if not idx.size:
-                break
-        denom = 1.0 - h * slope(z_a)
-        gave_up = (denom <= NEWTON_MIN_SLOPE) | ~np.isfinite(denom)
-        if gave_up.any():
-            fallback.append(idx[gave_up])
-            keep = ~gave_up
-            idx, z_a, b_a, r, denom = idx[keep], z_a[keep], b_a[keep], r[keep], denom[keep]
-        step = r / denom
-        settled = np.abs(step) <= STEP_RTOL * np.abs(z_a)
-        z_a = z_a - step
-        iters[idx] += 1
-        diverged = ~np.isfinite(z_a)
-        leave = settled | diverged
-        if leave.any():
-            z[idx[settled]] = z_a[settled]
-            converged[idx[settled]] = True
-            fallback.append(idx[diverged])
-            keep = ~leave
-            idx, z_a, b_a = idx[keep], z_a[keep], b_a[keep]
-        if not idx.size:
+        r = z - h * drift(z) - b
+        converged = converged | (active & (np.abs(r) <= TOL))
+        active = active & ~converged
+        if not active.any():
             break
-    fallback.append(idx)
+        denom = 1.0 - h * slope(z)
+        # Newton gives up where denom is not finite or at most NEWTON_MIN_SLOPE
+        active = active & (denom > NEWTON_MIN_SLOPE) & (denom < np.inf)
+        # an inactive entry's step is 0: no division by its slope, and z - 0 is z
+        step = np.divide(r, denom, out=np.zeros(b.shape), where=active)
+        new = z - step
+        iters = iters + active
+        # a diverging update is not taken, so every iterate stays finite
+        active = active & np.isfinite(new)
+        converged = converged | (active & (np.abs(step) <= STEP_RTOL * np.abs(z)))
+        np.copyto(z, new, where=active)
+        active = active & ~converged
 
-    rest = np.concatenate(fallback)
-    if rest.size:
-        root, used, ok = _bisect(drift, h, b[rest])
-        z[rest] = np.where(ok, root, np.nan)
-        iters[rest] += used
-        converged[rest] = ok
+    # gave up, diverged or out of updates
+    fallback = np.flatnonzero(finite & ~converged)
+    if fallback.size:
+        z[fallback], used, converged[fallback] = _bisect(drift, h, b[fallback])
+        iters[fallback] += used
+    z[~converged] = np.nan
     return z, iters, converged
 
 
@@ -162,13 +151,14 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
     state of every path, or an array of one per path, such as the last
     states of an earlier run, which this run continues. d_w holds the
     Brownian increments, one row per path, already scaled to variance
-    h; a single trajectory is a batch of one. Each step solves all live
-    paths at once with :func:`implicit_solve`. Returns the full state
-    arrays (paths x steps+1), the solver iterations of each step summed
-    over the paths live at that step, and a per-path failure flag; the
-    states of a failed path are NaN from the failed step onward. Once
-    no path is live the stepping stops, and the later steps count no
-    iterations.
+    h; a single trajectory is a batch of one. Each step solves every
+    path at once with :func:`implicit_solve`. A path that fails is
+    carried on as NaN, not taken out of the batch: its next right-hand
+    side is NaN, which fails at once with no iteration, so its states
+    are NaN from the failed step onward. Returns the full state arrays
+    (paths x steps+1), the solver iterations of each step summed over
+    the paths, and a per-path failure flag. Once every path has failed
+    the stepping stops, and the later steps count no iterations.
     """
     n_paths, n_steps = d_w.shape
     states = np.empty((n_paths, n_steps + 1))
@@ -179,23 +169,16 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
     def slope(x):
         return drift_jacobian(x)[..., 0]
 
-    # the live paths: a slice until the first failure, which is cheaper
-    # than an index array for the gather and the two scatters of a step
-    live = slice(None)
-    y = states[:, 0].copy()
+    y = states[:, 0]
     for j in range(n_steps):
-        b = y + diffusion(y)[..., 0] * d_w[live, j]
+        b = y + diffusion(y)[..., 0] * d_w[:, j]
         y, used, ok = implicit_solve(drift, slope, h, b)
         iters[j] = used.sum()
-        states[live, j + 1] = y
-        if not ok.all():
-            if isinstance(live, slice):
-                live = np.arange(n_paths)
-            failed[live[~ok]] = True
-            states[live[~ok], j + 1:] = np.nan
-            live, y = live[ok], y[ok]
-            if not live.size:
-                break
+        states[:, j + 1] = y
+        failed |= ~ok
+        if failed.all():
+            states[:, j + 1:] = np.nan
+            break
     return states, iters, failed
 
 

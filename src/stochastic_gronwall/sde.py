@@ -211,7 +211,7 @@ class ScalarPaths:
 
     def __init__(self, problem, h, count):
         self.problem, self.h = problem, h
-        # the live paths: a slice until the first failure, as in the kernel
+        # the live paths: a slice until the first failure, then an index array
         self.live = slice(None)
         self.y = float(problem.x0[0])
         self.best = np.full(count, -np.inf)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,9 +29,11 @@ def reference_step(f, df, h, b, tol, max_iter):
     The oracle for the batch solver: Newton from the predictor, stopped
     at the residual tolerance or at an update of at most 2*eps times the
     iterate, then bisection on a doubled bracket, with the
-    stalled-bisection acceptance at 10*tol*max(1, |b|). Returns (root,
-    iterations, converged).
+    stalled-bisection acceptance at 10*tol*max(1, |b|). A non-finite b
+    fails at once. Returns (root, iterations, converged).
     """
+    if not np.isfinite(b):
+        return np.nan, 0, False
     z = b
     iters = 0
     for _ in range(max_iter):
@@ -162,6 +165,40 @@ class TestImplicitSolve:
         # 0.3 and 1e103 need bisection; the others converge by Newton alone
         assert iters[1] > 30 and iters[4] > 100
         assert iters[[0, 2, 3]].max() <= 10
+
+    def test_non_finite_right_hand_side_fails_at_once(self):
+        problem, f, df, _ = _ORACLES["ginzburg-landau"]
+        b = np.array([1.0, np.nan, np.inf, -np.inf, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, iters, ok = batch_step(problem, 0.1, b)
+            alone = [batch_step(problem, 0.1, b[[i]]) for i in (0, 4)]
+        assert np.isnan(z[1:4]).all()
+        assert ok.tolist() == [True, False, False, False, True]
+        assert iters[1:4].tolist() == [0, 0, 0]
+        for i, (one_z, one_iters, one_ok) in zip((0, 4), alone):
+            assert (z[i], iters[i], ok[i]) == (one_z[0], one_iters[0], one_ok[0])
+
+    def test_masked_iterations_raise_no_warning(self):
+        # no errstate here: an entry that has stopped iterating must not warn
+        problem, f, df, _ = _ORACLES["ginzburg-landau"]
+        drift, jacobian, _ = TestBemScalarBatch._nan_beyond_5()
+        cases = [
+            # 0.3 gives up where 1 - h*f'(z) reaches the minimum slope
+            ((problem.drift, lambda x: problem.drift_jacobian(x)[..., 0], f, df), 1.5,
+             [0.0, 0.3, 2.0, -5.0]),
+            # the iterate of 9.0 turns NaN beyond |x| = 5
+            ((drift, lambda x: jacobian(x)[..., 0], drift, lambda x: -1.0), 0.1, [1.0, 9.0, -0.5]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for (drift, slope, f, df), h, b in cases:
+                z, iters, ok = kernels.implicit_solve(drift, slope, h, np.array(b))
+                expected = [reference_step(f, df, h, bi, 1e-12, 50) for bi in b]
+                assert iters.tolist() == [e[1] for e in expected]
+                assert ok.tolist() == [e[2] for e in expected]
+                assert np.array_equal(z[ok], np.array([e[0] for e in expected])[ok])
+                assert np.isnan(z[~ok]).all()
 
     def test_empty_batch(self):
         z, iters, ok = batch_step(_ORACLES["linear"][0], 0.1, np.empty(0))
