@@ -7,9 +7,9 @@ numpy array operations: each Newton iteration evaluates the whole
 batch, every path in its place, and a mask says which paths still
 iterate; only the paths where Newton gives up take the safeguarded
 bisection fallback. A path whose right-hand side is NaN or infinite
-fails at once, so a failed path's NaN state costs no iteration in later
-steps. Per-path arithmetic is the same as a scalar solve of that path
-alone, so results do not depend on which other paths share the batch.
+fails at once, so a failed path's NaN state costs no iteration later.
+Per-path arithmetic is that of a scalar solve of the path alone. Both
+steppers step the sampler's step-major rows, (steps, ..., paths).
 """
 
 from __future__ import annotations
@@ -150,36 +150,33 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
     length 1 (the zoo problems' callables do this). ``x0`` is the start
     state of every path, or an array of one per path, such as the last
     states of an earlier run, which this run continues. d_w holds the
-    Brownian increments, one row per path, already scaled to variance
-    h; a single trajectory is a batch of one. Each step solves every
-    path at once with :func:`implicit_solve`. A path that fails is
-    carried on as NaN, not taken out of the batch: its next right-hand
-    side is NaN, which fails at once with no iteration, so its states
-    are NaN from the failed step onward. Returns the full state arrays
-    (paths x steps+1), the solver iterations of each step summed over
-    the paths, and a per-path failure flag. Once every path has failed
-    the stepping stops, and the later steps count no iterations.
+    increments, (steps, paths), scaled to variance h. Each step solves
+    every path at once with :func:`implicit_solve`, from the row d_w[j]
+    to the row states[j + 1]. A failed path is carried on as NaN: its
+    next right-hand side fails at once with no iteration, as does a
+    path whose ``x0`` is not finite. Returns the (steps+1, paths)
+    states, each step's iterations summed over the paths, and which
+    paths failed in this call (finite at the start, NaN at the end).
+    Once every path is NaN the stepping stops.
     """
-    n_paths, n_steps = d_w.shape
-    states = np.empty((n_paths, n_steps + 1))
-    states[:, 0] = x0
+    n_steps, n_paths = d_w.shape
+    states = np.empty((n_steps + 1, n_paths))
+    states[0] = x0
     iters = np.zeros(n_steps, dtype=np.int64)
-    failed = np.zeros(n_paths, dtype=np.bool_)
 
     def slope(x):
         return drift_jacobian(x)[..., 0]
 
-    y = states[:, 0]
+    y = states[0]
     for j in range(n_steps):
-        b = y + diffusion(y)[..., 0] * d_w[:, j]
+        b = y + diffusion(y)[..., 0] * d_w[j]
         y, used, ok = implicit_solve(drift, slope, h, b)
         iters[j] = used.sum()
-        states[:, j + 1] = y
-        failed |= ~ok
-        if failed.all():
-            states[:, j + 1:] = np.nan
+        states[j + 1] = y
+        if not ok.any():
+            states[j + 1:] = np.nan
             break
-    return states, iters, failed
+    return states, iters, np.isfinite(states[0]) & np.isnan(states[-1])
 
 
 def bem_rotation_rows(jac, g, y, d_w, h):

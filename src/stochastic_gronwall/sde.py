@@ -205,30 +205,26 @@ class BemTrajectory:
 class ScalarPaths:
     """Paths of a scalar problem at one step size, stepped block by block
     with :func:`kernels.bem_scalar_batch`. Carries the last state of each
-    live path, the running maximum of |y|^2 + h|g(y)|^2, which paths
-    failed and the last block's iterations per step. A path that fails
-    is NaN from that step on, and no later block steps it."""
+    path, the running maximum of |y|^2 + h|g(y)|^2, which paths failed
+    and the last block's iterations per step. A path that fails is NaN
+    from that step on; later blocks carry it at no iteration cost."""
 
     def __init__(self, problem, h, count):
         self.problem, self.h = problem, h
-        # the live paths: a slice until the first failure, then an index array
-        self.live = slice(None)
         self.y = float(problem.x0[0])
         self.best = np.full(count, -np.inf)
         self.failed = np.zeros(count, dtype=np.bool_)
 
     def step(self, d_w):
-        """Step the live paths over one block's (steps, 1, paths)
-        increments, yielding each step's (1, live paths) states: views
-        that are overwritten once the block's last one is taken."""
-        problem, live = self.problem, self.live
-        d_w = d_w[:, 0, live]
-        if not d_w.shape[1]:
-            return
+        """Step every path over one block's (steps, 1, paths) increments,
+        yielding each step's (1, paths) states: views that are
+        overwritten once the block's last one is taken."""
+        problem = self.problem
         states, self.iters, failed = kernels.bem_scalar_batch(
-            problem.drift, problem.drift_jacobian, problem.diffusion, self.y, d_w.T, self.h)
-        yield from states.T[1:, None]
-        self.y = states[:, -1].copy()
+            problem.drift, problem.drift_jacobian, problem.diffusion, self.y, d_w[:, 0], self.h)
+        yield from states[1:, None]
+        self.y = states[-1].copy()
+        self.failed |= failed
         # |y|^2 + h|g(y)|^2, computed in place to keep one extra states-sized array;
         # a value beyond float64 is inf, which sup() rejects
         with np.errstate(over="ignore"):
@@ -237,16 +233,9 @@ class ScalarPaths:
             vals *= self.h
             states *= states
             vals += states
-        # a column at a time: for a block's few steps, cheaper than a reduction along rows;
-        # fmax, like nanmax, skips the NaN states of a path that fails in this block
-        best = self.best[live]
-        for column in vals.T:
-            np.fmax(best, column, out=best)
-        self.best[live] = best
-        if failed.any():
-            live = np.arange(self.best.size)[live]
-            self.failed[live[failed]] = True
-            self.live, self.y = live[~failed], self.y[~failed]
+        # one step row at a time; fmax, like nanmax, skips the NaN states of a failed path
+        for row in vals:
+            np.fmax(self.best, row, out=self.best)
 
     def sup(self, p):
         sup = self.best**p

@@ -217,9 +217,9 @@ def per_row_sup(problem, d_w, h, p):
         return _rotation_sup_reference(problem, d_w, h, p)
     states, _, failed = kernels.bem_scalar_batch(
         problem.drift, problem.drift_jacobian, problem.diffusion, float(problem.x0[0]),
-        d_w[:, :, 0], h)
+        d_w[:, :, 0].T, h)
     g_y = problem.diffusion(states)[..., 0]
-    sup = np.nanmax(g_y * g_y * h + states * states, axis=1) ** p
+    sup = np.nanmax(g_y * g_y * h + states * states, axis=0) ** p
     sup[failed] = np.nan
     return sup
 
@@ -301,9 +301,9 @@ def whole_union_sample_chunk(sampler, plan, chunk_index, count):
 def _whole_union_scalar_sup(problem, d_w, h, p):
     states, _, failed = kernels.bem_scalar_batch(
         problem.drift, problem.drift_jacobian, problem.diffusion, float(problem.x0[0]),
-        d_w[:, 0].T, h)
+        d_w[:, 0], h)
     g_y = problem.diffusion(states)[..., 0]
-    sup = np.nanmax(g_y * g_y * h + states * states, axis=1) ** p
+    sup = np.nanmax(g_y * g_y * h + states * states, axis=0) ** p
     sup[failed] = np.nan
     return sup
 

@@ -209,24 +209,24 @@ class TestBemScalarBatch:
     def test_residuals_below_tolerance(self):
         plan = StreamPlan(21)
         h = 0.125
-        d_w = plan.chunk_stream(0).standard_normal((256, 16)) * math.sqrt(h)
+        d_w = (plan.chunk_stream(0).standard_normal((256, 16)) * math.sqrt(h)).T
         states, iters, failed = batch(_ORACLES["ginzburg-landau"][0], 1.0, h, d_w)
         assert not failed.any()
-        y_prev = states[:, :-1]
-        y_next = states[:, 1:]
+        y_prev = states[:-1]
+        y_next = states[1:]
         residual = y_next - h * (y_next - y_next**3) - (y_prev + 0.5 * y_prev * d_w)
         assert np.abs(residual).max() <= 1e-12
 
     def test_linear_closed_form(self):
         plan = StreamPlan(22)
         h = 0.1
-        d_w = plan.chunk_stream(0).standard_normal((64, 10)) * math.sqrt(h)
+        d_w = (plan.chunk_stream(0).standard_normal((64, 10)) * math.sqrt(h)).T
         states, _, failed = batch(_ORACLES["linear"][0], 2.0, h, d_w)
         assert not failed.any()
         y = np.full(64, 2.0)
         for j in range(10):
-            y = y * (1.0 + 0.5 * d_w[:, j]) / 1.1
-            assert np.allclose(states[:, j + 1], y, atol=1e-10)
+            y = y * (1.0 + 0.5 * d_w[j]) / 1.1
+            assert np.allclose(states[j + 1], y, atol=1e-10)
 
     @pytest.mark.parametrize("label, params, x0, h", [
         ("ginzburg-landau", {"sigma": 0.5}, 1.0, 0.125),
@@ -240,7 +240,8 @@ class TestBemScalarBatch:
         problem, f, df, sigma = scalar_oracle(label, **params)
         d_w = StreamPlan(23).chunk_stream(0).standard_normal((96, 6)) * math.sqrt(h)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = batch(problem, x0, h, d_w)
+            states, iters, failed = batch(problem, x0, h, d_w.T)
+            got = states.T, iters, failed
             expected = reference_batch(f, df, sigma, x0, h, d_w, 1e-12, 50)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b, equal_nan=True)
@@ -270,19 +271,39 @@ class TestBemScalarBatch:
         fails_at = {1: 2, 4: 0, 6: 5}
         for path, step in fails_at.items():
             d_w[path, step] = 10.0
-        states, iters, failed = kernels.bem_scalar_batch(drift, jacobian, diffusion, 1.0, d_w, 0.1)
+        states, iters, failed = kernels.bem_scalar_batch(drift, jacobian, diffusion, 1.0, d_w.T,
+                                                         0.1)
         assert np.flatnonzero(failed).tolist() == sorted(fails_at)
         for path, step in fails_at.items():
-            assert np.isfinite(states[path, :step + 1]).all()
-            assert np.isnan(states[path, step + 1:]).all()
+            assert np.isfinite(states[:step + 1, path]).all()
+            assert np.isnan(states[step + 1:, path]).all()
         # each path, failing or not, is its own batch of one, and the batch's
         # per-step iterations are the sums of theirs
-        alone = [kernels.bem_scalar_batch(drift, jacobian, diffusion, 1.0, row[None, :], 0.1)
+        alone = [kernels.bem_scalar_batch(drift, jacobian, diffusion, 1.0, row[:, None], 0.1)
                  for row in d_w]
         for path, (one, _, one_failed) in enumerate(alone):
-            assert np.array_equal(states[path], one[0], equal_nan=True)
+            assert np.array_equal(states[:, path], one[:, 0], equal_nan=True)
             assert one_failed[0] == failed[path]
         assert np.array_equal(iters, np.sum([one_iters for _, one_iters, _ in alone], axis=0))
+
+    def test_nan_start_carried_at_no_cost(self):
+        # a path that arrives as NaN, as a failed path does in a later block, stays NaN
+        # at 0 iterations and is not reported as failed in this call; the other paths
+        # step as each would alone
+        problem = make_problem("ginzburg-landau", sigma=0.5)
+        d_w = (StreamPlan(26).chunk_stream(0).standard_normal((5, 9)) * math.sqrt(0.125)).T
+        x0 = np.array([1.0, np.nan, -0.5, np.nan, 2.0])
+        states, iters, failed = batch(problem, x0, 0.125, d_w)
+        assert np.isnan(states[:, [1, 3]]).all()
+        assert not failed.any()
+        finite = [0, 2, 4]
+        alone = [batch(problem, x0[i], 0.125, d_w[:, i:i + 1]) for i in finite]
+        for i, (one, _, one_failed) in zip(finite, alone):
+            assert np.array_equal(states[:, i], one[:, 0])
+            assert not one_failed[0]
+        assert np.array_equal(iters, np.sum([one_iters for _, one_iters, _ in alone], axis=0))
+        _, nan_iters, nan_failed = batch(problem, x0[[1, 3]], 0.125, d_w[:, [1, 3]])
+        assert not nan_iters.any() and not nan_failed.any()
 
     def test_stops_once_every_path_failed(self):
         # every path fails at step 1 of 10,000: the drift is called for that step only
@@ -291,18 +312,18 @@ class TestBemScalarBatch:
 
         def run(n_steps):
             calls.clear()
-            d_w = np.zeros((4, n_steps))
-            d_w[:, 0] = 10.0
+            d_w = np.zeros((n_steps, 4))
+            d_w[0] = 10.0
             return kernels.bem_scalar_batch(drift, jacobian, diffusion, 1.0, d_w, 0.1), len(calls)
 
         (states, iters, failed), n_calls = run(10_000)
-        assert failed.all() and np.isnan(states[:, 1:]).all()
+        assert failed.all() and np.isnan(states[1:]).all()
         assert iters[0] > 0 and not iters[1:].any()
         assert n_calls == run(1)[1]
 
     def test_output_shapes(self):
-        states, iters, failed = batch(make_problem("linear", sigma=0.0), 1.0, 0.1, np.zeros((3, 5)))
-        assert states.shape == (3, 6)
+        states, iters, failed = batch(make_problem("linear", sigma=0.0), 1.0, 0.1, np.zeros((5, 3)))
+        assert states.shape == (6, 3)
         assert iters.shape == (5,)
         assert failed.dtype == np.bool_
 
@@ -311,11 +332,11 @@ class TestBemScalarBatch:
         # a run from the last states of an earlier one, one per path, takes the
         # steps of one whole run
         problem = make_problem("ginzburg-landau", sigma=0.5)
-        d_w = StreamPlan(25).chunk_stream(0).standard_normal((7, 12)) * math.sqrt(0.125)
+        d_w = (StreamPlan(25).chunk_stream(0).standard_normal((7, 12)) * math.sqrt(0.125)).T
         states, iters, _ = batch(problem, 1.0, 0.125, d_w)
-        head, head_iters, _ = batch(problem, 1.0, 0.125, d_w[:, :split])
-        tail, tail_iters, _ = batch(problem, head[:, -1], 0.125, d_w[:, split:])
-        assert np.array_equal(np.hstack([head, tail[:, 1:]]), states)
+        head, head_iters, _ = batch(problem, 1.0, 0.125, d_w[:split])
+        tail, tail_iters, _ = batch(problem, head[-1], 0.125, d_w[split:])
+        assert np.array_equal(np.vstack([head, tail[1:]]), states)
         assert np.array_equal(np.concatenate([head_iters, tail_iters]), iters)
 
 

@@ -877,10 +877,11 @@ class TestStreamedMatchesWholeUnion:
 
 
 class TestScalarPathFailingInALaterBlock:
-    """A scalar path that fails is NaN, is never stepped again, and the
-    blocks' iterations and failures sum to those of one whole run."""
+    """A scalar path that fails is NaN, which later blocks carry at no
+    iteration cost, and the blocks' iterations and failures sum to those
+    of one whole run."""
 
-    def test_dropped_after_its_block(self, monkeypatch):
+    def test_carried_as_nan_after_its_block(self, monkeypatch):
         from stochastic_gronwall.sde import ScalarPaths, SdeProblem
 
         def drift(x):
@@ -898,7 +899,8 @@ class TestScalarPathFailingInALaterBlock:
 
         def recorded(*args):
             states, iters, failed = batch(*args)
-            calls.append((args[4].copy(), iters.sum(), failed.sum()))
+            calls.append((np.broadcast_to(args[3], count).copy(), args[4].copy(), states.copy(),
+                          iters, failed))
             return states, iters, failed
 
         monkeypatch.setattr(kernels, "bem_scalar_batch", recorded)
@@ -909,17 +911,27 @@ class TestScalarPathFailingInALaterBlock:
         sup = paths.sup(0.5)
         monkeypatch.undo()
 
-        live = [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 5], [0, 1, 3, 5]]
-        for (got, _, _), rows, lo in zip(calls, live, (0, 4, 8)):
-            assert np.array_equal(got, d_w[lo:lo + 4, 0, rows].T)
+        # every call steps all 6 paths; a path that failed in an earlier block arrives
+        # as NaN, stays NaN, costs no iteration and is not failed again
+        arrived_nan, failed_in = [[], [4], [2, 4]], [[4], [2], []]
+        for (x0, got, states, iters, failed), nan, fails, lo in zip(
+                calls, arrived_nan, failed_in, (0, 4, 8)):
+            assert np.array_equal(got, d_w[lo:lo + 4, 0])
+            assert np.flatnonzero(np.isnan(x0)).tolist() == nan
+            assert np.isnan(states[:, nan]).all()
+            assert np.flatnonzero(failed).tolist() == fails
+            rest = [i for i in range(count) if i not in nan]
+            _, rest_iters, _ = batch(problem.drift, problem.drift_jacobian, problem.diffusion,
+                                     x0[rest], got[:, rest], h)
+            assert np.array_equal(iters, rest_iters)
         states, iters, failed = batch(problem.drift, problem.drift_jacobian, problem.diffusion,
-                                      1.0, d_w[:, 0].T, h)
+                                      1.0, d_w[:, 0], h)
         assert np.flatnonzero(failed).tolist() == [2, 4]
         assert np.isnan(sup[[2, 4]]).all() and paths.failed.tolist() == failed.tolist()
-        expected = np.nanmax(h * states * states + states * states, axis=1) ** 0.5
+        expected = np.nanmax(h * states * states + states * states, axis=0) ** 0.5
         assert np.array_equal(sup[~failed], expected[~failed])
-        assert sum(used for _, used, _ in calls) == iters.sum()
-        assert sum(n_failed for _, _, n_failed in calls) == failed.sum() == 2
+        assert sum(call[3].sum() for call in calls) == iters.sum()
+        assert sum(call[4].sum() for call in calls) == failed.sum() == 2
 
 
 def test_rotation_chunk_holds_one_block_of_increments():
@@ -1052,8 +1064,9 @@ class TestZMartingaleBuckets:
         n_paths, n_steps = 40_000, 8
         d_w = stream.standard_normal((n_paths, n_steps)) * math.sqrt(h)
         states, _, failed = kernels.bem_scalar_batch(
-            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w, h
+            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w.T, h
         )
+        states = states.T
         assert not failed.any()
         y = states[:, :-1].ravel()
         noise = 0.5 * states[:, :-1] * d_w

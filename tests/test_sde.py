@@ -178,10 +178,10 @@ class TestScalarStepMatchesKernel:
         trajs = [simulate_trajectory(prob, cfg, [], plan.path_stream(i)) for i in range(40)]
         d_w = np.array([traj.d_w[:, 0] for traj in trajs])
         states, iters, failed = kernels.bem_scalar_batch(
-            prob.drift, prob.drift_jacobian, prob.diffusion, float(prob.x0[0]), d_w, h
+            prob.drift, prob.drift_jacobian, prob.diffusion, float(prob.x0[0]), d_w.T, h
         )
         assert not failed.any()
-        assert np.array_equal(np.array([traj.states[:, 0] for traj in trajs]), states)
+        assert np.array_equal(np.array([traj.states[:, 0] for traj in trajs]), states.T)
         assert np.array_equal(np.sum([traj.solver_iterations for traj in trajs], axis=0), iters)
 
     def test_solver_error_where_kernel_fails(self):
@@ -195,13 +195,13 @@ class TestScalarStepMatchesKernel:
             x0=np.array([1e100]), L=1.0,
         )
         cfg = BemConfig(h=0.4, h0=0.45, T=0.8)
-        d_w = StreamPlan(0).path_stream(0).standard_normal((1, cfg.n_steps)) * math.sqrt(cfg.h)
+        d_w = StreamPlan(0).path_stream(0).standard_normal((cfg.n_steps, 1)) * math.sqrt(cfg.h)
         with np.errstate(all="ignore"):
             states, _, failed = kernels.bem_scalar_batch(
                 prob.drift, prob.drift_jacobian, prob.diffusion, 1e100, d_w, cfg.h
             )
             assert failed[0]
-            step = int(np.flatnonzero(np.isnan(states[0]))[0])
+            step = int(np.flatnonzero(np.isnan(states[:, 0]))[0])
             with pytest.raises(SolverError, match=f"step {step} of {cfg.n_steps} failed "
                                                   r"for problem 'loud-cubic': implicit step"):
                 simulate_trajectory(prob, cfg, [], StreamPlan(0).path_stream(0))
@@ -462,8 +462,9 @@ class TestRecursionCheck:
         d_w = StreamPlan(11).chunk_stream(0).standard_normal((n_paths, n_steps))
         d_w *= math.sqrt(h)
         states, _, failed = kernels.bem_scalar_batch(
-            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w, h
+            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w.T, h
         )
+        states = states.T
         assert not failed.any()
         y_sq = states**2
         g_sq = (sigma * states) ** 2
