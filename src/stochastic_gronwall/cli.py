@@ -456,11 +456,15 @@ def _cmd_bem(args) -> int:
     header = ["j", "t"] + [f"y{i}" for i in range(problem.d)] + ["z_increment", "iterations"]
 
     def rows():
-        """One row at a time: a list of them all would take many times the trajectory."""
-        yield [0, 0.0, *traj.states[0], "", ""]
-        steps = zip(traj.states[1:], traj.z_increments, traj.solver_iterations)
-        for j, (state, z, iters) in enumerate(steps, 1):
-            yield [j, j * cfg.h, *state, z, int(iters)]
+        """One row at a time, of Python values taken from one block of rows
+        at a time: a list of them all would take many times the trajectory."""
+        yield [0, 0.0, *traj.states[0].tolist(), "", ""]
+        for lo in range(0, cfg.n_steps, 4096):
+            hi = lo + 4096
+            block = zip(traj.states[lo + 1:hi + 1].tolist(), traj.z_increments[lo:hi].tolist(),
+                        traj.solver_iterations[lo:hi].tolist())
+            for j, (state, z, iters) in enumerate(block, lo + 1):
+                yield [j, j * cfg.h, *state, z, iters]
 
     _write_csv(args.output, header, rows())
     for p, val in traj.sup_functional_p.items():

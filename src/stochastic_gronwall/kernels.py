@@ -1,6 +1,5 @@
-"""Hot numeric kernels: implicit Euler-Maruyama batch stepping (scalar
-problems, and the closed form of the planar bounded rotation) and
-per-chunk moments.
+"""Hot numeric kernels: implicit Euler-Maruyama batch stepping of scalar
+problems and per-chunk moments.
 
 The implicit step is solved for a whole batch of paths at once with
 numpy array operations: each Newton iteration evaluates the whole
@@ -8,8 +7,8 @@ batch, every path in its place, and a mask says which paths still
 iterate; only the paths where Newton gives up take the safeguarded
 bisection fallback. A path whose right-hand side is NaN or infinite
 fails at once, so a failed path's NaN state costs no iteration later.
-Per-path arithmetic is that of a scalar solve of the path alone. Both
-steppers step the sampler's step-major rows, (steps, ..., paths).
+Per-path arithmetic is that of a scalar solve of the path alone. The
+batch stepper steps the sampler's step-major rows, (steps, paths).
 """
 
 from __future__ import annotations
@@ -177,42 +176,6 @@ def bem_scalar_batch(drift, drift_jacobian, diffusion, x0, d_w, h):
             states[j + 1:] = np.nan
             break
     return states, iters, np.isfinite(states[0]) & np.isnan(states[-1])
-
-
-def bem_rotation_rows(jac, g, y, d_w, h):
-    """Step a batch of planar implicit Euler-Maruyama paths of the
-    bounded rotation: the drift is linear, y -> A y with the constant
-    A = [[-k, -w], [w, -k]], and the diffusion is the constant g*I_2.
-
-    ``y`` is the state, a (2, paths) array with one row per coordinate,
-    stepped in place; after each step this yields it, so a caller copies
-    what it keeps. ``jac`` and ``g`` are the problem's f' and g at any
-    state (both are constant), which a caller that steps in blocks
-    evaluates once. d_w holds the increments as (steps, 2, paths),
-    scaled to variance h; a step reads two rows, contiguous when d_w is
-    C-ordered.
-    Each step solves (I - hA) y' = y + g dW in closed form, which is
-    Newton's first update from the explicit predictor and exact for a
-    linear drift: with a = 1 + hk, b = hw and det = a^2 + b^2,
-    y' = (a/det) r + (b/det) J r for r = y + g dW and J the quarter
-    turn, the two coefficients divided once, not at every step. J r is
-    the rows of r reversed, times (-b/det, b/det): a*r0 + (-b)*r1 has
-    the bits of a*r0 - b*r1.
-    """
-    a = 1.0 - h * jac[0, 0]
-    b = h * jac[1, 0]
-    det = a * a + b * b
-    a, b = a / det, b / det
-    turn = np.array([[-b], [b]])
-    g = g[0, 0]  # the diffusion is g*I_2
-    r, t = np.empty((2,) + y.shape)
-    for j in range(d_w.shape[0]):
-        np.multiply(d_w[j], g, out=r)
-        r += y
-        np.multiply(r, a, out=y)
-        np.multiply(r[::-1], turn, out=t)
-        y += t
-        yield y
 
 
 def welford_chunk(values):

@@ -7,8 +7,10 @@ states) and a one-sided Lipschitz condition on the drift, which makes
 the implicit step uniquely solvable for h below the Lipschitz threshold.
 Paths are stepped by the class :func:`implicit_step` returns, one per
 kind of step, for one trajectory and the batch sampler alike: Newton
-with a bisection fallback for scalar problems, and a closed form for
-the zoo's planar bounded rotation.
+with a bisection fallback for scalar problems (:class:`ScalarPaths`,
+through :func:`kernels.bem_scalar_batch`), and for the zoo's planar
+bounded rotation a closed form that :class:`RotationPaths` owns. Each
+folds a block of steps into its running maximum of the sup functional.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ COERCIVITY_RADIUS = 100.0
 COERCIVITY_SEED = 2024
 #: Slack for the coercivity spot-check, relative to L*(1+|x|^2) scale.
 COERCIVITY_RTOL = 1e-9
+#: Steps of a trajectory stepped, and of its noise terms computed, at a time.
+TRAJECTORY_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -125,10 +129,17 @@ def check_coercivity(problem: SdeProblem) -> None:
     radii = COERCIVITY_RADIUS * rng.random(COERCIVITY_POINTS) ** (1.0 / problem.d)
     points = directions / norms[:, None] * radii[:, None]
     points = np.vstack([points, np.zeros(problem.d), problem.x0])
-    gx = problem.diffusion(points)
     s = 1.0 + np.sum(points * points, axis=1)
-    lhs = np.sum(problem.drift(points) * (points / s[:, None]), axis=1) \
-        + 0.5 * np.sum(gx * gx, axis=(1, 2)) / s
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term is reported below
+        gx = problem.diffusion(points)
+        lhs = np.sum(problem.drift(points) * (points / s[:, None]), axis=1) \
+            + 0.5 * np.sum(gx * gx, axis=(1, 2)) / s
+    if not np.isfinite(lhs).all():
+        i = np.isfinite(lhs).argmin()
+        raise ContractViolationError(
+            f"problem {problem.label!r} cannot be spot-checked for coercivity: f(x), g(x) or "
+            f"|g(x)|^2 overflows float64 at |x|={math.sqrt(np.dot(points[i], points[i])):.3g}"
+        )
     bad = np.flatnonzero(lhs > problem.L + COERCIVITY_RTOL * np.maximum(1.0 / s, abs(problem.L)))
     if bad.size:
         i = bad[0]
@@ -171,6 +182,8 @@ class BemConfig:
     @property
     def n_steps(self) -> int:
         n = int(math.floor(self.T / self.h))
+        if n >= 2**53:  # n and n + 1 times h are one float, and far over any work limit
+            return n
         while (n + 1) * self.h <= self.T:
             n += 1
         while n > 0 and n * self.h > self.T:
@@ -233,9 +246,9 @@ class ScalarPaths:
             vals *= self.h
             states *= states
             vals += states
-        # one step row at a time; fmax, like nanmax, skips the NaN states of a failed path
-        for row in vals:
-            np.fmax(self.best, row, out=self.best)
+        # fmax, like nanmax, skips the NaN states of a failed path, and is exact, so
+        # reducing the block first gives the bits of folding in a row at a time
+        np.fmax(self.best, np.fmax.reduce(vals, axis=0), out=self.best)
 
     def sup(self, p):
         sup = self.best**p
@@ -245,30 +258,53 @@ class ScalarPaths:
 
 class RotationPaths:
     """Paths of the zoo's bounded rotation at one step size, stepped
-    block by block in closed form with :func:`kernels.bem_rotation_rows`,
-    one iteration per step. Carries the state, one (2, paths) array, and
-    the running maximum of |y|^2; no path fails."""
+    block by block in closed form, one iteration per step. Carries the
+    state, one (2, paths) array, and the running maximum of |y|^2; no
+    path fails. The drift is y -> A y, A = [[-k, -w], [w, -k]], and the
+    diffusion g*I_2, so a step solves (I - hA) y' = r, r = y + g dW,
+    exactly (Newton's first update): with a = 1 + hk, b = hw and
+    det = a^2 + b^2, y' = (a/det) r + (b/det) J r, J the quarter turn,
+    the coefficients divided once per stepper. J r is the rows of r
+    reversed, times (-b/det, b/det): a*r0 + (-b)*r1 has the bits of
+    a*r0 - b*r1."""
 
     def __init__(self, problem, h, count):
         x0 = problem.x0
-        self.h, self.jac, self.g = h, problem.drift_jacobian(x0), problem.diffusion(x0)
-        # h|g|^2 is constant (the diffusion is g*I_2), and rounding is monotone, so adding
-        # it after the maximum gives the bits of adding it at every step
+        jac = problem.drift_jacobian(x0)
+        a = 1.0 - h * jac[0, 0]
+        b = h * jac[1, 0]
+        with np.errstate(over="ignore"):
+            det = a * a + b * b
+        if not np.isfinite(det):
+            raise ContractViolationError(f"the implicit step of {problem.label!r} overflows float64 "
+                                         f"at h={h}: (1 + h*kappa)^2 + (h*omega)^2 is {det}")
+        self.a, b = a / det, b / det
+        self.turn = np.array([[-b], [b]])
+        self.h, self.g = h, problem.diffusion(x0)[0, 0]  # the diffusion is g*I_2
+        # h|g|^2 is constant, and rounding is monotone, so adding it after the
+        # maximum gives the bits of adding it at every step
         self.g_term = h * problem.g_x0_norm_sq()
         self.y = np.repeat(x0[:, None], count, axis=1)
         self.best = np.full(count, problem.x0_norm_sq())
-        self.sq = np.empty(self.y.shape)
         self.failed = np.zeros(count, dtype=np.bool_)
 
     def step(self, d_w):
         """Step every path over one block's (steps, 2, paths) increments,
-        yielding each step's (2, paths) states, one array stepped in place."""
+        yielding each step's (2, paths) states, one array stepped in place.
+        A step reads two rows of d_w, contiguous when d_w is C-ordered."""
         self.iters = np.ones(d_w.shape[0], dtype=np.int64)
-        best, sq = self.best, self.sq
-        for y in kernels.bem_rotation_rows(self.jac, self.g, self.y, d_w, self.h):
-            np.multiply(y, y, out=sq)
-            np.add(sq[0], sq[1], out=sq[0])
-            np.maximum(best, sq[0], out=best)
+        y, best, a, turn, g = self.y, self.best, self.a, self.turn, self.g
+        r, t = np.empty((2,) + y.shape)
+        for row in d_w:
+            np.multiply(row, g, out=r)
+            r += y
+            np.multiply(r, a, out=y)
+            np.multiply(r[::-1], turn, out=t)
+            y += t
+            # |y|^2 into the turn row, which the next step overwrites
+            np.multiply(y, y, out=t)
+            np.add(t[0], t[1], out=t[0])
+            np.maximum(best, t[0], out=best)
             yield y
 
     def sup(self, p):
@@ -287,11 +323,13 @@ def _finite_sup(sup, h):
 def implicit_step(problem: SdeProblem) -> type:
     """The class that steps ``problem``'s paths on every code path:
     :class:`ScalarPaths` for d = m = 1, :class:`RotationPaths` for the
-    zoo's bounded rotation. Any other problem is rejected, a d = 1
-    problem with m > 1 noise columns included. Each class is built as
-    ``(problem, h, paths)``; its generator ``step(d_w)`` steps one
-    block's (steps, d, paths) increments and yields each step's
-    (d, paths) states, and it has ``iters``, ``failed`` and ``sup(p)``.
+    zoo's bounded rotation, which steps in closed form itself. Any other
+    problem is rejected, a d = 1 problem with m > 1 noise columns
+    included. Each class is built as ``(problem, h, paths)``; its
+    generator ``step(d_w)`` steps one block's (steps, d, paths)
+    increments, yields each step's (d, paths) states and folds them into
+    the running maximum that ``sup(p)`` reads, and it has the block's
+    ``iters`` and the paths' ``failed``.
     """
     if problem.d == problem.m == 1:
         return ScalarPaths
@@ -315,9 +353,11 @@ def simulate_trajectory(
     A trajectory whose steps times the larger of d and m exceed
     ``MAX_CHUNK_VALUES`` is rejected before anything is allocated, as
     is a problem :func:`implicit_step` rejects. The path is one path of
-    the class :func:`implicit_step` returns, stepped as one block, so it
-    is the batch sampler's (``mc.BemSupFunctionalSampler``) on a batch
-    of one, and its sup functional is that class's. A path that fails
+    the class :func:`implicit_step` returns, so it is the batch
+    sampler's (``mc.BemSupFunctionalSampler``) on a batch of one, and
+    its sup functional is that class's. It is stepped, and its noise
+    terms computed, ``TRAJECTORY_BLOCK`` steps at a time, so beyond the
+    arrays it returns a run holds one block's temporaries. A path that fails
     raises :class:`SolverError` naming the step of its first NaN state;
     a noise term or sup functional beyond float64 raises
     :class:`ContractViolationError`.
@@ -334,30 +374,38 @@ def simulate_trajectory(
             f"{n} steps of h={h} up to T={cfg.T}, times {width} (the larger of d and m), "
             f"are over {MAX_CHUNK_VALUES} values for one trajectory"
         )
-    d_w = rng_stream.standard_normal((n, problem.m)) * math.sqrt(h)
+    d_w = rng_stream.standard_normal((n, problem.m))
+    d_w *= math.sqrt(h)
 
     paths = kind(problem, h, 1)
     states = np.empty((n + 1, problem.d))
     states[0] = problem.x0
-    for j, y in enumerate(paths.step(d_w[:, :, None]), 1):
-        states[j] = y[:, 0]
-    if paths.failed[0]:
-        raise SolverError(
-            f"step {np.isnan(states[:, 0]).argmax()} of {n} failed for problem "
-            f"{problem.label!r}: implicit step did not converge (Newton and bisection fallback)"
-        )
+    iters = np.empty(n, dtype=np.int64)
+    blocks = [(lo, min(lo + TRAJECTORY_BLOCK, n)) for lo in range(0, n, TRAJECTORY_BLOCK)]
+    for lo, hi in blocks:
+        for j, y in enumerate(paths.step(d_w[lo:hi, :, None]), lo + 1):
+            states[j] = y[:, 0]
+        iters[lo:hi] = paths.iters
+        if paths.failed[0]:
+            raise SolverError(
+                f"step {np.isnan(states[:hi + 1, 0]).argmax()} of {n} failed for problem "
+                f"{problem.label!r}: implicit step did not converge (Newton and bisection fallback)"
+            )
 
     # the states are finite, so a non-finite Z^j (inf, or inf - inf) overflowed float64
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = problem.diffusion(states[:-1])
-        noise = (g @ d_w[:, :, None])[..., 0]
-        z_vals = np.sum(noise * noise, axis=1) - h * np.sum(g * g, axis=(1, 2)) \
-            + 2.0 * np.sum(noise * states[:-1], axis=1)
-    if not np.isfinite(z_vals).all():
-        step = np.isfinite(z_vals).argmin() + 1
-        raise ContractViolationError(f"the noise term Z^j overflows float64 at step {step} of {n}")
+    z_vals = np.empty(n)
+    for lo, hi in blocks:
+        y, dw = states[lo:hi], d_w[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = problem.diffusion(y)
+            noise = (g @ dw[:, :, None])[..., 0]
+            z = z_vals[lo:hi] = np.sum(noise * noise, axis=1) \
+                - h * np.sum(g * g, axis=(1, 2)) + 2.0 * np.sum(noise * y, axis=1)
+        if not np.isfinite(z).all():
+            step = lo + np.isfinite(z).argmin() + 1
+            raise ContractViolationError(f"the noise term Z^j overflows float64 at step {step} of {n}")
     sup_p = {float(p): float(paths.sup(float(p))[0]) for p in p_list}
-    return BemTrajectory(states, d_w, z_vals, sup_p, paths.iters)
+    return BemTrajectory(states, d_w, z_vals, sup_p, iters)
 
 
 # ---------------------------------------------------------------------------

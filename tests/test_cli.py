@@ -14,7 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import REPORT_SCHEMA, check_report
@@ -22,7 +22,9 @@ from stochastic_gronwall.cli import (
     EXIT_CONFIG,
     EXIT_CONTRACT,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VERIFY,
+    REQUIRED,
     SEED_ENV_VAR,
     _NEGATIVE_NUMBER,
     build_parser,
@@ -30,7 +32,7 @@ from stochastic_gronwall.cli import (
 )
 from stochastic_gronwall import mc
 from stochastic_gronwall.mc import SyntheticSupXpSampler
-from stochastic_gronwall.streams import MAX_WORKERS
+from stochastic_gronwall.streams import MAX_CHUNK_VALUES, MAX_WORKERS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -944,6 +946,86 @@ class TestClosedFormLeaves:
         # enumerate prints a nan ratio for a degenerate walk, as documented
         if code == EXIT_OK and path == ["bound"]:
             assert "nan" not in out
+
+
+_BEM_SIMULATE = ["bem", "simulate"]
+# Values inside the flags' domains besides the edges, so that runs also get past the checks.
+_ORDINARY_FLOATS = ["0.5", "0.25", "0.1", "0.01"]
+
+
+def _bem_value(flag):
+    """Text of an ordinary or an edge value of the flag's domain, as for
+    the closed-form leaves; nothing for a file or text flag."""
+    values = st.sampled_from(_ORDINARY_FLOATS) | st.sampled_from(_EDGE_FLOATS)
+    kind = flag.domain.type
+    if kind is float:
+        return values
+    if kind is int:
+        return st.sampled_from(_EDGE_INTS)
+    if kind is str:
+        return st.nothing()
+    return st.lists(values, max_size=4).map(",".join)
+
+
+@st.composite
+def _bem_command(draw):
+    """bem simulate's (option, value) pairs: a problem, then each flag that
+    problem and the command take, drawn from its domain, or omitted where
+    the flag is not required."""
+    leaf = next(leaf for path, leaf in _LEAVES if path == _BEM_SIMULATE)
+    flags = dict(leaf.get_default("flags"))
+    problems = flags.pop("problem").domain.choices
+    label = draw(st.sampled_from(sorted(problems)))
+    keys = [*problems[label], *(key for key in flags
+                                if not any(key in params for params in problems.values()))]
+    pairs = [("--problem", label)]
+    for key in keys:
+        omitted = st.nothing() if flags[key].default is REQUIRED else st.none()
+        value = draw(omitted | _bem_value(flags[key]))
+        if value is not None:
+            pairs.append((flags[key].option, value))
+    return pairs
+
+
+def _steps(pairs):
+    """T/h of the drawn --T and --h, where both are positive, else 0."""
+    given = dict(pairs)
+    h, horizon = float(given.get("--h", 0)), float(given.get("--T", 0))
+    return horizon / h if h > 0 and horizon > 0 else 0
+
+
+class TestMonteCarloLeaves:
+    """bem simulate, built from edge and ordinary values of each flag's
+    domain, ends in a documented exit code without a warning or a
+    traceback, and an exit-0 run prints its CSV."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(pairs=_bem_command())
+    @example(pairs=[("--problem", "linear"), ("--h", "1e-8"), ("--T", "1")])
+    @example(pairs=[("--problem", "linear"), ("--h", "0.5"), ("--T", "1e154")])
+    @example(pairs=[("--problem", "bounded-rotation"), ("--kappa", "1e200"), ("--h", "0.25"),
+                    ("--T", "1")])
+    @example(pairs=[("--problem", "ginzburg-landau"), ("--sigma", "1e154"), ("--h", "0.25"),
+                    ("--T", "1")])
+    def test_bem_simulate_exit_is_documented(self, pairs):
+        # at most 1,024 steps, or more than any trajectory may take
+        assume(not 1024 < _steps(pairs) <= MAX_CHUNK_VALUES)
+        code, out, err = _run_quietly([*_BEM_SIMULATE, *(token for pair in pairs for token in pair)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_SOLVER), err
+        if _steps(pairs) > MAX_CHUNK_VALUES:  # refused, nothing stepped
+            assert code in (EXIT_CONFIG, EXIT_CONTRACT), err
+        if code == EXIT_OK:
+            rows = list(csv.reader(io.StringIO(out)))
+            d = len(rows[0]) - 4
+            assert rows[0] == ["j", "t", *(f"y{i}" for i in range(d)), "z_increment",
+                               "iterations"]
+            assert d == (2 if dict(pairs)["--problem"] == "bounded-rotation" else 1)
+            assert rows[1][-2:] == ["", ""] and all(len(row) == d + 4 for row in rows)
+            assert [int(row[0]) for row in rows[1:]] == list(range(len(rows) - 1))
+            for row in rows[1:]:
+                assert all(math.isfinite(float(v)) for v in row[1:d + 2])
+            for row in rows[2:]:
+                assert math.isfinite(float(row[-2])) and int(row[-1]) >= 0
 
 
 # The other flags of a valid run, for each leaf's file flag. gronwall's

@@ -340,46 +340,6 @@ class TestBemScalarBatch:
         assert np.array_equal(np.concatenate([head_iters, tail_iters]), iters)
 
 
-class TestBemRotationRows:
-    @staticmethod
-    def _coefficients(**params):
-        problem = make_problem("bounded-rotation", **params)
-        return problem, problem.drift_jacobian(problem.x0), problem.diffusion(problem.x0)
-
-    def test_steps_the_given_state_in_place(self):
-        problem, jac, g = self._coefficients(omega=1.5, kappa=0.2, sigma=0.4)
-        y = np.repeat(problem.x0[:, None], 3, axis=1)
-        d_w = StreamPlan(26).chunk_stream(0).standard_normal((4, 2, 3)) * math.sqrt(0.1)
-        for row in kernels.bem_rotation_rows(jac, g, y, d_w, 0.1):
-            assert row is y
-
-    @pytest.mark.parametrize("split", [1, 6])
-    def test_blocks_from_the_carried_state_equal_one_pass(self, split):
-        problem, jac, g = self._coefficients(omega=1.5, kappa=0.2, sigma=0.4)
-        d_w = StreamPlan(27).chunk_stream(0).standard_normal((9, 2, 5)) * math.sqrt(0.1)
-        whole = np.repeat(problem.x0[:, None], 5, axis=1)
-        expected = [row.copy() for row in kernels.bem_rotation_rows(jac, g, whole, d_w, 0.1)]
-        y = np.repeat(problem.x0[:, None], 5, axis=1)
-        rows = [row.copy() for part in (d_w[:split], d_w[split:])
-                for row in kernels.bem_rotation_rows(jac, g, y, part, 0.1)]
-        assert np.array_equal(rows, expected)
-
-    def test_equals_the_two_row_step(self):
-        # a*r0 + (-b)*r1 has the bits of a*r0 - b*r1, and b*r0 + a*r1 those of a*r1 + b*r0
-        problem, jac, g = self._coefficients(omega=1.5, kappa=0.2, sigma=0.4, x0=(0.3, -2.0))
-        h = 0.1
-        a, b = 1.0 - h * jac[0, 0], h * jac[1, 0]
-        det = a * a + b * b
-        a, b = a / det, b / det
-        d_w = StreamPlan(28).chunk_stream(0).standard_normal((16, 2, 64)) * math.sqrt(h)
-        y0, y1 = np.full(64, 0.3), np.full(64, -2.0)
-        y = np.repeat(problem.x0[:, None], 64, axis=1)
-        for j, row in enumerate(kernels.bem_rotation_rows(jac, g, y, d_w, h)):
-            r0, r1 = d_w[j, 0] * g[0, 0] + y0, d_w[j, 1] * g[0, 0] + y1
-            y0, y1 = r0 * a - r1 * b, r0 * b + r1 * a
-            assert np.array_equal(row, [y0, y1])
-
-
 class TestWelfordChunk:
     def test_matches_two_pass(self):
         rng = np.random.default_rng(4)

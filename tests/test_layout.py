@@ -9,12 +9,17 @@ in ``tests/``.
 """
 
 import ast
+import importlib
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "stochastic_gronwall"
 TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def _defined_names(stmt):
@@ -74,16 +79,20 @@ def test_every_name_is_used_by_the_package_or_the_tracer():
 def test_the_implicit_step_kernels_have_one_owner():
     # sde owns each kind of implicit step, one stepper class per kind, so a new kind
     # is a class there: no other module steps paths itself or tells the kinds apart
-    kernels = {"bem_scalar_batch", "bem_rotation_rows"}
+    kernels = {"bem_scalar_batch"}
     modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted(PACKAGE.glob("*.py"))}
     users = {module for module, tree in modules.items() if kernels & _referenced_names(tree)}
     assert users == {"sde"}, f"modules that call the step kernels: {sorted(users)}"
-    steppers = [node.name for node in ast.walk(modules["mc"]) if isinstance(node, ast.ClassDef)
-                and any(isinstance(f, ast.FunctionDef) and f.name == "step" for f in node.body)]
+    steppers = {module: [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                         and any(isinstance(f, ast.FunctionDef) and f.name == "step"
+                                 for f in node.body)]
+                for module, tree in modules.items()}
+    assert steppers.pop("sde") == ["ScalarPaths", "RotationPaths"]
+    steppers = [name for names in steppers.values() for name in names]
     kinds = [node.value for node in ast.walk(modules["mc"]) if isinstance(node, ast.Constant)
              and node.value in ("scalar", "rotation")]
-    assert steppers == [] and kinds == [], f"mc steps paths: {steppers}, {kinds}"
+    assert steppers == [] and kinds == [], f"paths stepped outside sde: {steppers}, {kinds}"
 
 
 def _is_private(name):
@@ -110,3 +119,25 @@ def test_no_module_reads_another_modules_private_names():
                 names = []
             borrowed += [f"{module}: {name}" for name in names]
     assert borrowed == [], f"private names read outside their module: {borrowed}"
+
+
+def test_readme_names_resolve():
+    # a backticked `module.name` or `module.name.attr` in the README, or a call of
+    # one, whose first part is a package module names something that module has;
+    # the benchmark's per-layer metrics, such as `kernels.bem_scalar_batch.busy_s`,
+    # are metric names, not attributes
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    metrics = {metric["name"] for metric in json.loads(BENCHMARK.read_text())["per_layer"]}
+    spans = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`",
+                       README.read_text(encoding="utf-8"))
+    names = [span for span in spans if span.split(".")[0] in modules and span not in metrics]
+    missing = []
+    for name in names:
+        first, *attrs = name.split(".")
+        target = importlib.import_module(f"stochastic_gronwall.{first}")
+        try:
+            for attr in attrs:
+                target = getattr(target, attr)
+        except AttributeError:
+            missing.append(name)
+    assert len(names) >= 10 and missing == [], f"README names that do not resolve: {missing}"

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from stochastic_gronwall import kernels
+from stochastic_gronwall import kernels, sde
 from stochastic_gronwall.errors import ContractViolationError, SolverError
 from stochastic_gronwall.sde import (
     BemConfig,
     BemTrajectory,
+    RotationPaths,
     SdeProblem,
     check_coercivity,
     make_problem,
@@ -163,6 +165,54 @@ class TestBemStep:
             simulate_trajectory(prob, BemConfig(h=0.125, h0=0.25, T=1.0), [], Undrawn())
 
 
+class TestRotationPaths:
+    @staticmethod
+    def _paths(count, h=0.1, x0=(1.0, 0.0)):
+        problem = make_problem("bounded-rotation", omega=1.5, kappa=0.2, sigma=0.4, x0=x0)
+        return RotationPaths(problem, h, count)
+
+    def test_steps_its_state_in_place(self):
+        paths = self._paths(3)
+        d_w = StreamPlan(26).chunk_stream(0).standard_normal((4, 2, 3)) * math.sqrt(0.1)
+        for row in paths.step(d_w):
+            assert row is paths.y
+
+    @pytest.mark.parametrize("split", [1, 6])
+    def test_blocks_from_the_carried_state_equal_one_pass(self, split):
+        d_w = StreamPlan(27).chunk_stream(0).standard_normal((9, 2, 5)) * math.sqrt(0.1)
+        whole = self._paths(5)
+        expected = [row.copy() for row in whole.step(d_w)]
+        paths = self._paths(5)
+        rows = [row.copy() for part in (d_w[:split], d_w[split:]) for row in paths.step(part)]
+        assert np.array_equal(rows, expected)
+        assert np.array_equal(paths.best, whole.best)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coefficients_rejected(self):
+        # (1 + h*kappa)^2 overflows float64, which would make every step 0
+        problem = make_problem("bounded-rotation", kappa=1e200)
+        with pytest.raises(ContractViolationError, match="overflows float64 at h=0.25"):
+            RotationPaths(problem, 0.25, 4)
+
+    def test_equals_the_two_row_step(self):
+        # a*r0 + (-b)*r1 has the bits of a*r0 - b*r1, and b*r0 + a*r1 those of a*r1 + b*r0
+        h = 0.1
+        paths = self._paths(64, h, x0=(0.3, -2.0))
+        a, b = 1.0 + h * 0.2, h * 1.5
+        det = a * a + b * b
+        a, b = a / det, b / det
+        d_w = StreamPlan(28).chunk_stream(0).standard_normal((16, 2, 64)) * math.sqrt(h)
+        y0, y1 = np.full(64, 0.3), np.full(64, -2.0)
+        best = y0 * y0 + y1 * y1
+        for j, row in enumerate(paths.step(d_w)):
+            r0, r1 = d_w[j, 0] * 0.4 + y0, d_w[j, 1] * 0.4 + y1
+            y0, y1 = r0 * a - r1 * b, r0 * b + r1 * a
+            best = np.maximum(best, y0 * y0 + y1 * y1)
+            assert np.array_equal(row, [y0, y1])
+        assert np.array_equal(paths.best, best)
+        assert np.array_equal(paths.iters, np.ones(16, dtype=np.int64))
+
+
 class TestScalarStepMatchesKernel:
     @pytest.mark.parametrize("label, params, h", [
         ("ginzburg-landau", {"sigma": 0.5}, 0.125),
@@ -221,6 +271,24 @@ class TestScalarStepMatchesKernel:
             simulate_trajectory(prob, cfg, [], StreamPlan(0).path_stream(0))
 
 
+    @pytest.mark.parametrize("block", [1, 7, 16, 17, 64])
+    def test_solver_error_names_the_step_in_any_block(self, monkeypatch, block):
+        # y' = y/(1 - h) grows past 5 at step 16, where the drift is NaN, so that
+        # step fails; a block that ends before it, or starts or ends with it, gives
+        # the message of one whole block
+        prob = SdeProblem(
+            label="nan-beyond-5",
+            drift=lambda x: np.where(np.abs(x) > 5.0, np.nan, x),
+            drift_jacobian=lambda x: np.ones(np.shape(x) + (1,)),
+            diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
+            x0=np.array([1.0]), L=1.0,
+        )
+        cfg = BemConfig(h=0.1, h0=0.45, T=3.0)
+        monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
+        with pytest.raises(SolverError, match="^step 16 of 30 failed for problem 'nan-beyond-5'"):
+            simulate_trajectory(prob, cfg, [], StreamPlan(0).path_stream(0))
+
+
 class TestStoppingRuleAtEveryScale:
     """Newton also stops once its update is at rounding level, so a large
     state converges by Newton alone: from |y| of about 1e4 on, rounding
@@ -245,6 +313,11 @@ class TestBemConfig:
         assert BemConfig(h=0.3, h0=0.45, T=1.0).n_steps == 3
         assert BemConfig(h=0.25, h0=0.3, T=1.0).n_steps == 4
         assert BemConfig(h=1.0 / 64.0, h0=0.25, T=1.0).n_steps == 64
+
+    def test_step_count_beyond_the_float_integers(self):
+        # T/h = 2e154: n and n + 1 times h are one float there, so counting up to the
+        # last step that fits never ended
+        assert BemConfig(h=0.5, h0=0.75, T=1e154).n_steps == int(2e154)
 
     def test_rejects_degenerate(self):
         with pytest.raises(ContractViolationError):
@@ -305,6 +378,16 @@ class TestCoercivity:
         with pytest.raises(ContractViolationError,
                            match=r"'far-push-out' fails coercivity with L=2.0 at \|x\|=1e\+154"):
             check_coercivity(prob)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label, params", [("linear", {"lam": 1e308}),
+                                               ("ginzburg-landau", {"sigma": 1e154}),
+                                               ("bounded-rotation", {"omega": 1e308})])
+    def test_overflow_inside_the_ball_is_reported(self, label, params):
+        # f(x) or |g(x)|^2 overflows float64 at sampled points, where the check would
+        # warn and compare inf or NaN
+        with pytest.raises(ContractViolationError, match=f"'{label}' cannot be spot-checked"):
+            make_problem(label, **params)
 
     @pytest.mark.filterwarnings("error")
     def test_zoo_problem_at_a_huge_x0_passes(self):
@@ -411,6 +494,56 @@ class TestSimulateTrajectory:
         with pytest.raises(ContractViolationError):
             simulate_trajectory(prob, cfg, [1.5], StreamPlan(0).path_stream(0))
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("label", ["bounded-rotation", "ginzburg-landau", "linear"])
+    def test_blocks_do_not_change_the_trajectory(self, monkeypatch, label, block):
+        prob = make_problem(label, sigma=0.5)
+        cfg = BemConfig(h=1 / 100, h0=0.999 * 0.5 / prob.L, T=1.0)
+
+        def trajectory():
+            traj = simulate_trajectory(prob, cfg, [0.25, 0.5], StreamPlan(9).path_stream(1))
+            return (traj.states, traj.d_w, traj.z_increments, traj.solver_iterations,
+                    traj.sup_functional_p)
+
+        whole = trajectory()
+        monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
+        parts = trajectory()
+        for got, expected in zip(parts[:4], whole[:4]):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert parts[4] == whole[4]
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_noise_overflow_names_its_step_in_any_block(self, monkeypatch, block):
+        # finite states whose noise term overflows float64 from some step on
+        prob = make_problem("linear", lam=1.0, sigma=100.0, x0=1e150)
+        cfg = BemConfig(h=5e-5, h0=0.999 * 0.5 / prob.L, T=0.05)
+        with pytest.raises(ContractViolationError, match="overflows float64 at step") as whole:
+            simulate_trajectory(prob, cfg, [], StreamPlan(32).path_stream(0))
+        monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
+        with pytest.raises(ContractViolationError) as parts:
+            simulate_trajectory(prob, cfg, [], StreamPlan(32).path_stream(0))
+        assert str(parts.value) == str(whole.value)
+
+    @pytest.mark.parametrize("label", ["bounded-rotation", "ginzburg-landau"])
+    def test_holds_its_arrays_and_one_block(self, monkeypatch, label):
+        # beyond the arrays it returns, a trajectory holds one block's temporaries,
+        # 8-9 block-length rows of states; stepped and reduced whole, it held 41
+        block = 512
+        monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
+        prob = make_problem(label, sigma=0.5)
+        cfg = BemConfig(h=1 / 4096, h0=0.999 * 0.5 / prob.L, T=1.0)
+        simulate_trajectory(prob, cfg, [0.5], StreamPlan(1).path_stream(0))
+        tracemalloc.start()
+        try:
+            traj = simulate_trajectory(prob, cfg, [0.5], StreamPlan(1).path_stream(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (traj.states, traj.d_w, traj.z_increments,
+                                      traj.solver_iterations))
+        rows = (peak - held) / (block * prob.d * 8)
+        assert rows <= 12, f"{rows:.1f} block rows beyond the returned arrays"
+
 
 class TestRecursionCheck:
     def test_zero_diffusion_strict_slack(self):
@@ -454,7 +587,7 @@ class TestRecursionCheck:
 
     def test_ten_thousand_ginzburg_landau_paths_vectorized(self):
         # batch form of the recursion check over 10^4 kernel-stepped paths
-        from stochastic_gronwall import kernels
+        from stochastic_gronwall import kernels, sde
 
         sigma, h = 0.5, 0.125
         prob = make_problem("ginzburg-landau", sigma=sigma)
