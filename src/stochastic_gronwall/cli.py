@@ -54,7 +54,7 @@ from .mc import (
     verify_apriori,
     verify_theorem_on_synthetic,
 )
-from .sde import BemConfig, make_problem, simulate_trajectory, zoo_parameters
+from .sde import make_problem, simulate_trajectory, zoo_parameters
 from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, MAX_WORKERS, StreamPlan
 
 EXIT_OK = 0
@@ -450,8 +450,8 @@ def _cmd_bem(args) -> int:
     h0 = args.h0
     if h0 is None:
         h0 = 0.999 * 0.5 / problem.L if problem.L > 0 else 0.9999
-    cfg = BemConfig(h=args.h, h0=h0, T=args.T)
-    traj = simulate_trajectory(problem, cfg, args.p_list, StreamPlan(args.seed).path_stream(0))
+    traj = simulate_trajectory(problem, args.h, h0, args.T, args.p_list,
+                               StreamPlan(args.seed).path_stream(0))
 
     header = ["j", "t"] + [f"y{i}" for i in range(problem.d)] + ["z_increment", "iterations"]
 
@@ -459,12 +459,12 @@ def _cmd_bem(args) -> int:
         """One row at a time, of Python values taken from one block of rows
         at a time: a list of them all would take many times the trajectory."""
         yield [0, 0.0, *traj.states[0].tolist(), "", ""]
-        for lo in range(0, cfg.n_steps, 4096):
+        for lo in range(0, traj.z_increments.size, 4096):
             hi = lo + 4096
             block = zip(traj.states[lo + 1:hi + 1].tolist(), traj.z_increments[lo:hi].tolist(),
                         traj.solver_iterations[lo:hi].tolist())
             for j, (state, z, iters) in enumerate(block, lo + 1):
-                yield [j, j * cfg.h, *state, z, iters]
+                yield [j, j * args.h, *state, z, iters]
 
     _write_csv(args.output, header, rows())
     for p, val in traj.sup_functional_p.items():
@@ -491,8 +491,7 @@ def _cmd_verify_theorem(args) -> int:
 
 def _cmd_verify_apriori(args) -> int:
     problem = _build_problem(args)
-    configs = [BemConfig(h=h, h0=args.h0, T=args.T) for h in args.h_grid]
-    report = verify_apriori(problem, configs, args.p, args.paths,
+    report = verify_apriori(problem, args.h_grid, args.h0, args.T, args.p, args.paths,
                             StreamPlan(args.seed, workers=args.workers), z=args.z,
                             fail_threshold=args.fail_threshold)
     return _emit_verify(args, report,

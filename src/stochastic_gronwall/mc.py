@@ -14,6 +14,8 @@ holds: it draws the block's Brownian increments step-major,
 (steps, d, paths), so that every step reads contiguous rows, sums each
 coarser grid's increments from them, and steps every grid on from the
 states the previous block left. Only one block's increments are held.
+A report's step sizes are plain numbers that share one cap h0 and one
+horizon T, checked by ``sde.check_step_sizes``.
 
 The process-pool stack (``concurrent.futures``, ``multiprocessing`` and
 what they import) loads only when a pass forks workers:
@@ -186,7 +188,8 @@ def estimate_expectation(
     failed, the estimate aborts; otherwise the chunk moments are merged
     by the fixed pairwise tree. Python floats overflow to inf without a
     warning, so a merged mean or M2 that is not finite is a
-    :class:`ContractViolationError`, as in a chunk.
+    :class:`ContractViolationError`, as in a chunk, and so is an upper
+    confidence bound mean + z*std_error beyond float64.
     """
     n_failures = sum(failures for _, failures in chunks)
     if n_failures > fail_threshold * n:
@@ -207,6 +210,11 @@ def estimate_expectation(
     else:
         std_error = 0.0
         degenerate = True
+    if not math.isfinite(float(mean) + z * std_error):
+        raise ContractViolationError(
+            f"the upper confidence bound mean + z*std_error overflows float64 at z={z}; "
+            "try a smaller --z"
+        )
     return McEstimate(
         mean=float(mean),
         std_error=std_error,
@@ -447,22 +455,23 @@ class BemSupFunctionalSampler:
     the union is the finest grid (nested grids), the finest column's
     increments are drawn and scaled as a lone grid's would be.
 
-    The problem must be a zoo problem, which pickles as its zoo spec
-    (see ``sde.SdeProblem``), so a pool worker receives plain data and
-    rebuilds the problem once as it loads the sampler. The work limit
-    is checked at construction. Each column's paths are stepped by the
-    class that ``sde.implicit_step`` returns, as in
+    The step sizes ``hs`` share the horizon ``T``, and a grid has
+    ``sde.step_count(h, T)`` steps. The problem must be a zoo problem,
+    which pickles as its zoo spec (see ``sde.SdeProblem``), so a pool
+    worker receives the spec and the numbers ``hs``, ``T`` and ``p``,
+    and rebuilds the problem once as it loads the sampler. The work
+    limit is checked at construction. Each column's paths are stepped
+    by the class that ``sde.implicit_step`` returns, as in
     ``sde.simulate_trajectory``, which also gives their sup functional.
     """
 
-    def __init__(self, problem: sde.SdeProblem, configs: Sequence[sde.BemConfig], p: float):
+    def __init__(self, problem: sde.SdeProblem, hs: Sequence[float], T: float, p: float):
         if problem.zoo_spec is None:
             raise ContractViolationError(
                 "batch sampling requires a zoo problem (picklable rebuild spec)"
             )
-        self.problem, self.configs, self.p = problem, tuple(configs), p
-        self.hs = tuple(float(cfg.h) for cfg in self.configs)
-        self.n_steps = tuple(cfg.n_steps for cfg in self.configs)
+        self.problem, self.hs, self.T, self.p = problem, tuple(float(h) for h in hs), T, p
+        self.n_steps = tuple(sde.step_count(h, T) for h in self.hs)
         # built in each process, not pickled: the block layout of every chunk (see
         # _increment_blocks, which checks the work limit up front), the rows of each
         # part of the buffer that its block arrays view, and that buffer (_block_buffers)
@@ -475,7 +484,7 @@ class BemSupFunctionalSampler:
         self._scratch = np.empty(0)
 
     def __reduce__(self):
-        return type(self), (self.problem, self.configs, self.p)
+        return type(self), (self.problem, self.hs, self.T, self.p)
 
     def sample_chunk(self, plan, chunk_index, count):
         """A (step sizes, count) array, one row per h in grid order.
@@ -569,7 +578,9 @@ def verify_theorem_on_synthetic(
 
 def verify_apriori(
     problem: sde.SdeProblem,
-    configs: Sequence[sde.BemConfig],
+    hs: Sequence[float],
+    h0: float,
+    T: float,
     p: float,
     n_paths: int,
     plan: StreamPlan,
@@ -578,8 +589,9 @@ def verify_apriori(
 ) -> dict:
     """Step-size-robustness check of the a priori implicit-Euler bound.
 
-    All configurations must share h0 and T and span step sizes by at
-    least a factor of 8. Each per-h estimate of
+    The step sizes ``hs`` share the cap ``h0`` and the horizon ``T``,
+    are checked by ``sde.check_step_sizes`` and must span at least a
+    factor of 8. Each per-h estimate of
     E[sup_j (|Y^j|^2 + h|g(Y^j)|^2)^p] must stay below the single
     h-independent bound. All rows come from one pass: each path is one
     Brownian path, sampled on the union of the grids and summed onto
@@ -590,15 +602,8 @@ def verify_apriori(
     over ``fail_threshold`` aborts the report. Returns the report as
     the JSON object the command line writes.
     """
-    if not configs:
-        raise ContractViolationError("need at least one step-size configuration")
-    h0, T = configs[0].h0, configs[0].T
-    for cfg in configs:
-        if cfg.h0 != h0 or cfg.T != T:
-            raise ContractViolationError("all configurations must share h0 and T")
-        cfg.validate_for(problem)
-    hs = [cfg.h for cfg in configs]
-    if len(configs) > 1 and max(hs) / min(hs) < 8.0:
+    n_steps = sde.check_step_sizes(problem, hs, h0, T)
+    if len(hs) > 1 and max(hs) / min(hs) < 8.0:
         raise ContractViolationError(
             f"step sizes must span at least a factor of 8, got {max(hs) / min(hs):.3g}"
         )
@@ -607,11 +612,11 @@ def verify_apriori(
     parts = apriori_bound_parts(p, problem.L, T, h0, x0_norm_sq, g_x0_norm_sq)
     bound = parts["bound"]
 
-    sampler = BemSupFunctionalSampler(problem, configs, p)
+    sampler = BemSupFunctionalSampler(problem, hs, T, p)
     rows = []
-    for cfg, chunks in zip(configs, sample_columns(sampler, n_paths, plan)):
+    for h, n, chunks in zip(hs, n_steps, sample_columns(sampler, n_paths, plan)):
         est = estimate_expectation(chunks, n_paths, z=z, fail_threshold=fail_threshold)
-        rows.append({"h": cfg.h, "n_steps": cfg.n_steps,
+        rows.append({"h": h, "n_steps": n,
                      "passed": bool(est.upper_ci <= bound), **asdict(est)})
 
     means = [r["mean"] for r in rows]
@@ -623,7 +628,7 @@ def verify_apriori(
         "p": p,
         "T": T,
         "h0": h0,
-        "h_grid": hs,
+        "h_grid": list(hs),
         "L": problem.L,
         "x0_norm_sq": x0_norm_sq,
         "g_x0_norm_sq": g_x0_norm_sq,

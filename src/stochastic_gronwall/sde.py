@@ -11,6 +11,8 @@ with a bisection fallback for scalar problems (:class:`ScalarPaths`,
 through :func:`kernels.bem_scalar_batch`), and for the zoo's planar
 bounded rotation a closed form that :class:`RotationPaths` owns. Each
 folds a block of steps into its running maximum of the sup functional.
+Step sizes are plain numbers: :func:`check_step_sizes` checks a run's
+step sizes, cap h0 and horizon T, and :func:`step_count` gives N_h.
 """
 
 from __future__ import annotations
@@ -132,15 +134,22 @@ def check_coercivity(problem: SdeProblem) -> None:
     s = 1.0 + np.sum(points * points, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite term is reported below
         gx = problem.diffusion(points)
-        lhs = np.sum(problem.drift(points) * (points / s[:, None]), axis=1) \
-            + 0.5 * np.sum(gx * gx, axis=(1, 2)) / s
+        terms = problem.drift(points) * (points / s[:, None])
+        lhs = np.sum(terms, axis=1) + 0.5 * np.sum(gx * gx, axis=(1, 2)) / s
     if not np.isfinite(lhs).all():
         i = np.isfinite(lhs).argmin()
         raise ContractViolationError(
             f"problem {problem.label!r} cannot be spot-checked for coercivity: f(x), g(x) or "
             f"|g(x)|^2 overflows float64 at |x|={math.sqrt(np.dot(points[i], points[i])):.3g}"
         )
-    bad = np.flatnonzero(lhs > problem.L + COERCIVITY_RTOL * np.maximum(1.0 / s, abs(problem.L)))
+    # The terms f_i(x)*x_i/s of <f(x), x/s> can cancel exactly, as a rotation's do, and
+    # the computed sum is then all rounding: x_i/s and the product (eps/2 each), f_i(x)
+    # (eps for the zoo's one product and one sum per coordinate), s (1.5*eps for d <= 2)
+    # and the sum over d (eps/2) come to under 4*eps of sum_i |f_i(x)*x_i/s| to first
+    # order, and 8*eps covers that twice over
+    rounding = np.sum(8.0 * np.finfo(np.float64).eps * np.abs(terms), axis=1)
+    bad = np.flatnonzero(lhs > problem.L + rounding
+                         + COERCIVITY_RTOL * np.maximum(1.0 / s, abs(problem.L)))
     if bad.size:
         i = bad[0]
         raise ContractViolationError(
@@ -150,52 +159,43 @@ def check_coercivity(problem: SdeProblem) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BemConfig:
-    """Step size, cap and horizon for one run.
-
-    N_h is the largest integer with N_h*h <= T; configurations with
-    N_h = 0 are rejected. The coercivity constraint 2*h0*L < 1 is
-    checked against the problem at simulation time.
-    """
-
-    h: float
-    h0: float
-    T: float
-
-    def __post_init__(self):
-        if not 0.0 < self.h < self.h0:
-            raise ContractViolationError(
-                f"need 0 < h < h0, got h={self.h}, h0={self.h0}"
-            )
-        if self.h >= 1.0:
-            raise ContractViolationError(f"step size must be < 1, got {self.h}")
-        if not self.T > 0.0:
-            raise ContractViolationError(f"T must be > 0, got {self.T}")
-        if not math.isfinite(self.T / self.h):
-            raise ContractViolationError(f"T/h overflows for h={self.h}, T={self.T}")
-        if self.n_steps < 1:
-            raise ContractViolationError(
-                f"h={self.h} exceeds the horizon T={self.T} (no steps fit)"
-            )
-
-    @property
-    def n_steps(self) -> int:
-        n = int(math.floor(self.T / self.h))
-        if n >= 2**53:  # n and n + 1 times h are one float, and far over any work limit
-            return n
-        while (n + 1) * self.h <= self.T:
-            n += 1
-        while n > 0 and n * self.h > self.T:
-            n -= 1
+def step_count(h: float, T: float) -> int:
+    """N_h, the largest integer with N_h*h <= T, computed exactly."""
+    n = int(math.floor(T / h))
+    if n >= 2**53:  # n and n + 1 times h are one float, and far over any work limit
         return n
+    while (n + 1) * h <= T:
+        n += 1
+    while n > 0 and n * h > T:
+        n -= 1
+    return n
 
-    def validate_for(self, problem: SdeProblem) -> None:
-        if not 2.0 * self.h0 * problem.L < 1.0:
-            raise ContractViolationError(
-                f"need 2*h0*L < 1, got {2.0 * self.h0 * problem.L} "
-                f"for problem {problem.label!r}"
-            )
+
+def check_step_sizes(problem: SdeProblem, hs: Sequence[float], h0: float, T: float) -> list:
+    """The step counts N_h (:func:`step_count`) of the step sizes ``hs``
+    with cap ``h0`` up to the horizon ``T``. There must be at least one
+    h, and each in order must have 0 < h < h0, h < 1, T > 0, a finite
+    T/h and N_h >= 1; then the coercivity constraint 2*h0*L < 1 must
+    hold for ``problem``."""
+    if not hs:
+        raise ContractViolationError("need at least one step-size configuration")
+    counts = []
+    for h in hs:
+        if not 0.0 < h < h0:
+            raise ContractViolationError(f"need 0 < h < h0, got h={h}, h0={h0}")
+        if h >= 1.0:
+            raise ContractViolationError(f"step size must be < 1, got {h}")
+        if not T > 0.0:
+            raise ContractViolationError(f"T must be > 0, got {T}")
+        if not math.isfinite(T / h):
+            raise ContractViolationError(f"T/h overflows for h={h}, T={T}")
+        counts.append(step_count(h, T))
+        if counts[-1] < 1:
+            raise ContractViolationError(f"h={h} exceeds the horizon T={T} (no steps fit)")
+    if not 2.0 * h0 * problem.L < 1.0:
+        raise ContractViolationError(f"need 2*h0*L < 1, got {2.0 * h0 * problem.L} "
+                                     f"for problem {problem.label!r}")
+    return counts
 
 
 @dataclass
@@ -343,35 +343,37 @@ def implicit_step(problem: SdeProblem) -> type:
 
 def simulate_trajectory(
     problem: SdeProblem,
-    cfg: BemConfig,
+    h: float,
+    h0: float,
+    T: float,
     p_list: Sequence[float],
     rng_stream: np.random.Generator,
 ) -> BemTrajectory:
     """Integrate one path, recording states, noise terms, and functionals.
 
     Increments dW^{j+1} are N(0, h I_m) draws from the supplied stream.
-    A trajectory whose steps times the larger of d and m exceed
-    ``MAX_CHUNK_VALUES`` is rejected before anything is allocated, as
-    is a problem :func:`implicit_step` rejects. The path is one path of
-    the class :func:`implicit_step` returns, so it is the batch
-    sampler's (``mc.BemSupFunctionalSampler``) on a batch of one, and
-    its sup functional is that class's. It is stepped, and its noise
-    terms computed, ``TRAJECTORY_BLOCK`` steps at a time, so beyond the
-    arrays it returns a run holds one block's temporaries. A path that fails
-    raises :class:`SolverError` naming the step of its first NaN state;
-    a noise term or sup functional beyond float64 raises
-    :class:`ContractViolationError`.
+    The step size ``h``, its cap ``h0`` and the horizon ``T`` are checked
+    by :func:`check_step_sizes`. A trajectory whose steps times the
+    larger of d and m exceed ``MAX_CHUNK_VALUES`` is rejected before
+    anything is allocated, as is a problem :func:`implicit_step`
+    rejects. The path is one path of the class :func:`implicit_step`
+    returns, so it is the batch sampler's (``mc.BemSupFunctionalSampler``)
+    on a batch of one, and its sup functional is that class's. It is
+    stepped, and its noise terms computed, ``TRAJECTORY_BLOCK`` steps at
+    a time, so beyond the arrays it returns a run holds one block's
+    temporaries. A path that fails raises :class:`SolverError` naming
+    the step of its first NaN state; a noise term or sup functional
+    beyond float64 raises :class:`ContractViolationError`.
     """
+    (n,) = check_step_sizes(problem, [h], h0, T)
     kind = implicit_step(problem)
-    cfg.validate_for(problem)
     for p in p_list:
         if not 0.0 < p < 1.0:
             raise ContractViolationError(f"every p must lie in (0,1), got {p}")
-    n, h = cfg.n_steps, cfg.h
     width = max(problem.d, problem.m)
     if n * width > MAX_CHUNK_VALUES:
         raise ContractViolationError(
-            f"{n} steps of h={h} up to T={cfg.T}, times {width} (the larger of d and m), "
+            f"{n} steps of h={h} up to T={T}, times {width} (the larger of d and m), "
             f"are over {MAX_CHUNK_VALUES} values for one trajectory"
         )
     d_w = rng_stream.standard_normal((n, problem.m))

@@ -29,7 +29,7 @@ from stochastic_gronwall.mc import (
     verify_apriori,
     verify_theorem_on_synthetic,
 )
-from stochastic_gronwall.sde import BemConfig, make_problem
+from stochastic_gronwall.sde import make_problem
 from stochastic_gronwall.streams import StreamPlan
 
 ACCEPT_SEED = 42
@@ -233,16 +233,13 @@ def test_criterion_08_implicit_step_vs_closed_form():
 def apriori_reports():
     """Criterion-9 experiment at worker counts 1, 4, and 8."""
     problem = make_problem("ginzburg-landau", sigma=0.5)
-    configs = [
-        BemConfig(h=h, h0=0.25, T=1.0)
-        for h in (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0)
-    ]
+    hs = [1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0]
     reports = {}
     timings = {}
     for workers in (1, 4, 8):
         start = time.time()
         reports[workers] = verify_apriori(
-            problem, configs, 0.5, 100_000, StreamPlan(ACCEPT_SEED, workers=workers)
+            problem, hs, 0.25, 1.0, 0.5, 100_000, StreamPlan(ACCEPT_SEED, workers=workers)
         )
         timings[workers] = time.time() - start
     return reports, timings

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import REPORT_SCHEMA, check_report
 from stochastic_gronwall.cli import (
+    COUNT,
     EXIT_CONFIG,
     EXIT_CONTRACT,
     EXIT_OK,
@@ -32,7 +33,7 @@ from stochastic_gronwall.cli import (
 )
 from stochastic_gronwall import mc
 from stochastic_gronwall.mc import SyntheticSupXpSampler
-from stochastic_gronwall.streams import MAX_CHUNK_VALUES, MAX_WORKERS
+from stochastic_gronwall.streams import CHUNK_SIZE, MAX_CHUNK_VALUES, MAX_WORKERS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -259,6 +260,29 @@ class TestBemCommand:
         code, _, err = run(capsys, "bem", "simulate", "--config", str(cfg))
         assert code == EXIT_CONFIG
         assert "stepsize" in err
+
+
+# (--h, --h0, --T) that break one step-size rule each, with the message of that rule
+# (the linear problem's L is 1)
+_BAD_STEP_SIZES = {
+    "h-not-positive": ("0", "0.25", "1", "need 0 < h < h0, got h=0.0, h0=0.25"),
+    "h-at-h0": ("0.25", "0.25", "1", "need 0 < h < h0, got h=0.25, h0=0.25"),
+    "h-at-one": ("1", "2", "1", "step size must be < 1, got 1.0"),
+    "T-not-positive": ("0.125", "0.25", "0", "T must be > 0, got 0.0"),
+    "T-over-h-overflows": ("5e-324", "0.25", "1e308", "T/h overflows for h=5e-324, T=1e+308"),
+    "no-step-fits": ("0.125", "0.25", "0.1", "h=0.125 exceeds the horizon T=0.1 (no steps fit)"),
+    "h0-times-L": ("0.125", "0.5", "1", "need 2*h0*L < 1, got 1.0 for problem 'linear'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_STEP_SIZES))
+def test_one_step_size_rule_on_both_code_paths(capsys, case):
+    h, h0, horizon, message = _BAD_STEP_SIZES[case]
+    common = ["--problem", "linear", "--h0", h0, "--T", horizon, "--seed", "1"]
+    results = [run(capsys, "bem", "simulate", *common, "--h", h),
+               run(capsys, "verify", "apriori", *common, "--h-grid", h, "--p", "0.5",
+                   "--paths", "64")]
+    assert results == [(EXIT_CONTRACT, "", f"contract violation: {message}\n")] * 2
 
 
 class TestVerifyCommand:
@@ -951,9 +975,11 @@ class TestClosedFormLeaves:
 _BEM_SIMULATE = ["bem", "simulate"]
 # Values inside the flags' domains besides the edges, so that runs also get past the checks.
 _ORDINARY_FLOATS = ["0.5", "0.25", "0.1", "0.01"]
+# Path and sample counts: the fewest with a standard error, and one chunk and a short one.
+_ORDINARY_COUNTS = ["2", "64", str(CHUNK_SIZE + 1)]
 
 
-def _bem_value(flag):
+def _mc_value(flag):
     """Text of an ordinary or an edge value of the flag's domain, as for
     the closed-form leaves; nothing for a file or text flag."""
     values = st.sampled_from(_ORDINARY_FLOATS) | st.sampled_from(_EDGE_FLOATS)
@@ -961,46 +987,54 @@ def _bem_value(flag):
     if kind is float:
         return values
     if kind is int:
-        return st.sampled_from(_EDGE_INTS)
+        return st.sampled_from(_EDGE_INTS + (_ORDINARY_COUNTS if flag.domain is COUNT else []))
     if kind is str:
         return st.nothing()
     return st.lists(values, max_size=4).map(",".join)
 
 
 @st.composite
-def _bem_command(draw):
-    """bem simulate's (option, value) pairs: a problem, then each flag that
-    problem and the command take, drawn from its domain, or omitted where
-    the flag is not required."""
-    leaf = next(leaf for path, leaf in _LEAVES if path == _BEM_SIMULATE)
+def _mc_command(draw, path=_BEM_SIMULATE):
+    """A Monte Carlo leaf's (option, value) pairs: a problem where the leaf
+    takes one, then each flag that problem and the leaf take, drawn from
+    its domain, or omitted where the flag is not required."""
+    leaf = next(leaf for leaf_path, leaf in _LEAVES if leaf_path == path)
     flags = dict(leaf.get_default("flags"))
-    problems = flags.pop("problem").domain.choices
-    label = draw(st.sampled_from(sorted(problems)))
-    keys = [*problems[label], *(key for key in flags
-                                if not any(key in params for params in problems.values()))]
-    pairs = [("--problem", label)]
+    keys, pairs = list(flags), []
+    if "problem" in flags:
+        problems = flags.pop("problem").domain.choices
+        label = draw(st.sampled_from(sorted(problems)))
+        keys = [*problems[label], *(key for key in flags
+                                    if not any(key in params for params in problems.values()))]
+        pairs = [("--problem", label)]
     for key in keys:
         omitted = st.nothing() if flags[key].default is REQUIRED else st.none()
-        value = draw(omitted | _bem_value(flags[key]))
+        value = draw(omitted | _mc_value(flags[key]))
         if value is not None:
             pairs.append((flags[key].option, value))
     return pairs
 
 
-def _steps(pairs):
-    """T/h of the drawn --T and --h, where both are positive, else 0."""
+def _steps(pairs, option="--h"):
+    """T/h of the drawn --T and --h, where both are positive, else 0; for
+    --h-grid, the sum over its positive entries."""
     given = dict(pairs)
-    h, horizon = float(given.get("--h", 0)), float(given.get("--T", 0))
-    return horizon / h if h > 0 and horizon > 0 else 0
+    hs = [float(h) for h in given.get(option, "").split(",") if h and float(h) > 0]
+    horizon = float(given.get("--T", 0))
+    return sum(horizon / h for h in hs) if horizon > 0 else 0
+
+
+_ESTIMATES = [["martingale", "estimate-sup"], ["verify", "theorem"], ["verify", "apriori"]]
 
 
 class TestMonteCarloLeaves:
-    """bem simulate, built from edge and ordinary values of each flag's
-    domain, ends in a documented exit code without a warning or a
-    traceback, and an exit-0 run prints its CSV."""
+    """The Monte Carlo leaves, built from edge and ordinary values of each
+    flag's domain, end in a documented exit code without a warning or a
+    traceback; an exit-0 bem simulate prints its CSV, and an estimate or a
+    verify report that completes prints its table."""
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
-    @given(pairs=_bem_command())
+    @given(pairs=_mc_command())
     @example(pairs=[("--problem", "linear"), ("--h", "1e-8"), ("--T", "1")])
     @example(pairs=[("--problem", "linear"), ("--h", "0.5"), ("--T", "1e154")])
     @example(pairs=[("--problem", "bounded-rotation"), ("--kappa", "1e200"), ("--h", "0.25"),
@@ -1026,6 +1060,48 @@ class TestMonteCarloLeaves:
                 assert all(math.isfinite(float(v)) for v in row[1:d + 2])
             for row in rows[2:]:
                 assert math.isfinite(float(row[-2])) and int(row[-1]) >= 0
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(command=st.sampled_from(_ESTIMATES).flatmap(
+        lambda path: _mc_command(path).map(lambda pairs: (path, pairs))))
+    @example(command=(["martingale", "estimate-sup"], [
+        ("--p", "0.5"), ("--samples", str(CHUNK_SIZE + 1)), ("--z", "5e-324")]))
+    @example(command=(["verify", "theorem"], [("--p", "0.01"), ("--paths", "2"),
+                                              ("--horizon", "0")]))
+    @example(command=(["verify", "apriori"], [
+        ("--problem", "linear"), ("--x0", "1e154"), ("--sigma", "0.5"), ("--p", "0.5"),
+        ("--T", "1"), ("--h0", "0.25"), ("--h-grid", "0.1"), ("--paths", "64"),
+        ("--z", "1e308")]))
+    @example(command=(["verify", "apriori"], [
+        ("--problem", "bounded-rotation"), ("--omega", "1e154"), ("--p", "0.5"), ("--T", "1"),
+        ("--h0", "0.5"), ("--h-grid", "0.25,0.01"), ("--paths", "64")]))
+    def test_estimates_exit_is_documented(self, command):
+        path, pairs = command
+        given = dict(pairs)
+        # a few paths or samples, and at most 1,024 steps of a grid or more than a
+        # chunk may take: at the default count or at 2**63 - 1 a run takes long
+        count = given.get("--paths", given.get("--samples"))
+        assume(count is not None and int(count) <= CHUNK_SIZE + 1)
+        assume(not 1024 < _steps(pairs, "--h-grid") <= MAX_CHUNK_VALUES / CHUNK_SIZE)
+        code, out, err = _run_quietly([*path, *(token for pair in pairs for token in pair)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONTRACT, EXIT_SOLVER, EXIT_VERIFY), err
+        if code not in (EXIT_OK, EXIT_VERIFY):
+            return
+        lines = [line.split() for line in out.splitlines()]
+        if path[0] == "martingale":
+            assert code == EXIT_OK
+            assert [line[0] for line in lines] == ["mean", "std_error", "ci_halfwidth",
+                                                   "reference"]
+            assert all(len(line) == 2 and math.isfinite(float(line[1])) for line in lines)
+            return
+        header, *rows, verdict = lines
+        assert verdict == ["all_passed:", str(code == EXIT_OK)]
+        assert rows and all(len(row) == len(header) for row in rows)
+        for row in rows:
+            values = dict(zip(header, row))
+            assert values.pop("passed") in ("True", "False")
+            values.pop("system", None)  # verify theorem's label
+            assert all(math.isfinite(float(v)) for v in values.values()), row
 
 
 # The other flags of a valid run, for each leaf's file flag. gronwall's

@@ -37,9 +37,9 @@ from stochastic_gronwall.mc import (
     verify_theorem_on_synthetic,
 )
 from stochastic_gronwall.sde import (
-    BemConfig,
     make_problem,
     simulate_trajectory,
+    step_count,
     zoo_labels,
     zoo_parameters,
 )
@@ -268,6 +268,17 @@ class TestEstimator:
                 estimate_expectation([(moments, 0) for moments in chunks], 4)
         assert caught == []
 
+    @pytest.mark.parametrize("moments, z", [
+        ((2, 0.0, 8.0), 1e308),  # std_error 2: z*std_error overflows
+        ((2, 1e308, 8.0), 1e308),  # mean + z*std_error overflows
+    ], ids=["halfwidth", "upper-bound"])
+    def test_upper_confidence_bound_overflow_is_a_contract_violation(self, moments, z):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ContractViolationError, match=r"mean \+ z\*std_error overflows"):
+                estimate_expectation([(moments, 0)], 2, z=z)
+        assert caught == []
+
     def test_ci_uses_z(self):
         est = estimate(GaussianSampler(), 5000, StreamPlan(1), z=2.576)
         assert est.ci_halfwidth == pytest.approx(2.576 * est.std_error, rel=1e-15)
@@ -297,14 +308,14 @@ class TestEstimator:
 
 # 9000 samples are three chunks, the last one short.
 POOL_N = 9000
-GL_GRID = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 0.0625, 0.03125, 0.015625)]
+GL_GRID = [0.125, 0.0625, 0.03125, 0.015625]
 
 
 def _reports(workers):
     """The apriori (4 rows) and theorem (3 systems) reports at a worker count."""
     plan = StreamPlan(5, workers=workers)
-    apriori = verify_apriori(make_problem("ginzburg-landau", sigma=0.5), GL_GRID, 0.5,
-                             POOL_N, plan)
+    apriori = verify_apriori(make_problem("ginzburg-landau", sigma=0.5), GL_GRID, 0.25, 1.0,
+                             0.5, POOL_N, plan)
     theorem = verify_theorem_on_synthetic(standard_synthetic_systems(10), 0.5, POOL_N, plan)
     return [json.dumps(r, sort_keys=True) for r in (apriori, theorem)]
 
@@ -343,8 +354,8 @@ class TestReportPool:
         messages = []
         for workers in (1, 2):
             with pytest.raises(EstimateAbortedError) as info:
-                verify_apriori(make_problem("ginzburg-landau", sigma=0.5), GL_GRID, 0.5,
-                               POOL_N, StreamPlan(5, workers=workers))
+                verify_apriori(make_problem("ginzburg-landau", sigma=0.5), GL_GRID, 0.25, 1.0,
+                               0.5, POOL_N, StreamPlan(5, workers=workers))
             messages.append(str(info.value))
         assert messages[0] == messages[1] == "4500 of 9000 samples failed (threshold 0.0)"
         assert multiprocessing.active_children() == []
@@ -520,8 +531,7 @@ class TestVerifyTheorem:
 class TestVerifyApriori:
     def test_zero_noise_linear(self):
         prob = make_problem("linear", lam=1.0, sigma=0.0)
-        cfgs = [BemConfig(h=h, h0=0.4, T=1.0) for h in (0.2, 0.025)]
-        report = verify_apriori(prob, cfgs, 0.5, 500, StreamPlan(0))
+        report = verify_apriori(prob, [0.2, 0.025], 0.4, 1.0, 0.5, 500, StreamPlan(0))
         assert report["all_passed"]
         # deterministic decay: the functional is 1 at j = 0 on every path
         for row in report["rows"]:
@@ -531,8 +541,7 @@ class TestVerifyApriori:
 
     def test_ginzburg_landau_small(self):
         prob = make_problem("ginzburg-landau", sigma=0.5)
-        cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 0.125 / 8)]
-        report = verify_apriori(prob, cfgs, 0.5, 4000, StreamPlan(7))
+        report = verify_apriori(prob, [0.125, 0.125 / 8], 0.25, 1.0, 0.5, 4000, StreamPlan(7))
         assert report["all_passed"]
         assert report["h_robust"]
         assert report["bound"] == pytest.approx(
@@ -545,28 +554,12 @@ class TestVerifyApriori:
     def test_grid_contracts(self):
         prob = make_problem("ginzburg-landau", sigma=0.5)
         with pytest.raises(ContractViolationError, match="factor of 8"):
-            verify_apriori(
-                prob,
-                [BemConfig(h=0.125, h0=0.25, T=1.0), BemConfig(h=0.0625, h0=0.25, T=1.0)],
-                0.5,
-                100,
-                StreamPlan(0),
-            )
-        with pytest.raises(ContractViolationError, match="share h0"):
-            verify_apriori(
-                prob,
-                [BemConfig(h=0.125, h0=0.25, T=1.0), BemConfig(h=0.0125, h0=0.2, T=1.0)],
-                0.5,
-                100,
-                StreamPlan(0),
-            )
+            verify_apriori(prob, [0.125, 0.0625], 0.25, 1.0, 0.5, 100, StreamPlan(0))
 
     def test_h0_constraint_checked(self):
         prob = make_problem("ginzburg-landau", sigma=0.5)  # L = 1.125
         with pytest.raises(ContractViolationError, match="2\\*h0\\*L"):
-            verify_apriori(
-                prob, [BemConfig(h=0.1, h0=0.5, T=1.0)], 0.5, 100, StreamPlan(0)
-            )
+            verify_apriori(prob, [0.1], 0.5, 1.0, 0.5, 100, StreamPlan(0))
 
     def test_rotation_batch_matches_trajectory(self):
         # each path of a chunk is, bit for bit, the trajectory driven by its
@@ -579,13 +572,12 @@ class TestVerifyApriori:
                 return self.normals.reshape(shape)
 
         prob = make_problem("bounded-rotation", omega=1.5, kappa=0.2, sigma=0.4)
-        cfg = BemConfig(h=0.1, h0=0.5, T=1.0)
-        sampler = BemSupFunctionalSampler(prob, [cfg], 0.5)
+        sampler = BemSupFunctionalSampler(prob, [0.1], 1.0, 0.5)
         plan = StreamPlan(13)
         (vals,) = sampler.sample_chunk(plan, 0, 8)
-        normals = plan.chunk_stream(0).standard_normal((cfg.n_steps * 2, 8))
+        normals = plan.chunk_stream(0).standard_normal((step_count(0.1, 1.0) * 2, 8))
         for i in range(8):
-            traj = simulate_trajectory(prob, cfg, [0.5], Row(normals[:, i]))
+            traj = simulate_trajectory(prob, 0.1, 0.5, 1.0, [0.5], Row(normals[:, i]))
             assert vals[i] == traj.sup_functional_p[0.5]
 
     @pytest.mark.parametrize("label", zoo_labels())
@@ -597,15 +589,14 @@ class TestVerifyApriori:
         from stochastic_gronwall import sde
 
         prob = make_problem(label)
-        cfgs = [BemConfig(h=h, h0=0.999 * 0.5 / max(prob.L, 1.0), T=1.0) for h in (0.125, 0.0625)]
-        sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
+        sampler = BemSupFunctionalSampler(prob, [0.125, 0.0625], 1.0, 0.5)
         checked = []
         check = sde.check_coercivity
         monkeypatch.setattr(sde, "check_coercivity", lambda p: checked.append(p) or check(p))
         copy = pickle.loads(pickle.dumps(sampler))  # what a pool worker receives
         assert len(checked) == 1 and checked[0] is copy.problem is not prob
         assert copy.problem.zoo_spec == prob.zoo_spec
-        assert copy.configs == sampler.configs and copy.p == sampler.p
+        assert (copy.hs, copy.T, copy.p) == (sampler.hs, sampler.T, sampler.p)
         plan = StreamPlan(3)
         for c in range(3):
             assert np.array_equal(copy.sample_chunk(plan, c, 16), sampler.sample_chunk(plan, c, 16))
@@ -622,7 +613,7 @@ class TestVerifyApriori:
             x0=np.array([1.0]), L=1.0,
         )
         with pytest.raises(ContractViolationError, match="zoo"):
-            BemSupFunctionalSampler(prob, [BemConfig(h=0.1, h0=0.4, T=1.0)], 0.5)
+            BemSupFunctionalSampler(prob, [0.1], 1.0, 0.5)
 
 
 _FINITE = st.floats(min_value=-20.0, max_value=20.0)
@@ -664,10 +655,9 @@ def test_zoo_problem_round_trips_and_matches_its_trajectory(label, data):
     assert set(spec) == set(zoo_parameters()[label]) and spec["L"] == prob.L
     assert isinstance(spec["x0"], tuple) == (prob.d == 2)
     h0 = 0.999 * 0.5 / max(prob.L, 1.0)
-    cfg = BemConfig(h=h0 / 2, h0=h0, T=2 * h0)
     plan = StreamPlan(5)
-    ((chunk,),) = BemSupFunctionalSampler(prob, [cfg], 0.5).sample_chunk(plan, 0, 1)
-    traj = simulate_trajectory(prob, cfg, [0.5], plan.chunk_stream(0))
+    ((chunk,),) = BemSupFunctionalSampler(prob, [h0 / 2], 2 * h0, 0.5).sample_chunk(plan, 0, 1)
+    traj = simulate_trajectory(prob, h0 / 2, h0, 2 * h0, [0.5], plan.chunk_stream(0))
     assert chunk == traj.sup_functional_p[0.5]
 
 
@@ -695,11 +685,11 @@ class TestSamplerMatchesTrajectory:
     @pytest.mark.parametrize("p", [0.3, 0.5])
     def test_one_path_chunk_bit_identical(self, label, params, h, p):
         prob = make_problem(label, **params)
-        cfg = BemConfig(h=h, h0=0.999 * 0.5 / max(prob.L, 4.0), T=1.0)
-        sampler = BemSupFunctionalSampler(prob, [cfg], p)
+        h0 = 0.999 * 0.5 / max(prob.L, 4.0)
+        sampler = BemSupFunctionalSampler(prob, [h], 1.0, p)
         plan = StreamPlan(7)
         for c in range(10):
-            traj = simulate_trajectory(prob, cfg, [p], plan.chunk_stream(c))
+            traj = simulate_trajectory(prob, h, h0, 1.0, [p], plan.chunk_stream(c))
             assert sampler.sample_chunk(plan, c, 1)[0, 0] == traj.sup_functional_p[p]
 
 
@@ -716,12 +706,11 @@ class TestRotationMatchesOracle:
     @pytest.mark.parametrize("h", [0.125, 0.0625, 0.03125, 0.015625, 0.01])
     def test_bit_identical(self, params, h):
         prob = make_problem("bounded-rotation", **params)
-        cfg = BemConfig(h=h, h0=0.25, T=1.0)
-        sampler = BemSupFunctionalSampler(prob, [cfg], 0.5)
+        sampler = BemSupFunctionalSampler(prob, [h], 1.0, 0.5)
         for seed in (0, 7):
             plan = StreamPlan(seed)
             for count in (1, 2, 4095, 4096):
-                expected = per_row_sample_chunk(prob, plan, 0, count, h, cfg.n_steps, 0.5)
+                expected = per_row_sample_chunk(prob, plan, 0, count, h, step_count(h, 1.0), 0.5)
                 assert np.array_equal(sampler.sample_chunk(plan, 0, count)[0], expected)
 
 
@@ -752,22 +741,22 @@ class TestOnePassMatchesOracle:
     def test_columns_bit_identical(self, name, grid):
         label, params = ONE_PASS_PROBLEMS[name]
         prob = make_problem(label, **params)
-        cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in grid]
-        sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
+        sampler = BemSupFunctionalSampler(prob, grid, 1.0, 0.5)
+        n_steps = [step_count(h, 1.0) for h in grid]
         order = sorted(range(len(grid)), key=grid.__getitem__)
-        finest = cfgs[order[0]]
+        finest = order[0]
         for seed in (0, 7):
             plan = StreamPlan(seed)
             for count in (1, 2, 4095, 4096):
                 columns = sampler.sample_chunk(plan, 0, count)
                 assert columns.shape == (len(grid), count)
-                d_w = per_row_increments(plan, 0, count, finest.h, finest.n_steps, prob.d)
+                d_w = per_row_increments(plan, 0, count, grid[finest], n_steps[finest], prob.d)
                 assert np.array_equal(columns[order[0]],
-                                      per_row_sample_chunk(prob, plan, 0, count, finest.h,
-                                                           finest.n_steps, 0.5))
+                                      per_row_sample_chunk(prob, plan, 0, count, grid[finest],
+                                                           n_steps[finest], 0.5))
                 for finer, k in zip(order, order[1:]):
-                    d_w = _summed(d_w, cfgs[finer].n_steps // cfgs[k].n_steps)
-                    assert np.array_equal(columns[k], per_row_sup(prob, d_w, cfgs[k].h, 0.5))
+                    d_w = _summed(d_w, n_steps[finer] // n_steps[k])
+                    assert np.array_equal(columns[k], per_row_sup(prob, d_w, grid[k], 0.5))
 
     def test_non_nested_grid_draws_once_on_the_union(self):
         # 0.25 is no multiple of the float 0.03: the union has 5 + 34 - 1 points, and
@@ -777,8 +766,8 @@ class TestOnePassMatchesOracle:
         ((lo, hi, levels),) = blocks
         assert (lo, hi) == (0, 37) and [from_union for from_union, _, _ in levels] == [True, True]
         prob = make_problem("ginzburg-landau", sigma=0.5)
-        cfgs = [BemConfig(h=h, h0=0.3, T=1.0) for h in (0.25, 0.03)]
-        sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
+        hs = (0.25, 0.03)
+        sampler = BemSupFunctionalSampler(prob, hs, 1.0, 0.5)
         plan = StreamPlan(3)
         chunk = sampler.sample_chunk(plan, 0, 64)
         union = (plan.chunk_stream(0).standard_normal((37, 64)) * roots[:, None]).T[:, :, None]
@@ -786,7 +775,7 @@ class TestOnePassMatchesOracle:
             # the same sums, up to the order of the additions
             d_w = np.stack([union[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds, bounds[1:])],
                            axis=1)
-            assert np.allclose(chunk[column], per_row_sup(prob, d_w, cfgs[column].h, 0.5),
+            assert np.allclose(chunk[column], per_row_sup(prob, d_w, hs[column], 0.5),
                                rtol=1e-13, atol=0.0)
 
 
@@ -811,8 +800,7 @@ class TestSumSteps:
         label, params = ONE_PASS_PROBLEMS[name]
         prob = make_problem(label, **params)
         hs = (3 / 128, 1 / 128, 2 / 128)
-        cfgs = [BemConfig(h=h, h0=0.25, T=0.75) for h in hs]
-        sampler = BemSupFunctionalSampler(prob, cfgs, 0.5)
+        sampler = BemSupFunctionalSampler(prob, hs, 0.75, 0.5)
         _, columns, blocks = mc._increment_blocks(sampler.hs, sampler.n_steps, prob.d)
         # the grids share every sixth point of the union: 16 blocks of 6 union steps
         assert columns == [1, 2, 0] and len(blocks) == 16
@@ -850,8 +838,7 @@ class TestStreamedMatchesWholeUnion:
     def test_columns_bit_identical(self, name, grid):
         label, params = ONE_PASS_PROBLEMS[name]
         hs, T = STREAMED_GRIDS[grid]
-        sampler = BemSupFunctionalSampler(
-            make_problem(label, **params), [BemConfig(h=h, h0=0.3, T=T) for h in hs], 0.5)
+        sampler = BemSupFunctionalSampler(make_problem(label, **params), hs, T, 0.5)
         for seed in (0, 7):
             plan = StreamPlan(seed)
             for count in (1, 2, 4095, 4096):
@@ -867,7 +854,7 @@ class TestStreamedMatchesWholeUnion:
     ])
     def test_blocks_end_at_the_shared_points(self, grid, sizes):
         hs, T = STREAMED_GRIDS[grid]
-        n_steps = tuple(BemConfig(h=h, h0=0.3, T=T).n_steps for h in hs)
+        n_steps = tuple(step_count(h, T) for h in hs)
         _, _, blocks = mc._increment_blocks(hs, n_steps, 2)
         assert [(hi - lo) // 2 for lo, hi, _ in blocks] == sizes
         assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
@@ -939,8 +926,8 @@ def test_rotation_chunk_holds_one_block_of_increments():
     # holds one of them, its coarser sums and a few path-sized rows per level; the
     # union of all 64 steps alone would be 8 blocks
     prob = make_problem("bounded-rotation", sigma=0.5)
-    cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 0.0625, 0.03125, 0.015625)]
-    peak = chunk_peak(BemSupFunctionalSampler(prob, cfgs, 0.5))
+    hs = (0.125, 0.0625, 0.03125, 0.015625)
+    peak = chunk_peak(BemSupFunctionalSampler(prob, hs, 1.0, 0.5))
     assert peak <= 4 * 8 * 2 * CHUNK_SIZE * 8, f"peak {peak / 2**20:.2f} MiB"
 
 
@@ -949,8 +936,8 @@ def test_wide_grid_chunk_peaks_at_a_few_blocks(label):
     # 1/8..1/1024: 8 blocks of 128 fine steps; the whole union held at once peaked at
     # 24 blocks (Ginzburg-Landau) and 8 (rotation)
     prob = make_problem(label, sigma=0.5)
-    cfgs = [BemConfig(h=2.0**-k, h0=0.25, T=1.0) for k in range(3, 11)]
-    peak = chunk_peak(BemSupFunctionalSampler(prob, cfgs, 0.5))
+    hs = [2.0**-k for k in range(3, 11)]
+    peak = chunk_peak(BemSupFunctionalSampler(prob, hs, 1.0, 0.5))
     assert peak <= 5 * 128 * prob.d * CHUNK_SIZE * 8, f"peak {peak / 2**20:.2f} MiB"
 
 
@@ -960,8 +947,8 @@ def test_later_chunks_reuse_the_block_buffer():
     import pickle
 
     prob = make_problem("bounded-rotation", sigma=0.5)
-    cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 0.0625, 0.03125, 0.015625)]
-    sampler, plan = BemSupFunctionalSampler(prob, cfgs, 0.5), StreamPlan(1)
+    hs = (0.125, 0.0625, 0.03125, 0.015625)
+    sampler, plan = BemSupFunctionalSampler(prob, hs, 1.0, 0.5), StreamPlan(1)
     sampler.sample_chunk(plan, 0, CHUNK_SIZE)
     buffer = sampler._scratch
     # a block's 16 rows of draws and the 4 + 2 + 1 steps of the summed levels
@@ -975,9 +962,9 @@ def test_later_chunks_reuse_the_block_buffer():
     finally:
         tracemalloc.stop()
     assert sampler._scratch is buffer and peak < buffer.nbytes
-    # a pool worker receives the configuration and builds its own buffer
+    # a pool worker receives the step sizes and builds its own buffer
     (copy,) = pickle.loads(pickle.dumps([sampler]))
-    assert copy.configs == sampler.configs and copy._scratch.size == 0
+    assert (copy.hs, copy.T) == (sampler.hs, sampler.T) and copy._scratch.size == 0
     assert np.array_equal(copy.sample_chunk(plan, 3, 7), sampler.sample_chunk(plan, 3, 7))
 
 
@@ -990,8 +977,7 @@ class TestCoupling:
     def test_coarsest_minus_finest_variance(self, label):
         prob = make_problem(label, sigma=0.5)
         grid = (0.125, 0.0625, 0.03125, 0.015625)
-        sampler = BemSupFunctionalSampler(
-            prob, [BemConfig(h=h, h0=0.25, T=1.0) for h in grid], 0.5)
+        sampler = BemSupFunctionalSampler(prob, grid, 1.0, 0.5)
         columns = sampler.sample_chunk(StreamPlan(11), 0, 4096)
         coarsest, finest = columns[0], columns[-1]
         assert np.var(coarsest - finest, ddof=1) <= 0.25 * (
@@ -1002,18 +988,16 @@ class TestWorkLimit:
     def test_limit_checked_before_the_union_is_listed(self):
         # a 1e-12 step would list 1e12 time points; the bound needs none
         prob = make_problem("linear")
-        cfgs = [BemConfig(h=h, h0=0.25, T=1.0) for h in (0.125, 1e-12)]
         with pytest.raises(ContractViolationError, match="Brownian increments"):
-            BemSupFunctionalSampler(prob, cfgs, 0.5)
+            BemSupFunctionalSampler(prob, (0.125, 1e-12), 1.0, 0.5)
 
     @pytest.mark.parametrize("label, d", [("linear", 1), ("bounded-rotation", 2)])
     def test_limit_is_inclusive(self, label, d):
         prob = make_problem(label)
         steps = mc.MAX_CHUNK_VALUES // (CHUNK_SIZE * d)
-        BemSupFunctionalSampler(prob, [BemConfig(h=1.0 / steps, h0=0.25, T=1.0)], 0.5)
+        BemSupFunctionalSampler(prob, [1.0 / steps], 1.0, 0.5)
         with pytest.raises(ContractViolationError, match="Brownian increments"):
-            BemSupFunctionalSampler(
-                prob, [BemConfig(h=1.0 / (steps + 1), h0=0.25, T=1.0)], 0.5)
+            BemSupFunctionalSampler(prob, [1.0 / (steps + 1)], 1.0, 0.5)
 
     def test_synthetic_horizon_limit_is_inclusive(self):
         horizon = mc.MAX_CHUNK_VALUES // CHUNK_SIZE - 1
@@ -1046,9 +1030,9 @@ class TestWorkLimit:
         h = 2.0**-25 * width
         # a horizon of exactly the limit passes the check and reaches the draw
         with pytest.raises(LookupError):
-            simulate_trajectory(prob, BemConfig(h=h, h0=0.25, T=1.0), [], Undrawn())
+            simulate_trajectory(prob, h, 0.25, 1.0, [], Undrawn())
         with pytest.raises(ContractViolationError, match="values for one trajectory"):
-            simulate_trajectory(prob, BemConfig(h=h, h0=0.25, T=1.0 + h), [], Undrawn())
+            simulate_trajectory(prob, h, 0.25, 1.0 + h, [], Undrawn())
 
 
 class TestZMartingaleBuckets:

@@ -8,13 +8,14 @@ import pytest
 from stochastic_gronwall import kernels, sde
 from stochastic_gronwall.errors import ContractViolationError, SolverError
 from stochastic_gronwall.sde import (
-    BemConfig,
     BemTrajectory,
     RotationPaths,
     SdeProblem,
     check_coercivity,
+    check_step_sizes,
     make_problem,
     simulate_trajectory,
+    step_count,
     zoo_labels,
     zoo_parameters,
 )
@@ -31,7 +32,7 @@ class RecursionCheckReport:
 
 
 def pathwise_recursion_check(
-    traj: BemTrajectory, problem: SdeProblem, cfg: BemConfig, rtol: float = 1e-8
+    traj: BemTrajectory, problem: SdeProblem, h: float, rtol: float = 1e-8
 ) -> RecursionCheckReport:
     """Check the iterated squared-norm inequality along one trajectory:
 
@@ -41,7 +42,7 @@ def pathwise_recursion_check(
 
     for every n up to N_h, with relative slack ``rtol``.
     """
-    h, L = cfg.h, problem.L
+    L = problem.L
     states = traj.states
     norms_sq = np.sum(states * states, axis=1)
     g = problem.diffusion(states)
@@ -135,14 +136,14 @@ class TestBemStep:
 
     def test_rotation_newton_matches_direct_solve(self):
         # the closed form is Newton's first update, exact for the linear drift
-        cfg = BemConfig(h=0.1, h0=0.12, T=1.0)
+        h, h0, T = 0.1, 0.12, 1.0
         for params in ({"omega": 2.0, "kappa": 0.3, "sigma": 0.5},
                        {"x0": (1e6, -3e5), "sigma": 2.0, "L": 4.0}):
             prob = make_problem("bounded-rotation", **params)
-            traj = simulate_trajectory(prob, cfg, [], StreamPlan(3).path_stream(0))
-            mat = np.eye(2) - cfg.h * prob.drift_jacobian(prob.x0)
+            traj = simulate_trajectory(prob, h, h0, T, [], StreamPlan(3).path_stream(0))
+            mat = np.eye(2) - h * prob.drift_jacobian(prob.x0)
             g = prob.diffusion(prob.x0)
-            for j in range(cfg.n_steps):
+            for j in range(step_count(h, T)):
                 expected = np.linalg.solve(mat, traj.states[j] + g @ traj.d_w[j])
                 gap = np.abs(traj.states[j + 1] - expected).max()
                 assert gap <= 1e-12 * np.abs(expected).max()
@@ -162,7 +163,7 @@ class TestBemStep:
             x0=np.array([1.0, 0.0]), L=1.0,
         )
         with pytest.raises(ContractViolationError, match="'planar-cubic' has d = 2"):
-            simulate_trajectory(prob, BemConfig(h=0.125, h0=0.25, T=1.0), [], Undrawn())
+            simulate_trajectory(prob, 0.125, 0.25, 1.0, [], Undrawn())
 
 
 class TestRotationPaths:
@@ -223,9 +224,10 @@ class TestScalarStepMatchesKernel:
         # a trajectory's steps are those of its row in the batch kernel, and the
         # batch's per-step iterations are the trajectories' summed
         prob = make_problem(label, **params)
-        cfg = BemConfig(h=h, h0=0.999 * 0.5 / prob.L, T=8 * h)
+        h0 = 0.999 * 0.5 / prob.L
         plan = StreamPlan(13)
-        trajs = [simulate_trajectory(prob, cfg, [], plan.path_stream(i)) for i in range(40)]
+        trajs = [simulate_trajectory(prob, h, h0, 8 * h, [], plan.path_stream(i))
+                 for i in range(40)]
         d_w = np.array([traj.d_w[:, 0] for traj in trajs])
         states, iters, failed = kernels.bem_scalar_batch(
             prob.drift, prob.drift_jacobian, prob.diffusion, float(prob.x0[0]), d_w.T, h
@@ -244,17 +246,17 @@ class TestScalarStepMatchesKernel:
             diffusion=lambda x: 1e30 * np.asarray(x)[..., None],
             x0=np.array([1e100]), L=1.0,
         )
-        cfg = BemConfig(h=0.4, h0=0.45, T=0.8)
-        d_w = StreamPlan(0).path_stream(0).standard_normal((cfg.n_steps, 1)) * math.sqrt(cfg.h)
+        h, h0, T = 0.4, 0.45, 0.8
+        d_w = StreamPlan(0).path_stream(0).standard_normal((step_count(h, T), 1)) * math.sqrt(h)
         with np.errstate(all="ignore"):
             states, _, failed = kernels.bem_scalar_batch(
-                prob.drift, prob.drift_jacobian, prob.diffusion, 1e100, d_w, cfg.h
+                prob.drift, prob.drift_jacobian, prob.diffusion, 1e100, d_w, h
             )
             assert failed[0]
             step = int(np.flatnonzero(np.isnan(states[:, 0]))[0])
-            with pytest.raises(SolverError, match=f"step {step} of {cfg.n_steps} failed "
+            with pytest.raises(SolverError, match=f"step {step} of {step_count(h, T)} failed "
                                                   r"for problem 'loud-cubic': implicit step"):
-                simulate_trajectory(prob, cfg, [], StreamPlan(0).path_stream(0))
+                simulate_trajectory(prob, h, h0, T, [], StreamPlan(0).path_stream(0))
 
     def test_trajectory_reports_failing_step(self):
         # f(x0) is finite, but z - h*f(z) = z - 8hz is 0 at h = 0.125, so the
@@ -266,9 +268,8 @@ class TestScalarStepMatchesKernel:
             diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
             x0=np.array([1.0]), L=1.0,
         )
-        cfg = BemConfig(h=0.125, h0=0.25, T=1.0)
         with pytest.raises(SolverError, match="step 1 of 8"):
-            simulate_trajectory(prob, cfg, [], StreamPlan(0).path_stream(0))
+            simulate_trajectory(prob, 0.125, 0.25, 1.0, [], StreamPlan(0).path_stream(0))
 
 
     @pytest.mark.parametrize("block", [1, 7, 16, 17, 64])
@@ -283,10 +284,9 @@ class TestScalarStepMatchesKernel:
             diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
             x0=np.array([1.0]), L=1.0,
         )
-        cfg = BemConfig(h=0.1, h0=0.45, T=3.0)
         monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
         with pytest.raises(SolverError, match="^step 16 of 30 failed for problem 'nan-beyond-5'"):
-            simulate_trajectory(prob, cfg, [], StreamPlan(0).path_stream(0))
+            simulate_trajectory(prob, 0.1, 0.45, 3.0, [], StreamPlan(0).path_stream(0))
 
 
 class TestStoppingRuleAtEveryScale:
@@ -308,30 +308,34 @@ class TestStoppingRuleAtEveryScale:
         assert np.all(np.abs(residual) <= 4.0 * np.finfo(np.float64).eps * y)
 
 
-class TestBemConfig:
+class TestStepSizes:
     def test_step_count_convention(self):
-        assert BemConfig(h=0.3, h0=0.45, T=1.0).n_steps == 3
-        assert BemConfig(h=0.25, h0=0.3, T=1.0).n_steps == 4
-        assert BemConfig(h=1.0 / 64.0, h0=0.25, T=1.0).n_steps == 64
+        assert step_count(0.3, 1.0) == 3
+        assert step_count(0.25, 1.0) == 4
+        assert step_count(1.0 / 64.0, 1.0) == 64
 
     def test_step_count_beyond_the_float_integers(self):
         # T/h = 2e154: n and n + 1 times h are one float there, so counting up to the
         # last step that fits never ended
-        assert BemConfig(h=0.5, h0=0.75, T=1e154).n_steps == int(2e154)
+        assert step_count(0.5, 1e154) == int(2e154)
 
     def test_rejects_degenerate(self):
+        prob = make_problem("linear", lam=0.1)  # L = 0.1
         with pytest.raises(ContractViolationError):
-            BemConfig(h=0.3, h0=0.2, T=1.0)  # h >= h0
+            check_step_sizes(prob, [0.3], 0.2, 1.0)  # h >= h0
         with pytest.raises(ContractViolationError):
-            BemConfig(h=0.3, h0=0.45, T=0.2)  # no steps fit
+            check_step_sizes(prob, [0.3], 0.45, 0.2)  # no steps fit
         with pytest.raises(ContractViolationError):
-            BemConfig(h=-0.1, h0=0.2, T=1.0)
+            check_step_sizes(prob, [-0.1], 0.2, 1.0)
+
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(ContractViolationError, match="need at least one step-size"):
+            check_step_sizes(make_problem("linear"), [], 0.25, 1.0)
 
     def test_validate_against_problem(self):
         prob = make_problem("ginzburg-landau", sigma=0.5)  # L = 1.125
-        cfg = BemConfig(h=0.3, h0=0.45, T=1.0)
         with pytest.raises(ContractViolationError, match="2\\*h0\\*L"):
-            cfg.validate_for(prob)
+            check_step_sizes(prob, [0.3], 0.45, 1.0)
 
 
 class TestCoercivity:
@@ -343,6 +347,13 @@ class TestCoercivity:
         # lam = 0, sigma = 1, L = 0: sigma^2 x^2 / 2 > 0 breaks coercivity
         with pytest.raises(ContractViolationError, match="coercivity"):
             make_problem("linear", lam=0.0, sigma=1.0, L=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("omega", [1e16, 1e40, 1e154])
+    def test_fast_rotation_accepted(self, omega):
+        # the rotation's terms of <f(x), x> cancel exactly, but each is rounded by
+        # about omega*|x|^2*eps, which once exceeded L*(1+|x|^2)
+        assert make_problem("bounded-rotation", omega=omega).L == 0.25
 
     def test_l_zero_noiseless_ok(self):
         prob = make_problem("linear", lam=1.0, sigma=0.0, L=0.0)
@@ -455,53 +466,51 @@ class TestZIncrement:
 class TestSimulateTrajectory:
     def test_zero_diffusion_decay(self):
         prob = make_problem("linear", lam=1.0, sigma=0.0)
-        cfg = BemConfig(h=0.1, h0=0.25, T=1.0)
-        traj = simulate_trajectory(prob, cfg, [0.5], StreamPlan(1).path_stream(0))
+        traj = simulate_trajectory(prob, 0.1, 0.25, 1.0, [0.5], StreamPlan(1).path_stream(0))
         expected = (1.0 / 1.1) ** np.arange(11)
         assert np.allclose(traj.states[:, 0], expected, atol=1e-12)
         assert np.all(np.diff(traj.states[:, 0]) < 0)
 
     def test_constant_trajectory_zero_dynamics(self):
         prob = make_problem("linear", lam=0.0, sigma=0.0, L=0.0)
-        cfg = BemConfig(h=0.2, h0=0.5, T=1.0)
-        traj = simulate_trajectory(prob, cfg, [], StreamPlan(2).path_stream(0))
+        traj = simulate_trajectory(prob, 0.2, 0.5, 1.0, [], StreamPlan(2).path_stream(0))
         assert np.all(traj.states == 1.0)
         assert np.all(traj.z_increments == 0.0)
 
     def test_z_recomputable_from_states(self):
-        cfg = BemConfig(h=0.125, h0=0.25, T=1.0)
+        h, h0, T = 0.125, 0.25, 1.0
         for label in zoo_labels():
             prob = make_problem(label, sigma=0.5)
-            traj = simulate_trajectory(prob, cfg, [0.5], StreamPlan(5).path_stream(3))
-            for j in range(cfg.n_steps):
+            traj = simulate_trajectory(prob, h, h0, T, [0.5], StreamPlan(5).path_stream(3))
+            for j in range(step_count(h, T)):
                 y = traj.states[j]
                 g_y = prob.diffusion(y)
                 assert traj.z_increments[j] == pytest.approx(
-                    z_increment(y, g_y, traj.d_w[j], cfg.h), rel=1e-12, abs=1e-14
+                    z_increment(y, g_y, traj.d_w[j], h), rel=1e-12, abs=1e-14
                 ), label
 
     def test_sup_functional_recorded(self):
         prob = make_problem("ginzburg-landau", sigma=0.5)
-        cfg = BemConfig(h=0.125, h0=0.25, T=1.0)
-        traj = simulate_trajectory(prob, cfg, [0.25, 0.5], StreamPlan(5).path_stream(3))
-        vals = (traj.states[:, 0] ** 2) * (1.0 + cfg.h * 0.25)
+        h = 0.125
+        traj = simulate_trajectory(prob, h, 0.25, 1.0, [0.25, 0.5], StreamPlan(5).path_stream(3))
+        vals = (traj.states[:, 0] ** 2) * (1.0 + h * 0.25)
         assert traj.sup_functional_p[0.5] == pytest.approx(vals.max() ** 0.5, rel=1e-12)
         assert traj.sup_functional_p[0.25] == pytest.approx(vals.max() ** 0.25, rel=1e-12)
 
     def test_rejects_bad_p(self):
         prob = make_problem("linear")
-        cfg = BemConfig(h=0.1, h0=0.25, T=1.0)
         with pytest.raises(ContractViolationError):
-            simulate_trajectory(prob, cfg, [1.5], StreamPlan(0).path_stream(0))
+            simulate_trajectory(prob, 0.1, 0.25, 1.0, [1.5], StreamPlan(0).path_stream(0))
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     @pytest.mark.parametrize("label", ["bounded-rotation", "ginzburg-landau", "linear"])
     def test_blocks_do_not_change_the_trajectory(self, monkeypatch, label, block):
         prob = make_problem(label, sigma=0.5)
-        cfg = BemConfig(h=1 / 100, h0=0.999 * 0.5 / prob.L, T=1.0)
+        h0 = 0.999 * 0.5 / prob.L
 
         def trajectory():
-            traj = simulate_trajectory(prob, cfg, [0.25, 0.5], StreamPlan(9).path_stream(1))
+            traj = simulate_trajectory(prob, 1 / 100, h0, 1.0, [0.25, 0.5],
+                                       StreamPlan(9).path_stream(1))
             return (traj.states, traj.d_w, traj.z_increments, traj.solver_iterations,
                     traj.sup_functional_p)
 
@@ -516,12 +525,12 @@ class TestSimulateTrajectory:
     def test_noise_overflow_names_its_step_in_any_block(self, monkeypatch, block):
         # finite states whose noise term overflows float64 from some step on
         prob = make_problem("linear", lam=1.0, sigma=100.0, x0=1e150)
-        cfg = BemConfig(h=5e-5, h0=0.999 * 0.5 / prob.L, T=0.05)
+        steps = (5e-5, 0.999 * 0.5 / prob.L, 0.05)
         with pytest.raises(ContractViolationError, match="overflows float64 at step") as whole:
-            simulate_trajectory(prob, cfg, [], StreamPlan(32).path_stream(0))
+            simulate_trajectory(prob, *steps, [], StreamPlan(32).path_stream(0))
         monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
         with pytest.raises(ContractViolationError) as parts:
-            simulate_trajectory(prob, cfg, [], StreamPlan(32).path_stream(0))
+            simulate_trajectory(prob, *steps, [], StreamPlan(32).path_stream(0))
         assert str(parts.value) == str(whole.value)
 
     @pytest.mark.parametrize("label", ["bounded-rotation", "ginzburg-landau"])
@@ -531,11 +540,11 @@ class TestSimulateTrajectory:
         block = 512
         monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
         prob = make_problem(label, sigma=0.5)
-        cfg = BemConfig(h=1 / 4096, h0=0.999 * 0.5 / prob.L, T=1.0)
-        simulate_trajectory(prob, cfg, [0.5], StreamPlan(1).path_stream(0))
+        steps = (1 / 4096, 0.999 * 0.5 / prob.L, 1.0)
+        simulate_trajectory(prob, *steps, [0.5], StreamPlan(1).path_stream(0))
         tracemalloc.start()
         try:
-            traj = simulate_trajectory(prob, cfg, [0.5], StreamPlan(1).path_stream(0))
+            traj = simulate_trajectory(prob, *steps, [0.5], StreamPlan(1).path_stream(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -548,42 +557,39 @@ class TestSimulateTrajectory:
 class TestRecursionCheck:
     def test_zero_diffusion_strict_slack(self):
         prob = make_problem("linear", lam=1.0, sigma=0.0)
-        cfg = BemConfig(h=0.1, h0=0.25, T=1.0)
-        traj = simulate_trajectory(prob, cfg, [], StreamPlan(1).path_stream(0))
-        report = pathwise_recursion_check(traj, prob, cfg)
+        h, h0, T = 0.1, 0.25, 1.0
+        traj = simulate_trajectory(prob, h, h0, T, [], StreamPlan(1).path_stream(0))
+        report = pathwise_recursion_check(traj, prob, h)
         assert report.passed
         # both sides coincide at n = 0; every later index has strict slack
-        h, L = cfg.h, prob.L
+        L = prob.L
         y_sq = traj.states[:, 0] ** 2
-        n = cfg.n_steps
+        n = step_count(h, T)
         lhs = (1 - 2 * h * L) * y_sq[n]
         rhs = (1 - 2 * h * L) * y_sq[0] + 2 * L * h * n + 2 * h * L * y_sq[:n].sum()
         assert lhs < rhs
 
     def test_zero_dynamics_equality(self):
         prob = make_problem("linear", lam=0.0, sigma=0.0, L=0.0)
-        cfg = BemConfig(h=0.2, h0=0.5, T=1.0)
-        traj = simulate_trajectory(prob, cfg, [], StreamPlan(2).path_stream(0))
-        report = pathwise_recursion_check(traj, prob, cfg)
+        traj = simulate_trajectory(prob, 0.2, 0.5, 1.0, [], StreamPlan(2).path_stream(0))
+        report = pathwise_recursion_check(traj, prob, 0.2)
         assert report.passed
         assert report.max_excess == pytest.approx(0.0, abs=1e-14)
 
     def test_random_ginzburg_landau_paths(self):
         prob = make_problem("ginzburg-landau", sigma=0.5)
-        cfg = BemConfig(h=0.125, h0=0.25, T=1.0)
         plan = StreamPlan(7)
         for i in range(300):
-            traj = simulate_trajectory(prob, cfg, [], plan.path_stream(i))
-            report = pathwise_recursion_check(traj, prob, cfg)
+            traj = simulate_trajectory(prob, 0.125, 0.25, 1.0, [], plan.path_stream(i))
+            report = pathwise_recursion_check(traj, prob, 0.125)
             assert report.passed, f"violation on path {i}: {report}"
 
     def test_rotation_paths(self):
         prob = make_problem("bounded-rotation", omega=1.5, kappa=0.1, sigma=0.4)
-        cfg = BemConfig(h=0.1, h0=0.5, T=2.0)
         plan = StreamPlan(9)
         for i in range(50):
-            traj = simulate_trajectory(prob, cfg, [], plan.path_stream(i))
-            assert pathwise_recursion_check(traj, prob, cfg).passed
+            traj = simulate_trajectory(prob, 0.1, 0.5, 2.0, [], plan.path_stream(i))
+            assert pathwise_recursion_check(traj, prob, 0.1).passed
 
     def test_ten_thousand_ginzburg_landau_paths_vectorized(self):
         # batch form of the recursion check over 10^4 kernel-stepped paths
@@ -624,8 +630,7 @@ class TestCustomProblem:
             L=0.045,
         )
         check_coercivity(prob)
-        cfg = BemConfig(h=0.2, h0=0.25, T=1.0)
-        traj = simulate_trajectory(prob, cfg, [], StreamPlan(4).path_stream(0))
+        traj = simulate_trajectory(prob, 0.2, 0.25, 1.0, [], StreamPlan(4).path_stream(0))
         y = traj.states[:, 0]
         residual = y[1:] + 0.2 * np.tanh(y[1:]) - (y[:-1] + 0.3 * traj.d_w[:, 0])
         assert np.abs(residual).max() <= 1e-12
@@ -658,7 +663,7 @@ class TestProblemContract:
             **_scalar_callables(), "diffusion": lambda x: np.ones(np.shape(x) + (3,))},
             x0=[0.5], L=1.0)
         with pytest.raises(ContractViolationError, match="'planar-noise' has d = 1 and m = 3"):
-            simulate_trajectory(prob, BemConfig(h=0.125, h0=0.25, T=1.0), [], Undrawn())
+            simulate_trajectory(prob, 0.125, 0.25, 1.0, [], Undrawn())
 
     @pytest.mark.parametrize("name, func", [
         ("drift", lambda x: float(-x[0])),
