@@ -6,11 +6,12 @@ condition <f(x), x> + |g(x)|^2/2 <= L(1+|x|^2) (spot-checked on random
 states) and a one-sided Lipschitz condition on the drift, which makes
 the implicit step uniquely solvable for h below the Lipschitz threshold.
 Paths are stepped by the class :func:`implicit_step` returns, one per
-kind of step, for one trajectory and the batch sampler alike: Newton
-with a bisection fallback for scalar problems (:class:`ScalarPaths`,
-through :func:`kernels.bem_scalar_batch`), and for the zoo's planar
-bounded rotation a closed form that :class:`RotationPaths` owns. Each
-folds a block of steps into its running maximum of the sup functional.
+kind of step, for one trajectory and the batch sampler alike: a scalar
+problem's exact step ``solve(h, b)`` (:class:`ScalarPaths`, through
+:func:`kernels.bem_scalar_batch`), which every scalar zoo problem has in
+closed form, and for the zoo's planar bounded rotation a closed form
+that :class:`RotationPaths` owns. Each folds a block of steps into its
+running maximum of the sup functional.
 Step sizes are plain numbers: :func:`check_step_sizes` checks a run's
 step sizes, cap h0 and horizon T, and :func:`step_count` gives N_h.
 """
@@ -48,10 +49,14 @@ class SdeProblem:
     (d, d) and (d, m). The state dimension d is ``x0.size`` and the
     noise dimension m is read off ``diffusion(x0)``; construction checks
     these shapes at x0, and that x0, ``L`` and f, f' and g at x0 are
-    finite. A problem can be stepped only if d = m = 1 or it is the
-    zoo's bounded rotation (see :func:`implicit_step`). The scalar zoo
-    problems act elementwise on states of any shape, appending one axis
-    for the Jacobian and the diffusion. ``L`` is the registered
+    finite. ``solve(h, b)`` is the exact implicit step of a scalar
+    problem: the root z of z - h*f(z) = b, entry by entry, for an array
+    b, NaN or infinite where there is none and for a b that is not
+    finite. A problem can be stepped only if it is scalar (d = m = 1)
+    with a ``solve``, or the zoo's bounded rotation (see
+    :func:`implicit_step`). The scalar zoo problems act elementwise on
+    states of any shape, appending one axis for the Jacobian and the
+    diffusion. ``L`` is the registered
     coercivity constant. ``zoo_spec`` is a zoo problem's label and
     parameters: such a problem pickles as that plain data, and loading
     it rebuilds the problem with :func:`make_problem`, coercivity check
@@ -65,6 +70,7 @@ class SdeProblem:
     x0: np.ndarray
     L: float
     zoo_spec: tuple | None = None
+    solve: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=np.float64))
@@ -178,7 +184,7 @@ def check_step_sizes(problem: SdeProblem, hs: Sequence[float], h0: float, T: flo
     T/h and N_h >= 1; then the coercivity constraint 2*h0*L < 1 must
     hold for ``problem``."""
     if not hs:
-        raise ContractViolationError("need at least one step-size configuration")
+        raise ContractViolationError("need at least one step size")
     counts = []
     for h in hs:
         if not 0.0 < h < h0:
@@ -217,10 +223,12 @@ class BemTrajectory:
 
 class ScalarPaths:
     """Paths of a scalar problem at one step size, stepped block by block
-    with :func:`kernels.bem_scalar_batch`. Carries the last state of each
-    path, the running maximum of |y|^2 + h|g(y)|^2, which paths failed
-    and the last block's iterations per step. A path that fails is NaN
-    from that step on; later blocks carry it at no iteration cost."""
+    with :func:`kernels.bem_scalar_batch` and the problem's exact step
+    ``solve``. Carries the last state of each path, the running maximum
+    of |y|^2 + h|g(y)|^2, which paths failed and the last block's count
+    of finite path-steps per step (its ``iters``: one solve each). A path
+    that fails is NaN from that step on; later blocks carry it, and count
+    it at no step."""
 
     def __init__(self, problem, h, count):
         self.problem, self.h = problem, h
@@ -234,7 +242,7 @@ class ScalarPaths:
         overwritten once the block's last one is taken."""
         problem = self.problem
         states, self.iters, failed = kernels.bem_scalar_batch(
-            problem.drift, problem.drift_jacobian, problem.diffusion, self.y, d_w[:, 0], self.h)
+            problem.solve, problem.diffusion, self.y, self.h, d_w[:, 0])
         yield from states[1:, None]
         self.y = states[-1].copy()
         self.failed |= failed
@@ -322,9 +330,10 @@ def _finite_sup(sup, h):
 
 def implicit_step(problem: SdeProblem) -> type:
     """The class that steps ``problem``'s paths on every code path:
-    :class:`ScalarPaths` for d = m = 1, :class:`RotationPaths` for the
-    zoo's bounded rotation, which steps in closed form itself. Any other
-    problem is rejected, a d = 1 problem with m > 1 noise columns
+    :class:`ScalarPaths` for d = m = 1 and a ``solve``,
+    :class:`RotationPaths` for the zoo's bounded rotation, which steps in
+    closed form itself. Any other problem is rejected, a scalar problem
+    with no exact step and a d = 1 problem with m > 1 noise columns
     included. Each class is built as ``(problem, h, paths)``; its
     generator ``step(d_w)`` steps one block's (steps, d, paths)
     increments, yields each step's (d, paths) states and folds them into
@@ -332,6 +341,10 @@ def implicit_step(problem: SdeProblem) -> type:
     ``iters`` and the paths' ``failed``.
     """
     if problem.d == problem.m == 1:
+        if problem.solve is None:
+            raise ContractViolationError(
+                f"problem {problem.label!r} has no exact implicit step: a scalar problem is "
+                "stepped by its solve(h, b), the root z of z - h*f(z) = b")
         return ScalarPaths
     if problem.zoo_spec is not None and problem.zoo_spec[0] == "bounded-rotation":
         return RotationPaths
@@ -391,7 +404,7 @@ def simulate_trajectory(
         if paths.failed[0]:
             raise SolverError(
                 f"step {np.isnan(states[:hi + 1, 0]).argmax()} of {n} failed for problem "
-                f"{problem.label!r}: implicit step did not converge (Newton and bisection fallback)"
+                f"{problem.label!r}: implicit step gave no finite state"
             )
 
     # the states are finite, so a non-finite Z^j (inf, or inf - inf) overflowed float64
@@ -419,7 +432,8 @@ def make_linear(lam: float = 1.0, sigma: float = 0.0, x0=1.0, L: float | None = 
 
     The registered envelope L = max(lam, sigma^2/2) always dominates
     (-lam + sigma^2/2) x^2 <= L (1 + x^2); pass L explicitly to tighten
-    or to exercise the coercivity check.
+    or to exercise the coercivity check. The implicit step is
+    z = b/(1 + h*lam).
     """
     if lam < 0.0:
         raise ContractViolationError(f"lambda must be >= 0, got {lam}")
@@ -428,6 +442,7 @@ def make_linear(lam: float = 1.0, sigma: float = 0.0, x0=1.0, L: float | None = 
     return (lambda x: -lam * x,
             lambda x: np.full(np.shape(x) + (1,), -lam),
             lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
+            lambda h, b: b / (1.0 + h * lam),
             L)
 
 
@@ -436,14 +451,71 @@ def make_ginzburg_landau(sigma: float = 0.5, x0=1.0, L: float | None = None) -> 
 
     x^2 - x^4 + sigma^2 x^2 / 2 <= (1 + sigma^2/2)(1 + x^2), so
     L = 1 + sigma^2/2 suffices. The drift is one-sided Lipschitz with
-    constant 1, which keeps the implicit step monotone for h < 1.
+    constant 1, so for h < 1 the implicit step is the one real root of a
+    strictly increasing cubic (:func:`_cubic_step`).
     """
     if L is None:
         L = 1.0 + 0.5 * sigma * sigma
     return (lambda x: x - x * x * x,
             lambda x: (1.0 - 3.0 * x * x)[..., None],
             lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
+            _cubic_step,
             L)
+
+
+@functools.lru_cache(maxsize=64)
+def _cubic_coefficients(h):
+    """k = (1-h)/3, k^2, k^3, c = sqrt(27h / (4(1-h)^3)) and h^(1/3) for
+    h = n/d, each rounded once from exact integer arithmetic: k and its
+    powers from their exact ratios, c from the integer square root of c^2
+    times 4^700 (over 100 bits for every h in (0, 1)), and h^(1/3) from
+    one exact Newton update (2x^3 + h)/(3x^2) of the float cube root x,
+    which leaves an error of order 1e-32."""
+    n, d = h.as_integer_ratio()
+    m = d - n
+    c = math.isqrt(27 * n * d * d * 4**700 // (4 * m**3)) / 2**700
+    p, q = (h ** (1.0 / 3.0)).as_integer_ratio()
+    cbrt_h = (2 * p**3 * d + n * q**3) / (3 * p * p * q * d)
+    return m / (3 * d), m * m / (9 * d * d), m**3 / (27 * d**3), c, cbrt_h
+
+
+def _cubic_step(h, b):
+    """The Ginzburg-Landau implicit step: for 0 < h < 1 and an array b,
+    the one real root z of z - h(z - z^3) = b, h z^3 + (1-h) z = b.
+
+    The root is odd in b; for b >= 0, z = s w with s = sqrt((1-h)/(3h))
+    turns the cubic into w^3 + 3w = 2r, r = c b (the constants are those
+    of :func:`_cubic_coefficients`). Cardano's root is w = U - 1/U, where
+    U^3 = t = r + sqrt(r^2 + 1); since U^3 - U^-3 = 2r, it is also
+    2r/(U^2 + 1 + U^-2), which has no cancellation, and s*2r = b/k gives
+    z = b/(kU^2 + k + k^2/(kU^2)), kU^2 = cbrt(k^3 t^2). So the sign of b
+    passes to z in the last division, with r = c|b|. Where r is above
+    2^500, t^2 would overflow; there kU^2 = cbrt(h b^2) and the other
+    terms are below 2^-333 of it, so z = cbrt(b)/h^(1/3). So z is finite
+    for every finite b, from h = 5e-324 to 1 - 2^-53, and odd in b bit
+    for bit; a b that is not finite gives NaN or inf.
+    """
+    k, k2, k3, c, cbrt_h = _cubic_coefficients(h)
+    far = 2.0**500 / c
+    r = np.abs(b)
+    beyond = np.flatnonzero(r > far) if np.fmax.reduce(r, initial=0.0) > far else None
+    if beyond is not None:
+        r[beyond] = far
+    r *= c
+    d = r * r
+    d += 1.0
+    np.sqrt(d, out=d)
+    d += r
+    d *= d
+    d *= k3
+    np.cbrt(d, out=d)
+    np.divide(k2, d, out=r)
+    d += k
+    d += r
+    z = np.divide(b, d, out=d)
+    if beyond is not None:
+        z[beyond] = np.cbrt(b[beyond]) / cbrt_h
+    return z
 
 
 def make_bounded_rotation(
@@ -472,10 +544,12 @@ def make_bounded_rotation(
     return (drift,
             lambda x: np.broadcast_to(jac, np.shape(x)[:-1] + (2, 2)),
             lambda x: np.broadcast_to(sigma * np.eye(2), np.shape(x)[:-1] + (2, 2)),
+            None,
             L)
 
 
-# Each factory checks its parameters and returns f, f', g and L; make_problem applies x0.
+# Each factory checks its parameters and returns f, f', g, the exact scalar step (None for
+# the rotation, whose stepper owns its step) and L; make_problem applies x0.
 _ZOO = {
     "linear": make_linear,
     "ginzburg-landau": make_ginzburg_landau,
@@ -507,10 +581,11 @@ def make_problem(label: str, **params) -> SdeProblem:
         ) from None
     defaults = zoo_parameters()[label]
     params = {**defaults, **params}
-    drift, drift_jacobian, diffusion, L = factory(**params)
+    drift, drift_jacobian, diffusion, solve, L = factory(**params)
     x0 = np.atleast_1d(np.asarray(params["x0"], dtype=np.float64))
     spec = {**params, "x0": tuple(x0.tolist()) if isinstance(defaults["x0"], tuple)
             else float(x0[0]), "L": L}
-    problem = SdeProblem(label, drift, drift_jacobian, diffusion, x0, L, zoo_spec=(label, spec))
+    problem = SdeProblem(label, drift, drift_jacobian, diffusion, x0, L, zoo_spec=(label, spec),
+                         solve=solve)
     check_coercivity(problem)
     return problem

@@ -6,7 +6,8 @@ telescoping identity over running products that switch to log space at
 the library's overflow guard, the reference for its product; every
 sign walk of a given length, plain or stopped, and the exact walk
 expectations read off them, the reference for the mass recursion in
-``martingales``; the former per-row implicit-Euler sampler, one fresh
+``martingales``; the root of the Ginzburg-Landau implicit step to 80
+digits, the reference for the zoo's exact step; the former per-row implicit-Euler sampler, one fresh
 draw per step size, the bit-exact reference for the one-pass sampler in
 ``mc``; the former whole-union chunk of that sampler, the bit-exact
 reference for the one that streams its blocks; the former matrix
@@ -15,6 +16,7 @@ streamed one; and the schema of every report the command line writes.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -194,6 +196,34 @@ def sign_walk_expectations(n: int, p_values, stop_level: float | None = None):
     return e_sup_p, float(np.mean(-paths.min(axis=1)))
 
 
+def cubic_root_reference(h: float, b: float) -> Decimal:
+    """The one real root z of h z^3 + (1-h) z = b for 0 < h < 1, the
+    Ginzburg-Landau implicit step, to 80 significant digits.
+
+    Newton in 90-digit decimal arithmetic, from the smaller of |b|/(1-h)
+    and (|b|/h)^(1/3), both above the root: the cubic is increasing and
+    convex for z > 0, so the iterates fall monotonically onto the root.
+    The root is odd in b.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 90
+        hd, target = Decimal(h), abs(Decimal(b))
+        if target == 0:
+            return Decimal(0)
+        z = min(target / (1 - hd), (target / hd) ** (Decimal(1) / 3))
+        while True:
+            step = (hd * z**3 + (1 - hd) * z - target) / (3 * hd * z**2 + 1 - hd)
+            z -= step
+            if abs(step) <= z * Decimal(10) ** -82:
+                break
+        return z if b > 0 else -z
+
+
+def ulps_from(value: float, exact: Decimal) -> float:
+    """|value - exact| in units of the last place of the float nearest ``exact``."""
+    return float(abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact))))
+
+
 def per_row_increments(plan, chunk_index, count, h, n_steps, d):
     """The Brownian increments of the former per-row sampler: a fresh
     step-major (n_steps*d, count) block from the chunk's stream, path i
@@ -216,8 +246,7 @@ def per_row_sup(problem, d_w, h, p):
     if problem.zoo_spec[0] == "bounded-rotation":
         return _rotation_sup_reference(problem, d_w, h, p)
     states, _, failed = kernels.bem_scalar_batch(
-        problem.drift, problem.drift_jacobian, problem.diffusion, float(problem.x0[0]),
-        d_w[:, :, 0].T, h)
+        problem.solve, problem.diffusion, float(problem.x0[0]), h, d_w[:, :, 0].T)
     g_y = problem.diffusion(states)[..., 0]
     sup = np.nanmax(g_y * g_y * h + states * states, axis=0) ** p
     sup[failed] = np.nan
@@ -300,8 +329,7 @@ def whole_union_sample_chunk(sampler, plan, chunk_index, count):
 
 def _whole_union_scalar_sup(problem, d_w, h, p):
     states, _, failed = kernels.bem_scalar_batch(
-        problem.drift, problem.drift_jacobian, problem.diffusion, float(problem.x0[0]),
-        d_w[:, 0], h)
+        problem.solve, problem.diffusion, float(problem.x0[0]), h, d_w[:, 0])
     g_y = problem.diffusion(states)[..., 0]
     sup = np.nanmax(g_y * g_y * h + states * states, axis=0) ** p
     sup[failed] = np.nan

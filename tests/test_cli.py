@@ -341,14 +341,26 @@ class TestVerifyCommand:
         assert payload["all_passed"] is True
 
     def test_apriori_from_a_large_state(self, capsys, tmp_path):
-        # from x0 = 1e5 rounding keeps the step's residual above 1e-12; Newton
-        # stops on its rounding-level update instead of failing 44 of 64 paths
+        # from x0 = 1e5 the exact step fails no path (a Newton solve stopped at an
+        # absolute residual of 1e-12 once failed 44 of 64 here)
         out_path = tmp_path / "r.json"
         code, _, err = run(capsys, "verify", "apriori", "--problem", "ginzburg-landau",
                            "--sigma", "0.5", "--x0", "1e5", "--p", "0.5", "--T", "1",
                            "--h0", "0.25", "--h-grid", "0.125,0.015625", "--paths", "64",
                            "--seed", "1", "--output", str(out_path))
         assert code == EXIT_OK, err
+        assert [row["n_failures"] for row in load_report(out_path)["rows"]] == [0, 0]
+
+    def test_apriori_at_the_largest_ginzburg_landau_state_fails_no_path(self, capsys, tmp_path):
+        # x0 = 5.6e102 is near the largest with x0^3 finite, and sigma = 2e51 near the
+        # largest with |g(x0)|^2 finite; 2*h0*L < 1 then keeps sigma*dW of order 1, so
+        # y + g(y)dW stays finite and the exact step fails no path, with no warning
+        out_path = tmp_path / "r.json"
+        code, _, err = run(capsys, "verify", "apriori", "--problem", "ginzburg-landau",
+                           "--sigma", "2e51", "--x0", "5.6e102", "--p", "0.5", "--T", "1e-102",
+                           "--h0", "1.2e-103", "--h-grid", "1e-103,1.25e-104", "--paths", "4096",
+                           "--seed", "1", "--output", str(out_path))
+        assert code == EXIT_OK and err == ""
         assert [row["n_failures"] for row in load_report(out_path)["rows"]] == [0, 0]
 
     def test_non_nested_grid_report(self, capsys, tmp_path):
@@ -699,6 +711,18 @@ _INPUT_CASES = {
     "simulate-subnormal-step": (["bem", "simulate", "--problem", "linear", "--h", "5e-324",
                                  "--T", "1", "--seed", "1"], None, None, EXIT_CONTRACT,
                                 "T/h overflows"),
+    "apriori-empty-h-grid": ([*_APRIORI[:-3], "", "--paths", "64", "--problem", "linear",
+                              "--p", "0.5", "--seed", "1"], None, None, EXIT_CONTRACT,
+                             "contract violation: need at least one step size\n"),
+    # the exact Ginzburg-Landau step at both ends of (0, 1): h = 1e-301, and the float
+    # below 1 from x0 = 5.6e102, which sigma = 0 and L = 0.2 allow
+    "apriori-tiny-step": ([*_APRIORI[:3], "1e-300", "--h0", "0.25", "--h-grid", "1e-301",
+                           "--paths", "64", "--problem", "ginzburg-landau", "--p", "0.5",
+                           "--seed", "1"], None, None, EXIT_OK, ""),
+    "simulate-step-below-one": (["bem", "simulate", "--problem", "ginzburg-landau", "--sigma", "0",
+                                 "--L", "0.2", "--x0", "5.6e102", "--h", "0.9999999999999999",
+                                 "--h0", "2.4", "--T", "3", "--seed", "1"], None, None,
+                                EXIT_OK, ""),
     # 2*h0*L < 1 is the library's rule (L = 1.125 for ginzburg-landau)
     "apriori-h0-too-large": ([*_GL, "--h0", "0.9"], None, None, EXIT_CONTRACT,
                              "need 2*h0*L < 1"),

@@ -864,9 +864,9 @@ class TestStreamedMatchesWholeUnion:
 
 
 class TestScalarPathFailingInALaterBlock:
-    """A scalar path that fails is NaN, which later blocks carry at no
-    iteration cost, and the blocks' iterations and failures sum to those
-    of one whole run."""
+    """A scalar path that fails is NaN, which later blocks carry and count
+    at no step, and the blocks' step counts and failures sum to those of
+    one whole run."""
 
     def test_carried_as_nan_after_its_block(self, monkeypatch):
         from stochastic_gronwall.sde import ScalarPaths, SdeProblem
@@ -875,8 +875,12 @@ class TestScalarPathFailingInALaterBlock:
             """f(x) = -x, NaN beyond |x| = 5: a path fails where an increment pushes it there."""
             return np.where(np.abs(x) > 5.0, np.nan, -x)
 
+        def solve(h, b):
+            z = b / (1.0 + h)
+            return np.where(np.abs(z) > 5.0, np.nan, z)
+
         problem = SdeProblem("nan-beyond-5", drift, lambda x: np.full(np.shape(x) + (1,), -1.0),
-                             lambda x: np.ones(np.shape(x) + (1,)), 1.0, 1.0)
+                             lambda x: np.ones(np.shape(x) + (1,)), 1.0, 1.0, solve=solve)
         h, count = 0.1, 6
         d_w = StreamPlan(24).chunk_stream(0).standard_normal((12, 1, count)) * 0.1
         d_w[6, 0, 2] = 10.0  # path 2 fails at step 7, in the second of three blocks
@@ -886,7 +890,7 @@ class TestScalarPathFailingInALaterBlock:
 
         def recorded(*args):
             states, iters, failed = batch(*args)
-            calls.append((np.broadcast_to(args[3], count).copy(), args[4].copy(), states.copy(),
+            calls.append((np.broadcast_to(args[2], count).copy(), args[4].copy(), states.copy(),
                           iters, failed))
             return states, iters, failed
 
@@ -899,7 +903,7 @@ class TestScalarPathFailingInALaterBlock:
         monkeypatch.undo()
 
         # every call steps all 6 paths; a path that failed in an earlier block arrives
-        # as NaN, stays NaN, costs no iteration and is not failed again
+        # as NaN, stays NaN, counts at no step and is not failed again
         arrived_nan, failed_in = [[], [4], [2, 4]], [[4], [2], []]
         for (x0, got, states, iters, failed), nan, fails, lo in zip(
                 calls, arrived_nan, failed_in, (0, 4, 8)):
@@ -908,11 +912,9 @@ class TestScalarPathFailingInALaterBlock:
             assert np.isnan(states[:, nan]).all()
             assert np.flatnonzero(failed).tolist() == fails
             rest = [i for i in range(count) if i not in nan]
-            _, rest_iters, _ = batch(problem.drift, problem.drift_jacobian, problem.diffusion,
-                                     x0[rest], got[:, rest], h)
+            _, rest_iters, _ = batch(problem.solve, problem.diffusion, x0[rest], h, got[:, rest])
             assert np.array_equal(iters, rest_iters)
-        states, iters, failed = batch(problem.drift, problem.drift_jacobian, problem.diffusion,
-                                      1.0, d_w[:, 0], h)
+        states, iters, failed = batch(problem.solve, problem.diffusion, 1.0, h, d_w[:, 0])
         assert np.flatnonzero(failed).tolist() == [2, 4]
         assert np.isnan(sup[[2, 4]]).all() and paths.failed.tolist() == failed.tolist()
         expected = np.nanmax(h * states * states + states * states, axis=0) ** 0.5
@@ -1047,9 +1049,7 @@ class TestZMartingaleBuckets:
         stream = plan.chunk_stream(0)
         n_paths, n_steps = 40_000, 8
         d_w = stream.standard_normal((n_paths, n_steps)) * math.sqrt(h)
-        states, _, failed = kernels.bem_scalar_batch(
-            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w.T, h
-        )
+        states, _, failed = kernels.bem_scalar_batch(prob.solve, prob.diffusion, 1.0, h, d_w.T)
         states = states.T
         assert not failed.any()
         y = states[:, :-1].ravel()

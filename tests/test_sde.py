@@ -4,6 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import cubic_root_reference, ulps_from
 
 from stochastic_gronwall import kernels, sde
 from stochastic_gronwall.errors import ContractViolationError, SolverError
@@ -72,68 +75,96 @@ def z_increment(y, g_y, d_w, h: float) -> float:
     )
 
 
-def scalar_step(prob, y, d_w, h):
-    """Implicit steps of a scalar problem from the states y with the
-    increments d_w, entry by entry: (states, iterations, converged)."""
-    b = y + prob.diffusion(y)[..., 0] * d_w
-    return kernels.implicit_solve(prob.drift, lambda x: prob.drift_jacobian(x)[..., 0], h, b)
+# The sweep of the exact steps: step sizes from the smallest subnormal to the float just
+# below 1, both ends included, and right-hand sides from the smallest normal to 1e300
+# with 0, plus seeded log-uniform draws of each.
+_TINY = float(np.finfo(np.float64).tiny)
+_HS = [5e-324, 1e-310, 1e-301, 1e-200, 1e-100, 1e-30, 1e-16, 1e-8, 1e-4, 1.0 / 64.0, 0.125,
+       0.25, 1.0 / 3.0, 0.5, 0.75, 0.9, 0.999, 1.0 - 1e-8, 1.0 - 2.0**-52, 1.0 - 2.0**-53]
+_BS = [0.0, _TINY, 1e-300, 1e-200, 1e-100, 1e-20, 1e-8, 1e-3, 0.1, 0.5, 1.0, 1.5, 3.0, 10.0,
+       1e3, 1e8, 1e20, 1e50, 1e100, 1e150, 1e200, 1e250, 1e300]
 
 
-def linear_step_closed_form(y, lam, sigma, d_w, h):
-    return y * (1.0 + sigma * d_w) / (1.0 + h * lam)
+def _sweep():
+    rng = np.random.default_rng(2016)
+    hs = _HS + (10.0 ** rng.uniform(-323.0, 0.0, 12)).tolist() + rng.random(12).tolist() \
+        + (1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 12)).tolist()
+    bs = np.array(_BS + (10.0 ** rng.uniform(-307.6, 300.0, 60)).tolist())
+    return [h for h in hs if 0.0 < h < 1.0], bs
 
 
-def cubic_root_bisection(y, sigma, d_w, h, tol=1e-14):
-    """Independent root finder for the Ginzburg-Landau implicit step."""
-    b = y + sigma * y * d_w
+class TestExactSteps:
+    """Each scalar zoo problem steps by its exact root of z - h*f(z) = b."""
 
-    def residual(z):
-        return z - h * (z - z**3) - b
+    def test_ginzburg_landau_roots_within_4_ulps(self):
+        cubic = make_problem("ginzburg-landau").solve
+        hs, bs = _sweep()
+        worst = max((ulps_from(float(z), cubic_root_reference(h, b)), h, b)
+                    for h in hs for b, z in zip(bs, cubic(h, bs)))
+        assert worst[0] <= 4.0, f"{worst[0]:.2f} ulps at h={worst[1]!r}, b={worst[2]!r}"
 
-    lo, hi = -1.0 - 2 * abs(b), 1.0 + 2 * abs(b)
-    while residual(lo) > 0:
-        lo *= 2
-    while residual(hi) < 0:
-        hi *= 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    @pytest.mark.parametrize("label", ["ginzburg-landau", "linear"])
+    def test_odd_in_b_bit_for_bit(self, label):
+        solve = make_problem(label).solve
+        hs, bs = _sweep()
+        bs = np.concatenate([bs, [1e305, np.finfo(np.float64).max]])
+        for h in hs:
+            z, mirrored = solve(h, bs), solve(h, -bs)
+            assert np.array_equal(mirrored, -z)
+            assert np.array_equal(np.signbit(mirrored), ~np.signbit(z))
+
+    @pytest.mark.parametrize("h, b", [
+        # T = 1e-300 with h = 1e-301 passes check_step_sizes
+        (1e-301, 1.0), (1e-301, 1e300),
+        # ginzburg-landau with sigma = 0 and L = 0.2 takes any h < 1
+        (1.0 - 2.0**-53, 1e300), (1.0 - 2.0**-53, _TINY),
+        # the root of b = 1.7e308 at h = 0.5 is about 7e102
+        (0.5, 1.7e308), (0.5, np.finfo(np.float64).max),
+    ])
+    def test_extreme_roots_are_exact(self, h, b):
+        problem = make_problem("ginzburg-landau", sigma=0.0, L=0.2)
+        check_step_sizes(problem, [h], 1.0, 10.0 * h)
+        (z,) = problem.solve(h, np.array([b]))
+        assert ulps_from(float(z), cubic_root_reference(h, b)) <= 4.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=st.floats(0.0, 1e6), h=st.floats(1e-300, 0.999),
+           b=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8))
+    def test_linear_step_is_the_closed_form(self, lam, h, b):
+        b = np.array(b)
+        assert np.array_equal(make_problem("linear", lam=lam).solve(h, b), b / (1.0 + h * lam))
+
+    @pytest.mark.parametrize("label", ["ginzburg-landau", "linear"])
+    def test_non_finite_right_hand_side_gives_no_finite_root(self, label):
+        solve = make_problem(label).solve
+        z = solve(0.125, np.array([np.nan, np.inf, -np.inf, 2.0]))
+        assert not np.isfinite(z[:3]).any() and np.isfinite(z[3])
+
+    @pytest.mark.parametrize("label", ["ginzburg-landau", "linear"])
+    def test_each_root_independent_of_its_batch(self, label):
+        # a NaN or infinite entry, such as a failed path's, changes no other entry
+        solve = make_problem(label).solve
+        b = np.array([np.nan, 1e300, np.inf, 1.0, -1.7e308, -np.inf, 0.0, 3e-300])
+        together = solve(0.5, b)
+        alone = np.concatenate([solve(0.5, b[i:i + 1]) for i in range(b.size)])
+        assert np.array_equal(together, alone, equal_nan=True)
+        assert np.isfinite(together[[1, 3, 4, 6, 7]]).all()
+
+    def test_equilibrium_fixed_point(self):
+        (z,) = make_problem("ginzburg-landau").solve(0.1, np.array([1.0]))
+        assert abs(z - 1.0) <= 4.0 * math.ulp(1.0)
+
+    def test_scalar_problem_without_exact_step_rejected_before_drawing(self):
+        class Undrawn:
+            def standard_normal(self, shape):
+                raise LookupError(shape)
+
+        prob = SdeProblem(label="no-step", **_scalar_callables(), x0=[0.5], L=1.0)
+        with pytest.raises(ContractViolationError, match="'no-step' has no exact implicit step"):
+            simulate_trajectory(prob, 0.125, 0.25, 1.0, [], Undrawn())
 
 
 class TestBemStep:
-    def test_linear_matches_closed_form(self, rng):
-        prob = make_problem("linear", lam=1.0, sigma=0.5)
-        for h in (0.2, 0.1, 0.05, 0.01):
-            y = rng.uniform(-3, 3, 25)
-            d_w = rng.normal(0, math.sqrt(h), 25)
-            out, _, ok = scalar_step(prob, y, d_w, h)
-            assert ok.all()
-            assert np.allclose(out, linear_step_closed_form(y, 1.0, 0.5, d_w, h),
-                               rtol=0.0, atol=1e-10)
-
-    def test_equilibrium_fixed_point(self):
-        prob = make_problem("ginzburg-landau", sigma=0.5, x0=1.0)
-        out, _, _ = scalar_step(prob, np.array([1.0]), np.array([0.0]), 0.1)
-        assert out[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_ginzburg_landau_vs_bisection_oracle(self, rng):
-        prob = make_problem("ginzburg-landau", sigma=0.5)
-        for _ in range(50):
-            y = rng.uniform(-2, 2)
-            h = rng.uniform(0.01, 0.5)
-            d_w = rng.normal(0, math.sqrt(h))
-            (out,), _, _ = scalar_step(prob, np.array([y]), np.array([d_w]), h)
-            oracle = cubic_root_bisection(y, 0.5, d_w, h)
-            assert out == pytest.approx(oracle, abs=1e-10)
-            residual = out - h * (out - out**3) - (y + 0.5 * y * d_w)
-            assert abs(residual) <= 1e-12
-
     def test_rotation_newton_matches_direct_solve(self):
         # the closed form is Newton's first update, exact for the linear drift
         h, h0, T = 0.1, 0.12, 1.0
@@ -230,33 +261,30 @@ class TestScalarStepMatchesKernel:
                  for i in range(40)]
         d_w = np.array([traj.d_w[:, 0] for traj in trajs])
         states, iters, failed = kernels.bem_scalar_batch(
-            prob.drift, prob.drift_jacobian, prob.diffusion, float(prob.x0[0]), d_w.T, h
-        )
+            prob.solve, prob.diffusion, float(prob.x0[0]), h, d_w.T)
         assert not failed.any()
         assert np.array_equal(np.array([traj.states[:, 0] for traj in trajs]), states.T)
         assert np.array_equal(np.sum([traj.solver_iterations for traj in trajs], axis=0), iters)
 
     def test_solver_error_where_kernel_fails(self):
-        # g(x0) = 1e130 puts the first step's b near 1e129, where the Ginzburg-Landau
-        # solve fails; the trajectory raises at the step the kernel marks failed
+        # g(x) = 1e30*x multiplies the state by about 1e30 a step, so it overflows
+        # float64 within ten steps; the trajectory raises at the step the kernel marks
+        # failed
         prob = SdeProblem(
-            label="loud-cubic",
-            drift=lambda x: x - x * x * x,
-            drift_jacobian=lambda x: (1.0 - 3.0 * x * x)[..., None],
+            label="loud-growth",
+            drift=lambda x: x,
+            drift_jacobian=lambda x: np.ones(np.shape(x) + (1,)),
             diffusion=lambda x: 1e30 * np.asarray(x)[..., None],
-            x0=np.array([1e100]), L=1.0,
+            x0=np.array([1e100]), L=1.0, solve=lambda h, b: b / (1.0 - h),
         )
-        h, h0, T = 0.4, 0.45, 0.8
+        h, h0, T = 0.4, 0.45, 4.0
         d_w = StreamPlan(0).path_stream(0).standard_normal((step_count(h, T), 1)) * math.sqrt(h)
-        with np.errstate(all="ignore"):
-            states, _, failed = kernels.bem_scalar_batch(
-                prob.drift, prob.drift_jacobian, prob.diffusion, 1e100, d_w, h
-            )
-            assert failed[0]
-            step = int(np.flatnonzero(np.isnan(states[:, 0]))[0])
-            with pytest.raises(SolverError, match=f"step {step} of {step_count(h, T)} failed "
-                                                  r"for problem 'loud-cubic': implicit step"):
-                simulate_trajectory(prob, h, h0, T, [], StreamPlan(0).path_stream(0))
+        states, _, failed = kernels.bem_scalar_batch(prob.solve, prob.diffusion, 1e100, h, d_w)
+        assert failed[0]
+        step = int(np.flatnonzero(np.isnan(states[:, 0]))[0])
+        with pytest.raises(SolverError, match=f"step {step} of {step_count(h, T)} failed "
+                                              r"for problem 'loud-growth': implicit step"):
+            simulate_trajectory(prob, h, h0, T, [], StreamPlan(0).path_stream(0))
 
     def test_trajectory_reports_failing_step(self):
         # f(x0) is finite, but z - h*f(z) = z - 8hz is 0 at h = 0.125, so the
@@ -266,46 +294,31 @@ class TestScalarStepMatchesKernel:
             drift=lambda x: 8.0 * x,
             drift_jacobian=lambda x: np.full(np.shape(x) + (1,), 8.0),
             diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
-            x0=np.array([1.0]), L=1.0,
+            x0=np.array([1.0]), L=1.0, solve=lambda h, b: b / (1.0 - 8.0 * h),
         )
-        with pytest.raises(SolverError, match="step 1 of 8"):
+        with pytest.raises(SolverError, match="step 1 of 8 failed for problem 'no-root': "
+                                              "implicit step gave no finite state$"):
             simulate_trajectory(prob, 0.125, 0.25, 1.0, [], StreamPlan(0).path_stream(0))
-
 
     @pytest.mark.parametrize("block", [1, 7, 16, 17, 64])
     def test_solver_error_names_the_step_in_any_block(self, monkeypatch, block):
         # y' = y/(1 - h) grows past 5 at step 16, where the drift is NaN, so that
         # step fails; a block that ends before it, or starts or ends with it, gives
         # the message of one whole block
+        def solve(h, b):
+            z = b / (1.0 - h)
+            return np.where(np.abs(z) > 5.0, np.nan, z)
+
         prob = SdeProblem(
             label="nan-beyond-5",
             drift=lambda x: np.where(np.abs(x) > 5.0, np.nan, x),
             drift_jacobian=lambda x: np.ones(np.shape(x) + (1,)),
             diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
-            x0=np.array([1.0]), L=1.0,
+            x0=np.array([1.0]), L=1.0, solve=solve,
         )
         monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
         with pytest.raises(SolverError, match="^step 16 of 30 failed for problem 'nan-beyond-5'"):
             simulate_trajectory(prob, 0.1, 0.45, 3.0, [], StreamPlan(0).path_stream(0))
-
-
-class TestStoppingRuleAtEveryScale:
-    """Newton also stops once its update is at rounding level, so a large
-    state converges by Newton alone: from |y| of about 1e4 on, rounding
-    keeps the residual above the absolute tolerance."""
-
-    def test_scalar_sweep_needs_no_fallback(self, monkeypatch):
-        def no_fallback(*args):
-            raise AssertionError("bisection fallback taken")
-
-        monkeypatch.setattr(kernels, "_bisect", no_fallback)
-        prob = make_problem("ginzburg-landau", sigma=0.5)
-        y = np.logspace(2, 8, 13)
-        z, iters, ok = scalar_step(prob, y, np.zeros_like(y), 0.125)
-        assert ok.all()
-        assert iters.max() < kernels.MAX_ITER
-        residual = z - 0.125 * (z - z**3) - y
-        assert np.all(np.abs(residual) <= 4.0 * np.finfo(np.float64).eps * y)
 
 
 class TestStepSizes:
@@ -329,7 +342,7 @@ class TestStepSizes:
             check_step_sizes(prob, [-0.1], 0.2, 1.0)
 
     def test_rejects_an_empty_grid(self):
-        with pytest.raises(ContractViolationError, match="need at least one step-size"):
+        with pytest.raises(ContractViolationError, match="^need at least one step size$"):
             check_step_sizes(make_problem("linear"), [], 0.25, 1.0)
 
     def test_validate_against_problem(self):
@@ -600,9 +613,7 @@ class TestRecursionCheck:
         n_paths, n_steps = 10_000, 8
         d_w = StreamPlan(11).chunk_stream(0).standard_normal((n_paths, n_steps))
         d_w *= math.sqrt(h)
-        states, _, failed = kernels.bem_scalar_batch(
-            prob.drift, prob.drift_jacobian, prob.diffusion, 1.0, d_w.T, h
-        )
+        states, _, failed = kernels.bem_scalar_batch(prob.solve, prob.diffusion, 1.0, h, d_w.T)
         states = states.T
         assert not failed.any()
         y_sq = states**2
@@ -618,9 +629,19 @@ class TestRecursionCheck:
         assert excess.max() <= 0.0, f"violations on {int((excess > 0).any(axis=1).sum())} paths"
 
 
+def _tanh_well_step(h, b):
+    """The root z of z + h*tanh(z) = b, which lies within h of b, by bisection."""
+    lo, hi = b - h, b + h
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = mid + h * np.tanh(mid) < b
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 class TestCustomProblem:
     def test_user_problem_with_spot_check(self):
-        # bounded drift toward the origin, additive noise
+        # bounded drift toward the origin, additive noise, and its own exact step
         prob = SdeProblem(
             label="tanh-well",
             drift=lambda x: -np.tanh(x),
@@ -628,6 +649,7 @@ class TestCustomProblem:
             diffusion=lambda x: np.full(np.shape(x) + (1,), 0.3),
             x0=np.array([0.5]),
             L=0.045,
+            solve=_tanh_well_step,
         )
         check_coercivity(prob)
         traj = simulate_trajectory(prob, 0.2, 0.25, 1.0, [], StreamPlan(4).path_stream(0))
