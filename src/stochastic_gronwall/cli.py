@@ -453,18 +453,17 @@ def _cmd_bem(args) -> int:
     traj = simulate_trajectory(problem, args.h, h0, args.T, args.p_list,
                                StreamPlan(args.seed).path_stream(0))
 
-    header = ["j", "t"] + [f"y{i}" for i in range(problem.d)] + ["z_increment", "iterations"]
+    header = ["j", "t"] + [f"y{i}" for i in range(problem.d)] + ["z_increment"]
 
     def rows():
         """One row at a time, of Python values taken from one block of rows
         at a time: a list of them all would take many times the trajectory."""
-        yield [0, 0.0, *traj.states[0].tolist(), "", ""]
+        yield [0, 0.0, *traj.states[0].tolist(), ""]
         for lo in range(0, traj.z_increments.size, 4096):
             hi = lo + 4096
-            block = zip(traj.states[lo + 1:hi + 1].tolist(), traj.z_increments[lo:hi].tolist(),
-                        traj.solver_iterations[lo:hi].tolist())
-            for j, (state, z, iters) in enumerate(block, lo + 1):
-                yield [j, j * args.h, *state, z, iters]
+            block = zip(traj.states[lo + 1:hi + 1].tolist(), traj.z_increments[lo:hi].tolist())
+            for j, (state, z) in enumerate(block, lo + 1):
+                yield [j, j * args.h, *state, z]
 
     _write_csv(args.output, header, rows())
     for p, val in traj.sup_functional_p.items():
@@ -590,12 +589,11 @@ def build_parser() -> argparse.ArgumentParser:
     _leaf(msub, "remark-constants", "constant window at exponent p", _cmd_remark_constants, [
         Flag("--p", REAL, "moment exponent", REQUIRED),
     ])
-    _leaf(msub, "enumerate", "exact expectations over all 2^n sign walks, by a recursion "
-          "over the walk's probability mass", _cmd_enumerate, [
+    _leaf(msub, "enumerate", "exact expectations over all 2^n sign walks, from counts of "
+          "walks by reflection", _cmd_enumerate, [
         Flag("--p", REAL, "moment exponent", REQUIRED),
-        Flag("--n", INTEGER, f"walk length; n * (n + 2 - b) values of mass, at most "
-             f"{MAX_CHUNK_VALUES}, where b is floor(stop level), or -n - 1 if there is none "
-             "or it is lower", REQUIRED),
+        Flag("--n", INTEGER, f"walk length; n + 1 times {CHUNK_SIZE} at most "
+             f"{MAX_CHUNK_VALUES}, the work limit of a synthetic horizon", REQUIRED),
         Flag("--stop-level", REAL, "freeze each walk at its first visit at or below this level"),
     ])
     _leaf(msub, "estimate-sup", "Monte Carlo E[(sup stopped BM)^p]", _cmd_estimate_sup, [

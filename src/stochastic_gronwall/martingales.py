@@ -3,10 +3,10 @@
     E[(sup_{k<=n} M_k)^p] <= (1/(1-p)) * (E[-inf_{k<=n} M_k])^p,  p in (0,1):
 
 exact expectations over the 2^n sign walks of length n (plain or
-stopped), from one forward recursion over the walk's probability mass in
-O(n^3) time and within the ``streams.MAX_CHUNK_VALUES`` work limit; exact
-draws of the supremum of Brownian motion stopped at -1 for Monte Carlo;
-and the sharp-constant window around pi*p/sin(pi*p).
+stopped), from integer counts of walks by the reflection principle over
+one table of binomial tails, within the work limit of a synthetic
+horizon; exact draws of the supremum of Brownian motion stopped at -1
+for Monte Carlo; and the sharp-constant window around pi*p/sin(pi*p).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError
-from .streams import MAX_CHUNK_VALUES
+from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES
 
 
 class RatioCheck(NamedTuple):
@@ -85,35 +85,6 @@ def remark_constants(p: float) -> RemarkConstants:
 # Exact walk expectations
 
 
-def _level_hit_probabilities(n: int, levels: int, barrier: int) -> np.ndarray:
-    """P(a +-1 walk from 0 reaches level m within n steps, before ``barrier``)
-    for m = 1, ..., levels.
-
-    Row m - 1 carries the walk's mass over the positions barrier .. levels
-    + 1, absorbed at m (its hits are summed) and at the barrier (column
-    0, never updated). Each step updates only the positions that a walk
-    can occupy after it and that can still reach level 1.
-    """
-    cols = levels - barrier + 2
-    if levels * cols > MAX_CHUNK_VALUES:
-        raise ContractViolationError(
-            f"walk length {n}: {levels} levels times {cols} positions are over "
-            f"{MAX_CHUNK_VALUES} values for one mass array"
-        )
-    mass = np.zeros((levels, cols))
-    mass[:, -barrier] = 1.0
-    hits = np.zeros(levels)
-    rows = np.arange(levels)
-    at_level = rows + 1 - barrier
-    for t in range(1, n + 1):
-        lo = max(1, -t - barrier, t + 1 - n - barrier)
-        hi = min(cols - 2, t - barrier)
-        mass[:, lo:hi + 1] = 0.5 * (mass[:, lo - 1:hi] + mass[:, lo + 1:hi + 2])
-        hits += mass[rows, at_level]
-        mass[rows, at_level] = 0.0
-    return hits
-
-
 def walk_functional_expectations(
     n: int, p: float, stop_level: float | None = None
 ) -> tuple[float, float]:
@@ -121,12 +92,17 @@ def walk_functional_expectations(
     of length n, each frozen at its first visit <= ``stop_level`` if given.
 
     Both are sums of tails, E[(sup M)^p] = sum_m (m^p - (m-1)^p)
-    P(sup >= m) and E[-inf M] = sum_m P(inf <= -m), with the tails from
-    :func:`_level_hit_probabilities`. The walk freezes on reaching
-    b = floor(stop_level), so P(inf <= -m) is the free walk's
-    P(sup >= m) for m <= -b and zero beyond; a barrier below -n is never
-    reached, and one pass then gives both sums. A mass array of more than
-    ``MAX_CHUNK_VALUES`` values is rejected before it is allocated.
+    P(sup >= m) and E[-inf M] = sum_m P(inf <= -m), counted in walks from
+    one table of binomial tails. By reflection a free walk reaches m >= 1
+    in R(m) = U((n+m+1)//2) + U((n+m+2)//2) walks, U(j) those with at
+    least j up-steps. A walk frozen at b = floor(stop_level) reaches m in
+    sum_k R(m + 2k(m-b)) - R(m - 2b + 2k(m-b)) walks, and P(inf <= -m)
+    is the free walk's R(m) / 2^n for m <= -b and zero beyond; a barrier
+    below -n is never reached. Each count is a Python integer divided by
+    2^n once, so every tail, and E[-inf M], is correctly rounded. A walk
+    whose n + 1 values times ``CHUNK_SIZE`` are over ``MAX_CHUNK_VALUES``,
+    the work limit of a synthetic horizon, is rejected before the table
+    is built.
     """
     if n < 0:
         raise ContractViolationError(f"n must be >= 0, got {n}")
@@ -134,9 +110,23 @@ def walk_functional_expectations(
         raise ContractViolationError(f"stop_level must be < 0, got {stop_level}")
     if not 0.0 < p < 1.0:
         raise ContractViolationError(f"p must lie in (0,1), got {p}")
-    free = -n - 1
-    barrier = free if stop_level is None else max(math.floor(stop_level), free)
-    up = _level_hit_probabilities(n, n, barrier)
-    down = up if barrier == free else _level_hit_probabilities(n, -barrier, free)
+    limit = MAX_CHUNK_VALUES // CHUNK_SIZE - 1
+    if n > limit:
+        raise ContractViolationError(f"walk length {n} is over the work limit of {limit} steps")
+    # tails[j]: the walks with at least j up-steps; comb steps from C(n, j) to C(n, j - 1)
+    tails, comb = [0] * (n + 2), 1
+    for j in range(n, -1, -1):
+        tails[j] = tails[j + 1] + comb
+        comb = comb * j // (n - j + 1)
+
+    def reach(m: int) -> int:
+        """The free walks that reach level m >= 1."""
+        return tails[(n + m + 1) // 2] + tails[(n + m + 2) // 2] if m <= n else 0
+
+    b = -n - 1 if stop_level is None or stop_level < -n else math.floor(stop_level)
+    total = 1 << n
+    sup_tails = [sum(reach(s) - reach(s - 2 * b) for s in range(m, n + 1, 2 * (m - b))) / total
+                 for m in range(1, n + 1)]
+    neg_inf = sum(reach(m) for m in range(1, min(n, -b) + 1))
     weights = np.diff(np.arange(n + 1.0) ** p)
-    return float(weights @ up), float(down.sum())
+    return float(weights @ sup_tails), neg_inf / total

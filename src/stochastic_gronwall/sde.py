@@ -218,17 +218,14 @@ class BemTrajectory:
     d_w: np.ndarray
     z_increments: np.ndarray
     sup_functional_p: dict
-    solver_iterations: np.ndarray
 
 
 class ScalarPaths:
     """Paths of a scalar problem at one step size, stepped block by block
     with :func:`kernels.bem_scalar_batch` and the problem's exact step
     ``solve``. Carries the last state of each path, the running maximum
-    of |y|^2 + h|g(y)|^2, which paths failed and the last block's count
-    of finite path-steps per step (its ``iters``: one solve each). A path
-    that fails is NaN from that step on; later blocks carry it, and count
-    it at no step."""
+    of |y|^2 + h|g(y)|^2 and which paths failed. A path that fails is NaN
+    from that step on, and later blocks carry it."""
 
     def __init__(self, problem, h, count):
         self.problem, self.h = problem, h
@@ -241,7 +238,7 @@ class ScalarPaths:
         yielding each step's (1, paths) states: views that are
         overwritten once the block's last one is taken."""
         problem = self.problem
-        states, self.iters, failed = kernels.bem_scalar_batch(
+        states, _, failed = kernels.bem_scalar_batch(
             problem.solve, problem.diffusion, self.y, self.h, d_w[:, 0])
         yield from states[1:, None]
         self.y = states[-1].copy()
@@ -266,15 +263,14 @@ class ScalarPaths:
 
 class RotationPaths:
     """Paths of the zoo's bounded rotation at one step size, stepped
-    block by block in closed form, one iteration per step. Carries the
-    state, one (2, paths) array, and the running maximum of |y|^2; no
-    path fails. The drift is y -> A y, A = [[-k, -w], [w, -k]], and the
-    diffusion g*I_2, so a step solves (I - hA) y' = r, r = y + g dW,
-    exactly (Newton's first update): with a = 1 + hk, b = hw and
-    det = a^2 + b^2, y' = (a/det) r + (b/det) J r, J the quarter turn,
-    the coefficients divided once per stepper. J r is the rows of r
-    reversed, times (-b/det, b/det): a*r0 + (-b)*r1 has the bits of
-    a*r0 - b*r1."""
+    block by block in closed form. Carries the state, one (2, paths)
+    array, and the running maximum of |y|^2; no path fails. The drift is
+    y -> A y, A = [[-k, -w], [w, -k]], and the diffusion g*I_2, so a step
+    solves (I - hA) y' = r, r = y + g dW, exactly (Newton's first
+    update): with a = 1 + hk, b = hw and det = a^2 + b^2, y' = (a/det) r
+    + (b/det) J r, J the quarter turn, the coefficients divided once per
+    stepper. J r is the rows of r reversed, times (-b/det, b/det):
+    a*r0 + (-b)*r1 has the bits of a*r0 - b*r1."""
 
     def __init__(self, problem, h, count):
         x0 = problem.x0
@@ -300,7 +296,6 @@ class RotationPaths:
         """Step every path over one block's (steps, 2, paths) increments,
         yielding each step's (2, paths) states, one array stepped in place.
         A step reads two rows of d_w, contiguous when d_w is C-ordered."""
-        self.iters = np.ones(d_w.shape[0], dtype=np.int64)
         y, best, a, turn, g = self.y, self.best, self.a, self.turn, self.g
         r, t = np.empty((2,) + y.shape)
         for row in d_w:
@@ -337,8 +332,8 @@ def implicit_step(problem: SdeProblem) -> type:
     included. Each class is built as ``(problem, h, paths)``; its
     generator ``step(d_w)`` steps one block's (steps, d, paths)
     increments, yields each step's (d, paths) states and folds them into
-    the running maximum that ``sup(p)`` reads, and it has the block's
-    ``iters`` and the paths' ``failed``.
+    the running maximum that ``sup(p)`` reads, and it has the paths'
+    ``failed``.
     """
     if problem.d == problem.m == 1:
         if problem.solve is None:
@@ -395,12 +390,10 @@ def simulate_trajectory(
     paths = kind(problem, h, 1)
     states = np.empty((n + 1, problem.d))
     states[0] = problem.x0
-    iters = np.empty(n, dtype=np.int64)
     blocks = [(lo, min(lo + TRAJECTORY_BLOCK, n)) for lo in range(0, n, TRAJECTORY_BLOCK)]
     for lo, hi in blocks:
         for j, y in enumerate(paths.step(d_w[lo:hi, :, None]), lo + 1):
             states[j] = y[:, 0]
-        iters[lo:hi] = paths.iters
         if paths.failed[0]:
             raise SolverError(
                 f"step {np.isnan(states[:hi + 1, 0]).argmax()} of {n} failed for problem "
@@ -420,7 +413,7 @@ def simulate_trajectory(
             step = lo + np.isfinite(z).argmin() + 1
             raise ContractViolationError(f"the noise term Z^j overflows float64 at step {step} of {n}")
     sup_p = {float(p): float(paths.sup(float(p))[0]) for p in p_list}
-    return BemTrajectory(states, d_w, z_vals, sup_p, iters)
+    return BemTrajectory(states, d_w, z_vals, sup_p)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ A realized path of the stochastic Gronwall hypothesis with its
 transformed-martingale product inequality, and the sum side of the
 telescoping identity over running products that switch to log space at
 the library's overflow guard, the reference for its product; every
-sign walk of a given length, plain or stopped, and the exact walk
-expectations read off them, the reference for the mass recursion in
-``martingales``; the root of the Ginzburg-Landau implicit step to 80
+sign walk of a given length, plain or stopped, and the walk
+expectations read off them, and the former mass recursion of
+``martingales`` in exact integer walk counts, the references for its
+walk counts by reflection; the root of the Ginzburg-Landau implicit step to 80
 digits, the reference for the zoo's exact step; the former per-row implicit-Euler sampler, one fresh
 draw per step size, the bit-exact reference for the one-pass sampler in
 ``mc``; the former whole-union chunk of that sampler, the bit-exact
@@ -17,6 +18,7 @@ streamed one; and the schema of every report the command line writes.
 
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -194,6 +196,50 @@ def sign_walk_expectations(n: int, p_values, stop_level: float | None = None):
     sup = paths.max(axis=1)
     e_sup_p = {p: float(np.mean(sup**p)) for p in p_values}
     return e_sup_p, float(np.mean(-paths.min(axis=1)))
+
+
+def walk_hit_counts(n: int, levels: int, barrier: int) -> np.ndarray:
+    """Walks, of the 2^n +-1 walks of length n from 0, that reach level m
+    before ``barrier``, for m = 1, ..., levels, as Python integers.
+
+    The former mass recursion of ``martingales``, exact and O(n^3): row
+    m - 1 carries the walks' count over the positions barrier .. levels
+    + 1, absorbed at m (its hits are summed) and at the barrier (column
+    0, never updated). A count at step t is a multiple of 2^(n - t), so
+    halving the sum of the two neighbours stays exact.
+    """
+    cols = levels - barrier + 2
+    mass = np.zeros((levels, cols), dtype=object)
+    mass[:, -barrier] = 1 << n
+    hits = np.zeros(levels, dtype=object)
+    rows = np.arange(levels)
+    at_level = rows + 1 - barrier
+    for t in range(1, n + 1):
+        lo = max(1, -t - barrier, t + 1 - n - barrier)
+        hi = min(cols - 2, t - barrier)
+        mass[:, lo:hi + 1] = (mass[:, lo - 1:hi] + mass[:, lo + 1:hi + 2]) // 2
+        hits += mass[rows, at_level]
+        mass[rows, at_level] = 0
+    return hits
+
+
+def exact_walk_expectations(n: int, p_values, stop_level: float | None = None):
+    """({p: E[(sup M)^p] to 40 digits}, E[-inf M] as a Fraction) over the
+    2^n +-1 walks of length n, each frozen at its first visit <=
+    ``stop_level`` if given: the exact reference for
+    ``martingales.walk_functional_expectations``, from
+    :func:`walk_hit_counts`, for walks of a few hundred steps."""
+    free = -n - 1
+    barrier = free if stop_level is None else max(math.floor(stop_level), free)
+    up = walk_hit_counts(n, n, barrier)
+    down = up if barrier == free else walk_hit_counts(n, -barrier, free)
+    e_sup_p = {}
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for p in p_values:
+            powers = [Decimal(m) ** Decimal(p) for m in range(n + 1)]
+            e_sup_p[p] = sum((b - a) * c for a, b, c in zip(powers, powers[1:], up)) / (1 << n)
+    return e_sup_p, Fraction(int(down.sum()), 1 << n)
 
 
 def cubic_root_reference(h: float, b: float) -> Decimal:

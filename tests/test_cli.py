@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -193,7 +194,7 @@ class TestMartingaleCommand:
         finally:
             tracemalloc.stop()
         assert code == EXIT_CONTRACT
-        assert "values for one mass array" in err
+        assert "over the work limit of 8191 steps" in err
         assert peak < 2**20
 
     def test_estimate_sup_report(self, capsys, tmp_path):
@@ -221,7 +222,7 @@ class TestBemCommand:
 
     def test_simulate_streams_its_rows(self, capsys, tmp_path):
         # from 2^10 to 2^15 rotation steps the peak grows by what the trajectory holds
-        # (states, increments, noise terms and iterations: 3 times the states) and the
+        # (states, increments and noise terms: 2.5 times the states) and the
         # temporaries of its noise terms, 6 times the growth of the states; a list of every
         # CSV row, built before the first was written, grew it by 21 times
         def peak(steps):
@@ -518,6 +519,21 @@ class TestGoldenReports:
         assert code == EXIT_OK, err
         assert out_path.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
+    @pytest.mark.parametrize("name, sha256", [
+        ("bem_simulate_ginzburg_landau",
+         "41bbf2e82240acb87990400bfdc7a028fe48e1775fa43645e3fd8be96ae5f79e"),
+        ("bem_simulate_bounded_rotation",
+         "604b807a9294a0cd9517387c1060d80900293b0dabb46e43ac4b67470a219006"),
+    ])
+    def test_bem_simulate_csv_lost_only_its_iterations_column(self, name, sha256):
+        # these files were pinned with a last column, iterations, that read 1 at every
+        # step; with it put back, every byte is the former file's
+        lines = (GOLDEN / f"{name}.csv").read_bytes().split(b"\r\n")
+        assert lines.pop() == b""
+        ends = [b",iterations", b","] + [b",1"] * (len(lines) - 2)
+        former = b"".join(line + end + b"\r\n" for line, end in zip(lines, ends))
+        assert hashlib.sha256(former).hexdigest() == sha256
+
 
 # Every command that takes --workers and --z, with enough flags to run.
 _POSITIVE_FLAG_COMMANDS = {
@@ -671,10 +687,10 @@ _INPUT_CASES = {
     "enumerate-zero-steps-stop-level": (["martingale", "enumerate", "--p", "0.5", "--n", "0",
                                          "--stop-level", "1"], None, None, EXIT_CONTRACT,
                                         "stop_level must be < 0"),
-    # 5792 levels times 5795 positions of walk mass: over the work limit
-    "enumerate-over-work-limit": (["martingale", "enumerate", "--p", "0.5", "--n", "5792",
+    # 8193 values times 4096, as for a synthetic horizon: over the work limit
+    "enumerate-over-work-limit": (["martingale", "enumerate", "--p", "0.5", "--n", "8192",
                                    "--stop-level", "-1"], None, None, EXIT_CONTRACT,
-                                  "values for one mass array"),
+                                  "over the work limit of 8191 steps"),
     "deterministic-G-negative-horizon": (["bound", "--form", "deterministic-G", "--p", "0.5",
                                           "--G", "0.1,0.2", "--n", "-1", "--e-sup-f", "1"],
                                          None, None, EXIT_CONTRACT, "horizon n must be >= 0"),
@@ -926,6 +942,9 @@ class TestFlagDomains:
 _EDGE_FLOATS = ["0", "5e-324", "-5e-324", "1", "-1", "1e154", "1e308", "-1e308",
                 str(2**63 - 1)]
 _EDGE_INTS = ["0", "1", "-1", str(2**63 - 1)]
+# enumerate's longest walk, the first one rejected, and the largest int64
+_WALK_EDGES = [str(MAX_CHUNK_VALUES // CHUNK_SIZE - 1), str(MAX_CHUNK_VALUES // CHUNK_SIZE),
+               str(2**63 - 1)]
 _CLOSED_FORM_LEAVES = [(path, leaf) for path, leaf in _LEAVES if path in (
     ["bound"], ["gronwall"], ["martingale", "remark-constants"], ["martingale", "enumerate"])]
 
@@ -935,9 +954,9 @@ def _edge_value(path, flag):
     kind = flag.domain.type
     if kind is float:
         return st.sampled_from(_EDGE_FLOATS)
-    if kind is int:  # enumerate's walk is at most 64 steps, to stay fast
-        return (st.integers(-1, 64).map(str) if path[-1] == "enumerate"
-                else st.sampled_from(_EDGE_INTS))
+    if kind is int:
+        return (st.integers(-1, 64).map(str) | st.sampled_from(_WALK_EDGES)
+                if path[-1] == "enumerate" else st.sampled_from(_EDGE_INTS))
     if kind is str:
         return st.nothing()
     return st.lists(st.sampled_from(_EDGE_FLOATS), max_size=4).map(",".join)
@@ -1074,16 +1093,15 @@ class TestMonteCarloLeaves:
             assert code in (EXIT_CONFIG, EXIT_CONTRACT), err
         if code == EXIT_OK:
             rows = list(csv.reader(io.StringIO(out)))
-            d = len(rows[0]) - 4
-            assert rows[0] == ["j", "t", *(f"y{i}" for i in range(d)), "z_increment",
-                               "iterations"]
+            d = len(rows[0]) - 3
+            assert rows[0] == ["j", "t", *(f"y{i}" for i in range(d)), "z_increment"]
             assert d == (2 if dict(pairs)["--problem"] == "bounded-rotation" else 1)
-            assert rows[1][-2:] == ["", ""] and all(len(row) == d + 4 for row in rows)
+            assert rows[1][-1] == "" and all(len(row) == d + 3 for row in rows)
             assert [int(row[0]) for row in rows[1:]] == list(range(len(rows) - 1))
             for row in rows[1:]:
                 assert all(math.isfinite(float(v)) for v in row[1:d + 2])
             for row in rows[2:]:
-                assert math.isfinite(float(row[-2])) and int(row[-1]) >= 0
+                assert math.isfinite(float(row[-1]))
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @given(command=st.sampled_from(_ESTIMATES).flatmap(
@@ -1258,7 +1276,8 @@ class TestMisc:
         assert val == gronwall_closed_form([0.1, 0.2], [0.3, 0.7])[1]
 
 
-# Run in a fresh interpreter: this test process has imported multiprocessing.
+# Run in a fresh interpreter: this test process has imported multiprocessing, fractions
+# and decimal.
 _POOL_STACK_SCRIPT = """
 import contextlib, gc, io, sys
 from pathlib import Path
@@ -1282,6 +1301,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     argv = [*runs["two-chunks"], "--workers", "2", "--output", str(out / "two-chunks-2.json")]
     assert main(argv) == 0
     assert "concurrent.futures" in sys.modules
+    argv = ["martingale", "enumerate", "--p", "0.5", "--n", "8191", "--stop-level", "-1"]
+    assert main(argv) == 0
+loaded = [m for m in ("fractions", "decimal") if m in sys.modules]
+assert loaded == [], f"these runs loaded {loaded}"
 # only the process entry freezes the heap, never main
 assert gc.get_freeze_count() == 0, gc.get_freeze_count()
 """

@@ -6,7 +6,12 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from oracles import enumerate_sign_walks, freeze_paths, sign_walk_expectations
+from oracles import (
+    enumerate_sign_walks,
+    exact_walk_expectations,
+    freeze_paths,
+    sign_walk_expectations,
+)
 from stochastic_gronwall import martingales
 from stochastic_gronwall.errors import ContractViolationError
 from stochastic_gronwall.martingales import (
@@ -15,7 +20,7 @@ from stochastic_gronwall.martingales import (
     sample_sup_stopped_bm_exact_batch,
     walk_functional_expectations,
 )
-from stochastic_gronwall.streams import MAX_CHUNK_VALUES, StreamPlan
+from stochastic_gronwall.streams import CHUNK_SIZE, MAX_CHUNK_VALUES, StreamPlan
 
 
 def gen_stopped_random_walk(
@@ -193,8 +198,21 @@ class TestEnumeration:
                 assert got_sup == pytest.approx(e_sup_p[p], rel=1e-13, abs=0.0), (n, p)
                 assert got_inf == pytest.approx(e_neg_inf, rel=1e-13, abs=0.0), (n, p)
 
+    @pytest.mark.parametrize("stop", [None, -1.0, -2.5, -7.0, "below"])
+    def test_agrees_with_exact_counts(self, stop):
+        # e_neg_inf is the correctly rounded exact value, e_sup_p a dot product of
+        # correctly rounded tails with rounded weights
+        p_values = (0.1, 0.5, 0.9)
+        for n in (0, 1, 2, 3, 10, 63, 200):
+            level = -n - 5.0 if stop == "below" else stop
+            e_sup_p, e_neg_inf = exact_walk_expectations(n, p_values, level)
+            for p in p_values:
+                got_sup, got_inf = walk_functional_expectations(n, p, level)
+                assert got_inf == float(e_neg_inf), (n, p)
+                assert got_sup == pytest.approx(float(e_sup_p[p]), rel=1e-14, abs=0.0), (n, p)
+
     def test_unreachable_stop_level_is_the_free_walk(self):
-        for stop in (-6.0, -6.5, -1e300):
+        for stop in (-6.0, -6.5, -1e300, -math.inf):
             assert walk_functional_expectations(5, 0.5, stop) == walk_functional_expectations(5, 0.5)
 
     def test_long_walks_against_binomial_tails(self):
@@ -203,11 +221,10 @@ class TestEnumeration:
         # P(inf <= -m) = P(sup >= m) = P(S_n >= m) + P(S_n > m) by reflection
         n = 400
         _, e_neg_inf = walk_functional_expectations(n, 0.5, -1.0)
-        assert e_neg_inf == pytest.approx(float(1 - Fraction(math.comb(n, n // 2), 2**n)),
-                                          rel=1e-14)
+        assert e_neg_inf == float(1 - Fraction(math.comb(n, n // 2), 2**n))
         _, e_neg_inf = walk_functional_expectations(n, 0.5)
         exact = sum(binomial_tail(n, m) + binomial_tail(n, m + 1) for m in range(1, n + 1))
-        assert e_neg_inf == pytest.approx(float(exact), rel=1e-12)
+        assert e_neg_inf == float(exact)
 
     @pytest.mark.parametrize("stop", [None, -1.0, -2.0])
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
@@ -240,22 +257,20 @@ class TestEnumeration:
         assert peak < 2**20
 
     def test_work_limit(self, monkeypatch):
-        # levels times positions: n * (2n + 3) with no stop level, n * (n + 3) at -1
-        free = max(n for n in range(4200) if n * (2 * n + 3) <= MAX_CHUNK_VALUES)
-        stopped = max(n for n in range(6000) if n * (n + 3) <= MAX_CHUNK_VALUES)
-        assert (free, stopped) == (4095, 5791)
+        # the longest synthetic horizon, the same for every stop level
+        limit = MAX_CHUNK_VALUES // CHUNK_SIZE - 1
+        assert limit == 8191
         with monkeypatch.context() as patch:
             # the same rule at a limit small enough to run both sides of it
-            patch.setattr(martingales, "MAX_CHUNK_VALUES", 6 * (6 + 3))
-            walk_functional_expectations(6, 0.5, -1.0)
-            walk_functional_expectations(4, 0.5)
-            for n, stop in ((7, -1.0), (5, None)):
-                with pytest.raises(ContractViolationError, match="values for one mass array"):
-                    walk_functional_expectations(n, 0.5, stop)
-        for n, stop in ((free + 1, None), (stopped + 1, -1.0), (2**63 - 1, -1.0)):
+            patch.setattr(martingales, "MAX_CHUNK_VALUES", 7 * CHUNK_SIZE)
+            for stop in (None, -1.0, -2.5):
+                walk_functional_expectations(6, 0.5, stop)
+                with pytest.raises(ContractViolationError, match="over the work limit of 6 steps"):
+                    walk_functional_expectations(7, 0.5, stop)
+        for n, stop in ((limit + 1, None), (limit + 1, -1.0), (2**63 - 1, -1.0)):
             tracemalloc.start()
             try:
-                with pytest.raises(ContractViolationError, match="values for one mass array"):
+                with pytest.raises(ContractViolationError, match=f"over the work limit of {limit}"):
                     walk_functional_expectations(n, 0.5, stop)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:

@@ -178,7 +178,6 @@ class TestBemStep:
                 expected = np.linalg.solve(mat, traj.states[j] + g @ traj.d_w[j])
                 gap = np.abs(traj.states[j + 1] - expected).max()
                 assert gap <= 1e-12 * np.abs(expected).max()
-            assert np.all(traj.solver_iterations == 1)
 
     def test_other_planar_problem_rejected_before_drawing(self):
         class Undrawn:
@@ -242,7 +241,6 @@ class TestRotationPaths:
             best = np.maximum(best, y0 * y0 + y1 * y1)
             assert np.array_equal(row, [y0, y1])
         assert np.array_equal(paths.best, best)
-        assert np.array_equal(paths.iters, np.ones(16, dtype=np.int64))
 
 
 class TestScalarStepMatchesKernel:
@@ -253,7 +251,7 @@ class TestScalarStepMatchesKernel:
     ])
     def test_paths_bit_identical(self, label, params, h):
         # a trajectory's steps are those of its row in the batch kernel, and the
-        # batch's per-step iterations are the trajectories' summed
+        # batch counts each of its path-steps once
         prob = make_problem(label, **params)
         h0 = 0.999 * 0.5 / prob.L
         plan = StreamPlan(13)
@@ -264,7 +262,7 @@ class TestScalarStepMatchesKernel:
             prob.solve, prob.diffusion, float(prob.x0[0]), h, d_w.T)
         assert not failed.any()
         assert np.array_equal(np.array([traj.states[:, 0] for traj in trajs]), states.T)
-        assert np.array_equal(np.sum([traj.solver_iterations for traj in trajs], axis=0), iters)
+        assert np.array_equal(iters, np.full(8, len(trajs)))
 
     def test_solver_error_where_kernel_fails(self):
         # g(x) = 1e30*x multiplies the state by about 1e30 a step, so it overflows
@@ -524,15 +522,14 @@ class TestSimulateTrajectory:
         def trajectory():
             traj = simulate_trajectory(prob, 1 / 100, h0, 1.0, [0.25, 0.5],
                                        StreamPlan(9).path_stream(1))
-            return (traj.states, traj.d_w, traj.z_increments, traj.solver_iterations,
-                    traj.sup_functional_p)
+            return traj.states, traj.d_w, traj.z_increments, traj.sup_functional_p
 
         whole = trajectory()
         monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
         parts = trajectory()
-        for got, expected in zip(parts[:4], whole[:4]):
+        for got, expected in zip(parts[:3], whole[:3]):
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
-        assert parts[4] == whole[4]
+        assert parts[3] == whole[3]
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_noise_overflow_names_its_step_in_any_block(self, monkeypatch, block):
@@ -561,8 +558,7 @@ class TestSimulateTrajectory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(a.nbytes for a in (traj.states, traj.d_w, traj.z_increments,
-                                      traj.solver_iterations))
+        held = sum(a.nbytes for a in (traj.states, traj.d_w, traj.z_increments))
         rows = (peak - held) / (block * prob.d * 8)
         assert rows <= 12, f"{rows:.1f} block rows beyond the returned arrays"
 
