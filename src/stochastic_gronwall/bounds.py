@@ -257,7 +257,7 @@ def apriori_bound_parts(p: float, L: float, T: float, h0: float,
     if not h0 > 0.0:
         raise ContractViolationError(f"h0 must be > 0, got {h0}")
     if not 2.0 * h0 * L < 1.0:
-        raise ContractViolationError(f"need 2*h0*L < 1, got {2.0 * h0 * L}")
+        raise ContractViolationError(f"need 2*h0*L < 1, got {2.0 * h0 * L} for h0={h0}, L={L}")
     if x0_norm_sq < 0.0 or g_x0_norm_sq < 0.0:
         raise ContractViolationError("squared norms must be nonnegative")
     inv = 1.0 / (1.0 - 2.0 * h0 * L)

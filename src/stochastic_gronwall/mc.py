@@ -17,14 +17,17 @@ states the previous block left. Only one block's increments are held.
 A report's step sizes are plain numbers that share one cap h0 and one
 horizon T, checked by ``sde.check_step_sizes``.
 
-The process-pool stack (``concurrent.futures``, ``multiprocessing`` and
-what they import) loads only when a pass forks workers:
-``ProcessPoolExecutor`` is a lazy module attribute.
+A pass at more than one worker forks its children with
+``ProcessPoolExecutor``, a pool of this module's own: each child
+inherits the sampler by ``os.fork`` and sends back only its result, and
+the pool imports nothing that a single-process run does not.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -42,16 +45,6 @@ from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, StreamPlan
 
 DEFAULT_Z = 1.96
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def __getattr__(name):
-    """``ProcessPoolExecutor``, imported on first access (PEP 562)."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -142,6 +135,100 @@ def _finite_moments(moments) -> bool:
     return math.isfinite(moments[1]) and math.isfinite(moments[2])
 
 
+class _Child:
+    """A forked task: the child's pid and the read end of its result pipe."""
+
+    def __init__(self, pool, pid, pipe):
+        self._pool, self.pid, self.pipe = pool, pid, pipe
+
+    def result(self, timeout=None):
+        """The task's return value, or its exception raised here.
+
+        Reads the pipe to its end and reaps the child. ``timeout`` bounds
+        the wait for the task (its first byte), in seconds; the child of a
+        wait that times out is left to ``shutdown``.
+        """
+        if timeout is not None:
+            import select
+
+            if not select.select([self.pipe], [], [], timeout)[0]:
+                raise TimeoutError(f"pool child {self.pid} sent nothing in {timeout} s")
+        with self.pipe:
+            data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self._pool._children.remove(self)
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise ChildProcessError(f"pool child {self.pid} {how} before sending its result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+
+class ProcessPoolExecutor:
+    """A process pool that forks one child per task (POSIX ``os.fork``).
+
+    The child inherits the task's function and arguments, so nothing is
+    pickled to it. It runs the task, writes ``pickle.dumps((ok, value or
+    exception))`` to a pipe and leaves by ``os._exit``, so that no
+    inherited stdio buffer or exit handler runs twice. A fork copies
+    only the calling thread, so the caller must run no other thread (the
+    package starts none). The interface is the part of
+    ``concurrent.futures.ProcessPoolExecutor`` that :func:`sample_columns`
+    uses.
+    """
+
+    def __init__(self, max_workers):
+        self._max_workers = max_workers
+        self._children = []  # forked and not yet reaped
+
+    def submit(self, fn, *args):
+        """Fork a child that runs ``fn(*args)``; returns its handle."""
+        if len(self._children) >= self._max_workers:
+            raise RuntimeError(f"all {self._max_workers} pool children are busy")
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                # only the caller reads a pipe, so a child whose caller is gone
+                # fails to write instead of waiting for a sibling to read
+                os.close(read)
+                for sibling in self._children:
+                    sibling.pipe.close()
+                try:
+                    outcome = True, fn(*args)
+                except BaseException as exc:  # raised again by the caller's result()
+                    outcome = False, exc
+                with open(write, "wb") as pipe:
+                    pipe.write(pickle.dumps(outcome))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        child = _Child(self, pid, open(read, "rb"))
+        self._children.append(child)
+        return child
+
+    def map(self, fn, *iterables):
+        """Fork a child per task now; the results follow in task order."""
+        children = [self.submit(fn, *args) for args in zip(*iterables)]
+        return (child.result() for child in children)
+
+    def shutdown(self):
+        """Kill (SIGKILL) and reap every child whose result was not read."""
+        if self._children:
+            import signal
+
+            for child in self._children:
+                os.kill(child.pid, signal.SIGKILL)
+                child.pipe.close()
+                os.waitpid(child.pid, 0)
+            self._children.clear()
+
+
 def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
     """One pass of n samples: per column, the (moments, failures) of each
     chunk, in chunk order.
@@ -151,18 +238,16 @@ def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
     array is one column); non-finite values count as failures. The
     chunks are split into ``min(workers, chunks)`` ranges. With more
     than one, this pass opens a process pool with a child for each
-    range but the first: ranges 1.. are submitted to it in one ``map``,
-    the caller works range 0 itself and only afterwards collects the
-    pool's results. Each child receives the sampler pickled. The pool
-    is shut down on every exit, queued tasks cancelled.
+    range but the first: ranges 1.. are forked in one ``map``, the
+    caller works range 0 itself and only afterwards collects the
+    children's results. Each child inherits the sampler by fork. The
+    pool is shut down on every exit, a child not yet collected killed.
     """
     if n < 2:
         raise ContractViolationError(f"need at least 2 samples, got {n}")
     n_tasks = min(plan.workers, plan.n_chunks(n))
     edges = np.linspace(0, plan.n_chunks(n), n_tasks + 1).astype(int).tolist()
-    # through the module, so that a replaced class (a tracer's, a test's) is the one used
-    pool = (sys.modules[__name__].ProcessPoolExecutor(max_workers=n_tasks - 1)
-            if n_tasks > 1 else None)
+    pool = ProcessPoolExecutor(max_workers=n_tasks - 1) if n_tasks > 1 else None
     try:
         rest = pool.map(_chunk_range_stats, repeat(sampler), repeat(plan), repeat(n),
                         edges[1:-1], edges[2:]) if pool is not None else ()
@@ -171,7 +256,7 @@ def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
             chunks.extend(piece)
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            pool.shutdown()
     return [list(column) for column in zip(*chunks)]
 
 
@@ -457,10 +542,11 @@ class BemSupFunctionalSampler:
 
     The step sizes ``hs`` share the horizon ``T``, and a grid has
     ``sde.step_count(h, T)`` steps. The problem must be a zoo problem,
-    which pickles as its zoo spec (see ``sde.SdeProblem``), so a pool
-    worker receives the spec and the numbers ``hs``, ``T`` and ``p``,
-    and rebuilds the problem once as it loads the sampler. The work
-    limit is checked at construction. Each column's paths are stepped
+    which pickles as its zoo spec (see ``sde.SdeProblem``), so the
+    sampler pickles as the spec and the numbers ``hs``, ``T`` and ``p``,
+    and loading it rebuilds the problem once. A pool child unpickles
+    nothing: it inherits the sampler by fork. The work limit is checked
+    at construction. Each column's paths are stepped
     by the class that ``sde.implicit_step`` returns, as in
     ``sde.simulate_trajectory``, which also gives their sup functional.
     """
@@ -472,9 +558,10 @@ class BemSupFunctionalSampler:
             )
         self.problem, self.hs, self.T, self.p = problem, tuple(float(h) for h in hs), T, p
         self.n_steps = tuple(sde.step_count(h, T) for h in self.hs)
-        # built in each process, not pickled: the block layout of every chunk (see
-        # _increment_blocks, which checks the work limit up front), the rows of each
-        # part of the buffer that its block arrays view, and that buffer (_block_buffers)
+        # built at construction and again on loading, not pickled: the block layout of
+        # every chunk (see _increment_blocks, which checks the work limit up front), the
+        # rows of each part of the buffer that its block arrays view, and that buffer
+        # (_block_buffers)
         d = problem.d
         self._layout = _increment_blocks(self.hs, self.n_steps, d)
         blocks = self._layout[2]

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,19 @@ def make_random_bundle(rng, horizon, with_slack=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def deadline():
+    """Raises TimeoutError in the test after 60 s, so that a wait on a
+    pool child that never ends fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran for 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -742,6 +743,10 @@ _INPUT_CASES = {
     # 2*h0*L < 1 is the library's rule (L = 1.125 for ginzburg-landau)
     "apriori-h0-too-large": ([*_GL, "--h0", "0.9"], None, None, EXIT_CONTRACT,
                              "need 2*h0*L < 1"),
+    "bound-h0-too-large": (["bound", "--form", "apriori", "--p", "0.5", "--L", "1", "--T", "1",
+                            "--h0", "0.5", "--x0sq", "1", "--gx0sq", "0"], None, None,
+                           EXIT_CONTRACT,
+                           "contract violation: need 2*h0*L < 1, got 1.0 for h0=0.5, L=1.0\n"),
     "simulate-h0-too-large": (["bem", "simulate", "--problem", "ginzburg-landau", "--h", "0.1",
                                "--h0", "0.9", "--T", "1", "--seed", "1"], None, None,
                               EXIT_CONTRACT, "need 2*h0*L < 1"),
@@ -1276,8 +1281,48 @@ class TestMisc:
         assert val == gronwall_closed_form([0.1, 0.2], [0.3, 0.7])[1]
 
 
+# Two chunks: at --workers 2 the caller steps chunk 0 and one forked child chunk 1.
+_TWO_CHUNKS = ["verify", "apriori", "--problem", "ginzburg-landau", "--sigma", "0.5", "--p", "0.5",
+               "--T", "1", "--h0", "0.25", "--h-grid", "0.125,0.015625", "--paths", "8192",
+               "--seed", "1"]
+
+
+class TestPoolChildren:
+    def test_childs_contract_violation_exits_as_in_one_process(self, capsys, monkeypatch):
+        sample_chunk = mc.BemSupFunctionalSampler.sample_chunk
+
+        def overflow_chunk_1(self, plan, chunk_index, count):
+            vals = sample_chunk(self, plan, chunk_index, count)
+            if chunk_index == 1:  # finite values whose moments overflow
+                vals[0, ::2], vals[0, 1::2] = 1e308, -1e308
+            return vals
+
+        monkeypatch.setattr(mc.BemSupFunctionalSampler, "sample_chunk", overflow_chunk_1)
+        one, two = (run(capsys, *_TWO_CHUNKS, "--workers", w) for w in ("1", "2"))
+        assert one == two
+        assert one[:2] == (EXIT_CONTRACT, "")
+        assert one[2].startswith("contract violation: chunk 1: the mean or sum")
+
+    def test_killed_child_fails_the_run_without_a_report(self, capsys, monkeypatch, tmp_path,
+                                                         deadline):
+        sample_chunk = mc.BemSupFunctionalSampler.sample_chunk
+
+        def die_on_chunk_1(self, plan, chunk_index, count):
+            if chunk_index == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return sample_chunk(self, plan, chunk_index, count)
+
+        monkeypatch.setattr(mc.BemSupFunctionalSampler, "sample_chunk", die_on_chunk_1)
+        report = tmp_path / "report.json"
+        pattern = rf"pool child \d+ was killed by signal {int(signal.SIGKILL)} before"
+        with pytest.raises(ChildProcessError, match=pattern):
+            main([*_TWO_CHUNKS, "--workers", "2", "--output", str(report)])
+        assert not report.exists()
+        assert capsys.readouterr() == ("", "")
+
+
 # Run in a fresh interpreter: this test process has imported multiprocessing, fractions
-# and decimal.
+# and decimal. No run, the forking --workers 2 one included, loads the stdlib pool stack.
 _POOL_STACK_SCRIPT = """
 import contextlib, gc, io, sys
 from pathlib import Path
@@ -1296,14 +1341,14 @@ runs = {
 with contextlib.redirect_stdout(io.StringIO()):
     for name, argv in runs.items():
         assert main([*argv, "--workers", "1", "--output", str(out / f"{name}-1.json")]) == 0, name
-    loaded = [m for m in ("concurrent.futures", "multiprocessing", "logging") if m in sys.modules]
-    assert loaded == [], f"a --workers 1 run loaded {loaded}"
+    before = set(sys.modules)
     argv = [*runs["two-chunks"], "--workers", "2", "--output", str(out / "two-chunks-2.json")]
     assert main(argv) == 0
-    assert "concurrent.futures" in sys.modules
+    assert set(sys.modules) == before, f"the pool loaded {sorted(set(sys.modules) - before)}"
     argv = ["martingale", "enumerate", "--p", "0.5", "--n", "8191", "--stop-level", "-1"]
     assert main(argv) == 0
-loaded = [m for m in ("fractions", "decimal") if m in sys.modules]
+loaded = [m for m in ("concurrent.futures", "multiprocessing", "logging", "fractions", "decimal")
+          if m in sys.modules]
 assert loaded == [], f"these runs loaded {loaded}"
 # only the process entry freezes the heap, never main
 assert gc.get_freeze_count() == 0, gc.get_freeze_count()
@@ -1317,7 +1362,7 @@ def fresh_interpreter(script, *argv):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_single_process_runs_never_load_the_pool_stack(tmp_path):
+def test_no_run_loads_the_pool_stack(tmp_path):
     done = fresh_interpreter(_POOL_STACK_SCRIPT, str(tmp_path))
     assert done.returncode == 0, done.stderr
     one, two = (tmp_path / f"two-chunks-{w}.json" for w in (1, 2))

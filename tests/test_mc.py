@@ -2,8 +2,9 @@ import functools
 import json
 import math
 import operator
-import multiprocessing
 import os
+import signal
+import time
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -174,10 +175,17 @@ def pools(monkeypatch):
     return requested
 
 
-def test_pool_class_is_a_lazy_module_attribute():
-    from concurrent.futures import ProcessPoolExecutor
+def no_children_left():
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
-    assert mc.ProcessPoolExecutor is ProcessPoolExecutor
+
+def test_pool_class_is_the_modules_fork_pool():
+    assert mc.ProcessPoolExecutor.__module__ == mc.__name__
     with pytest.raises(AttributeError, match="no attribute 'ThreadPoolExecutor'"):
         mc.ThreadPoolExecutor
 
@@ -340,7 +348,7 @@ class TestReportPool:
         assert _reports(workers) == single
         # one pool per report, the caller working one of the three chunk ranges
         assert pools == [min(workers, 3) - 1] * 2
-        assert multiprocessing.active_children() == []
+        assert no_children_left()
 
     def test_failing_middle_row_aborts_alike(self, monkeypatch):
         sample_chunk = BemSupFunctionalSampler.sample_chunk
@@ -358,7 +366,7 @@ class TestReportPool:
                                0.5, POOL_N, StreamPlan(5, workers=workers))
             messages.append(str(info.value))
         assert messages[0] == messages[1] == "4500 of 9000 samples failed (threshold 0.0)"
-        assert multiprocessing.active_children() == []
+        assert no_children_left()
 
     @pytest.mark.parametrize("chunks", [(0,), (2,)])
     def test_contract_violation_surfaces_from_any_process(self, chunks):
@@ -368,7 +376,99 @@ class TestReportPool:
             estimate(RaisingSampler(chunks), POOL_N, plan)
         in_caller = f"pid {os.getpid()}" in str(info.value)
         assert in_caller == (chunks == (0,))
-        assert multiprocessing.active_children() == []
+        assert no_children_left()
+
+
+@dataclass(frozen=True)
+class OverflowingSampler:
+    """Finite values whose chunk moments overflow, on the given chunks."""
+
+    chunks: tuple
+
+    def sample_chunk(self, plan, chunk_index, count):
+        if chunk_index in self.chunks:
+            return np.resize([1e308, -1e308], count)
+        return np.ones(count)
+
+
+@dataclass(frozen=True)
+class KillingSampler:
+    """Leaves a file named by its pid in ``pids``, then kills itself
+    (SIGKILL) on chunks 1.."""
+
+    pids: str
+
+    def sample_chunk(self, plan, chunk_index, count):
+        if chunk_index > 0:
+            open(os.path.join(self.pids, str(os.getpid())), "w").close()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return np.ones(count)
+
+
+@dataclass(frozen=True)
+class StallingSampler:
+    """Chunks 1.. leave a file named by their pid in ``pids`` and sleep
+    for 10 minutes; chunk 0 waits for such a file, then raises."""
+
+    pids: str
+
+    def sample_chunk(self, plan, chunk_index, count):
+        if chunk_index > 0:
+            open(os.path.join(self.pids, str(os.getpid())), "w").close()
+            time.sleep(600)
+        while not os.listdir(self.pids):  # the test's deadline bounds this wait
+            time.sleep(0.01)
+        raise ContractViolationError("the caller's chunk failed")
+
+
+class TestForkPool:
+    def test_child_contract_violation_is_the_one_worker_error(self, deadline):
+        errors = []
+        for workers in (1, 2):
+            # at two workers the caller works chunk 0 and the child chunks 1 and 2
+            with pytest.raises(ContractViolationError) as info:
+                estimate(OverflowingSampler((1,)), POOL_N, StreamPlan(0, workers=workers))
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][1].startswith("chunk 1: the mean or sum of squared deviations")
+        assert no_children_left()
+
+    def test_killed_child_raises_naming_it(self, tmp_path, deadline):
+        with pytest.raises(ChildProcessError) as info:
+            estimate(KillingSampler(str(tmp_path)), POOL_N, StreamPlan(0, workers=2))
+        (pid,) = os.listdir(tmp_path)
+        assert str(info.value) == (f"pool child {pid} was killed by signal {int(signal.SIGKILL)} "
+                                   "before sending its result")
+        assert no_children_left()
+
+    def test_callers_error_kills_and_reaps_a_running_child(self, tmp_path, deadline):
+        with pytest.raises(ContractViolationError, match="the caller's chunk failed"):
+            estimate(StallingSampler(str(tmp_path)), POOL_N, StreamPlan(0, workers=2))
+        (pid,) = os.listdir(tmp_path)
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
+        assert no_children_left()
+
+    def test_result_beyond_the_pipe_buffer_arrives_intact(self, deadline):
+        pool = mc.ProcessPoolExecutor(max_workers=2)
+        try:
+            big, small = pool.map(np.arange, [300_000, 5])  # 2.4 MB and 40 bytes
+        finally:
+            pool.shutdown()
+        assert np.array_equal(big, np.arange(300_000)) and np.array_equal(small, np.arange(5))
+        assert no_children_left()
+
+    def test_timeout_and_busy_pool(self, deadline):
+        pool = mc.ProcessPoolExecutor(max_workers=1)
+        try:
+            child = pool.submit(time.sleep, 600)
+            with pytest.raises(RuntimeError, match="all 1 pool children are busy"):
+                pool.submit(time.sleep, 0)
+            with pytest.raises(TimeoutError, match=f"pool child {child.pid} sent nothing"):
+                child.result(timeout=0.05)
+        finally:
+            pool.shutdown()
+        assert no_children_left()
 
 
 class TestSyntheticSystems:

@@ -37,14 +37,13 @@ def test_tracer_finds_every_entry_point():
     assert kernels.bem_scalar_batch is original
 
 
-# Run in a fresh interpreter, where the pool stack starts out unloaded:
-# mc imports ProcessPoolExecutor on first access, and the tracer must
-# still find it, replace it and put it back.
-_LAZY_POOL_SCRIPT = """
+# Run in a fresh interpreter, where no pool has been used yet: the tracer
+# must find mc's pool class, replace it and put it back.
+_POOL_SCRIPT = """
 import contextlib, importlib.util, io, sys
 from stochastic_gronwall import cli, mc
 
-assert "concurrent.futures" not in sys.modules
+pool_class = mc.ProcessPoolExecutor
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
 tracer = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer)
@@ -52,26 +51,24 @@ run = tracer.Tracer("tier-1")
 patches, absent = tracer.install(run)
 try:
     assert absent == [], absent
-    import concurrent.futures
     traced = mc.ProcessPoolExecutor
     assert traced.__name__ == "TracedPool", traced
-    assert issubclass(traced, concurrent.futures.ProcessPoolExecutor)
-    assert traced is not concurrent.futures.ProcessPoolExecutor
+    assert issubclass(traced, pool_class) and traced is not pool_class
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["martingale", "estimate-sup", "--p", "0.5", "--samples", "1000",
                          "--seed", "3", "--workers", "1"]) == 0
 finally:
     tracer.uninstall(patches)
-assert mc.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+assert mc.ProcessPoolExecutor is pool_class
 metrics, _ = tracer.layer_metrics(run.spans, 0.0)
 assert metrics["mc.pool.startups"] == 0, metrics["mc.pool.startups"]
 assert metrics["martingales.sup_exact.samples"] == 1000, metrics["martingales.sup_exact.samples"]
 """
 
 
-def test_tracer_replaces_and_restores_the_lazy_pool_class():
+def test_tracer_replaces_and_restores_the_pool_class():
     env = {**os.environ, "PYTHONPATH": str(TRACER.parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-W", "error", "-c", _LAZY_POOL_SCRIPT, str(TRACER)],
+    done = subprocess.run([sys.executable, "-W", "error", "-c", _POOL_SCRIPT, str(TRACER)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
@@ -92,11 +89,9 @@ def _run_twice(tracer, argv, reports):
     return metrics
 
 
-def test_traced_pool_run_matches_untraced(tmp_path, monkeypatch):
+def test_traced_pool_run_matches_untraced(tmp_path):
     # two chunks and two h rows at --workers 2: one pool, one child, one task per report
     tracer = _load_tracer()
-    # the pool pickles the tracer's task function by module name
-    monkeypatch.setitem(sys.modules, tracer.__name__, tracer)
     argv = ["verify", "apriori", "--problem", "ginzburg-landau", "--sigma", "0.5", "--p", "0.5",
             "--T", "1", "--h0", "0.25", "--h-grid", "0.125,0.015625", "--paths", "8192",
             "--seed", "3", "--workers", "2"]
@@ -104,15 +99,13 @@ def test_traced_pool_run_matches_untraced(tmp_path, monkeypatch):
     assert metrics["mc.pool.startups"] == 1
     assert metrics["mc.pool.tasks"] == 1
     assert metrics["trace.worker_busy_s"] > 0  # the child's spans reached the tracer
-    # the parent's one build: the child rebuilds the problem as it unpickles the
-    # sampler, before its traced task span opens
+    # the parent's one build: the child inherits the sampler, problem and all
     assert metrics["sde.make_problem.calls"] == 1
 
 
-def test_traced_rotation_draws_the_finest_grid_once(tmp_path, monkeypatch):
+def test_traced_rotation_draws_the_finest_grid_once(tmp_path):
     # two chunks and two h rows at --workers 2: every row from one draw per chunk
     tracer = _load_tracer()
-    monkeypatch.setitem(sys.modules, tracer.__name__, tracer)
     paths, finest_steps = 8192, 64
     argv = ["verify", "apriori", "--problem", "bounded-rotation", "--sigma", "0.5", "--p", "0.5",
             "--T", "1", "--h0", "0.25", "--h-grid", "0.125,0.015625", "--paths", str(paths),
