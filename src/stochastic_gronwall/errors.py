@@ -24,3 +24,6 @@ class EstimateAbortedError(StochasticGronwallError, RuntimeError):
         super().__init__(message)
         self.n_requested = n_requested
         self.n_failures = n_failures
+
+    def __reduce__(self):  # pickled from a pool child with its counts
+        return type(self), (*self.args, self.n_requested, self.n_failures), self.__dict__

@@ -135,6 +135,39 @@ def _finite_moments(moments) -> bool:
     return math.isfinite(moments[1]) and math.isfinite(moments[2])
 
 
+def _outcome_bytes(fn, args) -> bytes:
+    """A pool child's ``pickle.dumps((ok, value or exception))`` of
+    ``fn(*args)``.
+
+    An exception carries the child's traceback as a note (it prints
+    under the caller's traceback). An outcome that does not pickle, or an
+    exception that does not unpickle, is sent as a ``RuntimeError`` that
+    names it and holds both tracebacks, so that the caller sees why.
+    """
+    try:
+        outcome = True, fn(*args)
+    except BaseException as exc:  # raised again by the caller's result()
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), _child_traceback()]  # add_note, 3.11+
+        outcome = False, exc
+    try:
+        data = pickle.dumps(outcome)
+        if not outcome[0]:
+            pickle.loads(data)  # an exception whose arguments do not rebuild it fails here
+        return data
+    except Exception:
+        ok, value = outcome
+        what = f"result of type {type(value).__name__}" if ok else f"exception {value!r}"
+        notes = "" if ok else "".join(f"\n{note}" for note in value.__notes__)
+        return pickle.dumps((False, RuntimeError(
+            f"pool child {os.getpid()} could not send its {what}: {_child_traceback()}{notes}")))
+
+
+def _child_traceback() -> str:
+    import traceback  # a pool child's error paths only
+
+    return f"in pool child {os.getpid()}:\n{traceback.format_exc()}"
+
+
 class _Child:
     """A forked task: the child's pid and the read end of its result pipe."""
 
@@ -144,15 +177,10 @@ class _Child:
     def result(self, timeout=None):
         """The task's return value, or its exception raised here.
 
-        Reads the pipe to its end and reaps the child. ``timeout`` bounds
-        the wait for the task (its first byte), in seconds; the child of a
-        wait that times out is left to ``shutdown``.
+        Reads the pipe to its end and reaps the child. The wait has no
+        bound: ``timeout`` is there only so that calls written for
+        ``concurrent.futures`` fit, and no caller passes one.
         """
-        if timeout is not None:
-            import select
-
-            if not select.select([self.pipe], [], [], timeout)[0]:
-                raise TimeoutError(f"pool child {self.pid} sent nothing in {timeout} s")
         with self.pipe:
             data = self.pipe.read()
         _, status = os.waitpid(self.pid, 0)
@@ -181,13 +209,12 @@ class ProcessPoolExecutor:
     """
 
     def __init__(self, max_workers):
-        self._max_workers = max_workers
+        # max_workers is the number of tasks the caller will submit; each
+        # submit forks one child, so the pool needs no limit of its own
         self._children = []  # forked and not yet reaped
 
     def submit(self, fn, *args):
         """Fork a child that runs ``fn(*args)``; returns its handle."""
-        if len(self._children) >= self._max_workers:
-            raise RuntimeError(f"all {self._max_workers} pool children are busy")
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:
@@ -198,12 +225,9 @@ class ProcessPoolExecutor:
                 os.close(read)
                 for sibling in self._children:
                     sibling.pipe.close()
-                try:
-                    outcome = True, fn(*args)
-                except BaseException as exc:  # raised again by the caller's result()
-                    outcome = False, exc
+                data = _outcome_bytes(fn, args)
                 with open(write, "wb") as pipe:
-                    pipe.write(pickle.dumps(outcome))
+                    pipe.write(data)
                 status = 0
             finally:
                 os._exit(status)

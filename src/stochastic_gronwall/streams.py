@@ -29,6 +29,7 @@ step-size grids. A report still depends only on its inputs.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +74,10 @@ def keyed_generator(seed: int, word: int) -> np.random.Generator:
 class StreamPlan:
     """Seed and worker count for one estimation run.
 
-    ``workers``, 1 to ``MAX_WORKERS``, only controls scheduling;
-    estimates are bit-identical for any worker count because substreams
-    and the reduction order depend on the plan alone.
+    ``workers``, 1 to ``MAX_WORKERS`` (above 1 only where ``os.fork``
+    exists), only controls scheduling; estimates are bit-identical for
+    any worker count because substreams and the reduction order depend
+    on the plan alone.
     """
 
     master_seed: int
@@ -89,6 +91,10 @@ class StreamPlan:
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ContractViolationError(
                 f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}"
+            )
+        if self.workers > 1 and not hasattr(os, "fork"):
+            raise ContractViolationError(
+                f"workers > 1 needs os.fork, which this system lacks; got {self.workers}"
             )
 
     def path_stream(self, path_index: int) -> np.random.Generator:

@@ -1320,6 +1320,13 @@ class TestPoolChildren:
         assert not report.exists()
         assert capsys.readouterr() == ("", "")
 
+    def test_workers_without_fork_are_a_contract_violation(self, capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert run(capsys, *_TWO_CHUNKS, "--workers", "2") == (
+            EXIT_CONTRACT, "", "contract violation: workers > 1 needs os.fork, which this system "
+            "lacks; got 2\n")
+        assert run(capsys, *_TWO_CHUNKS, "--workers", "1")[0] == 0
+
 
 # Run in a fresh interpreter: this test process has imported multiprocessing, fractions
 # and decimal. No run, the forking --workers 2 one included, loads the stdlib pool stack.

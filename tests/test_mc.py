@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import os
+import re
 import signal
 import time
 import tracemalloc
@@ -431,6 +432,9 @@ class TestForkPool:
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
         assert errors[0][1].startswith("chunk 1: the mean or sum of squared deviations")
+        (note,) = info.value.__notes__  # the child's traceback
+        assert re.match(r"in pool child \d+:\nTraceback", note)
+        assert "in _chunk_range_stats" in note and note.endswith(f"{info.value}\n")
         assert no_children_left()
 
     def test_killed_child_raises_naming_it(self, tmp_path, deadline):
@@ -458,17 +462,49 @@ class TestForkPool:
         assert np.array_equal(big, np.arange(300_000)) and np.array_equal(small, np.arange(5))
         assert no_children_left()
 
-    def test_timeout_and_busy_pool(self, deadline):
-        pool = mc.ProcessPoolExecutor(max_workers=1)
+    def test_unpicklable_outcomes_arrive_as_runtime_errors(self, deadline):
+        pool = mc.ProcessPoolExecutor(max_workers=2)
         try:
-            child = pool.submit(time.sleep, 600)
-            with pytest.raises(RuntimeError, match="all 1 pool children are busy"):
-                pool.submit(time.sleep, 0)
-            with pytest.raises(TimeoutError, match=f"pool child {child.pid} sent nothing"):
-                child.result(timeout=0.05)
+            error, result = (pool.submit(fn) for fn in (raise_unpicklable, lambda: lambda: 0))
+            with pytest.raises(RuntimeError) as info:
+                error.result()
+            message = str(info.value)
+            assert message.startswith(f"pool child {error.pid} could not send its exception "
+                                      "UnpicklableError('holds a function'): ")
+            assert "Can't pickle local object" in message
+            assert "in raise_unpicklable" in message  # the traceback of the raise itself
+            with pytest.raises(RuntimeError, match=f"pool child {result.pid} could not send its "
+                                                   "result of type function: "):
+                result.result()
         finally:
             pool.shutdown()
         assert no_children_left()
+
+    def test_estimate_aborted_crosses_with_its_counts(self, deadline):
+        pool = mc.ProcessPoolExecutor(max_workers=1)
+        try:
+            child = pool.submit(raise_estimate_aborted)
+            with pytest.raises(EstimateAbortedError) as info:
+                child.result()
+        finally:
+            pool.shutdown()
+        assert str(info.value) == "2 of 5 failed"
+        assert (info.value.n_requested, info.value.n_failures) == (5, 2)
+        assert no_children_left()
+
+
+class UnpicklableError(Exception):
+    def __init__(self):
+        super().__init__("holds a function")
+        self.fn = lambda: None
+
+
+def raise_unpicklable():
+    raise UnpicklableError()
+
+
+def raise_estimate_aborted():
+    raise EstimateAbortedError("2 of 5 failed", n_requested=5, n_failures=2)
 
 
 class TestSyntheticSystems:

@@ -1,6 +1,7 @@
 """Keyed substreams: injective keys, purity, domain checks, independence."""
 
 import math
+import os
 import re
 from pathlib import Path
 
@@ -115,3 +116,11 @@ def test_worker_count_outside_the_cap_is_rejected(workers):
     assert StreamPlan(0, workers=MAX_WORKERS).workers == MAX_WORKERS >= 64
     with pytest.raises(ContractViolationError, match=rf"workers must lie in \[1, {MAX_WORKERS}\]"):
         StreamPlan(0, workers=workers)
+
+
+def test_more_than_one_worker_needs_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert StreamPlan(0, workers=1).workers == 1
+    with pytest.raises(ContractViolationError,
+                       match="workers > 1 needs os.fork, which this system lacks; got 2"):
+        StreamPlan(0, workers=2)
