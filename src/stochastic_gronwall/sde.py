@@ -5,12 +5,13 @@ equidistant steps. Registered problems must satisfy the coercivity
 condition <f(x), x> + |g(x)|^2/2 <= L(1+|x|^2) (spot-checked on random
 states) and a one-sided Lipschitz condition on the drift, which makes
 the implicit step uniquely solvable for h below the Lipschitz threshold.
-Paths are stepped by the class :func:`implicit_step` returns, one per
-kind of step, for one trajectory and the batch sampler alike: a scalar
-problem's exact step ``solve(h, b)`` (:class:`ScalarPaths`, through
-:func:`kernels.bem_scalar_batch`), which every scalar zoo problem has in
-closed form, and for the zoo's planar bounded rotation a closed form
-that :class:`RotationPaths` owns. Each folds a block of steps into its
+A problem is f and g alone: every step is in closed form, so none needs
+the derivative of f. Paths are stepped by the class :func:`implicit_step`
+returns, one per kind of step, for one trajectory and the batch sampler
+alike: a scalar problem's exact step ``solve(h, b)`` (:class:`ScalarPaths`,
+through :func:`kernels.bem_scalar_batch`), which every scalar zoo problem
+has in closed form, and for the zoo's planar bounded rotation a closed
+form that :class:`RotationPaths` owns. Each folds a block of steps into its
 running maximum of the sup functional.
 Step sizes are plain numbers: :func:`check_step_sizes` checks a run's
 step sizes, cap h0 and horizon T, and :func:`step_count` gives N_h.
@@ -43,29 +44,26 @@ TRAJECTORY_BLOCK = 2**16
 class SdeProblem:
     """Autonomous SDE dX = f(X) dt + g(X) dW with deterministic X_0.
 
-    ``drift``, ``drift_jacobian`` and ``diffusion`` are f, f' and g,
-    evaluated on a stack of states: an (n, d) array maps to (n, d),
-    (n, d, d) and (n, d, m) arrays, and a single (d,) state to (d,),
-    (d, d) and (d, m). The state dimension d is ``x0.size`` and the
-    noise dimension m is read off ``diffusion(x0)``; construction checks
-    these shapes at x0, and that x0, ``L`` and f, f' and g at x0 are
-    finite. ``solve(h, b)`` is the exact implicit step of a scalar
-    problem: the root z of z - h*f(z) = b, entry by entry, for an array
-    b, NaN or infinite where there is none and for a b that is not
-    finite. A problem can be stepped only if it is scalar (d = m = 1)
-    with a ``solve``, or the zoo's bounded rotation (see
+    ``drift`` and ``diffusion`` are f and g, evaluated on a stack of
+    states: an (n, d) array maps to (n, d) and (n, d, m) arrays, and a
+    single (d,) state to (d,) and (d, m). The state dimension d is
+    ``x0.size`` and the noise dimension m is read off ``diffusion(x0)``;
+    construction checks these shapes at x0, and that x0, ``L`` and f
+    and g at x0 are finite. ``solve(h, b)`` is the exact implicit step
+    of a scalar problem: the root z of z - h*f(z) = b, entry by entry,
+    for an array b, NaN or infinite where there is none and for a b
+    that is not finite. A problem can be stepped only if it is scalar
+    (d = m = 1) with a ``solve``, or the zoo's bounded rotation (see
     :func:`implicit_step`). The scalar zoo problems act elementwise on
-    states of any shape, appending one axis for the Jacobian and the
-    diffusion. ``L`` is the registered
-    coercivity constant. ``zoo_spec`` is a zoo problem's label and
-    parameters: such a problem pickles as that plain data, and loading
-    it rebuilds the problem with :func:`make_problem`, coercivity check
-    included. Any other problem pickles field by field.
+    states of any shape, appending one axis for the diffusion. ``L`` is
+    the registered coercivity constant. ``zoo_spec`` is a zoo problem's
+    label and parameters: such a problem pickles as that plain data, and
+    loading it rebuilds the problem with :func:`make_problem`, coercivity
+    check included. Any other problem pickles field by field.
     """
 
     label: str
     drift: Callable[[np.ndarray], np.ndarray]
-    drift_jacobian: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     L: float
@@ -81,19 +79,18 @@ class SdeProblem:
             raise ContractViolationError(f"L must be >= 0, got {self.L}")
         d = x0.size
         with np.errstate(all="ignore"):  # a non-finite value is reported below
-            values = [np.asarray(func(x0)) for func in (self.drift, self.drift_jacobian,
-                                                        self.diffusion)]
+            values = [np.asarray(self.drift(x0)), np.asarray(self.diffusion(x0))]
             norms = [self.x0_norm_sq(), self.g_x0_norm_sq()]
-        f, jac, g = (v.shape for v in values)
-        if f != (d,) or jac != (d, d) or len(g) != 2 or g[0] != d:
+        f, g = (v.shape for v in values)
+        if f != (d,) or len(g) != 2 or g[0] != d:
             raise ContractViolationError(
-                f"problem {self.label!r}: at x0 of shape ({d},), f, f' and g must have "
-                f"shapes ({d},), ({d}, {d}) and ({d}, m); got {f}, {jac} and {g}"
+                f"problem {self.label!r}: at x0 of shape ({d},), f and g must have "
+                f"shapes ({d},) and ({d}, m); got {f} and {g}"
             )
         if not (math.isfinite(self.L)
                 and all(np.isfinite(v).all() for v in [x0, *values, *norms])):
             raise ContractViolationError(
-                f"problem {self.label!r}: x0, L, f(x0), f'(x0), g(x0), |x0|^2 and |g(x0)|^2 "
+                f"problem {self.label!r}: x0, L, f(x0), g(x0), |x0|^2 and |g(x0)|^2 "
                 f"must be finite; got x0={x0.tolist()}, L={self.L}"
             )
 
@@ -215,7 +212,6 @@ class BemTrajectory:
     """
 
     states: np.ndarray
-    d_w: np.ndarray
     z_increments: np.ndarray
     sup_functional_p: dict
 
@@ -267,16 +263,16 @@ class RotationPaths:
     array, and the running maximum of |y|^2; no path fails. The drift is
     y -> A y, A = [[-k, -w], [w, -k]], and the diffusion g*I_2, so a step
     solves (I - hA) y' = r, r = y + g dW, exactly (Newton's first
-    update): with a = 1 + hk, b = hw and det = a^2 + b^2, y' = (a/det) r
-    + (b/det) J r, J the quarter turn, the coefficients divided once per
-    stepper. J r is the rows of r reversed, times (-b/det, b/det):
+    update): with a = 1 + hk and b = hw, read off the first column of A,
+    f(e1) = (-k, w), and det = a^2 + b^2, y' = (a/det) r + (b/det) J r,
+    J the quarter turn, the coefficients divided once per stepper. J r is the rows of r reversed, times (-b/det, b/det):
     a*r0 + (-b)*r1 has the bits of a*r0 - b*r1."""
 
     def __init__(self, problem, h, count):
         x0 = problem.x0
-        jac = problem.drift_jacobian(x0)
-        a = 1.0 - h * jac[0, 0]
-        b = h * jac[1, 0]
+        column = problem.drift(np.array([1.0, 0.0]))
+        a = 1.0 - h * column[0]
+        b = h * column[1]
         with np.errstate(over="ignore"):
             det = a * a + b * b
         if not np.isfinite(det):
@@ -359,7 +355,8 @@ def simulate_trajectory(
 ) -> BemTrajectory:
     """Integrate one path, recording states, noise terms, and functionals.
 
-    Increments dW^{j+1} are N(0, h I_m) draws from the supplied stream.
+    Increments dW^{j+1} are N(0, h I_m) draws from the supplied stream,
+    one (steps, m) draw that the trajectory does not keep.
     The step size ``h``, its cap ``h0`` and the horizon ``T`` are checked
     by :func:`check_step_sizes`. A trajectory whose steps times the
     larger of d and m exceed ``MAX_CHUNK_VALUES`` is rejected before
@@ -368,10 +365,11 @@ def simulate_trajectory(
     returns, so it is the batch sampler's (``mc.BemSupFunctionalSampler``)
     on a batch of one, and its sup functional is that class's. It is
     stepped, and its noise terms computed, ``TRAJECTORY_BLOCK`` steps at
-    a time, so beyond the arrays it returns a run holds one block's
-    temporaries. A path that fails raises :class:`SolverError` naming
-    the step of its first NaN state; a noise term or sup functional
-    beyond float64 raises :class:`ContractViolationError`.
+    a time, so beyond the arrays it returns and its increments a run
+    holds one block's temporaries. A path that fails raises
+    :class:`SolverError` naming the step of its first NaN state; a noise
+    term or sup functional beyond float64 raises
+    :class:`ContractViolationError`.
     """
     (n,) = check_step_sizes(problem, [h], h0, T)
     kind = implicit_step(problem)
@@ -413,7 +411,7 @@ def simulate_trajectory(
             step = lo + np.isfinite(z).argmin() + 1
             raise ContractViolationError(f"the noise term Z^j overflows float64 at step {step} of {n}")
     sup_p = {float(p): float(paths.sup(float(p))[0]) for p in p_list}
-    return BemTrajectory(states, d_w, z_vals, sup_p)
+    return BemTrajectory(states, z_vals, sup_p)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +431,6 @@ def make_linear(lam: float = 1.0, sigma: float = 0.0, x0=1.0, L: float | None = 
     if L is None:
         L = max(lam, 0.5 * sigma * sigma)
     return (lambda x: -lam * x,
-            lambda x: np.full(np.shape(x) + (1,), -lam),
             lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
             lambda h, b: b / (1.0 + h * lam),
             L)
@@ -450,7 +447,6 @@ def make_ginzburg_landau(sigma: float = 0.5, x0=1.0, L: float | None = None) -> 
     if L is None:
         L = 1.0 + 0.5 * sigma * sigma
     return (lambda x: x - x * x * x,
-            lambda x: (1.0 - 3.0 * x * x)[..., None],
             lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
             _cubic_step,
             L)
@@ -533,15 +529,13 @@ def make_bounded_rotation(
             axis=-1,
         )
 
-    jac = np.array([[-kappa, -omega], [omega, -kappa]])
     return (drift,
-            lambda x: np.broadcast_to(jac, np.shape(x)[:-1] + (2, 2)),
             lambda x: np.broadcast_to(sigma * np.eye(2), np.shape(x)[:-1] + (2, 2)),
             None,
             L)
 
 
-# Each factory checks its parameters and returns f, f', g, the exact scalar step (None for
+# Each factory checks its parameters and returns f, g, the exact scalar step (None for
 # the rotation, whose stepper owns its step) and L; make_problem applies x0.
 _ZOO = {
     "linear": make_linear,
@@ -563,9 +557,10 @@ def zoo_parameters() -> dict:
 
 
 def make_problem(label: str, **params) -> SdeProblem:
-    """Build a registered problem by label, see :func:`zoo_labels`, and
-    spot-check its coercivity. Its ``zoo_spec`` holds every parameter,
-    L resolved and x0 a float, or a tuple where the default is one."""
+    """Build a registered problem by label, see :func:`zoo_labels`, from
+    the f, g, exact scalar step and L its factory gives, and spot-check
+    its coercivity. Its ``zoo_spec`` holds every parameter, L resolved
+    and x0 a float, or a tuple where the default is one."""
     try:
         factory = _ZOO[label]
     except KeyError:
@@ -574,11 +569,10 @@ def make_problem(label: str, **params) -> SdeProblem:
         ) from None
     defaults = zoo_parameters()[label]
     params = {**defaults, **params}
-    drift, drift_jacobian, diffusion, solve, L = factory(**params)
+    drift, diffusion, solve, L = factory(**params)
     x0 = np.atleast_1d(np.asarray(params["x0"], dtype=np.float64))
     spec = {**params, "x0": tuple(x0.tolist()) if isinstance(defaults["x0"], tuple)
             else float(x0[0]), "L": L}
-    problem = SdeProblem(label, drift, drift_jacobian, diffusion, x0, L, zoo_spec=(label, spec),
-                         solve=solve)
+    problem = SdeProblem(label, drift, diffusion, x0, L, zoo_spec=(label, spec), solve=solve)
     check_coercivity(problem)
     return problem

@@ -8,7 +8,9 @@ sign walk of a given length, plain or stopped, and the walk
 expectations read off them, and the former mass recursion of
 ``martingales`` in exact integer walk counts, the references for its
 walk counts by reflection; the root of the Ginzburg-Landau implicit step to 80
-digits, the reference for the zoo's exact step; the former per-row implicit-Euler sampler, one fresh
+digits, the reference for the zoo's exact step; the bounded rotation's
+drift matrix, built from its parameters, and a trajectory's increments,
+re-drawn from its stream; the former per-row implicit-Euler sampler, one fresh
 draw per step size, the bit-exact reference for the one-pass sampler in
 ``mc``; the former whole-union chunk of that sampler, the bit-exact
 reference for the one that streams its blocks; the former matrix
@@ -25,7 +27,8 @@ import numpy as np
 from stochastic_gronwall import bounds, kernels
 from stochastic_gronwall.bounds import OVERFLOW_GUARD, real_sequence
 from stochastic_gronwall.errors import ContractViolationError
-from stochastic_gronwall.sde import zoo_parameters
+from stochastic_gronwall.sde import step_count, zoo_parameters
+from stochastic_gronwall.streams import StreamPlan
 
 #: Absolute tolerance for the pathwise recursion inequality checked at
 #: bundle construction.
@@ -270,6 +273,23 @@ def ulps_from(value: float, exact: Decimal) -> float:
     return float(abs(Decimal(value) - exact) / Decimal(math.ulp(float(exact))))
 
 
+def rotation_matrix(problem):
+    """A = [[-kappa, -omega], [omega, -kappa]], the drift matrix of a
+    bounded rotation, built from its zoo parameters and not from the
+    package's drift."""
+    params = problem.zoo_spec[1]
+    kappa, omega = params["kappa"], params["omega"]
+    return np.array([[-kappa, -omega], [omega, -kappa]])
+
+
+def trajectory_increments(problem, h, T, seed, path=0):
+    """The (steps, m) increments dW^j of ``sde.simulate_trajectory`` on the
+    stream ``StreamPlan(seed).path_stream(path)``, which the trajectory
+    draws whole and does not keep."""
+    n = step_count(h, T)
+    return StreamPlan(seed).path_stream(path).standard_normal((n, problem.m)) * math.sqrt(h)
+
+
 def per_row_increments(plan, chunk_index, count, h, n_steps, d):
     """The Brownian increments of the former per-row sampler: a fresh
     step-major (n_steps*d, count) block from the chunk's stream, path i
@@ -308,10 +328,10 @@ def per_row_sample_chunk(problem, plan, chunk_index, count, h, n_steps, p):
 def _rotation_sup_reference(problem, d_w, h, p):
     x0 = problem.x0
     count, n_steps = d_w.shape[:2]
-    # implicit step matrix (I - h A), A = [[-k,-w],[w,-k]] the constant drift Jacobian
-    jac = problem.drift_jacobian(x0)
-    a = 1.0 - h * jac[0, 0]
-    b = h * jac[1, 0]
+    # implicit step matrix (I - h A), A = [[-k,-w],[w,-k]] the constant drift matrix
+    A = rotation_matrix(problem)
+    a = 1.0 - h * A[0, 0]
+    b = h * A[1, 0]
     det = a * a + b * b
     ca, cb = a / det, b / det  # (I - hA)^-1 = (ca*I + cb*J), J the quarter turn
     g = problem.diffusion(x0)[0, 0]  # the diffusion is g*I_2
@@ -383,9 +403,9 @@ def _whole_union_scalar_sup(problem, d_w, h, p):
 
 
 def _whole_union_rotation_sup(problem, d_w, h, p):
-    jac = problem.drift_jacobian(problem.x0)
-    a = 1.0 - h * jac[0, 0]
-    b = h * jac[1, 0]
+    A = rotation_matrix(problem)
+    a = 1.0 - h * A[0, 0]
+    b = h * A[1, 0]
     det = a * a + b * b
     a, b = a / det, b / det
     g = problem.diffusion(problem.x0)[0, 0]

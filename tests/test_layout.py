@@ -95,6 +95,24 @@ def test_the_implicit_step_kernels_have_one_owner():
     assert steppers == [] and kinds == [], f"paths stepped outside sde: {steppers}, {kinds}"
 
 
+def test_every_problem_and_trajectory_field_is_read_by_the_package():
+    # a field of a problem or a trajectory that no package code reads outside its own
+    # class body is carried for the tests alone: every problem must supply it, every
+    # trajectory hold it
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    classes = {node.name: node for tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name in ("SdeProblem", "BemTrajectory")}
+    unread = []
+    for name, cls in sorted(classes.items()):
+        inside = {id(node) for node in ast.walk(cls)}
+        read = {node.attr for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in inside}
+        fields = [stmt.target.id for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+        unread += [f"{name}.{field}" for field in fields if field not in read]
+    assert len(classes) == 2 and unread == [], f"fields only their own class reads: {unread}"
+
+
 def _is_private(name):
     return name.startswith("_") and not _is_dunder(name)
 

@@ -744,7 +744,6 @@ class TestVerifyApriori:
         prob = SdeProblem(
             label="custom",
             drift=lambda x: -x,
-            drift_jacobian=lambda x: np.full(np.shape(x) + (1,), -1.0),
             diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
             x0=np.array([1.0]), L=1.0,
         )
@@ -1015,8 +1014,8 @@ class TestScalarPathFailingInALaterBlock:
             z = b / (1.0 + h)
             return np.where(np.abs(z) > 5.0, np.nan, z)
 
-        problem = SdeProblem("nan-beyond-5", drift, lambda x: np.full(np.shape(x) + (1,), -1.0),
-                             lambda x: np.ones(np.shape(x) + (1,)), 1.0, 1.0, solve=solve)
+        problem = SdeProblem("nan-beyond-5", drift, lambda x: np.ones(np.shape(x) + (1,)), 1.0, 1.0,
+                             solve=solve)
         h, count = 0.1, 6
         d_w = StreamPlan(24).chunk_stream(0).standard_normal((12, 1, count)) * 0.1
         d_w[6, 0, 2] = 10.0  # path 2 fails at step 7, in the second of three blocks

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cubic_root_reference, ulps_from
+from oracles import cubic_root_reference, rotation_matrix, trajectory_increments, ulps_from
 
 from stochastic_gronwall import kernels, sde
 from stochastic_gronwall.errors import ContractViolationError, SolverError
@@ -172,10 +172,11 @@ class TestBemStep:
                        {"x0": (1e6, -3e5), "sigma": 2.0, "L": 4.0}):
             prob = make_problem("bounded-rotation", **params)
             traj = simulate_trajectory(prob, h, h0, T, [], StreamPlan(3).path_stream(0))
-            mat = np.eye(2) - h * prob.drift_jacobian(prob.x0)
+            d_w = trajectory_increments(prob, h, T, 3)
+            mat = np.eye(2) - h * rotation_matrix(prob)
             g = prob.diffusion(prob.x0)
             for j in range(step_count(h, T)):
-                expected = np.linalg.solve(mat, traj.states[j] + g @ traj.d_w[j])
+                expected = np.linalg.solve(mat, traj.states[j] + g @ d_w[j])
                 gap = np.abs(traj.states[j + 1] - expected).max()
                 assert gap <= 1e-12 * np.abs(expected).max()
 
@@ -187,8 +188,6 @@ class TestBemStep:
         prob = SdeProblem(
             label="planar-cubic",
             drift=lambda x: x - np.sum(x * x, axis=-1, keepdims=True) * x,
-            drift_jacobian=lambda x: (np.eye(2) * (1.0 - np.sum(x * x, axis=-1))[..., None, None]
-                                      - 2.0 * x[..., :, None] * x[..., None, :]),
             diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
             x0=np.array([1.0, 0.0]), L=1.0,
         )
@@ -225,6 +224,20 @@ class TestRotationPaths:
         with pytest.raises(ContractViolationError, match="overflows float64 at h=0.25"):
             RotationPaths(problem, 0.25, 4)
 
+    @pytest.mark.parametrize("h", [1e-9, 0.015625, 0.5])
+    @pytest.mark.parametrize("kappa", [0.0, 0.2, 1e100])
+    @pytest.mark.parametrize("omega", [-0.0, 0.0, 1.5, 1e154])
+    def test_coefficients_are_the_drift_matrix_ones(self, omega, kappa, h):
+        # a/det and the turn (-b/det, b/det), a = 1 - h*A[0, 0] and b = h*A[1, 0], bit
+        # for bit, the signs of zeros included
+        problem = make_problem("bounded-rotation", omega=omega, kappa=kappa)
+        A = rotation_matrix(problem)
+        a, b = 1.0 - h * A[0, 0], h * A[1, 0]
+        det = a * a + b * b
+        paths = RotationPaths(problem, h, 1)
+        assert np.float64(paths.a).tobytes() == np.float64(a / det).tobytes()
+        assert paths.turn.tobytes() == np.array([[-(b / det)], [b / det]]).tobytes()
+
     def test_equals_the_two_row_step(self):
         # a*r0 + (-b)*r1 has the bits of a*r0 - b*r1, and b*r0 + a*r1 those of a*r1 + b*r0
         h = 0.1
@@ -257,7 +270,7 @@ class TestScalarStepMatchesKernel:
         plan = StreamPlan(13)
         trajs = [simulate_trajectory(prob, h, h0, 8 * h, [], plan.path_stream(i))
                  for i in range(40)]
-        d_w = np.array([traj.d_w[:, 0] for traj in trajs])
+        d_w = np.array([trajectory_increments(prob, h, 8 * h, 13, i)[:, 0] for i in range(40)])
         states, iters, failed = kernels.bem_scalar_batch(
             prob.solve, prob.diffusion, float(prob.x0[0]), h, d_w.T)
         assert not failed.any()
@@ -271,7 +284,6 @@ class TestScalarStepMatchesKernel:
         prob = SdeProblem(
             label="loud-growth",
             drift=lambda x: x,
-            drift_jacobian=lambda x: np.ones(np.shape(x) + (1,)),
             diffusion=lambda x: 1e30 * np.asarray(x)[..., None],
             x0=np.array([1e100]), L=1.0, solve=lambda h, b: b / (1.0 - h),
         )
@@ -290,7 +302,6 @@ class TestScalarStepMatchesKernel:
         prob = SdeProblem(
             label="no-root",
             drift=lambda x: 8.0 * x,
-            drift_jacobian=lambda x: np.full(np.shape(x) + (1,), 8.0),
             diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
             x0=np.array([1.0]), L=1.0, solve=lambda h, b: b / (1.0 - 8.0 * h),
         )
@@ -310,7 +321,6 @@ class TestScalarStepMatchesKernel:
         prob = SdeProblem(
             label="nan-beyond-5",
             drift=lambda x: np.where(np.abs(x) > 5.0, np.nan, x),
-            drift_jacobian=lambda x: np.ones(np.shape(x) + (1,)),
             diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
             x0=np.array([1.0]), L=1.0, solve=solve,
         )
@@ -379,7 +389,6 @@ class TestCoercivity:
         prob = SdeProblem(
             label="push-out",
             drift=lambda x: 2.0 * x,
-            drift_jacobian=lambda x: np.full(np.shape(x) + (1,), 2.0),
             diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
             x0=np.array([0.0]), L=1.0,
         )
@@ -393,7 +402,6 @@ class TestCoercivity:
         prob = SdeProblem(
             label="far-push-out",
             drift=lambda x: np.where(np.abs(x) > 1e100, 3.0 * x, -x),
-            drift_jacobian=lambda x: np.where(np.abs(x) > 1e100, 3.0, -1.0)[..., None],
             diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
             x0=np.array([1e154]), L=2.0,
         )
@@ -423,11 +431,10 @@ class TestCoercivity:
 class TestZooCallables:
     @pytest.mark.parametrize("label", zoo_labels())
     def test_stack_equals_state_by_state(self, label):
-        # drift, Jacobian and diffusion on an (n, d) stack are the per-state values stacked
+        # drift and diffusion on an (n, d) stack are the per-state values stacked
         prob = make_problem(label)
         stack = np.random.default_rng(3).uniform(-2.0, 2.0, (7, prob.d))
-        for func, shape in ((prob.drift, (prob.d,)), (prob.drift_jacobian, (prob.d, prob.d)),
-                            (prob.diffusion, (prob.d, prob.m))):
+        for func, shape in ((prob.drift, (prob.d,)), (prob.diffusion, (prob.d, prob.m))):
             rows = np.array([np.asarray(func(x), dtype=np.float64) for x in stack])
             assert rows.shape == (7, *shape)
             assert np.array_equal(np.asarray(func(stack)), rows)
@@ -437,8 +444,7 @@ class TestZooCallables:
         prob = make_problem(label, sigma=0.7)
         states = np.random.default_rng(4).uniform(-2.0, 2.0, (5, 3))
         assert prob.drift(states).shape == states.shape
-        for func in (prob.drift_jacobian, prob.diffusion):
-            assert np.array_equal(func(states), func(states[..., None])[..., 0])
+        assert np.array_equal(prob.diffusion(states), prob.diffusion(states[..., None])[..., 0])
 
     def test_parameters_are_the_factory_arguments(self):
         zoo = zoo_parameters()
@@ -493,11 +499,12 @@ class TestSimulateTrajectory:
         for label in zoo_labels():
             prob = make_problem(label, sigma=0.5)
             traj = simulate_trajectory(prob, h, h0, T, [0.5], StreamPlan(5).path_stream(3))
+            d_w = trajectory_increments(prob, h, T, 5, 3)
             for j in range(step_count(h, T)):
                 y = traj.states[j]
                 g_y = prob.diffusion(y)
                 assert traj.z_increments[j] == pytest.approx(
-                    z_increment(y, g_y, traj.d_w[j], h), rel=1e-12, abs=1e-14
+                    z_increment(y, g_y, d_w[j], h), rel=1e-12, abs=1e-14
                 ), label
 
     def test_sup_functional_recorded(self):
@@ -513,6 +520,29 @@ class TestSimulateTrajectory:
         with pytest.raises(ContractViolationError):
             simulate_trajectory(prob, 0.1, 0.25, 1.0, [1.5], StreamPlan(0).path_stream(0))
 
+    @pytest.mark.parametrize("label", ["ginzburg-landau", "bounded-rotation"])
+    def test_redrawn_increments_reproduce_the_trajectory(self, label):
+        # each state is the implicit step from the one before it on the re-drawn
+        # increment, bit for bit: the scalar problem's solve, or the rotation's
+        # closed form with the coefficients of its drift matrix
+        h, T = 0.03125, 1.0
+        prob = make_problem(label, sigma=0.5)
+        traj = simulate_trajectory(prob, h, 0.25, T, [], StreamPlan(6).path_stream(2))
+        d_w = trajectory_increments(prob, h, T, 6, 2)
+        if label == "bounded-rotation":
+            g = prob.diffusion(prob.x0)[0, 0]
+            A = rotation_matrix(prob)
+            a, b = 1.0 - h * A[0, 0], h * A[1, 0]
+            det = a * a + b * b
+            a, b = a / det, b / det
+        for j, y in enumerate(traj.states[:-1]):
+            if label == "bounded-rotation":
+                r0, r1 = d_w[j] * g + y
+                expected = [r0 * a - r1 * b, r0 * b + r1 * a]
+            else:
+                expected = prob.solve(h, y + prob.diffusion(y)[..., 0] * d_w[j])
+            assert np.array_equal(traj.states[j + 1], expected), f"step {j + 1}"
+
     @pytest.mark.parametrize("block", [1, 7, 64])
     @pytest.mark.parametrize("label", ["bounded-rotation", "ginzburg-landau", "linear"])
     def test_blocks_do_not_change_the_trajectory(self, monkeypatch, label, block):
@@ -522,14 +552,14 @@ class TestSimulateTrajectory:
         def trajectory():
             traj = simulate_trajectory(prob, 1 / 100, h0, 1.0, [0.25, 0.5],
                                        StreamPlan(9).path_stream(1))
-            return traj.states, traj.d_w, traj.z_increments, traj.sup_functional_p
+            return traj.states, traj.z_increments, traj.sup_functional_p
 
         whole = trajectory()
         monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
         parts = trajectory()
-        for got, expected in zip(parts[:3], whole[:3]):
+        for got, expected in zip(parts[:2], whole[:2]):
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
-        assert parts[3] == whole[3]
+        assert parts[2] == whole[2]
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_noise_overflow_names_its_step_in_any_block(self, monkeypatch, block):
@@ -545,8 +575,9 @@ class TestSimulateTrajectory:
 
     @pytest.mark.parametrize("label", ["bounded-rotation", "ginzburg-landau"])
     def test_holds_its_arrays_and_one_block(self, monkeypatch, label):
-        # beyond the arrays it returns, a trajectory holds one block's temporaries,
-        # 8-9 block-length rows of states; stepped and reduced whole, it held 41
+        # beyond the arrays it returns and the increments it draws whole, a trajectory
+        # holds one block's temporaries, 8-9 block-length rows of states; stepped and
+        # reduced whole, it held 41
         block = 512
         monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
         prob = make_problem(label, sigma=0.5)
@@ -558,7 +589,8 @@ class TestSimulateTrajectory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = sum(a.nbytes for a in (traj.states, traj.d_w, traj.z_increments))
+        held = traj.states.nbytes + traj.z_increments.nbytes
+        held += trajectory_increments(prob, *steps[::2], 1).nbytes
         rows = (peak - held) / (block * prob.d * 8)
         assert rows <= 12, f"{rows:.1f} block rows beyond the returned arrays"
 
@@ -641,7 +673,6 @@ class TestCustomProblem:
         prob = SdeProblem(
             label="tanh-well",
             drift=lambda x: -np.tanh(x),
-            drift_jacobian=lambda x: (np.tanh(x) ** 2 - 1.0)[..., None],
             diffusion=lambda x: np.full(np.shape(x) + (1,), 0.3),
             x0=np.array([0.5]),
             L=0.045,
@@ -650,14 +681,14 @@ class TestCustomProblem:
         check_coercivity(prob)
         traj = simulate_trajectory(prob, 0.2, 0.25, 1.0, [], StreamPlan(4).path_stream(0))
         y = traj.states[:, 0]
-        residual = y[1:] + 0.2 * np.tanh(y[1:]) - (y[:-1] + 0.3 * traj.d_w[:, 0])
+        d_w = trajectory_increments(prob, 0.2, 1.0, 4)
+        residual = y[1:] + 0.2 * np.tanh(y[1:]) - (y[:-1] + 0.3 * d_w[:, 0])
         assert np.abs(residual).max() <= 1e-12
 
 
 def _scalar_callables():
     return {
         "drift": lambda x: -x,
-        "drift_jacobian": lambda x: np.full(np.shape(x) + (1,), -1.0),
         "diffusion": lambda x: 0.5 * np.asarray(x)[..., None],
     }
 
@@ -686,8 +717,6 @@ class TestProblemContract:
     @pytest.mark.parametrize("name, func", [
         ("drift", lambda x: float(-x[0])),
         ("drift", lambda x: np.stack([-x, -x], axis=-1)),
-        ("drift_jacobian", lambda x: -np.ones_like(x)),
-        ("drift_jacobian", lambda x: np.ones(np.shape(x) + (2,))),
         ("diffusion", lambda x: 0.5 * x),
         ("diffusion", lambda x: np.ones((2, 1))),
     ])
@@ -711,6 +740,14 @@ class TestProblemContract:
         with pytest.raises(ContractViolationError, match="must be finite"):
             make_problem(label, **{name: value})
 
+    def test_non_finite_problem_message_names_f_and_g_at_x0(self):
+        with pytest.raises(ContractViolationError) as err:
+            SdeProblem(label="nan-g", **{**_scalar_callables(),
+                                         "diffusion": lambda x: np.full(np.shape(x) + (1,), np.nan)},
+                       x0=[0.5], L=1.0)
+        assert str(err.value) == ("problem 'nan-g': x0, L, f(x0), g(x0), |x0|^2 and |g(x0)|^2 "
+                                  "must be finite; got x0=[0.5], L=1.0")
+
     def test_drift_overflowing_at_x0_rejected(self):
         # f(1e160) = 1e160 - 1e480 is -inf
         with pytest.raises(ContractViolationError, match="must be finite"):
@@ -731,4 +768,4 @@ class TestProblemContract:
 
         prob = make_problem("linear")
         with pytest.raises(dataclasses.FrozenInstanceError):
-            prob.drift_jacobian = None
+            prob.drift = None
