@@ -30,7 +30,6 @@ import os
 import pickle
 import sys
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Sequence
@@ -623,8 +622,7 @@ class BemSupFunctionalSampler:
             for paths, out, (from_union, stride, bounds) in zip(levels, sums, block):
                 if len(bounds) > 1:  # a grid that ends before the block has no step in it
                     d_w = _sum_steps(union if from_union else d_w, stride, bounds, out)
-                    # drained without keeping a state, which would hold the level's states
-                    deque(paths.step(d_w), maxlen=0)
+                    paths.step(d_w)
         out = np.empty((len(hs), count))
         for column, paths in zip(columns, levels):
             out[column] = paths.sup(self.p)

@@ -36,7 +36,7 @@ COERCIVITY_RADIUS = 100.0
 COERCIVITY_SEED = 2024
 #: Slack for the coercivity spot-check, relative to L*(1+|x|^2) scale.
 COERCIVITY_RTOL = 1e-9
-#: Steps of a trajectory stepped, and of its noise terms computed, at a time.
+#: Steps of a trajectory drawn, stepped and given their noise terms at a time.
 TRAJECTORY_BLOCK = 2**16
 
 
@@ -229,14 +229,15 @@ class ScalarPaths:
         self.best = np.full(count, -np.inf)
         self.failed = np.zeros(count, dtype=np.bool_)
 
-    def step(self, d_w):
+    def step(self, d_w, out=None):
         """Step every path over one block's (steps, 1, paths) increments,
-        yielding each step's (1, paths) states: views that are
-        overwritten once the block's last one is taken."""
+        writing each step's (1, paths) states into ``out``, a (steps, 1,
+        paths) array, if one is given."""
         problem = self.problem
         states, _, failed = kernels.bem_scalar_batch(
             problem.solve, problem.diffusion, self.y, self.h, d_w[:, 0])
-        yield from states[1:, None]
+        if out is not None:
+            out[:, 0] = states[1:]
         self.y = states[-1].copy()
         self.failed |= failed
         # |y|^2 + h|g(y)|^2, computed in place to keep one extra states-sized array;
@@ -288,13 +289,13 @@ class RotationPaths:
         self.best = np.full(count, problem.x0_norm_sq())
         self.failed = np.zeros(count, dtype=np.bool_)
 
-    def step(self, d_w):
+    def step(self, d_w, out=None):
         """Step every path over one block's (steps, 2, paths) increments,
-        yielding each step's (2, paths) states, one array stepped in place.
-        A step reads two rows of d_w, contiguous when d_w is C-ordered."""
+        writing each step's states into ``out``, (steps, 2, paths), if one
+        is given. A step reads two rows of d_w, contiguous when C-ordered."""
         y, best, a, turn, g = self.y, self.best, self.a, self.turn, self.g
         r, t = np.empty((2,) + y.shape)
-        for row in d_w:
+        for j, row in enumerate(d_w):
             np.multiply(row, g, out=r)
             r += y
             np.multiply(r, a, out=y)
@@ -304,7 +305,8 @@ class RotationPaths:
             np.multiply(y, y, out=t)
             np.add(t[0], t[1], out=t[0])
             np.maximum(best, t[0], out=best)
-            yield y
+            if out is not None:
+                out[j] = y
 
     def sup(self, p):
         with np.errstate(over="ignore"):
@@ -326,10 +328,10 @@ def implicit_step(problem: SdeProblem) -> type:
     closed form itself. Any other problem is rejected, a scalar problem
     with no exact step and a d = 1 problem with m > 1 noise columns
     included. Each class is built as ``(problem, h, paths)``; its
-    generator ``step(d_w)`` steps one block's (steps, d, paths)
-    increments, yields each step's (d, paths) states and folds them into
-    the running maximum that ``sup(p)`` reads, and it has the paths'
-    ``failed``.
+    ``step(d_w, out=None)`` steps one block's (steps, d, paths)
+    increments when called, writes each step's (d, paths) states into
+    ``out`` if given, and folds them into the running maximum that
+    ``sup(p)`` reads, and it has the paths' ``failed``.
     """
     if problem.d == problem.m == 1:
         if problem.solve is None:
@@ -356,20 +358,20 @@ def simulate_trajectory(
     """Integrate one path, recording states, noise terms, and functionals.
 
     Increments dW^{j+1} are N(0, h I_m) draws from the supplied stream,
-    one (steps, m) draw that the trajectory does not keep.
+    one (steps, m) draw that the trajectory does not keep, taken
+    ``TRAJECTORY_BLOCK`` rows at a time.
     The step size ``h``, its cap ``h0`` and the horizon ``T`` are checked
     by :func:`check_step_sizes`. A trajectory whose steps times the
     larger of d and m exceed ``MAX_CHUNK_VALUES`` is rejected before
     anything is allocated, as is a problem :func:`implicit_step`
     rejects. The path is one path of the class :func:`implicit_step`
     returns, so it is the batch sampler's (``mc.BemSupFunctionalSampler``)
-    on a batch of one, and its sup functional is that class's. It is
-    stepped, and its noise terms computed, ``TRAJECTORY_BLOCK`` steps at
-    a time, so beyond the arrays it returns and its increments a run
-    holds one block's temporaries. A path that fails raises
-    :class:`SolverError` naming the step of its first NaN state; a noise
-    term or sup functional beyond float64 raises
-    :class:`ContractViolationError`.
+    on a batch of one, and its sup functional is that class's. Each
+    block is drawn, stepped and given its noise terms in turn, so beyond
+    the arrays it returns a run holds one block's temporaries. A path
+    that fails raises :class:`SolverError` naming the step of its first
+    NaN state at once; once every block is stepped, a noise term and
+    then a sup functional beyond float64 raise :class:`ContractViolationError`.
     """
     (n,) = check_step_sizes(problem, [h], h0, T)
     kind = implicit_step(problem)
@@ -382,34 +384,31 @@ def simulate_trajectory(
             f"{n} steps of h={h} up to T={T}, times {width} (the larger of d and m), "
             f"are over {MAX_CHUNK_VALUES} values for one trajectory"
         )
-    d_w = rng_stream.standard_normal((n, problem.m))
-    d_w *= math.sqrt(h)
 
     paths = kind(problem, h, 1)
     states = np.empty((n + 1, problem.d))
     states[0] = problem.x0
-    blocks = [(lo, min(lo + TRAJECTORY_BLOCK, n)) for lo in range(0, n, TRAJECTORY_BLOCK)]
-    for lo, hi in blocks:
-        for j, y in enumerate(paths.step(d_w[lo:hi, :, None]), lo + 1):
-            states[j] = y[:, 0]
+    z_vals = np.empty(n)
+    for lo in range(0, n, TRAJECTORY_BLOCK):
+        hi = min(lo + TRAJECTORY_BLOCK, n)
+        dw = rng_stream.standard_normal((hi - lo, problem.m))
+        dw *= math.sqrt(h)
+        paths.step(dw[:, :, None], states[lo + 1:hi + 1, :, None])
         if paths.failed[0]:
             raise SolverError(
                 f"step {np.isnan(states[:hi + 1, 0]).argmax()} of {n} failed for problem "
                 f"{problem.label!r}: implicit step gave no finite state"
             )
-
-    # the states are finite, so a non-finite Z^j (inf, or inf - inf) overflowed float64
-    z_vals = np.empty(n)
-    for lo, hi in blocks:
-        y, dw = states[lo:hi], d_w[lo:hi]
+        y = states[lo:hi]
         with np.errstate(over="ignore", invalid="ignore"):
             g = problem.diffusion(y)
             noise = (g @ dw[:, :, None])[..., 0]
-            z = z_vals[lo:hi] = np.sum(noise * noise, axis=1) \
+            z_vals[lo:hi] = np.sum(noise * noise, axis=1) \
                 - h * np.sum(g * g, axis=(1, 2)) + 2.0 * np.sum(noise * y, axis=1)
-        if not np.isfinite(z).all():
-            step = lo + np.isfinite(z).argmin() + 1
-            raise ContractViolationError(f"the noise term Z^j overflows float64 at step {step} of {n}")
+    # the states are finite, so a non-finite Z^j (inf, or inf - inf) overflowed float64
+    if not np.isfinite(z_vals).all():
+        step = np.isfinite(z_vals).argmin() + 1
+        raise ContractViolationError(f"the noise term Z^j overflows float64 at step {step} of {n}")
     sup_p = {float(p): float(paths.sup(float(p))[0]) for p in p_list}
     return BemTrajectory(states, z_vals, sup_p)
 

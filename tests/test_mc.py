@@ -1032,8 +1032,7 @@ class TestScalarPathFailingInALaterBlock:
         monkeypatch.setattr(kernels, "bem_scalar_batch", recorded)
         paths = ScalarPaths(problem, h, count)
         for lo in (0, 4, 8):
-            for _ in paths.step(d_w[lo:lo + 4]):
-                pass
+            paths.step(d_w[lo:lo + 4])
         sup = paths.sup(0.5)
         monkeypatch.undo()
 

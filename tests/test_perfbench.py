@@ -116,3 +116,13 @@ def test_traced_rotation_draws_the_finest_grid_once(tmp_path):
     assert metrics["mc.pool.tasks"] == 1
     assert metrics["kernels.welford_chunk.samples"] == paths * 2  # one column per row
     assert metrics["mc.estimate_expectation.calls"] == 2  # one per row
+
+
+def test_benchmark_harness_selftest_passes():
+    # every metric BENCHMARK.json declares is emitted with its unit, forced failures are
+    # counted and absent entry points reported, at tiny sizes
+    root = TRACER.parents[1]
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")], cwd=root,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest passed" in done.stdout.splitlines()
