@@ -335,7 +335,7 @@ def estimate_expectation(
 
 
 # ---------------------------------------------------------------------------
-# Samplers (top-level picklable dataclasses)
+# Samplers
 
 
 @dataclass(frozen=True)
@@ -564,27 +564,20 @@ class BemSupFunctionalSampler:
     increments are drawn and scaled as a lone grid's would be.
 
     The step sizes ``hs`` share the horizon ``T``, and a grid has
-    ``sde.step_count(h, T)`` steps. The problem must be a zoo problem,
-    which pickles as its zoo spec (see ``sde.SdeProblem``), so the
-    sampler pickles as the spec and the numbers ``hs``, ``T`` and ``p``,
-    and loading it rebuilds the problem once. A pool child unpickles
-    nothing: it inherits the sampler by fork. The work limit is checked
-    at construction. Each column's paths are stepped
-    by the class that ``sde.implicit_step`` returns, as in
+    ``sde.step_count(h, T)`` steps. Each column's paths are stepped by
+    the class that ``sde.implicit_step`` returns, as in
     ``sde.simulate_trajectory``, which also gives their sup functional.
+    That class and the work limit are checked at construction, so a
+    problem that cannot be stepped is rejected before any chunk is drawn.
     """
 
     def __init__(self, problem: sde.SdeProblem, hs: Sequence[float], T: float, p: float):
-        if problem.zoo_spec is None:
-            raise ContractViolationError(
-                "batch sampling requires a zoo problem (picklable rebuild spec)"
-            )
+        self.kind = sde.implicit_step(problem)
         self.problem, self.hs, self.T, self.p = problem, tuple(float(h) for h in hs), T, p
         self.n_steps = tuple(sde.step_count(h, T) for h in self.hs)
-        # built at construction and again on loading, not pickled: the block layout of
-        # every chunk (see _increment_blocks, which checks the work limit up front), the
-        # rows of each part of the buffer that its block arrays view, and that buffer
-        # (_block_buffers)
+        # the block layout of every chunk (see _increment_blocks, which checks the work
+        # limit up front), the rows of each part of the buffer that its block arrays view,
+        # and that buffer (_block_buffers)
         d = problem.d
         self._layout = _increment_blocks(self.hs, self.n_steps, d)
         blocks = self._layout[2]
@@ -592,9 +585,6 @@ class BemSupFunctionalSampler:
             0 if stride == 1 else d * (max(len(block[i][2]) for _, _, block in blocks) - 1)
             for i, (_, stride, _) in enumerate(blocks[0][2])]
         self._scratch = np.empty(0)
-
-    def __reduce__(self):
-        return type(self), (self.problem, self.hs, self.T, self.p)
 
     def sample_chunk(self, plan, chunk_index, count):
         """A (step sizes, count) array, one row per h in grid order.
@@ -611,8 +601,7 @@ class BemSupFunctionalSampler:
         """
         problem, hs = self.problem, self.hs
         roots, columns, blocks = self._layout
-        kind = sde.implicit_step(problem)
-        levels = [kind(problem, hs[column], count) for column in columns]
+        levels = [self.kind(problem, hs[column], count) for column in columns]
         draws, sums = self._block_buffers(count)
         stream = plan.chunk_stream(chunk_index)
         for lo, hi, block in blocks:
@@ -708,14 +697,19 @@ def verify_apriori(
     the spread of their means is the discretization effect, which is
     compared against the bound's margin as a qualitative robustness
     indicator. Rows are checked for failures in grid order; the first
-    over ``fail_threshold`` aborts the report. Returns the report as
-    the JSON object the command line writes.
+    over ``fail_threshold`` aborts the report. The problem is any that
+    ``sde.implicit_step`` accepts. One with no ``zoo_spec`` has its
+    coercivity spot-checked here, before anything is drawn, and its
+    report's ``problem_params`` is empty. Returns the report as the JSON
+    object the command line writes.
     """
     n_steps = sde.check_step_sizes(problem, hs, h0, T)
     if len(hs) > 1 and max(hs) / min(hs) < 8.0:
         raise ContractViolationError(
             f"step sizes must span at least a factor of 8, got {max(hs) / min(hs):.3g}"
         )
+    if problem.zoo_spec is None:  # make_problem has checked a zoo problem's L
+        sde.check_coercivity(problem)
 
     x0_norm_sq, g_x0_norm_sq = problem.x0_norm_sq(), problem.g_x0_norm_sq()
     parts = apriori_bound_parts(p, problem.L, T, h0, x0_norm_sq, g_x0_norm_sq)
@@ -733,7 +727,7 @@ def verify_apriori(
     margin = float(bound - max(means))
     inputs = {
         "problem": problem.label,
-        "problem_params": dict(problem.zoo_spec[1]),
+        "problem_params": dict(problem.zoo_spec[1]) if problem.zoo_spec else {},
         "p": p,
         "T": T,
         "h0": h0,

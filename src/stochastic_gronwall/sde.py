@@ -57,9 +57,7 @@ class SdeProblem:
     :func:`implicit_step`). The scalar zoo problems act elementwise on
     states of any shape, appending one axis for the diffusion. ``L`` is
     the registered coercivity constant. ``zoo_spec`` is a zoo problem's
-    label and parameters: such a problem pickles as that plain data, and
-    loading it rebuilds the problem with :func:`make_problem`, coercivity
-    check included. Any other problem pickles field by field.
+    label and parameters.
     """
 
     label: str
@@ -93,12 +91,6 @@ class SdeProblem:
                 f"problem {self.label!r}: x0, L, f(x0), g(x0), |x0|^2 and |g(x0)|^2 "
                 f"must be finite; got x0={x0.tolist()}, L={self.L}"
             )
-
-    def __reduce_ex__(self, protocol):
-        if self.zoo_spec is None:
-            return super().__reduce_ex__(protocol)
-        label, params = self.zoo_spec
-        return functools.partial(make_problem, label, **params), ()
 
     @property
     def d(self) -> int:
@@ -429,10 +421,21 @@ def make_linear(lam: float = 1.0, sigma: float = 0.0, x0=1.0, L: float | None = 
         raise ContractViolationError(f"lambda must be >= 0, got {lam}")
     if L is None:
         L = max(lam, 0.5 * sigma * sigma)
-    return (lambda x: -lam * x,
-            lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
-            lambda h, b: b / (1.0 + h * lam),
-            L)
+    return (functools.partial(_linear_drift, lam), functools.partial(_scalar_diffusion, sigma),
+            functools.partial(_linear_step, lam), L)
+
+
+def _linear_drift(lam, x):
+    return -lam * x
+
+
+def _linear_step(lam, h, b):
+    return b / (1.0 + h * lam)
+
+
+def _scalar_diffusion(sigma, x):
+    """g(x) = sigma*x of the scalar zoo problems, with the noise axis appended."""
+    return sigma * np.asarray(x, dtype=np.float64)[..., None]
 
 
 def make_ginzburg_landau(sigma: float = 0.5, x0=1.0, L: float | None = None) -> tuple:
@@ -445,10 +448,11 @@ def make_ginzburg_landau(sigma: float = 0.5, x0=1.0, L: float | None = None) -> 
     """
     if L is None:
         L = 1.0 + 0.5 * sigma * sigma
-    return (lambda x: x - x * x * x,
-            lambda x: sigma * np.asarray(x, dtype=np.float64)[..., None],
-            _cubic_step,
-            L)
+    return _ginzburg_landau_drift, functools.partial(_scalar_diffusion, sigma), _cubic_step, L
+
+
+def _ginzburg_landau_drift(x):
+    return x - x * x * x
 
 
 @functools.lru_cache(maxsize=64)
@@ -520,22 +524,23 @@ def make_bounded_rotation(
         raise ContractViolationError(f"kappa must be >= 0, got {kappa}")
     if L is None:
         L = sigma * sigma
+    return (functools.partial(_rotation_drift, omega, kappa),
+            functools.partial(_rotation_diffusion, sigma), None, L)
 
-    def drift(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.stack(
-            [-omega * x[..., 1] - kappa * x[..., 0], omega * x[..., 0] - kappa * x[..., 1]],
-            axis=-1,
-        )
 
-    return (drift,
-            lambda x: np.broadcast_to(sigma * np.eye(2), np.shape(x)[:-1] + (2, 2)),
-            None,
-            L)
+def _rotation_drift(omega, kappa, x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.stack([-omega * x[..., 1] - kappa * x[..., 0],
+                     omega * x[..., 0] - kappa * x[..., 1]], axis=-1)
+
+
+def _rotation_diffusion(sigma, x):
+    return np.broadcast_to(sigma * np.eye(2), np.shape(x)[:-1] + (2, 2))
 
 
 # Each factory checks its parameters and returns f, g, the exact scalar step (None for
-# the rotation, whose stepper owns its step) and L; make_problem applies x0.
+# the rotation, whose stepper owns its step) and L, built from module-level functions
+# so that they pickle by reference; make_problem applies x0.
 _ZOO = {
     "linear": make_linear,
     "ginzburg-landau": make_ginzburg_landau,

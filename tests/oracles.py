@@ -10,7 +10,8 @@ expectations read off them, and the former mass recursion of
 walk counts by reflection; the root of the Ginzburg-Landau implicit step to 80
 digits, the reference for the zoo's exact step; the bounded rotation's
 drift matrix, built from its parameters, and a trajectory's increments,
-re-drawn from its stream; the former per-row implicit-Euler sampler, one fresh
+re-drawn from its stream; the tanh well, a scalar problem outside the
+zoo with its own exact step; the former per-row implicit-Euler sampler, one fresh
 draw per step size, the bit-exact reference for the one-pass sampler in
 ``mc``; the former whole-union chunk of that sampler, the bit-exact
 reference for the one that streams its blocks; the former matrix
@@ -27,7 +28,7 @@ import numpy as np
 from stochastic_gronwall import bounds, kernels
 from stochastic_gronwall.bounds import OVERFLOW_GUARD, real_sequence
 from stochastic_gronwall.errors import ContractViolationError
-from stochastic_gronwall.sde import step_count, zoo_parameters
+from stochastic_gronwall.sde import SdeProblem, step_count, zoo_parameters
 from stochastic_gronwall.streams import StreamPlan
 
 #: Absolute tolerance for the pathwise recursion inequality checked at
@@ -288,6 +289,30 @@ def trajectory_increments(problem, h, T, seed, path=0):
     draws whole and does not keep."""
     n = step_count(h, T)
     return StreamPlan(seed).path_stream(path).standard_normal((n, problem.m)) * math.sqrt(h)
+
+
+def tanh_well_step(h, b):
+    """The root z of z + h*tanh(z) = b, which lies within h of b, by bisection."""
+    lo, hi = b - h, b + h
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        below = mid + h * np.tanh(mid) < b
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def tanh_well_problem(L=0.045):
+    """dX = -tanh(X) dt + 0.3 dW from X_0 = 0.5, stepped by
+    :func:`tanh_well_step`: bounded drift toward the origin and additive
+    noise, coercive for L >= 0.3^2/2 = 0.045."""
+    return SdeProblem(
+        label="tanh-well",
+        drift=lambda x: -np.tanh(x),
+        diffusion=lambda x: np.full(np.shape(x) + (1,), 0.3),
+        x0=np.array([0.5]),
+        L=L,
+        solve=tanh_well_step,
+    )
 
 
 def per_row_increments(plan, chunk_index, count, h, n_steps, d):

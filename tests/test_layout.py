@@ -113,6 +113,22 @@ def test_every_problem_and_trajectory_field_is_read_by_the_package():
     assert len(classes) == 2 and unread == [], f"fields only their own class reads: {unread}"
 
 
+def test_no_class_defines_its_own_pickling():
+    # no task is pickled to a pool child, which inherits it by fork, and the zoo's
+    # callables pickle by reference, so a problem or sampler needs no pickle hook; an
+    # EstimateAbortedError crosses the pool's pipe back with its counts
+    hooks = sorted(
+        f"{path.stem}.{cls.name}.{name}"
+        for path in PACKAGE.glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        for name in _defined_names(stmt)
+        if name in ("__reduce__", "__reduce_ex__")
+    )
+    assert hooks == ["errors.EstimateAbortedError.__reduce__"], f"pickle hooks: {hooks}"
+
+
 def _is_private(name):
     return name.startswith("_") and not _is_dunder(name)
 

@@ -16,11 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    check_report,
     freeze_paths,
     per_row_increments,
     per_row_sample_chunk,
     per_row_sup,
     synthetic_sup_xp_reference,
+    tanh_well_problem,
     whole_union_sample_chunk,
 )
 
@@ -39,6 +41,7 @@ from stochastic_gronwall.mc import (
     verify_theorem_on_synthetic,
 )
 from stochastic_gronwall.sde import (
+    SdeProblem,
     make_problem,
     simulate_trajectory,
     step_count,
@@ -174,6 +177,10 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
     return requested
+
+
+def refuse_stream(plan, chunk_index):
+    raise AssertionError(f"chunk {chunk_index} drawn")
 
 
 def no_children_left():
@@ -318,6 +325,7 @@ class TestEstimator:
 # 9000 samples are three chunks, the last one short.
 POOL_N = 9000
 GL_GRID = [0.125, 0.0625, 0.03125, 0.015625]
+CUSTOM_GRID = [0.25, 0.03125]
 
 
 def _reports(workers):
@@ -367,6 +375,30 @@ class TestReportPool:
                                0.5, POOL_N, StreamPlan(5, workers=workers))
             messages.append(str(info.value))
         assert messages[0] == messages[1] == "4500 of 9000 samples failed (threshold 0.0)"
+        assert no_children_left()
+
+    def test_failing_paths_of_a_custom_problem_abort_alike(self):
+        # a scalar problem whose exact step has no root for b > 1.5: the paths that
+        # reach it fail in every row, and are counted alike at any worker count
+        def solve(h, b):
+            z = b / (1.0 + h)
+            z[b > 1.5] = np.nan
+            return z
+
+        prob = SdeProblem(label="cliff", drift=lambda x: -x,
+                          diffusion=lambda x: 0.5 * np.asarray(x)[..., None],
+                          x0=np.array([1.0]), L=1.0, solve=solve)
+        messages, reports = [], []
+        for workers in (1, 2):
+            plan = StreamPlan(5, workers=workers)
+            with pytest.raises(EstimateAbortedError) as info:
+                verify_apriori(prob, GL_GRID, 0.25, 1.0, 0.5, POOL_N, plan)
+            messages.append(str(info.value))
+            reports.append(json.dumps(verify_apriori(prob, GL_GRID, 0.25, 1.0, 0.5, POOL_N, plan,
+                                                     fail_threshold=0.5), sort_keys=True))
+        assert messages[0] == messages[1] == "187 of 9000 samples failed (threshold 0.0)"
+        assert reports[0] == reports[1]
+        assert [row["n_failures"] for row in json.loads(reports[0])["rows"]] == [187, 164, 168, 167]
         assert no_children_left()
 
     @pytest.mark.parametrize("chunks", [(0,), (2,)])
@@ -716,39 +748,34 @@ class TestVerifyApriori:
             traj = simulate_trajectory(prob, 0.1, 0.5, 1.0, [0.5], Row(normals[:, i]))
             assert vals[i] == traj.sup_functional_p[0.5]
 
-    @pytest.mark.parametrize("label", zoo_labels())
-    def test_pickled_sampler_rebuilds_its_problem(self, label, monkeypatch):
-        """A pool worker loads the sampler's zoo spec, rebuilds the problem
-        once, checking its coercivity, and draws the same bits."""
-        import pickle
+    def test_custom_problem_report(self):
+        # a problem outside the zoo, with its own exact step, runs alike at any worker count
+        reports = [json.dumps(verify_apriori(tanh_well_problem(), CUSTOM_GRID, 0.5, 1.0, 0.5,
+                                             5000, StreamPlan(3, workers=w)), sort_keys=True)
+                   for w in (1, 2)]
+        assert reports[0] == reports[1]
+        report = json.loads(reports[1])
+        check_report(report)
+        assert report["inputs"]["problem"] == "tanh-well"
+        assert report["inputs"]["problem_params"] == {}
+        assert no_children_left()
 
-        from stochastic_gronwall import sde
+    def test_custom_problem_coercivity_checked_before_drawing(self, monkeypatch):
+        # L = 0.01 is below |g|^2/2 = 0.045 at the origin; make_problem never saw it
+        monkeypatch.setattr(StreamPlan, "chunk_stream", refuse_stream)
+        with pytest.raises(ContractViolationError, match="'tanh-well' fails coercivity"):
+            verify_apriori(tanh_well_problem(L=0.01), CUSTOM_GRID, 0.5, 1.0, 0.5, 5000,
+                           StreamPlan(3, workers=2))
 
-        prob = make_problem(label)
-        sampler = BemSupFunctionalSampler(prob, [0.125, 0.0625], 1.0, 0.5)
-        checked = []
-        check = sde.check_coercivity
-        monkeypatch.setattr(sde, "check_coercivity", lambda p: checked.append(p) or check(p))
-        copy = pickle.loads(pickle.dumps(sampler))  # what a pool worker receives
-        assert len(checked) == 1 and checked[0] is copy.problem is not prob
-        assert copy.problem.zoo_spec == prob.zoo_spec
-        assert (copy.hs, copy.T, copy.p) == (sampler.hs, sampler.T, sampler.p)
-        plan = StreamPlan(3)
-        for c in range(3):
-            assert np.array_equal(copy.sample_chunk(plan, c, 16), sampler.sample_chunk(plan, c, 16))
-        assert len(checked) == 1
-
-    def test_batch_requires_zoo_problem(self):
-        from stochastic_gronwall.sde import SdeProblem
-
-        prob = SdeProblem(
-            label="custom",
-            drift=lambda x: -x,
-            diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
-            x0=np.array([1.0]), L=1.0,
-        )
-        with pytest.raises(ContractViolationError, match="zoo"):
-            BemSupFunctionalSampler(prob, [0.1], 1.0, 0.5)
+    def test_unsteppable_problem_rejected_before_any_chunk(self, monkeypatch, pools):
+        # a coercive planar problem that is not the zoo's rotation has no stepper
+        prob = SdeProblem(label="planar", drift=lambda x: -x,
+                          diffusion=lambda x: np.zeros(np.shape(x) + (1,)),
+                          x0=np.array([1.0, 0.0]), L=0.5)
+        monkeypatch.setattr(StreamPlan, "chunk_stream", refuse_stream)
+        with pytest.raises(ContractViolationError, match="'planar' has d = 2 and m = 1"):
+            verify_apriori(prob, CUSTOM_GRID, 0.5, 1.0, 0.5, POOL_N, StreamPlan(3, workers=2))
+        assert pools == [] and no_children_left()
 
 
 _FINITE = st.floats(min_value=-20.0, max_value=20.0)
@@ -776,8 +803,8 @@ def _zoo_params(label):
 @given(data=st.data())
 def test_zoo_problem_round_trips_and_matches_its_trajectory(label, data):
     """make_problem rejects a parameter set or builds a problem whose spec
-    survives pickling, holds x0 as a tuple exactly for a planar problem,
-    and whose one-path chunk is its trajectory."""
+    holds x0 as a tuple exactly for a planar problem, and whose one-path
+    chunk is its trajectory and survives pickling the problem."""
     import pickle
 
     params = data.draw(_zoo_params(label))
@@ -786,7 +813,8 @@ def test_zoo_problem_round_trips_and_matches_its_trajectory(label, data):
     except ContractViolationError:
         return
     spec = prob.zoo_spec[1]
-    assert pickle.loads(pickle.dumps(prob)).zoo_spec == prob.zoo_spec
+    copy = pickle.loads(pickle.dumps(prob))
+    assert copy.zoo_spec == prob.zoo_spec
     assert set(spec) == set(zoo_parameters()[label]) and spec["L"] == prob.L
     assert isinstance(spec["x0"], tuple) == (prob.d == 2)
     h0 = 0.999 * 0.5 / max(prob.L, 1.0)
@@ -794,6 +822,9 @@ def test_zoo_problem_round_trips_and_matches_its_trajectory(label, data):
     ((chunk,),) = BemSupFunctionalSampler(prob, [h0 / 2], 2 * h0, 0.5).sample_chunk(plan, 0, 1)
     traj = simulate_trajectory(prob, h0 / 2, h0, 2 * h0, [0.5], plan.chunk_stream(0))
     assert chunk == traj.sup_functional_p[0.5]
+    # the zoo's f, g and step pickle by reference, so a loaded problem steps the same bits
+    ((again,),) = BemSupFunctionalSampler(copy, [h0 / 2], 2 * h0, 0.5).sample_chunk(plan, 0, 1)
+    assert again == chunk
 
 
 # Zoo problems for the trajectory-sampler match; a zoo label not named here
@@ -1080,8 +1111,6 @@ def test_wide_grid_chunk_peaks_at_a_few_blocks(label):
 def test_later_chunks_reuse_the_block_buffer():
     # block arrays allocated per chunk go back to the system at the chunk's end and
     # are faulted in again by the next chunk, so the sampler keeps one buffer
-    import pickle
-
     prob = make_problem("bounded-rotation", sigma=0.5)
     hs = (0.125, 0.0625, 0.03125, 0.015625)
     sampler, plan = BemSupFunctionalSampler(prob, hs, 1.0, 0.5), StreamPlan(1)
@@ -1098,10 +1127,6 @@ def test_later_chunks_reuse_the_block_buffer():
     finally:
         tracemalloc.stop()
     assert sampler._scratch is buffer and peak < buffer.nbytes
-    # a pool worker receives the step sizes and builds its own buffer
-    (copy,) = pickle.loads(pickle.dumps([sampler]))
-    assert (copy.hs, copy.T) == (sampler.hs, sampler.T) and copy._scratch.size == 0
-    assert np.array_equal(copy.sample_chunk(plan, 3, 7), sampler.sample_chunk(plan, 3, 7))
 
 
 class TestCoupling:
@@ -1142,10 +1167,7 @@ class TestWorkLimit:
             standard_synthetic_systems(horizon + 1)
 
     def test_custom_synthetic_system_over_the_limit_draws_nothing(self, monkeypatch):
-        def refuse(plan, chunk_index):
-            raise AssertionError(f"chunk {chunk_index} drawn")
-
-        monkeypatch.setattr(StreamPlan, "chunk_stream", refuse)
+        monkeypatch.setattr(StreamPlan, "chunk_stream", refuse_stream)
         horizon = mc.MAX_CHUNK_VALUES // CHUNK_SIZE
         steps = range(horizon + 1)
         long = SyntheticSystem("long", tuple(float(n + 1) for n in steps), (0.0,) * (horizon + 1),

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cubic_root_reference, rotation_matrix, trajectory_increments, ulps_from
+from oracles import (
+    cubic_root_reference,
+    rotation_matrix,
+    tanh_well_problem,
+    trajectory_increments,
+    ulps_from,
+)
 
 from stochastic_gronwall import kernels, sde
 from stochastic_gronwall.errors import ContractViolationError, SolverError
@@ -681,27 +687,10 @@ class TestRecursionCheck:
         assert excess.max() <= 0.0, f"violations on {int((excess > 0).any(axis=1).sum())} paths"
 
 
-def _tanh_well_step(h, b):
-    """The root z of z + h*tanh(z) = b, which lies within h of b, by bisection."""
-    lo, hi = b - h, b + h
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = mid + h * np.tanh(mid) < b
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 class TestCustomProblem:
     def test_user_problem_with_spot_check(self):
         # bounded drift toward the origin, additive noise, and its own exact step
-        prob = SdeProblem(
-            label="tanh-well",
-            drift=lambda x: -np.tanh(x),
-            diffusion=lambda x: np.full(np.shape(x) + (1,), 0.3),
-            x0=np.array([0.5]),
-            L=0.045,
-            solve=_tanh_well_step,
-        )
+        prob = tanh_well_problem()
         check_coercivity(prob)
         traj = simulate_trajectory(prob, 0.2, 0.25, 1.0, [], StreamPlan(4).path_stream(0))
         y = traj.states[:, 0]
