@@ -6,7 +6,8 @@ leaf command is declared once, as a :class:`Flag` with its
 ``--config`` JSON file (where the command has one) fills flags left
 unset, every given value is checked against its domain, and defaults are
 filled in. Exit codes: 0 success, 2 config error, 3 numerical-contract
-violation, 4 solver failure, 5 verification failure.
+violation, 4 solver failure, 5 verification failure, 141 stdout closed
+before the output was written.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ from .bounds import (
     theorem_bound_deterministic_G,
     theorem_bound_random_G,
 )
-from .errors import (
-    ConfigError,
-    ContractViolationError,
-    EstimateAbortedError,
-    SolverError,
-)
+from .errors import ConfigError, ContractViolationError, SolverError
 from .martingales import (
     lemma_bound_ratio,
     remark_constants,
@@ -62,6 +58,7 @@ EXIT_CONFIG = 2
 EXIT_CONTRACT = 3
 EXIT_SOLVER = 4
 EXIT_VERIFY = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process that SIGPIPE ends
 
 SEED_ENV_VAR = "SGRONWALL_SEED"
 
@@ -69,8 +66,9 @@ _EPILOG = f"""exit codes:
   0  success
   2  configuration error (bad flags, config file, or parameter ranges)
   3  numerical-contract violation (invalid sequence data or parameters)
-  4  implicit-solver failure
+  4  solver failure (a path's state or a sample that is not finite)
   5  verification failure (at least one verdict did not pass)
+  141  stdout closed before the output was written (as by `| head`)
 
 The default master seed comes from ${SEED_ENV_VAR} when --seed is omitted.
 """
@@ -136,7 +134,6 @@ POSITIVE_INT = Domain(*_INTEGER, ((lambda v: v > 0, "be a positive int"),))
 WORKERS = Domain(*_INTEGER, (*POSITIVE_INT.rules, (lambda v: v <= MAX_WORKERS,
                                                    f"be at most {MAX_WORKERS}")))
 EXPONENT = Domain(*_NUMBER, ((lambda v: 0 < v < 1, "lie in (0,1)"),))
-FRACTION = Domain(*_NUMBER, ((lambda v: 0 <= v <= 1, "lie in [0, 1]"),))
 HORIZON = Domain(*_INTEGER, ((lambda v: v >= 0, "be >= 0"),))
 COUNT = Domain(*_INTEGER, ((lambda v: v >= 2, "be at least 2"),))  # so a standard error exists
 SEED = Domain(*_INTEGER, ((lambda v: 0 <= v < 2**64, "lie in [0, 2**64)"),))
@@ -242,6 +239,9 @@ def _resolve(args) -> None:
                 raise ConfigError(f"{source} must {rule}, got {value!r}")
         if flag.domain.writes and value != "-":  # "-" is stdout
             _check_writable(value)
+    to_stdout = _to_stdout(args)
+    if len(to_stdout) > 1:
+        raise ConfigError(f"{' and '.join(to_stdout)} cannot both be - (stdout)")
     defaults = {key: flag.default for key, flag in flags.items()}
     selector = next((key for key, flag in flags.items() if flag.domain.choices), None)
     if selector is not None and getattr(args, selector) is not None:
@@ -297,10 +297,22 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _print_pairs(pairs: dict) -> None:
+def _print_pairs(pairs: dict, file=None) -> None:
     """One line per key, the key padded to 16 characters, then its value."""
     for key, value in pairs.items():
-        print(f"{key:<16} {_fmt(value)}")
+        print(f"{key:<16} {_fmt(value)}", file=file)
+
+
+def _to_stdout(args) -> list:
+    """The options of the command's outputs given as ``-``, stdout."""
+    return [flag.option for key, flag in args.flags.items()
+            if flag.domain.writes and getattr(args, key) == "-"]
+
+
+def _text_stream(args):
+    """Where a command prints its lines for people: stderr when one of its
+    outputs is stdout, so that stdout holds that one document."""
+    return sys.stderr if _to_stdout(args) else sys.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +414,7 @@ def _cmd_estimate_sup(args) -> int:
         "reference": reference,
     }
     _print_pairs({"mean": est.mean, "std_error": est.std_error,
-                  "ci_halfwidth": est.ci_halfwidth, "reference": reference})
+                  "ci_halfwidth": est.ci_halfwidth, "reference": reference}, _text_stream(args))
     if args.output is not None:
         _write_json(args.output, payload)
     return EXIT_OK
@@ -491,8 +503,7 @@ def _cmd_verify_theorem(args) -> int:
 def _cmd_verify_apriori(args) -> int:
     problem = _build_problem(args)
     report = verify_apriori(problem, args.h_grid, args.h0, args.T, args.p, args.paths,
-                            StreamPlan(args.seed, workers=args.workers), z=args.z,
-                            fail_threshold=args.fail_threshold)
+                            StreamPlan(args.seed, workers=args.workers), z=args.z)
     return _emit_verify(args, report,
                         ["h", "n_steps", "mean", "std_error", "ci_halfwidth", "bound", "passed"])
 
@@ -502,10 +513,11 @@ def _emit_verify(args, report, columns) -> int:
     column is a row key, or else a report key (apriori's single bound)."""
     rows = [[{**report, **row}[column] for column in columns] for row in report["rows"]]
     widths = [max(len(column), 22) for column in columns]
-    print("  ".join(column.ljust(w) for column, w in zip(columns, widths)))
+    text = _text_stream(args)
+    print("  ".join(column.ljust(w) for column, w in zip(columns, widths)), file=text)
     for row in rows:
-        print("  ".join(_fmt(v).ljust(w) for v, w in zip(row, widths)))
-    print(f"all_passed: {report['all_passed']}")
+        print("  ".join(_fmt(v).ljust(w) for v, w in zip(row, widths)), file=text)
+    print(f"all_passed: {report['all_passed']}", file=text)
     if args.output is not None:
         _write_json(args.output, report)
     if args.csv is not None:
@@ -520,10 +532,12 @@ _EXPONENT = Flag("--p", EXPONENT, "moment exponent", REQUIRED)
 _PATHS = Flag("--paths", COUNT, "Monte Carlo paths", 100_000)
 _SEED = Flag("--seed", SEED, "master seed", 0, env=SEED_ENV_VAR)
 _WORKERS = Flag("--workers", WORKERS, "worker processes (results do not depend on it); "
-                "1 runs in the calling process and starts no pool", 1)
+                "1 runs in the calling process and starts no pool; more pay only when "
+                "each has several 4096-sample chunks to work (see the README)", 1)
 _Z = Flag("--z", POSITIVE, "normal quantile of the confidence interval", DEFAULT_Z)
-_REPORT = Flag("--output", OUTPUT, "JSON report path")
-_TABLE = Flag("--csv", OUTPUT, "CSV table path")
+_REPORT = Flag("--output", OUTPUT, "JSON report path (- for stdout, which moves the printed "
+                "lines to stderr)")
+_TABLE = Flag("--csv", OUTPUT, "CSV table path (- for stdout, as for --output; not both)")
 
 
 # Every negative number float() reads, alone or first in a comma-separated
@@ -631,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         Flag("--h-grid", REALS, "comma-separated step sizes; their steps in all, times "
              f"{CHUNK_SIZE} paths and the dimension, at most {MAX_CHUNK_VALUES}", REQUIRED),
         _PATHS, _SEED, _WORKERS, _Z,
-        Flag("--fail-threshold", FRACTION, "largest tolerated share of failed paths", 0.0),
         _REPORT, _TABLE,
     ], config=True)
 
@@ -653,23 +666,28 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except EstimateAbortedError as exc:
-        print(f"estimate aborted: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 def run() -> int:
     """The process entry of ``sgronwall`` and ``python -m stochastic_gronwall.cli``.
 
-    Runs :func:`main` on the command line, then freezes the heap
-    (``gc.freeze``) just before the interpreter tears down: the
-    collections that finalization runs skip frozen objects, and each
-    pass over the ~22,000 objects numpy and this package create at
-    import costs several milliseconds. ``main`` never freezes, so an
+    Runs :func:`main` on the command line and flushes stdout. A stdout
+    whose reader has gone (``| head``) ends the run with ``EXIT_PIPE``
+    and no traceback: what is still buffered goes to the null device, so
+    that the flush at interpreter exit does not fail again. Then it
+    freezes the heap (``gc.freeze``) just before the interpreter tears
+    down: the collections that finalization runs skip frozen objects,
+    and each pass over the ~22,000 objects numpy and this package create
+    at import costs several milliseconds. ``main`` never freezes, so an
     in-process caller's garbage is still collected.
     """
     try:
-        return main()
+        status = main()
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     finally:
         gc.freeze()
 

@@ -14,16 +14,4 @@ class ConfigError(StochasticGronwallError, ValueError):
 
 
 class SolverError(StochasticGronwallError, RuntimeError):
-    """The implicit step solver did not converge."""
-
-
-class EstimateAbortedError(StochasticGronwallError, RuntimeError):
-    """Sampler failure rate exceeded the configured threshold."""
-
-    def __init__(self, message, n_requested, n_failures):
-        super().__init__(message)
-        self.n_requested = n_requested
-        self.n_failures = n_failures
-
-    def __reduce__(self):  # pickled from a pool child with its counts
-        return type(self), (*self.args, self.n_requested, self.n_failures), self.__dict__
+    """A path failed: the implicit step left a state that is not finite."""

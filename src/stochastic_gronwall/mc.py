@@ -38,7 +38,7 @@ import numpy as np
 
 from . import kernels, sde
 from .bounds import apriori_bound_parts, log_product_one_plus, theorem_bound_deterministic_G
-from .errors import ContractViolationError, EstimateAbortedError
+from .errors import ContractViolationError, SolverError
 from .martingales import sample_sup_stopped_bm_exact_batch
 from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, StreamPlan
 
@@ -48,7 +48,11 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sample mean with its standard error and confidence interval."""
+    """Sample mean with its standard error and confidence interval.
+
+    ``n_failures`` is always 0, since a sample that is not finite stops
+    the run (see :func:`sample_columns`); reports keep the field.
+    """
 
     mean: float
     std_error: float
@@ -94,11 +98,14 @@ def _pairwise_merge(stats):
 
 
 def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int):
-    """Per chunk lo..hi-1 with samples, the (moments, failures) of each column.
+    """Per chunk lo..hi-1 with samples, the moments of each column.
 
-    Non-finite values are failures, left out of the moments. A column
-    whose remaining values are finite but whose moments overflow raises
-    :class:`ContractViolationError`, without a floating-point warning.
+    A chunk that holds a sample that is not finite (a failed path) stops
+    the run with :class:`SolverError`, naming the chunk, the column and
+    how many of its samples are not finite. A column whose values are
+    finite but whose moments overflow raises
+    :class:`ContractViolationError`. Neither raises a floating-point
+    warning.
     """
     out = []
     for c in range(lo, hi):
@@ -107,25 +114,21 @@ def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int):
             continue
         columns = np.atleast_2d(np.asarray(sampler.sample_chunk(plan, c, count), dtype=np.float64))
         stats = []
-        for vals in columns:
+        for column, vals in enumerate(columns):
             # A NaN or inf value makes the mean non-finite, so only a column whose
-            # moments are not both finite has its failures counted, and its moments
-            # taken again over its finite values. Finite values whose moments are not
-            # finite are beyond what float64 can estimate.
-            n_fail = 0
+            # moments are not both finite is searched for one.
             with np.errstate(all="ignore"):
                 moments = kernels.welford_chunk(vals)
-                if not _finite_moments(moments):
-                    finite = np.isfinite(vals)
-                    n_fail = int(count - finite.sum())
-                    if n_fail:
-                        moments = kernels.welford_chunk(vals[finite])
             if not _finite_moments(moments):
+                n_bad = vals.size - np.count_nonzero(np.isfinite(vals))
+                if n_bad:
+                    raise SolverError(f"chunk {c}, column {column}: {n_bad} of its {vals.size} "
+                                      "samples are not finite")
                 raise ContractViolationError(
                     f"chunk {c}: the mean or sum of squared deviations of its finite values "
                     "overflows float64; try a smaller --horizon or --p"
                 )
-            stats.append((moments, n_fail))
+            stats.append(moments)
         out.append(stats)
     return out
 
@@ -253,12 +256,14 @@ class ProcessPoolExecutor:
 
 
 def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
-    """One pass of n samples: per column, the (moments, failures) of each
-    chunk, in chunk order.
+    """One pass of n samples: per column, the (count, mean, M2) moments of
+    each chunk, in chunk order.
 
     The sampler must expose ``sample_chunk(plan, chunk_index, count)``
     returning one row of ``count`` float64 values per column (a 1-D
-    array is one column); non-finite values count as failures. The
+    array is one column). The first chunk, in chunk order, that holds a
+    value that is not finite raises :class:`SolverError`, with the same
+    message at any worker count. The
     chunks are split into ``min(workers, chunks)`` ranges. With more
     than one, this pass opens a process pool with a child for each
     range but the first: ranges 1.. are forked in one ``map``, the
@@ -283,30 +288,19 @@ def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
     return [list(column) for column in zip(*chunks)]
 
 
-def estimate_expectation(
-    chunks: Sequence,
-    n: int,
-    z: float = DEFAULT_Z,
-    fail_threshold: float = 0.0,
-) -> McEstimate:
+def estimate_expectation(chunks: Sequence, n: int, z: float = DEFAULT_Z) -> McEstimate:
     """Estimate of one column's mean from its n samples.
 
-    ``chunks`` is the column's (moments, failures) per chunk, from
-    :func:`sample_columns`. If more than ``fail_threshold * n`` samples
-    failed, the estimate aborts; otherwise the chunk moments are merged
-    by the fixed pairwise tree. Python floats overflow to inf without a
+    ``chunks`` is the column's moments per chunk, from
+    :func:`sample_columns`, merged by the fixed pairwise tree; they must
+    count n samples in all. Python floats overflow to inf without a
     warning, so a merged mean or M2 that is not finite is a
     :class:`ContractViolationError`, as in a chunk, and so is an upper
     confidence bound mean + z*std_error beyond float64.
     """
-    n_failures = sum(failures for _, failures in chunks)
-    if n_failures > fail_threshold * n:
-        raise EstimateAbortedError(
-            f"{n_failures} of {n} samples failed (threshold {fail_threshold})",
-            n_requested=n,
-            n_failures=n_failures,
-        )
-    count, mean, m2 = _pairwise_merge([moments for moments, _ in chunks])
+    count, mean, m2 = _pairwise_merge(chunks)
+    if count != n:
+        raise ContractViolationError(f"the chunks hold {count} samples, not the {n} requested")
     if not _finite_moments((count, mean, m2)):
         raise ContractViolationError(
             f"the merged mean or sum of squared deviations of {count} samples overflows "
@@ -330,7 +324,6 @@ def estimate_expectation(
         ci_halfwidth=z * std_error,
         degenerate_flag=degenerate,
         z_value=z,
-        n_failures=n_failures,
     )
 
 
@@ -683,7 +676,6 @@ def verify_apriori(
     n_paths: int,
     plan: StreamPlan,
     z: float = DEFAULT_Z,
-    fail_threshold: float = 0.0,
 ) -> dict:
     """Step-size-robustness check of the a priori implicit-Euler bound.
 
@@ -696,8 +688,8 @@ def verify_apriori(
     each coarser grid, so the rows share their Monte Carlo noise and
     the spread of their means is the discretization effect, which is
     compared against the bound's margin as a qualitative robustness
-    indicator. Rows are checked for failures in grid order; the first
-    over ``fail_threshold`` aborts the report. The problem is any that
+    indicator. A path that fails (a state that is not finite) stops the
+    report with :class:`SolverError`. The problem is any that
     ``sde.implicit_step`` accepts. One with no ``zoo_spec`` has its
     coercivity spot-checked here, before anything is drawn, and its
     report's ``problem_params`` is empty. Returns the report as the JSON
@@ -718,7 +710,7 @@ def verify_apriori(
     sampler = BemSupFunctionalSampler(problem, hs, T, p)
     rows = []
     for h, n, chunks in zip(hs, n_steps, sample_columns(sampler, n_paths, plan)):
-        est = estimate_expectation(chunks, n_paths, z=z, fail_threshold=fail_threshold)
+        est = estimate_expectation(chunks, n_paths, z=z)
         rows.append({"h": h, "n_steps": n,
                      "passed": bool(est.upper_ci <= bound), **asdict(est)})
 

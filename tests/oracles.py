@@ -315,6 +315,26 @@ def tanh_well_problem(L=0.045):
     )
 
 
+def cliff_step(h, b):
+    """The root b/(1 + h) of z + h*z = b, with no root (NaN) for b > 1.5."""
+    z = b / (1.0 + h)
+    z[b > 1.5] = np.nan
+    return z
+
+
+def cliff_problem():
+    """dX = -X dt + 0.5 X dW from X_0 = 1, stepped by :func:`cliff_step`: the
+    paths whose implicit step's right-hand side passes 1.5 fail."""
+    return SdeProblem(
+        label="cliff",
+        drift=lambda x: -x,
+        diffusion=lambda x: 0.5 * np.asarray(x)[..., None],
+        x0=np.array([1.0]),
+        L=1.0,
+        solve=cliff_step,
+    )
+
+
 def per_row_increments(plan, chunk_index, count, h, n_steps, d):
     """The Brownian increments of the former per-row sampler: a fresh
     step-major (n_steps*d, count) block from the chunk's stream, path i

@@ -19,12 +19,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import REPORT_SCHEMA, check_report
+from oracles import REPORT_SCHEMA, check_report, cliff_problem
 from stochastic_gronwall.cli import (
     COUNT,
     EXIT_CONFIG,
     EXIT_CONTRACT,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_SOLVER,
     EXIT_VERIFY,
     REQUIRED,
@@ -33,7 +34,7 @@ from stochastic_gronwall.cli import (
     build_parser,
     main,
 )
-from stochastic_gronwall import mc
+from stochastic_gronwall import cli, mc
 from stochastic_gronwall.mc import SyntheticSupXpSampler
 from stochastic_gronwall.streams import CHUNK_SIZE, MAX_CHUNK_VALUES, MAX_WORKERS
 
@@ -640,12 +641,6 @@ _INPUT_CASES = {
                          EXIT_CONFIG, "--horizon"),
     "zero-horizon": ([*_THEOREM[:-1], "0", "--paths", "100", "--seed", "1"], None, None,
                      EXIT_OK, ""),
-    "negative-fail-threshold": ([*_GL, "--fail-threshold", "-1"], None, None, EXIT_CONFIG,
-                                "--fail-threshold"),
-    "fail-threshold-above-one": ([*_GL, "--fail-threshold", "1.5"], None, None, EXIT_CONFIG,
-                                 "--fail-threshold"),
-    "fail-threshold-one": ([*_GL, "--fail-threshold", "1"], None, None, EXIT_OK, ""),
-    "config-fail-threshold-zero": (_GL, {"fail_threshold": 0}, None, EXIT_OK, ""),
     "estimate-sup-p-above-one": (["martingale", "estimate-sup", "--p", "1.5", "--samples", "100",
                                   "--seed", "1"], None, None, EXIT_CONFIG, "--p"),
     "estimate-sup-p-nan": (["martingale", "estimate-sup", "--p", "nan", "--samples", "100",
@@ -758,13 +753,17 @@ _INPUT_CASES = {
     "gronwall-csv-and-inline": (["gronwall", "--csv", "fg.csv", "--f", "9,9", "--g", "9,9"],
                                 None, None, EXIT_CONFIG,
                                 "provide either --csv or both --f and --g"),
+    # two documents on one stdout would parse as neither; rejected before any work
+    **{f"{command}-output-and-csv-on-stdout": (
+        [*argv, "--output", "-", "--csv", "-"], None, None, EXIT_CONFIG,
+        "config error: --output and --csv cannot both be - (stdout)\n")
+       for command, argv in (("theorem", [*_THEOREM, "--seed", "1"]), ("apriori", _GL))},
     # finite states whose sup functional |y|^2 + h|g(y)|^2 (or, for one trajectory,
-    # whose noise term) overflows float64: not a solver failure, whatever the threshold
-    **{f"apriori-sup-functional-overflows-threshold-{t}": (
+    # whose noise term) overflows float64: not a solver failure
+    "apriori-sup-functional-overflows": (
         ["verify", "apriori", "--problem", "linear", "--lambda", "1", "--sigma", "100",
          "--x0", "1e150", "--p", "0.5", "--T", "0.05", "--h0", "9.9e-5", "--h-grid", "8e-5,1e-5",
-         "--paths", "256", "--seed", "1", "--fail-threshold", t], None, None, EXIT_CONTRACT,
-        "overflows float64") for t in ("0", "1")},
+         "--paths", "256", "--seed", "1"], None, None, EXIT_CONTRACT, "overflows float64"),
     "simulate-overflows": (["bem", "simulate", "--problem", "linear", "--lambda", "1", "--sigma",
                             "100", "--x0", "1e150", "--h", "5e-5", "--T", "0.05", "--seed", "32",
                             "--p-list", "0.5"], None, None, EXIT_CONTRACT, "overflows float64"),
@@ -1320,6 +1319,21 @@ class TestPoolChildren:
         assert not report.exists()
         assert capsys.readouterr() == ("", "")
 
+    def test_failed_paths_exit_4_alike_without_files(self, capsys, monkeypatch, tmp_path,
+                                                     deadline):
+        # no zoo input fails a path, so the run's problem is one whose step can fail
+        monkeypatch.setattr(cli, "_build_problem", lambda args: cliff_problem())
+        report, table = tmp_path / "report.json", tmp_path / "table.csv"
+        argv = ["verify", "apriori", "--problem", "linear", "--p", "0.5", "--T", "1",
+                "--h0", "0.25", "--h-grid", "0.125,0.0625,0.03125,0.015625", "--paths", "9000",
+                "--seed", "5", "--output", str(report), "--csv", str(table)]
+        results = [run(capsys, *argv, "--workers", str(w)) for w in (1, 2, 3)]
+        assert results == [(EXIT_SOLVER, "", "solver failure: chunk 0, column 0: 79 of its 4096 "
+                                             "samples are not finite\n")] * 3
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # no child left, running or unreaped
+
     def test_workers_without_fork_are_a_contract_violation(self, capsys, monkeypatch):
         monkeypatch.delattr(os, "fork")
         assert run(capsys, *_TWO_CHUNKS, "--workers", "2") == (
@@ -1414,3 +1428,62 @@ def test_console_script_is_the_module_entry():
     (block,) = [stmt for stmt in tree.body if isinstance(stmt, ast.If)
                 and ast.unparse(stmt.test) == "__name__ == '__main__'"]
     assert [ast.unparse(stmt) for stmt in block.body] == [f"sys.exit({entry}())"]
+
+
+_THEOREM_RUN = [*_THEOREM, "--paths", "200", "--seed", "1"]
+_SUP_RUN = ["martingale", "estimate-sup", "--p", "0.5", "--samples", "2000", "--seed", "1"]
+# Commands whose reader closes stdout early, with the lines it reads first. A
+# trajectory's CSV fills the pipe; verify theorem's few lines leave in one write at
+# exit, so its reader closes stdout before the run starts.
+_CLOSED_STDOUT_CASES = {
+    "bem-simulate": (["bem", "simulate", "--problem", "linear", "--sigma", "0.5",
+                      "--h", "0.0001", "--T", "1", "--seed", "1"], 1),
+    "verify-theorem": (_THEOREM_RUN, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLOSED_STDOUT_CASES))
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_ends_the_run_quietly(case, unbuffered):
+    # as in `sgronwall ... | head -1`: EXIT_PIPE, with no traceback and no
+    # "Exception ignored" line at interpreter exit. A buffered stdout fails when it
+    # is flushed, an unbuffered one ($PYTHONUNBUFFERED) at the first write.
+    argv, lines = _CLOSED_STDOUT_CASES[case]
+    read, write = os.pipe()
+    if not lines:
+        os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
+    with subprocess.Popen([sys.executable, "-m", "stochastic_gronwall.cli", *argv],
+                          stdout=write, stderr=subprocess.PIPE, env=env) as proc:
+        os.close(write)
+        if lines:
+            with open(read, "rb") as pipe:
+                assert pipe.readline() == b"j,t,y0,z_increment\r\n"
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (EXIT_PIPE, b"")
+
+
+def test_every_exit_code_is_documented():
+    codes = {name: value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    epilog = build_parser().epilog
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    listed = readme[readme.index("Exit codes: "):].partition(".")[0]
+    assert len(codes) == 6
+    for name, value in codes.items():
+        assert f"\n  {value}  " in epilog, name
+        assert f" {value} " in f" {listed} ", name
+
+
+@pytest.mark.parametrize("argv, option", [
+    (_THEOREM_RUN, "--output"), (_THEOREM_RUN, "--csv"), (_GL, "--output"), (_GL, "--csv"),
+    (_SUP_RUN, "--output"),
+], ids=["theorem-output", "theorem-csv", "apriori-output", "apriori-csv", "estimate-sup-output"])
+def test_a_document_on_stdout_is_all_of_stdout(capsys, tmp_path, argv, option):
+    # the lines a run prints for people move to stderr, so that stdout parses
+    path = tmp_path / "document"
+    code, lines, err = run(capsys, *argv, option, str(path))
+    assert (code, err) == (EXIT_OK, "")
+    code, out, err = run(capsys, *argv, option, "-")
+    assert (code, out, err) == (EXIT_OK, path.read_bytes().decode(), lines)
+    if option == "--output":
+        check_report(json.loads(out))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     check_report,
+    cliff_problem,
     freeze_paths,
     per_row_increments,
     per_row_sample_chunk,
@@ -27,7 +28,7 @@ from oracles import (
 )
 
 from stochastic_gronwall import kernels, mc
-from stochastic_gronwall.errors import ContractViolationError, EstimateAbortedError
+from stochastic_gronwall.errors import ContractViolationError, SolverError
 from stochastic_gronwall.martingales import walk_functional_expectations
 from stochastic_gronwall.mc import (
     BemSupFunctionalSampler,
@@ -121,8 +122,8 @@ class FixedSampler:
 
 def mask_first_range_stats(sampler, plan, n, lo, hi):
     """The reference for ``mc._chunk_range_stats``: every column of a chunk
-    masked for non-finite values first, its failures counted, and the
-    moments taken of the finite values."""
+    masked for non-finite values first, the first column that holds one
+    raising its ``SolverError``, and the moments taken of the others."""
     out = []
     for c in range(lo, hi):
         count = plan.chunk_count(c, n)
@@ -130,10 +131,12 @@ def mask_first_range_stats(sampler, plan, n, lo, hi):
             continue
         columns = np.atleast_2d(np.asarray(sampler.sample_chunk(plan, c, count), dtype=np.float64))
         stats = []
-        for vals in columns:
-            finite = np.isfinite(vals)
-            n_fail = int(count - finite.sum())
-            stats.append((kernels.welford_chunk(vals[finite] if n_fail else vals), n_fail))
+        for column, vals in enumerate(columns):
+            n_bad = int(count - np.isfinite(vals).sum())
+            if n_bad:
+                raise SolverError(f"chunk {c}, column {column}: {n_bad} of its {count} samples "
+                                  "are not finite")
+            stats.append(kernels.welford_chunk(vals))
         out.append(stats)
     return out
 
@@ -235,42 +238,46 @@ class TestEstimator:
         assert pools == [1]
         assert wide == estimate(GaussianSampler(), n, StreamPlan(7))
 
-    def test_failure_threshold_aborts(self):
-        with pytest.raises(EstimateAbortedError) as info:
-            estimate(FlakySampler(10), 1000, StreamPlan(0))
-        assert info.value.n_failures == 100
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_sample_stops_at_its_first_chunk(self, monkeypatch, workers):
+        # every chunk holds NaN; the run stops at chunk 0, whichever process works the rest
+        drawn = []
+        sample_chunk = FlakySampler.sample_chunk
+        monkeypatch.setattr(FlakySampler, "sample_chunk",
+                            lambda self, plan, c, count: drawn.append(c) or sample_chunk(
+                                self, plan, c, count))
+        with pytest.raises(SolverError) as info:
+            estimate(FlakySampler(10), POOL_N, StreamPlan(0, workers=workers))
+        assert str(info.value) == "chunk 0, column 0: 410 of its 4096 samples are not finite"
+        assert drawn == [0]  # this process's chunks; a child's are its own
 
-    def test_failure_threshold_tolerates(self):
-        est = estimate(
-            FlakySampler(10), 1000, StreamPlan(0), fail_threshold=0.2
-        )
-        assert est.n_failures == 100
-        assert est.n_samples == 900
-        assert est.mean == 1.0
+    def test_chunks_short_of_n_samples_are_a_contract_violation(self):
+        with pytest.raises(ContractViolationError, match="hold 4195 samples, not the 9000"):
+            estimate(FixedSampler(_CHUNK_COLUMNS["clean"][:4195]), POOL_N, StreamPlan(0))
 
     @pytest.mark.parametrize("case", sorted(_CHUNK_COLUMNS))
     def test_moments_first_equals_mask_first(self, case):
-        # the moments and failure counts of both chunks repr-equal (NaN included),
-        # and the same floating-point warnings come in the same order; finite values
-        # whose moments overflow are a contract violation, with no warning
+        # the moments of both chunks repr-equal, or the same SolverError is raised for
+        # the first chunk that holds a value that is not finite, with no floating-point
+        # warning; finite values whose moments overflow are a contract violation
         values = _CHUNK_COLUMNS[case]
 
-        def stats_and_warnings(func):
+        def outcome(func):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                stats = func(FixedSampler(values), StreamPlan(0), len(values), 0, 2)
-            return stats, [str(w.message) for w in caught]
-
-        if case.endswith("overflow"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with pytest.raises(ContractViolationError, match="overflows float64"):
-                    mc._chunk_range_stats(FixedSampler(values), StreamPlan(0), len(values), 0, 2)
+                try:
+                    result = func(FixedSampler(values), StreamPlan(0), len(values), 0, 2)
+                except (SolverError, ContractViolationError) as exc:
+                    result = exc
             assert caught == []
-            return
-        stats, caught = stats_and_warnings(mc._chunk_range_stats)
-        reference, reference_caught = stats_and_warnings(mask_first_range_stats)
-        assert (repr(stats), caught) == (repr(reference), reference_caught)
+            return repr(result)
+
+        result = outcome(mc._chunk_range_stats)
+        if case.endswith("overflow"):
+            assert result.startswith("ContractViolationError(") and "overflows float64" in result
+        else:
+            assert result == outcome(mask_first_range_stats)
+            assert result.startswith("SolverError(") == (case != "clean")
 
     @pytest.mark.parametrize("chunks", [
         [(2, 1e308, 0.0), (2, -1e308, 0.0)],  # the mean's delta overflows
@@ -281,7 +288,7 @@ class TestEstimator:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ContractViolationError, match="overflows float64"):
-                estimate_expectation([(moments, 0) for moments in chunks], 4)
+                estimate_expectation(chunks, 4)
         assert caught == []
 
     @pytest.mark.parametrize("moments, z", [
@@ -292,7 +299,7 @@ class TestEstimator:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ContractViolationError, match=r"mean \+ z\*std_error overflows"):
-                estimate_expectation([(moments, 0)], 2, z=z)
+                estimate_expectation([moments], 2, z=z)
         assert caught == []
 
     def test_ci_uses_z(self):
@@ -369,36 +376,43 @@ class TestReportPool:
 
         monkeypatch.setattr(BemSupFunctionalSampler, "sample_chunk", fail_half_of_one_row)
         messages = []
-        for workers in (1, 2):
-            with pytest.raises(EstimateAbortedError) as info:
+        for workers in (1, 2, 3):
+            with pytest.raises(SolverError) as info:
                 verify_apriori(make_problem("ginzburg-landau", sigma=0.5), GL_GRID, 0.25, 1.0,
                                0.5, POOL_N, StreamPlan(5, workers=workers))
             messages.append(str(info.value))
-        assert messages[0] == messages[1] == "4500 of 9000 samples failed (threshold 0.0)"
+        assert messages == ["chunk 0, column 1: 2048 of its 4096 samples are not finite"] * 3
         assert no_children_left()
 
-    def test_failing_paths_of_a_custom_problem_abort_alike(self):
-        # a scalar problem whose exact step has no root for b > 1.5: the paths that
-        # reach it fail in every row, and are counted alike at any worker count
-        def solve(h, b):
-            z = b / (1.0 + h)
-            z[b > 1.5] = np.nan
-            return z
-
-        prob = SdeProblem(label="cliff", drift=lambda x: -x,
-                          diffusion=lambda x: 0.5 * np.asarray(x)[..., None],
-                          x0=np.array([1.0]), L=1.0, solve=solve)
-        messages, reports = [], []
-        for workers in (1, 2):
-            plan = StreamPlan(5, workers=workers)
-            with pytest.raises(EstimateAbortedError) as info:
-                verify_apriori(prob, GL_GRID, 0.25, 1.0, 0.5, POOL_N, plan)
+    def test_failing_paths_of_a_custom_problem_abort_alike(self, deadline):
+        # a scalar problem whose exact step has no root for b > 1.5: the first chunk
+        # with a failed path stops the report, alike at any worker count
+        messages = []
+        for workers in (1, 2, 3):
+            with pytest.raises(SolverError) as info:
+                verify_apriori(cliff_problem(), GL_GRID, 0.25, 1.0, 0.5, POOL_N,
+                               StreamPlan(5, workers=workers))
             messages.append(str(info.value))
-            reports.append(json.dumps(verify_apriori(prob, GL_GRID, 0.25, 1.0, 0.5, POOL_N, plan,
-                                                     fail_threshold=0.5), sort_keys=True))
-        assert messages[0] == messages[1] == "187 of 9000 samples failed (threshold 0.0)"
-        assert reports[0] == reports[1]
-        assert [row["n_failures"] for row in json.loads(reports[0])["rows"]] == [187, 164, 168, 167]
+        assert messages == ["chunk 0, column 0: 79 of its 4096 samples are not finite"] * 3
+        assert no_children_left()
+
+    def test_a_failing_later_chunk_stops_the_report_alike(self, monkeypatch, deadline):
+        # chunks 1 and 2 fail: at two workers both are a child's, at three one each
+        sample_chunk = BemSupFunctionalSampler.sample_chunk
+
+        def fail_later_chunks(self, plan, chunk_index, count):
+            vals = sample_chunk(self, plan, chunk_index, count)
+            vals[-1, :chunk_index] = np.inf
+            return vals
+
+        monkeypatch.setattr(BemSupFunctionalSampler, "sample_chunk", fail_later_chunks)
+        messages = []
+        for workers in (1, 2, 3):
+            with pytest.raises(SolverError) as info:
+                verify_apriori(make_problem("ginzburg-landau", sigma=0.5), GL_GRID, 0.25, 1.0,
+                               0.5, POOL_N, StreamPlan(5, workers=workers))
+            messages.append(str(info.value))
+        assert messages == ["chunk 1, column 3: 1 of its 4096 samples are not finite"] * 3
         assert no_children_left()
 
     @pytest.mark.parametrize("chunks", [(0,), (2,)])
@@ -512,16 +526,17 @@ class TestForkPool:
             pool.shutdown()
         assert no_children_left()
 
-    def test_estimate_aborted_crosses_with_its_counts(self, deadline):
+    def test_solver_error_crosses_with_its_message(self, deadline):
         pool = mc.ProcessPoolExecutor(max_workers=1)
         try:
-            child = pool.submit(raise_estimate_aborted)
-            with pytest.raises(EstimateAbortedError) as info:
+            child = pool.submit(raise_solver_error)
+            with pytest.raises(SolverError) as info:
                 child.result()
         finally:
             pool.shutdown()
-        assert str(info.value) == "2 of 5 failed"
-        assert (info.value.n_requested, info.value.n_failures) == (5, 2)
+        assert info.value.args == ("chunk 2, column 1: 5 of its 4096 samples are not finite",)
+        (note,) = info.value.__notes__  # the child's traceback
+        assert note.startswith(f"in pool child {child.pid}:\nTraceback")
         assert no_children_left()
 
 
@@ -535,8 +550,8 @@ def raise_unpicklable():
     raise UnpicklableError()
 
 
-def raise_estimate_aborted():
-    raise EstimateAbortedError("2 of 5 failed", n_requested=5, n_failures=2)
+def raise_solver_error():
+    raise SolverError("chunk 2, column 1: 5 of its 4096 samples are not finite")
 
 
 class TestSyntheticSystems:
