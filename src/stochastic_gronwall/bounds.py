@@ -21,7 +21,6 @@ numbers. Estimation lives in :mod:`stochastic_gronwall.mc`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,7 +150,6 @@ def gronwall_recursive_envelope(f, g, n: int | None = None) -> np.ndarray:
     return real_sequence(y)
 
 
-@dataclass(frozen=True)
 class HolderParams:
     """Exponent triple (p, nu, mu) with 1/mu + 1/nu = 1 and p*nu < 1.
 
@@ -161,20 +159,20 @@ class HolderParams:
     """
 
     p: float
-    nu: float = 1.0
-    mu: float = field(init=False)
+    nu: float
+    mu: float
 
-    def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ContractViolationError(f"p must lie in (0,1), got {self.p}")
-        if math.isinf(self.nu):
+    def __init__(self, p: float, nu: float = 1.0):
+        if not 0.0 < p < 1.0:
+            raise ContractViolationError(f"p must lie in (0,1), got {p}")
+        if math.isinf(nu):
             raise ContractViolationError("nu = inf is invalid: p*nu < 1 fails for every p in (0,1)")
-        if not 1.0 <= self.nu:
-            raise ContractViolationError(f"nu must lie in [1,inf), got {self.nu}")
-        if not self.p * self.nu < 1.0:
-            raise ContractViolationError(f"need p*nu < 1, got p*nu = {self.p * self.nu}")
-        mu = math.inf if self.nu == 1.0 else self.nu / (self.nu - 1.0)
-        object.__setattr__(self, "mu", mu)
+        if not 1.0 <= nu:
+            raise ContractViolationError(f"nu must lie in [1,inf), got {nu}")
+        if not p * nu < 1.0:
+            raise ContractViolationError(f"need p*nu < 1, got p*nu = {p * nu}")
+        self.p, self.nu = p, nu
+        self.mu = math.inf if nu == 1.0 else nu / (nu - 1.0)
 
 
 def holder_prefactor(hp: HolderParams) -> float:

@@ -14,16 +14,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import gc
 import json
 import keyword
 import math
 import os
 import re
 import sys
-from dataclasses import asdict
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import __version__
 from .bounds import (
@@ -290,6 +287,8 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
+    import csv  # here, so that a run that writes or reads no CSV does not load it
+
     with _output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -363,6 +362,8 @@ def _cmd_gronwall(args) -> int:
 
 
 def _read_fg_csv(path):
+    import csv
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -410,7 +411,7 @@ def _cmd_estimate_sup(args) -> int:
         "kind": "estimate",
         "inputs": {"p": p, "n_samples": n, "master_seed": args.seed,
                    "chunk_size": CHUNK_SIZE, "z_value": est.z_value},
-        "estimate": asdict(est),
+        "estimate": est._asdict(),
         "reference": reference,
     }
     _print_pairs({"mean": est.mean, "std_error": est.std_error,
@@ -668,28 +669,26 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
 
 
-def run() -> int:
+def run() -> NoReturn:
     """The process entry of ``sgronwall`` and ``python -m stochastic_gronwall.cli``.
 
-    Runs :func:`main` on the command line and flushes stdout. A stdout
-    whose reader has gone (``| head``) ends the run with ``EXIT_PIPE``
-    and no traceback: what is still buffered goes to the null device, so
-    that the flush at interpreter exit does not fail again. Then it
-    freezes the heap (``gc.freeze``) just before the interpreter tears
-    down: the collections that finalization runs skip frozen objects,
-    and each pass over the ~22,000 objects numpy and this package create
-    at import costs several milliseconds. ``main`` never freezes, so an
-    in-process caller's garbage is still collected.
+    Runs :func:`main` on the command line, flushes stdout and stderr and
+    ends the process with ``os._exit`` and main's exit code: the
+    interpreter's teardown (exit handlers, the collections that
+    finalization runs over every object numpy and this package create
+    at import) is work a finished run does not need. A stdout whose
+    reader has gone (``| head``) ends the run with ``EXIT_PIPE`` and no
+    traceback; what is still buffered is dropped. Any other exception
+    propagates with its traceback and the interpreter exits as usual.
+    Only this entry ends the process: ``main`` returns to its caller.
     """
     try:
         status = main()
         sys.stdout.flush()
-        return status
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_PIPE
-    finally:
-        gc.freeze()
+        status = EXIT_PIPE
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -30,9 +30,8 @@ import os
 import pickle
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass
 from itertools import repeat
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +45,7 @@ DEFAULT_Z = 1.96
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Sample mean with its standard error and confidence interval.
 
     ``n_failures`` is always 0, since a sample that is not finite stops
@@ -331,8 +329,7 @@ def estimate_expectation(chunks: Sequence, n: int, z: float = DEFAULT_Z) -> McEs
 # Samplers
 
 
-@dataclass(frozen=True)
-class SupStoppedBmPowerSampler:
+class SupStoppedBmPowerSampler(NamedTuple):
     """(sup of stopped BM)^p via the exact inverse-survival sampler."""
 
     p: float
@@ -346,7 +343,6 @@ class SupStoppedBmPowerSampler:
 # Synthetic recursion systems for the theorem-side verification
 
 
-@dataclass(frozen=True)
 class SyntheticSystem:
     """Deterministic F and G plus a martingale kind, defining paths that
     attain the recursion hypothesis with equality:
@@ -361,19 +357,21 @@ class SyntheticSystem:
     label: str
     f_values: tuple
     g_values: tuple
-    martingale: str = "zero"
+    martingale: str
 
-    def __post_init__(self):
-        if not self.f_values or len(self.f_values) != len(self.g_values):
+    def __init__(self, label: str, f_values: tuple, g_values: tuple, martingale: str = "zero"):
+        if not f_values or len(f_values) != len(g_values):
             raise ContractViolationError("F and G must share one length, at least 1")
-        if not all(math.isfinite(v) and v >= 0 for v in (*self.f_values, *self.g_values)):
+        if not all(math.isfinite(v) and v >= 0 for v in (*f_values, *g_values)):
             raise ContractViolationError("F and G must be finite and nonnegative")
-        if self.martingale not in ("zero", "pm1-walk"):
-            raise ContractViolationError(f"unknown martingale kind {self.martingale!r}")
-        low = [n for n, f in enumerate(self.f_values) if f < n]
-        if self.martingale == "pm1-walk" and low:
+        if martingale not in ("zero", "pm1-walk"):
+            raise ContractViolationError(f"unknown martingale kind {martingale!r}")
+        low = [n for n, f in enumerate(f_values) if f < n]
+        if martingale == "pm1-walk" and low:
             raise ContractViolationError("a pm1-walk martingale requires F_n >= n to keep F_n + M_n "
-                                         f"nonnegative; F_{low[0]} = {self.f_values[low[0]]}")
+                                         f"nonnegative; F_{low[0]} = {f_values[low[0]]}")
+        self.label, self.f_values, self.g_values, self.martingale = (
+            label, f_values, g_values, martingale)
 
     @property
     def horizon(self) -> int:
@@ -403,7 +401,6 @@ def standard_synthetic_systems(horizon: int = 10) -> tuple:
     )
 
 
-@dataclass(frozen=True)
 class SyntheticSupXpSampler:
     """sup_{k<=n} X_k^p over paths of synthetic recursion systems, one
     column per system, which must share one horizon. Every walk system
@@ -417,11 +414,11 @@ class SyntheticSupXpSampler:
     systems: tuple
     p: float
 
-    def __post_init__(self):
-        if len({system.horizon for system in self.systems}) != 1:
+    def __init__(self, systems: tuple, p: float):
+        if len({system.horizon for system in systems}) != 1:
             raise ContractViolationError("need at least one system, and one horizon for all")
-        _check_synthetic_horizon(self.systems[0].horizon)
-        for sysd in self.systems:
+        _check_synthetic_horizon(systems[0].horizon)
+        for sysd in systems:
             # X_n <= (max F + max M) * prod_{k<n} (1 + G_k), and a walk has |M_n| <= n
             top = max(sysd.f_values) + (sysd.horizon if sysd.martingale == "pm1-walk" else 0)
             log_worst = (math.log(top) + log_product_one_plus(sysd.g_values, 0, sysd.horizon)
@@ -431,6 +428,7 @@ class SyntheticSupXpSampler:
                     f"system {sysd.label!r} at horizon {sysd.horizon}: X_n can reach "
                     f"e^{log_worst:.2f}, beyond the float64 range (e^{_LOG_FLOAT_MAX:.2f})"
                 )
+        self.systems, self.p = systems, p
 
     def sample_chunk(self, plan, chunk_index, count):
         systems, horizon = self.systems, self.systems[0].horizon
@@ -653,7 +651,7 @@ def verify_theorem_on_synthetic(
         e_sup_f = float(max(system.f_values))
         bound = theorem_bound_deterministic_G(p, system.g_values, system.horizon, e_sup_f)["bound"]
         rows.append({"system": system.label, "e_sup_f": e_sup_f, "bound": float(bound),
-                     "passed": bool(est.upper_ci <= bound), **asdict(est)})
+                     "passed": bool(est.upper_ci <= bound), **est._asdict()})
     inputs = {
         "p": p,
         "n_paths": n_paths,
@@ -712,7 +710,7 @@ def verify_apriori(
     for h, n, chunks in zip(hs, n_steps, sample_columns(sampler, n_paths, plan)):
         est = estimate_expectation(chunks, n_paths, z=z)
         rows.append({"h": h, "n_steps": n,
-                     "passed": bool(est.upper_ci <= bound), **asdict(est)})
+                     "passed": bool(est.upper_ci <= bound), **est._asdict()})
 
     means = [r["mean"] for r in rows]
     spread = float(max(means) - min(means))

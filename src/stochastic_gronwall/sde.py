@@ -22,8 +22,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +39,6 @@ COERCIVITY_RTOL = 1e-9
 TRAJECTORY_BLOCK = 2**16
 
 
-@dataclass(frozen=True)
 class SdeProblem:
     """Autonomous SDE dX = f(X) dt + g(X) dW with deterministic X_0.
 
@@ -57,7 +55,8 @@ class SdeProblem:
     :func:`implicit_step`). The scalar zoo problems act elementwise on
     states of any shape, appending one axis for the diffusion. ``L`` is
     the registered coercivity constant. ``zoo_spec`` is a zoo problem's
-    label and parameters.
+    label and parameters. A problem is immutable: assigning or deleting
+    an attribute raises ``AttributeError``.
     """
 
     label: str
@@ -65,12 +64,13 @@ class SdeProblem:
     diffusion: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     L: float
-    zoo_spec: tuple | None = None
-    solve: Callable[[float, np.ndarray], np.ndarray] | None = None
+    zoo_spec: tuple | None
+    solve: Callable[[float, np.ndarray], np.ndarray] | None
 
-    def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=np.float64))
-        object.__setattr__(self, "x0", x0)
+    def __init__(self, label, drift, diffusion, x0, L, zoo_spec=None, solve=None):
+        x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+        vars(self).update(label=label, drift=drift, diffusion=diffusion, x0=x0, L=L,
+                          zoo_spec=zoo_spec, solve=solve)
         if x0.ndim != 1:
             raise ContractViolationError(f"x0 must be one state of shape (d,), got {x0.shape}")
         if self.L < 0.0:
@@ -91,6 +91,12 @@ class SdeProblem:
                 f"problem {self.label!r}: x0, L, f(x0), g(x0), |x0|^2 and |g(x0)|^2 "
                 f"must be finite; got x0={x0.tolist()}, L={self.L}"
             )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: an SdeProblem is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: an SdeProblem is immutable")
 
     @property
     def d(self) -> int:
@@ -193,8 +199,7 @@ def check_step_sizes(problem: SdeProblem, hs: Sequence[float], h0: float, T: flo
     return counts
 
 
-@dataclass
-class BemTrajectory:
+class BemTrajectory(NamedTuple):
     """One realized trajectory with its verification payload.
 
     ``z_increments`` are the centered noise terms

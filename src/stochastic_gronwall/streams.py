@@ -30,7 +30,6 @@ step-size grids. A report still depends only on its inputs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +69,6 @@ def keyed_generator(seed: int, word: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
-@dataclass(frozen=True)
 class StreamPlan:
     """Seed and worker count for one estimation run.
 
@@ -81,21 +79,22 @@ class StreamPlan:
     """
 
     master_seed: int
-    workers: int = 1
+    workers: int
 
-    def __post_init__(self):
-        if not 0 <= self.master_seed < 2**64:
+    def __init__(self, master_seed: int, workers: int = 1):
+        if not 0 <= master_seed < 2**64:
             raise ContractViolationError(
-                f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
+                f"master_seed must be a 64-bit unsigned integer, got {master_seed}"
             )
-        if not 1 <= self.workers <= MAX_WORKERS:
+        if not 1 <= workers <= MAX_WORKERS:
             raise ContractViolationError(
-                f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}"
+                f"workers must lie in [1, {MAX_WORKERS}], got {workers}"
             )
-        if self.workers > 1 and not hasattr(os, "fork"):
+        if workers > 1 and not hasattr(os, "fork"):
             raise ContractViolationError(
-                f"workers > 1 needs os.fork, which this system lacks; got {self.workers}"
+                f"workers > 1 needs os.fork, which this system lacks; got {workers}"
             )
+        self.master_seed, self.workers = master_seed, workers
 
     def path_stream(self, path_index: int) -> np.random.Generator:
         """Independent generator for one path."""

@@ -1345,7 +1345,7 @@ class TestPoolChildren:
 # Run in a fresh interpreter: this test process has imported multiprocessing, fractions
 # and decimal. No run, the forking --workers 2 one included, loads the stdlib pool stack.
 _POOL_STACK_SCRIPT = """
-import contextlib, gc, io, sys
+import contextlib, io, sys
 from pathlib import Path
 from stochastic_gronwall.cli import main
 
@@ -1368,11 +1368,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert set(sys.modules) == before, f"the pool loaded {sorted(set(sys.modules) - before)}"
     argv = ["martingale", "enumerate", "--p", "0.5", "--n", "8191", "--stop-level", "-1"]
     assert main(argv) == 0
-loaded = [m for m in ("concurrent.futures", "multiprocessing", "logging", "fractions", "decimal")
-          if m in sys.modules]
+loaded = [m for m in ("concurrent.futures", "multiprocessing", "logging", "fractions", "decimal",
+                      "dataclasses", "csv") if m in sys.modules]
 assert loaded == [], f"these runs loaded {loaded}"
-# only the process entry freezes the heap, never main
-assert gc.get_freeze_count() == 0, gc.get_freeze_count()
 """
 
 
@@ -1390,11 +1388,11 @@ def test_no_run_loads_the_pool_stack(tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
-# The module entry as `python -m stochastic_gronwall.cli` runs it, with an exit hook that
-# writes the heap's freeze count as the last line of stderr.
+# The module entry as `python -m stochastic_gronwall.cli` runs it, under a wrapper whose
+# exit hook would write a last line to stderr: the entry ends the process before it runs.
 _ENTRY_SCRIPT = """
-import atexit, gc, runpy, sys
-atexit.register(lambda: print(f"freeze count {gc.get_freeze_count()}", file=sys.stderr))
+import atexit, runpy, sys
+atexit.register(lambda: print("exit hook ran", file=sys.stderr))
 runpy.run_module("stochastic_gronwall.cli", run_name="__main__", alter_sys=True)
 """
 _ENTRY_CASES = {
@@ -1404,17 +1402,16 @@ _ENTRY_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_ENTRY_CASES))
-def test_module_entry_freezes_the_heap_and_equals_main(capsys, tmp_path, case):
+def test_module_entry_equals_main_and_skips_exit_hooks(capsys, tmp_path, case):
     argv, expected = _ENTRY_CASES[case]
     report = tmp_path / "report.json"
     argv = [*argv, "--output", str(report)]
     done = fresh_interpreter(_ENTRY_SCRIPT, *argv)
-    err, _, count = done.stderr.rpartition("freeze count ")
-    assert int(count) > 0, done.stderr
+    assert "exit hook ran" not in done.stderr
     entry_report = report.read_bytes() if report.exists() else None
     report.unlink(missing_ok=True)
-    assert (done.returncode, done.stdout, err) == run(capsys, *argv)
-    assert done.returncode == expected, err
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+    assert done.returncode == expected, done.stderr
     assert entry_report == (report.read_bytes() if report.exists() else None)
     assert (entry_report is not None) == (expected == EXIT_OK)
 

@@ -102,6 +102,7 @@ def test_every_problem_and_trajectory_field_is_read_by_the_package():
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
     classes = {node.name: node for tree in trees for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name in ("SdeProblem", "BemTrajectory")}
+    assert sorted(classes) == ["BemTrajectory", "SdeProblem"]
     unread = []
     for name, cls in sorted(classes.items()):
         inside = {id(node) for node in ast.walk(cls)}
@@ -109,8 +110,33 @@ def test_every_problem_and_trajectory_field_is_read_by_the_package():
                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                 and id(node) not in inside}
         fields = [stmt.target.id for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+        # the fields are the class-body annotations: a class with none would pass empty
+        assert fields, f"{name} declares no fields as class-body annotations"
         unread += [f"{name}.{field}" for field in fields if field not in read]
-    assert len(classes) == 2 and unread == [], f"fields only their own class reads: {unread}"
+    assert unread == [], f"fields only their own class reads: {unread}"
+
+
+def _exit_scopes(node, scope):
+    """The dotted scope of each reference to ``_exit`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _exit_scopes(child, f"{scope}.{child.name}")
+            continue
+        if (isinstance(child, ast.Attribute) and child.attr == "_exit"
+                or isinstance(child, ast.Name) and child.id == "_exit"
+                or isinstance(child, ast.alias) and child.name == "_exit"):
+            yield scope
+        yield from _exit_scopes(child, scope)
+
+
+def test_only_the_process_entry_and_the_pool_child_end_the_process():
+    # os._exit ends the process at once; anywhere but the process entry and a forked
+    # pool child it would end an in-process caller of main, verify_apriori or
+    # sample_columns, such as these tests or the benchmark's tracer
+    scopes = sorted(scope for path in sorted(PACKAGE.glob("*.py"))
+                    for scope in _exit_scopes(ast.parse(path.read_text(encoding="utf-8")),
+                                              path.stem))
+    assert scopes == ["cli.run", "mc.ProcessPoolExecutor.submit"], scopes
 
 
 def test_no_class_defines_its_own_pickling():
