@@ -30,6 +30,10 @@ def bem_scalar_batch(solve, diffusion, x0, h, d_w):
     then on, as is a path whose ``x0`` is not finite. Returns the
     (steps+1, paths) states, each step's count of finite path-steps, and
     which paths failed in this call (finite at the start, NaN at the end).
+    The package reads only the states, whose NaN is a failed path's one
+    record of failure; the counts and failures are kept for the benchmark
+    tracer (``perfbench/tracer.py``), its ``solver_iters`` and
+    ``failed_paths``.
     """
     n_steps = d_w.shape[0]
     states = np.empty((n_steps + 1, d_w.shape[1]))

@@ -12,7 +12,7 @@ alike: a scalar problem's exact step ``solve(h, b)`` (:class:`ScalarPaths`,
 through :func:`kernels.bem_scalar_batch`), which every scalar zoo problem
 has in closed form, and for the zoo's planar bounded rotation a closed
 form that :class:`RotationPaths` owns. Each folds a block of steps into its
-running maximum of the sup functional.
+running maximum of the sup functional, NaN once a path has failed.
 Step sizes are plain numbers: :func:`check_step_sizes` checks a run's
 step sizes, cap h0 and horizon T, and :func:`step_count` gives N_h.
 """
@@ -216,27 +216,25 @@ class BemTrajectory(NamedTuple):
 class ScalarPaths:
     """Paths of a scalar problem at one step size, stepped block by block
     with :func:`kernels.bem_scalar_batch` and the problem's exact step
-    ``solve``. Carries the last state of each path, the running maximum
-    of |y|^2 + h|g(y)|^2 and which paths failed. A path that fails is NaN
-    from that step on, and later blocks carry it."""
+    ``solve``. Carries the last state of each path and the running maximum
+    of |y|^2 + h|g(y)|^2. A path that fails is NaN from that step on, in
+    its states, in later blocks and in its running maximum."""
 
     def __init__(self, problem, h, count):
         self.problem, self.h = problem, h
         self.y = float(problem.x0[0])
         self.best = np.full(count, -np.inf)
-        self.failed = np.zeros(count, dtype=np.bool_)
 
     def step(self, d_w, out=None):
         """Step every path over one block's (steps, 1, paths) increments,
         writing each step's (1, paths) states into ``out``, a (steps, 1,
         paths) array, if one is given."""
         problem = self.problem
-        states, _, failed = kernels.bem_scalar_batch(
-            problem.solve, problem.diffusion, self.y, self.h, d_w[:, 0])
+        states = kernels.bem_scalar_batch(
+            problem.solve, problem.diffusion, self.y, self.h, d_w[:, 0])[0]
         if out is not None:
             out[:, 0] = states[1:]
         self.y = states[-1].copy()
-        self.failed |= failed
         # |y|^2 + h|g(y)|^2, computed in place to keep one extra states-sized array;
         # a value beyond float64 is inf, which sup() rejects
         with np.errstate(over="ignore"):
@@ -245,26 +243,26 @@ class ScalarPaths:
             vals *= self.h
             states *= states
             vals += states
-        # fmax, like nanmax, skips the NaN states of a failed path, and is exact, so
-        # reducing the block first gives the bits of folding in a row at a time
-        np.fmax(self.best, np.fmax.reduce(vals, axis=0), out=self.best)
+        # maximum keeps the NaN states of a failed path, and is exact, so reducing
+        # the block first gives the bits of folding in a row at a time
+        np.maximum(self.best, np.maximum.reduce(vals, axis=0), out=self.best)
 
     def sup(self, p):
-        sup = self.best**p
-        sup[self.failed] = np.nan
-        return _finite_sup(sup, self.h)
+        return _finite_sup(self.best**p, self.h)
 
 
 class RotationPaths:
     """Paths of the zoo's bounded rotation at one step size, stepped
     block by block in closed form. Carries the state, one (2, paths)
-    array, and the running maximum of |y|^2; no path fails. The drift is
-    y -> A y, A = [[-k, -w], [w, -k]], and the diffusion g*I_2, so a step
-    solves (I - hA) y' = r, r = y + g dW, exactly (Newton's first
-    update): with a = 1 + hk and b = hw, read off the first column of A,
-    f(e1) = (-k, w), and det = a^2 + b^2, y' = (a/det) r + (b/det) J r,
-    J the quarter turn, the coefficients divided once per stepper. J r is the rows of r reversed, times (-b/det, b/det):
-    a*r0 + (-b)*r1 has the bits of a*r0 - b*r1."""
+    array, and the running maximum of |y|^2, NaN once a path fails: only
+    an increment that is not finite fails one, for a finite |x0|^2 bounds
+    the steps. The drift is y -> A y, A = [[-k, -w], [w, -k]], and the
+    diffusion g*I_2, so a step solves (I - hA) y' = r, r = y + g dW,
+    exactly (Newton's first update): with a = 1 + hk and b = hw, read off
+    the first column of A, f(e1) = (-k, w), and det = a^2 + b^2,
+    y' = (a/det) r + (b/det) J r, J the quarter turn, the coefficients
+    divided once per stepper. J r is the rows of r reversed, times
+    (-b/det, b/det): a*r0 + (-b)*r1 has the bits of a*r0 - b*r1."""
 
     def __init__(self, problem, h, count):
         x0 = problem.x0
@@ -284,7 +282,6 @@ class RotationPaths:
         self.g_term = h * problem.g_x0_norm_sq()
         self.y = np.repeat(x0[:, None], count, axis=1)
         self.best = np.full(count, problem.x0_norm_sq())
-        self.failed = np.zeros(count, dtype=np.bool_)
 
     def step(self, d_w, out=None):
         """Step every path over one block's (steps, 2, paths) increments,
@@ -292,18 +289,19 @@ class RotationPaths:
         is given. A step reads two rows of d_w, contiguous when C-ordered."""
         y, best, a, turn, g = self.y, self.best, self.a, self.turn, self.g
         r, t = np.empty((2,) + y.shape)
-        for j, row in enumerate(d_w):
-            np.multiply(row, g, out=r)
-            r += y
-            np.multiply(r, a, out=y)
-            np.multiply(r[::-1], turn, out=t)
-            y += t
-            # |y|^2 into the turn row, which the next step overwrites
-            np.multiply(y, y, out=t)
-            np.add(t[0], t[1], out=t[0])
-            np.maximum(best, t[0], out=best)
-            if out is not None:
-                out[j] = y
+        with np.errstate(invalid="ignore"):  # inf - inf of a failed path is NaN
+            for j, row in enumerate(d_w):
+                np.multiply(row, g, out=r)
+                r += y
+                np.multiply(r, a, out=y)
+                np.multiply(r[::-1], turn, out=t)
+                y += t
+                # |y|^2 into the turn row, which the next step overwrites
+                np.multiply(y, y, out=t)
+                np.add(t[0], t[1], out=t[0])
+                np.maximum(best, t[0], out=best)
+                if out is not None:
+                    out[j] = y
 
     def sup(self, p):
         with np.errstate(over="ignore"):
@@ -311,7 +309,7 @@ class RotationPaths:
 
 
 def _finite_sup(sup, h):
-    """``sup``, NaN on failed paths, unless it overflowed float64 on a path."""
+    """``sup``, NaN on failed paths, unless it overflowed float64 (is inf) on a path."""
     if np.isinf(sup).any():
         raise ContractViolationError(f"the sup functional |y|^2 + h|g(y)|^2 overflows float64 "
                                      f"on {np.isinf(sup).sum()} of {sup.size} paths at h={h}")
@@ -328,7 +326,7 @@ def implicit_step(problem: SdeProblem) -> type:
     ``step(d_w, out=None)`` steps one block's (steps, d, paths)
     increments when called, writes each step's (d, paths) states into
     ``out`` if given, and folds them into the running maximum that
-    ``sup(p)`` reads, and it has the paths' ``failed``.
+    ``sup(p)`` reads, NaN for a path whose state was ever not finite.
     """
     if problem.d == problem.m == 1:
         if problem.solve is None:
@@ -365,9 +363,9 @@ def simulate_trajectory(
     returns, so it is the batch sampler's (``mc.BemSupFunctionalSampler``)
     on a batch of one, and its sup functional is that class's. Each
     block is drawn, stepped and given its noise terms in turn, so beyond
-    the arrays it returns a run holds one block's temporaries. A path
-    that fails raises :class:`SolverError` naming the step of its first
-    NaN state at once; once every block is stepped, a noise term and
+    the arrays it returns a run holds one block's temporaries. A state
+    that is not finite, a failed path, raises :class:`SolverError` at
+    once, naming its step; once every block is stepped, a noise term and
     then a sup functional beyond float64 raise :class:`ContractViolationError`.
     """
     (n,) = check_step_sizes(problem, [h], h0, T)
@@ -391,9 +389,10 @@ def simulate_trajectory(
         dw = rng_stream.standard_normal((hi - lo, problem.m))
         dw *= math.sqrt(h)
         paths.step(dw[:, :, None], states[lo + 1:hi + 1, :, None])
-        if paths.failed[0]:
+        finite = np.isfinite(states[lo + 1:hi + 1]).all(axis=1)
+        if not finite.all():
             raise SolverError(
-                f"step {np.isnan(states[:hi + 1, 0]).argmax()} of {n} failed for problem "
+                f"step {lo + 1 + finite.argmin()} of {n} failed for problem "
                 f"{problem.label!r}: implicit step gave no finite state"
             )
         y = states[lo:hi]

@@ -10,7 +10,8 @@ expectations read off them, and the former mass recursion of
 walk counts by reflection; the root of the Ginzburg-Landau implicit step to 80
 digits, the reference for the zoo's exact step; the bounded rotation's
 drift matrix, built from its parameters, and a trajectory's increments,
-re-drawn from its stream; the tanh well, a scalar problem outside the
+re-drawn from its stream, and a stream whose first draw holds one value
+that is not finite; the tanh well, a scalar problem outside the
 zoo with its own exact step; the former per-row implicit-Euler sampler, one fresh
 draw per step size, the bit-exact reference for the one-pass sampler in
 ``mc``; the former whole-union chunk of that sampler, the bit-exact
@@ -289,6 +290,21 @@ def trajectory_increments(problem, h, T, seed, path=0):
     draws whole and does not keep."""
     n = step_count(h, T)
     return StreamPlan(seed).path_stream(path).standard_normal((n, problem.m)) * math.sqrt(h)
+
+
+class SpoiledStream:
+    """A generator's draws with ``value`` put at ``index`` of the first
+    ``standard_normal`` draw, the way a failing path starts."""
+
+    def __init__(self, stream, index, value):
+        self.stream, self.index, self.value, self.spoiled = stream, index, value, False
+
+    def standard_normal(self, *args, **kwargs):
+        draw = self.stream.standard_normal(*args, **kwargs)
+        if not self.spoiled:
+            draw[self.index] = self.value
+            self.spoiled = True
+        return draw
 
 
 def tanh_well_step(h, b):

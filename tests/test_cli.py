@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import REPORT_SCHEMA, check_report, cliff_problem
+from oracles import REPORT_SCHEMA, SpoiledStream, check_report, cliff_problem
 from stochastic_gronwall.cli import (
     COUNT,
     EXIT_CONFIG,
@@ -36,7 +36,7 @@ from stochastic_gronwall.cli import (
 )
 from stochastic_gronwall import cli, mc
 from stochastic_gronwall.mc import SyntheticSupXpSampler
-from stochastic_gronwall.streams import CHUNK_SIZE, MAX_CHUNK_VALUES, MAX_WORKERS
+from stochastic_gronwall.streams import CHUNK_SIZE, MAX_CHUNK_VALUES, MAX_WORKERS, StreamPlan
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -256,6 +256,18 @@ class TestBemCommand:
         assert code == EXIT_OK
         rows = list(csv.DictReader(out_path.read_text().splitlines()))
         assert float(rows[1]["y0"]) == pytest.approx(1 / 1.1, abs=1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_failed_rotation_path_is_a_solver_failure(self, capsys, monkeypatch, value):
+        # a rotation state that is not finite is a failed path, as in verify apriori,
+        # and not an overflow of its noise term
+        path_stream = StreamPlan.path_stream
+        monkeypatch.setattr(StreamPlan, "path_stream",
+                            lambda self, i: SpoiledStream(path_stream(self, i), 37, value))
+        assert run(capsys, "bem", "simulate", "--problem", "bounded-rotation", "--h", "0.01",
+                   "--T", "1", "--h0", "0.25", "--p-list", "0.5") == (
+            EXIT_SOLVER, "", "solver failure: step 38 of 100 failed for problem "
+            "'bounded-rotation': implicit step gave no finite state\n")
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    SpoiledStream,
     cubic_root_reference,
     rotation_matrix,
     tanh_well_problem,
@@ -249,6 +250,20 @@ class TestRotationPaths:
         assert np.float64(paths.a).tobytes() == np.float64(a / det).tobytes()
         assert paths.turn.tobytes() == np.array([[-(b / det)], [b / det]]).tobytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_path_fails_quietly_at_its_first_state_not_finite(self, value):
+        # an increment that is not finite makes state 38 of path 1 not finite, and
+        # every later one too, soon NaN (inf - inf) with no warning, which its running
+        # maximum keeps; the other paths step on
+        d_w = StreamPlan(29).chunk_stream(0).standard_normal((64, 2, 3)) * math.sqrt(0.1)
+        d_w[37, 0, 1] = value
+        paths = self._paths(3)
+        out = np.empty_like(d_w)
+        paths.step(d_w, out)
+        finite = np.isfinite(out).all(axis=1)
+        assert finite[:, [0, 2]].all() and finite[:37, 1].all() and not finite[37:, 1].any()
+        assert np.isnan(paths.sup(0.5)).tolist() == [False, True, False]
+
     def test_equals_the_two_row_step(self):
         # a*r0 + (-b)*r1 has the bits of a*r0 - b*r1, and b*r0 + a*r1 those of a*r1 + b*r0
         h = 0.1
@@ -340,6 +355,17 @@ class TestScalarStepMatchesKernel:
         monkeypatch.setattr(sde, "TRAJECTORY_BLOCK", block)
         with pytest.raises(SolverError, match="^step 16 of 30 failed for problem 'nan-beyond-5'"):
             simulate_trajectory(prob, 0.1, 0.45, 3.0, [], StreamPlan(0).path_stream(0))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("label", ["bounded-rotation", "ginzburg-landau"])
+def test_a_state_not_finite_fails_the_trajectory_on_either_stepper(label, value):
+    # increment row 37 is dW^38, so state 38 is the first that is not finite; the
+    # rotation's inf - inf at step 39 raises no warning
+    stream = SpoiledStream(StreamPlan(0).path_stream(0), 37, value)
+    with pytest.raises(SolverError, match=f"^step 38 of 100 failed for problem '{label}': "
+                                          "implicit step gave no finite state$"):
+        simulate_trajectory(make_problem(label), 0.01, 0.25, 1.0, [0.5], stream)
 
 
 class TestStepSizes:
