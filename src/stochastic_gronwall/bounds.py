@@ -150,34 +150,22 @@ def gronwall_recursive_envelope(f, g, n: int | None = None) -> np.ndarray:
     return real_sequence(y)
 
 
-class HolderParams:
-    """Exponent triple (p, nu, mu) with 1/mu + 1/nu = 1 and p*nu < 1.
+def holder_prefactor(p: float, nu: float = 1.0) -> float:
+    """(1 + 1/(1 - nu*p))^(1/nu), the prefactor of every moment bound here.
 
-    ``mu`` is derived from ``nu``; nu = 1 gives mu = inf, the
-    essential-supremum norm. nu = inf is rejected outright because
-    p*nu < 1 then fails for every p in (0, 1).
+    It checks the exponent pair: p in (0, 1), nu in [1, inf) and p*nu < 1;
+    nu = inf is rejected outright because p*nu < 1 then fails for every p
+    in (0, 1). At nu = 1 the prefactor is 1 + 1/(1-p), bit for bit.
     """
-
-    p: float
-    nu: float
-    mu: float
-
-    def __init__(self, p: float, nu: float = 1.0):
-        if not 0.0 < p < 1.0:
-            raise ContractViolationError(f"p must lie in (0,1), got {p}")
-        if math.isinf(nu):
-            raise ContractViolationError("nu = inf is invalid: p*nu < 1 fails for every p in (0,1)")
-        if not 1.0 <= nu:
-            raise ContractViolationError(f"nu must lie in [1,inf), got {nu}")
-        if not p * nu < 1.0:
-            raise ContractViolationError(f"need p*nu < 1, got p*nu = {p * nu}")
-        self.p, self.nu = p, nu
-        self.mu = math.inf if nu == 1.0 else nu / (nu - 1.0)
-
-
-def holder_prefactor(hp: HolderParams) -> float:
-    """(1 + 1/(1 - nu*p))^(1/nu); for nu = 1 this is 1 + 1/(1-p)."""
-    return (1.0 + 1.0 / (1.0 - hp.nu * hp.p)) ** (1.0 / hp.nu)
+    if not 0.0 < p < 1.0:
+        raise ContractViolationError(f"p must lie in (0,1), got {p}")
+    if math.isinf(nu):
+        raise ContractViolationError("nu = inf is invalid: p*nu < 1 fails for every p in (0,1)")
+    if not 1.0 <= nu:
+        raise ContractViolationError(f"nu must lie in [1,inf), got {nu}")
+    if not p * nu < 1.0:
+        raise ContractViolationError(f"need p*nu < 1, got p*nu = {p * nu}")
+    return (1.0 + 1.0 / (1.0 - nu * p)) ** (1.0 / nu)
 
 
 def theorem_bound_deterministic_G(p: float, G, n: int, e_sup_f: float) -> dict:
@@ -189,7 +177,7 @@ def theorem_bound_deterministic_G(p: float, G, n: int, e_sup_f: float) -> dict:
     weight product is a finite real number even where its float64 value
     overflows, so e_sup_f = 0 gives the bound 0.
     """
-    hp = HolderParams(p)
+    prefactor = holder_prefactor(p)
     if e_sup_f < 0.0:
         raise ContractViolationError(f"e_sup_f must be >= 0, got {e_sup_f}")
     if n < 0:
@@ -197,34 +185,32 @@ def theorem_bound_deterministic_G(p: float, G, n: int, e_sup_f: float) -> dict:
     G = real_sequence(G)
     if len(G) < n:
         raise ContractViolationError(f"weight sequence G has length {len(G)}, need at least {n}")
-    if np.any(G[:n] < 0.0):
-        raise ContractViolationError("weight sequence G must be nonnegative")
-    prefactor = holder_prefactor(hp)
+    _require_nonnegative(G, n - 1, "G")
     product_term = power_product_one_plus(G, 0, n, p)
-    power_term = 0.0 if e_sup_f == 0.0 else e_sup_f**p
+    power_term = e_sup_f**p
     return {"prefactor": prefactor, "product_term": product_term, "power_term": power_term,
             "bound": 0.0 if power_term == 0.0 else prefactor * product_term * power_term}
 
 
-def theorem_bound_random_G(hp: HolderParams, g_product_p_mu_norm: float, n: int,
+def theorem_bound_random_G(p: float, nu: float, g_product_p_mu_norm: float,
                            e_sup_f: float) -> dict:
     """Moment bound with random weights via a Hoelder split, and its factors:
 
-        holder_prefactor(hp) * ||prod_{k<n}(1+G_k)^p||_{L^mu} * e_sup_f^p
+        holder_prefactor(p, nu) * ||prod_{k<n}(1+G_k)^p||_{L^mu} * e_sup_f^p
 
-    The caller supplies the L^mu norm of the weight product for horizon
-    ``n`` (the product itself when G is deterministic and nu = 1).
+    with 1/mu + 1/nu = 1. The caller supplies the L^mu norm of the weight
+    product, which carries the horizon n (the product itself when G is
+    deterministic and nu = 1). The norm may be inf; as for deterministic
+    weights, e_sup_f = 0 gives the bound 0.
     """
+    prefactor = holder_prefactor(p, nu)
     if g_product_p_mu_norm < 0.0:
         raise ContractViolationError("the weight-product norm must be >= 0")
     if e_sup_f < 0.0:
         raise ContractViolationError(f"e_sup_f must be >= 0, got {e_sup_f}")
-    if n < 0:
-        raise ContractViolationError(f"horizon n must be >= 0, got {n}")
-    prefactor = holder_prefactor(hp)
-    power_term = 0.0 if e_sup_f == 0.0 else e_sup_f**hp.p
+    power_term = e_sup_f**p
     return {"prefactor": prefactor, "product_norm": g_product_p_mu_norm, "power_term": power_term,
-            "bound": prefactor * g_product_p_mu_norm * power_term}
+            "bound": 0.0 if power_term == 0.0 else prefactor * g_product_p_mu_norm * power_term}
 
 
 def apriori_bound(p: float, L: float, T: float, h0: float,
@@ -243,11 +229,11 @@ def apriori_bound_parts(p: float, L: float, T: float, h0: float,
 
     h0 is the step size cap, constrained by 2*h0*L < 1; x0_norm_sq and
     g_x0_norm_sq are |X_0|^2 and the squared Frobenius norm of the
-    diffusion at X_0. A growth factor beyond the float range is inf,
-    and so is the bound.
+    diffusion at X_0. The prefactor is ``holder_prefactor(p)``, which
+    checks p. A growth factor beyond the float range is inf, and so is
+    the bound.
     """
-    if not 0.0 < p < 1.0:
-        raise ContractViolationError(f"p must lie in (0,1), got {p}")
+    prefactor = holder_prefactor(p)
     if L < 0.0:
         raise ContractViolationError(f"L must be >= 0, got {L}")
     if not T > 0.0:
@@ -259,9 +245,8 @@ def apriori_bound_parts(p: float, L: float, T: float, h0: float,
     if x0_norm_sq < 0.0 or g_x0_norm_sq < 0.0:
         raise ContractViolationError("squared norms must be nonnegative")
     inv = 1.0 / (1.0 - 2.0 * h0 * L)
-    prefactor = 1.0 + 1.0 / (1.0 - p)
     growth = _safe_exp(p * inv * 2.0 * L * T)
     base = x0_norm_sq + inv * (h0 * g_x0_norm_sq + 2.0 * L * T)
-    power_term = 0.0 if base == 0.0 else base**p
+    power_term = base**p
     return {"prefactor": prefactor, "growth_factor": growth, "power_term": power_term,
             "bound": prefactor * growth * power_term}

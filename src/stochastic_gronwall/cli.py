@@ -24,7 +24,6 @@ from typing import NamedTuple, NoReturn
 
 from . import __version__
 from .bounds import (
-    HolderParams,
     apriori_bound_parts,
     gronwall_closed_form,
     gronwall_recursive_envelope,
@@ -89,20 +88,27 @@ def _float_list(text: str) -> list:
 # flag domains
 
 
+# The JSON types a config file may give for a flag of each parse type (a list flag:
+# one number, a list of them or their comma-separated text), named so in errors.
+_CONFIG_TYPES = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    _float_list: ((int, float), "a number or a list of numbers"),
+}
+
+
 class Domain(NamedTuple):
     """The values a flag accepts.
 
-    ``type`` parses command-line text; a config file may give a value of
-    the ``json`` types (a list flag: one number, a list of them or their
-    comma-separated text), named ``expected`` in errors. A given value
-    must pass every rule, a test and the phrase that says what it
-    requires. A one-of-a-set domain also maps each of its ``choices`` to
-    the flags that choice takes and their defaults.
+    ``type`` parses command-line text and, through ``_CONFIG_TYPES``,
+    sets what a config file may give. A given value must pass every
+    rule, a test and the phrase that says what it requires. A
+    one-of-a-set domain also maps each of its ``choices`` to the flags
+    that choice takes and their defaults.
     """
 
     type: object
-    json: tuple
-    expected: str
     rules: tuple = ()
     choices: dict = None
     writes: bool = False  # the value is a path the command writes
@@ -118,27 +124,24 @@ def _finite(value) -> bool:
 
 
 _FINITE = (_finite, "be finite")
-_NUMBER = (float, (int, float), "a number")
-_INTEGER = (int, (int,), "an integer")
 
-TEXT = Domain(str, (str,), "a string")
-OUTPUT = Domain(str, (str,), "a string", writes=True)
-INTEGER = Domain(*_INTEGER)
-REAL = Domain(*_NUMBER, (_FINITE,))
-REALS = Domain(_float_list, (int, float), "a number or a list of numbers", (_FINITE,))
-POSITIVE = Domain(*_NUMBER, ((lambda v: v > 0, "be a positive float"), _FINITE))
-POSITIVE_INT = Domain(*_INTEGER, ((lambda v: v > 0, "be a positive int"),))
-WORKERS = Domain(*_INTEGER, (*POSITIVE_INT.rules, (lambda v: v <= MAX_WORKERS,
-                                                   f"be at most {MAX_WORKERS}")))
-EXPONENT = Domain(*_NUMBER, ((lambda v: 0 < v < 1, "lie in (0,1)"),))
-HORIZON = Domain(*_INTEGER, ((lambda v: v >= 0, "be >= 0"),))
-COUNT = Domain(*_INTEGER, ((lambda v: v >= 2, "be at least 2"),))  # so a standard error exists
-SEED = Domain(*_INTEGER, ((lambda v: 0 <= v < 2**64, "lie in [0, 2**64)"),))
+TEXT = Domain(str)
+OUTPUT = Domain(str, writes=True)
+INTEGER = Domain(int)
+REAL = Domain(float, (_FINITE,))
+REALS = Domain(_float_list, (_FINITE,))
+POSITIVE = Domain(float, ((lambda v: v > 0, "be a positive float"), _FINITE))
+POSITIVE_INT = Domain(int, ((lambda v: v > 0, "be a positive int"),))
+WORKERS = Domain(int, (*POSITIVE_INT.rules, (lambda v: v <= MAX_WORKERS,
+                                             f"be at most {MAX_WORKERS}")))
+EXPONENT = Domain(float, ((lambda v: 0 < v < 1, "lie in (0,1)"),))
+HORIZON = Domain(int, ((lambda v: v >= 0, "be >= 0"),))
+COUNT = Domain(int, ((lambda v: v >= 2, "be at least 2"),))  # so a standard error exists
+SEED = Domain(int, ((lambda v: 0 <= v < 2**64, "lie in [0, 2**64)"),))
 
 
 def _one_of(choices: dict) -> Domain:
-    return Domain(str, (str,), "a string",
-                  ((lambda v: v in choices, f"be one of {', '.join(choices)}"),), choices)
+    return Domain(str, ((lambda v: v in choices, f"be one of {', '.join(choices)}"),), choices)
 
 
 REQUIRED = object()  # the default of a flag that must be given
@@ -203,13 +206,14 @@ def _merge_config(args) -> None:
             f"unknown config keys {sorted(unknown)}; allowed: {sorted(args.config_flags)}"
         )
     for key, value in config.items():
-        domain = args.flags[key].domain
+        parse = args.flags[key].domain.type
+        json_types, expected = _CONFIG_TYPES[parse]
         items = [value]
-        if domain.type is _float_list:
+        if parse is _float_list:
             value = _float_list(value) if isinstance(value, str) else value
             items = value = value if isinstance(value, list) else [value]
-        if not all(isinstance(v, domain.json) and not isinstance(v, bool) for v in items):
-            raise ConfigError(f"config key {key!r} must be {domain.expected}, got {value!r}")
+        if not all(isinstance(v, json_types) and not isinstance(v, bool) for v in items):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
         if getattr(args, key) is None:
             setattr(args, key, value)
 
@@ -227,7 +231,8 @@ def _resolve(args) -> None:
             try:
                 value = flag.domain.type(text)
             except ValueError as exc:
-                raise ConfigError(f"{source} must be {flag.domain.expected}, got {text!r}") from exc
+                expected = _CONFIG_TYPES[flag.domain.type][1]
+                raise ConfigError(f"{source} must be {expected}, got {text!r}") from exc
             setattr(args, key, value)
         if value is None:
             continue
@@ -322,21 +327,20 @@ def _text_stream(args):
 _BOUND_FORMS = {
     "holder": {"p": REQUIRED, "nu": 1.0},
     "deterministic-G": {"p": REQUIRED, "G": REQUIRED, "e_sup_f": REQUIRED, "n": None},
-    "random-G": {"p": REQUIRED, "nu": REQUIRED, "g_norm": REQUIRED, "e_sup_f": REQUIRED, "n": 0},
+    "random-G": {"p": REQUIRED, "nu": REQUIRED, "g_norm": REQUIRED, "e_sup_f": REQUIRED},
     "apriori": dict.fromkeys(["p", "L", "T", "h0", "x0sq", "gx0sq"], REQUIRED),
 }
 
 
 def _cmd_bound(args) -> int:
     if args.form == "holder":
-        prefactor = holder_prefactor(HolderParams(p=args.p, nu=args.nu))
+        prefactor = holder_prefactor(args.p, args.nu)
         parts = {"prefactor": prefactor, "bound": prefactor}
     elif args.form == "deterministic-G":
         n = len(args.G) if args.n is None else args.n
         parts = theorem_bound_deterministic_G(args.p, args.G, n, args.e_sup_f)
     elif args.form == "random-G":
-        hp = HolderParams(p=args.p, nu=args.nu)
-        parts = theorem_bound_random_G(hp, args.g_norm, args.n, args.e_sup_f)
+        parts = theorem_bound_random_G(args.p, args.nu, args.g_norm, args.e_sup_f)
     else:
         parts = apriori_bound_parts(args.p, args.L, args.T, args.h0, args.x0sq, args.gx0sq)
     _print_pairs(parts)

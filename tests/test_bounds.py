@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import make_random_bundle
 from oracles import GronwallPathBundle, product_form_residuals, transformed_martingale
 from stochastic_gronwall.bounds import (
-    HolderParams,
     apriori_bound,
     apriori_bound_parts,
     holder_prefactor,
@@ -20,51 +19,56 @@ from stochastic_gronwall.errors import ContractViolationError
 
 
 class TestHolderParams:
-    def test_conjugates(self):
-        assert HolderParams(0.5, 1.0).mu == math.inf
-        assert HolderParams(0.25, 2.0).mu == 2.0
-        hp = HolderParams(0.2, 4.0)
-        assert 1.0 / hp.mu + 1.0 / hp.nu == pytest.approx(1.0, rel=1e-15)
+    """The exponent pair (p, nu) that holder_prefactor checks."""
 
     def test_rejects_nu_infinity(self):
         with pytest.raises(ContractViolationError, match="inf"):
-            HolderParams(0.5, math.inf)
+            holder_prefactor(0.5, math.inf)
 
     def test_rejects_p_nu_product(self):
         with pytest.raises(ContractViolationError, match="p\\*nu"):
-            HolderParams(0.5, 2.0)
+            holder_prefactor(0.5, 2.0)
 
     @given(st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=-3, max_value=0.999))
     @settings(max_examples=60, deadline=None)
     def test_rejects_bad_p(self, p, nu):
         with pytest.raises(ContractViolationError):
-            HolderParams(p, nu)
+            holder_prefactor(p, nu)
         with pytest.raises(ContractViolationError):
-            HolderParams(p + 1.0, 1.0)
+            holder_prefactor(p + 1.0, 1.0)
 
 
 class TestHolderPrefactor:
     def test_examples(self):
-        assert holder_prefactor(HolderParams(0.5, 1.0)) == 3.0
-        assert holder_prefactor(HolderParams(0.25, 2.0)) == pytest.approx(
+        assert holder_prefactor(0.5, 1.0) == 3.0
+        assert holder_prefactor(0.25, 2.0) == pytest.approx(
             math.sqrt(3.0), rel=1e-15
         )
 
     def test_small_p_limit(self):
-        assert holder_prefactor(HolderParams(1e-12, 1.0)) == pytest.approx(2.0, rel=1e-9)
+        assert holder_prefactor(1e-12, 1.0) == pytest.approx(2.0, rel=1e-9)
 
     def test_decreasing_in_nu_on_inner_domain(self):
         # decreasing holds while nu*p stays below ~0.63; the prefactor
         # has an interior minimum there and blows up as nu*p approaches 1
         for p in (0.1, 0.25, 0.4, 0.55):
             nus = np.linspace(1.0, 0.6 / p, 40)
-            vals = [holder_prefactor(HolderParams(p, nu)) for nu in nus]
+            vals = [holder_prefactor(p, nu) for nu in nus]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_every_form_has_the_same_prefactor_at_nu_one(self, p):
+        # the a priori estimate and the deterministic-weight theorem name the
+        # prefactor 1 + 1/(1-p); at nu = 1 holder_prefactor gives it bit for bit
+        apriori = apriori_bound_parts(p, 1.0, 1.0, 0.25, 1.0, 0.0)["prefactor"]
+        closed = 1.0 + 1.0 / (1.0 - p)
+        assert apriori == holder_prefactor(p) == closed
 
     def test_not_monotone_near_domain_edge(self):
         # counterexample documenting the turnaround: nu*p = 0.7 vs 0.8
-        lo = holder_prefactor(HolderParams(0.25, 2.8))
-        hi = holder_prefactor(HolderParams(0.25, 3.2))
+        lo = holder_prefactor(0.25, 2.8)
+        hi = holder_prefactor(0.25, 3.2)
         assert hi > lo
 
 
@@ -93,7 +97,7 @@ class TestDeterministicBound:
     def test_contract_p(self):
         with pytest.raises(ContractViolationError):
             theorem_bound_deterministic_G(1.2, [1.0], 1, 1.0)
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="entry 0 is -1.0"):
             theorem_bound_deterministic_G(0.5, [-1.0], 1, 1.0)
 
     def test_negative_horizon_rejected(self):
@@ -120,28 +124,31 @@ class TestRandomGBound:
             g = rng.uniform(0, 2, n)
             e_sup = rng.uniform(0.1, 5)
             norm = power_product_one_plus(g, 0, n, p)
-            via_random = theorem_bound_random_G(HolderParams(p, 1.0), norm, n, e_sup)["bound"]
+            via_random = theorem_bound_random_G(p, 1.0, norm, e_sup)["bound"]
             direct = theorem_bound_deterministic_G(p, g, n, e_sup)["bound"]
             assert via_random == pytest.approx(direct, rel=1e-12)
 
     def test_norm_one(self):
-        hp = HolderParams(0.25, 2.0)
-        assert theorem_bound_random_G(hp, 1.0, 5, 1.0)["bound"] == pytest.approx(
+        assert theorem_bound_random_G(0.25, 2.0, 1.0, 1.0)["bound"] == pytest.approx(
             math.sqrt(3.0), rel=1e-15
         )
 
     def test_norm_and_power(self):
-        hp = HolderParams(0.25, 2.0)
         # 16^(1/4) = 2
-        assert theorem_bound_random_G(hp, 2.0, 5, 16.0)["bound"] == pytest.approx(
+        assert theorem_bound_random_G(0.25, 2.0, 2.0, 16.0)["bound"] == pytest.approx(
             4.0 * math.sqrt(3.0), rel=1e-13
         )
 
     def test_parts(self):
-        hp = HolderParams(0.25, 2.0)
-        parts = theorem_bound_random_G(hp, 2.0, 5, 16.0)
-        assert parts == {"prefactor": holder_prefactor(hp), "product_norm": 2.0,
-                         "power_term": 2.0, "bound": holder_prefactor(hp) * 2.0 * 2.0}
+        parts = theorem_bound_random_G(0.25, 2.0, 2.0, 16.0)
+        assert parts == {"prefactor": holder_prefactor(0.25, 2.0), "product_norm": 2.0,
+                         "power_term": 2.0, "bound": holder_prefactor(0.25, 2.0) * 2.0 * 2.0}
+
+    def test_zero_e_sup_bounds_an_infinite_norm_by_zero(self):
+        # as for deterministic weights: the norm is finite, only its float64 value is not
+        parts = theorem_bound_random_G(0.5, 1.0, math.inf, 0.0)
+        assert parts["product_norm"] == math.inf
+        assert parts["bound"] == 0.0
 
 
 class TestAprioriBound:

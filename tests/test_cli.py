@@ -500,7 +500,7 @@ class TestGoldenReports:
                                              "--G", "1e100,1e100,1e100,1e100",
                                              "--e-sup-f", "2"]),
         ("bound_random_G", ["--form", "random-G", "--p", "0.3", "--nu", "2", "--g-norm", "1.7",
-                            "--e-sup-f", "3", "--n", "5"]),
+                            "--e-sup-f", "3"]),
         ("bound_apriori", ["--form", "apriori", "--p", "0.3", "--L", "1.5", "--T", "2",
                            "--h0", "0.1", "--x0sq", "0.7", "--gx0sq", "0.2"]),
     ])
@@ -821,7 +821,6 @@ for _name, _changes, _fragment in [
     ("bound-apriori", {"--h0": "0.5", "--L": "1"}, "need 2*h0*L < 1, got 1.0"),
     ("bound-random-G", {"--g-norm": "-1"}, "the weight-product norm must be >= 0"),
     ("bound-random-G", {"--e-sup-f": "-1"}, "e_sup_f must be >= 0, got -1.0"),
-    ("bound-random-G", {"--n": "-1"}, "horizon n must be >= 0, got -1"),
     ("bound-deterministic-G", {"--e-sup-f": "-1"}, "e_sup_f must be >= 0, got -1.0"),
     ("bound-deterministic-G", {"--G": "1,-1"}, "weight sequence G must be nonnegative"),
     ("bound-deterministic-G", {"--G": "1,1", "--n": "3"},
@@ -839,6 +838,11 @@ for _name, _changes, _fragment in [
     _argv = [*_command, *(f"{k}={v}" for k, v in {**_flags, **_changes}.items())]
     _INPUT_CASES[_name + "".join(f"{k}={v}" for k, v in _changes.items())] = (
         _argv, None, None, EXIT_CONTRACT, _fragment)
+# random-G takes no horizon: the norm of the weight product carries it
+_INPUT_CASES["bound-random-G--n=5"] = (
+    ["bound", "--form", "random-G",
+     *(f"{k}={v}" for k, v in {**_BOUND_FORMS["random-G"], "--n": "5"}.items())],
+    None, None, EXIT_CONFIG, "form 'random-G' does not take --n")
 
 
 class TestNegativeNumbers:

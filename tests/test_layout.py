@@ -116,6 +116,19 @@ def test_every_problem_and_trajectory_field_is_read_by_the_package():
     assert unread == [], f"fields only their own class reads: {unread}"
 
 
+def test_every_stored_attribute_is_read_by_the_package():
+    # an attribute the package assigns but never reads is a value kept for the tests
+    # alone; argparse reads the one it is handed, the parser's negative-number matcher
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    attributes = [node for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)]
+    read = {node.attr for node in attributes if isinstance(node.ctx, ast.Load)}
+    stored = {node.attr for node in attributes if isinstance(node.ctx, ast.Store)}
+    assert stored, "the package stores no attribute: the walk found nothing to check"
+    unread = sorted(stored - read - {"_negative_number_matcher"})
+    assert unread == [], f"attributes the package stores and never reads: {unread}"
+
+
 def _exit_scopes(node, scope):
     """The dotted scope of each reference to ``_exit`` under ``node``."""
     for child in ast.iter_child_nodes(node):
