@@ -137,6 +137,9 @@ WORKERS = Domain(int, (*POSITIVE_INT.rules, (lambda v: v <= MAX_WORKERS,
 EXPONENT = Domain(float, ((lambda v: 0 < v < 1, "lie in (0,1)"),))
 HORIZON = Domain(int, ((lambda v: v >= 0, "be >= 0"),))
 COUNT = Domain(int, ((lambda v: v >= 2, "be at least 2"),))  # so a standard error exists
+# verify apriori's paths come in antithetic pairs, and its standard error needs two pair means
+PAIRS = Domain(int, ((lambda v: v >= 4 and v % 2 == 0,
+                      "be even and at least 4, as paths come in antithetic pairs"),))
 SEED = Domain(int, ((lambda v: 0 <= v < 2**64, "lie in [0, 2**64)"),))
 
 
@@ -535,6 +538,7 @@ def _emit_verify(args, report, columns) -> int:
 
 _EXPONENT = Flag("--p", EXPONENT, "moment exponent", REQUIRED)
 _PATHS = Flag("--paths", COUNT, "Monte Carlo paths", 100_000)
+_PAIRED_PATHS = _PATHS._replace(domain=PAIRS)
 _SEED = Flag("--seed", SEED, "master seed", 0, env=SEED_ENV_VAR)
 _WORKERS = Flag("--workers", WORKERS, "worker processes (results do not depend on it); "
                 "1 runs in the calling process and starts no pool; more pay only when "
@@ -649,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
         Flag("--h0", REAL, "step-size cap", REQUIRED),
         Flag("--h-grid", REALS, "comma-separated step sizes; their steps in all, times "
              f"{CHUNK_SIZE} paths and the dimension, at most {MAX_CHUNK_VALUES}", REQUIRED),
-        _PATHS, _SEED, _WORKERS, _Z,
+        _PAIRED_PATHS, _SEED, _WORKERS, _Z,
         _REPORT, _TABLE,
     ], config=True)
 

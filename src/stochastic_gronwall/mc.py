@@ -15,7 +15,10 @@ holds: it draws the block's Brownian increments step-major,
 coarser grid's increments from them, and steps every grid on from the
 states the previous block left. Only one block's increments are held.
 A report's step sizes are plain numbers that share one cap h0 and one
-horizon T, checked by ``sde.check_step_sizes``.
+horizon T, checked by ``sde.check_step_sizes``. Its paths come in
+antithetic pairs, each path's increments negated in its mirror: a chunk
+draws normals for half its paths and returns one mean per pair, and each
+row's standard error is that of those pair means.
 
 A pass at more than one worker forks its children with
 ``ProcessPoolExecutor``, a pool of this module's own: each child
@@ -95,15 +98,16 @@ def _pairwise_merge(stats):
     return level[0]
 
 
-def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int):
+def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int,
+                       what: str = "samples"):
     """Per chunk lo..hi-1 with samples, the moments of each column.
 
-    A chunk that holds a sample that is not finite (a failed path) stops
+    A chunk that holds a value that is not finite (a failed path) stops
     the run with :class:`SolverError`, naming the chunk, the column and
-    how many of its samples are not finite. A column whose values are
-    finite but whose moments overflow raises
-    :class:`ContractViolationError`. Neither raises a floating-point
-    warning.
+    how many of its values (``what``: samples or pair means) are not
+    finite. A column whose values are finite but whose moments overflow
+    raises :class:`ContractViolationError`. Neither raises a
+    floating-point warning.
     """
     out = []
     for c in range(lo, hi):
@@ -121,7 +125,7 @@ def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int):
                 n_bad = vals.size - np.count_nonzero(np.isfinite(vals))
                 if n_bad:
                     raise SolverError(f"chunk {c}, column {column}: {n_bad} of its {vals.size} "
-                                      "samples are not finite")
+                                      f"{what} are not finite")
                 raise ContractViolationError(
                     f"chunk {c}: the mean or sum of squared deviations of its finite values "
                     "overflows float64; try a smaller --horizon or --p"
@@ -253,15 +257,17 @@ class ProcessPoolExecutor:
             self._children.clear()
 
 
-def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
+def sample_columns(sampler, n: int, plan: StreamPlan, pairs: bool = False) -> list:
     """One pass of n samples: per column, the (count, mean, M2) moments of
     each chunk, in chunk order.
 
     The sampler must expose ``sample_chunk(plan, chunk_index, count)``
-    returning one row of ``count`` float64 values per column (a 1-D
-    array is one column). The first chunk, in chunk order, that holds a
-    value that is not finite raises :class:`SolverError`, with the same
-    message at any worker count. The
+    returning one row of float64 values per column (a 1-D array is one
+    column): ``count`` samples, or with ``pairs`` the count/2 means of
+    antithetic pairs of paths. The first chunk, in chunk order, that
+    holds a value that is not finite raises :class:`SolverError`, with
+    the same message at any worker count, counting samples or pair
+    means. The
     chunks are split into ``min(workers, chunks)`` ranges. With more
     than one, this pass opens a process pool with a child for each
     range but the first: ranges 1.. are forked in one ``map``, the
@@ -273,11 +279,12 @@ def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
         raise ContractViolationError(f"need at least 2 samples, got {n}")
     n_tasks = min(plan.workers, plan.n_chunks(n))
     edges = np.linspace(0, plan.n_chunks(n), n_tasks + 1).astype(int).tolist()
+    what = "pair means" if pairs else "samples"
     pool = ProcessPoolExecutor(max_workers=n_tasks - 1) if n_tasks > 1 else None
     try:
         rest = pool.map(_chunk_range_stats, repeat(sampler), repeat(plan), repeat(n),
-                        edges[1:-1], edges[2:]) if pool is not None else ()
-        chunks = _chunk_range_stats(sampler, plan, n, 0, edges[1])
+                        edges[1:-1], edges[2:], repeat(what)) if pool is not None else ()
+        chunks = _chunk_range_stats(sampler, plan, n, 0, edges[1], what)
         for piece in rest:
             chunks.extend(piece)
     finally:
@@ -286,22 +293,27 @@ def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
     return [list(column) for column in zip(*chunks)]
 
 
-def estimate_expectation(chunks: Sequence, n: int, z: float = DEFAULT_Z) -> McEstimate:
+def estimate_expectation(chunks: Sequence, n: int, z: float = DEFAULT_Z,
+                         pairs: bool = False) -> McEstimate:
     """Estimate of one column's mean from its n samples.
 
     ``chunks`` is the column's moments per chunk, from
     :func:`sample_columns`, merged by the fixed pairwise tree; they must
-    count n samples in all. Python floats overflow to inf without a
-    warning, so a merged mean or M2 that is not finite is a
+    count n samples in all, or with ``pairs`` the n/2 means of antithetic
+    pairs of paths. The standard error is that of the mean of the values
+    the chunks count, and ``n_samples`` is n. Python floats overflow to
+    inf without a warning, so a merged mean or M2 that is not finite is a
     :class:`ContractViolationError`, as in a chunk, and so is an upper
     confidence bound mean + z*std_error beyond float64.
     """
     count, mean, m2 = _pairwise_merge(chunks)
-    if count != n:
-        raise ContractViolationError(f"the chunks hold {count} samples, not the {n} requested")
+    what = "pair means" if pairs else "samples"
+    if (2 * count if pairs else count) != n:
+        raise ContractViolationError(
+            f"the chunks hold {count} {what}, not {'half ' if pairs else ''}the {n} requested")
     if not _finite_moments((count, mean, m2)):
         raise ContractViolationError(
-            f"the merged mean or sum of squared deviations of {count} samples overflows "
+            f"the merged mean or sum of squared deviations of {count} {what} overflows "
             "float64; try a smaller --horizon or --p"
         )
     if count >= 2 and m2 > 0.0:
@@ -318,7 +330,7 @@ def estimate_expectation(chunks: Sequence, n: int, z: float = DEFAULT_Z) -> McEs
     return McEstimate(
         mean=float(mean),
         std_error=std_error,
-        n_samples=int(count),
+        n_samples=n,
         ci_halfwidth=z * std_error,
         degenerate_flag=degenerate,
         z_value=z,
@@ -552,7 +564,10 @@ class BemSupFunctionalSampler:
     the next finer level's increments, so besides a few path-sized rows
     per grid a chunk holds one block's increments and their sums. Where
     the union is the finest grid (nested grids), the finest column's
-    increments are drawn and scaled as a lone grid's would be.
+    increments are drawn and scaled as a lone grid's would be. The paths
+    come in antithetic pairs: the second half of a chunk's paths steps
+    the first half's increments negated, and a chunk returns the mean of
+    each pair (see ``sample_chunk``).
 
     The step sizes ``hs`` share the horizon ``T``, and a grid has
     ``sde.step_count(h, T)`` steps. Each column's paths are stepped by
@@ -578,50 +593,67 @@ class BemSupFunctionalSampler:
         self._scratch = np.empty(0)
 
     def sample_chunk(self, plan, chunk_index, count):
-        """A (step sizes, count) array, one row per h in grid order.
+        """A (step sizes, count/2) array, one row per h in grid order: the
+        means of the chunk's count/2 antithetic pairs of paths.
 
-        The chunk is stepped one block of time at a time (see
-        ``_increment_blocks``). A block's normals are the chunk stream's
-        next (increments, count) rows, path i in column i, so the blocks
-        together draw what one (all increments, count) block would. They
-        are scaled row by row to the union's intervals and viewed as
-        (steps, d, paths) without a copy: each step of each level reads
-        contiguous rows. Each coarser level sums its source into its
-        part of the same buffer (see ``_block_buffers``), and every level
-        steps on from the states the previous block left.
+        Path i + count/2 mirrors path i: its increments are path i's
+        negated, so it is a Brownian path too, each pair mean is unbiased
+        and the pair means are independent. The chunk is stepped one
+        block of time at a time (see ``_increment_blocks``). A block's
+        normals are the chunk stream's next (increments, count/2) rows,
+        pair i in column i, so the blocks together draw what one (all
+        increments, count/2) block would. They are scaled row by row to
+        the union's intervals into the block's columns 0..count/2-1,
+        negated into columns count/2..count-1, and viewed as (steps, d,
+        paths) without a copy: each step of each level reads contiguous
+        rows. Negation commutes with the coarser sums bit for bit, so the
+        paths mirror each other on every grid. Each coarser level sums its
+        source into its part of the same buffer (see ``_block_buffers``),
+        and every level steps on from the states the previous block left.
+        A count that is not a positive even number is a
+        :class:`ContractViolationError`.
         """
-        problem, hs = self.problem, self.hs
+        if count < 2 or count % 2:
+            raise ContractViolationError(
+                f"a chunk holds antithetic pairs of paths, so its count must be even and "
+                f"positive; got {count}")
+        problem, hs, half = self.problem, self.hs, count // 2
         roots, columns, blocks = self._layout
         levels = [self.kind(problem, hs[column], count) for column in columns]
-        draws, sums = self._block_buffers(count)
+        normals, draws, sums = self._block_buffers(count)
         stream = plan.chunk_stream(chunk_index)
         for lo, hi, block in blocks:
-            union = stream.standard_normal(out=draws[:hi - lo])
-            union *= roots[lo:hi, None]
+            union = draws[:hi - lo]
+            np.multiply(stream.standard_normal(out=normals[:hi - lo]), roots[lo:hi, None],
+                        out=union[:, :half])
+            np.negative(union[:, :half], out=union[:, half:])
             union = union.reshape(-1, problem.d, count)  # (steps, d, paths), a view
             for paths, out, (from_union, stride, bounds) in zip(levels, sums, block):
                 if len(bounds) > 1:  # a grid that ends before the block has no step in it
                     d_w = _sum_steps(union if from_union else d_w, stride, bounds, out)
                     paths.step(d_w)
-        out = np.empty((len(hs), count))
+        sups = np.empty((len(hs), count))
         for column, paths in zip(columns, levels):
-            out[column] = paths.sup(self.p)
-        return out
+            sups[column] = paths.sup(self.p)
+        # halved first, so that a pair of finite sups never overflows
+        return 0.5 * sups[:, :half] + 0.5 * sups[:, half:]
 
     def _block_buffers(self, count):
-        """The draws of a block, (rows, count), and each level's sums,
-        (steps, d, count) or None for a level that views its source,
-        each sized for its largest block. They are views of one buffer
-        that every chunk this sampler steps reuses, grown when a chunk
-        needs more: memory handed back at the end of each chunk would be
-        faulted in again by the next."""
-        d, rows = self.problem.d, self._rows
-        if self._scratch.size < sum(rows) * count:
-            self._scratch = np.empty(sum(rows) * count)
-        ends = np.cumsum([0] + rows) * count
-        draws, *sums = (self._scratch[a:b] for a, b in zip(ends, ends[1:]))
-        return draws.reshape(-1, count), [s.reshape(-1, d, count) if s.size else None
-                                          for s in sums]
+        """A block's normals, (rows, count/2), its scaled increments and
+        their mirrors, (rows, count), and each level's sums, (steps, d,
+        count) or None for a level that views its source, each sized for
+        its largest block. They are views of one buffer that every chunk
+        this sampler steps reuses, grown when a chunk needs more: memory
+        handed back at the end of each chunk would be faulted in again by
+        the next."""
+        d, rows, half = self.problem.d, self._rows, count // 2
+        sizes = [rows[0] * half] + [r * count for r in rows]
+        if self._scratch.size < sum(sizes):
+            self._scratch = np.empty(sum(sizes))
+        ends = np.cumsum([0] + sizes)
+        normals, draws, *sums = (self._scratch[a:b] for a, b in zip(ends, ends[1:]))
+        return normals.reshape(-1, half), draws.reshape(-1, count), [
+            s.reshape(-1, d, count) if s.size else None for s in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +718,20 @@ def verify_apriori(
     each coarser grid, so the rows share their Monte Carlo noise and
     the spread of their means is the discretization effect, which is
     compared against the bound's margin as a qualitative robustness
-    indicator. A path that fails (a state that is not finite) stops the
+    indicator. The paths come in antithetic pairs (see
+    ``BemSupFunctionalSampler.sample_chunk``), so ``n_paths`` must be
+    even and at least 4, and each row's standard error is that of the
+    mean of its n_paths/2 pair means. A path that fails (a state that is
+    not finite) makes its pair mean NaN and stops the
     report with :class:`SolverError`. The problem is any that
     ``sde.implicit_step`` accepts. One with no ``zoo_spec`` has its
     coercivity spot-checked here, before anything is drawn, and its
     report's ``problem_params`` is empty. Returns the report as the JSON
     object the command line writes.
     """
+    if n_paths < 4 or n_paths % 2:
+        raise ContractViolationError(f"paths come in antithetic pairs, so n_paths must be even "
+                                     f"and at least 4 (two pair means); got {n_paths}")
     n_steps = sde.check_step_sizes(problem, hs, h0, T)
     if len(hs) > 1 and max(hs) / min(hs) < 8.0:
         raise ContractViolationError(
@@ -707,8 +746,8 @@ def verify_apriori(
 
     sampler = BemSupFunctionalSampler(problem, hs, T, p)
     rows = []
-    for h, n, chunks in zip(hs, n_steps, sample_columns(sampler, n_paths, plan)):
-        est = estimate_expectation(chunks, n_paths, z=z)
+    for h, n, chunks in zip(hs, n_steps, sample_columns(sampler, n_paths, plan, pairs=True)):
+        est = estimate_expectation(chunks, n_paths, z=z, pairs=True)
         rows.append({"h": h, "n_steps": n,
                      "passed": bool(est.upper_ci <= bound), **est._asdict()})
 
@@ -726,6 +765,7 @@ def verify_apriori(
         "x0_norm_sq": x0_norm_sq,
         "g_x0_norm_sq": g_x0_norm_sq,
         "n_paths": n_paths,
+        "increments": "antithetic pairs",
         "master_seed": plan.master_seed,
         "chunk_size": CHUNK_SIZE,
         "z_value": z,

@@ -360,8 +360,9 @@ def simulate_trajectory(
     larger of d and m exceed ``MAX_CHUNK_VALUES`` is rejected before
     anything is allocated, as is a problem :func:`implicit_step`
     rejects. The path is one path of the class :func:`implicit_step`
-    returns, so it is the batch sampler's (``mc.BemSupFunctionalSampler``)
-    on a batch of one, and its sup functional is that class's. Each
+    returns, so it is the first path of the batch sampler's
+    (``mc.BemSupFunctionalSampler``) chunk of one antithetic pair, and its
+    sup functional is that class's. Each
     block is drawn, stepped and given its noise terms in turn, so beyond
     the arrays it returns a run holds one block's temporaries. A state
     that is not finite, a failed path, raises :class:`SolverError` at

@@ -15,12 +15,16 @@ chunk: one block that serves every column the sampler returns (every
 step size of an a priori report, every system of a theorem report).
 The theorem sampler assigns its block to paths by row. The
 implicit-Euler sampler draws its block step-major, one row per
-increment and one column per path of the chunk, so that each step
-reads a contiguous row. It draws the block as consecutive runs of rows,
-one per block of time it steps, which give the normals of one draw of
-the whole block. The block is as wide as the chunk's own path count, so
-a one-path chunk draws in a trajectory's order, and a path of a short
-last chunk depends on how many paths that chunk holds.
+increment and one column per antithetic pair of the chunk, so that each
+step reads a contiguous row: path i of a chunk of count paths takes
+column i, and path i + count/2, its mirror, the same column negated, so
+the mirrors draw nothing. It draws the block as consecutive runs of
+rows, one per block of time it steps, which give the normals of one
+draw of the whole block. The block is half as wide as the chunk's own
+path count, which is even. So a chunk of one pair draws in a
+trajectory's order: its first path is the trajectory on the chunk's
+stream and its second the trajectory on that stream negated. A path of
+a short last chunk depends on how many paths that chunk holds.
 Each path's randomness is thus pinned by (master_seed, path_index)
 through the fixed chunk size and the sample count, and by the shape of
 that block: for the implicit-Euler sampler, the union of the report's

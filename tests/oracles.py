@@ -10,12 +10,14 @@ expectations read off them, and the former mass recursion of
 walk counts by reflection; the root of the Ginzburg-Landau implicit step to 80
 digits, the reference for the zoo's exact step; the bounded rotation's
 drift matrix, built from its parameters, and a trajectory's increments,
-re-drawn from its stream, and a stream whose first draw holds one value
-that is not finite; the tanh well, a scalar problem outside the
+re-drawn from its stream, a stream whose first draw holds one value
+that is not finite, and a stream whose draws are negated, the mirror of
+an antithetic pair; the tanh well, a scalar problem outside the
 zoo with its own exact step; the former per-row implicit-Euler sampler, one fresh
 draw per step size, the bit-exact reference for the one-pass sampler in
 ``mc``; the former whole-union chunk of that sampler, the bit-exact
-reference for the one that streams its blocks; the former matrix
+reference for the one that streams its blocks, both on antithetic
+pairs of paths; the former matrix
 sampler of synthetic recursion systems, the bit-exact reference for the
 streamed one; and the schema of every report the command line writes.
 """
@@ -307,6 +309,31 @@ class SpoiledStream:
         return draw
 
 
+class NegatedStream:
+    """A generator's ``standard_normal`` draws, negated: the increments of
+    the mirror path of an antithetic pair."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def standard_normal(self, *args, **kwargs):
+        return -self.stream.standard_normal(*args, **kwargs)
+
+
+def antithetic_normals(stream, rows, count):
+    """A chunk's (rows, count) normals as antithetic pairs: one (rows,
+    count/2) draw in columns 0..count/2-1 and its negation after it."""
+    draws = stream.standard_normal((rows, count // 2))
+    return np.concatenate([draws, -draws], axis=1)
+
+
+def pair_means(values):
+    """The means of the antithetic pairs of the last axis: value i with
+    value i + count/2, each halved first, as ``mc`` takes them."""
+    half = values.shape[-1] // 2
+    return 0.5 * values[..., :half] + 0.5 * values[..., half:]
+
+
 def tanh_well_step(h, b):
     """The root z of z + h*tanh(z) = b, which lies within h of b, by bisection."""
     lo, hi = b - h, b + h
@@ -353,9 +380,10 @@ def cliff_problem():
 
 def per_row_increments(plan, chunk_index, count, h, n_steps, d):
     """The Brownian increments of the former per-row sampler: a fresh
-    step-major (n_steps*d, count) block from the chunk's stream, path i
-    in column i, scaled to variance h. Returned as (count, n_steps, d)."""
-    d_w = plan.chunk_stream(chunk_index).standard_normal((n_steps * d, count))
+    step-major (n_steps*d, count) block of antithetic pairs from the
+    chunk's stream, path i in column i, scaled to variance h. Returned
+    as (count, n_steps, d)."""
+    d_w = antithetic_normals(plan.chunk_stream(chunk_index), n_steps * d, count)
     d_w *= math.sqrt(h)
     return d_w.reshape(n_steps, d, count).transpose(2, 0, 1)
 
@@ -381,9 +409,10 @@ def per_row_sup(problem, d_w, h, p):
 
 
 def per_row_sample_chunk(problem, plan, chunk_index, count, h, n_steps, p):
-    """One chunk of one step size's column, drawn and stepped alone."""
+    """One chunk of one step size's column, drawn and stepped alone: its
+    count/2 pair means."""
     d_w = per_row_increments(plan, chunk_index, count, h, n_steps, problem.d)
-    return per_row_sup(problem, d_w, h, p)
+    return pair_means(per_row_sup(problem, d_w, h, p))
 
 
 def _rotation_sup_reference(problem, d_w, h, p):
@@ -410,12 +439,12 @@ def _rotation_sup_reference(problem, d_w, h, p):
 
 def whole_union_sample_chunk(sampler, plan, chunk_index, count):
     """The former whole-union chunk of ``mc.BemSupFunctionalSampler``: a
-    (step sizes, count) array, one row per h in grid order.
+    (step sizes, count/2) array of pair means, one row per h in grid order.
 
     The reference for the streamed sampler, which steps a chunk one
     block of time at a time: its rows must equal these bit for bit. Here
-    the chunk's normals are one (increments, count) draw on the union of
-    the grids, each coarser level is summed from its source over the
+    the chunk's normals are one (increments, count/2) draw on the union of
+    the grids and its negation, each coarser level is summed from its source over the
     whole horizon, and each level is stepped in one pass: a scalar
     problem by one batch-kernel call holding every state of every path,
     the rotation by the former two-row loop.
@@ -427,7 +456,7 @@ def whole_union_sample_chunk(sampler, plan, chunk_index, count):
              for (num, q), n in zip(ratios, sampler.n_steps)]
     union = sorted(set().union(*grids))
     roots = np.repeat(np.sqrt([(b - a) / den for a, b in zip(union, union[1:])]), d)
-    draws = plan.chunk_stream(chunk_index).standard_normal((roots.size, count))
+    draws = antithetic_normals(plan.chunk_stream(chunk_index), roots.size, count)
     draws *= roots[:, None]
     draws = draws.reshape(-1, d, count)
     at = {t: i for i, t in enumerate(union)}
@@ -451,7 +480,7 @@ def whole_union_sample_chunk(sampler, plan, chunk_index, count):
         else:
             out[column] = _whole_union_rotation_sup(problem, d_w, hs[column], sampler.p)
         finer = grid
-    return out
+    return pair_means(out)
 
 
 def _whole_union_scalar_sup(problem, d_w, h, p):
@@ -598,7 +627,8 @@ REPORT_SCHEMA = {
             "L": _nonnegative,
             "x0_norm_sq": _nonnegative,
             "g_x0_norm_sq": _nonnegative,
-            "n_paths": _at_least(2),
+            "n_paths": lambda v: _at_least(4)(v) and v % 2 == 0,
+            "increments": lambda v: v == "antithetic pairs",
         },
         "bound": _nonnegative_or_inf,
         "bound_parts": {

@@ -28,6 +28,7 @@ from stochastic_gronwall.cli import (
     EXIT_PIPE,
     EXIT_SOLVER,
     EXIT_VERIFY,
+    PAIRS,
     REQUIRED,
     SEED_ENV_VAR,
     _NEGATIVE_NUMBER,
@@ -619,9 +620,13 @@ _THEOREM = ["verify", "theorem", "--p", "0.5", "--horizon", "3"]
 _APRIORI = ["verify", "apriori", "--T", "1", "--h0", "0.25", "--h-grid", "0.125,0.015625",
             "--paths", "64"]
 _GL = [*_APRIORI, "--problem", "ginzburg-landau", "--p", "0.5", "--seed", "1"]
+_PAIRS_RULE = "--paths must be even and at least 4, as paths come in antithetic pairs"
 _INPUT_CASES = {
     "config-paths-text": ([*_THEOREM, "--seed", "1"], {"paths": "100"}, None,
                           EXIT_CONFIG, "'paths'"),
+    "config-odd-apriori-paths": ([*_APRIORI[:-2], "--problem", "ginzburg-landau", "--p", "0.5",
+                                  "--seed", "1"], {"paths": 65}, None, EXIT_CONFIG,
+                                 _PAIRS_RULE),
     "config-p-text": ([*_APRIORI, "--problem", "ginzburg-landau", "--seed", "1"],
                       {"p": "0.5"}, None, EXIT_CONFIG, "'p'"),
     "config-sigma-text": (_GL, {"sigma": "0.5"}, None, EXIT_CONFIG, "'sigma'"),
@@ -643,6 +648,10 @@ _INPUT_CASES = {
     "negative-env-seed": ([*_THEOREM, "--paths", "200"], None, "-5",
                           EXIT_CONFIG, SEED_ENV_VAR),
     "one-apriori-path": ([*_GL, "--paths", "1"], None, None, EXIT_CONFIG, "--paths"),
+    # paths come in antithetic pairs, and a standard error needs two pair means
+    "odd-apriori-paths": ([*_GL, "--paths", "3"], None, None, EXIT_CONFIG, _PAIRS_RULE),
+    "one-apriori-pair": ([*_GL, "--paths", "2"], None, None, EXIT_CONFIG, _PAIRS_RULE),
+    "two-apriori-pairs": ([*_GL, "--paths", "4"], None, None, EXIT_OK, ""),
     "one-theorem-path": ([*_THEOREM, "--paths", "1", "--seed", "1"], None, None,
                          EXIT_CONFIG, "--paths"),
     "two-theorem-paths": ([*_THEOREM, "--paths", "2", "--seed", "1"], None, None,
@@ -704,7 +713,7 @@ _INPUT_CASES = {
                                          None, None, EXIT_CONTRACT, "horizon n must be >= 0"),
     # 4096 paths times 1e12 + 8 steps: over the work limit before any point is listed
     "apriori-grid-over-work-limit": ([*_APRIORI, "--problem", "linear", "--p", "0.5",
-                                      "--seed", "1", "--paths", "2", "--h-grid", "0.125,1e-12"],
+                                      "--seed", "1", "--paths", "4", "--h-grid", "0.125,1e-12"],
                                      None, None, EXIT_CONTRACT, "Brownian increments"),
     # 1e12 steps of one trajectory, and 4096 walks of 1e10 + 1 values: over the work
     # limit before anything is allocated
@@ -1040,6 +1049,8 @@ _BEM_SIMULATE = ["bem", "simulate"]
 _ORDINARY_FLOATS = ["0.5", "0.25", "0.1", "0.01"]
 # Path and sample counts: the fewest with a standard error, and one chunk and a short one.
 _ORDINARY_COUNTS = ["2", "64", str(CHUNK_SIZE + 1)]
+# verify apriori's paths, which come in antithetic pairs: two pairs, and the same chunks.
+_ORDINARY_PAIRS = ["4", "64", str(CHUNK_SIZE + 2)]
 
 
 def _mc_value(flag):
@@ -1050,7 +1061,9 @@ def _mc_value(flag):
     if kind is float:
         return values
     if kind is int:
-        return st.sampled_from(_EDGE_INTS + (_ORDINARY_COUNTS if flag.domain is COUNT else []))
+        ordinary = (_ORDINARY_COUNTS if flag.domain is COUNT
+                    else _ORDINARY_PAIRS if flag.domain is PAIRS else [])
+        return st.sampled_from(_EDGE_INTS + ordinary)
     if kind is str:
         return st.nothing()
     return st.lists(values, max_size=4).map(",".join)
@@ -1344,8 +1357,8 @@ class TestPoolChildren:
                 "--h0", "0.25", "--h-grid", "0.125,0.0625,0.03125,0.015625", "--paths", "9000",
                 "--seed", "5", "--output", str(report), "--csv", str(table)]
         results = [run(capsys, *argv, "--workers", str(w)) for w in (1, 2, 3)]
-        assert results == [(EXIT_SOLVER, "", "solver failure: chunk 0, column 0: 79 of its 4096 "
-                                             "samples are not finite\n")] * 3
+        assert results == [(EXIT_SOLVER, "", "solver failure: chunk 0, column 0: 101 of its 2048 "
+                                             "pair means are not finite\n")] * 3
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # no child left, running or unreaped

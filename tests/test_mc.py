@@ -16,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    NegatedStream,
     SpoiledStream,
+    antithetic_normals,
     check_report,
     cliff_problem,
     freeze_paths,
+    pair_means,
     per_row_increments,
     per_row_sample_chunk,
     per_row_sup,
@@ -382,7 +385,7 @@ class TestReportPool:
                 verify_apriori(make_problem("ginzburg-landau", sigma=0.5), GL_GRID, 0.25, 1.0,
                                0.5, POOL_N, StreamPlan(5, workers=workers))
             messages.append(str(info.value))
-        assert messages == ["chunk 0, column 1: 2048 of its 4096 samples are not finite"] * 3
+        assert messages == ["chunk 0, column 1: 1024 of its 2048 pair means are not finite"] * 3
         assert no_children_left()
 
     def test_failing_paths_of_a_custom_problem_abort_alike(self, deadline):
@@ -394,7 +397,7 @@ class TestReportPool:
                 verify_apriori(cliff_problem(), GL_GRID, 0.25, 1.0, 0.5, POOL_N,
                                StreamPlan(5, workers=workers))
             messages.append(str(info.value))
-        assert messages == ["chunk 0, column 0: 79 of its 4096 samples are not finite"] * 3
+        assert messages == ["chunk 0, column 0: 101 of its 2048 pair means are not finite"] * 3
         assert no_children_left()
 
     def test_a_failing_later_chunk_stops_the_report_alike(self, monkeypatch, deadline):
@@ -413,7 +416,7 @@ class TestReportPool:
                 verify_apriori(make_problem("ginzburg-landau", sigma=0.5), GL_GRID, 0.25, 1.0,
                                0.5, POOL_N, StreamPlan(5, workers=workers))
             messages.append(str(info.value))
-        assert messages == ["chunk 1, column 3: 1 of its 4096 samples are not finite"] * 3
+        assert messages == ["chunk 1, column 3: 1 of its 2048 pair means are not finite"] * 3
         assert no_children_left()
 
     @pytest.mark.parametrize("label", ["bounded-rotation", "ginzburg-landau"])
@@ -433,7 +436,8 @@ class TestReportPool:
                 verify_apriori(make_problem(label), GL_GRID, 0.25, 1.0, 0.5, POOL_N,
                                StreamPlan(5, workers=workers))
             messages.append(str(info.value))
-        assert messages == ["chunk 1, column 0: 1 of its 4096 samples are not finite"] * 2
+        # the NaN normal drives path 5 and its mirror, so it fails one pair
+        assert messages == ["chunk 1, column 0: 1 of its 2048 pair means are not finite"] * 2
         assert no_children_left()
 
     @pytest.mark.parametrize("chunks", [(0,), (2,)])
@@ -683,7 +687,7 @@ class TestSyntheticMatchesOracle:
 def chunk_peak(sampler):
     """The tracemalloc peak, in bytes, of one CHUNK_SIZE-path chunk."""
     plan = StreamPlan(1)
-    sampler.sample_chunk(plan, 0, 1)  # one-time costs stay out of the measurement
+    sampler.sample_chunk(plan, 0, 2)  # one-time costs stay out of the measurement
     tracemalloc.start()
     try:
         sampler.sample_chunk(plan, 0, CHUNK_SIZE)
@@ -766,23 +770,24 @@ class TestVerifyApriori:
             verify_apriori(prob, [0.1], 0.5, 1.0, 0.5, 100, StreamPlan(0))
 
     def test_rotation_batch_matches_trajectory(self):
-        # each path of a chunk is, bit for bit, the trajectory driven by its
-        # column of the chunk's step-major draws, whatever paths share the chunk
+        # each pair mean of a chunk is, bit for bit, the mean of the trajectories
+        # driven by its column of the chunk's step-major draws and by their
+        # negation, whatever pairs share the chunk
         class Row:
             def __init__(self, normals):
                 self.normals = normals
 
             def standard_normal(self, shape):
-                return self.normals.reshape(shape)
+                return self.normals.reshape(shape).copy()
 
         prob = make_problem("bounded-rotation", omega=1.5, kappa=0.2, sigma=0.4)
         sampler = BemSupFunctionalSampler(prob, [0.1], 1.0, 0.5)
         plan = StreamPlan(13)
         (vals,) = sampler.sample_chunk(plan, 0, 8)
-        normals = plan.chunk_stream(0).standard_normal((step_count(0.1, 1.0) * 2, 8))
-        for i in range(8):
-            traj = simulate_trajectory(prob, 0.1, 0.5, 1.0, [0.5], Row(normals[:, i]))
-            assert vals[i] == traj.sup_functional_p[0.5]
+        normals = plan.chunk_stream(0).standard_normal((step_count(0.1, 1.0) * 2, 4))
+        for i in range(4):
+            assert vals[i] == _mirrored_trajectories(prob, 0.1, 0.5, 1.0, 0.5,
+                                                     lambda: Row(normals[:, i]))
 
     def test_custom_problem_report(self):
         # a problem outside the zoo, with its own exact step, runs alike at any worker count
@@ -839,8 +844,9 @@ def _zoo_params(label):
 @given(data=st.data())
 def test_zoo_problem_round_trips_and_matches_its_trajectory(label, data):
     """make_problem rejects a parameter set or builds a problem whose spec
-    holds x0 as a tuple exactly for a planar problem, and whose one-path
-    chunk is its trajectory and survives pickling the problem."""
+    holds x0 as a tuple exactly for a planar problem, and whose one-pair
+    chunk is its trajectory and its mirror's and survives pickling the
+    problem."""
     import pickle
 
     params = data.draw(_zoo_params(label))
@@ -855,11 +861,11 @@ def test_zoo_problem_round_trips_and_matches_its_trajectory(label, data):
     assert isinstance(spec["x0"], tuple) == (prob.d == 2)
     h0 = 0.999 * 0.5 / max(prob.L, 1.0)
     plan = StreamPlan(5)
-    ((chunk,),) = BemSupFunctionalSampler(prob, [h0 / 2], 2 * h0, 0.5).sample_chunk(plan, 0, 1)
-    traj = simulate_trajectory(prob, h0 / 2, h0, 2 * h0, [0.5], plan.chunk_stream(0))
-    assert chunk == traj.sup_functional_p[0.5]
+    ((chunk,),) = BemSupFunctionalSampler(prob, [h0 / 2], 2 * h0, 0.5).sample_chunk(plan, 0, 2)
+    assert chunk == _mirrored_trajectories(prob, h0 / 2, h0, 2 * h0, 0.5,
+                                           lambda: plan.chunk_stream(0))
     # the zoo's f, g and step pickle by reference, so a loaded problem steps the same bits
-    ((again,),) = BemSupFunctionalSampler(copy, [h0 / 2], 2 * h0, 0.5).sample_chunk(plan, 0, 1)
+    ((again,),) = BemSupFunctionalSampler(copy, [h0 / 2], 2 * h0, 0.5).sample_chunk(plan, 0, 2)
     assert again == chunk
 
 
@@ -877,10 +883,18 @@ MATCH_CASES += [(label, {}) for label in zoo_labels()
                 if label not in {named for named, _ in MATCH_CASES}]
 
 
+def _mirrored_trajectories(prob, h, h0, T, p, stream_of):
+    """The pair mean of the trajectories on a stream and on its negation."""
+    path, mirror = (simulate_trajectory(prob, h, h0, T, [p], stream).sup_functional_p[p]
+                    for stream in (stream_of(), NegatedStream(stream_of())))
+    return pair_means(np.array([path, mirror]))[0]
+
+
 class TestSamplerMatchesTrajectory:
     """Every zoo problem takes the same implicit steps in one trajectory as
-    in a one-path chunk of the sampler, so the sup functionals agree bit
-    for bit."""
+    in a chunk of the sampler: a chunk of one path and its mirror (one
+    antithetic pair) is, bit for bit, the mean of the trajectory on the
+    chunk stream and of the one on that stream negated."""
 
     @pytest.mark.parametrize("label, params", MATCH_CASES)
     @pytest.mark.parametrize("h", [0.1, 0.07, 0.015625])
@@ -891,8 +905,9 @@ class TestSamplerMatchesTrajectory:
         sampler = BemSupFunctionalSampler(prob, [h], 1.0, p)
         plan = StreamPlan(7)
         for c in range(10):
-            traj = simulate_trajectory(prob, h, h0, 1.0, [p], plan.chunk_stream(c))
-            assert sampler.sample_chunk(plan, c, 1)[0, 0] == traj.sup_functional_p[p]
+            ((pair,),) = sampler.sample_chunk(plan, c, 2)
+            assert pair == _mirrored_trajectories(prob, h, h0, 1.0, p,
+                                                  lambda: plan.chunk_stream(c))
 
 
 class TestRotationMatchesOracle:
@@ -911,7 +926,7 @@ class TestRotationMatchesOracle:
         sampler = BemSupFunctionalSampler(prob, [h], 1.0, 0.5)
         for seed in (0, 7):
             plan = StreamPlan(seed)
-            for count in (1, 2, 4095, 4096):
+            for count in (2, 4, 4094, 4096):
                 expected = per_row_sample_chunk(prob, plan, 0, count, h, step_count(h, 1.0), 0.5)
                 assert np.array_equal(sampler.sample_chunk(plan, 0, count)[0], expected)
 
@@ -949,16 +964,17 @@ class TestOnePassMatchesOracle:
         finest = order[0]
         for seed in (0, 7):
             plan = StreamPlan(seed)
-            for count in (1, 2, 4095, 4096):
+            for count in (2, 4, 4094, 4096):
                 columns = sampler.sample_chunk(plan, 0, count)
-                assert columns.shape == (len(grid), count)
+                assert columns.shape == (len(grid), count // 2)
                 d_w = per_row_increments(plan, 0, count, grid[finest], n_steps[finest], prob.d)
                 assert np.array_equal(columns[order[0]],
                                       per_row_sample_chunk(prob, plan, 0, count, grid[finest],
                                                            n_steps[finest], 0.5))
                 for finer, k in zip(order, order[1:]):
                     d_w = _summed(d_w, n_steps[finer] // n_steps[k])
-                    assert np.array_equal(columns[k], per_row_sup(prob, d_w, grid[k], 0.5))
+                    assert np.array_equal(columns[k],
+                                          pair_means(per_row_sup(prob, d_w, grid[k], 0.5)))
 
     def test_non_nested_grid_draws_once_on_the_union(self):
         # 0.25 is no multiple of the float 0.03: the union has 5 + 34 - 1 points, and
@@ -972,12 +988,12 @@ class TestOnePassMatchesOracle:
         sampler = BemSupFunctionalSampler(prob, hs, 1.0, 0.5)
         plan = StreamPlan(3)
         chunk = sampler.sample_chunk(plan, 0, 64)
-        union = (plan.chunk_stream(0).standard_normal((37, 64)) * roots[:, None]).T[:, :, None]
+        union = (antithetic_normals(plan.chunk_stream(0), 37, 64) * roots[:, None]).T[:, :, None]
         for column, (_, _, bounds) in zip(columns, levels):
             # the same sums, up to the order of the additions
             d_w = np.stack([union[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds, bounds[1:])],
                            axis=1)
-            assert np.allclose(chunk[column], per_row_sup(prob, d_w, hs[column], 0.5),
+            assert np.allclose(chunk[column], pair_means(per_row_sup(prob, d_w, hs[column], 0.5)),
                                rtol=1e-13, atol=0.0)
 
 
@@ -1010,12 +1026,13 @@ class TestSumSteps:
         assert [(from_union, stride) for from_union, stride, _ in blocks[0][2]] == [
             (True, 1), (False, 2), (True, 3)]
         plan = StreamPlan(5)
-        for count in (1, 64):
+        for count in (2, 64):
             chunk = sampler.sample_chunk(plan, 0, count)
             union = per_row_increments(plan, 0, count, 1 / 128, 96, prob.d)
             for column, stride in zip(columns, (1, 2, 3)):
                 d_w = _summed(union, stride) if stride > 1 else union
-                assert np.array_equal(chunk[column], per_row_sup(prob, d_w, hs[column], 0.5))
+                assert np.array_equal(chunk[column],
+                                      pair_means(per_row_sup(prob, d_w, hs[column], 0.5)))
 
 
 # (step sizes, T) of the streamed chunks checked against the whole-union one:
@@ -1043,7 +1060,7 @@ class TestStreamedMatchesWholeUnion:
         sampler = BemSupFunctionalSampler(make_problem(label, **params), hs, T, 0.5)
         for seed in (0, 7):
             plan = StreamPlan(seed)
-            for count in (1, 2, 4095, 4096):
+            for count in (2, 4, 4094, 4096):
                 assert np.array_equal(sampler.sample_chunk(plan, 1, count),
                                       whole_union_sample_chunk(sampler, plan, 1, count))
 
@@ -1152,13 +1169,14 @@ def test_later_chunks_reuse_the_block_buffer():
     sampler, plan = BemSupFunctionalSampler(prob, hs, 1.0, 0.5), StreamPlan(1)
     sampler.sample_chunk(plan, 0, CHUNK_SIZE)
     buffer = sampler._scratch
-    # a block's 16 rows of draws and the 4 + 2 + 1 steps of the summed levels
-    assert buffer.nbytes == (16 + 2 * 7) * CHUNK_SIZE * 8
+    # a block's 16 rows of normals for half the paths, its 16 rows of increments
+    # and mirrors, and the 4 + 2 + 1 steps of the summed levels
+    assert buffer.nbytes == (8 + 16 + 2 * 7) * CHUNK_SIZE * 8
     tracemalloc.start()
     try:
         for c in (1, 2):
             sampler.sample_chunk(plan, c, CHUNK_SIZE)
-            sampler.sample_chunk(plan, c, 5)
+            sampler.sample_chunk(plan, c, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1179,6 +1197,47 @@ class TestCoupling:
         coarsest, finest = columns[0], columns[-1]
         assert np.var(coarsest - finest, ddof=1) <= 0.25 * (
             np.var(coarsest, ddof=1) + np.var(finest, ddof=1))
+
+
+class TestAntitheticPairs:
+    """A verify apriori row is the mean and standard error of the pair
+    means that the chunks return: paths come in antithetic pairs, n/2
+    of them, and ``n_samples`` still counts paths."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("label", ["ginzburg-landau", "bounded-rotation"])
+    def test_rows_are_those_of_the_raw_pair_means(self, label, workers):
+        prob, n = make_problem(label, sigma=0.5), 2 * CHUNK_SIZE  # two chunks
+        report = verify_apriori(prob, GL_GRID, 0.25, 1.0, 0.5, n, StreamPlan(9, workers=workers))
+        sampler = BemSupFunctionalSampler(prob, GL_GRID, 1.0, 0.5)
+        means = np.concatenate([sampler.sample_chunk(StreamPlan(9), c, CHUNK_SIZE)
+                                for c in (0, 1)], axis=1)
+        assert means.shape == (len(GL_GRID), n // 2)
+        for row, values in zip(report["rows"], means):
+            mean = math.fsum(values) / values.size
+            variance = math.fsum((values - mean) ** 2) / (values.size - 1)
+            assert row["n_samples"] == n
+            assert row["mean"] == pytest.approx(mean, rel=1e-13)
+            assert row["std_error"] == pytest.approx(math.sqrt(variance / values.size), rel=1e-10)
+        assert report["inputs"]["increments"] == "antithetic pairs"
+        assert no_children_left()
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 4095])
+    def test_a_chunk_of_unpaired_paths_is_a_contract_violation(self, count):
+        sampler = BemSupFunctionalSampler(make_problem("linear"), [0.125], 1.0, 0.5)
+        with pytest.raises(ContractViolationError, match=f"must be even and positive; got {count}"):
+            sampler.sample_chunk(StreamPlan(0), 0, count)
+
+    @pytest.mark.parametrize("n", [2, 3, 9001])
+    def test_unpaired_or_single_pair_count_rejected_before_drawing(self, monkeypatch, n):
+        monkeypatch.setattr(StreamPlan, "chunk_stream", refuse_stream)
+        with pytest.raises(ContractViolationError, match=f"even and at least 4 .*; got {n}"):
+            verify_apriori(make_problem("linear"), GL_GRID, 0.25, 1.0, 0.5, n, StreamPlan(0))
+
+    def test_pair_means_short_of_half_the_paths_are_a_contract_violation(self):
+        with pytest.raises(ContractViolationError, match="hold 4 pair means, not half the 10"):
+            estimate_expectation([(4, 1.0, 2.0)], 10, pairs=True)
+        assert estimate_expectation([(5, 1.0, 2.0)], 10, pairs=True).n_samples == 10
 
 
 class TestWorkLimit:

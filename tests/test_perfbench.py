@@ -111,10 +111,12 @@ def test_traced_rotation_draws_the_finest_grid_once(tmp_path):
             "--T", "1", "--h0", "0.25", "--h-grid", "0.125,0.015625", "--paths", str(paths),
             "--seed", "3", "--workers", "2"]
     metrics = _run_twice(tracer, argv, [tmp_path / "untraced.json", tmp_path / "traced.json"])
-    assert metrics["streams.draw.values"] == paths * finest_steps * 2
+    # two coordinates a step for half the paths: each mirror path draws nothing
+    assert metrics["streams.draw.values"] == paths // 2 * finest_steps * 2
     assert metrics["mc.sample_chunk.calls"] == 2  # one per chunk
     assert metrics["mc.pool.tasks"] == 1
-    assert metrics["kernels.welford_chunk.samples"] == paths * 2  # one column per row
+    # one column per row, of paths/2 pair means
+    assert metrics["kernels.welford_chunk.samples"] == paths // 2 * 2
     assert metrics["mc.estimate_expectation.calls"] == 2  # one per row
 
 
