@@ -17,8 +17,9 @@ states the previous block left. Only one block's increments are held.
 A report's step sizes are plain numbers that share one cap h0 and one
 horizon T, checked by ``sde.check_step_sizes``. Its paths come in
 antithetic pairs, each path's increments negated in its mirror: a chunk
-draws normals for half its paths and returns one mean per pair, and each
-row's standard error is that of those pair means.
+draws normals for half its paths and returns one mean per pair. The
+estimator knows no pairs: ``verify_apriori`` estimates each row from
+the n/2 pair means as its samples and reports the n paths.
 
 A pass at more than one worker forks its children with
 ``ProcessPoolExecutor``, a pool of this module's own: each child
@@ -98,22 +99,19 @@ def _pairwise_merge(stats):
     return level[0]
 
 
-def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int,
-                       what: str = "samples"):
-    """Per chunk lo..hi-1 with samples, the moments of each column.
+def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int):
+    """Per chunk lo..hi-1, the moments of each column.
 
     A chunk that holds a value that is not finite (a failed path) stops
     the run with :class:`SolverError`, naming the chunk, the column and
-    how many of its values (``what``: samples or pair means) are not
-    finite. A column whose values are finite but whose moments overflow
-    raises :class:`ContractViolationError`. Neither raises a
-    floating-point warning.
+    how many of its values are not finite: samples, or pair means for a
+    column of half the chunk's count. A column whose values are finite
+    but whose moments overflow raises :class:`ContractViolationError`.
+    Neither raises a floating-point warning.
     """
     out = []
     for c in range(lo, hi):
         count = plan.chunk_count(c, n)
-        if count == 0:
-            continue
         columns = np.atleast_2d(np.asarray(sampler.sample_chunk(plan, c, count), dtype=np.float64))
         stats = []
         for column, vals in enumerate(columns):
@@ -124,11 +122,12 @@ def _chunk_range_stats(sampler, plan: StreamPlan, n: int, lo: int, hi: int,
             if not _finite_moments(moments):
                 n_bad = vals.size - np.count_nonzero(np.isfinite(vals))
                 if n_bad:
+                    what = "samples" if vals.size == count else "pair means"
                     raise SolverError(f"chunk {c}, column {column}: {n_bad} of its {vals.size} "
                                       f"{what} are not finite")
                 raise ContractViolationError(
                     f"chunk {c}: the mean or sum of squared deviations of its finite values "
-                    "overflows float64; try a smaller --horizon or --p"
+                    "overflows float64; try a smaller --p"
                 )
             stats.append(moments)
         out.append(stats)
@@ -257,17 +256,16 @@ class ProcessPoolExecutor:
             self._children.clear()
 
 
-def sample_columns(sampler, n: int, plan: StreamPlan, pairs: bool = False) -> list:
-    """One pass of n samples: per column, the (count, mean, M2) moments of
-    each chunk, in chunk order.
+def sample_columns(sampler, n: int, plan: StreamPlan) -> list:
+    """One pass over n paths: per column, the (count, mean, M2) moments
+    of each chunk, in chunk order.
 
     The sampler must expose ``sample_chunk(plan, chunk_index, count)``
     returning one row of float64 values per column (a 1-D array is one
-    column): ``count`` samples, or with ``pairs`` the count/2 means of
-    antithetic pairs of paths. The first chunk, in chunk order, that
-    holds a value that is not finite raises :class:`SolverError`, with
-    the same message at any worker count, counting samples or pair
-    means. The
+    column): the chunk's ``count`` samples, or the count/2 means of its
+    antithetic pairs of paths (``BemSupFunctionalSampler``). The first
+    chunk, in chunk order, that holds a value that is not finite raises
+    :class:`SolverError`, with the same message at any worker count. The
     chunks are split into ``min(workers, chunks)`` ranges. With more
     than one, this pass opens a process pool with a child for each
     range but the first: ranges 1.. are forked in one ``map``, the
@@ -279,12 +277,11 @@ def sample_columns(sampler, n: int, plan: StreamPlan, pairs: bool = False) -> li
         raise ContractViolationError(f"need at least 2 samples, got {n}")
     n_tasks = min(plan.workers, plan.n_chunks(n))
     edges = np.linspace(0, plan.n_chunks(n), n_tasks + 1).astype(int).tolist()
-    what = "pair means" if pairs else "samples"
     pool = ProcessPoolExecutor(max_workers=n_tasks - 1) if n_tasks > 1 else None
     try:
         rest = pool.map(_chunk_range_stats, repeat(sampler), repeat(plan), repeat(n),
-                        edges[1:-1], edges[2:], repeat(what)) if pool is not None else ()
-        chunks = _chunk_range_stats(sampler, plan, n, 0, edges[1], what)
+                        edges[1:-1], edges[2:]) if pool is not None else ()
+        chunks = _chunk_range_stats(sampler, plan, n, 0, edges[1])
         for piece in rest:
             chunks.extend(piece)
     finally:
@@ -293,28 +290,24 @@ def sample_columns(sampler, n: int, plan: StreamPlan, pairs: bool = False) -> li
     return [list(column) for column in zip(*chunks)]
 
 
-def estimate_expectation(chunks: Sequence, n: int, z: float = DEFAULT_Z,
-                         pairs: bool = False) -> McEstimate:
+def estimate_expectation(chunks: Sequence, n: int, z: float = DEFAULT_Z) -> McEstimate:
     """Estimate of one column's mean from its n samples.
 
     ``chunks`` is the column's moments per chunk, from
     :func:`sample_columns`, merged by the fixed pairwise tree; they must
-    count n samples in all, or with ``pairs`` the n/2 means of antithetic
-    pairs of paths. The standard error is that of the mean of the values
-    the chunks count, and ``n_samples`` is n. Python floats overflow to
-    inf without a warning, so a merged mean or M2 that is not finite is a
+    count exactly n samples. The standard error is that of their mean,
+    and ``n_samples`` is n. Python floats overflow to inf without a
+    warning, so a merged mean or M2 that is not finite is a
     :class:`ContractViolationError`, as in a chunk, and so is an upper
     confidence bound mean + z*std_error beyond float64.
     """
     count, mean, m2 = _pairwise_merge(chunks)
-    what = "pair means" if pairs else "samples"
-    if (2 * count if pairs else count) != n:
-        raise ContractViolationError(
-            f"the chunks hold {count} {what}, not {'half ' if pairs else ''}the {n} requested")
+    if count != n:
+        raise ContractViolationError(f"the chunks hold {count} samples, not the {n} requested")
     if not _finite_moments((count, mean, m2)):
         raise ContractViolationError(
-            f"the merged mean or sum of squared deviations of {count} {what} overflows "
-            "float64; try a smaller --horizon or --p"
+            f"the merged mean or sum of squared deviations of {count} samples overflows "
+            "float64; try a smaller --p"
         )
     if count >= 2 and m2 > 0.0:
         std_error = math.sqrt(m2 / (count - 1) / count)
@@ -718,12 +711,13 @@ def verify_apriori(
     each coarser grid, so the rows share their Monte Carlo noise and
     the spread of their means is the discretization effect, which is
     compared against the bound's margin as a qualitative robustness
-    indicator. The paths come in antithetic pairs (see
-    ``BemSupFunctionalSampler.sample_chunk``), so ``n_paths`` must be
-    even and at least 4, and each row's standard error is that of the
-    mean of its n_paths/2 pair means. A path that fails (a state that is
-    not finite) makes its pair mean NaN and stops the
-    report with :class:`SolverError`. The problem is any that
+    indicator. The paths come in antithetic pairs, and the sampler
+    returns one mean per pair (see ``BemSupFunctionalSampler.sample_chunk``),
+    so ``n_paths`` must be even and at least 4. Each row is the estimate
+    from the n_paths/2 pair means, its ``n_samples`` the n_paths paths
+    they come from. A path that fails (a state that is not finite) makes
+    its pair mean NaN and stops the report with :class:`SolverError`,
+    which counts pair means. The problem is any that
     ``sde.implicit_step`` accepts. One with no ``zoo_spec`` has its
     coercivity spot-checked here, before anything is drawn, and its
     report's ``problem_params`` is empty. Returns the report as the JSON
@@ -746,10 +740,10 @@ def verify_apriori(
 
     sampler = BemSupFunctionalSampler(problem, hs, T, p)
     rows = []
-    for h, n, chunks in zip(hs, n_steps, sample_columns(sampler, n_paths, plan, pairs=True)):
-        est = estimate_expectation(chunks, n_paths, z=z, pairs=True)
-        rows.append({"h": h, "n_steps": n,
-                     "passed": bool(est.upper_ci <= bound), **est._asdict()})
+    for h, n, chunks in zip(hs, n_steps, sample_columns(sampler, n_paths, plan)):
+        est = estimate_expectation(chunks, n_paths // 2, z=z)  # one sample per pair
+        rows.append({"h": h, "n_steps": n, "passed": bool(est.upper_ci <= bound),
+                     **est._asdict(), "n_samples": n_paths})
 
     means = [r["mean"] for r in rows]
     spread = float(max(means) - min(means))

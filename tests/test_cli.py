@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -785,6 +786,13 @@ _INPUT_CASES = {
         ["verify", "apriori", "--problem", "linear", "--lambda", "1", "--sigma", "100",
          "--x0", "1e150", "--p", "0.5", "--T", "0.05", "--h0", "9.9e-5", "--h-grid", "8e-5,1e-5",
          "--paths", "256", "--seed", "1"], None, None, EXIT_CONTRACT, "overflows float64"),
+    # at p = 0.99 the sups stay finite, but their squared deviations overflow float64;
+    # the advice names only flags that verify apriori takes
+    **{f"apriori-moments-overflow-workers-{w}": (
+        ["verify", "apriori", "--problem", "linear", "--lambda", "1", "--sigma", "100",
+         "--x0", "1e140", "--p", "0.99", "--T", "0.05", "--h0", "9.9e-5", "--h-grid", "8e-5,1e-5",
+         "--paths", "256", "--seed", "1", "--workers", str(w)], None, None, EXIT_CONTRACT,
+        "overflows float64") for w in (1, 2)},
     "simulate-overflows": (["bem", "simulate", "--problem", "linear", "--lambda", "1", "--sigma",
                             "100", "--x0", "1e150", "--h", "5e-5", "--T", "0.05", "--seed", "32",
                             "--p-list", "0.5"], None, None, EXIT_CONTRACT, "overflows float64"),
@@ -901,6 +909,9 @@ class TestInputExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == expected, err
         assert fragment in err
+        # a message names only options of the command that ran
+        (leaf,) = [leaf for path, leaf in _LEAVES if argv[:len(path)] == path]
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", err)) <= set(leaf._option_string_actions)
 
 
 class TestProblemFlags:

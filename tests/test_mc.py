@@ -1234,10 +1234,26 @@ class TestAntitheticPairs:
         with pytest.raises(ContractViolationError, match=f"even and at least 4 .*; got {n}"):
             verify_apriori(make_problem("linear"), GL_GRID, 0.25, 1.0, 0.5, n, StreamPlan(0))
 
-    def test_pair_means_short_of_half_the_paths_are_a_contract_violation(self):
-        with pytest.raises(ContractViolationError, match="hold 4 pair means, not half the 10"):
-            estimate_expectation([(4, 1.0, 2.0)], 10, pairs=True)
-        assert estimate_expectation([(5, 1.0, 2.0)], 10, pairs=True).n_samples == 10
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sups_in_place_of_pair_means_are_a_contract_violation(self, monkeypatch, workers):
+        # chunks that return every path's sup hold n samples, where verify apriori
+        # estimates from n/2 pair means
+        def every_sup(self, plan, chunk_index, count):
+            return np.array([per_row_sup(self.problem, per_row_increments(
+                plan, chunk_index, count, h, n_steps, self.problem.d), h, self.p)
+                for h, n_steps in zip(self.hs, self.n_steps)])
+
+        monkeypatch.setattr(BemSupFunctionalSampler, "sample_chunk", every_sup)
+        n = 2 * CHUNK_SIZE  # two chunks
+        with pytest.raises(ContractViolationError, match=f"hold {n} samples, not the {n // 2} "):
+            verify_apriori(make_problem("linear"), GL_GRID, 0.25, 1.0, 0.5, n,
+                           StreamPlan(0, workers=workers))
+        assert no_children_left()
+
+    def test_chunks_short_of_n_values_are_a_contract_violation(self):
+        with pytest.raises(ContractViolationError, match="hold 4 samples, not the 5 requested"):
+            estimate_expectation([(4, 1.0, 2.0)], 5)
+        assert estimate_expectation([(5, 1.0, 2.0)], 5).n_samples == 5
 
 
 class TestWorkLimit:
