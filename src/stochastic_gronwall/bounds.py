@@ -15,14 +15,13 @@ are one. On it rest the moment bounds of the stochastic Gronwall
 inequality and the step-size-independent a priori estimate for the
 implicit Euler scheme. All operations are deterministic given their
 inputs; expectations such as E[sup_k F_k] enter as caller-supplied
-numbers. Estimation lives in :mod:`stochastic_gronwall.mc`.
+numbers. Estimation lives in :mod:`stochastic_gronwall.mc`. Sequences
+are tuples of Python floats, and the module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import ContractViolationError
 
@@ -32,37 +31,38 @@ from .errors import ContractViolationError
 OVERFLOW_GUARD = 1e300
 
 
-def real_sequence(values) -> np.ndarray:
-    """The entries as a read-only 1-D float64 array, with index origin 0.
+def real_sequence(values) -> tuple:
+    """The entries as a tuple of Python floats, with index origin 0.
 
     A sequence of length n+1 covers the horizon 0..n. Entries must be
-    finite; nonnegativity is required only where a sequence is used as a
-    weight sequence and is checked by the consuming operation.
+    finite numbers; nonnegativity is required only where a sequence is
+    used as a weight sequence and is checked by the consuming operation.
     """
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
+    if isinstance(values, (str, bytes)):  # the text of one number, not a sequence
         raise ContractViolationError("a sequence must be one-dimensional")
-    if arr.size == 0:
+    try:
+        seq = tuple(map(float, values))
+    except TypeError as exc:  # not iterable, or an entry that is itself a sequence
+        raise ContractViolationError("a sequence must be one-dimensional") from exc
+    if not seq:
         raise ContractViolationError("a sequence must have at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, seq)):
         raise ContractViolationError("sequence entries must be finite")
-    arr.setflags(write=False)
-    return arr
+    return seq
 
 
-def _require_length(seq: np.ndarray, n: int, name: str) -> None:
+def _require_length(seq: tuple, n: int, name: str) -> None:
     if len(seq) < n + 1:
         raise ContractViolationError(
             f"sequence {name} has length {len(seq)}, need at least {n + 1} for horizon {n}"
         )
 
 
-def _require_nonnegative(seq: np.ndarray, upto: int, name: str) -> None:
-    vals = seq[: upto + 1]
-    bad = np.nonzero(vals < 0.0)[0]
-    if bad.size:
+def _require_nonnegative(seq: tuple, upto: int, name: str) -> None:
+    bad = next((k for k in range(upto + 1) if seq[k] < 0.0), None)
+    if bad is not None:
         raise ContractViolationError(
-            f"weight sequence {name} must be nonnegative, entry {bad[0]} is {vals[bad[0]]}"
+            f"weight sequence {name} must be nonnegative, entry {bad} is {seq[bad]}"
         )
 
 
@@ -75,9 +75,9 @@ def _safe_exp(x: float) -> float:
 
 
 def log_product_one_plus(g, lo: int, hi: int) -> float:
-    """sum_{j=lo}^{hi-1} log(1 + g_j), the log of the weight product."""
-    vals = real_sequence(g)
-    return float(np.sum(np.log1p(vals[lo:hi]))) if hi > lo else 0.0
+    """sum_{j=lo}^{hi-1} log(1 + g_j), the log of the weight product: the
+    ``math.fsum`` of libm's ``log1p`` terms, so no bit depends on the CPU."""
+    return math.fsum(map(math.log1p, real_sequence(g)[lo:hi]))
 
 
 def _recursion_inputs(f, g, n):
@@ -105,7 +105,7 @@ def power_product_one_plus(g, lo: int, hi: int, p: float) -> float:
     factors are at least 1, so a product beyond the guard is the one
     whose partial products left it.
     """
-    product = math.prod(1.0 + gj for gj in real_sequence(g)[lo:hi].tolist())
+    product = math.prod(1.0 + gj for gj in real_sequence(g)[lo:hi])
     if product > OVERFLOW_GUARD:
         return _safe_exp(p * log_product_one_plus(g, lo, hi))
     return float(product**p)
@@ -123,31 +123,31 @@ def gronwall_closed_form(f, g, n: int | None = None) -> list:
     f, g, n = _recursion_inputs(f, g, n)
 
     out, s = [], 0.0
-    for fk, gk in zip(f[: n + 1].tolist(), g[: n + 1].tolist()):
+    for fk, gk in zip(f[: n + 1], g[: n + 1]):
         out.append(fk + s)
         s = (1.0 + gk) * s + fk * gk
     return out
 
 
-def gronwall_recursive_envelope(f, g, n: int | None = None) -> np.ndarray:
+def gronwall_recursive_envelope(f, g, n: int | None = None) -> tuple:
     """Maximal sequence attaining equality in the Gronwall recursion.
 
-    y_0 = f_0 and y_k = f_k + sum_{i<k} g_i y_i for k <= n. Each entry
-    coincides with entry k of ``gronwall_closed_form(f, g, n)`` up to rounding.
+    y_0 = f_0 and y_k = f_k + sum_{i<k} g_i y_i for k <= n, a tuple. Each
+    entry coincides with entry k of ``gronwall_closed_form(f, g, n)`` up to rounding.
     """
     f, g, n = _recursion_inputs(f, g, n)
 
     y = [0.0] * (n + 1)
-    y[0] = float(f[0])
+    y[0] = f[0]
     acc = 0.0  # running sum_{i<k} g_i y_i
     for k in range(1, n + 1):
-        acc += float(g[k - 1]) * y[k - 1]
-        y[k] = float(f[k]) + acc
+        acc += g[k - 1] * y[k - 1]
+        y[k] = f[k] + acc
         if not math.isfinite(y[k]):
             raise ContractViolationError(
                 f"envelope overflowed float64 at index {k}; it is finite up to n = {k - 1}"
             )
-    return real_sequence(y)
+    return tuple(y)
 
 
 def holder_prefactor(p: float, nu: float = 1.0) -> float:

@@ -7,7 +7,9 @@ leaf command is declared once, as a :class:`Flag` with its
 unset, every given value is checked against its domain, and defaults are
 filled in. Exit codes: 0 success, 2 config error, 3 numerical-contract
 violation, 4 solver failure, 5 verification failure, 141 stdout closed
-before the output was written.
+before the output was written. The closed-form commands load no numpy:
+the commands that need ``mc`` and ``sde``, which load it, import them
+when they run.
 """
 
 from __future__ import annotations
@@ -37,17 +39,7 @@ from .martingales import (
     remark_constants,
     walk_functional_expectations,
 )
-from .mc import (
-    DEFAULT_Z,
-    SupStoppedBmPowerSampler,
-    estimate_expectation,
-    sample_columns,
-    standard_synthetic_systems,
-    verify_apriori,
-    verify_theorem_on_synthetic,
-)
-from .sde import make_problem, simulate_trajectory, zoo_parameters
-from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, MAX_WORKERS, StreamPlan
+from .streams import CHUNK_SIZE, DEFAULT_Z, MAX_CHUNK_VALUES, MAX_WORKERS, StreamPlan
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -409,6 +401,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_estimate_sup(args) -> int:
+    from .mc import SupStoppedBmPowerSampler, estimate_expectation, sample_columns
+
     p, n = args.p, args.samples
     (chunks,) = sample_columns(SupStoppedBmPowerSampler(p), n,
                                StreamPlan(args.seed, workers=args.workers))
@@ -441,6 +435,8 @@ def _flag(name) -> str:
 def _problem_flags() -> list:
     """--problem and one flag per zoo problem parameter: a comma-separated
     list where some problem's default is a tuple (a planar x0), else a number."""
+    from .sde import zoo_parameters
+
     zoo = zoo_parameters()
     flags = [Flag("--problem", _one_of(zoo), "SDE problem", REQUIRED)]
     for name in dict.fromkeys(name for params in zoo.values() for name in params):
@@ -453,6 +449,8 @@ def _problem_flags() -> list:
 def _build_problem(args):
     """The chosen problem; a list flag gives as many numbers as a tuple
     default has, else one, which ``make_problem`` reads as a number."""
+    from .sde import make_problem, zoo_parameters
+
     params = zoo_parameters()[args.problem]
     for name, default in params.items():
         value = getattr(args, name)
@@ -466,6 +464,8 @@ def _build_problem(args):
 
 
 def _cmd_bem(args) -> int:
+    from .sde import simulate_trajectory
+
     problem = _build_problem(args)
     h0 = args.h0
     if h0 is None:
@@ -496,6 +496,8 @@ def _cmd_bem(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
+    from .mc import standard_synthetic_systems, verify_theorem_on_synthetic
+
     all_systems = {s.label: s for s in standard_synthetic_systems(args.horizon)}
     wanted = all_systems if args.systems is None else [s.strip() for s in args.systems.split(",")]
     unknown = [w for w in wanted if w not in all_systems]
@@ -509,6 +511,8 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def _cmd_verify_apriori(args) -> int:
+    from .mc import verify_apriori
+
     problem = _build_problem(args)
     report = verify_apriori(problem, args.h_grid, args.h0, args.T, args.p, args.paths,
                             StreamPlan(args.seed, workers=args.workers), z=args.z)
@@ -574,7 +578,12 @@ def _leaf(sub, name, help, func, flags, config=False) -> None:
     parser.set_defaults(func=func, flags=table)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command line ``argv``: that one
+    builds the leaves whose flags come from the SDE zoo (``sde`` loads numpy)
+    only if its first non-option token names their group. No top-level
+    option takes a value, so that token is the group."""
+    group = None if argv is None else next((a for a in argv if not a.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="sgronwall",
         description="Discrete stochastic Gronwall bounds, martingale "
@@ -626,16 +635,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     besub = sub.add_parser("bem", help="implicit Euler-Maruyama simulation").add_subparsers(
         dest="action", required=True)
-    _leaf(besub, "simulate", "simulate one trajectory to CSV", _cmd_bem, [
-        *_problem_flags(),
-        Flag("--h", REAL, "step size; its steps up to T, times the larger of the state and "
-             f"noise dimensions, at most {MAX_CHUNK_VALUES}", REQUIRED),
-        Flag("--h0", REAL, "step-size cap (default just below 1/(2L))"),
-        Flag("--T", REAL, "time horizon", REQUIRED),
-        _SEED,
-        Flag("--p-list", REALS, "exponents of the sup functional to print", ()),
-        Flag("--output", OUTPUT, "output CSV path (default stdout)"),
-    ], config=True)
+    if argv is None or group == "bem":
+        _leaf(besub, "simulate", "simulate one trajectory to CSV", _cmd_bem, [
+            *_problem_flags(),
+            Flag("--h", REAL, "step size; its steps up to T, times the larger of the state and "
+                 f"noise dimensions, at most {MAX_CHUNK_VALUES}", REQUIRED),
+            Flag("--h0", REAL, "step-size cap (default just below 1/(2L))"),
+            Flag("--T", REAL, "time horizon", REQUIRED),
+            _SEED,
+            Flag("--p-list", REALS, "exponents of the sup functional to print", ()),
+            Flag("--output", OUTPUT, "output CSV path (default stdout)"),
+        ], config=True)
 
     vsub = sub.add_parser("verify", help="Monte Carlo verification experiments").add_subparsers(
         dest="action", required=True)
@@ -647,21 +657,23 @@ def build_parser() -> argparse.ArgumentParser:
         Flag("--systems", TEXT, "comma-separated subset of system labels"),
         _SEED, _WORKERS, _Z, _REPORT, _TABLE,
     ], config=True)
-    _leaf(vsub, "apriori", "step-size robustness of the a priori bound", _cmd_verify_apriori, [
-        *_problem_flags(), _EXPONENT,
-        Flag("--T", REAL, "time horizon", REQUIRED),
-        Flag("--h0", REAL, "step-size cap", REQUIRED),
-        Flag("--h-grid", REALS, "comma-separated step sizes; their steps in all, times "
-             f"{CHUNK_SIZE} paths and the dimension, at most {MAX_CHUNK_VALUES}", REQUIRED),
-        _PAIRED_PATHS, _SEED, _WORKERS, _Z,
-        _REPORT, _TABLE,
-    ], config=True)
+    if argv is None or group == "verify":
+        _leaf(vsub, "apriori", "step-size robustness of the a priori bound", _cmd_verify_apriori, [
+            *_problem_flags(), _EXPONENT,
+            Flag("--T", REAL, "time horizon", REQUIRED),
+            Flag("--h0", REAL, "step-size cap", REQUIRED),
+            Flag("--h-grid", REALS, "comma-separated step sizes; their steps in all, times "
+                 f"{CHUNK_SIZE} paths and the dimension, at most {MAX_CHUNK_VALUES}", REQUIRED),
+            _PAIRED_PATHS, _SEED, _WORKERS, _Z,
+            _REPORT, _TABLE,
+        ], config=True)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         _resolve(args)

@@ -7,14 +7,13 @@ stopped), from integer counts of walks by the reflection principle over
 one table of binomial tails, within the work limit of a synthetic
 horizon; exact draws of the supremum of Brownian motion stopped at -1
 for Monte Carlo; and the sharp-constant window around pi*p/sin(pi*p).
+It loads no numpy: the draws take their generator from the caller.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import ContractViolationError
 from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES
@@ -99,7 +98,9 @@ def walk_functional_expectations(
     sum_k R(m + 2k(m-b)) - R(m - 2b + 2k(m-b)) walks, and P(inf <= -m)
     is the free walk's R(m) / 2^n for m <= -b and zero beyond; a barrier
     below -n is never reached. Each count is a Python integer divided by
-    2^n once, so every tail, and E[-inf M], is correctly rounded. A walk
+    2^n once, so every tail, and E[-inf M], is correctly rounded, and
+    E[(sup M)^p] is the ``math.fsum`` of the weighted tails, each weight
+    from libm's ``pow``, so no bit depends on the CPU. A walk
     whose n + 1 values times ``CHUNK_SIZE`` are over ``MAX_CHUNK_VALUES``,
     the work limit of a synthetic horizon, is rejected before the table
     is built.
@@ -128,5 +129,5 @@ def walk_functional_expectations(
     sup_tails = [sum(reach(s) - reach(s - 2 * b) for s in range(m, n + 1, 2 * (m - b))) / total
                  for m in range(1, n + 1)]
     neg_inf = sum(reach(m) for m in range(1, min(n, -b) + 1))
-    weights = np.diff(np.arange(n + 1.0) ** p)
-    return float(weights @ sup_tails), neg_inf / total
+    e_sup_p = math.fsum((m**p - (m - 1) ** p) * tail for m, tail in enumerate(sup_tails, 1))
+    return e_sup_p, neg_inf / total

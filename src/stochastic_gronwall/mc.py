@@ -43,9 +43,8 @@ from . import kernels, sde
 from .bounds import apriori_bound_parts, log_product_one_plus, theorem_bound_deterministic_G
 from .errors import ContractViolationError, SolverError
 from .martingales import sample_sup_stopped_bm_exact_batch
-from .streams import CHUNK_SIZE, MAX_CHUNK_VALUES, StreamPlan
+from .streams import CHUNK_SIZE, DEFAULT_Z, MAX_CHUNK_VALUES, StreamPlan
 
-DEFAULT_Z = 1.96
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 

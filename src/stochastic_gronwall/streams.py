@@ -28,20 +28,22 @@ a short last chunk depends on how many paths that chunk holds.
 Each path's randomness is thus pinned by (master_seed, path_index)
 through the fixed chunk size and the sample count, and by the shape of
 that block: for the implicit-Euler sampler, the union of the report's
-step-size grids. A report still depends only on its inputs.
+step-size grids. A report still depends only on its inputs. numpy is
+imported at the first stream, so the constants below load none.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .errors import ContractViolationError
 
 #: Samples per chunk. A chunk's draws are keyed by its index, so every
 #: report depends on this value.
 CHUNK_SIZE = 4096
+
+#: The default normal quantile of a confidence interval (two-sided 95%).
+DEFAULT_Z = 1.96
 
 #: The work limit, in float64 values: one chunk's Brownian increments
 #: (CHUNK_SIZE paths times the steps of all a report's grids times the
@@ -69,6 +71,8 @@ def keyed_generator(seed: int, word: int) -> np.random.Generator:
     The words are built arithmetically, so the key does not depend on
     the machine's byte order.
     """
+    import numpy as np
+
     key = np.array([seed & 0xFFFFFFFF, seed >> 32, word & 0xFFFFFFFF, word >> 32], dtype=np.uint32)
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 

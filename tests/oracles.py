@@ -53,10 +53,10 @@ class GronwallPathBundle:
     __slots__ = ("X", "F", "G", "M")
 
     def __init__(self, X, F, G, M):
-        self.X = real_sequence(X)
-        self.F = real_sequence(F)
-        self.G = real_sequence(G)
-        self.M = real_sequence(M)
+        self.X = np.asarray(real_sequence(X))
+        self.F = np.asarray(real_sequence(F))
+        self.G = np.asarray(real_sequence(G))
+        self.M = np.asarray(real_sequence(M))
         n = len(self.X)
         if not (len(self.F) == len(self.G) == len(self.M) == n):
             raise ContractViolationError("bundle sequences must share one length")
@@ -148,7 +148,7 @@ def telescoping_identity_lhs(g, k: int, n: int) -> float:
     equals prod_{j=k}^{n-1} (1 + g_j) exactly; the floating-point gap is
     what the identity tests measure.
     """
-    g = real_sequence(g)
+    g = np.asarray(real_sequence(g))
     if not 0 <= k <= n - 1:
         raise ContractViolationError(f"need 0 <= k <= n-1, got k={k}, n={n}")
     bounds._require_length(g, n - 1, "g")

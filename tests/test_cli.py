@@ -978,6 +978,49 @@ class TestFlagDomains:
                 assert "".join(f"must {rule}".split()) in text
 
 
+def _parser_main_builds(monkeypatch, argv):
+    """The parser ``main`` builds for ``argv`` (a help request, which exits)."""
+    built = []
+
+    def spy(*args):
+        built.append(build_parser(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit):
+        main(argv)
+    (parser,) = built
+    return parser
+
+
+def _declared(flags):
+    """A leaf's flag table with each rule's test, a new function per build, left out."""
+    return {key: flag._replace(domain=flag.domain._replace(
+        rules=tuple(rule for _, rule in flag.domain.rules))) for key, flag in flags.items()}
+
+
+class TestParserForOneRun:
+    """``main`` builds the zoo's leaves only for a command line that names
+    their group; every parser on the way to each leaf is still the one
+    ``build_parser()`` builds."""
+
+    def test_top_level_help(self, monkeypatch):
+        assert (_parser_main_builds(monkeypatch, ["--help"]).format_help()
+                == build_parser().format_help())
+
+    @pytest.mark.parametrize("path", [path for path, _ in _LEAVES], ids=" ".join)
+    def test_each_leaf_equals_the_full_parsers(self, monkeypatch, path):
+        built, full = _parser_main_builds(monkeypatch, [*path, "--help"]), build_parser()
+        for depth, name in enumerate(path):  # the top level, then each group on the way
+            assert built.format_help() == full.format_help(), path[:depth]
+            built, full = (next(a for a in parser._actions
+                                if isinstance(a, argparse._SubParsersAction)).choices[name]
+                           for parser in (built, full))
+        assert sorted(built._option_string_actions) == sorted(full._option_string_actions)
+        assert _declared(built.get_default("flags")) == _declared(full.get_default("flags"))
+        assert built.format_help() == full.format_help()
+
+
 # Values at the edges of float64 and int64, for the generative test below.
 _EDGE_FLOATS = ["0", "5e-324", "-5e-324", "1", "-1", "1e154", "1e308", "-1e308",
                 str(2**63 - 1)]
@@ -1426,6 +1469,53 @@ def test_no_run_loads_the_pool_stack(tmp_path):
     assert done.returncode == 0, done.stderr
     one, two = (tmp_path / f"two-chunks-{w}.json" for w in (1, 2))
     assert one.read_bytes() == two.read_bytes()
+
+
+# Run in a fresh interpreter, which has loaded no numpy: neither importing the CLI nor
+# running a closed-form command loads it. A Monte Carlo command run after them does.
+_CLOSED_FORM_SCRIPT = """
+import contextlib, io, json, sys
+import stochastic_gronwall.cli
+assert "numpy" not in sys.modules, "import stochastic_gronwall.cli loaded numpy"
+from stochastic_gronwall.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help and --version
+            code = exc.code
+    assert code == 0, (argv, code)
+    assert "numpy" not in sys.modules, f"{argv} loaded numpy"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["martingale", "estimate-sup", "--p", "0.5", "--samples", "1000"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_closed_form_commands_load_no_numpy(tmp_path):
+    fg = tmp_path / "fg.csv"
+    fg.write_text("f,g\n1,0.1\n0.5,0.2\n2,0.3\n", encoding="utf-8")
+    runs = [
+        ["--help"], ["--version"],
+        ["bound", "--form", "holder", "--p", "0.25", "--nu", "2"],
+        ["bound", "--form", "deterministic-G", "--p", "0.3", "--G", "0.1,0.2,0.7",
+         "--e-sup-f", "2.5"],
+        # the log-space golden: its product term is the fsum of log1p
+        ["bound", "--form", "deterministic-G", "--p", "0.5", "--G", "1e100,1e100,1e100,1e100",
+         "--e-sup-f", "2"],
+        ["bound", "--form", "random-G", "--p", "0.3", "--nu", "2", "--g-norm", "1.7",
+         "--e-sup-f", "3"],
+        ["bound", "--form", "apriori", "--p", "0.3", "--L", "1.5", "--T", "2", "--h0", "0.1",
+         "--x0sq", "0.7", "--gx0sq", "0.2"],
+        ["gronwall", "--f", "1,0.5,2,0.25,3", "--g", "0.1,0.2,0.3,0.4,0.5"],
+        ["gronwall", "--csv", str(fg), "--output", str(tmp_path / "envelope.csv")],
+        ["martingale", "remark-constants", "--p", "0.5"],
+        ["martingale", "enumerate", "--p", "0.5", "--n", "1000"],
+        ["martingale", "enumerate", "--p", "0.5", "--n", "1000", "--stop-level", "-1"],
+    ]
+    done = fresh_interpreter(_CLOSED_FORM_SCRIPT, json.dumps(runs))
+    assert done.returncode == 0, done.stderr
 
 
 # The module entry as `python -m stochastic_gronwall.cli` runs it, under a wrapper whose
